@@ -18,7 +18,7 @@
 
 use bytes::Bytes;
 use comt_bench::report::{json_report, json_row, table};
-use comt_dist::{serve, DistClient, ServerOptions};
+use comt_dist::{serve, DistClient, HttpOptions, ServerOptions};
 use comt_oci::store::closure_digests;
 use comt_oci::{BlobStore, ImageBuilder, Registry};
 use comt_pkg::catalog;
@@ -307,9 +307,11 @@ fn main() {
         Registry::new(),
         "127.0.0.1:0",
         ServerOptions {
-            threads: loop_threads,
-            max_conns: crowd + 64,
-            backlog: 1024,
+            http: HttpOptions {
+                threads: loop_threads,
+                max_conns: crowd + 64,
+                ..Default::default()
+            },
             ..Default::default()
         },
     )
@@ -376,9 +378,11 @@ fn main() {
             Registry::new(),
             "127.0.0.1:0",
             ServerOptions {
-                threads: 1,
-                max_conns: crowd + 64,
-                backlog: 1024,
+                http: HttpOptions {
+                    threads: 1,
+                    max_conns: crowd + 64,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
         )

@@ -434,7 +434,7 @@ fn cmd_serve(dir: &str, args: &[String]) -> Result<(), String> {
     let addr = opt_value(args, "--addr", "127.0.0.1:7070");
     let mut opts = ServerOptions::default();
     if let Ok(n) = opt_value(args, "--threads", "").parse::<usize>() {
-        opts.threads = n.max(1);
+        opts.http.threads = n.max(1);
     }
     // Sizes accept a K/M/G binary suffix: `--cache-bytes 256M`.
     let parse_size = |s: &str| -> Option<u64> {
@@ -453,11 +453,11 @@ fn cmd_serve(dir: &str, args: &[String]) -> Result<(), String> {
             .ok_or_else(|| format!("--cache-bytes: bad size {cache_arg:?}"))?;
     }
     if let Ok(n) = opt_value(args, "--max-conns", "").parse::<usize>() {
-        opts.max_conns = n.max(1);
+        opts.http.max_conns = n.max(1);
     }
     let rate_arg = opt_value(args, "--client-rate", "");
     if !rate_arg.is_empty() {
-        opts.client_rate = parse_size(&rate_arg)
+        opts.http.client_rate = parse_size(&rate_arg)
             .ok_or_else(|| format!("--client-rate: bad rate {rate_arg:?}"))?;
     }
     let server = serve(reg, addr.as_str(), opts).map_err(|e| format!("bind {addr}: {e}"))?;

@@ -799,7 +799,7 @@ mod tests {
         for id in [a1, a2, a3, b1] {
             assert_eq!(svc.wait(id).unwrap().state, JobState::Done);
         }
-        // Bob dispatched while alice's backlog waited on her quota of 1:
+        // Bob dispatched while alice's queued jobs waited on her quota of 1:
         // his start seq beats alice's 2nd and 3rd jobs.
         let start =
             |id: u64| svc.status(id).unwrap().started_seq.expect("job ran");

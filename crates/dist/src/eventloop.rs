@@ -1,5 +1,6 @@
-//! The readiness-driven serve engine: nonblocking connection state
-//! machines over raw epoll ([`crate::poller`]).
+//! The serve engine: nonblocking connection state machines over a
+//! readiness [`Poller`] — epoll where the host has it, `poll(2)` where it
+//! does not ([`crate::poller`]); nothing below depends on which.
 //!
 //! ## Shape
 //!
@@ -7,7 +8,7 @@
 //! connections — no cross-loop locking on the hot path. Loop 0 also owns
 //! the (nonblocking) listener and deals accepted sockets round-robin to
 //! the other loops through per-loop inboxes, waking the target with its
-//! eventfd [`Waker`]. A connection lives on one loop for its whole life.
+//! [`Waker`]. A connection lives on one loop for its whole life.
 //!
 //! ## Connection state machine
 //!
@@ -24,13 +25,14 @@
 //!   fed as they arrive, nothing blocks, pipelined tails stay buffered.
 //! * **Writing** drains a head buffer then a [`BodyCursor`]: in-memory
 //!   bytes go out in [`STREAM_CHUNK`] slices; file bodies move with
-//!   `sendfile` (kernel file→socket, no userspace copy — a 2 GiB layer
-//!   never transits a `Vec`). Each connection gets at most one
-//!   [`STREAM_CHUNK`] quantum per loop pass; level-triggered epoll
+//!   `sendfile` (kernel file→socket, no userspace copy) or, on a backend
+//!   without it, one bounded read+write per pass — either way a 2 GiB
+//!   layer never transits a `Vec`. Each connection gets at most one
+//!   [`STREAM_CHUNK`] quantum per loop pass; level-triggered readiness
 //!   re-reports writability, so concurrent pullers drain round-robin
 //!   instead of convoy-ing behind the largest response.
 //! * **Throttled** parks a connection whose per-client token bucket ran
-//!   dry, with *no* epoll interest (no busy loop); the periodic tick
+//!   dry, with *no* readiness interest (no busy loop); the periodic tick
 //!   re-arms it once tokens accrue.
 //!
 //! Every state carries a deadline (read timeout while Reading, write
@@ -40,7 +42,7 @@
 //! never wedge the reactor.
 
 use crate::http::{BodySource, HttpAction, HttpHandler, HttpOptions, STREAM_CHUNK};
-use crate::poller::{sendfile, Poller, Waker};
+use crate::poller::{Poller, Waker};
 use crate::wire::{self, RequestParser};
 use bytes::Bytes;
 use std::collections::HashMap;
@@ -60,25 +62,30 @@ const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
 const TOKEN_FIRST_CONN: u64 = 2;
 
-/// A running event-loop server (see [`crate::serve_http`]).
-pub struct LoopServer {
+/// A running daemon (see [`crate::serve_http`]). Dropping it without
+/// [`HttpServer::shutdown`] stops the loops but does not join them;
+/// `shutdown` joins everything.
+pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     wakers: Vec<Waker>,
     threads: Vec<JoinHandle<()>>,
 }
 
-impl std::fmt::Debug for LoopServer {
+impl std::fmt::Debug for HttpServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LoopServer").field("addr", &self.addr).finish()
+        f.debug_struct("HttpServer").field("addr", &self.addr).finish()
     }
 }
 
-impl LoopServer {
+impl HttpServer {
+    /// The bound address (resolves `:0` to the real port).
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
+    /// Stop accepting and join all threads. After this returns, no thread
+    /// holds a reference to the handler.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         for w in &self.wakers {
@@ -90,7 +97,7 @@ impl LoopServer {
     }
 }
 
-impl Drop for LoopServer {
+impl Drop for HttpServer {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         for w in &self.wakers {
@@ -147,8 +154,9 @@ enum BodyCursor {
         file: std::fs::File,
         offset: u64,
         end: u64,
-        /// Set after the first sendfile failure (e.g. a seccomp sandbox):
-        /// fall back to a bounded read+write copy for the rest.
+        /// Set after the first sendfile failure (the `poll(2)` backend has
+        /// none; a seccomp sandbox may refuse it): fall back to a bounded
+        /// read+write copy for the rest.
         buffered: bool,
     },
 }
@@ -196,12 +204,23 @@ enum Pass {
     Dead,
 }
 
-/// Bind the already-created listener into the event-loop engine.
+/// Serve `handler` on the already-bound listener.
 pub fn serve_loop<H: HttpHandler>(
     handler: Arc<H>,
     listener: TcpListener,
     opts: &HttpOptions,
-) -> io::Result<LoopServer> {
+) -> io::Result<HttpServer> {
+    serve_loop_on(handler, listener, opts, || Ok((Poller::new()?, Waker::new()?)))
+}
+
+/// [`serve_loop`] over pollers and wakers from `backend` — the seam that
+/// lets tests drive the `poll(2)` backend on a host that has epoll.
+fn serve_loop_on<H: HttpHandler>(
+    handler: Arc<H>,
+    listener: TcpListener,
+    opts: &HttpOptions,
+    backend: fn() -> io::Result<(Poller, Waker)>,
+) -> io::Result<HttpServer> {
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let n = opts.threads.max(1);
@@ -221,30 +240,24 @@ pub fn serve_loop<H: HttpHandler>(
     let mut wakers = Vec::with_capacity(n);
     let mut inboxes = Vec::with_capacity(n);
     for _ in 0..n {
-        let poller = Poller::new()?;
-        let waker = Waker::new()?;
+        let (mut poller, waker) = backend()?;
         poller.add(waker.raw_fd(), TOKEN_WAKER, true, false)?;
         pollers.push(poller);
-        wakers.push(waker.clone());
+        wakers.push(waker);
         inboxes.push(Arc::new(Mutex::new(Vec::<TcpStream>::new())));
     }
+    // Loop 0 owns the listener, so the fd registered here stays open for
+    // as long as anything polls it: poll(2) watches the fd *number*, and a
+    // number whose handle was dropped is a closed fd that never accepts.
     pollers[0].add(listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
+    let mut deal = Some((listener, inboxes.clone(), wakers.clone()));
 
     let mut threads = Vec::with_capacity(n);
-    let all_wakers = wakers.clone();
     for (i, poller) in pollers.into_iter().enumerate() {
         let shared = Arc::clone(&shared);
         let stop = Arc::clone(&stop_flag);
         let inbox = Arc::clone(&inboxes[i]);
-        let deal = if i == 0 {
-            Some((
-                listener.try_clone()?,
-                inboxes.clone(),
-                all_wakers.clone(),
-            ))
-        } else {
-            None
-        };
+        let deal = deal.take();
         let waker = wakers[i].clone();
         threads.push(
             std::thread::Builder::new()
@@ -265,9 +278,8 @@ pub fn serve_loop<H: HttpHandler>(
                 })?,
         );
     }
-    drop(listener); // loop 0 holds its own clone
 
-    Ok(LoopServer {
+    Ok(HttpServer {
         addr,
         stop: stop_flag,
         wakers,
@@ -408,8 +420,8 @@ impl<H: HttpHandler> EventLoop<H> {
 
     fn conn_event(&mut self, token: u64, readable: bool, writable: bool, hangup: bool) {
         if hangup {
-            // EPOLLERR/EPOLLHUP: the fd is dead — a mid-write disconnect
-            // lands here and frees the slot immediately.
+            // ERR/HUP: the fd is dead — a mid-write disconnect lands here
+            // and frees the slot immediately.
             self.close(token);
             return;
         }
@@ -422,9 +434,11 @@ impl<H: HttpHandler> EventLoop<H> {
         } else if writable {
             self.on_writable(token);
         } else if readable && !state_is_reading {
-            // Bytes (or a FIN) arrived while a response drains. RDHUP with
-            // no error lands here too: probe the socket so a peer that
-            // vanished mid-write is detected instead of written to forever.
+            // Bytes (or a FIN) arrived while a response drains. epoll's
+            // RDHUP with no error lands here too: probe the socket so a peer
+            // that vanished mid-write is detected instead of written to
+            // forever. (poll(2) reports no read side while only write
+            // interest is set; there the failing write finds it.)
             if let Some(conn) = self.conns.get_mut(&token) {
                 let mut probe = [0u8; 1];
                 match conn.stream.peek(&mut probe) {
@@ -456,8 +470,7 @@ impl<H: HttpHandler> EventLoop<H> {
                         }
                         Ok(None) => continue,
                         Err(_) => {
-                            // Protocol violation: drop the line, same as
-                            // the blocking engine.
+                            // Protocol violation: drop the line.
                             self.close(token);
                             return;
                         }
@@ -474,7 +487,7 @@ impl<H: HttpHandler> EventLoop<H> {
     }
 
     /// Route one complete request through the handler and start draining
-    /// the response. Mirrors the blocking engine's accounting exactly.
+    /// the response.
     fn dispatch(&mut self, token: u64, req: wire::Request) {
         let obs = comt_observe::global();
         let prefix = self.prefix();
@@ -576,7 +589,7 @@ impl<H: HttpHandler> EventLoop<H> {
                     return;
                 }
             };
-            let (outcome, ws) = write_pass(conn, ws, &self.shared);
+            let (outcome, ws) = write_pass(conn, ws, &self.shared, &self.poller);
             match outcome {
                 Pass::Dead => Next::Close,
                 Pass::Blocked => {
@@ -675,6 +688,7 @@ fn write_pass<H: HttpHandler>(
     conn: &mut Conn,
     mut ws: WriteState,
     shared: &Shared<H>,
+    poller: &Poller,
 ) -> (Pass, WriteState) {
     // Head first (tiny, not counted against the quantum).
     while ws.head_pos < ws.head.len() {
@@ -729,7 +743,7 @@ fn write_pass<H: HttpHandler>(
                         Err(_) => return (Pass::Dead, ws),
                     }
                 } else {
-                    match sendfile(conn.stream.as_raw_fd(), file.as_raw_fd(), offset, n) {
+                    match poller.sendfile(conn.stream.as_raw_fd(), file.as_raw_fd(), offset, n) {
                         Ok(0) => return (Pass::Dead, ws), // file shorter than advertised
                         Ok(n) => {
                             comt_observe::global().count(
@@ -743,8 +757,8 @@ fn write_pass<H: HttpHandler>(
                         }
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                         Err(_) => {
-                            // sendfile refused (sandboxed syscall filter,
-                            // exotic fs): degrade to a bounded copy.
+                            // No sendfile here (poll(2) backend, syscall
+                            // filter, exotic fs): degrade to a bounded copy.
                             *buffered = true;
                             continue;
                         }
@@ -759,7 +773,7 @@ fn write_pass<H: HttpHandler>(
         }
     }
     // Quantum spent with bytes left: yield the loop to other writers;
-    // level-triggered epoll re-reports OUT next pass (round-robin).
+    // level-triggered readiness re-reports OUT next pass (round-robin).
     (Pass::Blocked, ws)
 }
 
@@ -780,4 +794,118 @@ fn copy_window(
     let wrote = sock.write(&buf[..got])?;
     *offset += wrote as u64;
     Ok(wrote)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{read_response_into, write_request, Request, Response};
+    use std::io::BufReader;
+    use std::path::PathBuf;
+
+    const PREFIX: &str = "test.pollloop";
+    const WINDOW: (u64, u64) = (1000, STREAM_CHUNK as u64 + 4321);
+
+    /// Echoes request bodies; `/file` answers with a window of `file`.
+    struct Echo {
+        file: PathBuf,
+    }
+
+    impl HttpHandler for Echo {
+        fn metrics_prefix(&self) -> &'static str {
+            PREFIX
+        }
+
+        fn handle(&self, req: &Request) -> (&'static str, HttpAction) {
+            if req.path == "/file" {
+                let (offset, len) = WINDOW;
+                let source = BodySource::File { path: self.file.clone(), offset, len };
+                return ("file", HttpAction::RespondBody(Response::new(200), source));
+            }
+            ("echo", HttpAction::Respond(Response::new(200).with_body(req.body.clone())))
+        }
+    }
+
+    fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+        let stream = TcpStream::connect(addr).unwrap();
+        // A server that never answers fails the test instead of hanging it.
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        (stream, reader)
+    }
+
+    fn read_body(reader: &mut BufReader<TcpStream>) -> Vec<u8> {
+        let mut body = Vec::new();
+        let (status, _) = read_response_into(reader, &mut body, 1 << 20).unwrap();
+        assert_eq!(status, 200);
+        body
+    }
+
+    /// The whole state machine over the `poll(2)` backend, on a host whose
+    /// default is epoll. The first accept is the listener-fd regression:
+    /// `poll(2)` watches fd numbers, so loop 0 must own the handle whose fd
+    /// it registered.
+    #[test]
+    fn poll_backend_serves_the_whole_state_machine() {
+        let dir = std::env::temp_dir().join(format!("comt-pollloop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let payload: Vec<u8> = (0..2 * STREAM_CHUNK).map(|i| (i % 251) as u8).collect();
+        let file = dir.join("payload");
+        std::fs::write(&file, &payload).unwrap();
+
+        let opts = HttpOptions {
+            threads: 2,
+            max_conns: 2,
+            read_timeout: Duration::from_secs(1),
+            ..HttpOptions::default()
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let server = serve_loop_on(Arc::new(Echo { file }), listener, &opts, || {
+            Ok((Poller::new_poll(), Waker::new_pair()?))
+        })
+        .unwrap();
+        let obs = comt_observe::global();
+
+        // Keep-alive: two exchanges on one connection…
+        let (mut a, mut a_in) = connect(server.addr());
+        for body in [&b"one"[..], b"two"] {
+            write_request(&mut a, "PUT", "/echo", &[], Some(body), false).unwrap();
+            assert_eq!(read_body(&mut a_in), body);
+        }
+        // …then a pipelined pair in a single write, answered in order.
+        let mut pair = Vec::new();
+        write_request(&mut pair, "PUT", "/echo", &[], Some(b"three"), true).unwrap();
+        write_request(&mut pair, "PUT", "/echo", &[], Some(b"four"), false).unwrap();
+        a.write_all(&pair).unwrap();
+        assert_eq!(read_body(&mut a_in), b"three");
+        assert_eq!(read_body(&mut a_in), b"four");
+
+        // A file window longer than one write quantum arrives byte-exact,
+        // and through the bounded copy: this backend has no sendfile.
+        write_request(&mut a, "GET", "/file", &[], None, false).unwrap();
+        let (offset, len) = (WINDOW.0 as usize, WINDOW.1 as usize);
+        assert_eq!(read_body(&mut a_in), &payload[offset..offset + len]);
+        assert_eq!(obs.counter(&format!("{PREFIX}.sendfile_bytes")), 0);
+
+        // A second connection (dealt to the other loop through the
+        // socket-pair waker) fills `max_conns`; the third is refused.
+        let (mut b, mut b_in) = connect(server.addr());
+        write_request(&mut b, "PUT", "/echo", &[], Some(b"five"), false).unwrap();
+        assert_eq!(read_body(&mut b_in), b"five");
+        let (_c, mut c_in) = connect(server.addr());
+        match c_in.read(&mut [0u8; 1]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+            other => panic!("third connection was not refused: {other:?}"),
+        }
+        assert_eq!(obs.counter(&format!("{PREFIX}.conns_rejected")), 1);
+
+        // Idle past the read deadline: the sweep evicts and counts it.
+        assert_eq!(b_in.read(&mut [0u8; 1]).unwrap(), 0);
+        assert!(obs.counter(&format!("{PREFIX}.conn_timeouts")) >= 1);
+
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

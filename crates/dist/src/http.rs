@@ -7,39 +7,32 @@
 //! implements [`HttpHandler`] (pure request → response routing; the trait
 //! never sees a socket) and calls [`serve_http`].
 //!
-//! Two engines sit behind the same API:
-//!
-//! * **Event loop** (Linux, the default): a readiness-driven reactor over
-//!   raw `epoll`/`eventfd`/`sendfile` syscalls ([`crate::eventloop`]).
-//!   `threads` loop threads each own a [`crate::poller::Poller`];
-//!   connections are nonblocking state machines with per-state deadlines,
-//!   responses stream in bounded chunks (file bodies via `sendfile`, so a
-//!   2 GiB layer never transits a userspace buffer), writes are scheduled
-//!   round-robin with a per-pass quantum, and per-client token buckets
-//!   cap egress. Thousands of idle connections cost entries in an epoll
-//!   set, not threads.
-//! * **Thread pool** (everywhere else): one acceptor feeds a bounded pool
-//!   of blocking workers over a bounded queue — a connection flood
-//!   back-pressures at accept. Same wire behavior, different scaling
-//!   shape; `max_conns`/`client_rate` are loop-engine knobs and are
-//!   inert here (the bounded pool is its own admission control).
+//! One engine sits behind the API ([`crate::eventloop`]): `threads` loop
+//! threads, each a readiness-driven reactor over its own
+//! [`crate::poller::Poller`]. Connections are nonblocking state machines
+//! with per-state deadlines, responses stream in bounded chunks, writes
+//! are scheduled round-robin with a per-pass quantum, `max_conns` refuses
+//! a connection flood at accept and per-client token buckets cap egress —
+//! on every platform. Thousands of idle connections cost entries in a
+//! poll set, not threads. What the platform decides is only how readiness
+//! is learned and how a file body moves: epoll and `sendfile` on Linux,
+//! `poll(2)` and a bounded copy elsewhere (see [`crate::poller`]).
 //!
 //! Handlers return bodies either materialized ([`HttpAction::Respond`])
-//! or as a [`BodySource`] ([`HttpAction::RespondBody`]) that both engines
-//! stream in [`STREAM_CHUNK`]-bounded pieces. Fault injection stays
+//! or as a [`BodySource`] ([`HttpAction::RespondBody`]) that the engine
+//! streams in [`STREAM_CHUNK`]-bounded pieces. Fault injection stays
 //! available via [`HttpAction::RespondTruncated`], which lies about the
 //! body length and drops the line — the chaos hook the registry uses to
 //! exercise client Range-resume.
 
-use crate::wire::{self, Request, Response};
+pub use crate::eventloop::HttpServer;
+use crate::wire::{Request, Response};
 use bytes::Bytes;
-use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::TcpListener;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Bound on any single body copy on the serve path: streamed responses
 /// move through the socket in pieces of at most this size.
@@ -48,22 +41,19 @@ pub const STREAM_CHUNK: usize = 256 * 1024;
 /// Tuning knobs shared by every daemon built on [`serve_http`].
 #[derive(Debug, Clone)]
 pub struct HttpOptions {
-    /// Event loop threads (loop engine) or worker threads (pool engine).
+    /// Event loop threads.
     pub threads: usize,
-    /// Listen backlog (pool engine: also the accept→worker queue depth).
-    pub backlog: usize,
     /// Per-connection read deadline (idle keep-alive or stalled upload).
     pub read_timeout: Duration,
     /// Per-connection write deadline (stalled / zero-window reader).
     pub write_timeout: Duration,
     /// Largest accepted request body.
     pub max_body: usize,
-    /// Open-connection cap (loop engine). Accepts past the cap are
-    /// refused immediately and counted, so a connection flood degrades
-    /// loudly instead of wedging the reactor.
+    /// Open-connection cap. Accepts past the cap are refused immediately
+    /// and counted, so a connection flood degrades loudly instead of
+    /// wedging the reactor.
     pub max_conns: usize,
-    /// Per-client (peer IP) egress cap in bytes/sec; 0 disables. Loop
-    /// engine only.
+    /// Per-client (peer IP) egress cap in bytes/sec; 0 disables.
     pub client_rate: u64,
 }
 
@@ -71,7 +61,6 @@ impl Default for HttpOptions {
     fn default() -> Self {
         HttpOptions {
             threads: std::thread::available_parallelism().map_or(4, |n| n.get().clamp(2, 16)),
-            backlog: 64,
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
             max_body: 1 << 30,
@@ -87,9 +76,9 @@ pub enum BodySource {
     /// Refcounted in-memory bytes (hot-cache hits, manifests): cloned
     /// per response, written in bounded chunks, never copied whole.
     Bytes(Bytes),
-    /// A byte window of a file on disk. The loop engine moves it with
-    /// `sendfile` (kernel-space file→socket, zero userspace copies); the
-    /// pool engine streams it through a [`STREAM_CHUNK`] buffer.
+    /// A byte window of a file on disk: moved with `sendfile`
+    /// (kernel-space file→socket, zero userspace copies) where the poller
+    /// backend has it, through a [`STREAM_CHUNK`]-bounded buffer otherwise.
     File { path: PathBuf, offset: u64, len: u64 },
 }
 
@@ -131,245 +120,12 @@ pub trait HttpHandler: Send + Sync + 'static {
     fn handle(&self, req: &Request) -> (&'static str, HttpAction);
 }
 
-/// A running daemon. Dropping it without [`HttpServer::shutdown`] stops
-/// accepting but does not join threads; `shutdown` joins everything.
-pub enum HttpServer {
-    Pool(PoolServer),
-    Loop(crate::eventloop::LoopServer),
-}
-
-impl std::fmt::Debug for HttpServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HttpServer").field("addr", &self.addr()).finish()
-    }
-}
-
-impl HttpServer {
-    /// The bound address (resolves `:0` to the real port).
-    pub fn addr(&self) -> SocketAddr {
-        match self {
-            HttpServer::Pool(s) => s.addr,
-            HttpServer::Loop(s) => s.addr(),
-        }
-    }
-
-    /// Stop accepting and join all threads. After this returns, no thread
-    /// holds a reference to the handler.
-    pub fn shutdown(self) {
-        match self {
-            HttpServer::Pool(s) => s.shutdown(),
-            HttpServer::Loop(s) => s.shutdown(),
-        }
-    }
-}
-
 /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and serve
-/// `handler` until shutdown. Picks the readiness event loop when the
-/// platform supports it, the blocking thread pool otherwise.
+/// `handler` until shutdown.
 pub fn serve_http<H: HttpHandler>(
     handler: Arc<H>,
     addr: &str,
     opts: HttpOptions,
 ) -> io::Result<HttpServer> {
-    let listener = TcpListener::bind(addr)?;
-    if crate::poller::SUPPORTED {
-        match crate::eventloop::serve_loop(Arc::clone(&handler), listener, &opts) {
-            Ok(s) => return Ok(HttpServer::Loop(s)),
-            // A sandbox may deny epoll/eventfd even on Linux; fall back.
-            Err(e) if e.kind() == io::ErrorKind::Unsupported || e.raw_os_error() == Some(1) => {
-                let listener = TcpListener::bind(addr)?;
-                return serve_pool(handler, listener, &opts).map(HttpServer::Pool);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    serve_pool(handler, listener, &opts).map(HttpServer::Pool)
-}
-
-/// The blocking thread-pool engine (fallback off Linux).
-pub struct PoolServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-fn serve_pool<H: HttpHandler>(
-    handler: Arc<H>,
-    listener: TcpListener,
-    opts: &HttpOptions,
-) -> io::Result<PoolServer> {
-    let local = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let prefix = handler.metrics_prefix();
-
-    let (tx, rx) = mpsc::sync_channel::<TcpStream>(opts.backlog);
-    let rx = Arc::new(Mutex::new(rx));
-
-    let mut workers = Vec::with_capacity(opts.threads);
-    for i in 0..opts.threads {
-        let rx = Arc::clone(&rx);
-        let handler = Arc::clone(&handler);
-        let (rt, wt, max_body) = (opts.read_timeout, opts.write_timeout, opts.max_body);
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("{prefix}-worker-{i}"))
-                .spawn(move || loop {
-                    let conn = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
-                    match conn {
-                        Ok(stream) => handle_connection(stream, &*handler, rt, wt, max_body),
-                        Err(_) => break, // acceptor gone, queue drained
-                    }
-                })?,
-        );
-    }
-
-    let acceptor = {
-        let stop = Arc::clone(&stop);
-        std::thread::Builder::new()
-            .name(format!("{prefix}-acceptor"))
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match conn {
-                        // A full queue back-pressures the acceptor (bounded).
-                        Ok(stream) => {
-                            if tx.send(stream).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => continue,
-                    }
-                }
-                // tx drops here; workers drain the queue then exit.
-            })?
-    };
-
-    Ok(PoolServer {
-        addr: local,
-        stop,
-        acceptor: Some(acceptor),
-        workers,
-    })
-}
-
-impl PoolServer {
-    fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the acceptor's blocking accept().
-        let _ = TcpStream::connect(self.addr);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl Drop for PoolServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-    }
-}
-
-/// Stream a [`BodySource`] to `w` in bounded chunks — the pool engine's
-/// analogue of the loop engine's chunked write / sendfile path.
-fn write_body_source(w: &mut impl Write, source: &BodySource) -> io::Result<u64> {
-    match source {
-        BodySource::Bytes(data) => {
-            for chunk in data.chunks(STREAM_CHUNK) {
-                w.write_all(chunk)?;
-            }
-            Ok(data.len() as u64)
-        }
-        BodySource::File { path, offset, len } => {
-            let mut f = std::fs::File::open(path)?;
-            f.seek(SeekFrom::Start(*offset))?;
-            let mut remaining = *len;
-            let mut buf = vec![0u8; STREAM_CHUNK.min(*len as usize + 1)];
-            while remaining > 0 {
-                let want = (remaining as usize).min(buf.len());
-                let n = f.read(&mut buf[..want])?;
-                if n == 0 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "blob file shorter than advertised",
-                    ));
-                }
-                w.write_all(&buf[..n])?;
-                remaining -= n as u64;
-            }
-            Ok(*len)
-        }
-    }
-}
-
-/// The keep-alive loop: read requests until close/timeout/error, route
-/// each through the handler, account bytes and latency per endpoint.
-fn handle_connection<H: HttpHandler>(
-    stream: TcpStream,
-    handler: &H,
-    read_timeout: Duration,
-    write_timeout: Duration,
-    max_body: usize,
-) {
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let _ = stream.set_write_timeout(Some(write_timeout));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let obs = comt_observe::global();
-    let prefix = handler.metrics_prefix();
-    loop {
-        let req = match wire::read_request(&mut reader, max_body) {
-            Ok(Some(req)) => req,
-            // Clean close, timeout, or a killed upload: any staged request
-            // body is discarded with the error — nothing was published.
-            Ok(None) | Err(_) => return,
-        };
-        let close = req.wants_close();
-        obs.count(&format!("{prefix}.bytes_in"), req.body.len() as u64);
-        let started = Instant::now();
-        let (endpoint, action) = handler.handle(&req);
-        obs.count(&format!("{prefix}.req.{endpoint}"), 1);
-        obs.record_value(
-            &format!("{prefix}.{endpoint}.latency_us"),
-            started.elapsed().as_micros() as u64,
-        );
-        match action {
-            HttpAction::Respond(resp) => {
-                obs.count(&format!("{prefix}.bytes_out"), resp.body.len() as u64);
-                if wire::write_response(&mut writer, &resp, None).is_err() {
-                    return;
-                }
-            }
-            HttpAction::RespondBody(resp, source) => {
-                obs.count(&format!("{prefix}.bytes_out"), source.len());
-                let head = wire::response_head_bytes(&resp, source.len());
-                let sent = writer
-                    .write_all(&head)
-                    .and_then(|_| write_body_source(&mut writer, &source))
-                    .and_then(|n| writer.flush().map(|_| n));
-                if sent.is_err() {
-                    return;
-                }
-            }
-            HttpAction::RespondTruncated(resp, after) => {
-                obs.count(&format!("{prefix}.chaos_truncations"), 1);
-                obs.count(&format!("{prefix}.bytes_out"), after.min(resp.body.len()) as u64);
-                let _ = wire::write_response(&mut writer, &resp, Some(after));
-                return; // the advertised length was a lie — drop the line
-            }
-        }
-        if close {
-            return;
-        }
-    }
+    crate::eventloop::serve_loop(handler, TcpListener::bind(addr)?, &opts)
 }

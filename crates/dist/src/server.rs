@@ -3,10 +3,10 @@
 //!
 //! ## Shape
 //!
-//! The listener/worker/deadline plumbing lives in the shared
+//! The listener/loop/deadline plumbing lives in the shared
 //! [`crate::http`] core ([`serve_http`]); this module is only the routing:
 //! an [`HttpHandler`] that speaks the OCI distribution subset. All state
-//! lives behind one mutex, but workers hold it only long enough to move
+//! lives behind one mutex, but loop threads hold it only long enough to move
 //! cheap [`comt_oci::BlobHandle`]s in or out — digest hashing, file reads
 //! and socket I/O happen outside the lock, which is what lets concurrent
 //! pullers scale.
@@ -41,7 +41,6 @@ use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Fault injection: truncate the next `truncate_blob_gets` blob GET
 /// responses after `truncate_after` body bytes and drop the connection.
@@ -57,58 +56,25 @@ pub struct Chaos {
     pub poison_range_gets: u32,
 }
 
-/// Server tuning knobs: the shared [`HttpOptions`] plus registry-specific
-/// fault injection.
+/// Server tuning knobs: the shared [`HttpOptions`] plus what only the
+/// registry has — its hot-blob cache and fault injection.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// Worker threads handling connections (the pool bound).
-    pub threads: usize,
-    /// Pending-connection queue depth between acceptor and workers.
-    pub backlog: usize,
-    /// Per-connection socket read deadline.
-    pub read_timeout: Duration,
-    /// Per-connection socket write deadline.
-    pub write_timeout: Duration,
-    /// Largest accepted request body (blob upload cap).
-    pub max_body: usize,
+    /// Threads, deadlines, body cap and admission limits of the serve core.
+    pub http: HttpOptions,
     /// Byte budget for the hot-blob LRU in front of the backend; 0
     /// disables caching (every GET goes to the store).
     pub cache_bytes: u64,
-    /// Open-connection cap (event-loop engine; see [`HttpOptions`]).
-    pub max_conns: usize,
-    /// Per-client egress cap in bytes/sec; 0 disables (loop engine).
-    pub client_rate: u64,
     /// Optional fault injection.
     pub chaos: Option<Chaos>,
 }
 
 impl Default for ServerOptions {
     fn default() -> Self {
-        let http = HttpOptions::default();
         ServerOptions {
-            threads: http.threads,
-            backlog: http.backlog,
-            read_timeout: http.read_timeout,
-            write_timeout: http.write_timeout,
-            max_body: http.max_body,
+            http: HttpOptions::default(),
             cache_bytes: 64 << 20,
-            max_conns: http.max_conns,
-            client_rate: http.client_rate,
             chaos: None,
-        }
-    }
-}
-
-impl ServerOptions {
-    fn http(&self) -> HttpOptions {
-        HttpOptions {
-            threads: self.threads,
-            backlog: self.backlog,
-            read_timeout: self.read_timeout,
-            write_timeout: self.write_timeout,
-            max_body: self.max_body,
-            max_conns: self.max_conns,
-            client_rate: self.client_rate,
         }
     }
 }
@@ -123,8 +89,8 @@ struct RegistryHandler<R: RegistryBackend> {
     cache: HotBlobCache,
     /// Digests whose on-disk content has been stream-verified this
     /// process lifetime — big blobs too large for the cache are checked
-    /// once, then served straight off the file (sendfile on the loop
-    /// engine) without re-hashing per GET.
+    /// once, then served straight off the file (sendfile where the
+    /// poller has it) without re-hashing per GET.
     verified: Mutex<HashSet<Digest>>,
     chaos_budget: AtomicU32,
     chaos_after: usize,
@@ -171,7 +137,7 @@ pub fn serve<R: RegistryBackend>(
         chaos_after: opts.chaos.map_or(0, |c| c.truncate_after),
         poison_budget: AtomicU32::new(opts.chaos.map_or(0, |c| c.poison_range_gets)),
     });
-    let http = serve_http(Arc::clone(&state), addr, opts.http())?;
+    let http = serve_http(Arc::clone(&state), addr, opts.http)?;
     Ok(DistServer { http, state })
 }
 
@@ -366,8 +332,8 @@ fn blob_get<R: RegistryBackend>(
             Err(e) => return unservable("blob", e),
         }
     } else {
-        // Too big to cache: stream off the store in bounded chunks (the
-        // loop engine uses sendfile — the body never transits a Vec).
+        // Too big to cache: stream off the store in bounded chunks
+        // (sendfile or a bounded copy — the body never transits a Vec).
         if let Err(a) = ensure_streamed_verified(state, &digest, &handle) {
             return a;
         }

@@ -170,69 +170,6 @@ fn read_chunked(r: &mut impl BufRead, max_body: usize) -> io::Result<Vec<u8>> {
     }
 }
 
-/// Read the message body described by `headers`.
-fn read_body(
-    r: &mut impl BufRead,
-    headers: &[(String, String)],
-    max_body: usize,
-) -> io::Result<Vec<u8>> {
-    if find_header(headers, "transfer-encoding")
-        .is_some_and(|v| v.to_ascii_lowercase().contains("chunked"))
-    {
-        return read_chunked(r, max_body);
-    }
-    let len = match find_header(headers, "content-length") {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))?,
-        None => return Ok(Vec::new()),
-    };
-    if len > max_body {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("body of {len} bytes exceeds limit {max_body}"),
-        ));
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    Ok(body)
-}
-
-/// Read one request off the wire. `Ok(None)` means the peer closed the
-/// connection cleanly before sending another request (keep-alive end).
-pub fn read_request(r: &mut impl BufRead, max_body: usize) -> io::Result<Option<Request>> {
-    let mut budget = MAX_HEADER_BYTES;
-    let start = match read_line(r, &mut budget) {
-        Ok(line) => line,
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let mut parts = start.split_whitespace();
-    let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(p), Some(v)) => (m, p, v),
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed request line: {start}"),
-            ))
-        }
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported version: {version}"),
-        ));
-    }
-    let headers = read_headers(r, &mut budget)?;
-    let body = read_body(r, &headers, max_body)?;
-    Ok(Some(Request {
-        method: method.to_string(),
-        path: path.to_string(),
-        headers,
-        body,
-    }))
-}
-
 /// Serialize a request. A `Some(body)` with `chunked = true` goes out as
 /// chunked transfer-encoding in [`UPLOAD_CHUNK`]-sized pieces; otherwise
 /// `Content-Length` framing is used.
@@ -267,26 +204,6 @@ pub fn write_request(
             w.write_all(b)?;
         }
     }
-    w.flush()
-}
-
-/// Serialize a response, always with `Content-Length` framing. When
-/// `truncate_after` is set only that many body bytes go out — the fault
-/// injection used to exercise client resume; callers must then drop the
-/// connection (the advertised length was a lie).
-pub fn write_response(
-    w: &mut impl Write,
-    resp: &Response,
-    truncate_after: Option<usize>,
-) -> io::Result<()> {
-    let mut head = format!("HTTP/1.1 {} {}\r\n", resp.status, reason(resp.status));
-    for (k, v) in &resp.headers {
-        head.push_str(&format!("{k}: {v}\r\n"));
-    }
-    head.push_str(&format!("Content-Length: {}\r\n\r\n", resp.body.len()));
-    w.write_all(head.as_bytes())?;
-    let cut = truncate_after.unwrap_or(resp.body.len()).min(resp.body.len());
-    w.write_all(&resp.body[..cut])?;
     w.flush()
 }
 
@@ -352,9 +269,10 @@ pub fn read_response_into(
 /// Incremental request parser for the nonblocking serve path.
 ///
 /// The event loop feeds whatever bytes the socket had; the parser consumes
-/// them through the same grammar as [`read_request`] (request line,
-/// headers, `Content-Length` or chunked bodies, shared header/body
-/// budgets) without ever blocking or re-scanning already-seen bytes.
+/// them (request line, headers, `Content-Length` or chunked bodies, shared
+/// header/body budgets) without ever blocking or re-scanning already-seen
+/// bytes. It is the only request grammar a daemon runs; the blocking
+/// `read_request` in this file's tests is the reference it is held to.
 /// Bytes past a complete request stay buffered for the next keep-alive
 /// round.
 #[derive(Debug)]
@@ -644,7 +562,96 @@ pub fn parse_range(header: Option<&str>, total: u64) -> Option<(u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::BufReader;
+
+    // The blocking reader and writer the daemon ran before the event loop:
+    // no production caller is left, they stay as the reference grammar the
+    // differential tests below hold `RequestParser` and
+    // `response_head_bytes` to.
+
+    /// Read the message body described by `headers`.
+    fn read_body(
+        r: &mut impl BufRead,
+        headers: &[(String, String)],
+        max_body: usize,
+    ) -> io::Result<Vec<u8>> {
+        if find_header(headers, "transfer-encoding")
+            .is_some_and(|v| v.to_ascii_lowercase().contains("chunked"))
+        {
+            return read_chunked(r, max_body);
+        }
+        let len = match find_header(headers, "content-length") {
+            Some(v) => v
+                .parse::<usize>()
+                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))?,
+            None => return Ok(Vec::new()),
+        };
+        if len > max_body {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("body of {len} bytes exceeds limit {max_body}"),
+            ));
+        }
+        let mut body = vec![0u8; len];
+        r.read_exact(&mut body)?;
+        Ok(body)
+    }
+
+    /// Read one request off the wire. `Ok(None)` means the peer closed the
+    /// connection cleanly before sending another request (keep-alive end).
+    fn read_request(r: &mut impl BufRead, max_body: usize) -> io::Result<Option<Request>> {
+        let mut budget = MAX_HEADER_BYTES;
+        let start = match read_line(r, &mut budget) {
+            Ok(line) => line,
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        let mut parts = start.split_whitespace();
+        let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
+            (Some(m), Some(p), Some(v)) => (m, p, v),
+            _ => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("malformed request line: {start}"),
+                ))
+            }
+        };
+        if !version.starts_with("HTTP/1.") {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("unsupported version: {version}"),
+            ));
+        }
+        let headers = read_headers(r, &mut budget)?;
+        let body = read_body(r, &headers, max_body)?;
+        Ok(Some(Request {
+            method: method.to_string(),
+            path: path.to_string(),
+            headers,
+            body,
+        }))
+    }
+
+    /// Serialize a response, always with `Content-Length` framing. When
+    /// `truncate_after` is set only that many body bytes go out — the fault
+    /// injection used to exercise client resume; callers must then drop the
+    /// connection (the advertised length was a lie).
+    fn write_response(
+        w: &mut impl Write,
+        resp: &Response,
+        truncate_after: Option<usize>,
+    ) -> io::Result<()> {
+        let mut head = format!("HTTP/1.1 {} {}\r\n", resp.status, reason(resp.status));
+        for (k, v) in &resp.headers {
+            head.push_str(&format!("{k}: {v}\r\n"));
+        }
+        head.push_str(&format!("Content-Length: {}\r\n\r\n", resp.body.len()));
+        w.write_all(head.as_bytes())?;
+        let cut = truncate_after.unwrap_or(resp.body.len()).min(resp.body.len());
+        w.write_all(&resp.body[..cut])?;
+        w.flush()
+    }
 
     fn roundtrip_request(body: Option<&[u8]>, chunked: bool) -> Request {
         let mut wire = Vec::new();
@@ -829,6 +836,138 @@ mod tests {
         // Garbage request line.
         let mut parser = RequestParser::new(1 << 20);
         assert!(parser.feed(b"nonsense\r\n\r\n").is_err());
+    }
+
+    /// Drive a parser the way the event loop does: feed one read, then
+    /// drain pipelined requests before the next. `Err` ends the connection.
+    fn feed_all<'a>(
+        parser: &mut RequestParser,
+        reads: impl Iterator<Item = &'a [u8]>,
+        mut after_feed: impl FnMut(&RequestParser, usize),
+    ) -> io::Result<Vec<Request>> {
+        let mut got = Vec::new();
+        for read in reads {
+            let mut next = parser.feed(read)?;
+            after_feed(parser, read.len());
+            while let Some(req) = next {
+                got.push(req);
+                next = parser.feed(&[])?;
+            }
+        }
+        Ok(got)
+    }
+
+    /// Cut `raw` into consecutive reads of the given lengths (cycled).
+    fn reads<'a>(raw: &'a [u8], lens: &'a [usize]) -> impl Iterator<Item = &'a [u8]> {
+        let mut rest = raw;
+        lens.iter().cycle().map_while(move |&n| {
+            let (head, tail) = rest.split_at(n.min(rest.len()));
+            rest = tail;
+            (!head.is_empty()).then_some(head)
+        })
+    }
+
+    /// One valid request on the wire; chunked bodies go out in pieces of
+    /// `piece` bytes so the fuzz loop cuts through many size lines.
+    fn encode(method: &str, path: &str, body: &[u8], chunked: Option<usize>) -> Vec<u8> {
+        let Some(piece) = chunked else {
+            let mut raw = Vec::new();
+            write_request(&mut raw, method, path, &[("Host".into(), "h".into())], Some(body), false)
+                .unwrap();
+            return raw;
+        };
+        let mut raw = format!("{method} {path} HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n").into_bytes();
+        for chunk in body.chunks(piece) {
+            raw.extend(format!("{:x};ext=1\r\n", chunk.len()).into_bytes());
+            raw.extend(chunk);
+            raw.extend(b"\r\n");
+        }
+        raw.extend(b"0\r\nX-Trailer: t\r\n\r\n");
+        raw
+    }
+
+    type Spec = (&'static str, String, Vec<u8>, Option<usize>);
+
+    /// A pipelined run of valid requests: method, path, body, and the
+    /// chunk piece size when the body goes out chunked.
+    fn request_specs() -> impl Strategy<Value = Vec<Spec>> {
+        prop::collection::vec(
+            (
+                prop_oneof![Just("GET"), Just("PUT"), Just("HEAD")],
+                "/v2/[a-z]{1,8}/blobs/sha256:[0-9a-f]{8}",
+                prop::collection::vec(any::<u8>(), 0..3000),
+                prop_oneof![Just(None), (1usize..700).prop_map(Some)],
+            ),
+            1..6,
+        )
+    }
+
+    fn encode_all(specs: &[Spec]) -> Vec<u8> {
+        specs.iter().flat_map(|(method, path, body, chunked)| encode(method, path, body, *chunked)).collect()
+    }
+
+    /// What gets spliced into a valid stream to make it hostile: noise,
+    /// and the grammar's own pieces in the wrong place or amount.
+    fn splice() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            prop::collection::vec(any::<u8>(), 0..700),
+            "[A-Z]{3,4} /[a-z/]{0,12} HTTP/[12]\\.[01]\r\n".prop_map(String::into_bytes),
+            "Content-Length: [0-9]{1,5}\r\n".prop_map(String::into_bytes),
+            Just(b"Transfer-Encoding: chunked\r\n\r\n".to_vec()),
+            Just(b"\r\n".to_vec()),
+            "[0-9a-f]{1,5}(;[a-z]{0,4})?\r\n".prop_map(String::into_bytes),
+            (17_000usize..18_000).prop_map(|n| vec![b'a'; n]),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Untrusted bytes: a valid stream with garbage spliced in, or
+        /// plain garbage, in whatever splits, gets `Ok` or `Err` — never a
+        /// panic — and the parser never holds more than its budgets plus
+        /// the read that overflowed them.
+        #[test]
+        fn parser_survives_hostile_streams_within_its_budgets(
+            specs in request_specs(),
+            splices in prop::collection::vec((any::<prop::sample::Index>(), splice()), 0..4),
+            garbage_only in any::<bool>(),
+            lens in prop::collection::vec(1usize..2048, 1..8),
+            max_body in 0usize..4096,
+        ) {
+            let mut raw = if garbage_only { Vec::new() } else { encode_all(&specs) };
+            for (at, bytes) in splices {
+                let at = at.index(raw.len() + 1);
+                raw.splice(at..at, bytes);
+            }
+            let mut parser = RequestParser::new(max_body);
+            let mut worst = None;
+            let _ = feed_all(&mut parser, reads(&raw, &lens), |p, read| {
+                if p.buffered() > MAX_HEADER_BYTES + max_body + read {
+                    worst = Some((p.buffered(), read));
+                }
+            });
+            prop_assert!(worst.is_none(), "buffered {worst:?} with max_body {max_body}");
+        }
+
+        /// Friendly bytes: a pipelined sequence of valid requests, sized
+        /// and chunked, parses to the same requests however it is split.
+        #[test]
+        fn split_feeds_parse_like_one_whole_feed(
+            specs in request_specs(),
+            lens in prop::collection::vec(1usize..900, 1..8),
+        ) {
+            let raw = encode_all(&specs);
+            let whole = feed_all(&mut RequestParser::new(4096), std::iter::once(&raw[..]), |_, _| {}).unwrap();
+            let mut parser = RequestParser::new(4096);
+            let split = feed_all(&mut parser, reads(&raw, &lens), |_, _| {}).unwrap();
+            prop_assert_eq!(parser.buffered(), 0);
+            prop_assert_eq!(format!("{split:?}"), format!("{whole:?}"));
+            prop_assert_eq!(whole.len(), specs.len());
+            for (req, (method, path, body, _)) in whole.iter().zip(&specs) {
+                prop_assert_eq!((req.method.as_str(), &req.path, &req.body), (*method, path, body));
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 use bytes::Bytes;
 use comt_digest::Digest;
 use comt_dist::{
-    serve, split_ref, tag_key, Chaos, DistClient, DistError, RetryPolicy, ServerOptions,
+    serve, split_ref, tag_key, Chaos, DistClient, DistError, HttpOptions, RetryPolicy,
+    ServerOptions,
 };
 use comt_oci::store::closure_digests;
 use comt_oci::{BlobStore, ImageBuilder, Registry};
@@ -345,7 +346,10 @@ fn mid_write_disconnects_free_their_slots() {
     let closure = closure_digests(&local, &md).unwrap();
     let layer = closure[2];
     let server = start_server(ServerOptions {
-        max_conns: 2,
+        http: HttpOptions {
+            max_conns: 2,
+            ..Default::default()
+        },
         ..Default::default()
     });
     let client = DistClient::new(server.addr().to_string());
@@ -388,7 +392,10 @@ fn stalled_zero_window_reader_is_timed_out_not_wedging() {
     let closure = closure_digests(&local, &md).unwrap();
     let layer = closure[2];
     let server = start_server(ServerOptions {
-        write_timeout: std::time::Duration::from_millis(500),
+        http: HttpOptions {
+            write_timeout: std::time::Duration::from_millis(500),
+            ..Default::default()
+        },
         ..Default::default()
     });
     let client = DistClient::new(server.addr().to_string());
@@ -408,6 +415,11 @@ fn stalled_zero_window_reader_is_timed_out_not_wedging() {
     let mut pulled = BlobStore::new();
     let (got, _) = client.pull_image("app", "v1", &mut pulled).unwrap();
     assert_eq!(got, md);
+
+    // Let the 500 ms write deadline lapse before draining, however fast
+    // the pull above was: a release build finishes it well inside the
+    // deadline, and a reader that resumes in time is rightly served whole.
+    std::thread::sleep(std::time::Duration::from_millis(600));
 
     // The server must close the stalled line once its write deadline
     // lapses: draining the socket ends in EOF (or a reset), not a hang,

@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 use comt_digest::Digest;
-use comt_dist::{serve, DistClient, ServerOptions};
+use comt_dist::{serve, DistClient, HttpOptions, ServerOptions};
 use comt_oci::store::closure_digests;
 use comt_oci::{BlobStore, DiskRegistry, ImageBuilder, FILE_BYTES_READ};
 use comt_vfs::Vfs;
@@ -267,7 +267,10 @@ fn client_rate_limit_paces_large_downloads() {
         reg,
         "127.0.0.1:0",
         ServerOptions {
-            client_rate: 1 << 20,
+            http: HttpOptions {
+                client_rate: 1 << 20,
+                ..Default::default()
+            },
             ..Default::default()
         },
     )
