@@ -300,7 +300,7 @@ fn cmd_rebuild(dir: &str, r: &str, args: &[String]) -> Result<(), String> {
         // Data-plane events (layer codec, blob verification) land in the
         // global recorder; merge them so --stats shows the whole pipeline.
         report.absorb(&comt_observe::global().report());
-        print!("{}", report.render());
+        print_stats(&report);
         new_ref
     } else {
         comtainer_rebuild(&mut oci, r, &side, &opts).map_err(|e| format!("rebuild: {e}"))?
@@ -348,12 +348,21 @@ fn cmd_retarget(dir: &str, r: &str, args: &[String]) -> Result<(), String> {
     if flag(args, "--stats") {
         let mut report = outcome.report;
         report.absorb(&comt_observe::global().report());
-        print!("{}", report.render());
+        print_stats(&report);
     }
     for (target, new_ref) in &outcome.images {
         println!("retargeted {target}: {new_ref}");
     }
     Ok(())
+}
+
+/// `--stats` for a command that ran in this process: the report, then the
+/// SHA-256 kernel behind its verify/codec spans — the first thing to
+/// compare when two sites hash at different rates. (`comt submit --stats`
+/// prints the daemon's report; the daemon names its own kernel at start-up.)
+fn print_stats(report: &comt_observe::Report) {
+    print!("{report}");
+    println!("digest backend: {}", comt_digest::backend());
 }
 
 fn cmd_redirect(dir: &str, r: &str, args: &[String]) -> Result<(), String> {
@@ -373,7 +382,7 @@ fn cmd_adapt(dir: &str, r: &str, args: &[String]) -> Result<(), String> {
             comtainer_rebuild_with_report(&mut oci, r, &side, &RebuildOptions::default())
                 .map_err(|e| format!("rebuild: {e}"))?;
         report.absorb(&comt_observe::global().report());
-        print!("{}", report.render());
+        print_stats(&report);
         rebuilt
     } else {
         comtainer_rebuild(&mut oci, r, &side, &RebuildOptions::default())
@@ -462,8 +471,9 @@ fn cmd_serve(dir: &str, args: &[String]) -> Result<(), String> {
     }
     let server = serve(reg, addr.as_str(), opts).map_err(|e| format!("bind {addr}: {e}"))?;
     println!(
-        "serving {dir} on {} ({nrefs} refs, {nblobs} blobs)",
-        server.addr()
+        "serving {dir} on {} ({nrefs} refs, {nblobs} blobs, sha256 {})",
+        server.addr(),
+        comt_digest::backend()
     );
     // Serve until killed; the daemon threads own the registry and the
     // layout lock dies with the process.
@@ -493,10 +503,11 @@ fn cmd_buildd(dir: &str, args: &[String]) -> Result<(), String> {
     let server = serve_buildd(svc, addr.as_str(), HttpOptions::default())
         .map_err(|e| format!("bind {addr}: {e}"))?;
     println!(
-        "buildd serving {dir} on {} ({nrefs} refs, {} workers, quota {}/tenant)",
+        "buildd serving {dir} on {} ({nrefs} refs, {} workers, quota {}/tenant, sha256 {})",
         server.addr(),
         opts.workers,
-        opts.default_quota
+        opts.default_quota,
+        comt_digest::backend()
     );
     loop {
         std::thread::park();
@@ -662,7 +673,7 @@ fn cmd_push(dir: &str, r: &str, args: &[String]) -> Result<(), String> {
         }
     );
     if flag(args, "--stats") {
-        print!("{}", comt_observe::global().report());
+        print_stats(&comt_observe::global().report());
     }
     Ok(())
 }
@@ -704,7 +715,7 @@ fn cmd_pull(dir: &str, r: &str, args: &[String]) -> Result<(), String> {
         );
     }
     if flag(args, "--stats") {
-        print!("{}", comt_observe::global().report());
+        print_stats(&comt_observe::global().report());
     }
     Ok(())
 }

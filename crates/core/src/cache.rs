@@ -157,9 +157,11 @@ fn append_layer(
     new_ref: &str,
     note: &str,
 ) -> Result<(), ComtError> {
-    let diff_id = comt_digest::Digest::of(&layer_tar).to_oci_string();
     let size = layer_tar.len() as u64;
+    // The layer is stored uncompressed, so the blob digest `put` computes
+    // is the diff_id too: one hash of the tar, not two.
     let digest = oci.blobs.put(Bytes::from(layer_tar));
+    let diff_id = digest.to_oci_string();
 
     let mut manifest = image.manifest.clone();
     manifest
@@ -320,6 +322,13 @@ mod tests {
         let ext = oci.load_image("app.dist+coM").unwrap();
         assert_eq!(ext.manifest.layers.len(), orig.manifest.layers.len() + 1);
         assert_eq!(ext.manifest.layers[0], orig.manifest.layers[0]);
+        // The appended layer is uncompressed: its diff_id is the blob
+        // digest, and both are the digest of the bytes the store holds.
+        let appended = ext.manifest.layers.last().unwrap();
+        let diff_id = ext.config.rootfs.diff_ids.last().unwrap();
+        assert_eq!(&appended.digest, diff_id);
+        let stored = oci.blobs.get(&diff_id.parse().unwrap()).unwrap();
+        assert_eq!(&comt_digest::Digest::of(&stored).to_oci_string(), diff_id);
 
         let cache = load_cache(&oci, "app.dist+coM").unwrap();
         assert_eq!(cache.models.isa, "x86_64");

@@ -3,6 +3,18 @@
 //! Supports both one-shot hashing ([`sha256`]) and streaming updates
 //! ([`Sha256`]). The streaming form is used when digesting layer tarballs
 //! that are produced incrementally.
+//!
+//! The hasher owns buffering, padding and the length field; the rounds
+//! live behind one kernel interface, `compress_blocks(state, blocks)` over
+//! a whole number of 64-byte blocks. [`portable`] implements it everywhere
+//! and is the reference; `sha_ni` implements it on x86-64 CPUs that have
+//! the SHA extensions. [`Kernel::detect`] picks between them from what the
+//! CPU reports; nothing a user can set does. Both compute the same
+//! function of the same bytes, so a digest never depends on the kernel.
+
+mod portable;
+#[cfg(target_arch = "x86_64")]
+mod sha_ni;
 
 /// First 32 bits of the fractional parts of the square roots of the first
 /// 8 primes (FIPS 180-4 §5.3.3).
@@ -23,15 +35,67 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+/// Which implementation of `compress_blocks` a hasher runs.
+#[derive(Clone, Copy)]
+enum Kernel {
+    Portable,
+    /// Only ever constructed by [`Kernel::detect`], after
+    /// `sha_ni::available()` returned `true`.
+    #[cfg(target_arch = "x86_64")]
+    ShaNi,
+}
+
+impl Kernel {
+    /// The fastest kernel this CPU can run.
+    fn detect() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni::available() {
+            return Kernel::ShaNi;
+        }
+        Kernel::Portable
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Kernel::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Kernel::ShaNi => "sha-ni",
+        }
+    }
+
+    /// Fold `blocks` (a whole number of 64-byte blocks) into `state`.
+    #[inline]
+    fn compress_blocks(self, state: &mut [u32; 8], blocks: &[u8]) {
+        match self {
+            Kernel::Portable => portable::compress_blocks(state, blocks),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Kernel` is private to this module and `detect` is
+            // the only place that builds `ShaNi`, which it does only after
+            // `is_x86_feature_detected!` reported `sha`, `sse2`, `ssse3`
+            // and `sse4.1` — the exact feature set the kernel is compiled
+            // for — on the CPU this process runs on.
+            Kernel::ShaNi => unsafe { sha_ni::compress_blocks(state, blocks) },
+        }
+    }
+}
+
+/// Name of the compression kernel hashers in this process run:
+/// `"sha-ni"` or `"portable"`. It explains a hashing rate, never a digest.
+pub fn backend() -> &'static str {
+    Kernel::detect().name()
+}
+
 /// Streaming SHA-256 hasher.
 #[derive(Clone)]
 pub struct Sha256 {
     state: [u32; 8],
     /// Bytes buffered until a full 64-byte block is available.
     buf: [u8; 64],
+    /// Always `< 64` between calls.
     buf_len: usize,
     /// Total message length in bytes.
     total_len: u64,
+    kernel: Kernel,
 }
 
 impl Default for Sha256 {
@@ -43,11 +107,22 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Fresh hasher in the initial state.
     pub fn new() -> Self {
+        Self::with_kernel(Kernel::detect())
+    }
+
+    /// A hasher pinned to the portable kernel, whatever the CPU offers.
+    #[cfg(test)]
+    pub(crate) fn new_portable() -> Self {
+        Self::with_kernel(Kernel::Portable)
+    }
+
+    fn with_kernel(kernel: Kernel) -> Self {
         Sha256 {
             state: H0,
             buf: [0u8; 64],
             buf_len: 0,
             total_len: 0,
+            kernel,
         }
     }
 
@@ -56,104 +131,45 @@ impl Sha256 {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         // Fill a partial block first.
         if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(data.len());
+            let take = (64 - self.buf_len).min(data.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            self.kernel.compress_blocks(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        // Whole blocks straight from the input.
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
+        // Every whole block straight from the input, in one kernel call.
+        let (blocks, tail) = data.split_at(data.len() & !63);
+        if !blocks.is_empty() {
+            self.kernel.compress_blocks(&mut self.state, blocks);
         }
         // Stash the tail.
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Finish and produce the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        // `update` mutated total_len; the length field must reflect the
-        // original message only, so we captured bit_len beforehand.
-        while self.buf_len != 56 {
-            let zeros = [0u8; 64];
-            let need = if self.buf_len < 56 {
-                56 - self.buf_len
-            } else {
-                64 - self.buf_len + 56
-            };
-            let take = need.min(64);
-            self.update(&zeros[..take]);
+        // Padding: 0x80, zeros, 64-bit big-endian bit length.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            // No room left for the length: it goes in a block of its own.
+            self.kernel.compress_blocks(&mut self.state, &self.buf);
+            self.buf.fill(0);
         }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        let bit_len = self.total_len.wrapping_mul(8);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        self.kernel.compress_blocks(&mut self.state, &self.buf);
 
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
-    }
-
-    /// One compression round over a 64-byte block (FIPS 180-4 §6.2.2).
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
     }
 }
 
@@ -168,74 +184,195 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 mod tests {
     use super::*;
     use crate::hex_encode;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+    use std::io::Write;
 
-    fn hexdigest(data: &[u8]) -> String {
-        hex_encode(&sha256(data))
+    /// How a check builds its hashers: `Sha256::new` (the detected kernel)
+    /// or `Sha256::new_portable`.
+    type NewHasher = fn() -> Sha256;
+
+    /// Each check below runs twice: on the portable kernel, always, and on
+    /// the accelerated kernel where the host has one. Where it has none the
+    /// accelerated test says so on stderr, written directly because the
+    /// harness swallows `eprintln!` from a passing test.
+    macro_rules! on_both_kernels {
+        ($($check:ident => $portable:ident, $accelerated:ident;)*) => {$(
+            #[test]
+            fn $portable() {
+                $check(Sha256::new_portable);
+            }
+
+            #[test]
+            #[cfg_attr(
+                not(target_arch = "x86_64"),
+                ignore = "no accelerated SHA-256 kernel for this architecture"
+            )]
+            fn $accelerated() {
+                if matches!(Kernel::detect(), Kernel::Portable) {
+                    let _ = writeln!(
+                        std::io::stderr(),
+                        "SKIPPED {}: this CPU lacks the SHA extensions (backend: portable)",
+                        stringify!($accelerated),
+                    );
+                    return;
+                }
+                $check(Sha256::new);
+            }
+        )*};
+    }
+
+    on_both_kernels! {
+        check_nist_vectors => nist_vectors_portable, nist_vectors_sha_ni;
+        check_every_length_and_split => every_length_and_split_portable, every_length_and_split_sha_ni;
+        check_many_tiny_updates => many_tiny_updates_portable, many_tiny_updates_sha_ni;
+        check_one_mib_unaligned => one_mib_unaligned_portable, one_mib_unaligned_sha_ni;
+        check_random_input => random_input_portable, random_input_sha_ni;
+    }
+
+    fn oneshot(new: NewHasher, data: &[u8]) -> [u8; 32] {
+        let mut h = new();
+        h.update(data);
+        h.finalize()
+    }
+
+    /// Feed `data` to a fresh hasher in the pieces `cuts` (ascending
+    /// offsets into `data`) divide it into.
+    fn streamed(new: NewHasher, data: &[u8], cuts: &[usize]) -> [u8; 32] {
+        let mut h = new();
+        let mut from = 0;
+        for &cut in cuts {
+            h.update(&data[from..cut]);
+            from = cut;
+        }
+        h.update(&data[from..]);
+        h.finalize()
+    }
+
+    /// Call `check` with `data` copied to each offset 0..16 of a fresh
+    /// allocation, so the kernels' 16-byte loads see every misalignment.
+    fn at_every_offset(data: &[u8], mut check: impl FnMut(usize, &[u8])) {
+        for offset in 0..16 {
+            let mut shifted = vec![0u8; offset + data.len()];
+            shifted[offset..].copy_from_slice(data);
+            check(offset, &shifted[offset..]);
+        }
     }
 
     // NIST / well-known test vectors.
-    #[test]
-    fn vector_empty() {
-        assert_eq!(
-            hexdigest(b""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+    fn check_nist_vectors(new: NewHasher) {
+        let vectors: [(&[u8], &str); 5] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            // Exactly 56 bytes forces the length into a second padding block.
+            (
+                &[b'a'; 56],
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                &[b'a'; 1_000_000],
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        for (msg, want) in vectors {
+            assert_eq!(hex_encode(&oneshot(new, msg)), want, "{} bytes", msg.len());
+        }
     }
 
-    #[test]
-    fn vector_abc() {
-        assert_eq!(
-            hexdigest(b"abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-    }
-
-    #[test]
-    fn vector_two_blocks() {
-        assert_eq!(
-            hexdigest(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-    }
-
-    #[test]
-    fn vector_448_bits_boundary() {
-        // Exactly 56 bytes forces the length into a second padding block.
-        let msg = vec![b'a'; 56];
-        assert_eq!(
-            hexdigest(&msg),
-            "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"
-        );
-    }
-
-    #[test]
-    fn vector_million_a() {
-        let msg = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hexdigest(&msg),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
-    }
-
-    #[test]
-    fn streaming_matches_oneshot_all_split_points() {
+    /// Every length 0..=257 (four blocks and a byte: both padding shapes,
+    /// every buffer fill level), split in two at every offset.
+    fn check_every_length_and_split(new: NewHasher) {
         let data: Vec<u8> = (0..257u16).map(|i| (i % 251) as u8).collect();
-        let want = sha256(&data);
-        for split in 0..=data.len() {
-            let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), want, "split at {split}");
+        for len in 0..=data.len() {
+            let msg = &data[..len];
+            let want = oneshot(Sha256::new_portable, msg);
+            for split in 0..=len {
+                assert_eq!(
+                    streamed(new, msg, &[split]),
+                    want,
+                    "len {len} split {split}"
+                );
+            }
+        }
+    }
+
+    fn check_many_tiny_updates(new: NewHasher) {
+        let data = b"the quick brown fox jumps over the lazy dog".repeat(9);
+        let cuts: Vec<usize> = (0..data.len()).collect();
+        assert_eq!(
+            streamed(new, &data, &cuts),
+            oneshot(Sha256::new_portable, &data)
+        );
+    }
+
+    /// A multi-block run long enough that the kernel's inner loop, not the
+    /// hasher's buffering, does nearly all the work — from every alignment.
+    fn check_one_mib_unaligned(new: NewHasher) {
+        let mut rng = TestRng::deterministic("one_mib_unaligned");
+        let data = Strategy::sample(
+            &prop::collection::vec(any::<u8>(), (1 << 20) + 61),
+            &mut rng,
+        );
+        let want = oneshot(Sha256::new_portable, &data);
+        at_every_offset(&data, |offset, msg| {
+            let cut = rng.below(msg.len() as u64 + 1) as usize;
+            assert_eq!(oneshot(new, msg), want, "offset {offset}");
+            assert_eq!(
+                streamed(new, msg, &[cut]),
+                want,
+                "offset {offset} cut {cut}"
+            );
+        });
+    }
+
+    /// Differential over vendored-`proptest` strategies: random bytes,
+    /// random length 0..=64 KiB, random split points, the slice starting at
+    /// each offset 0..16 of its allocation — this kernel, streamed and
+    /// one-shot, against the portable one-shot.
+    fn check_random_input(new: NewHasher) {
+        let mut rng = TestRng::deterministic("random_input");
+        let any_data = prop::collection::vec(any::<u8>(), 0..65537);
+        let any_cuts = prop::collection::vec(any::<prop::sample::Index>(), 0..6);
+        for case in 0..48 {
+            let data = Strategy::sample(&any_data, &mut rng);
+            let len = data.len();
+            let mut cuts: Vec<usize> = Strategy::sample(&any_cuts, &mut rng)
+                .iter()
+                .map(|cut| cut.index(len + 1))
+                .collect();
+            cuts.sort_unstable();
+            let want = oneshot(Sha256::new_portable, &data);
+            at_every_offset(&data, |offset, msg| {
+                let got = (streamed(new, msg, &cuts), oneshot(new, msg));
+                assert_eq!(
+                    got,
+                    (want, want),
+                    "(streamed, one-shot): case {case} offset {offset} len {len} cuts {cuts:?}"
+                );
+            });
         }
     }
 
     #[test]
-    fn streaming_many_tiny_updates() {
-        let data = b"the quick brown fox jumps over the lazy dog".repeat(9);
-        let mut h = Sha256::new();
-        for b in &data {
-            h.update(std::slice::from_ref(b));
-        }
-        assert_eq!(h.finalize(), sha256(&data));
+    fn backend_names_the_detected_kernel() {
+        #[cfg(target_arch = "x86_64")]
+        let want = if sha_ni::available() {
+            "sha-ni"
+        } else {
+            "portable"
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let want = "portable";
+        assert_eq!(backend(), want);
     }
 }

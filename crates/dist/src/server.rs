@@ -405,7 +405,8 @@ fn blob_get<R: RegistryBackend>(
 
 /// `GET /v2/_comt/stats` — live serve-path counters as JSON (cache
 /// hit/miss/eviction totals, resident bytes, stream-verified digests,
-/// chunkmap traffic and this process's delta-pull savings).
+/// chunkmap traffic, this process's delta-pull savings and the SHA-256
+/// kernel it verifies with).
 fn stats_response<R: RegistryBackend>(state: &RegistryHandler<R>) -> HttpAction {
     let s = state.cache.stats();
     let verified = state
@@ -421,7 +422,8 @@ fn stats_response<R: RegistryBackend>(state: &RegistryHandler<R>) -> HttpAction 
             "\"stream_verified\":{},",
             "\"chunkmaps\":{{\"hits\":{},\"misses\":{},\"published\":{}}},",
             "\"delta\":{{\"chunks_hit\":{},\"chunks_fetched\":{},",
-            "\"bytes_saved\":{},\"bytes_fetched\":{}}}}}"
+            "\"bytes_saved\":{},\"bytes_fetched\":{}}},",
+            "\"digest\":{{\"backend\":\"{}\"}}}}"
         ),
         s.hits,
         s.misses,
@@ -438,6 +440,7 @@ fn stats_response<R: RegistryBackend>(state: &RegistryHandler<R>) -> HttpAction 
         obs.counter("dist.client.chunks_fetched"),
         obs.counter("dist.client.delta_bytes_saved"),
         obs.counter("dist.client.delta_bytes_fetched"),
+        comt_digest::backend(),
     );
     HttpAction::Respond(
         Response::new(200)

@@ -416,5 +416,11 @@ fn stats_endpoint_reports_chunkmap_and_delta_counters() {
     assert!(int_field("chunkmaps", "hits") >= 1);
     assert!(int_field("delta", "chunks_hit") >= 1);
     assert!(int_field("delta", "bytes_saved") > 0);
+    // The kernel the daemon verifies with: this process's, as it serves here.
+    let backend = serde_json::Value::field(top, "digest")
+        .and_then(|v| v.as_object())
+        .and_then(|digest| serde_json::Value::field(digest, "backend"))
+        .and_then(|v| v.as_str());
+    assert_eq!(backend, Some(comt_digest::backend()), "{text}");
     drop(server);
 }
