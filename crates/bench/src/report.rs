@@ -60,19 +60,11 @@ pub fn compare(label: &str, paper: f64, measured: f64, unit: &str) -> String {
 /// with one object per measured configuration, so successive runs record a
 /// perf trajectory that tooling can diff.
 pub fn json_report(bench: &str, rows: Vec<serde::Value>) -> String {
-    // The vendored Serialize trait converts to Value; a hand-built Value
-    // just needs an identity wrapper to pass through the serializer.
-    struct Raw(serde::Value);
-    impl serde::Serialize for Raw {
-        fn to_value(&self) -> serde::Value {
-            self.0.clone()
-        }
-    }
     let doc = serde::Value::Object(vec![
         ("bench".to_string(), serde::Value::Str(bench.to_string())),
         ("results".to_string(), serde::Value::Array(rows)),
     ]);
-    serde_json::to_string_pretty(&Raw(doc)).expect("bench report serializes")
+    serde_json::to_string_pretty(&doc).expect("bench report serializes")
 }
 
 /// Build one JSON result row from `(key, value)` pairs.

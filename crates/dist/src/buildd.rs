@@ -48,17 +48,9 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Serialize a hand-built [`Value`] tree to compact JSON (the vendored
-/// `Serialize` trait converts *to* `Value`, so an identity wrapper passes
-/// one through).
+/// Serialize a hand-built [`Value`] tree to compact JSON.
 fn to_json_text(v: &Value) -> String {
-    struct Raw<'a>(&'a Value);
-    impl serde::Serialize for Raw<'_> {
-        fn to_value(&self) -> Value {
-            self.0.clone()
-        }
-    }
-    serde_json::to_string(&Raw(v)).expect("literal value serializes")
+    serde_json::to_string(v).expect("literal value serializes")
 }
 
 /// A job submission as it travels over the wire.

@@ -725,12 +725,14 @@ impl DistClient {
             }
             let mut assembled: Option<Bytes> = None;
             if delta_live {
-                if let Some(map) = self
+                // The map's wire cost is the body as received: parsed once,
+                // never serialized again on this side.
+                if let Some((map_wire_len, map)) = self
                     .get_chunkmap(name, d)
                     .ok()
                     .flatten()
-                    .and_then(|raw| ChunkMap::from_json(&raw).ok())
-                    .filter(|m| m.parsed_blob_digest().ok() == Some(*d))
+                    .and_then(|raw| Some((raw.len(), ChunkMap::from_json(&raw).ok()?)))
+                    .filter(|(_, m)| m.parsed_blob_digest().ok() == Some(*d))
                 {
                     if !matches!(&local_index, Some((p, _)) if *p == map.params) {
                         let mut idx = ChunkIndex::new();
@@ -745,7 +747,7 @@ impl DistClient {
                     if index.is_empty() {
                         delta_live = false;
                     } else {
-                        stats.bytes_moved += map.to_json().len() as u64;
+                        stats.bytes_moved += map_wire_len as u64;
                         assembled = self.pull_blob_delta(
                             name,
                             d,

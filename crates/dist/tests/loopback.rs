@@ -178,6 +178,37 @@ fn manifest_put_without_closure_is_rejected_and_invisible() {
 }
 
 #[test]
+fn deeply_nested_json_costs_a_400_not_the_daemon() {
+    // 20 KB of `[` sent by anyone who can reach the port: the JSON parser
+    // used to recurse once per bracket and overflow the event-loop thread's
+    // stack, which aborts the process. It is one more malformed body.
+    let server = start_server(ServerOptions::default());
+    let body = "[".repeat(20_000);
+    let layer = Digest::of(b"any layer").to_oci_string();
+    for path in [
+        "/v2/x/manifests/evil".to_string(),
+        format!("/v2/x/chunkmaps/{layer}"),
+    ] {
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        let head = format!(
+            "PUT {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        s.write_all(head.as_bytes()).unwrap();
+        s.write_all(body.as_bytes()).unwrap();
+        let mut resp = String::new();
+        let _ = s.read_to_string(&mut resp);
+        assert!(resp.starts_with("HTTP/1.1 400"), "{path}: {resp}");
+
+        // The daemon is still there for the next connection.
+        let client = DistClient::with_policy(server.addr().to_string(), RetryPolicy::no_retries());
+        assert_eq!(client.head_blob("x", &Digest::of(b"absent")).unwrap(), None);
+    }
+    let reg = server.shutdown();
+    assert_eq!(reg.store().len(), 0);
+}
+
+#[test]
 fn poisoned_server_blob_never_served() {
     // A corrupt blob in the server store must yield a 500, and the client
     // must not admit it.
