@@ -76,7 +76,7 @@ fn layer_bytes(store: &BlobStore, md: &Digest) -> u64 {
 fn seed_store(local: &BlobStore, md: &Digest) -> BlobStore {
     let mut dst = BlobStore::new();
     for d in closure_digests(local, md).expect("closure") {
-        dst.put_prehashed(d, local.get(&d).expect("closure blob"));
+        assert!(dst.fetch_from(local, &d), "closure blob");
     }
     dst
 }

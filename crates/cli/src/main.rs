@@ -434,12 +434,10 @@ fn cmd_serve(dir: &str, args: &[String]) -> Result<(), String> {
     // loses at most the in-flight publish.
     let reg =
         DiskRegistry::open(Path::new(dir)).map_err(|e| format!("open layout {dir}: {e}"))?;
-    let nrefs = reg.tags().len();
+    let nrefs = reg.index.ref_names().len();
     let nblobs = reg
-        .store()
-        .digests()
-        .map_err(|e| format!("scan layout {dir}: {e}"))?
-        .len();
+        .blob_count()
+        .map_err(|e| format!("scan layout {dir}: {e}"))?;
     let addr = opt_value(args, "--addr", "127.0.0.1:7070");
     let mut opts = ServerOptions::default();
     if let Ok(n) = opt_value(args, "--threads", "").parse::<usize>() {
@@ -774,10 +772,8 @@ fn cmd_gc(dir: &str, args: &[String]) -> Result<(), String> {
     let mib = bytes as f64 / (1024.0 * 1024.0);
     if dead.is_empty() {
         let total = reg
-            .store()
-            .digests()
-            .map_err(|e| format!("scan layout {dir}: {e}"))?
-            .len();
+            .blob_count()
+            .map_err(|e| format!("scan layout {dir}: {e}"))?;
         println!("{dir}: nothing to collect ({total} blobs, all reachable)");
         return Ok(());
     }
@@ -962,7 +958,8 @@ mod tests {
     #[test]
     fn disk_registry_serves_saved_layout_refs() {
         // A layout written by `OciDir::save` must answer wire tag keys
-        // (`name:latest`) when opened as the serving disk registry.
+        // (`name:latest`) when opened as the serving disk registry — and
+        // the in-memory layout answers the same keys the same way.
         let dir = std::env::temp_dir().join(format!("comt-cli-serve-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut oci = OciDir::new();
@@ -980,14 +977,10 @@ mod tests {
         );
         oci.save(&dir).unwrap();
         let reg = DiskRegistry::open(&dir).unwrap();
-        assert_eq!(
-            reg.resolve(&comt_dist::tag_key("app.dist+coM", "latest")),
-            Some(image.manifest_digest)
-        );
-        assert_eq!(
-            reg.store().digests().unwrap().len(),
-            oci.blobs.len()
-        );
+        let key = comt_dist::tag_key("app.dist+coM", "latest");
+        assert_eq!(reg.resolve(&key).ok(), Some(image.manifest_digest));
+        assert_eq!(oci.resolve(&key).ok(), Some(image.manifest_digest));
+        assert_eq!(reg.blob_count().unwrap(), oci.blobs.len());
         drop(reg);
         std::fs::remove_dir_all(&dir).unwrap();
     }

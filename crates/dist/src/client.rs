@@ -17,7 +17,7 @@ use comt_chunk::{
     MEDIA_TYPE_CHUNKMAP,
 };
 use comt_digest::Digest;
-use comt_oci::store::{closure_digests, BlobStore};
+use comt_oci::store::{closure_digests, BlobStore, Verified};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -270,6 +270,12 @@ impl DistClient {
     /// Download a blob, resuming across dropped connections and verifying
     /// the digest before returning.
     pub fn get_blob(&self, name: &str, digest: &Digest) -> Result<Bytes, DistError> {
+        self.fetch_blob(name, digest).map(Verified::into_bytes)
+    }
+
+    /// [`DistClient::get_blob`], keeping the proof of the hash it took: the
+    /// pull path admits the blob into the local store on it.
+    fn fetch_blob(&self, name: &str, digest: &Digest) -> Result<Verified<'static>, DistError> {
         let path = format!("/v2/{name}/blobs/{}", digest.to_oci_string());
         let obs = comt_observe::global();
         let _span = obs.span("dist.client.get_blob");
@@ -318,19 +324,18 @@ impl DistClient {
                     return Err(DistError::protocol("content-range offset mismatch"));
                 }
             }
-            let got = Digest::of(&buf);
-            if got != *digest {
+            // Taking the buffer also empties it: a corrupt transfer is
+            // retried from scratch.
+            let blob = Verified::hash(std::mem::take(&mut buf));
+            if blob.digest() != *digest {
                 obs.count("dist.client.verify_failures", 1);
-                let e = DistError::DigestMismatch {
+                return Err(DistError::DigestMismatch {
                     expected: digest.to_oci_string(),
-                    got: got.to_oci_string(),
-                };
-                buf.clear(); // corrupt transfer — retry from scratch
-                return Err(e);
+                    got: blob.digest().to_oci_string(),
+                });
             }
-            Ok(())
-        })?;
-        Ok(Bytes::from(std::mem::take(&mut buf)))
+            Ok(blob)
+        })
     }
 
     /// Upload a blob as a chunked PUT. The server stages, verifies and
@@ -510,7 +515,7 @@ impl DistClient {
         dst: &BlobStore,
         concurrency: usize,
         stats: &mut TransferStats,
-    ) -> Result<Option<Bytes>, DistError> {
+    ) -> Result<Option<Verified<'static>>, DistError> {
         let obs = comt_observe::global();
         let _span = obs.span("dist.client.delta_pull");
         let plan = plan_delta(map, index, DEFAULT_COALESCE_GAP);
@@ -563,11 +568,10 @@ impl DistClient {
 
         // The protocol's trust boundary: the assembled layer must hash to
         // its address before anything is committed.
-        let got = Digest::of(&out);
-        if got != *digest {
+        let Ok(blob) = Verified::check(*digest, out) else {
             obs.count("dist.client.verify_failures", 1);
             return Ok(None); // stale/contradictory chunkmap — pull it whole
-        }
+        };
         stats.chunks_hit += plan.chunks_hit();
         stats.chunks_fetched += plan.chunks_missing();
         stats.delta_bytes_saved += plan.bytes_local;
@@ -576,28 +580,31 @@ impl DistClient {
         obs.count("dist.client.chunks_fetched", plan.chunks_missing() as u64);
         obs.count("dist.client.delta_bytes_saved", plan.bytes_local);
         obs.count("dist.client.delta_bytes_fetched", plan.bytes_fetched);
-        Ok(Some(Bytes::from(out)))
+        Ok(Some(blob))
     }
 
-    /// Fetch a manifest by tag; returns its (verified) digest and bytes.
-    pub fn get_manifest(&self, name: &str, reference: &str) -> Result<(Digest, Bytes), DistError> {
+    /// Fetch a manifest by tag, hashed on arrival: the proof carries its
+    /// digest and bytes.
+    pub fn get_manifest(
+        &self,
+        name: &str,
+        reference: &str,
+    ) -> Result<Verified<'static>, DistError> {
         let path = format!("/v2/{name}/manifests/{reference}");
         self.with_retries("get manifest", || {
             let mut sink = Vec::new();
             let (status, headers) = self.exchange("GET", &path, &[], None, false, &mut sink)?;
             match status {
                 200 => {
-                    let digest = Digest::of(&sink);
-                    if let Some(advertised) = wire::find_header(&headers, "docker-content-digest")
-                    {
-                        if advertised != digest.to_oci_string() {
-                            return Err(DistError::DigestMismatch {
-                                expected: advertised.to_string(),
-                                got: digest.to_oci_string(),
-                            });
-                        }
+                    let manifest = Verified::hash(sink);
+                    let got = manifest.digest().to_oci_string();
+                    match wire::find_header(&headers, "docker-content-digest") {
+                        Some(advertised) if advertised != got => Err(DistError::DigestMismatch {
+                            expected: advertised.to_string(),
+                            got,
+                        }),
+                        _ => Ok(manifest),
                     }
-                    Ok((digest, Bytes::from(sink)))
                 }
                 404 => Err(DistError::status(
                     "get manifest",
@@ -690,7 +697,8 @@ impl DistClient {
     ) -> Result<(Digest, TransferStats), DistError> {
         let obs = comt_observe::global();
         let _span = obs.span("dist.client.pull");
-        let (manifest_digest, manifest) = self.get_manifest(name, reference)?;
+        let manifest = self.get_manifest(name, reference)?;
+        let manifest_digest = manifest.digest();
         let mut stats = TransferStats {
             blobs_moved: 1,
             blobs_skipped: 0,
@@ -715,7 +723,7 @@ impl DistClient {
         // the preexisting blobs proves empty no later layer can be
         // delta-assembled either — so the GET is skipped from then on.
         let mut delta_live = opts.delta && !preexisting.is_empty();
-        dst.put_prehashed(manifest_digest, manifest);
+        dst.admit(manifest);
         let closure = closure_digests(dst, &manifest_digest)?;
         for d in &closure[1..] {
             if dst.contains(d) {
@@ -723,7 +731,7 @@ impl DistClient {
                 obs.count("dist.client.blobs_deduped", 1);
                 continue;
             }
-            let mut assembled: Option<Bytes> = None;
+            let mut assembled: Option<Verified<'static>> = None;
             if delta_live {
                 // The map's wire cost is the body as received: parsed once,
                 // never serialized again on this side.
@@ -763,12 +771,12 @@ impl DistClient {
             let blob = match assembled {
                 Some(b) => b, // wire bytes already accounted in the plan
                 None => {
-                    let b = self.get_blob(name, d)?; // digest-verified
+                    let b = self.fetch_blob(name, d)?;
                     stats.bytes_moved += b.len() as u64;
                     b
                 }
             };
-            dst.put_prehashed(*d, blob);
+            dst.admit(blob);
             stats.blobs_moved += 1;
         }
         Ok((manifest_digest, stats))

@@ -13,29 +13,30 @@
 //!
 //! ## Backends
 //!
-//! The daemon is generic over [`RegistryBackend`]: the in-memory
-//! [`Registry`] (tests, benches) and the crash-safe [`comt_oci::DiskRegistry`]
+//! The daemon is generic over [`RegistryBackend`], which `comt-oci`
+//! implements once for its one tagged store: the in-memory [`Registry`]
+//! (tests, benches) and the crash-safe [`comt_oci::DiskRegistry`]
 //! (`comt serve` on a real layout, each blob and tag committed durably at
-//! publish time) serve through identical protocol code.
+//! publish time) are that store at its two blob backends.
 //!
 //! ## Atomicity
 //!
 //! Uploads are **staged**: the body accumulates in a per-request buffer,
-//! its digest is verified against the address in the URL, and only then is
-//! the blob published into the content-addressed store (for the disk
-//! backend: write-to-temp → fsync → atomic rename). A connection killed
-//! mid-upload discards the stage; a digest mismatch is a 400 and nothing
-//! becomes visible. Manifest PUTs verify the *entire closure* (bytes, not
-//! just presence) before the tag appears, so a pull can never observe a
-//! half-pushed image.
+//! it is hashed once into a [`Verified`] proof that borrows that buffer,
+//! the proof's digest is compared with the address in the URL, and only
+//! then is the blob published into the content-addressed store (for the
+//! disk backend: write-to-temp → fsync → atomic rename, straight from the
+//! request buffer). A connection killed mid-upload discards the stage; a
+//! digest mismatch is a 400 and nothing becomes visible. Manifest PUTs
+//! verify the *entire closure* (bytes, not just presence) before the tag
+//! appears, so a pull can never observe a half-pushed image.
 
 use crate::hotcache::HotBlobCache;
 use crate::http::{serve_http, BodySource, HttpAction, HttpHandler, HttpOptions, HttpServer};
 use crate::wire::{self, Request, Response};
 use crate::{tag_key, MEDIA_TYPE_MANIFEST};
 use comt_digest::Digest;
-use comt_oci::store::{closure_digests, Registry, RegistryError};
-use comt_oci::{BlobHandle, RegistryBackend};
+use comt_oci::{BlobHandle, Registry, RegistryBackend, RegistryError, Verified};
 use std::collections::HashSet;
 use std::io;
 use std::net::SocketAddr;
@@ -459,24 +460,24 @@ fn blob_put<R: RegistryBackend>(
         Ok(d) => d,
         Err(a) => return a,
     };
-    // The staged body (req.body) is verified before anything becomes
-    // visible; on mismatch the stage is simply dropped. The backend
-    // re-verifies inside put_blob (its own trust boundary), but hashing
-    // here first keeps the rejection off the registry lock.
+    // The staged body is hashed exactly once, off the registry lock; the
+    // proof borrows it, so the backend stores it without a second hash (and
+    // a disk backend without a copy). On mismatch the stage is dropped.
     let obs = comt_observe::global();
-    let actual = {
+    let blob = {
         let _span = obs.span("dist.server.verify");
-        Digest::of(&req.body)
+        Verified::hash(&req.body[..])
     };
-    if actual != digest {
+    if blob.digest() != digest {
         obs.count("dist.server.rejected_uploads", 1);
         return bad_request(format!(
-            "upload does not match its address: got {actual}, want {reference}"
+            "upload does not match its address: got {}, want {reference}",
+            blob.digest()
         ));
     }
     let put = {
         let mut reg = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-        reg.put_blob(digest, bytes::Bytes::from(req.body.clone()))
+        reg.put_blob(blob)
     };
     match put {
         Ok(_) => HttpAction::Respond(
@@ -534,9 +535,10 @@ fn manifest_put<R: RegistryBackend>(
     // before the tag appears (and, for disk backends, commits the manifest
     // blob and the new tag table durably). A half-pushed image can never
     // be pulled, and a rejected publish leaves no trace.
+    let manifest = Verified::hash(&req.body[..]);
     let put = {
         let mut reg = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-        reg.put_manifest(&key, bytes::Bytes::from(req.body.clone()))
+        reg.put_manifest(&key, manifest)
     };
     match put {
         Ok(digest) => HttpAction::Respond(
@@ -616,6 +618,7 @@ fn chunkmap_put<R: RegistryBackend>(
             map.blob_digest
         ));
     }
+    let proof = Verified::hash(&req.body[..]);
     let put = {
         let mut reg = state.registry.lock().unwrap_or_else(|e| e.into_inner());
         match reg.blob_handle(&layer) {
@@ -631,7 +634,7 @@ fn chunkmap_put<R: RegistryBackend>(
             }
             Some(_) => {}
         }
-        reg.put_chunkmap(layer, bytes::Bytes::from(req.body.clone()))
+        reg.put_chunkmap(layer, proof)
     };
     match put {
         Ok(map_digest) => {
@@ -654,10 +657,4 @@ fn registry_failure(op: &str, e: RegistryError) -> HttpAction {
         }
         other => bad_request(format!("{op}: {other}")),
     }
-}
-
-/// Closure digests for a tagged manifest on this server — test/CLI helper.
-pub fn registry_closure(reg: &Registry, tag: &str) -> Option<Vec<Digest>> {
-    let md = reg.resolve(tag)?;
-    closure_digests(reg.store(), &md).ok()
 }

@@ -286,7 +286,7 @@ fn mid_chunk_disconnect_resumes_inside_the_window() {
     // lands on the delta pull's range windows.
     let mut dst = BlobStore::new();
     for d in closure_digests(&local, &md1).unwrap() {
-        dst.put_prehashed(d, local.get(&d).unwrap());
+        assert!(dst.fetch_from(&local, &d));
     }
 
     comt_observe::global().reset();

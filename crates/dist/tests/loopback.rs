@@ -52,7 +52,7 @@ fn push_pull_roundtrip_bit_identical() {
     }
 
     let reg = server.shutdown();
-    assert_eq!(reg.resolve(&tag_key("app", "v1")), Some(md));
+    assert_eq!(reg.resolve(&tag_key("app", "v1")).ok(), Some(md));
 }
 
 #[test]
@@ -173,7 +173,7 @@ fn manifest_put_without_closure_is_rejected_and_invisible() {
     assert!(matches!(err, DistError::Status { status: 404, .. }), "{err}");
 
     let reg = server.shutdown();
-    assert!(reg.resolve(&tag_key("app", "v1")).is_none());
+    assert!(reg.resolve(&tag_key("app", "v1")).is_err());
     assert!(!reg.store().contains(&md), "failed manifest PUT leaked");
 }
 
@@ -309,7 +309,7 @@ fn disk_backed_daemon_round_trips_and_survives_restart() {
     // Second daemon lifetime: everything pulls bit-identically.
     {
         let reg = comt_oci::DiskRegistry::open(&dir).unwrap();
-        assert_eq!(reg.resolve(&tag_key("app", "v1")), Some(md));
+        assert_eq!(reg.resolve(&tag_key("app", "v1")).ok(), Some(md));
         let server = serve(reg, "127.0.0.1:0", ServerOptions::default()).unwrap();
         let client = DistClient::new(server.addr().to_string());
         let mut pulled = BlobStore::new();
@@ -353,7 +353,7 @@ fn disk_backed_interrupted_push_is_fsck_clean_and_invisible() {
     // Restart: the tag was never committed, the blobs dedupe, and a full
     // re-push completes the publish.
     let reg = comt_oci::DiskRegistry::open(&dir).unwrap();
-    assert_eq!(reg.resolve(&tag_key("app", "v1")), None);
+    assert_eq!(reg.resolve(&tag_key("app", "v1")).ok(), None);
     let server = serve(reg, "127.0.0.1:0", ServerOptions::default()).unwrap();
     let client = DistClient::new(server.addr().to_string());
     let stats = client.push_image("app", "v1", md, &local).unwrap();

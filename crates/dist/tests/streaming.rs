@@ -198,9 +198,8 @@ fn cache_eviction_and_poison_rejection_visible_in_stats() {
             (Digest::of(&b), b)
         })
         .collect();
-    for (d, b) in &blobs {
-        use comt_oci::RegistryBackend;
-        reg.put_blob(*d, b.clone()).unwrap();
+    for (_, b) in &blobs {
+        reg.blobs.put(b.clone());
     }
     let poisoned = Digest::of(b"advertised content");
     reg.store_mut()
@@ -252,17 +251,16 @@ fn cache_eviction_and_poison_rejection_visible_in_stats() {
 
 #[test]
 fn client_rate_limit_paces_large_downloads() {
+    // Its GET is a hot-cache miss in the global recorder the other tests
+    // assert exact counts on.
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // 1 MiB blob at 1 MiB/s with a 256 KiB burst: the transfer cannot
     // legally finish in under ~700 ms. Assert a conservative floor (and
     // that throttling never corrupts the payload).
     let mut reg = comt_oci::Registry::new();
     let data: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
     let blob = Bytes::from(data);
-    let d = Digest::of(&blob);
-    {
-        use comt_oci::RegistryBackend;
-        reg.put_blob(d, blob.clone()).unwrap();
-    }
+    let d = reg.blobs.put(blob.clone());
     let server = serve(
         reg,
         "127.0.0.1:0",

@@ -1,14 +1,20 @@
-//! The registry backend abstraction: one wire daemon, two stores.
+//! The two storage seams: where a layout's bytes live ([`BlobBackend`])
+//! and what the wire daemon asks of a store ([`RegistryBackend`]).
 //!
-//! `comt-dist`'s server is generic over [`RegistryBackend`], so the same
-//! protocol code serves the in-memory [`Registry`] (engine/VFS tests,
-//! benches) and the crash-safe [`DiskRegistry`] (`comt serve` on a real
-//! layout). The trait's contract encodes the durability story:
+//! There is one tagged store, [`Layout`]: an image index over a
+//! [`BlobBackend`]. The trait says only where bytes live and how an index
+//! flip is committed, and has two implementations — the in-memory
+//! [`crate::BlobStore`] (commit is a no-op) and the crash-safe
+//! [`crate::DiskStore`] (tmp → fsync → rename → dir-fsync). Everything
+//! above it — resolve, staged publish, chunkmaps, liveness, gc — is written
+//! once in [`crate::layout`], and [`RegistryBackend`] is implemented once,
+//! for `Layout<B>`, so `comt-dist`'s daemon serves either backend through
+//! the same code. Its contract encodes the durability story:
 //!
-//! * [`RegistryBackend::put_blob`] verifies the claimed digest against the
-//!   bytes **in every build profile** and, for disk backends, makes the
-//!   blob durable before returning — a killed daemon never forgets an
-//!   acknowledged blob.
+//! * [`RegistryBackend::put_blob`] takes a [`Verified`] blob, so the bytes
+//!   were hashed **in every build profile** before they got here; a disk
+//!   backend makes the blob durable before returning — a killed daemon
+//!   never forgets an acknowledged blob.
 //! * [`RegistryBackend::put_manifest`] is staged: the tag becomes visible
 //!   only after the whole closure is present and bit-verified, and a
 //!   rejected publish leaves no trace.
@@ -16,8 +22,9 @@
 //!   can drop its lock before the expensive part (file read + re-hash)
 //!   happens in [`BlobHandle::read_verified`].
 
-use crate::disk::DiskRegistry;
-use crate::store::{Registry, RegistryError};
+use crate::layout::{Layout, LayoutError};
+use crate::spec::ImageIndex;
+use crate::store::{RegistryError, Verified};
 use bytes::Bytes;
 use comt_digest::{Digest, Sha256};
 use std::io::{Read, Seek, SeekFrom};
@@ -172,139 +179,81 @@ impl Read for BlobReader {
     }
 }
 
+/// Where a layout's bytes live and how an index flip is committed — the
+/// whole difference between an in-memory and an on-disk [`Layout`].
+pub trait BlobBackend {
+    /// Cheap handle to a committed blob, if present.
+    fn handle(&self, digest: &Digest) -> Option<BlobHandle>;
+
+    /// Commit a blob on the strength of its proof (durably, for a
+    /// persistent backend). Returns `true` if newly stored.
+    fn insert(&mut self, blob: Verified<'_>) -> Result<bool, LayoutError>;
+
+    /// Delete a committed blob (gc); returns whether it existed.
+    fn remove(&mut self, digest: &Digest) -> Result<bool, LayoutError>;
+
+    /// Every committed blob with its size, in digest order.
+    fn digests(&self) -> Result<Vec<(Digest, u64)>, LayoutError>;
+
+    /// Make `index` the layout's tag table. This is the commit point of
+    /// every mutation: on error the previous table is still the one a
+    /// reopen would read.
+    fn commit_index(&mut self, index: &ImageIndex) -> Result<(), LayoutError>;
+}
+
 /// Storage behind the wire-protocol daemon.
 pub trait RegistryBackend: Send + 'static {
     /// Manifest digest for a wire tag key (`name:reference`).
     fn resolve(&self, key: &str) -> Option<Digest>;
 
-    /// Whether a blob is already committed (HEAD dedupe probe).
-    fn contains_blob(&self, digest: &Digest) -> bool;
-
     /// Cheap handle to a committed blob, if present.
     fn blob_handle(&self, digest: &Digest) -> Option<BlobHandle>;
 
-    /// Verify `data` against the claimed `digest` and commit it (durably,
-    /// for persistent backends). Returns `true` if newly stored.
-    fn put_blob(&mut self, digest: Digest, data: Bytes) -> Result<bool, RegistryError>;
+    /// Commit a verified blob (durably, for persistent backends). Returns
+    /// `true` if newly stored.
+    fn put_blob(&mut self, blob: Verified<'_>) -> Result<bool, RegistryError>;
 
     /// Staged manifest publish: verify the closure, commit, expose the tag.
-    fn put_manifest(&mut self, key: &str, manifest: Bytes) -> Result<Digest, RegistryError>;
+    fn put_manifest(&mut self, key: &str, manifest: Verified<'_>) -> Result<Digest, RegistryError>;
 
     /// Digest of the chunkmap blob recorded for a layer blob, if any.
-    /// Backends without sub-layer dedupe keep the default (`None`), which
-    /// makes every chunkmap GET a 404 and pushes clients onto the full-blob
-    /// fallback path.
-    fn chunkmap_for(&self, layer: &Digest) -> Option<Digest> {
-        let _ = layer;
-        None
-    }
+    fn chunkmap_for(&self, layer: &Digest) -> Option<Digest>;
 
     /// Record `map` as the chunkmap of `layer`, storing its bytes as a
-    /// normal content-addressed blob. The association must survive exactly
-    /// as long as the layer blob does (gc ties their lifetimes together).
-    fn put_chunkmap(&mut self, layer: Digest, map: Bytes) -> Result<Digest, RegistryError> {
-        let _ = (layer, map);
-        Err(RegistryError::Storage(
-            "this backend does not support chunkmaps".into(),
-        ))
-    }
-
-    /// Committed blob count (startup banner / stats).
-    fn blob_count(&self) -> usize;
-
-    /// Visible tag count (startup banner / stats).
-    fn tag_count(&self) -> usize;
+    /// normal content-addressed blob. The association survives exactly as
+    /// long as the layer blob does (gc ties their lifetimes together).
+    fn put_chunkmap(&mut self, layer: Digest, map: Verified<'_>) -> Result<Digest, RegistryError>;
 }
 
-impl RegistryBackend for Registry {
+impl<B: BlobBackend + Send + 'static> RegistryBackend for Layout<B> {
     fn resolve(&self, key: &str) -> Option<Digest> {
-        Registry::resolve(self, key)
-    }
-
-    fn contains_blob(&self, digest: &Digest) -> bool {
-        self.store().contains(digest)
+        Layout::resolve(self, key).ok()
     }
 
     fn blob_handle(&self, digest: &Digest) -> Option<BlobHandle> {
-        self.store().get(digest).map(BlobHandle::Resident)
+        self.blobs.handle(digest)
     }
 
-    fn put_blob(&mut self, digest: Digest, data: Bytes) -> Result<bool, RegistryError> {
-        let fresh = !self.store().contains(&digest);
-        self.store_mut().put_verified(digest, data)?;
-        Ok(fresh)
+    fn put_blob(&mut self, blob: Verified<'_>) -> Result<bool, RegistryError> {
+        Ok(self.blobs.insert(blob)?)
     }
 
-    fn put_manifest(&mut self, key: &str, manifest: Bytes) -> Result<Digest, RegistryError> {
+    fn put_manifest(&mut self, key: &str, manifest: Verified<'_>) -> Result<Digest, RegistryError> {
         self.publish_manifest(key, manifest)
     }
 
     fn chunkmap_for(&self, layer: &Digest) -> Option<Digest> {
-        Registry::chunkmap_for(self, layer)
+        Layout::chunkmap_for(self, layer)
     }
 
-    fn put_chunkmap(&mut self, layer: Digest, map: Bytes) -> Result<Digest, RegistryError> {
-        Registry::put_chunkmap(self, layer, map)
-    }
-
-    fn blob_count(&self) -> usize {
-        self.store().len()
-    }
-
-    fn tag_count(&self) -> usize {
-        self.tags().len()
-    }
-}
-
-impl RegistryBackend for DiskRegistry {
-    fn resolve(&self, key: &str) -> Option<Digest> {
-        DiskRegistry::resolve(self, key)
-    }
-
-    fn contains_blob(&self, digest: &Digest) -> bool {
-        self.store().contains(digest)
-    }
-
-    fn blob_handle(&self, digest: &Digest) -> Option<BlobHandle> {
-        let path = self.store().blob_path(digest);
-        let len = self.store().blob_len(digest)?;
-        Some(BlobHandle::File { path, len })
-    }
-
-    fn put_blob(&mut self, digest: Digest, data: Bytes) -> Result<bool, RegistryError> {
-        self.store().put_blob(&digest, &data).map_err(|e| match e {
-            crate::layout::LayoutError::DigestMismatch { .. } => {
-                RegistryError::DigestMismatch(digest.to_string())
-            }
-            other => RegistryError::Storage(other.to_string()),
-        })
-    }
-
-    fn put_manifest(&mut self, key: &str, manifest: Bytes) -> Result<Digest, RegistryError> {
-        self.publish_manifest(key, manifest)
-    }
-
-    fn chunkmap_for(&self, layer: &Digest) -> Option<Digest> {
-        DiskRegistry::chunkmap_for(self, layer)
-    }
-
-    fn put_chunkmap(&mut self, layer: Digest, map: Bytes) -> Result<Digest, RegistryError> {
-        DiskRegistry::put_chunkmap(self, layer, map)
-    }
-
-    fn blob_count(&self) -> usize {
-        self.store().digests().map(|v| v.len()).unwrap_or(0)
-    }
-
-    fn tag_count(&self) -> usize {
-        self.tags().len()
+    fn put_chunkmap(&mut self, layer: Digest, map: Verified<'_>) -> Result<Digest, RegistryError> {
+        Layout::put_chunkmap(self, layer, map)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::BlobStore;
 
     #[test]
     fn resident_handle_verifies() {
@@ -356,29 +305,5 @@ mod tests {
         assert_eq!(r.stream_verified(&d).unwrap(), payload.len() as u64);
         assert_eq!(&r.read_range(7, 19).unwrap()[..], &payload[7..19]);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn mem_backend_put_blob_rejects_poison_in_release_too() {
-        // Regression for the put_prehashed debug_assert hole: the backend
-        // trust boundary must verify in every build profile. This test is
-        // meaningful precisely when run with --release.
-        let mut reg = Registry::new();
-        let claimed = Digest::of(b"what the client promised");
-        let err = RegistryBackend::put_blob(&mut reg, claimed, Bytes::from_static(b"poison"))
-            .unwrap_err();
-        assert!(matches!(err, RegistryError::DigestMismatch(_)));
-        assert!(!reg.store().contains(&claimed));
-
-        // put_verified is the same boundary on the raw store.
-        let mut store = BlobStore::new();
-        assert!(store
-            .put_verified(claimed, Bytes::from_static(b"poison"))
-            .is_err());
-        assert!(store.is_empty());
-        let ok = Bytes::from_static(b"honest bytes");
-        let d = Digest::of(&ok);
-        assert_eq!(store.put_verified(d, ok.clone()).unwrap(), d);
-        assert_eq!(store.get(&d).unwrap(), ok);
     }
 }

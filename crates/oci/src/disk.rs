@@ -19,9 +19,10 @@
 //! `.comt.lock` in the layout root. The lock dies with the process (even
 //! `kill -9`), so a crashed daemon never wedges the layout.
 
-use crate::layout::LayoutError;
-use crate::spec::{Descriptor, ImageIndex, MediaType};
-use crate::store::{closure_of_manifest, RegistryError};
+use crate::backend::{BlobBackend, BlobHandle};
+use crate::layout::{Layout, LayoutError};
+use crate::spec::ImageIndex;
+use crate::store::Verified;
 use bytes::Bytes;
 use comt_digest::Digest;
 use std::fs::{File, OpenOptions, TryLockError};
@@ -124,9 +125,11 @@ impl LayoutLock {
 /// directory. Reads are lazy and digest-verified; writes follow the
 /// tmp → fsync → rename commit protocol, so a blob path either holds the
 /// complete verified content or does not exist.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DiskStore {
     root: PathBuf,
+    /// Held for the store's lifetime when it backs a [`DiskRegistry`].
+    _lock: Option<LayoutLock>,
 }
 
 impl DiskStore {
@@ -135,6 +138,7 @@ impl DiskStore {
     pub fn init(root: &Path) -> Result<DiskStore, LayoutError> {
         let store = DiskStore {
             root: root.to_path_buf(),
+            _lock: None,
         };
         std::fs::create_dir_all(store.blobs_dir())?;
         let marker = root.join("oci-layout");
@@ -154,6 +158,7 @@ impl DiskStore {
         }
         Ok(DiskStore {
             root: root.to_path_buf(),
+            _lock: None,
         })
     }
 
@@ -170,70 +175,58 @@ impl DiskStore {
         self.blobs_dir().join(digest.hex())
     }
 
-    pub fn contains(&self, digest: &Digest) -> bool {
-        self.blob_path(digest).is_file()
-    }
-
-    /// Size in bytes of a committed blob, if present.
-    pub fn blob_len(&self, digest: &Digest) -> Option<u64> {
-        std::fs::metadata(self.blob_path(digest))
-            .ok()
-            .filter(|m| m.is_file())
-            .map(|m| m.len())
-    }
-
     /// Read a blob and verify its content against its address. `Ok(None)`
     /// means absent; a present-but-corrupt blob is
     /// [`LayoutError::DigestMismatch`] — torn state, never silently served.
-    pub fn read_blob(&self, digest: &Digest) -> Result<Option<Bytes>, LayoutError> {
+    pub fn read_verified(&self, digest: &Digest) -> Result<Option<Verified<'static>>, LayoutError> {
         let path = self.blob_path(digest);
         let data = match std::fs::read(&path) {
             Ok(d) => d,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        if Digest::of(&data) != *digest {
-            return Err(LayoutError::DigestMismatch {
+        match Verified::check(*digest, data) {
+            Ok(blob) => Ok(Some(blob)),
+            Err(_) => Err(LayoutError::DigestMismatch {
                 path: path.display().to_string(),
-            });
+            }),
         }
-        Ok(Some(Bytes::from(data)))
+    }
+
+    /// [`DiskStore::read_verified`], as plain bytes.
+    pub fn read_blob(&self, digest: &Digest) -> Result<Option<Bytes>, LayoutError> {
+        Ok(self.read_verified(digest)?.map(Verified::into_bytes))
     }
 
     /// Commit a blob under its claimed digest, re-hashing first (the trust
-    /// boundary for wire uploads and cross-process copies). Returns `true`
-    /// if the blob was newly written, `false` if already present.
+    /// boundary for cross-process copies such as `OciDir::save`). Returns
+    /// `true` if the blob was newly written, `false` if already present.
     pub fn put_blob(&self, digest: &Digest, data: &[u8]) -> Result<bool, LayoutError> {
-        if Digest::of(data) != *digest {
-            return Err(LayoutError::DigestMismatch {
+        match Verified::check(*digest, data) {
+            Ok(blob) => self.admit(blob),
+            Err(_) => Err(LayoutError::DigestMismatch {
                 path: self.blob_path(digest).display().to_string(),
-            });
+            }),
         }
-        let path = self.blob_path(digest);
+    }
+
+    /// Commit a blob on the strength of its proof — no second hash, and no
+    /// copy of a borrowed payload. Returns `true` if newly written.
+    pub fn admit(&self, blob: Verified<'_>) -> Result<bool, LayoutError> {
+        let path = self.blob_path(&blob.digest());
         if path.is_file() {
             return Ok(false);
         }
-        commit_file(&path, data)?;
+        commit_file(&path, blob.as_slice())?;
         Ok(true)
     }
 
-    /// Delete a committed blob (GC path); returns whether it existed.
-    pub fn remove_blob(&self, digest: &Digest) -> Result<bool, LayoutError> {
-        let path = self.blob_path(digest);
-        match std::fs::remove_file(&path) {
-            Ok(()) => {
-                fsync_dir(&self.blobs_dir())?;
-                Ok(true)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Digests of every well-formed blob file with its size, in digest
-    /// order. Tmp orphans and foreign files are skipped here — `comt fsck`
-    /// is the pass that reports them.
-    pub fn digests(&self) -> Result<Vec<(Digest, u64)>, LayoutError> {
+    /// The one walk over the blob directory: every well-formed blob file
+    /// with its size, in digest order. Tmp orphans and foreign files are
+    /// skipped — `comt fsck` is the pass that reports them — unless
+    /// `strict`, the eager loader's view, where either is
+    /// [`LayoutError::Torn`].
+    pub(crate) fn scan(&self, strict: bool) -> Result<Vec<(Digest, u64)>, LayoutError> {
         let dir = self.blobs_dir();
         let mut out = Vec::new();
         if !dir.is_dir() {
@@ -243,6 +236,17 @@ impl DiskStore {
             let entry = entry?;
             let name = entry.file_name().to_string_lossy().into_owned();
             let Ok(d) = format!("sha256:{name}").parse::<Digest>() else {
+                if strict {
+                    let detail = if name.starts_with(TMP_PREFIX) {
+                        "orphan temp file from an interrupted commit"
+                    } else {
+                        "foreign file in the blob directory"
+                    };
+                    return Err(LayoutError::Torn {
+                        path: entry.path().display().to_string(),
+                        detail: detail.into(),
+                    });
+                }
                 continue;
             };
             let meta = entry.metadata()?;
@@ -289,221 +293,76 @@ impl DiskStore {
     }
 }
 
-fn storage_err(e: LayoutError) -> RegistryError {
-    match e {
-        LayoutError::DigestMismatch { path } => RegistryError::DigestMismatch(path),
-        other => RegistryError::Storage(other.to_string()),
+impl BlobBackend for DiskStore {
+    fn handle(&self, digest: &Digest) -> Option<BlobHandle> {
+        let path = self.blob_path(digest);
+        let meta = std::fs::metadata(&path).ok().filter(|m| m.is_file())?;
+        Some(BlobHandle::File {
+            path,
+            len: meta.len(),
+        })
+    }
+
+    fn insert(&mut self, blob: Verified<'_>) -> Result<bool, LayoutError> {
+        self.admit(blob)
+    }
+
+    fn remove(&mut self, digest: &Digest) -> Result<bool, LayoutError> {
+        match std::fs::remove_file(self.blob_path(digest)) {
+            Ok(()) => {
+                fsync_dir(&self.blobs_dir())?;
+                Ok(true)
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    fn digests(&self) -> Result<Vec<(Digest, u64)>, LayoutError> {
+        self.scan(false)
+    }
+
+    fn commit_index(&mut self, index: &ImageIndex) -> Result<(), LayoutError> {
+        DiskStore::commit_index(self, index)
     }
 }
 
 /// A registry whose blobs and tag table live on disk, held open under the
-/// layout lock. Each published manifest is committed durably before its
-/// tag becomes visible, so a `kill -9` of the daemon loses at most the
-/// in-flight stage: every previously visible tag still resolves and pulls
+/// layout lock: the one tagged store ([`Layout`]) over a [`DiskStore`].
+/// Each published manifest is committed durably before its tag becomes
+/// visible, so a `kill -9` of the daemon loses at most the in-flight
+/// stage: every previously visible tag still resolves and pulls
 /// bit-identically after restart.
-#[derive(Debug)]
-pub struct DiskRegistry {
-    store: DiskStore,
-    index: ImageIndex,
-    _lock: LayoutLock,
-}
+pub type DiskRegistry = Layout<DiskStore>;
 
-impl DiskRegistry {
+impl Layout<DiskStore> {
     /// Lock and open a layout directory as a live registry. An empty or
     /// absent directory becomes an empty registry; an existing layout's
     /// tags are served as `name:tag` keys (bare ref names answer to
     /// `name:latest`).
     pub fn open(dir: &Path) -> Result<DiskRegistry, LayoutError> {
         let lock = LayoutLock::acquire(dir)?;
-        let store = DiskStore::init(dir)?;
-        let index = if store.root().join("index.json").is_file() {
-            store.read_index()?
+        let blobs = DiskStore {
+            _lock: Some(lock),
+            ..DiskStore::init(dir)?
+        };
+        let index = if blobs.root().join("index.json").is_file() {
+            blobs.read_index()?
         } else {
             // Commit the empty tag table now so the layout is complete
             // (fsck-clean) from the first instant, however the daemon dies.
             let index = ImageIndex::default();
-            store.commit_index(&index)?;
+            blobs.commit_index(&index)?;
             index
         };
-        Ok(DiskRegistry {
-            store,
-            index,
-            _lock: lock,
-        })
-    }
-
-    pub fn store(&self) -> &DiskStore {
-        &self.store
-    }
-
-    pub fn index(&self) -> &ImageIndex {
-        &self.index
-    }
-
-    /// Tag keys served on the wire, sorted.
-    pub fn tags(&self) -> Vec<String> {
-        self.index.ref_names()
-    }
-
-    /// Resolve a wire tag key (`name:reference`). Layout ref names that
-    /// already carry an explicit `:tag` match exactly; a bare ref name
-    /// (`app.dist+coM`) answers to its `latest` reference.
-    pub fn resolve(&self, key: &str) -> Option<Digest> {
-        if let Some(desc) = self.index.find_ref(key) {
-            return desc.parsed_digest().ok();
-        }
-        let bare = key.strip_suffix(":latest")?;
-        self.index.find_ref(bare)?.parsed_digest().ok()
-    }
-
-    /// Stage-and-commit a manifest publish: verify every closure blob is
-    /// already durable and bit-correct (lazy reads, one blob in memory at
-    /// a time), persist the manifest blob, then atomically commit the new
-    /// tag table. A failure at any step leaves the previous tag table and
-    /// all previously committed blobs untouched.
-    pub fn publish_manifest(
-        &mut self,
-        key: &str,
-        manifest: Bytes,
-    ) -> Result<Digest, RegistryError> {
-        let digest = Digest::of(&manifest);
-        let closure = closure_of_manifest(&manifest, &digest)?;
-        for d in closure.iter().skip(1) {
-            match self.store.read_blob(d) {
-                Ok(Some(_)) => {}
-                Ok(None) => return Err(RegistryError::MissingBlob(d.to_string())),
-                Err(LayoutError::DigestMismatch { .. }) => {
-                    return Err(RegistryError::DigestMismatch(d.to_string()))
-                }
-                Err(e) => return Err(storage_err(e)),
-            }
-        }
-        self.store
-            .put_blob(&digest, &manifest)
-            .map_err(storage_err)?;
-        let mut next = self.index.clone();
-        next.set_ref(
-            key,
-            Descriptor::new(MediaType::ImageManifest, digest, manifest.len() as u64),
-        );
-        self.store.commit_index(&next).map_err(storage_err)?;
-        self.index = next;
-        Ok(digest)
-    }
-
-    /// Chunkmap blob digest recorded for a layer blob, if any.
-    pub fn chunkmap_for(&self, layer: &Digest) -> Option<Digest> {
-        self.index.chunkmap_for(layer)?.parsed_digest().ok()
-    }
-
-    /// Persist `map` as the chunkmap of `layer`: commit the map bytes as a
-    /// normal blob, then atomically flip the index with the association
-    /// descriptor. Crash-safe like every other mutation — a kill between
-    /// the two steps leaves an unreferenced blob for gc, never a torn
-    /// association.
-    pub fn put_chunkmap(&mut self, layer: Digest, map: Bytes) -> Result<Digest, RegistryError> {
-        if !self.store.contains(&layer) {
-            return Err(RegistryError::MissingBlob(layer.to_string()));
-        }
-        let digest = Digest::of(&map);
-        self.store.put_blob(&digest, &map).map_err(storage_err)?;
-        let mut next = self.index.clone();
-        next.set_chunkmap(
-            &layer,
-            Descriptor::new(MediaType::Chunkmap, digest, map.len() as u64),
-        );
-        self.store.commit_index(&next).map_err(storage_err)?;
-        self.index = next;
-        Ok(digest)
-    }
-
-    /// Digests reachable from any index ref. Walks each ref's manifest
-    /// closure lazily — only manifest blobs are read (and verified); layer
-    /// and config blobs are never loaded. A broken ref (missing/corrupt
-    /// manifest, bad digest) is an error: gc must not treat blobs as dead
-    /// because a closure could not be enumerated. A chunkmap blob is live
-    /// iff the layer it describes is live (its lifetime is slaved to the
-    /// layer's through the closure walk).
-    pub fn live_set(&self) -> Result<std::collections::BTreeSet<Digest>, RegistryError> {
-        let mut live = std::collections::BTreeSet::new();
-        for name in self.index.ref_names() {
-            let desc = self.index.find_ref(&name).expect("ref listed by index");
-            let digest = desc
-                .parsed_digest()
-                .map_err(|_| RegistryError::CorruptManifest(format!("ref {name}: bad digest")))?;
-            if live.contains(&digest) {
-                continue;
-            }
-            let raw = self
-                .store
-                .read_blob(&digest)
-                .map_err(storage_err)?
-                .ok_or_else(|| RegistryError::MissingBlob(digest.to_string()))?;
-            live.extend(closure_of_manifest(&raw, &digest)?);
-        }
-        for desc in self.index.chunkmap_entries() {
-            let layer_live = desc.chunkmap_layer().is_some_and(|l| live.contains(&l));
-            if layer_live {
-                if let Ok(d) = desc.parsed_digest() {
-                    live.insert(d);
-                }
-            }
-        }
-        Ok(live)
-    }
-
-    /// GC plan: blobs on disk unreachable from every ref, with the bytes
-    /// they hold. The scan is metadata-only (names and sizes); no blob
-    /// content is read except the manifests of live refs.
-    pub fn gc_plan(&self) -> Result<(Vec<Digest>, u64), RegistryError> {
-        let live = self.live_set()?;
-        let mut dead = Vec::new();
-        let mut bytes = 0u64;
-        for (d, len) in self.store.digests().map_err(storage_err)? {
-            if !live.contains(&d) {
-                bytes += len;
-                dead.push(d);
-            }
-        }
-        Ok((dead, bytes))
-    }
-
-    /// Delete every unreachable blob file (the registry holds the layout
-    /// lock, so no concurrent publisher can re-reference one mid-sweep).
-    /// Orphan chunkmap entries — associations whose layer blob is no longer
-    /// live — are swept from the index first (atomic commit), so the sweep
-    /// never leaves a descriptor pointing at a deleted blob.
-    /// Returns (blobs removed, bytes reclaimed).
-    pub fn gc_apply(&mut self) -> Result<(usize, u64), RegistryError> {
-        let live = self.live_set()?;
-        let orphan_maps = self
-            .index
-            .chunkmap_entries()
-            .filter(|d| d.parsed_digest().map(|m| !live.contains(&m)).unwrap_or(true))
-            .count();
-        if orphan_maps > 0 {
-            let mut next = self.index.clone();
-            next.manifests.retain(|d| {
-                d.media_type != MediaType::Chunkmap
-                    || d.parsed_digest().map(|m| live.contains(&m)).unwrap_or(false)
-            });
-            self.store.commit_index(&next).map_err(storage_err)?;
-            self.index = next;
-        }
-        let (dead, bytes) = self.gc_plan()?;
-        let mut removed = 0usize;
-        for d in &dead {
-            if self.store.remove_blob(d).map_err(storage_err)? {
-                removed += 1;
-            }
-        }
-        Ok((removed, bytes))
+        Ok(Layout { index, blobs })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{Descriptor, MediaType};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -524,8 +383,7 @@ mod tests {
         assert!(store.put_blob(&d, data).unwrap());
         assert!(!store.put_blob(&d, data).unwrap()); // dedupe
         assert_eq!(store.read_blob(&d).unwrap().unwrap(), Bytes::from_static(data));
-        assert_eq!(store.blob_len(&d), Some(data.len() as u64));
-        assert!(store.contains(&d));
+        assert_eq!(store.handle(&d).map(|h| h.len()), Some(data.len() as u64));
         // No tmp residue after a clean commit.
         let residue: Vec<_> = std::fs::read_dir(store.blobs_dir())
             .unwrap()
@@ -543,7 +401,7 @@ mod tests {
         let wrong = Digest::of(b"other content");
         let err = store.put_blob(&wrong, b"actual content").unwrap_err();
         assert!(matches!(err, LayoutError::DigestMismatch { .. }));
-        assert!(!store.contains(&wrong));
+        assert!(store.handle(&wrong).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -575,100 +433,6 @@ mod tests {
         }
         drop(first);
         LayoutLock::acquire(&dir).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn gc_reclaims_only_unreachable_blobs() {
-        let dir = tmp_dir("gc");
-        {
-            let mut reg = DiskRegistry::open(&dir).unwrap();
-            // A tiny published image: config + layer + manifest.
-            let store = crate::store::BlobStore::new();
-            let mut blobs = store;
-            let image = crate::ImageBuilder::from_scratch("x86_64")
-                .with_layer_tar(Bytes::from_static(b"layer tar bytes"), "layer")
-                .commit(&mut blobs)
-                .unwrap();
-            for (d, data) in blobs.iter() {
-                reg.store().put_blob(d, data).unwrap();
-            }
-            let manifest = blobs.get(&image.manifest_digest).unwrap();
-            reg.publish_manifest("app:1", manifest).unwrap();
-            // Plus one blob nothing references.
-            let orphan = Bytes::from_static(b"unreferenced bytes");
-            let od = Digest::of(&orphan);
-            reg.store().put_blob(&od, &orphan).unwrap();
-
-            let (dead, bytes) = reg.gc_plan().unwrap();
-            assert_eq!(dead, vec![od]);
-            assert_eq!(bytes, orphan.len() as u64);
-            let (removed, reclaimed) = reg.gc_apply().unwrap();
-            assert_eq!((removed, reclaimed), (1, orphan.len() as u64));
-            assert!(!reg.store().contains(&od));
-            // Everything live survived and the tag still resolves.
-            assert_eq!(reg.resolve("app:1"), Some(image.manifest_digest));
-            let (dead, _) = reg.gc_plan().unwrap();
-            assert!(dead.is_empty());
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn chunkmap_lifetime_is_slaved_to_its_layer() {
-        let dir = tmp_dir("chunkmap");
-        {
-            let mut reg = DiskRegistry::open(&dir).unwrap();
-            let mut blobs = crate::store::BlobStore::new();
-            let layer_bytes = Bytes::from(vec![7u8; 64 * 1024]);
-            let image = crate::ImageBuilder::from_scratch("x86_64")
-                .with_layer_tar(layer_bytes.clone(), "layer")
-                .commit(&mut blobs)
-                .unwrap();
-            for (d, data) in blobs.iter() {
-                reg.store().put_blob(d, data).unwrap();
-            }
-            let manifest = blobs.get(&image.manifest_digest).unwrap();
-            reg.publish_manifest("app:1", manifest).unwrap();
-
-            let layer = image.manifest.layers[0].parsed_digest().unwrap();
-            let layer_blob = reg.store().read_blob(&layer).unwrap().unwrap();
-            let map = comt_chunk::ChunkMap::build(&layer_blob, comt_chunk::ChunkParams::default())
-                .unwrap();
-            let map_digest = reg
-                .put_chunkmap(layer, Bytes::from(map.to_json()))
-                .unwrap();
-            assert_eq!(reg.chunkmap_for(&layer), Some(map_digest));
-
-            // A chunkmap for a blob the store does not hold is refused.
-            assert!(matches!(
-                reg.put_chunkmap(Digest::of(b"ghost layer"), Bytes::from_static(b"{}")),
-                Err(RegistryError::MissingBlob(_))
-            ));
-
-            // Layer live → chunkmap live: nothing to collect.
-            let (dead, _) = reg.gc_plan().unwrap();
-            assert!(dead.is_empty(), "{dead:?}");
-
-            // Survives reopen (the association is in the committed index).
-            drop(reg);
-            let mut reg = DiskRegistry::open(&dir).unwrap();
-            assert_eq!(reg.chunkmap_for(&layer), Some(map_digest));
-
-            // Drop the ref: the layer dies, and the chunkmap must die with
-            // it — blob swept, association gone from the index.
-            let mut next = reg.index().clone();
-            assert!(next.remove_ref("app:1"));
-            reg.store.commit_index(&next).unwrap();
-            reg.index = next;
-            let (dead, _) = reg.gc_plan().unwrap();
-            assert!(dead.contains(&map_digest), "orphan chunkmap not planned");
-            let (removed, _) = reg.gc_apply().unwrap();
-            assert!(removed >= 4); // manifest + config + layer + chunkmap
-            assert!(!reg.store().contains(&map_digest));
-            assert_eq!(reg.chunkmap_for(&layer), None);
-            assert!(reg.index().chunkmap_entries().next().is_none());
-        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -603,7 +603,7 @@ mod tests {
                 comt_chunk::ChunkMap::build(&layer_bytes, comt_chunk::ChunkParams::default())
                     .unwrap();
             map.chunks[0].digest = Digest::of(b"bytes from another life").to_oci_string();
-            reg.put_chunkmap(layer, Bytes::from(map.to_json())).unwrap()
+            reg.put_chunkmap(layer, crate::Verified::hash(map.to_json())).unwrap()
         };
 
         // Scan-only: exactly one F007, nothing touched.
@@ -646,7 +646,7 @@ mod tests {
             let map =
                 comt_chunk::ChunkMap::build(&layer_bytes, comt_chunk::ChunkParams::default())
                     .unwrap();
-            reg.put_chunkmap(layer, Bytes::from(map.to_json())).unwrap();
+            reg.put_chunkmap(layer, crate::Verified::hash(map.to_json())).unwrap();
         }
         let report = fsck(&dir, &FsckOptions::default()).unwrap();
         assert!(report.is_clean(), "{}", report.render_human());

@@ -4,7 +4,7 @@ use crate::codec::{EncodedLayer, LayerCodec};
 use crate::spec::{
     Descriptor, HistoryEntry, ImageConfig, ImageManifest, MediaType, RuntimeConfig,
 };
-use crate::store::BlobStore;
+use crate::store::{BlobStore, Verified};
 use bytes::Bytes;
 use comt_digest::Digest;
 use comt_tar::Entry;
@@ -244,7 +244,7 @@ impl ImageBuilder {
 
         for (enc, created_by) in encoded {
             let size = enc.blob.len() as u64;
-            let digest = store.put_prehashed(enc.blob_digest, enc.blob);
+            let digest = store.admit(Verified::from_codec(enc.blob_digest, enc.blob));
             self.layers.push(Descriptor::new(enc.media_type, digest, size));
             self.diff_ids.push(enc.diff_id.to_oci_string());
             self.history.push(HistoryEntry {

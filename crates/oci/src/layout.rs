@@ -1,32 +1,46 @@
-//! The OCI image layout: the directory interchange format.
+//! The OCI image layout — an image index over content-addressed blobs —
+//! and the one tagged store written over it.
 //!
 //! In the coMtainer workflow the `dist` image is exported as an OCI layout
 //! directory (`buildah push xxx.dist oci:./xxx.dist.oci`) which is then
-//! bind-mounted into the build/rebuild/redirect containers. We model that
-//! directory both **in memory** ([`OciDir`], the form "mounted" into
-//! simulated containers) and **on disk** (`save`/`load`), with the standard
-//! structure:
+//! bind-mounted into the build/rebuild/redirect containers, pushed, pulled
+//! and served. All of those are one type, [`Layout`]: an [`ImageIndex`]
+//! plus a [`BlobBackend`]. In memory it is [`OciDir`] (the form "mounted"
+//! into simulated containers; `save`/`load` move it to and from disk) and
+//! [`crate::Registry`]; over a [`crate::DiskStore`] it is
+//! [`crate::DiskRegistry`], the directory itself held open under its lock:
 //!
 //! ```text
 //! oci-layout          # {"imageLayoutVersion": "1.0.0"}
 //! index.json          # ImageIndex with ref.name annotations
 //! blobs/sha256/<hex>  # content-addressed blobs
 //! ```
+//!
+//! Tag → manifest, layer → chunkmap, publish-only-after-verify, liveness
+//! and gc are written here once, for every backend.
 
+use crate::backend::{BlobBackend, BlobHandle};
+use crate::disk::{DiskStore, LayoutLock};
 use crate::spec::{Descriptor, ImageIndex, MediaType};
-use crate::store::BlobStore;
-use bytes::Bytes;
+use crate::store::{closure_digests, closure_of_manifest, BlobStore, RegistryError, Verified};
 use comt_digest::Digest;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::io;
 use std::path::Path;
 
-/// An OCI layout held in memory: the unit mounted at `/.coMtainer/io`.
+/// The one tagged store: an image index over a blob backend. `blobs` says
+/// where bytes live and how an index flip is committed; everything else —
+/// which tag names which manifest, which chunkmap describes which layer,
+/// what is live — is `index`.
 #[derive(Debug, Clone, Default)]
-pub struct OciDir {
+pub struct Layout<B> {
     pub index: ImageIndex,
-    pub blobs: BlobStore,
+    pub blobs: B,
 }
+
+/// An OCI layout held in memory: the unit mounted at `/.coMtainer/io`.
+pub type OciDir = Layout<BlobStore>;
 
 /// Errors from layout I/O.
 #[derive(Debug)]
@@ -83,9 +97,183 @@ impl From<io::Error> for LayoutError {
     }
 }
 
-impl OciDir {
+impl From<LayoutError> for RegistryError {
+    fn from(e: LayoutError) -> Self {
+        match e {
+            LayoutError::DigestMismatch { path } => RegistryError::DigestMismatch(path),
+            other => RegistryError::Storage(other.to_string()),
+        }
+    }
+}
+
+impl<B: BlobBackend> Layout<B> {
+    pub fn store(&self) -> &B {
+        &self.blobs
+    }
+
+    pub fn store_mut(&mut self) -> &mut B {
+        &mut self.blobs
+    }
+
+    /// Resolve a ref name — or a wire tag key (`name:reference`) — to its
+    /// manifest digest. Names match exactly; a bare ref name
+    /// (`app.dist+coM`) also answers to its `latest` reference.
+    pub fn resolve(&self, name: &str) -> Result<Digest, LayoutError> {
+        let bare = || self.index.find_ref(name.strip_suffix(":latest")?);
+        let desc = self
+            .index
+            .find_ref(name)
+            .or_else(bare)
+            .ok_or_else(|| LayoutError::UnknownRef(name.to_string()))?;
+        desc.parsed_digest()
+            .map_err(|e| LayoutError::BadDigest(e.to_string()))
+    }
+
+    /// Committed blob count (startup banner, `comt gc`).
+    pub fn blob_count(&self) -> Result<usize, LayoutError> {
+        Ok(self.blobs.digests()?.len())
+    }
+
+    fn committed(&self, digest: &Digest) -> Result<BlobHandle, RegistryError> {
+        self.blobs
+            .handle(digest)
+            .ok_or_else(|| RegistryError::MissingBlob(digest.to_string()))
+    }
+
+    /// Commit `next` as the tag table, then adopt it: a failed commit
+    /// leaves both the backend's table and `self.index` as they were.
+    fn flip(&mut self, next: ImageIndex) -> Result<(), RegistryError> {
+        self.blobs.commit_index(&next)?;
+        self.index = next;
+        Ok(())
+    }
+
+    /// Stage-and-commit a manifest publish: verify every closure blob is
+    /// already committed and bit-correct (streamed, never materialized),
+    /// commit the manifest blob, then flip the tag table. A publish whose
+    /// closure is missing or corrupt leaves no blob and no tag; a storage
+    /// failure at any step leaves the previous tag table and every
+    /// previously committed blob untouched.
+    pub fn publish_manifest(
+        &mut self,
+        key: &str,
+        manifest: Verified<'_>,
+    ) -> Result<Digest, RegistryError> {
+        let (digest, size) = (manifest.digest(), manifest.len() as u64);
+        let closure = closure_of_manifest(manifest.as_slice(), &digest)?;
+        {
+            let obs = comt_observe::global();
+            let _span = obs.span("store.verify");
+            obs.count("store.verify.blobs", closure.len() as u64);
+            for d in &closure[1..] {
+                self.committed(d)?.stream_verified(d)?;
+            }
+        }
+        self.blobs.insert(manifest)?;
+        let mut next = self.index.clone();
+        next.set_ref(key, Descriptor::new(MediaType::ImageManifest, digest, size));
+        self.flip(next)?;
+        Ok(digest)
+    }
+
+    /// Chunkmap blob digest recorded for a layer blob, if any.
+    pub fn chunkmap_for(&self, layer: &Digest) -> Option<Digest> {
+        self.index.chunkmap_for(layer)?.parsed_digest().ok()
+    }
+
+    /// Record `map` as the chunkmap of `layer`: commit the map bytes as a
+    /// normal blob, then flip the index with the association descriptor.
+    /// The layer blob must already be committed — a chunkmap for bytes the
+    /// store does not hold could never serve a chunk GET. A failure between
+    /// the two steps leaves an unreferenced blob for gc, never a torn
+    /// association.
+    pub fn put_chunkmap(
+        &mut self,
+        layer: Digest,
+        map: Verified<'_>,
+    ) -> Result<Digest, RegistryError> {
+        self.committed(&layer)?;
+        let (digest, size) = (map.digest(), map.len() as u64);
+        self.blobs.insert(map)?;
+        let mut next = self.index.clone();
+        next.set_chunkmap(&layer, Descriptor::new(MediaType::Chunkmap, digest, size));
+        self.flip(next)?;
+        Ok(digest)
+    }
+
+    /// Digests reachable from any index ref (the union of every tagged
+    /// closure — reachability is the refcount). Only manifest blobs are
+    /// read (and verified); layer and config blobs are never loaded. A
+    /// broken ref (missing/corrupt manifest, bad digest) is an error: gc
+    /// must not treat blobs as dead because a closure could not be
+    /// enumerated. A chunkmap blob is live iff the layer it describes is.
+    pub fn live_set(&self) -> Result<BTreeSet<Digest>, RegistryError> {
+        let mut live = BTreeSet::new();
+        for name in self.index.ref_names() {
+            let digest = self
+                .resolve(&name)
+                .map_err(|e| RegistryError::CorruptManifest(format!("ref {name}: {e}")))?;
+            if !live.contains(&digest) {
+                let raw = self.committed(&digest)?.read_verified(&digest)?;
+                live.extend(closure_of_manifest(&raw, &digest)?);
+            }
+        }
+        for desc in self.index.chunkmap_entries() {
+            if desc.chunkmap_layer().is_some_and(|l| live.contains(&l)) {
+                if let Ok(d) = desc.parsed_digest() {
+                    live.insert(d);
+                }
+            }
+        }
+        Ok(live)
+    }
+
+    /// GC plan: committed blobs unreachable from every ref (in digest
+    /// order) with the bytes they hold. The scan is metadata-only; no blob
+    /// content is read except the manifests of live refs.
+    pub fn gc_plan(&self) -> Result<(Vec<Digest>, u64), RegistryError> {
+        let live = self.live_set()?;
+        let mut dead = Vec::new();
+        let mut bytes = 0u64;
+        for (d, len) in self.blobs.digests()? {
+            if !live.contains(&d) {
+                bytes += len;
+                dead.push(d);
+            }
+        }
+        Ok((dead, bytes))
+    }
+
+    /// Delete every unreachable blob — repeated rebuild/redirect rounds
+    /// replace `+coMre`/`+opt` manifests and orphan their old layers.
+    /// Chunkmap entries whose layer is no longer live are swept from the
+    /// index first (one commit), so the sweep never leaves a descriptor
+    /// pointing at a deleted blob. Returns (blobs removed, bytes reclaimed).
+    pub fn gc_apply(&mut self) -> Result<(usize, u64), RegistryError> {
+        let live = self.live_set()?;
+        let keeps = |d: &Descriptor| {
+            d.media_type != MediaType::Chunkmap
+                || d.parsed_digest().is_ok_and(|m| live.contains(&m))
+        };
+        if !self.index.manifests.iter().all(keeps) {
+            let mut next = self.index.clone();
+            next.manifests.retain(keeps);
+            self.flip(next)?;
+        }
+        let (dead, bytes) = self.gc_plan()?;
+        let mut removed = 0usize;
+        for d in &dead {
+            if self.blobs.remove(d)? {
+                removed += 1;
+            }
+        }
+        Ok((removed, bytes))
+    }
+}
+
+impl Layout<BlobStore> {
     pub fn new() -> Self {
-        OciDir::default()
+        Layout::default()
     }
 
     /// Export an image (manifest closure) from `src` into this layout under
@@ -96,119 +284,20 @@ impl OciDir {
         manifest_digest: Digest,
         src: &BlobStore,
     ) -> Result<(), LayoutError> {
-        let raw = src
-            .get(&manifest_digest)
-            .ok_or_else(|| LayoutError::BadDigest(manifest_digest.to_string()))?;
-        let manifest: crate::spec::ImageManifest =
-            serde_json::from_slice(&raw).map_err(|e| LayoutError::BadJson(e.to_string()))?;
-
-        let mut needed = vec![manifest_digest];
-        needed.push(
-            manifest
-                .config
-                .parsed_digest()
-                .map_err(|e| LayoutError::BadDigest(e.to_string()))?,
-        );
-        for l in &manifest.layers {
-            needed.push(
-                l.parsed_digest()
-                    .map_err(|e| LayoutError::BadDigest(e.to_string()))?,
-            );
-        }
-        for d in needed {
-            if !self.blobs.fetch_from(src, &d) {
-                return Err(LayoutError::BadDigest(d.to_string()));
-            }
-        }
-
-        let size = raw.len() as u64;
-        self.index.set_ref(
-            name,
-            Descriptor::new(MediaType::ImageManifest, manifest_digest, size),
-        );
+        let bad = |e: RegistryError| match e {
+            RegistryError::CorruptManifest(m) => LayoutError::BadJson(m),
+            RegistryError::MissingBlob(d) => LayoutError::BadDigest(d),
+            other => LayoutError::BadDigest(other.to_string()),
+        };
+        let closure = closure_digests(src, &manifest_digest).map_err(bad)?;
+        self.import(name, &closure, src).map_err(bad)?;
         Ok(())
-    }
-
-    /// Resolve a ref name to its manifest digest.
-    pub fn resolve(&self, name: &str) -> Result<Digest, LayoutError> {
-        let desc = self
-            .index
-            .find_ref(name)
-            .ok_or_else(|| LayoutError::UnknownRef(name.to_string()))?;
-        desc.parsed_digest()
-            .map_err(|e| LayoutError::BadDigest(e.to_string()))
     }
 
     /// Load an [`crate::Image`] by ref name.
     pub fn load_image(&self, name: &str) -> Result<crate::Image, LayoutError> {
         let d = self.resolve(name)?;
         crate::Image::load(&self.blobs, d).map_err(|e| LayoutError::BadJson(e.to_string()))
-    }
-
-    /// Digests reachable from any indexed manifest (the union of every
-    /// tagged closure). A blob referenced by two tags is naturally kept
-    /// alive by either — reachability is the refcount.
-    fn live_set(&self) -> std::collections::BTreeSet<comt_digest::Digest> {
-        let mut live: std::collections::BTreeSet<comt_digest::Digest> =
-            std::collections::BTreeSet::new();
-        for desc in &self.index.manifests {
-            if desc.media_type == MediaType::Chunkmap {
-                continue; // handled below, once layer liveness is known
-            }
-            let Ok(md) = desc.parsed_digest() else { continue };
-            let Some(raw) = self.blobs.get(&md) else { continue };
-            live.insert(md);
-            let Ok(manifest) = serde_json::from_slice::<crate::spec::ImageManifest>(&raw) else {
-                continue;
-            };
-            if let Ok(d) = manifest.config.parsed_digest() {
-                live.insert(d);
-            }
-            for layer in &manifest.layers {
-                if let Ok(d) = layer.parsed_digest() {
-                    live.insert(d);
-                }
-            }
-        }
-        // A chunkmap blob is live iff the layer it describes is live.
-        for desc in self.index.chunkmap_entries() {
-            if desc.chunkmap_layer().is_some_and(|l| live.contains(&l)) {
-                if let Ok(d) = desc.parsed_digest() {
-                    live.insert(d);
-                }
-            }
-        }
-        live
-    }
-
-    /// What a garbage collection would delete: the unreachable digests (in
-    /// digest order) and their total byte count. `comt gc` prints this as
-    /// its dry run; [`OciDir::gc`] is the `--apply` path over the same set.
-    pub fn gc_plan(&self) -> (Vec<comt_digest::Digest>, u64) {
-        let live = self.live_set();
-        let mut dead = Vec::new();
-        let mut bytes = 0u64;
-        for (d, b) in self.blobs.iter() {
-            if !live.contains(d) {
-                dead.push(*d);
-                bytes += b.len() as u64;
-            }
-        }
-        (dead, bytes)
-    }
-
-    /// Garbage-collect blobs unreachable from any indexed manifest —
-    /// repeated rebuild/redirect rounds replace `+coMre`/`+opt` manifests
-    /// and orphan their old layers. Chunkmap index entries whose layer died
-    /// are swept along with their blobs. Returns the number of blobs
-    /// dropped.
-    pub fn gc(&mut self) -> usize {
-        let live = self.live_set();
-        self.index.manifests.retain(|d| {
-            d.media_type != MediaType::Chunkmap
-                || d.parsed_digest().map(|m| live.contains(&m)).unwrap_or(false)
-        });
-        self.blobs.retain(|d| live.contains(d))
     }
 
     /// Persist to a real directory in standard OCI layout form, under the
@@ -218,8 +307,8 @@ impl OciDir {
     /// atomically last, so a kill mid-save leaves either the old or the
     /// new tag table — never a torn one.
     pub fn save(&self, dir: &Path) -> Result<(), LayoutError> {
-        let _lock = crate::disk::LayoutLock::acquire(dir)?;
-        let store = crate::disk::DiskStore::init(dir)?;
+        let _lock = LayoutLock::acquire(dir)?;
+        let store = DiskStore::init(dir)?;
         for (digest, blob) in self.blobs.iter() {
             store.put_blob(digest, blob)?;
         }
@@ -231,43 +320,22 @@ impl OciDir {
     /// blob directory, or an unparseable `index.json` all fail with an
     /// error pointing at `comt fsck` instead of being silently skipped.
     pub fn load(dir: &Path) -> Result<Self, LayoutError> {
-        let store = crate::disk::DiskStore::open(dir)?;
+        let store = DiskStore::open(dir)?;
         let index = store.read_index()?;
         let mut blobs = BlobStore::new();
-        let blobs_dir = dir.join("blobs").join("sha256");
-        if blobs_dir.is_dir() {
-            for entry in std::fs::read_dir(&blobs_dir)? {
-                let entry = entry?;
-                let path = entry.path();
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if name.starts_with(crate::disk::TMP_PREFIX) {
-                    return Err(LayoutError::Torn {
-                        path: path.display().to_string(),
-                        detail: "orphan temp file from an interrupted commit".into(),
-                    });
-                }
-                if format!("sha256:{name}").parse::<Digest>().is_err() {
-                    return Err(LayoutError::Torn {
-                        path: path.display().to_string(),
-                        detail: "foreign file in the blob directory".into(),
-                    });
-                }
-                let data = std::fs::read(&path)?;
-                let stored = blobs.put(Bytes::from(data));
-                if stored.hex() != name {
-                    return Err(LayoutError::DigestMismatch {
-                        path: path.display().to_string(),
-                    });
-                }
+        for (digest, _) in store.scan(true)? {
+            if let Some(blob) = store.read_verified(&digest)? {
+                blobs.admit(blob);
             }
         }
-        Ok(OciDir { index, blobs })
+        Ok(Layout { index, blobs })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use crate::image::ImageBuilder;
     use comt_vfs::Vfs;
 
@@ -345,80 +413,6 @@ mod tests {
             Err(LayoutError::DigestMismatch { .. })
         ));
         std::fs::remove_dir_all(&tmp).unwrap();
-    }
-
-    #[test]
-    fn gc_drops_orphaned_blobs() {
-        let mut store = BlobStore::new();
-        let md = tiny_image(&mut store);
-        let mut dir = OciDir::new();
-        dir.export("app.dist", md, &store).unwrap();
-        // Orphans: a stray blob and a replaced manifest generation.
-        dir.blobs.put(Bytes::from_static(b"orphaned layer bytes"));
-        let before = dir.blobs.len();
-        let dropped = dir.gc();
-        assert_eq!(dropped, 1);
-        assert_eq!(dir.blobs.len(), before - 1);
-        // Image still loads and flattens after GC.
-        let img = dir.load_image("app.dist").unwrap();
-        assert!(crate::flatten(&dir.blobs, &img).is_ok());
-        // Idempotent.
-        assert_eq!(dir.gc(), 0);
-    }
-
-    #[test]
-    fn gc_refcounts_shared_layers_across_two_tags() {
-        // Two tags sharing a base layer: dropping one tag must prune only
-        // the blobs unique to it; the shared layer survives because the
-        // other tag still reaches it (reachability is the refcount).
-        let mut store = BlobStore::new();
-        let mut base_fs = Vfs::new();
-        base_fs
-            .write_file_p("/lib/libm.so", Bytes::from_static(b"MATH"), 0o644)
-            .unwrap();
-        let base = ImageBuilder::from_scratch("x86_64")
-            .with_layer_from_fs(&Vfs::new(), &base_fs)
-            .commit(&mut store)
-            .unwrap();
-        let mut app_fs = base_fs.clone();
-        app_fs
-            .write_file_p("/app/run", Bytes::from_static(b"ELF"), 0o755)
-            .unwrap();
-        let app = ImageBuilder::from_base(&store, &base)
-            .unwrap()
-            .with_layer_from_fs(&base_fs, &app_fs)
-            .commit(&mut store)
-            .unwrap();
-
-        let shared_layer = base.manifest.layers[0].parsed_digest().unwrap();
-        let app_only_layer = app.manifest.layers[1].parsed_digest().unwrap();
-
-        let mut dir = OciDir::new();
-        dir.export("base:1", base.manifest_digest, &store).unwrap();
-        dir.export("app:1", app.manifest_digest, &store).unwrap();
-
-        // Both tags present: nothing is collectable.
-        let (dead, bytes) = dir.gc_plan();
-        assert!(dead.is_empty(), "{dead:?}");
-        assert_eq!(bytes, 0);
-
-        // Drop the app tag: exactly its manifest, config and unique layer
-        // become unreachable; the shared base layer must NOT be listed.
-        assert!(dir.index.remove_ref("app:1"));
-        let (dead, bytes) = dir.gc_plan();
-        assert_eq!(dead.len(), 3, "{dead:?}");
-        assert!(dead.contains(&app.manifest_digest));
-        assert!(dead.contains(&app_only_layer));
-        assert!(!dead.contains(&shared_layer));
-        assert!(bytes > 0);
-
-        // Apply: the plan and the deletion agree, and the surviving tag
-        // still loads and flattens.
-        assert_eq!(dir.gc(), 3);
-        assert!(dir.blobs.contains(&shared_layer));
-        assert!(!dir.blobs.contains(&app_only_layer));
-        let img = dir.load_image("base:1").unwrap();
-        assert_eq!(crate::flatten(&dir.blobs, &img).unwrap(), base_fs);
     }
 
     #[test]

@@ -8,18 +8,21 @@
 //! finally commits a redirected image. This crate reproduces the OCI
 //! mechanics those steps rely on:
 //!
-//! * [`BlobStore`] — content-addressed storage, deduplicating by digest,
 //! * [`spec`] — manifests, configs, image index (serde, OCI field names),
 //! * [`Image`] / [`ImageBuilder`] — building images from layer changesets,
 //!   flattening an image to a filesystem ([`flatten`]),
-//! * [`Registry`] — named repositories with push/pull blob transfer,
-//! * [`layout`] — on-disk OCI image layout (`oci-layout`, `index.json`,
-//!   `blobs/sha256/…`),
-//! * [`disk`] — the crash-safe persistent store ([`DiskStore`],
-//!   [`DiskRegistry`], [`LayoutLock`]): tmp → fsync → atomic-rename
-//!   commits, lazy digest-verified reads, advisory layout locking,
-//! * [`backend`] — the [`RegistryBackend`] trait the wire daemon is
-//!   generic over (in-memory or disk-backed),
+//! * [`Layout`] — the one tagged store: an image index over a
+//!   [`BlobBackend`], with resolve, staged publish, chunkmaps, liveness
+//!   and gc written once. [`layout::OciDir`] and [`Registry`] are it in
+//!   memory (`export`, `save`/`load`, in-process `push`/`pull`),
+//!   [`DiskRegistry`] is it on disk under the layout lock,
+//! * [`BlobStore`] / [`DiskStore`] — the two blob backends: in memory, and
+//!   the crash-safe directory (tmp → fsync → atomic-rename commits, lazy
+//!   digest-verified reads, [`LayoutLock`]),
+//! * [`Verified`] — the one admission proof: a blob enters either backend
+//!   only with the digest its bytes were hashed to,
+//! * [`backend`] — [`BlobBackend`], [`BlobHandle`] and the
+//!   [`RegistryBackend`] view the wire daemon serves through,
 //! * [`fsck`] — torn-layout diagnosis and repair (`comt fsck`).
 
 pub mod backend;
@@ -31,15 +34,20 @@ pub mod layout;
 pub mod spec;
 pub mod store;
 
-pub use backend::{BlobHandle, BlobReader, RegistryBackend, BLOB_STREAM_CHUNK, FILE_BYTES_READ};
+pub use backend::{
+    BlobBackend, BlobHandle, BlobReader, RegistryBackend, BLOB_STREAM_CHUNK, FILE_BYTES_READ,
+};
 pub use codec::{EncodedLayer, LayerCodec};
 pub use disk::{DiskRegistry, DiskStore, LayoutLock};
 pub use fsck::{fsck, FsckFinding, FsckOptions, FsckReport};
 pub use image::{flatten, layer_tar, Image, ImageBuilder, ImageError};
+pub use layout::Layout;
 pub use spec::{
     Descriptor, ImageConfig, ImageIndex, ImageManifest, MediaType, Platform, RuntimeConfig,
 };
-pub use store::{closure_digests, closure_of_manifest, BlobStore, Registry, RegistryError};
+pub use store::{
+    closure_digests, closure_of_manifest, BlobStore, Registry, RegistryError, Verified,
+};
 
 /// Serialize a manifest to its canonical JSON bytes (exposed for tests and
 /// tools that need to hand-craft manifests).

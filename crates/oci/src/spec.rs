@@ -214,7 +214,7 @@ impl ImageIndex {
     }
 
     /// Remove the manifest entry for `name`; returns whether it existed.
-    /// Blobs are untouched — run [`crate::layout::OciDir::gc`] afterwards
+    /// Blobs are untouched — run [`crate::Layout::gc_apply`] afterwards
     /// to drop whatever the remaining refs no longer reach.
     pub fn remove_ref(&mut self, name: &str) -> bool {
         let before = self.manifests.len();

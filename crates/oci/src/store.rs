@@ -1,8 +1,116 @@
-//! Content-addressed blob storage and the simulated registry.
+//! Content-addressed blob storage, the admission proof every store
+//! demands ([`Verified`]), and the in-process registry transfer.
 
+use crate::backend::{BlobBackend, BlobHandle};
+use crate::layout::{Layout, LayoutError};
+use crate::spec::{Descriptor, ImageIndex, MediaType};
 use bytes::Bytes;
 use comt_digest::Digest;
 use std::collections::BTreeMap;
+
+/// Blob bytes on their way into a store: shared, or borrowed from a buffer
+/// the caller keeps (a request body). A disk store writes either form to a
+/// file without copying; a memory store copies a borrowed payload once,
+/// because it keeps the bytes.
+#[derive(Debug)]
+pub enum Payload<'a> {
+    Shared(Bytes),
+    Borrowed(&'a [u8]),
+}
+
+impl Payload<'_> {
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Payload::Shared(b) => b,
+            Payload::Borrowed(s) => s,
+        }
+    }
+}
+
+impl From<Bytes> for Payload<'_> {
+    fn from(b: Bytes) -> Self {
+        Payload::Shared(b)
+    }
+}
+
+impl From<Vec<u8>> for Payload<'_> {
+    fn from(v: Vec<u8>) -> Self {
+        Payload::Shared(Bytes::from(v))
+    }
+}
+
+impl<'a> From<&'a [u8]> for Payload<'a> {
+    fn from(s: &'a [u8]) -> Self {
+        Payload::Borrowed(s)
+    }
+}
+
+/// A blob together with the digest its bytes hash to — the admission proof
+/// every store demands. It can only be built by hashing: [`Verified::hash`]
+/// computes the address, [`Verified::check`] additionally refuses a claimed
+/// address the bytes do not have, as a hard error in every build profile.
+/// "These bytes were hashed before they were stored" is therefore checked
+/// by the compiler, not asserted by a comment at the call site.
+#[derive(Debug)]
+pub struct Verified<'a> {
+    digest: Digest,
+    payload: Payload<'a>,
+}
+
+impl<'a> Verified<'a> {
+    /// Hash `bytes`; the proof carries the address they really have.
+    pub fn hash(bytes: impl Into<Payload<'a>>) -> Self {
+        let payload = bytes.into();
+        let digest = Digest::of(payload.as_slice());
+        Verified { digest, payload }
+    }
+
+    /// Hash `bytes` and refuse them unless they hash to `claimed` — the
+    /// check for an address somebody else supplied (a wire upload, a file
+    /// name, a chunkmap).
+    pub fn check(claimed: Digest, bytes: impl Into<Payload<'a>>) -> Result<Self, RegistryError> {
+        let blob = Verified::hash(bytes);
+        if blob.digest != claimed {
+            return Err(RegistryError::DigestMismatch(claimed.to_string()));
+        }
+        Ok(blob)
+    }
+
+    /// The fused layer codec's own proof: it hashed the stream while
+    /// producing it, in this process, so the re-hash is a `debug_assert`.
+    /// Crate-private — bytes from outside the process never come this way.
+    pub(crate) fn from_codec(digest: Digest, blob: Bytes) -> Verified<'static> {
+        debug_assert_eq!(digest, Digest::of(&blob), "codec digest mismatch");
+        Verified {
+            digest,
+            payload: Payload::Shared(blob),
+        }
+    }
+
+    pub fn digest(&self) -> Digest {
+        self.digest
+    }
+
+    pub fn as_slice(&self) -> &[u8] {
+        self.payload.as_slice()
+    }
+
+    pub fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+
+    /// The bytes as a shared buffer (copies a borrowed payload).
+    pub fn into_bytes(self) -> Bytes {
+        match self.payload {
+            Payload::Shared(b) => b,
+            Payload::Borrowed(s) => Bytes::copy_from_slice(s),
+        }
+    }
+}
 
 /// Content-addressed blob store. Blobs are immutable; storing the same
 /// content twice is a no-op (deduplication by digest).
@@ -16,50 +124,18 @@ impl BlobStore {
         BlobStore::default()
     }
 
-    /// Store a blob, returning its digest.
+    /// Hash a blob and store it, returning its digest.
     pub fn put(&mut self, data: impl Into<Bytes>) -> Digest {
-        let data = data.into();
-        let d = Digest::of(&data);
-        self.blobs.entry(d).or_insert(data);
-        d
+        self.admit(Verified::hash(data.into()))
     }
 
-    /// Store a blob whose digest the caller already computed **in the same
-    /// process from the same bytes** (the fused layer codec hashes while
-    /// compressing), skipping the re-hash.
-    ///
-    /// This is a *trusted* fast path: the digest check is a `debug_assert`
-    /// only, so a wrong digest poisons the store in release builds. Never
-    /// call it with a digest that arrived from outside the process (wire
-    /// uploads, files on disk) — that is what [`BlobStore::put_verified`]
-    /// is for.
-    pub fn put_prehashed(&mut self, digest: Digest, data: impl Into<Bytes>) -> Digest {
-        let data = data.into();
-        debug_assert_eq!(digest, Digest::of(&data), "put_prehashed digest mismatch");
-        self.blobs.entry(digest).or_insert(data);
+    /// Store a blob on the strength of its proof — no second hash.
+    pub fn admit(&mut self, blob: Verified<'_>) -> Digest {
+        let digest = blob.digest();
+        self.blobs
+            .entry(digest)
+            .or_insert_with(|| blob.into_bytes());
         digest
-    }
-
-    /// Store a blob under a caller-claimed digest, re-hashing the content
-    /// first and rejecting a mismatch — in every build profile.
-    ///
-    /// This is the trust boundary for bytes whose address was claimed by
-    /// someone else: registry pushes, wire uploads, files read back from
-    /// disk. Unlike [`BlobStore::put_prehashed`] the verification here is
-    /// real code, not a `debug_assert`, so a poisoned upload can never
-    /// enter the store in a release build.
-    pub fn put_verified(
-        &mut self,
-        digest: Digest,
-        data: impl Into<Bytes>,
-    ) -> Result<Digest, RegistryError> {
-        let data = data.into();
-        let actual = Digest::of(&data);
-        if actual != digest {
-            return Err(RegistryError::DigestMismatch(digest.to_string()));
-        }
-        self.blobs.entry(digest).or_insert(data);
-        Ok(digest)
     }
 
     /// Fetch a blob by digest.
@@ -100,19 +176,15 @@ impl BlobStore {
 
     /// Insert a blob under an arbitrary digest, bypassing hashing — only
     /// for corruption/fault-injection tests (hence the name and the
-    /// `#[doc(hidden)]`; production paths go through [`BlobStore::put`] or
-    /// [`BlobStore::put_prehashed`]).
+    /// `#[doc(hidden)]`). It is the one way to store bytes without a
+    /// [`Verified`].
     #[doc(hidden)]
     pub fn insert_raw_for_tests(&mut self, digest: Digest, data: Bytes) {
         self.blobs.insert(digest, data);
     }
 
-    #[cfg(test)]
-    pub(crate) fn insert_raw(&mut self, digest: Digest, data: Bytes) {
-        self.insert_raw_for_tests(digest, data);
-    }
-
-    /// Copy a blob from another store if missing here.
+    /// Share a blob another in-memory store already admitted, if missing
+    /// here (a refcount bump, not a copy).
     pub fn fetch_from(&mut self, other: &BlobStore, digest: &Digest) -> bool {
         if self.contains(digest) {
             return true;
@@ -124,6 +196,31 @@ impl BlobStore {
             }
             None => false,
         }
+    }
+}
+
+impl BlobBackend for BlobStore {
+    fn handle(&self, digest: &Digest) -> Option<BlobHandle> {
+        self.get(digest).map(BlobHandle::Resident)
+    }
+
+    fn insert(&mut self, blob: Verified<'_>) -> Result<bool, LayoutError> {
+        let fresh = !self.contains(&blob.digest());
+        self.admit(blob);
+        Ok(fresh)
+    }
+
+    fn remove(&mut self, digest: &Digest) -> Result<bool, LayoutError> {
+        Ok(self.blobs.remove(digest).is_some())
+    }
+
+    fn digests(&self) -> Result<Vec<(Digest, u64)>, LayoutError> {
+        Ok(self.iter().map(|(d, b)| (*d, b.len() as u64)).collect())
+    }
+
+    /// Nothing to commit: the index a memory layout holds is the table.
+    fn commit_index(&mut self, _index: &ImageIndex) -> Result<(), LayoutError> {
+        Ok(())
     }
 }
 
@@ -158,6 +255,8 @@ impl std::fmt::Display for RegistryError {
     }
 }
 
+impl std::error::Error for RegistryError {}
+
 /// Re-hash each closure blob in `src` and check it against its address.
 ///
 /// Blobs are independent, so verification fans out across threads (real
@@ -171,10 +270,7 @@ fn verify_blobs(src: &BlobStore, digests: &[Digest]) -> Result<(), RegistryError
         let blob = src
             .get(d)
             .ok_or_else(|| RegistryError::MissingBlob(d.to_string()))?;
-        if Digest::of(&blob) != *d {
-            return Err(RegistryError::DigestMismatch(d.to_string()));
-        }
-        Ok(())
+        Verified::check(*d, blob).map(drop)
     };
     obs.count("store.verify.blobs", digests.len() as u64);
     if digests.len() > 1 {
@@ -192,8 +288,6 @@ fn verify_blobs(src: &BlobStore, digests: &[Digest]) -> Result<(), RegistryError
     }
 }
 
-impl std::error::Error for RegistryError {}
-
 /// Recursively collect the digests reachable from a manifest in `src`: the
 /// manifest itself first, then its config, then every layer in order. This
 /// is the transfer unit of both the in-process [`Registry`] and the wire
@@ -209,9 +303,9 @@ pub fn closure_digests(
 }
 
 /// Collect the closure digests from already-fetched manifest bytes: the
-/// manifest itself first, then its config, then every layer in order.
-/// Store-agnostic so that lazy disk-backed stores can walk closures
-/// without materializing anything else.
+/// manifest itself first, then its config, then every layer in order. The
+/// one walk from manifest bytes to closure — export, push, publish,
+/// liveness and fsck all go through it.
 pub fn closure_of_manifest(
     raw: &[u8],
     manifest_digest: &Digest,
@@ -234,76 +328,63 @@ pub fn closure_of_manifest(
     Ok(out)
 }
 
-/// A simulated OCI registry: tag → manifest digest, backed by a blob store.
-///
-/// `push`/`pull` between registries transfer only missing blobs, mirroring
-/// real registry cross-repo behaviour. The registry is also the transport
-/// between the user side and the HPC system side in the coMtainer workflow.
-#[derive(Debug, Clone, Default)]
-pub struct Registry {
-    tags: BTreeMap<String, Digest>,
-    store: BlobStore,
-    /// layer blob digest → chunkmap blob digest (sub-layer dedupe).
-    chunkmaps: BTreeMap<Digest, Digest>,
+/// Copy the blobs of `closure` that `dst` lacks from `src`; returns how
+/// many moved.
+fn copy_closure(
+    dst: &mut BlobStore,
+    src: &BlobStore,
+    closure: &[Digest],
+) -> Result<usize, RegistryError> {
+    let mut moved = 0;
+    for d in closure {
+        if !dst.contains(d) {
+            if !dst.fetch_from(src, d) {
+                return Err(RegistryError::MissingBlob(d.to_string()));
+            }
+            moved += 1;
+        }
+    }
+    Ok(moved)
 }
 
-impl Registry {
-    pub fn new() -> Self {
-        Registry::default()
-    }
+/// The in-memory registry: the one tagged store ([`Layout`]) over a
+/// [`BlobStore`] — the same type as [`crate::layout::OciDir`], under the
+/// name the transfer side of the workflow uses.
+///
+/// `push`/`pull` between stores transfer only missing blobs, mirroring
+/// real registry cross-repo behaviour. The registry is also the transport
+/// between the user side and the HPC system side in the coMtainer workflow.
+pub type Registry = Layout<BlobStore>;
 
-    pub fn store(&self) -> &BlobStore {
-        &self.store
-    }
-
-    pub fn store_mut(&mut self) -> &mut BlobStore {
-        &mut self.store
-    }
-
-    /// Tags present, sorted.
-    pub fn tags(&self) -> Vec<String> {
-        self.tags.keys().cloned().collect()
-    }
-
-    /// Manifest digest for a tag.
-    pub fn resolve(&self, tag: &str) -> Option<Digest> {
-        self.tags.get(tag).copied()
-    }
-
-    /// Digest of the chunkmap blob recorded for a layer blob, if any.
-    pub fn chunkmap_for(&self, layer: &Digest) -> Option<Digest> {
-        self.chunkmaps.get(layer).copied()
-    }
-
-    /// Record a chunkmap blob for `layer`, storing its bytes. The layer
-    /// blob must already be committed — a chunkmap for bytes the registry
-    /// does not hold could never serve a chunk GET.
-    pub fn put_chunkmap(&mut self, layer: Digest, map: Bytes) -> Result<Digest, RegistryError> {
-        if !self.store.contains(&layer) {
-            return Err(RegistryError::MissingBlob(layer.to_string()));
-        }
-        let digest = self.store.put(map);
-        self.chunkmaps.insert(layer, digest);
-        Ok(digest)
-    }
-
-    /// Recursively collect the digests reachable from a manifest: the
-    /// manifest itself, its config, and all layers.
-    fn closure(
+impl Layout<BlobStore> {
+    /// Copy an already-walked manifest closure (manifest first) from `src`
+    /// and point `name` at it, without re-hashing. Returns how many blobs
+    /// moved.
+    pub(crate) fn import(
+        &mut self,
+        name: &str,
+        closure: &[Digest],
         src: &BlobStore,
-        manifest_digest: &Digest,
-    ) -> Result<Vec<Digest>, RegistryError> {
-        closure_digests(src, manifest_digest)
+    ) -> Result<usize, RegistryError> {
+        let moved = copy_closure(&mut self.blobs, src, closure)?;
+        let manifest = closure[0];
+        let size = self.blobs.get(&manifest).expect("copied above").len() as u64;
+        self.index.set_ref(
+            name,
+            Descriptor::new(MediaType::ImageManifest, manifest, size),
+        );
+        Ok(moved)
     }
 
-    /// Push a manifest (and its blob closure) from a local store under `tag`.
+    /// Push a manifest (and its blob closure) from a local store under
+    /// `tag`: verify, then the same closure copy `export` does.
     pub fn push(
         &mut self,
         tag: &str,
         manifest_digest: Digest,
         src: &BlobStore,
     ) -> Result<usize, RegistryError> {
-        let closure = Self::closure(src, &manifest_digest)?;
+        let closure = closure_digests(src, &manifest_digest)?;
         // Verify content-addressing before admitting blobs (concurrently —
         // layers are independent).
         verify_blobs(src, &closure)?;
@@ -312,84 +393,22 @@ impl Registry {
         // a `DigestMismatch`, not a free skip.
         let present: Vec<Digest> = closure
             .iter()
-            .filter(|d| self.store.contains(d))
+            .filter(|d| self.blobs.contains(d))
             .copied()
             .collect();
-        verify_blobs(&self.store, &present)?;
-        let mut transferred = 0usize;
-        for d in closure {
-            if !self.store.contains(&d) {
-                if !self.store.fetch_from(src, &d) {
-                    return Err(RegistryError::MissingBlob(d.to_string()));
-                }
-                transferred += 1;
-            }
-        }
-        self.tags.insert(tag.to_string(), manifest_digest);
-        Ok(transferred)
-    }
-
-    /// Tag a manifest whose closure already lives in this registry's own
-    /// store, verifying every blob's bytes first. This is the manifest-PUT
-    /// path of the wire protocol: blobs arrive one at a time over
-    /// connections, and the tag only becomes visible once the whole closure
-    /// is present and content-addressed correctly.
-    pub fn tag_verified(
-        &mut self,
-        tag: &str,
-        manifest_digest: Digest,
-    ) -> Result<(), RegistryError> {
-        let closure = Self::closure(&self.store, &manifest_digest)?;
-        verify_blobs(&self.store, &closure)?;
-        self.tags.insert(tag.to_string(), manifest_digest);
-        Ok(())
-    }
-
-    /// Publish manifest bytes under `tag`: stage the manifest blob, verify
-    /// the full closure is present and bit-correct, and only then make the
-    /// tag visible. On failure a freshly staged manifest blob is unwound so
-    /// a rejected publish leaves no trace. This is the manifest-PUT path of
-    /// the wire protocol.
-    pub fn publish_manifest(
-        &mut self,
-        tag: &str,
-        manifest: Bytes,
-    ) -> Result<Digest, RegistryError> {
-        let fresh = !self.store.contains(&Digest::of(&manifest));
-        let digest = self.store.put(manifest);
-        match self.tag_verified(tag, digest) {
-            Ok(()) => Ok(digest),
-            Err(e) => {
-                if fresh {
-                    self.store.retain(|d| *d != digest);
-                }
-                Err(e)
-            }
-        }
+        verify_blobs(&self.blobs, &present)?;
+        self.import(tag, &closure, src)
     }
 
     /// Pull a tag's manifest closure into a local store; returns the
     /// manifest digest and how many blobs were transferred.
-    pub fn pull(
-        &self,
-        tag: &str,
-        dst: &mut BlobStore,
-    ) -> Result<(Digest, usize), RegistryError> {
+    pub fn pull(&self, tag: &str, dst: &mut BlobStore) -> Result<(Digest, usize), RegistryError> {
         let manifest_digest = self
             .resolve(tag)
-            .ok_or_else(|| RegistryError::UnknownTag(tag.to_string()))?;
-        let closure = Self::closure(&self.store, &manifest_digest)?;
-        verify_blobs(&self.store, &closure)?;
-        let mut transferred = 0usize;
-        for d in closure {
-            if !dst.contains(&d) {
-                if !dst.fetch_from(&self.store, &d) {
-                    return Err(RegistryError::MissingBlob(d.to_string()));
-                }
-                transferred += 1;
-            }
-        }
-        Ok((manifest_digest, transferred))
+            .map_err(|_| RegistryError::UnknownTag(tag.to_string()))?;
+        let closure = closure_digests(&self.blobs, &manifest_digest)?;
+        verify_blobs(&self.blobs, &closure)?;
+        Ok((manifest_digest, copy_closure(dst, &self.blobs, &closure)?))
     }
 }
 
@@ -477,7 +496,7 @@ mod tests {
             let manifest: crate::spec::ImageManifest = serde_json::from_slice(&raw).unwrap();
             manifest.layers[0].parsed_digest().unwrap()
         };
-        local.insert_raw(layer_digest, Bytes::from_static(b"tampered"));
+        local.insert_raw_for_tests(layer_digest, Bytes::from_static(b"tampered"));
         let mut reg = Registry::new();
         assert!(matches!(
             reg.push("bad:1", md, &local),
@@ -503,56 +522,14 @@ mod tests {
         };
         // Poison the REMOTE copy; the local source stays pristine.
         reg.store_mut()
-            .insert_raw(layer_digest, Bytes::from_static(b"truncated"));
+            .insert_raw_for_tests(layer_digest, Bytes::from_static(b"truncated"));
 
         assert!(matches!(
             reg.push("app:2", md, &local),
             Err(RegistryError::DigestMismatch(_))
         ));
         // The poisoned blob was not re-tagged as a fresh ref either.
-        assert!(reg.resolve("app:2").is_none());
-    }
-
-    #[test]
-    fn tag_verified_requires_complete_valid_closure() {
-        let mut local = BlobStore::new();
-        let md = tiny_image(&mut local);
-
-        // Closure complete and valid → tag appears.
-        let mut reg = Registry::new();
-        for (d, b) in local.iter() {
-            reg.store_mut().put_prehashed(*d, b.clone());
-        }
-        reg.tag_verified("ok:1", md).unwrap();
-        assert_eq!(reg.resolve("ok:1"), Some(md));
-
-        // Missing layer blob → no tag.
-        let mut partial = Registry::new();
-        partial.store_mut().put(local.get(&md).unwrap());
-        assert!(matches!(
-            partial.tag_verified("bad:1", md),
-            Err(RegistryError::MissingBlob(_))
-        ));
-        assert!(partial.resolve("bad:1").is_none());
-
-        // Corrupt layer blob → no tag.
-        let layer_digest = {
-            let raw = local.get(&md).unwrap();
-            let manifest: crate::spec::ImageManifest = serde_json::from_slice(&raw).unwrap();
-            manifest.layers[0].parsed_digest().unwrap()
-        };
-        let mut poisoned = Registry::new();
-        for (d, b) in local.iter() {
-            poisoned.store_mut().put_prehashed(*d, b.clone());
-        }
-        poisoned
-            .store_mut()
-            .insert_raw(layer_digest, Bytes::from_static(b"garbage"));
-        assert!(matches!(
-            poisoned.tag_verified("bad:2", md),
-            Err(RegistryError::DigestMismatch(_))
-        ));
-        assert!(poisoned.resolve("bad:2").is_none());
+        assert!(reg.resolve("app:2").is_err());
     }
 
     #[test]
@@ -569,12 +546,22 @@ mod tests {
     }
 
     #[test]
-    fn put_prehashed_skips_rehash_but_addresses_correctly() {
-        let mut s = BlobStore::new();
+    fn a_proof_is_built_only_by_hashing() {
         let data = Bytes::from_static(b"layer blob");
         let d = Digest::of(&data);
-        assert_eq!(s.put_prehashed(d, data.clone()), d);
+        // Shared and borrowed payloads prove the same address; a borrowed
+        // one is copied only when a memory store keeps it.
+        assert_eq!(Verified::hash(data.clone()).digest(), d);
+        let borrowed = Verified::check(d, &data[..]).unwrap();
+        assert_eq!((borrowed.digest(), borrowed.len()), (d, data.len()));
+        let mut s = BlobStore::new();
+        assert_eq!(s.admit(borrowed), d);
         assert_eq!(s.get(&d).unwrap(), data);
+        // A claim the bytes do not have is refused in every build profile.
+        assert!(matches!(
+            Verified::check(Digest::of(b"other"), data),
+            Err(RegistryError::DigestMismatch(_))
+        ));
     }
 
     #[test]

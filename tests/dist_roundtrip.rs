@@ -60,7 +60,7 @@ fn extended_image_survives_mid_blob_disconnects() {
     );
 
     let reg = server.shutdown();
-    assert_eq!(reg.resolve(&tag_key(name, tag)), Some(md));
+    assert_eq!(reg.resolve(&tag_key(name, tag)).ok(), Some(md));
 }
 
 #[test]
