@@ -187,7 +187,7 @@ pub fn check_lints(cache: &CacheContents, target_isa: &str) -> Vec<Diagnostic> {
 
     // W002 in cached sources.
     for (path, content) in &cache.sources {
-        let text = String::from_utf8_lossy(content);
+        let text = comt_vfs::text_lossy(content);
         for m in TIMESTAMP_MACROS {
             if text.contains(m) {
                 diags.push(

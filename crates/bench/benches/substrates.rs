@@ -29,6 +29,7 @@ fn bench_tar_roundtrip(c: &mut Criterion) {
     g.bench_function("write_256_files", |b| {
         b.iter(|| comt_tar::write_archive(&entries).expect("bench entries are representable"));
     });
+    let archive = comt_tar::Bytes::from(archive);
     g.bench_function("read_256_files", |b| {
         b.iter(|| comt_tar::read_archive(&archive).unwrap());
     });

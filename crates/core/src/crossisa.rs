@@ -91,7 +91,7 @@ pub fn analyze_cross(cache: &CacheContents, target_isa: &str) -> CrossIsaReport 
     let mut report = CrossIsaReport::default();
 
     for (path, content) in &cache.sources {
-        let text = String::from_utf8_lossy(content);
+        let text = comt_vfs::text_lossy(content);
         let info = parse_source(&text);
         if let Some(isa) = info.isa {
             if isa != target_isa {

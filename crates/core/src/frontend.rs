@@ -159,7 +159,7 @@ pub fn analyze_mode(
                 };
                 let bytes = match leaf.kind {
                     NodeKind::Source | NodeKind::Header => {
-                        let text = String::from_utf8_lossy(&content);
+                        let text = comt_vfs::text_lossy(&content);
                         Bytes::from(minify_source(&text).into_bytes())
                     }
                     _ => content,

@@ -8,7 +8,7 @@
 //! [`MAX_HEADER_BYTES`], bodies at a caller-supplied limit, so a
 //! misbehaving peer cannot balloon memory.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Cap on the request/status line plus all headers.
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
@@ -207,7 +207,7 @@ pub fn write_request(
     w.flush()
 }
 
-/// Read a response status line and headers, then stream the body into
+/// Read a response status line and headers, then append the body to
 /// `sink`. On a short read (peer died mid-body) the bytes received so far
 /// stay in `sink` and the error is surfaced — that partial prefix is what
 /// makes `Range` resume possible.
@@ -248,20 +248,17 @@ pub fn read_response_into(
             format!("body of {len} bytes exceeds limit {max_body}"),
         ));
     }
-    // Stream in pieces so a truncated transfer leaves its prefix in `sink`.
-    let mut remaining = len;
-    let mut buf = [0u8; 16 * 1024];
-    while remaining > 0 {
-        let want = remaining.min(buf.len());
-        let n = r.read(&mut buf[..want])?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("body truncated: {remaining} of {len} bytes missing"),
-            ));
-        }
-        sink.extend_from_slice(&buf[..n]);
-        remaining -= n;
+    // One reservation (`len` is bounded by `max_body` above), then the body
+    // goes straight into the sink's tail: `read_to_end` keeps every byte it
+    // received in `sink` when a read fails, so a truncated transfer still
+    // leaves exactly its prefix there.
+    sink.reserve(len);
+    let got = r.take(len as u64).read_to_end(sink)?;
+    if got < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("body truncated: {} of {len} bytes missing", len - got),
+        ));
     }
     Ok((status, headers))
 }
@@ -716,6 +713,27 @@ mod tests {
         assert_eq!(sink.len(), 100, "partial prefix retained for resume");
     }
 
+    /// A transport that hands out `script`'s reads one by one and then
+    /// fails (or, with no error, reports end of stream).
+    struct Flaky<'a, I: Iterator<Item = &'a [u8]>> {
+        script: I,
+        then: Option<io::ErrorKind>,
+    }
+
+    impl<'a, I: Iterator<Item = &'a [u8]>> Read for Flaky<'a, I> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match (self.script.next(), self.then) {
+                (Some(piece), _) => {
+                    assert!(piece.len() <= buf.len(), "script pieces fit any reader buffer");
+                    buf[..piece.len()].copy_from_slice(piece);
+                    Ok(piece.len())
+                }
+                (None, Some(kind)) => Err(kind.into()),
+                (None, None) => Ok(0),
+            }
+        }
+    }
+
     #[test]
     fn body_limit_enforced() {
         let mut wire = Vec::new();
@@ -727,6 +745,15 @@ mod tests {
         write_request(&mut wire, "PUT", "/x", &[], Some(&[1u8; 4096]), true).unwrap();
         let err = read_request(&mut BufReader::new(&wire[..]), 1024).expect_err("over limit");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        // The client side reserves `Content-Length` up front, so the limit
+        // has to refuse a declared length before anything is allocated.
+        let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\n";
+        let mut sink = Vec::new();
+        let err = read_response_into(&mut BufReader::new(&wire[..]), &mut sink, 1 << 20)
+            .expect_err("over limit");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(sink.capacity(), 0);
     }
 
     #[test]
@@ -948,6 +975,40 @@ mod tests {
                 }
             });
             prop_assert!(worst.is_none(), "buffered {worst:?} with max_body {max_body}");
+        }
+
+        /// The resume contract of `read_response_into`: a body that
+        /// arrives in short reads of any sizes and then dies — by error or
+        /// by end of stream — leaves exactly the delivered bytes in `sink`,
+        /// after whatever an earlier attempt had left there.
+        #[test]
+        fn cut_response_leaves_exactly_its_prefix_in_sink(
+            body in prop::collection::vec(any::<u8>(), 1..20_000),
+            earlier in prop::collection::vec(any::<u8>(), 0..64),
+            cut in any::<prop::sample::Index>(),
+            lens in prop::collection::vec(1usize..3000, 1..8),
+            reset in any::<bool>(),
+        ) {
+            let mut wire = Vec::new();
+            write_response(&mut wire, &Response::new(200).with_body(body.clone()), None).unwrap();
+            let head = wire.len() - body.len();
+            let delivered = cut.index(body.len());
+            let kind = reset.then_some(io::ErrorKind::ConnectionReset);
+            let transport = Flaky { script: reads(&wire[..head + delivered], &lens), then: kind };
+            let mut sink = earlier.clone();
+            let err = read_response_into(&mut BufReader::new(transport), &mut sink, 1 << 20)
+                .expect_err("a cut body is an error");
+            prop_assert_eq!(err.kind(), kind.unwrap_or(io::ErrorKind::UnexpectedEof));
+            prop_assert_eq!(&sink[..earlier.len()], &earlier[..]);
+            prop_assert_eq!(&sink[earlier.len()..], &body[..delivered]);
+
+            // The whole body, however it is split, lands after the prefix.
+            let transport = Flaky { script: reads(&wire, &lens), then: kind };
+            let mut sink = earlier.clone();
+            let (status, _) =
+                read_response_into(&mut BufReader::new(transport), &mut sink, 1 << 20).unwrap();
+            prop_assert_eq!(status, 200);
+            prop_assert_eq!(&sink[earlier.len()..], &body[..]);
         }
 
         /// Friendly bytes: a pipelined sequence of valid requests, sized

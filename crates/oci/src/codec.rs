@@ -73,9 +73,10 @@ impl LayerCodec {
 
         if !self.compress {
             // Uncompressed: tar bytes are the blob; tee the serialization
-            // into the hasher so the archive is still produced in one pass.
+            // into the hasher so the archive is still produced in one pass,
+            // into a buffer allocated once at the archive's final size.
             let mut hasher = Sha256::new();
-            let mut out: Vec<u8> = Vec::new();
+            let mut out: Vec<u8> = Vec::with_capacity(comt_tar::archive_len(entries));
             let mut w = Writer::with_sink(FnSink(|chunk: &[u8]| {
                 hasher.update(chunk);
                 out.extend_from_slice(chunk);

@@ -198,14 +198,21 @@ impl DiskStore {
         Ok(self.read_verified(digest)?.map(Verified::into_bytes))
     }
 
-    /// Commit a blob under its claimed digest, re-hashing first (the trust
-    /// boundary for cross-process copies such as `OciDir::save`). Returns
-    /// `true` if the blob was newly written, `false` if already present.
+    /// Commit a blob under its claimed digest (the trust boundary for
+    /// cross-process copies such as `OciDir::save`): a blob that is written
+    /// is re-hashed against its claim first. One the layout already holds
+    /// is not — nothing would be written whatever the hash said, and
+    /// [`DiskStore::read_verified`] checks it on every read. Returns `true`
+    /// if the blob was newly written, `false` if already present.
     pub fn put_blob(&self, digest: &Digest, data: &[u8]) -> Result<bool, LayoutError> {
+        let path = self.blob_path(digest);
+        if path.is_file() {
+            return Ok(false);
+        }
         match Verified::check(*digest, data) {
             Ok(blob) => self.admit(blob),
             Err(_) => Err(LayoutError::DigestMismatch {
-                path: self.blob_path(digest).display().to_string(),
+                path: path.display().to_string(),
             }),
         }
     }
@@ -402,6 +409,20 @@ mod tests {
         let err = store.put_blob(&wrong, b"actual content").unwrap_err();
         assert!(matches!(err, LayoutError::DigestMismatch { .. }));
         assert!(store.handle(&wrong).is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn put_blob_looks_before_it_hashes() {
+        let dir = tmp_dir("present");
+        let store = DiskStore::init(&dir).unwrap();
+        let d = Digest::of(b"held");
+        assert!(store.put_blob(&d, b"held").unwrap());
+        // Present: nothing is written, so nothing is hashed — observable as
+        // a wrong payload under a held address being a no-op, not an error,
+        // and the held bytes staying what they were.
+        assert!(!store.put_blob(&d, b"not what d names").unwrap());
+        assert_eq!(store.read_blob(&d).unwrap().unwrap(), Bytes::from_static(b"held"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -281,8 +281,6 @@ impl ImageBuilder {
     }
 }
 
-/// Compute the final filesystem state of an image by applying all layers in
-/// order — the "POSIX file system simulator" step of the paper (§4.5).
 /// Fetch one layer blob and return its *uncompressed* tar bytes (the form
 /// the config's `diff_ids` describe). Shared by [`flatten`] and the layer
 /// verifier in `comt-analyze`.
@@ -296,6 +294,12 @@ pub fn layer_tar(store: &BlobStore, layer: &crate::spec::Descriptor) -> Result<B
     LayerCodec::decode(blob, &layer.media_type).map_err(|e| ImageError::BadLayer(e.to_string()))
 }
 
+/// Compute the final filesystem state of an image by applying all layers in
+/// order — the "POSIX file system simulator" step of the paper (§4.5).
+///
+/// No file content is copied: every file in the result is a window onto the
+/// tar of the layer that wrote it (for an uncompressed layer, onto the blob
+/// in `store` itself), so the filesystem keeps those buffers alive.
 pub fn flatten(store: &BlobStore, image: &Image) -> Result<Vfs, ImageError> {
     // Layer decode (gunzip + tar parse) is independent per layer, so it
     // fans out; application must stay sequential — changesets stack.

@@ -10,6 +10,11 @@
 
 pub const BLOCK: usize = 512;
 
+/// `len` rounded up to whole blocks — the space a payload takes in an archive.
+pub fn padded_len(len: usize) -> usize {
+    len.div_ceil(BLOCK) * BLOCK
+}
+
 pub const TYPE_FILE: u8 = b'0';
 pub const TYPE_HARDLINK: u8 = b'1';
 pub const TYPE_SYMLINK: u8 = b'2';
@@ -144,9 +149,9 @@ fn read_octal(block: &[u8], off: usize, len: usize) -> u64 {
 ///
 /// Returns `None` when the path cannot be represented and a GNU long-name
 /// record is required instead.
-pub fn split_path(path: &str) -> Option<(String, String)> {
+pub fn split_path(path: &str) -> Option<(&str, &str)> {
     if path.len() <= 100 {
-        return Some((String::new(), path.to_string()));
+        return Some(("", path));
     }
     if path.len() > 255 {
         return None;
@@ -158,7 +163,7 @@ pub fn split_path(path: &str) -> Option<(String, String)> {
             let (prefix, name_with_slash) = path.split_at(i);
             let name = &name_with_slash[1..];
             if !name.is_empty() && name.len() <= 100 && prefix.len() <= 155 {
-                return Some((prefix.to_string(), name.to_string()));
+                return Some((prefix, name));
             }
         }
     }
@@ -260,7 +265,7 @@ mod tests {
 
     #[test]
     fn split_short_path() {
-        assert_eq!(split_path("a/b/c").unwrap(), ("".into(), "a/b/c".into()));
+        assert_eq!(split_path("a/b/c").unwrap(), ("", "a/b/c"));
     }
 
     #[test]

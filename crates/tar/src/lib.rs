@@ -12,10 +12,20 @@
 //!   for paths that do not fit the USTAR fields.
 //!
 //! Archives live fully in memory, matching the simulated blob store in
-//! `comt-oci`. File payloads are reference-counted [`Bytes`], so an entry
-//! lifted out of a VFS (or a reader) shares storage instead of copying, and
-//! the [`Writer`] is generic over a [`TarSink`] so serialization can stream
-//! straight into a hasher/compressor without materializing the archive.
+//! `comt-oci`, and payload bytes are never copied to change their type.
+//! File payloads are reference-counted [`Bytes`]:
+//!
+//! * **Reading** — [`read_archive`] takes the archive as `&Bytes` and
+//!   yields each file payload as a [`Bytes::slice`] of it: a window onto
+//!   the archive's own allocation. Parsing a layer costs header decoding
+//!   only; the price is that every file read out of an archive keeps that
+//!   archive's buffer alive.
+//! * **Writing** — an entry lifted out of a VFS (or a reader) shares its
+//!   payload with its source, [`Entry::encoded_len`] is the exact size of
+//!   the records it serializes to, so [`write_archive`] allocates the
+//!   archive once at its final size ([`archive_len`]), and the [`Writer`] is
+//!   generic over a [`TarSink`] so serialization can stream straight into a
+//!   hasher/compressor without materializing the archive.
 
 mod header;
 mod reader;
@@ -100,12 +110,30 @@ impl Entry {
             _ => 0,
         }
     }
+
+    /// Exact number of bytes [`Writer::append`] emits for this entry: its
+    /// header, its payload padded to a block, and — for a path that does
+    /// not fit the USTAR `name`/`prefix` fields — the GNU long-name record
+    /// in front of it.
+    pub fn encoded_len(&self) -> usize {
+        let long_name = match header::split_path(&self.path) {
+            Some(_) => 0,
+            None => header::BLOCK + header::padded_len(self.path.len() + 1),
+        };
+        long_name + header::BLOCK + header::padded_len(self.size() as usize)
+    }
+}
+
+/// Exact length of the archive [`write_archive`] produces for `entries`:
+/// every entry's records plus the two-block terminator.
+pub fn archive_len(entries: &[Entry]) -> usize {
+    entries.iter().map(Entry::encoded_len).sum::<usize>() + 2 * header::BLOCK
 }
 
 /// Serialize entries into a complete archive (convenience over [`Writer`]).
 /// Fails if any entry cannot be represented (see [`Writer::append`]).
 pub fn write_archive(entries: &[Entry]) -> Result<Vec<u8>, HeaderError> {
-    let mut w = Writer::new();
+    let mut w = Writer::with_sink(Vec::with_capacity(archive_len(entries)));
     for e in entries {
         w.append(e)?;
     }
@@ -117,7 +145,8 @@ mod tests {
     use super::*;
 
     fn roundtrip(entries: Vec<Entry>) -> Vec<Entry> {
-        read_archive(&write_archive(&entries).expect("writable entries")).expect("roundtrip read")
+        read_archive(&write_archive(&entries).expect("writable entries").into())
+            .expect("roundtrip read")
     }
 
     #[test]
@@ -186,7 +215,7 @@ mod tests {
     fn empty_archive() {
         let bytes = write_archive(&[]).unwrap();
         assert_eq!(bytes.len(), 1024); // two zero end blocks
-        assert!(read_archive(&bytes).unwrap().is_empty());
+        assert!(read_archive(&bytes.into()).unwrap().is_empty());
     }
 
     #[test]
@@ -208,7 +237,7 @@ mod tests {
         let mut bytes = write_archive(&[Entry::file("a", b"z".to_vec(), 0o644)]).unwrap();
         bytes[0] ^= 0xff; // clobber first name byte
         assert!(matches!(
-            read_archive(&bytes),
+            read_archive(&bytes.into()),
             Err(ReadError::BadChecksum { .. })
         ));
     }
@@ -217,7 +246,7 @@ mod tests {
     fn truncated_archive_rejected() {
         let bytes = write_archive(&[Entry::file("a", vec![1u8; 600], 0o644)]).unwrap();
         assert!(matches!(
-            read_archive(&bytes[..700]),
+            read_archive(&Bytes::from(bytes).slice(..700)),
             Err(ReadError::UnexpectedEof)
         ));
     }

@@ -91,7 +91,7 @@ impl<S: TarSink> Writer<S> {
         // leaves the archive exactly as it was.
         let long_record = match header::split_path(&entry.path) {
             Some(split) => {
-                let hdr = self.entry_header(entry, &split.1, &split.0, size, typeflag, linkname)?;
+                let hdr = self.entry_header(entry, split.1, split.0, size, typeflag, linkname)?;
                 self.emit(&hdr);
                 None
             }
@@ -239,7 +239,7 @@ mod tests {
         w.append(&Entry::file(path.clone(), b"x".to_vec(), 0o644))
             .unwrap();
         let bytes = w.finish();
-        let back = crate::read_archive(&bytes).unwrap();
+        let back = crate::read_archive(&bytes.into()).unwrap();
         assert_eq!(back[0].path, path); // the L record carries the full path
     }
 }

@@ -21,7 +21,7 @@ mod vfs;
 
 pub use layer::{apply_layer, diff_layers, whiteout_target, OPAQUE_MARKER, WHITEOUT_PREFIX};
 pub use path::{file_name, join, normalize, parent, split};
-pub use vfs::{Node, NodeKind, Vfs, VfsError};
+pub use vfs::{text_lossy, Node, NodeKind, Vfs, VfsError};
 
 #[cfg(test)]
 mod tests {

@@ -2,8 +2,19 @@
 
 use crate::path::{normalize, parent};
 use bytes::Bytes;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// `bytes` as text: exactly what [`String::from_utf8_lossy`] returns, but
+/// valid UTF-8 — every source file the rebuild engine reads — goes through
+/// the plain validator and only invalid input pays for the lossy scanner.
+pub fn text_lossy(bytes: &[u8]) -> Cow<'_, str> {
+    match std::str::from_utf8(bytes) {
+        Ok(text) => Cow::Borrowed(text),
+        Err(_) => String::from_utf8_lossy(bytes),
+    }
+}
 
 /// Maximum symlink indirections before declaring a loop (Linux uses 40).
 const MAX_SYMLINK_DEPTH: usize = 40;
@@ -236,7 +247,7 @@ impl Vfs {
 
     /// Read a file as UTF-8 text (lossy).
     pub fn read_string(&self, path: &str) -> Result<String, VfsError> {
-        Ok(String::from_utf8_lossy(&self.read(path)?).into_owned())
+        Ok(text_lossy(&self.read(path)?).into_owned())
     }
 
     /// Target of a symlink (readlink).
@@ -491,6 +502,28 @@ impl Vfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn read_string_is_from_utf8_lossy_on_every_input() {
+        let mut v = Vfs::new();
+        let inputs: [&[u8]; 6] = [
+            b"",
+            b"int main(void) { return 0; }\n",
+            "naïve — ünïcödé ✓".as_bytes(),
+            b"cut \xe2\x82 mid-sequence",
+            b"\xff\xfe lone bytes \xc0\xaf",
+            b"surrogate \xed\xa0\x80 and overlong \xf0\x80\x80\xaf tail",
+        ];
+        for (i, raw) in inputs.iter().enumerate() {
+            let path = format!("/f{i}");
+            v.write_file(&path, Bytes::copy_from_slice(raw), 0o644).unwrap();
+            let expect = String::from_utf8_lossy(raw);
+            assert_eq!(v.read_string(&path).unwrap(), expect, "input {i}");
+            assert_eq!(text_lossy(raw), expect, "input {i}");
+        }
+        // Valid text is borrowed, not rebuilt.
+        assert!(matches!(text_lossy(b"plain"), Cow::Borrowed("plain")));
+    }
 
     fn sample() -> Vfs {
         let mut v = Vfs::new();
