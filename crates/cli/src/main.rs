@@ -38,10 +38,12 @@ use comt_dist::{
     serve, serve_buildd, split_ref, BuilddClient, DistClient, DistError, HttpOptions,
     JobRequest, JobStatusWire, PullOptions, ServerOptions,
 };
+use comt_digest::Digest;
 use comt_oci::layout::OciDir;
 use comt_oci::spec::{Descriptor, MediaType};
 use comt_oci::DiskRegistry;
 use comt_toolchain::Toolchain;
+use serde_json::Value;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -718,21 +720,28 @@ fn cmd_pull(dir: &str, r: &str, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Minimal JSON string escape for the hand-built `gc --format json` body.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// The `gc --format json` body: a machine-consumable sweep summary,
+/// mirroring `fsck --format json`. `applied` carries what a sweep removed.
+fn gc_json(
+    dir: &str,
+    dead: &[Digest],
+    bytes: u64,
+    apply: bool,
+    applied: Option<(usize, u64)>,
+) -> String {
+    let int = |n: u64| Value::Int(i64::try_from(n).unwrap_or(i64::MAX));
+    let unreachable = dead.iter().map(|d| Value::Str(d.to_string())).collect();
+    let mut body = vec![
+        ("layout".to_string(), Value::Str(dir.to_string())),
+        ("unreachable".to_string(), Value::Array(unreachable)),
+        ("reclaimable_bytes".to_string(), int(bytes)),
+        ("applied".to_string(), Value::Bool(apply)),
+    ];
+    if let Some((n, reclaimed)) = applied {
+        body.push(("removed".to_string(), int(n as u64)));
+        body.push(("reclaimed_bytes".to_string(), int(reclaimed)));
     }
-    out
+    serde_json::to_string(&Value::Object(body)).expect("a Value tree serializes")
 }
 
 fn cmd_gc(dir: &str, args: &[String]) -> Result<(), String> {
@@ -754,18 +763,7 @@ fn cmd_gc(dir: &str, args: &[String]) -> Result<(), String> {
     };
 
     if json {
-        // Machine-consumable sweep summary, mirroring `fsck --format json`.
-        let digests: Vec<String> = dead.iter().map(|d| format!("\"{d}\"")).collect();
-        let mut body = format!(
-            "{{\"layout\":\"{}\",\"unreachable\":[{}],\"reclaimable_bytes\":{bytes},\"applied\":{apply}",
-            json_escape(dir),
-            digests.join(",")
-        );
-        if let Some((n, reclaimed)) = applied {
-            body.push_str(&format!(",\"removed\":{n},\"reclaimed_bytes\":{reclaimed}"));
-        }
-        body.push('}');
-        println!("{body}");
+        println!("{}", gc_json(dir, &dead, bytes, apply, applied));
         return Ok(());
     }
 
@@ -898,10 +896,23 @@ mod tests {
     }
 
     #[test]
-    fn gc_json_escape_covers_quotes_and_controls() {
-        assert_eq!(json_escape("plain/path.oci"), "plain/path.oci");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\n\t\u{1}"), "x\\n\\t\\u0001");
+    fn gc_json_carries_any_layout_path_intact() {
+        let dir = "a\"b\\c\n\u{1}.oci";
+        let body = gc_json(dir, &[Digest::of(b"orphan")], 6, true, Some((1, 6)));
+        let parsed = serde_json::parse_value(&body).unwrap();
+        let obj = parsed.as_object().unwrap();
+        assert_eq!(
+            Value::field(obj, "layout"),
+            Some(&Value::Str(dir.to_string()))
+        );
+        // The keys of an applied sweep, in order; a dry run stops at `applied`.
+        assert!(body.ends_with(
+            r#"],"reclaimable_bytes":6,"applied":true,"removed":1,"reclaimed_bytes":6}"#
+        ));
+        assert_eq!(
+            gc_json("p.oci", &[], 0, false, None),
+            r#"{"layout":"p.oci","unreachable":[],"reclaimable_bytes":0,"applied":false}"#
+        );
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! GET  /buildd/jobs[?tenant=T]         list job statuses
 //! GET  /buildd/jobs/<id>               one job status
 //! POST /buildd/jobs/<id>/cancel        cancel (idempotent)
-//! GET  /buildd/jobs/<id>/report        the job's observe report (JSON,
-//!                                      404 until the job is done)
+//! GET  /buildd/jobs/<id>/report        the job's metrics document
+//!                                      ([`crate::metrics`]; 404 until the
+//!                                      job is done)
 //! GET  /buildd/jobs/<id>/log?offset=N  log suffix from byte N + done flag
-//! GET  /buildd/stats                   service-level observe report
+//! GET  /buildd/stats                   service-level metrics document
 //! ```
 //!
 //! [`BuilddClient`] rides [`DistClient`]'s transport — the same bounded
@@ -37,6 +38,7 @@
 //! Jobs with no targets skip the gate — it is strictly opt-in.
 
 use crate::http::{serve_http, HttpAction, HttpHandler, HttpOptions, HttpServer};
+use crate::metrics::{decode_report, report_response};
 use crate::wire::{Request, Response};
 use crate::DistClient;
 use crate::DistError;
@@ -47,11 +49,6 @@ use std::io;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Serialize a hand-built [`Value`] tree to compact JSON.
-fn to_json_text(v: &Value) -> String {
-    serde_json::to_string(v).expect("literal value serializes")
-}
 
 /// A job submission as it travels over the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,7 +94,7 @@ impl JobRequest {
             ("priority".into(), Value::Int(self.priority as i64)),
             ("targets".into(), Value::Array(targets)),
         ]);
-        to_json_text(&v)
+        serde_json::to_string(&v).expect("a Value tree serializes")
     }
 
     fn from_json(body: &[u8]) -> Result<JobRequest, String> {
@@ -264,7 +261,7 @@ fn json_response(status: u16, v: &Value) -> HttpAction {
     HttpAction::Respond(
         Response::new(status)
             .with_header("Content-Type", "application/json")
-            .with_body(to_json_text(v)),
+            .with_body(serde_json::to_string(v).expect("a Value tree serializes")),
     )
 }
 
@@ -272,14 +269,6 @@ fn json_error(status: u16, detail: impl Into<String>) -> HttpAction {
     json_response(
         status,
         &Value::Object(vec![("error".into(), Value::Str(detail.into()))]),
-    )
-}
-
-fn report_response(report: &Report) -> HttpAction {
-    HttpAction::Respond(
-        Response::new(200)
-            .with_header("Content-Type", "application/json")
-            .with_body(report.to_json()),
     )
 }
 
@@ -598,26 +587,24 @@ impl BuilddClient {
         JobStatusWire::from_value(&v)
     }
 
+    /// GET one metrics document ([`crate::metrics`]); `Ok(None)` on a 404.
+    fn metrics(&self, op: &'static str, path: &str) -> Result<Option<Report>, DistError> {
+        self.http.retrying(op, || {
+            let (status, _, body) = self.http.raw_exchange("GET", path, &[], None)?;
+            match status {
+                200 => decode_report(&body)
+                    .map(Some)
+                    .map_err(|e| DistError::protocol(format!("{op}: {e}"))),
+                404 => Ok(None),
+                s => Err(DistError::status(op, s, &body)),
+            }
+        })
+    }
+
     /// The engine report for a completed job — `Ok(None)` while the job
     /// has not produced one yet.
     pub fn report(&self, id: u64) -> Result<Option<Report>, DistError> {
-        self.http.retrying("job report", || {
-            let (status, _, body) =
-                self.http
-                    .raw_exchange("GET", &format!("/buildd/jobs/{id}/report"), &[], None)?;
-            match status {
-                200 => {
-                    let text = std::str::from_utf8(&body).map_err(|e| {
-                        DistError::protocol(format!("report body not UTF-8: {e}"))
-                    })?;
-                    Report::from_json(text)
-                        .map(Some)
-                        .map_err(|e| DistError::protocol(format!("bad report JSON: {e}")))
-                }
-                404 => Ok(None),
-                s => Err(DistError::status("job report", s, &body)),
-            }
-        })
+        self.metrics("job report", &format!("/buildd/jobs/{id}/report"))
     }
 
     /// Fetch the log suffix starting at byte `offset`. Returns the chunk,
@@ -687,16 +674,8 @@ impl BuilddClient {
 
     /// The daemon's service-level stats report.
     pub fn stats(&self) -> Result<Report, DistError> {
-        self.http.retrying("buildd stats", || {
-            let (status, _, body) = self.http.raw_exchange("GET", "/buildd/stats", &[], None)?;
-            if status != 200 {
-                return Err(DistError::status("buildd stats", status, &body));
-            }
-            let text = std::str::from_utf8(&body)
-                .map_err(|e| DistError::protocol(format!("stats body not UTF-8: {e}")))?;
-            Report::from_json(text)
-                .map_err(|e| DistError::protocol(format!("bad stats JSON: {e}")))
-        })
+        self.metrics("buildd stats", "/buildd/stats")?
+            .ok_or_else(|| DistError::status("buildd stats", 404, b""))
     }
 }
 

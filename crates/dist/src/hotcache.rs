@@ -22,18 +22,13 @@
 use bytes::Bytes;
 use comt_digest::Digest;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use comt_oci::RegistryError;
 
-/// Counter snapshot for stats endpoints and tests.
+/// What the cache holds now; its events are the `dist.cache.*` counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-    pub rejected: u64,
     pub entries: u64,
     pub bytes: u64,
     pub budget: u64,
@@ -100,10 +95,6 @@ pub struct HotBlobCache {
     budget: u64,
     lru: Mutex<Lru>,
     inflight: Mutex<HashMap<Digest, Arc<Flight>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    rejected: AtomicU64,
 }
 
 impl std::fmt::Debug for HotBlobCache {
@@ -125,10 +116,6 @@ impl HotBlobCache {
             budget,
             lru: Mutex::new(Lru::default()),
             inflight: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
         }
     }
 
@@ -149,7 +136,6 @@ impl HotBlobCache {
     pub fn get(&self, d: &Digest) -> Option<Bytes> {
         let found = self.lru.lock().unwrap_or_else(|e| e.into_inner()).touch(d);
         if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
             comt_observe::global().count("dist.cache.hits", 1);
         }
         found
@@ -168,7 +154,6 @@ impl HotBlobCache {
         if let Some(b) = self.get(d) {
             return Ok(b);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         comt_observe::global().count("dist.cache.misses", 1);
         loop {
             // Join an existing flight or become the leader.
@@ -214,7 +199,6 @@ impl HotBlobCache {
             // Leader: run the loader outside every lock.
             let result = loader().and_then(|data| {
                 if Digest::of(&data) != *d {
-                    self.rejected.fetch_add(1, Ordering::Relaxed);
                     comt_observe::global().count("dist.cache.rejected", 1);
                     Err(RegistryError::DigestMismatch(d.to_string()))
                 } else {
@@ -228,7 +212,6 @@ impl HotBlobCache {
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
                         .insert(*d, data.clone(), self.budget);
-                    self.evictions.fetch_add(evicted, Ordering::Relaxed);
                     if evicted > 0 {
                         comt_observe::global().count("dist.cache.evictions", evicted);
                     }
@@ -255,10 +238,6 @@ impl HotBlobCache {
     pub fn stats(&self) -> CacheStats {
         let lru = self.lru.lock().unwrap_or_else(|e| e.into_inner());
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
             entries: lru.map.len() as u64,
             bytes: lru.bytes,
             budget: self.budget,
@@ -269,7 +248,7 @@ impl HotBlobCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn blob(seed: u8, len: usize) -> (Digest, Bytes) {
         let data: Vec<u8> = (0..len).map(|i| seed.wrapping_add((i % 251) as u8)).collect();
@@ -294,7 +273,6 @@ mod tests {
             .unwrap();
         let stats = cache.stats();
         assert_eq!(stats.entries, 4);
-        assert_eq!(stats.evictions, 1);
         assert!(cache.get(&blobs[1].0).is_none(), "LRU victim survived");
         for i in [0usize, 2, 3, 4] {
             assert!(cache.get(&blobs[i].0).is_some(), "blob {i} evicted wrongly");
@@ -325,9 +303,7 @@ mod tests {
             .get_or_load(&d, || Ok(Bytes::from_static(b"bitrot")))
             .unwrap_err();
         assert!(matches!(err, RegistryError::DigestMismatch(_)));
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 0, "poisoned bytes cached");
-        assert_eq!(stats.rejected, 1);
+        assert_eq!(cache.stats().entries, 0, "poisoned bytes cached");
         assert!(cache.get(&d).is_none());
     }
 
@@ -359,10 +335,7 @@ mod tests {
             }
         });
         assert_eq!(loads.load(Ordering::SeqCst), 1, "loader ran more than once");
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 1);
-        // Every thread either hit the cache or joined the single flight.
-        assert!(stats.hits + stats.misses >= 16);
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]

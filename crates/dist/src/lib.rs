@@ -18,6 +18,7 @@
 //! PUT  /v2/<name>/manifests/<reference>       tag after closure verification
 //! GET  /v2/<name>/chunkmaps/<layer-digest>    chunk manifest for a layer (404 → full pull)
 //! PUT  /v2/<name>/chunkmaps/<layer-digest>    publish chunk manifest, validated vs stored layer
+//! GET  /v2/_comt/stats                        the daemon's metrics document ([`metrics`])
 //! ```
 //!
 //! Uploads never become visible until the body's digest matches its
@@ -31,6 +32,7 @@ pub mod client;
 pub mod eventloop;
 pub mod hotcache;
 pub mod http;
+pub mod metrics;
 pub mod poller;
 pub mod server;
 pub mod wire;
@@ -41,6 +43,7 @@ pub use hotcache::{CacheStats, HotBlobCache};
 pub use http::{
     serve_http, BodySource, HttpAction, HttpHandler, HttpOptions, HttpServer, STREAM_CHUNK,
 };
+pub use metrics::{decode_report, encode_report};
 pub use server::{serve, Chaos, DistServer, ServerOptions};
 
 /// Manifest media type advertised on the wire.

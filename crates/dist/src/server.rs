@@ -33,6 +33,7 @@
 
 use crate::hotcache::HotBlobCache;
 use crate::http::{serve_http, BodySource, HttpAction, HttpHandler, HttpOptions, HttpServer};
+use crate::metrics::report_response;
 use crate::wire::{self, Request, Response};
 use crate::{tag_key, MEDIA_TYPE_MANIFEST};
 use comt_digest::Digest;
@@ -404,50 +405,27 @@ fn blob_get<R: RegistryBackend>(
     HttpAction::RespondBody(resp, source)
 }
 
-/// `GET /v2/_comt/stats` — live serve-path counters as JSON (cache
-/// hit/miss/eviction totals, resident bytes, stream-verified digests,
-/// chunkmap traffic, this process's delta-pull savings and the SHA-256
-/// kernel it verifies with).
+/// `GET /v2/_comt/stats` — the metrics document ([`crate::metrics`]): the
+/// global recorder's counters, spans and values, plus what this daemon
+/// holds right now. The state gauges are set in the snapshot only, never
+/// counted into the recorder.
 fn stats_response<R: RegistryBackend>(state: &RegistryHandler<R>) -> HttpAction {
-    let s = state.cache.stats();
+    let mut report = comt_observe::global().report();
+    let cache = state.cache.stats();
     let verified = state
         .verified
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .len();
-    let obs = comt_observe::global();
-    let body = format!(
-        concat!(
-            "{{\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},",
-            "\"rejected\":{},\"entries\":{},\"bytes\":{},\"budget\":{}}},",
-            "\"stream_verified\":{},",
-            "\"chunkmaps\":{{\"hits\":{},\"misses\":{},\"published\":{}}},",
-            "\"delta\":{{\"chunks_hit\":{},\"chunks_fetched\":{},",
-            "\"bytes_saved\":{},\"bytes_fetched\":{}}},",
-            "\"digest\":{{\"backend\":\"{}\"}}}}"
-        ),
-        s.hits,
-        s.misses,
-        s.evictions,
-        s.rejected,
-        s.entries,
-        s.bytes,
-        s.budget,
-        verified,
-        obs.counter("dist.server.chunkmap_hits"),
-        obs.counter("dist.server.chunkmap_misses"),
-        obs.counter("dist.server.chunkmaps_published"),
-        obs.counter("dist.client.chunks_hit"),
-        obs.counter("dist.client.chunks_fetched"),
-        obs.counter("dist.client.delta_bytes_saved"),
-        obs.counter("dist.client.delta_bytes_fetched"),
-        comt_digest::backend(),
-    );
-    HttpAction::Respond(
-        Response::new(200)
-            .with_header("Content-Type", "application/json")
-            .with_body(body),
-    )
+    for (name, gauge) in [
+        ("dist.cache.entries", cache.entries),
+        ("dist.cache.bytes", cache.bytes),
+        ("dist.cache.budget", cache.budget),
+        ("dist.server.stream_verified", verified as u64),
+    ] {
+        report.counters.insert(name.into(), gauge);
+    }
+    report_response(&report)
 }
 
 fn blob_put<R: RegistryBackend>(

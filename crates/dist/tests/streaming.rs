@@ -59,6 +59,13 @@ fn http_get(
     (status, headers, body)
 }
 
+/// The daemon's metrics document, read the one way everything reads it.
+fn stats(addr: std::net::SocketAddr) -> comt_observe::Report {
+    let (status, _, body) = http_get(addr, "/v2/_comt/stats", None);
+    assert_eq!(status, 200);
+    comt_dist::decode_report(&body).unwrap()
+}
+
 #[test]
 fn range_get_reads_only_the_requested_window_from_disk() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -160,26 +167,19 @@ fn concurrent_hot_gets_cost_one_disk_read() {
         "16 concurrent GETs read the blob from disk more than once"
     );
 
-    // The counters surface on the wire too.
-    let (status, _, stats) = http_get(addr, "/v2/_comt/stats", None);
-    assert_eq!(status, 200);
-    let stats = String::from_utf8(stats).unwrap();
-    let field = |name: &str| -> u64 {
-        let key = format!("\"{name}\":");
-        let at = stats.find(&key).unwrap_or_else(|| panic!("{name} in {stats}")) + key.len();
-        stats[at..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect::<String>()
-            .parse()
-            .unwrap()
-    };
-    // Each GET either hit the cache or (counted as a miss) joined the one
-    // flight; the split between the two is a scheduling accident.
-    assert!(field("misses") >= 1, "{stats}");
-    assert!(field("hits") + field("misses") >= 16, "{stats}");
-    assert!(field("entries") >= 1, "{stats}");
-    assert!(field("bytes") >= layer_bytes.len() as u64, "{stats}");
+    // The counters surface on the wire too. Each GET either hit the cache
+    // or (counted as a miss) joined the one flight; the split between the
+    // two is a scheduling accident.
+    let stats = stats(addr);
+    let hits = stats.counter("dist.cache.hits");
+    let misses = stats.counter("dist.cache.misses");
+    assert!(misses >= 1, "{stats}");
+    assert!(hits + misses >= 16, "{stats}");
+    assert!(stats.counter("dist.cache.entries") >= 1, "{stats}");
+    assert!(
+        stats.counter("dist.cache.bytes") >= layer_bytes.len() as u64,
+        "{stats}"
+    );
 
     drop(server.shutdown());
     std::fs::remove_dir_all(&dir).unwrap();
@@ -235,16 +235,12 @@ fn cache_eviction_and_poison_rejection_visible_in_stats() {
         http_get(addr, &format!("/v2/x/blobs/{}", poisoned.to_oci_string()), None);
     assert_eq!(status, 500);
 
-    let (_, _, stats) = http_get(addr, "/v2/_comt/stats", None);
-    let stats = String::from_utf8(stats).unwrap();
-    assert!(stats.contains("\"rejected\":1"), "{stats}");
-    assert!(stats.contains("\"entries\":3"), "{stats}");
-    // Observe mirrors the same events.
-    let obs = comt_observe::global();
-    assert!(obs.counter("dist.cache.hits") >= 3, "hits not mirrored");
-    assert_eq!(obs.counter("dist.cache.misses"), 4); // 3 blobs + poisoned
-    assert_eq!(obs.counter("dist.cache.rejected"), 1);
-    assert_eq!(obs.counter("dist.server.verify_failures"), 1);
+    let stats = stats(addr);
+    assert_eq!(stats.counter("dist.cache.rejected"), 1, "{stats}");
+    assert_eq!(stats.counter("dist.cache.entries"), 3, "{stats}");
+    assert!(stats.counter("dist.cache.hits") >= 3, "{stats}");
+    assert_eq!(stats.counter("dist.cache.misses"), 4, "{stats}"); // 3 blobs + poisoned
+    assert_eq!(stats.counter("dist.server.verify_failures"), 1, "{stats}");
 
     drop(server);
 }

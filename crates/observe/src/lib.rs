@@ -3,13 +3,15 @@
 //! The rebuild engine, the step scheduler and the performance simulator all
 //! want to answer the same questions — how long did each stage take, how
 //! many steps ran, how many cache probes hit — without dragging a tracing
-//! framework into a hermetic workspace. [`Recorder`] collects two kinds of
-//! events:
+//! framework into a hermetic workspace. [`Recorder`] collects three kinds
+//! of events:
 //!
 //! * **counters** — monotonically increasing named tallies
 //!   ([`Recorder::count`]), e.g. `cache.hit` or `sched.steps`;
 //! * **spans** — named wall-clock intervals ([`Recorder::span`]) recorded
-//!   on guard drop, aggregated per name (total time + activations).
+//!   on guard drop, aggregated per name (total time + activations);
+//! * **values** — sampled distributions ([`Recorder::record_value`]),
+//!   e.g. request latencies.
 //!
 //! A [`Report`] snapshot renders everything as a stable, alphabetically
 //! sorted human-readable table (see [`Report::render`]) which the `comt`
@@ -18,6 +20,11 @@
 //! share one by reference; internally events land in per-thread *shards*
 //! (selected by thread id, merged at snapshot time), so hot counters bumped
 //! from many workers don't serialize on one mutex.
+//!
+//! The crate has no dependencies because it owns no wire format: a
+//! `Report` crosses a process boundary as the `comt.metrics.v1` document
+//! `comt_dist::metrics` writes and reads through the workspace's one JSON
+//! path (`docs/METRICS.md`), so recording here costs a crate `std` alone.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -285,280 +292,6 @@ impl Report {
     pub fn render(&self) -> String {
         self.to_string()
     }
-
-    /// Serialize to a stable JSON document so a report can cross a process
-    /// or wire boundary (buildd streams per-job reports back to remote
-    /// submitters). Span totals travel as integer nanoseconds; value
-    /// distributions travel with their retained samples so quantiles
-    /// survive the round trip.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json_string(&mut out, k);
-            out.push(':');
-            out.push_str(&v.to_string());
-        }
-        out.push_str("},\"spans\":{");
-        for (i, (k, s)) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json_string(&mut out, k);
-            out.push_str(&format!(
-                ":{{\"count\":{},\"total_ns\":{}}}",
-                s.count,
-                s.total.as_nanos().min(u128::from(u64::MAX)) as u64
-            ));
-        }
-        out.push_str("},\"values\":{");
-        for (i, (k, v)) in self.values.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json_string(&mut out, k);
-            out.push_str(&format!(":{{\"count\":{},\"samples\":[", v.count));
-            for (j, s) in v.samples.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&s.to_string());
-            }
-            out.push_str("]}");
-        }
-        out.push_str("}}");
-        out
-    }
-
-    /// Parse a document produced by [`Report::to_json`]. The parser accepts
-    /// exactly that shape (three string-keyed maps of integers / fixed
-    /// objects) and rejects anything else — it is a wire decoder, not a
-    /// general JSON library, which keeps this crate dependency-free.
-    pub fn from_json(text: &str) -> Result<Report, String> {
-        let mut p = JsonCursor::new(text);
-        let mut report = Report::default();
-        p.expect('{')?;
-        let mut first_section = true;
-        loop {
-            if p.peek() == Some('}') {
-                p.next_ch();
-                break;
-            }
-            if !first_section {
-                p.expect(',')?;
-            }
-            first_section = false;
-            let section = p.string()?;
-            if !matches!(section.as_str(), "counters" | "spans" | "values") {
-                return Err(format!("unexpected report section {section:?}"));
-            }
-            p.expect(':')?;
-            p.expect('{')?;
-            let mut first = true;
-            loop {
-                if p.peek() == Some('}') {
-                    p.next_ch();
-                    break;
-                }
-                if !first {
-                    p.expect(',')?;
-                }
-                first = false;
-                let name = p.string()?;
-                p.expect(':')?;
-                match section.as_str() {
-                    "counters" => {
-                        report.counters.insert(name, p.integer()?);
-                    }
-                    "spans" => {
-                        let fields = p.flat_object()?;
-                        report.spans.insert(
-                            name,
-                            SpanStats {
-                                count: take_field(&fields, "count")?,
-                                total: Duration::from_nanos(take_field(&fields, "total_ns")?),
-                            },
-                        );
-                    }
-                    "values" => {
-                        p.expect('{')?;
-                        let mut count = 0u64;
-                        let mut samples = Vec::new();
-                        let mut first_field = true;
-                        loop {
-                            if p.peek() == Some('}') {
-                                p.next_ch();
-                                break;
-                            }
-                            if !first_field {
-                                p.expect(',')?;
-                            }
-                            first_field = false;
-                            let field = p.string()?;
-                            p.expect(':')?;
-                            match field.as_str() {
-                                "count" => count = p.integer()?,
-                                "samples" => samples = p.int_array()?,
-                                other => return Err(format!("unexpected value field {other:?}")),
-                            }
-                        }
-                        report.values.insert(name, ValueStats { count, samples });
-                    }
-                    _ => unreachable!("section validated above"),
-                }
-            }
-        }
-        p.end()?;
-        Ok(report)
-    }
-}
-
-fn take_field(fields: &[(String, u64)], name: &str) -> Result<u64, String> {
-    fields
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| *v)
-        .ok_or_else(|| format!("missing field {name:?}"))
-}
-
-/// Append `s` to `out` as a JSON string literal.
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Minimal cursor over the [`Report::to_json`] wire shape.
-struct JsonCursor<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-}
-
-impl<'a> JsonCursor<'a> {
-    fn new(text: &'a str) -> Self {
-        JsonCursor {
-            chars: text.chars().peekable(),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.chars.peek(), Some(' ' | '\t' | '\n' | '\r')) {
-            self.chars.next();
-        }
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.chars.peek().copied()
-    }
-
-    fn next_ch(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.chars.next()
-    }
-
-    fn expect(&mut self, want: char) -> Result<(), String> {
-        match self.next_ch() {
-            Some(c) if c == want => Ok(()),
-            got => Err(format!("expected {want:?}, found {got:?}")),
-        }
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        match self.peek() {
-            None => Ok(()),
-            Some(c) => Err(format!("trailing input at {c:?}")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.chars.next() {
-                None => return Err("unterminated string".into()),
-                Some('"') => return Ok(out),
-                Some('\\') => match self.chars.next() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.chars.next().ok_or("truncated \\u escape")?;
-                            code = code * 16 + d.to_digit(16).ok_or("bad \\u escape")?;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(c) => out.push(c),
-            }
-        }
-    }
-
-    fn integer(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let mut digits = String::new();
-        while matches!(self.chars.peek(), Some(c) if c.is_ascii_digit()) {
-            digits.push(self.chars.next().unwrap());
-        }
-        if digits.is_empty() {
-            return Err("expected integer".into());
-        }
-        digits.parse().map_err(|e| format!("bad integer: {e}"))
-    }
-
-    /// An object whose values are all plain integers.
-    fn flat_object(&mut self) -> Result<Vec<(String, u64)>, String> {
-        self.expect('{')?;
-        let mut out = Vec::new();
-        let mut first = true;
-        loop {
-            if self.peek() == Some('}') {
-                self.next_ch();
-                return Ok(out);
-            }
-            if !first {
-                self.expect(',')?;
-            }
-            first = false;
-            let key = self.string()?;
-            self.expect(':')?;
-            out.push((key, self.integer()?));
-        }
-    }
-
-    fn int_array(&mut self) -> Result<Vec<u64>, String> {
-        self.expect('[')?;
-        let mut out = Vec::new();
-        let mut first = true;
-        loop {
-            if self.peek() == Some(']') {
-                self.next_ch();
-                return Ok(out);
-            }
-            if !first {
-                self.expect(',')?;
-            }
-            first = false;
-            out.push(self.integer()?);
-        }
-    }
 }
 
 impl fmt::Display for Report {
@@ -751,34 +484,6 @@ mod tests {
         let v = rep.value("lat");
         assert_eq!(v.count, 2);
         assert_eq!(v.samples, vec![10, 30]);
-    }
-
-    #[test]
-    fn report_json_round_trips() {
-        let r = Recorder::new();
-        r.count("cache.hit", 7);
-        r.count("weird \"name\"\n", 1);
-        r.record_span("stage.replay", Duration::from_nanos(1_234_567));
-        r.record_value("job.latency_us", 10);
-        r.record_value("job.latency_us", 30);
-        let rep = r.report();
-        let json = rep.to_json();
-        let back = Report::from_json(&json).unwrap();
-        assert_eq!(back, rep);
-        // Rendering the decoded report matches the original byte-for-byte,
-        // which is exactly what a remote `--stats` consumer relies on.
-        assert_eq!(back.render(), rep.render());
-    }
-
-    #[test]
-    fn report_json_empty_and_malformed() {
-        let empty = Report::default();
-        let back = Report::from_json(&empty.to_json()).unwrap();
-        assert!(back.is_empty());
-        assert!(Report::from_json("").is_err());
-        assert!(Report::from_json("{\"counters\":{").is_err());
-        assert!(Report::from_json("{\"bogus\":{}}").is_err());
-        assert!(Report::from_json("{\"counters\":{}} trailing").is_err());
     }
 
     #[test]
