@@ -32,9 +32,7 @@ pub enum ExecError {
     NoRepository,
     /// A dependency spec failed to parse.
     BadDependency(String, comt_pkg::DepError),
-    /// Package resolution failed.
-    Resolve(comt_pkg::ResolveError),
-    /// Package installation failed.
+    /// Package resolution or installation failed.
     Install(comt_pkg::InstallError),
     /// A toolchain command failed.
     Compile(comt_toolchain::CompileError),
@@ -49,7 +47,6 @@ impl fmt::Display for ExecError {
             ExecError::UnknownProgram(p) => write!(f, "unknown program {p:?}"),
             ExecError::NoRepository => write!(f, "apt-get: no repository configured"),
             ExecError::BadDependency(spec, e) => write!(f, "bad dependency {spec:?}: {e}"),
-            ExecError::Resolve(e) => write!(f, "{e}"),
             ExecError::Install(e) => write!(f, "{e}"),
             ExecError::Compile(e) => write!(f, "{e}"),
             ExecError::Fs(e) => write!(f, "{e}"),
@@ -61,7 +58,6 @@ impl std::error::Error for ExecError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ExecError::BadDependency(_, e) => Some(e),
-            ExecError::Resolve(e) => Some(e),
             ExecError::Install(e) => Some(e),
             ExecError::Compile(e) => Some(e),
             _ => None,
@@ -168,18 +164,7 @@ impl Executor {
                     .map_err(|e| ExecError::BadDependency((*s).to_string(), e))
             })
             .collect::<Result<_, _>>()?;
-        let closure = comt_pkg::resolve_install(repo, &deps).map_err(ExecError::Resolve)?;
-        let installed: std::collections::BTreeSet<String> =
-            comt_pkg::installed_packages(&container.fs)
-                .map_err(ExecError::Install)?
-                .into_iter()
-                .map(|r| r.package)
-                .collect();
-        let fresh: Vec<comt_pkg::Package> = closure
-            .into_iter()
-            .filter(|p| !installed.contains(&p.name))
-            .collect();
-        comt_pkg::install_packages(&mut container.fs, &fresh).map_err(ExecError::Install)?;
+        comt_pkg::install_missing(&mut container.fs, repo, &deps).map_err(ExecError::Install)?;
         Ok((Vec::new(), Vec::new()))
     }
 }
@@ -283,10 +268,11 @@ mod tests {
         executor
             .run(&mut c, &argv("apt-get install -y libopenblas0"), &mut trace)
             .unwrap();
-        let names: Vec<String> = comt_pkg::installed_packages(&c.fs)
+        let names: Vec<String> = comt_pkg::detect(&c.fs)
+            .installed(&c.fs)
             .unwrap()
             .into_iter()
-            .map(|r| r.package)
+            .map(|r| r.name)
             .collect();
         assert!(names.contains(&"libopenblas0".to_string()), "{names:?}");
     }

@@ -44,33 +44,6 @@ fn is_env_setup(argv: &[String]) -> bool {
     )
 }
 
-/// File → owning-package index, dispatching on the image's package
-/// manager (dpkg or RPM).
-pub fn package_owner_index(fs: &Vfs) -> Result<Vec<(String, String)>, ComtError> {
-    if comt_pkg::is_rpm_image(fs) {
-        comt_pkg::rpm_owner_index(fs).map_err(|e| ComtError::cache(e.to_string()).with_phase(Phase::Frontend))
-    } else {
-        comt_pkg::owner_index(fs).map_err(|e| ComtError::cache(e.to_string()).with_phase(Phase::Frontend))
-    }
-}
-
-/// Installed `(name, version)` pairs, dispatching on the package manager.
-pub fn installed_names(fs: &Vfs) -> Result<Vec<(String, String)>, ComtError> {
-    if comt_pkg::is_rpm_image(fs) {
-        Ok(comt_pkg::rpm_installed_packages(fs)
-            .map_err(|e| ComtError::cache(e.to_string()).with_phase(Phase::Frontend))?
-            .into_iter()
-            .map(|r| (r.name, r.evr))
-            .collect())
-    } else {
-        Ok(comt_pkg::installed_packages(fs)
-            .map_err(|e| ComtError::cache(e.to_string()).with_phase(Phase::Frontend))?
-            .into_iter()
-            .map(|r| (r.package, r.version.to_string()))
-            .collect())
-    }
-}
-
 /// Run the front-end analysis with the default (source) cache mode.
 pub fn analyze(inputs: &AnalysisInputs<'_>) -> Result<Analysis, ComtError> {
     analyze_mode(inputs, crate::models::CacheMode::Source)
@@ -114,30 +87,41 @@ pub fn analyze_mode(
     }
 
     // 3. Package-manager introspection of the dist image and the base
-    //    image. Debian images use the dpkg database; RPM-based images
-    //    (the §4.6 extension) use /var/lib/rpm.
-    let owner: BTreeMap<String, String> = package_owner_index(inputs.dist_fs)?
+    //    image, each through whichever database (dpkg, or rpm — the §4.6
+    //    extension) its rootfs carries.
+    let db_err = |e: comt_pkg::InstallError| ComtError::cache(e.to_string()).with_phase(Phase::Frontend);
+    let dist_db = comt_pkg::detect(inputs.dist_fs);
+    let owner: BTreeMap<String, String> = dist_db
+        .owner_index(inputs.dist_fs)
+        .map_err(db_err)?
         .into_iter()
         .collect();
-    let base_packages: BTreeSet<String> = installed_names(inputs.base_fs)?
+    let base_packages: BTreeSet<String> = comt_pkg::detect(inputs.base_fs)
+        .installed(inputs.base_fs)
+        .map_err(db_err)?
         .into_iter()
-        .map(|(name, _)| name)
+        .map(|rec| rec.name)
         .collect();
 
     let mut image =
         ImageModel::classify(inputs.dist_fs, inputs.base_fs, &owner, &base_packages, &build_outputs);
 
     // 4. Runtime dependencies: packages in the dist image beyond the base.
-    image.runtime_deps = installed_names(inputs.dist_fs)?
+    image.runtime_deps = dist_db
+        .installed(inputs.dist_fs)
+        .map_err(db_err)?
         .into_iter()
-        .filter(|(name, _)| !base_packages.contains(name))
+        .filter(|rec| !base_packages.contains(&rec.name))
+        .map(|rec| (rec.name, rec.version))
         .collect();
 
     // 5. Collect cache sources: the leaves of the sub-graph that rebuilds
     //    the dist image's build files, excluding files the build
     //    environment's packages own (the system side provides its own
     //    toolchain headers/libraries).
-    let build_env_owner: BTreeSet<String> = package_owner_index(inputs.build_fs)?
+    let build_env_owner: BTreeSet<String> = comt_pkg::detect(inputs.build_fs)
+        .owner_index(inputs.build_fs)
+        .map_err(db_err)?
         .into_iter()
         .map(|(path, _)| path)
         .collect();
@@ -362,7 +346,8 @@ mod tests {
         // The §4.6 extension: an RPM-based dist image gets the same
         // five-way classification through the rpm database.
         let (build_fs, trace, mut dist_fs, base_fs) = fixture();
-        comt_pkg::rpm_install_packages(
+        use comt_pkg::PackageDb;
+        comt_pkg::Rpm.install(
             &mut dist_fs,
             &[comt_pkg::Package::new("openblas", "0.3.26-2.el9", "amd64").with_file(
                 comt_pkg::PackageFile::new(
@@ -389,6 +374,17 @@ mod tests {
             analysis.models.image.runtime_deps,
             vec![("openblas".to_string(), "0.3.26-2.el9".to_string())]
         );
+        // The rpm database is the redirect container's to regenerate:
+        // carrying the generic image's copy would shadow its installs.
+        assert_eq!(
+            analysis.models.image.files["/var/lib/rpm/Packages"],
+            FileOrigin::BaseImage
+        );
+        assert!(!analysis
+            .models
+            .image
+            .carried_files()
+            .contains(&"/var/lib/rpm/Packages"));
     }
 
     #[test]

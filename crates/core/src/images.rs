@@ -31,18 +31,7 @@ fn install_set(fs: &mut Vfs, repo: &comt_pkg::Repository, names: &[&str]) -> Res
         .iter()
         .map(|n| n.parse().map_err(|e| ComtError::pkg(format!("{n}: {e}"))))
         .collect::<Result<_, _>>()?;
-    let closure =
-        comt_pkg::resolve_install(repo, &deps).map_err(|e| ComtError::pkg(e.to_string()))?;
-    let installed: std::collections::BTreeSet<String> = comt_pkg::installed_packages(fs)
-        .map_err(|e| ComtError::pkg(e.to_string()))?
-        .into_iter()
-        .map(|r| r.package)
-        .collect();
-    let fresh: Vec<comt_pkg::Package> = closure
-        .into_iter()
-        .filter(|p| !installed.contains(&p.name))
-        .collect();
-    comt_pkg::install_packages(fs, &fresh).map_err(|e| ComtError::pkg(e.to_string()))
+    comt_pkg::install_missing(fs, repo, &deps).map_err(|e| ComtError::pkg(e.to_string()))
 }
 
 fn write_tool(fs: &mut Vfs, path: &str, seed: &str) -> Result<(), ComtError> {
@@ -66,10 +55,24 @@ pub fn base_rootfs(isa: &str, scale: f64) -> Result<Vfs, ComtError> {
 }
 
 /// The dev stack on top of a base rootfs (distro toolchain + make/cmake).
-fn add_dev_stack(fs: &mut Vfs, isa: &str, scale: f64) -> Result<(), ComtError> {
+pub(crate) fn add_dev_stack(fs: &mut Vfs, isa: &str, scale: f64) -> Result<(), ComtError> {
     let repo = catalog::generic_repo_scaled(isa, scale);
     let names = catalog::dev_package_names();
     install_set(fs, &repo, &names)
+}
+
+/// The system's stack ships vendor builds of the perf-relevant base
+/// libraries (libc/libm, libstdc++, …): replace the distro ones with them.
+pub(crate) fn add_vendor_libraries(
+    fs: &mut Vfs,
+    system_repo: &comt_pkg::Repository,
+) -> Result<(), ComtError> {
+    let upgrades: Vec<comt_pkg::Package> = comt_pkg::perf_upgrades(fs, system_repo)
+        .map_err(|e| ComtError::pkg(e.to_string()))?
+        .into_iter()
+        .map(|(_, latest)| latest.clone())
+        .collect();
+    comt_pkg::install_packages(fs, &upgrades).map_err(|e| ComtError::pkg(e.to_string()))
 }
 
 /// Vendor + LLVM toolchain binaries for the Sysenv image. These are not
@@ -133,20 +136,7 @@ impl StockImages {
         let mut sysenv_fs = base_fs.clone();
         add_dev_stack(&mut sysenv_fs, isa, scale)?;
         add_system_toolchains(&mut sysenv_fs, isa)?;
-        // The system's stack ships vendor builds of the perf-relevant base
-        // libraries (libc/libm, libstdc++, …).
-        let system_repo = catalog::system_repo_scaled(isa, scale);
-        let upgrades: Vec<comt_pkg::Package> = comt_pkg::installed_packages(&sysenv_fs)
-            .map_err(|e| ComtError::pkg(e.to_string()))?
-            .into_iter()
-            .filter_map(|rec| {
-                let latest = system_repo.latest(&rec.package)?;
-                let relevant = latest.perf.domain != comt_pkg::LibDomain::None;
-                (relevant && latest.version > rec.version).then(|| latest.clone())
-            })
-            .collect();
-        comt_pkg::install_packages(&mut sysenv_fs, &upgrades)
-            .map_err(|e| ComtError::pkg(e.to_string()))?;
+        add_vendor_libraries(&mut sysenv_fs, &catalog::system_repo_scaled(isa, scale))?;
         add_toolset(&mut sysenv_fs)?;
         let sysenv = ImageBuilder::from_base(store, &base)
             .map_err(|e| ComtError::oci(e.to_string()))?

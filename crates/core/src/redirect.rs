@@ -6,6 +6,7 @@
 //! container's final state is committed as the optimized image" (§4.5).
 
 use crate::cache::{load_cache, load_rebuild};
+use crate::images::add_vendor_libraries;
 use crate::models::FileOrigin;
 use crate::workflow::SystemSide;
 use crate::{ComtError, Phase};
@@ -57,18 +58,8 @@ pub fn redirect(
                 .map_err(|e| ComtError::pkg(format!("{spec}: {e}")).with_phase(Phase::Redirect))
         })
         .collect::<Result<_, _>>()?;
-    let closure =
-        comt_pkg::resolve_install(&side.repo, &deps).map_err(|e| ComtError::pkg(e.to_string()).with_phase(Phase::Redirect))?;
-    let installed: std::collections::BTreeSet<String> = comt_pkg::installed_packages(&fs)
-        .map_err(|e| ComtError::pkg(e.to_string()).with_phase(Phase::Redirect))?
-        .into_iter()
-        .map(|r| r.package)
-        .collect();
-    let fresh: Vec<comt_pkg::Package> = closure
-        .into_iter()
-        .filter(|p| !installed.contains(&p.name))
-        .collect();
-    comt_pkg::install_packages(&mut fs, &fresh).map_err(|e| ComtError::pkg(e.to_string()).with_phase(Phase::Redirect))?;
+    let pkg_err = |e: comt_pkg::InstallError| ComtError::pkg(e.to_string()).with_phase(Phase::Redirect);
+    comt_pkg::install_missing(&mut fs, &side.repo, &deps).map_err(pkg_err)?;
 
     // Library replacement for the base stack (`libo`): upgrade any
     // performance-relevant package (libc, libstdc++, …) for which the
@@ -77,33 +68,22 @@ pub fn redirect(
     // replace one of the cache's own runtime dependencies is a hard error
     // (§4.6: IR caching forfeits `libo`) — proceeding would link the
     // stale cached IR against an ABI it was never built for.
-    let dep_names: std::collections::BTreeSet<&str> = cache
-        .models
-        .image
-        .runtime_deps
-        .iter()
-        .map(|(name, _)| name.as_str())
-        .collect();
-    let mut coupled: Vec<String> = Vec::new();
-    let mut upgrades: Vec<comt_pkg::Package> = Vec::new();
-    for rec in comt_pkg::installed_packages(&fs)
-        .map_err(|e| ComtError::pkg(e.to_string()).with_phase(Phase::Redirect))?
-    {
-        let Some(latest) = side.repo.latest(&rec.package) else {
-            continue;
-        };
-        let relevant = latest.perf.domain != comt_pkg::LibDomain::None;
-        if relevant && latest.version > rec.version {
-            if ir_mode && dep_names.contains(rec.package.as_str()) {
-                coupled.push(format!(
-                    "{} (pinned {}, system offers {})",
-                    rec.package, rec.version, latest.version
-                ));
-            }
-            upgrades.push(latest.clone());
-        }
-    }
     if ir_mode {
+        let dep_names: std::collections::BTreeSet<&str> = cache
+            .models
+            .image
+            .runtime_deps
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .collect();
+        let coupled: Vec<String> = comt_pkg::perf_upgrades(&fs, &side.repo)
+            .map_err(pkg_err)?
+            .iter()
+            .filter(|(rec, _)| dep_names.contains(rec.name.as_str()))
+            .map(|(rec, latest)| {
+                format!("{} (pinned {}, system offers {})", rec.name, rec.version, latest.version)
+            })
+            .collect();
         if let Some(first) = coupled.first() {
             let name = first.split(' ').next().unwrap_or(first).to_string();
             return Err(ComtError::ir_coupled(format!(
@@ -117,8 +97,7 @@ pub fn redirect(
         }
         // No perf-relevant replacement implied: the pinned install stands.
     } else {
-        comt_pkg::install_packages(&mut fs, &upgrades)
-            .map_err(|e| ComtError::pkg(e.to_string()).with_phase(Phase::Redirect))?;
+        add_vendor_libraries(&mut fs, &side.repo).map_err(|e| e.with_phase(Phase::Redirect))?;
     }
 
     // 2. Place rebuilt artifacts at their original image paths.
@@ -185,6 +164,11 @@ mod tests {
 
     /// Full fixture: dist image with data + binary, extended + rebuilt.
     fn fixture() -> (OciDir, SystemSide) {
+        let oci = rebuilt_layout(&[("libopenblas0", "0.3.26+ds-1"), ("mpich", "4.2.0-5build1")]);
+        (oci, SystemSide::native("x86_64", catalog::MINI_SCALE).unwrap())
+    }
+
+    fn rebuilt_layout(runtime_deps: &[(&str, &str)]) -> OciDir {
         let mut store = BlobStore::new();
         let mut dist_fs = Vfs::new();
         dist_fs
@@ -209,10 +193,10 @@ mod tests {
         image
             .files
             .insert("/app/input.dat".into(), crate::FileOrigin::Data);
-        image.runtime_deps = vec![
-            ("libopenblas0".into(), "0.3.26+ds-1".into()),
-            ("mpich".into(), "4.2.0-5build1".into()),
-        ];
+        image.runtime_deps = runtime_deps
+            .iter()
+            .map(|(name, version)| (name.to_string(), version.to_string()))
+            .collect();
         let models = ProcessModels {
             image,
             graph: BuildGraph::new(),
@@ -231,9 +215,7 @@ mod tests {
         let mut artifacts = BTreeMap::new();
         artifacts.insert("/app/run".to_string(), Bytes::from_static(b"REBUILT-BIN"));
         write_rebuild(&mut oci, "app.dist+coM", &artifacts).unwrap();
-
-        let side = SystemSide::native("x86_64", catalog::MINI_SCALE).unwrap();
-        (oci, side)
+        oci
     }
 
     #[test]
@@ -250,11 +232,11 @@ mod tests {
         // Data carried verbatim.
         assert_eq!(fs.read_string("/app/input.dat").unwrap(), "1 2 3");
         // Runtime deps installed as vendor versions.
-        let recs = comt_pkg::installed_packages(&fs).unwrap();
-        let blas = recs.iter().find(|r| r.package == "libopenblas0").unwrap();
-        assert!(blas.version.to_string().contains("vendor"));
-        let mpi = recs.iter().find(|r| r.package == "mpich").unwrap();
-        assert!(mpi.version.to_string().contains("vendor"));
+        let recs = comt_pkg::detect(&fs).installed(&fs).unwrap();
+        let blas = recs.iter().find(|r| r.name == "libopenblas0").unwrap();
+        assert!(blas.version.contains("vendor"));
+        let mpi = recs.iter().find(|r| r.name == "mpich").unwrap();
+        assert!(mpi.version.contains("vendor"));
         // Runtime config preserved.
         assert_eq!(image.config.config.entrypoint, vec!["/app/run".to_string()]);
         assert!(image
@@ -275,5 +257,86 @@ mod tests {
         // explicit +coMre path; assert on the +coMre behaviour instead.
         let opt = redirect(&mut oci, "app.dist+coMre", &side).unwrap();
         assert!(oci.index.find_ref(&opt).is_some());
+    }
+
+    /// Redirect on a system side whose Rebase rootfs `db` populated. The
+    /// site's repository offers, for the three perf libraries installed:
+    /// a newer release (`openblas`), the same release with other bytes
+    /// (`fftw`), and `1.0+` over `1.0a` (`libm`) — newer to Debian, older to
+    /// rpm (`rpm::tests::rpmvercmp_differs_from_debian`). Returns the
+    /// optimized rootfs and its layer digest.
+    fn redirect_on(db: &dyn comt_pkg::PackageDb) -> (Vfs, String) {
+        use comt_pkg::{LibDomain, Package, PackageFile, PerfTraits};
+        let lib = |name: &str, version: &str, domain, content: &'static [u8]| {
+            Package::new(name, version, "amd64")
+                .with_perf(PerfTraits { domain, quality: 1.5, native_interconnect: false })
+                .with_file(PackageFile::new(format!("/usr/lib64/{name}.so"), content, 0o644))
+        };
+        let mut rebase_fs = Vfs::new();
+        db.install(
+            &mut rebase_fs,
+            &[
+                lib("openblas", "0.3.26-2.el9", LibDomain::Blas, b"BLAS-2"),
+                lib("fftw", "3.3.10-1.el9", LibDomain::Fft, b"FFTW-INSTALLED"),
+                lib("libm", "1.0a-1", LibDomain::StdC, b"LIBM-A"),
+            ],
+        )
+        .unwrap();
+        let mut repo = comt_pkg::Repository::new("el9-vendor");
+        repo.add(lib("openblas", "0.3.26-3.el9", LibDomain::Blas, b"BLAS-3"));
+        repo.add(lib("fftw", "3.3.10-1.el9", LibDomain::Fft, b"FFTW-REPO"));
+        repo.add(lib("libm", "1.0+-1", LibDomain::StdC, b"LIBM-PLUS"));
+        repo.add(lib("hdf5", "1.14.3-1.el9", LibDomain::None, b"HDF5"));
+        let side = SystemSide {
+            isa: "x86_64".into(),
+            repo,
+            toolchain: comt_toolchain::Toolchain::vendor_for("x86_64"),
+            adapters: vec![],
+            sysenv_fs: Vfs::new(),
+            rebase_fs,
+        };
+
+        // `openblas` is installed already (dropped from the install set and
+        // left to the upgrade scan); `hdf5` is new.
+        let mut oci = rebuilt_layout(&[("openblas", "0.3.26-1.el9"), ("hdf5", "1.14.3-1.el9")]);
+        let opt_ref = redirect(&mut oci, "app.dist+coMre", &side).unwrap();
+        let image = oci.load_image(&opt_ref).unwrap();
+        let fs = comt_oci::flatten(&oci.blobs, &image).unwrap();
+
+        let recs = db.installed(&fs).unwrap();
+        let version_of = |name: &str| -> Vec<&str> {
+            recs.iter().filter(|r| r.name == name).map(|r| r.version.as_str()).collect()
+        };
+        assert_eq!(version_of("openblas"), ["0.3.26-3.el9"], "upgraded, recorded once");
+        assert_eq!(fs.read_string("/usr/lib64/openblas.so").unwrap(), "BLAS-3");
+        assert_eq!(version_of("hdf5"), ["1.14.3-1.el9"]);
+        assert_eq!(version_of("fftw"), ["3.3.10-1.el9"]);
+        assert_eq!(
+            fs.read_string("/usr/lib64/fftw.so").unwrap(),
+            "FFTW-INSTALLED",
+            "an equal-version candidate is not reinstalled"
+        );
+        (fs, image.manifest.layers[0].digest.to_string())
+    }
+
+    #[test]
+    fn redirect_on_rpm_system_side_writes_only_the_rpm_database() {
+        let (fs, _) = redirect_on(&comt_pkg::Rpm);
+        assert!(!fs.exists("/var/lib/dpkg/status"), "no dpkg database in an rpm image");
+        let packages = fs.read_string("/var/lib/rpm/Packages").unwrap();
+        assert_eq!(packages.matches("Name        : openblas\n").count(), 1);
+        assert_eq!(packages.matches("Release     : 3.el9\n").count(), 1);
+        // rpm_evr_cmp ranks 1.0+ below 1.0a: not an upgrade here.
+        assert_eq!(fs.read_string("/usr/lib64/libm.so").unwrap(), "LIBM-A");
+    }
+
+    #[test]
+    fn redirect_on_dpkg_system_side_is_byte_stable() {
+        let (fs, layer) = redirect_on(&comt_pkg::Dpkg);
+        assert!(!fs.exists("/var/lib/rpm/Packages"));
+        // cmp_versions ranks 1.0+ above 1.0a: the same candidate is one.
+        assert_eq!(fs.read_string("/usr/lib64/libm.so").unwrap(), "LIBM-PLUS");
+        // The layer the parent commit (997be61) writes for this body.
+        assert_eq!(layer, "sha256:08db35de201e1258ea82a1dfbb800d9298c5c093febf58c2ac752e566d6c5eae");
     }
 }

@@ -15,7 +15,7 @@
 use crate::backend::{rebuild as backend_rebuild, RebuildOptions};
 use crate::cache::write_cache;
 use crate::frontend::AnalysisInputs;
-use crate::images::base_rootfs;
+use crate::images::{add_dev_stack, add_vendor_libraries, base_rootfs};
 use crate::{ComtError, Phase, SystemAdapter};
 use comt_buildsys::{BuildTrace, Container};
 use comt_oci::layout::OciDir;
@@ -46,45 +46,10 @@ impl SystemSide {
         let mut sysenv_fs = base_rootfs(isa, scale)?;
         // Sysenv = base + dev stack + system toolchains (same recipe as
         // the stock image, rebuilt here directly as a rootfs).
-        let repo = catalog::generic_repo_scaled(isa, scale);
-        let dev: Vec<comt_pkg::Dependency> = catalog::dev_package_names()
-            .iter()
-            .map(|n| {
-                n.parse().map_err(|e| {
-                    ComtError::pkg(format!("invalid dev dependency spec {n:?}: {e}"))
-                        .with_phase(Phase::Materialize)
-                        .with_source(e)
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let pkgs = comt_pkg::resolve_install(&repo, &dev)
-            .map_err(|e| ComtError::pkg(e.to_string()).with_phase(Phase::Materialize))?;
-        let installed: std::collections::BTreeSet<String> =
-            comt_pkg::installed_packages(&sysenv_fs)
-                .map_err(|e| ComtError::pkg(e.to_string()).with_phase(Phase::Materialize))?
-                .into_iter()
-                .map(|r| r.package)
-                .collect();
-        let fresh: Vec<comt_pkg::Package> = pkgs
-            .into_iter()
-            .filter(|p| !installed.contains(&p.name))
-            .collect();
-        comt_pkg::install_packages(&mut sysenv_fs, &fresh)
-            .map_err(|e| ComtError::pkg(e.to_string()).with_phase(Phase::Materialize))?;
-        // The system's own stack carries the vendor builds of the
-        // performance-relevant libraries (libc/libm, libstdc++, …).
-        let system_repo = catalog::system_repo_scaled(isa, scale);
-        let upgrades: Vec<comt_pkg::Package> = comt_pkg::installed_packages(&sysenv_fs)
-            .map_err(|e| ComtError::pkg(e.to_string()).with_phase(Phase::Materialize))?
-            .into_iter()
-            .filter_map(|rec| {
-                let latest = system_repo.latest(&rec.package)?;
-                let relevant = latest.perf.domain != comt_pkg::LibDomain::None;
-                (relevant && latest.version > rec.version).then(|| latest.clone())
-            })
-            .collect();
-        comt_pkg::install_packages(&mut sysenv_fs, &upgrades)
-            .map_err(|e| ComtError::pkg(e.to_string()).with_phase(Phase::Materialize))?;
+        let materialize = |e: ComtError| e.with_phase(Phase::Materialize);
+        add_dev_stack(&mut sysenv_fs, isa, scale).map_err(materialize)?;
+        let repo = catalog::system_repo_scaled(isa, scale);
+        add_vendor_libraries(&mut sysenv_fs, &repo).map_err(materialize)?;
 
         let vendor = Toolchain::vendor_for(isa);
         for name in vendor
@@ -112,7 +77,7 @@ impl SystemSide {
         let rebase_fs = base_rootfs(isa, scale)?;
         Ok(SystemSide {
             isa: isa.to_string(),
-            repo: catalog::system_repo_scaled(isa, scale),
+            repo,
             toolchain: vendor,
             adapters: vec![Box::new(crate::NativeToolchainAdapter)],
             sysenv_fs,

@@ -3,9 +3,10 @@
 //! coMtainer's `libo` optimization replaces generic libraries with the
 //! system's optimized stack. The performance effect is determined by which
 //! packages an image actually contains, so this module extracts a
-//! [`LibEnv`] from an image filesystem: it parses the dpkg status database
-//! and resolves each installed `(name, version)` back to the catalog
-//! package carrying its [`comt_pkg::PerfTraits`].
+//! [`LibEnv`] from an image filesystem: it reads the image's package
+//! database (dpkg or rpm, whichever [`comt_pkg::detect`] finds) and
+//! resolves each installed `(name, version)` back to the catalog package
+//! carrying its [`comt_pkg::PerfTraits`].
 
 use comt_pkg::{LibDomain, Repository};
 use comt_vfs::Vfs;
@@ -85,20 +86,21 @@ impl LibEnv {
 }
 
 /// Extract the library environment from an image's filesystem by resolving
-/// its dpkg records against the given repositories (checked in order; the
+/// its package-database records against the given repositories (checked in order; the
 /// first repository knowing the exact `(name, version)` wins).
 pub fn lib_env_from_image(fs: &Vfs, repos: &[&Repository]) -> LibEnv {
     let mut env = LibEnv::generic();
-    let records = match comt_pkg::installed_packages(fs) {
+    let db = comt_pkg::detect(fs);
+    let records = match db.installed(fs) {
         Ok(r) => r,
         Err(_) => return env,
     };
     for rec in records {
         for repo in repos {
             if let Some(pkg) = repo
-                .versions(&rec.package)
+                .versions(&rec.name)
                 .iter()
-                .find(|p| p.version == rec.version)
+                .find(|p| db.version_cmp(&p.version.to_string(), &rec.version).is_eq())
             {
                 env.set(pkg.perf.domain, pkg.perf.quality);
                 if pkg.perf.domain == LibDomain::Mpi && pkg.perf.native_interconnect {
@@ -117,10 +119,12 @@ mod tests {
     use comt_pkg::catalog;
 
     fn image_with(repo: &Repository, names: &[&str]) -> Vfs {
+        install_into(Vfs::new(), repo, names)
+    }
+
+    fn install_into(mut fs: Vfs, repo: &Repository, names: &[&str]) -> Vfs {
         let deps: Vec<comt_pkg::Dependency> = names.iter().map(|n| n.parse().unwrap()).collect();
-        let pkgs = comt_pkg::resolve_install(repo, &deps).unwrap();
-        let mut fs = Vfs::new();
-        comt_pkg::install_packages(&mut fs, &pkgs).unwrap();
+        comt_pkg::install_missing(&mut fs, repo, &deps).unwrap();
         fs
     }
 
@@ -163,6 +167,21 @@ mod tests {
         let repo = catalog::generic_repo("x86_64");
         let env = lib_env_from_image(&Vfs::new(), &[&repo]);
         assert_eq!(env, LibEnv::generic());
+    }
+
+    #[test]
+    fn rpm_vendor_image_carries_quality() {
+        use comt_pkg::PackageDb;
+        let repo = catalog::system_repo("x86_64");
+        // An empty rpm database is what makes the rootfs an rpm image.
+        let mut fs = Vfs::new();
+        comt_pkg::Rpm.install(&mut fs, &[]).unwrap();
+        let fs = install_into(fs, &repo, &["libopenblas0", "mpich", "libc6"]);
+        assert_eq!(comt_pkg::detect(&fs).kind(), "rpm");
+        let env = lib_env_from_image(&fs, &[&repo]);
+        assert!(env.quality(LibDomain::Blas) > 1.5);
+        assert!(env.quality(LibDomain::StdC) > 1.2);
+        assert!(env.mpi_native);
     }
 
     #[test]

@@ -138,7 +138,11 @@ fn parse_simple(s: &str) -> Result<SimpleDep, DepError> {
             if name.is_empty() {
                 return Err(DepError::Empty);
             }
-            let close = s.rfind(')').ok_or_else(|| DepError::UnbalancedParens(s.into()))?;
+            // `a)(`: the last `)` may precede the first `(`.
+            let close = s
+                .rfind(')')
+                .filter(|&close| close > open)
+                .ok_or_else(|| DepError::UnbalancedParens(s.into()))?;
             let inner = s[open + 1..close].trim();
             let (op, rest) = if let Some(r) = inner.strip_prefix(">=") {
                 (ConstraintOp::Ge, r)

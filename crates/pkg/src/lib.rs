@@ -1,27 +1,32 @@
-//! dpkg/apt-style package management simulation.
+//! Package management simulation: one database interface, two managers.
 //!
 //! coMtainer "relies on the package manager of the base image to analyze the
 //! application software stack" (paper §4.6): the image model learns which
-//! files belong to which package from the dpkg database inside the image,
-//! and the system side substitutes generic packages with optimized
+//! files belong to which package from the package database inside the
+//! image, and the system side substitutes generic packages with optimized
 //! equivalents from the target system's repositories. This crate reproduces
 //! the data model those steps need:
 //!
-//! * [`version`] — the Debian version-ordering algorithm (epoch, `~`, digit
-//!   runs), required for candidate selection,
+//! * [`PackageDb`] — what every caller talks to: `installed`,
+//!   `owner_index`, `install`, `version_cmp`, `is_metadata`. [`detect`]
+//!   picks the implementation once per rootfs; [`install_missing`] and
+//!   [`perf_upgrades`] are the two sequences callers share, written once,
+//! * [`status`] — [`Dpkg`]: the `/var/lib/dpkg/status` +
+//!   `info/<pkg>.list` database, ordered by [`version`] — the Debian
+//!   version-ordering algorithm (epoch, `~`, digit runs),
+//! * [`rpm`] — [`Rpm`]: the `/var/lib/rpm/Packages` database, ordered by
+//!   `rpmvercmp` (§4.6: "equally applicable to other package managers"),
 //! * [`dep`] — dependency expressions (`libfoo (>= 1.2), libbar | libbaz`),
 //! * [`Package`] / [`Repository`] — package metadata, file payloads and the
 //!   per-system repositories (generic distro, x86-64 vendor, AArch64 vendor),
-//! * [`resolver`] — install-closure resolution with virtual packages,
-//! * [`status`] — the `/var/lib/dpkg/status` + `info/<pkg>.list` database:
-//!   installing packages into a [`comt_vfs::Vfs`] and parsing the database
-//!   back out of an image.
+//! * [`resolver`] — install-closure resolution with virtual packages.
 //!
 //! Optimized packages carry a [`PerfTraits`] record (library domain and a
 //! quality factor) consumed by the performance model when a rebuilt image
 //! links against them.
 
 pub mod catalog;
+pub mod db;
 pub mod dep;
 pub mod package;
 pub mod repo;
@@ -30,12 +35,13 @@ pub mod rpm;
 pub mod status;
 pub mod version;
 
+pub use db::{detect, install_missing, install_packages, perf_upgrades, InstallError, Installed, PackageDb};
 pub use dep::{DepError, Dependency, DependencyList, VersionConstraint};
 pub use package::{LibDomain, Package, PackageFile, PerfTraits};
 pub use repo::Repository;
 pub use resolver::{resolve_install, ResolveError};
-pub use status::{installed_packages, install_packages, owner_index, InstallError, StatusRecord};
-pub use rpm::{is_rpm_image, rpm_evr_cmp, rpm_installed_packages, rpm_install_packages, rpm_owner_index, rpmvercmp, RpmRecord};
+pub use rpm::{rpm_evr_cmp, rpmvercmp, Rpm};
+pub use status::Dpkg;
 pub use version::{cmp_versions, Version};
 
 #[cfg(test)]
@@ -54,11 +60,13 @@ mod tests {
         install_packages(&mut fs, &names).unwrap();
 
         // The dpkg database can be read back from the filesystem.
-        let installed = installed_packages(&fs).unwrap();
-        assert!(installed.iter().any(|r| r.package == "gcc-13"));
+        let db = detect(&fs);
+        assert_eq!(db.kind(), "dpkg");
+        let installed = db.installed(&fs).unwrap();
+        assert!(installed.iter().any(|r| r.name == "gcc-13"));
 
         // And the owner index maps files back to packages.
-        let owners = owner_index(&fs).unwrap();
+        let owners = db.owner_index(&fs).unwrap();
         let (_path, owner) = owners
             .iter()
             .find(|(p, _)| p.contains("gcc-13"))

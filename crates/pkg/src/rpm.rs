@@ -10,25 +10,27 @@
 //!   differs from Debian's in several observable ways,
 //! * the RPM database at `/var/lib/rpm/Packages` (a simplified textual
 //!   rendering of the header store) with per-package file lists,
-//! * install/introspection entry points mirroring the dpkg ones, so the
-//!   image model can classify files in RPM-based images.
+//! * [`Rpm`], the [`PackageDb`] over both, so everything that works on a
+//!   Debian image (classification, install, vendor upgrade, the perf
+//!   model) works on an RPM-based one.
 
+use crate::db::{InstallError, Installed, PackageDb};
 use crate::package::Package;
-use crate::status::InstallError;
 use bytes::Bytes;
 use comt_vfs::Vfs;
 use std::cmp::Ordering;
 
-const RPMDB_PATH: &str = "/var/lib/rpm/Packages";
+pub(crate) const DB_PATH: &str = "/var/lib/rpm/Packages";
 
-/// One installed-package record parsed back from the RPM database.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RpmRecord {
-    pub name: String,
-    /// `[epoch:]version-release`.
-    pub evr: String,
-    pub arch: String,
-    pub files: Vec<String>,
+/// The rpm [`PackageDb`].
+pub struct Rpm;
+
+/// One record parsed back from the RPM database.
+struct RpmRecord {
+    name: String,
+    /// `[epoch:]version[-release]`.
+    evr: String,
+    files: Vec<String>,
 }
 
 // ---- rpmvercmp -----------------------------------------------------------
@@ -159,14 +161,9 @@ fn record_text(pkg: &Package) -> String {
     let mut s = String::new();
     s.push_str(&format!("Name        : {}\n", pkg.name));
     s.push_str(&format!("Version     : {}\n", pkg.version.upstream));
-    s.push_str(&format!(
-        "Release     : {}\n",
-        if pkg.version.revision.is_empty() {
-            "0"
-        } else {
-            &pkg.version.revision
-        }
-    ));
+    if !pkg.version.revision.is_empty() {
+        s.push_str(&format!("Release     : {}\n", pkg.version.revision));
+    }
     if pkg.version.epoch != 0 {
         s.push_str(&format!("Epoch       : {}\n", pkg.version.epoch));
     }
@@ -190,46 +187,9 @@ fn rpm_arch(dpkg_arch: &str) -> &str {
     }
 }
 
-/// Install packages into an RPM-based image filesystem: payload files plus
-/// the `/var/lib/rpm/Packages` database. Reinstalling replaces the record
-/// (rpm upgrade semantics), like the dpkg path.
-pub fn rpm_install_packages(fs: &mut Vfs, packages: &[Package]) -> Result<(), InstallError> {
-    let mut db = fs.read_string(RPMDB_PATH).unwrap_or_default();
-    let names: std::collections::BTreeSet<&str> =
-        packages.iter().map(|p| p.name.as_str()).collect();
-    if !db.is_empty() {
-        let kept: Vec<&str> = db
-            .split("\n\n")
-            .filter(|rec| {
-                let name = rec
-                    .lines()
-                    .find_map(|l| l.strip_prefix("Name        :"))
-                    .map(str::trim);
-                !matches!(name, Some(n) if names.contains(n))
-            })
-            .filter(|r| !r.trim().is_empty())
-            .collect();
-        db = kept.join("\n\n");
-        if !db.is_empty() && !db.ends_with('\n') {
-            db.push('\n');
-        }
-    }
-    for pkg in packages {
-        for f in &pkg.files {
-            fs.write_file_p(&f.path, f.content.clone(), f.mode)?;
-        }
-        if !db.is_empty() && !db.ends_with("\n\n") {
-            db.push('\n');
-        }
-        db.push_str(&record_text(pkg));
-    }
-    fs.write_file_p(RPMDB_PATH, Bytes::from(db.into_bytes()), 0o644)?;
-    Ok(())
-}
-
-/// Parse the installed-package records from an RPM-based image.
-pub fn rpm_installed_packages(fs: &Vfs) -> Result<Vec<RpmRecord>, InstallError> {
-    let raw = match fs.read_string(RPMDB_PATH) {
+/// Parse the database; an image without one has no records.
+fn records(fs: &Vfs) -> Result<Vec<RpmRecord>, InstallError> {
+    let raw = match fs.read_string(DB_PATH) {
         Ok(r) => r,
         Err(_) => return Ok(Vec::new()),
     };
@@ -245,14 +205,13 @@ pub fn rpm_installed_packages(fs: &Vfs) -> Result<Vec<RpmRecord>, InstallError> 
         };
         let name = field("Name        ")
             .ok_or_else(|| InstallError::CorruptStatus(format!("missing Name in {rec:?}")))?;
-        let version = field("Version     ").unwrap_or_default();
-        let release = field("Release     ").unwrap_or_default();
-        let epoch = field("Epoch       ");
-        let arch = field("Architecture").unwrap_or_default();
-        let evr = match epoch {
-            Some(e) => format!("{e}:{version}-{release}"),
-            None => format!("{version}-{release}"),
-        };
+        let mut evr = field("Version     ").unwrap_or_default();
+        if let Some(release) = field("Release     ") {
+            evr = format!("{evr}-{release}");
+        }
+        if let Some(epoch) = field("Epoch       ") {
+            evr = format!("{epoch}:{evr}");
+        }
         let mut files = Vec::new();
         let mut in_files = false;
         for line in rec.lines() {
@@ -268,31 +227,76 @@ pub fn rpm_installed_packages(fs: &Vfs) -> Result<Vec<RpmRecord>, InstallError> 
                 }
             }
         }
-        out.push(RpmRecord {
-            name,
-            evr,
-            arch,
-            files,
-        });
+        out.push(RpmRecord { name, evr, files });
     }
     Ok(out)
 }
 
-/// File → owning-package index for an RPM-based image (mirror of the dpkg
-/// [`crate::owner_index`]).
-pub fn rpm_owner_index(fs: &Vfs) -> Result<Vec<(String, String)>, InstallError> {
-    let mut out = Vec::new();
-    for rec in rpm_installed_packages(fs)? {
-        for f in rec.files {
-            out.push((f, rec.name.clone()));
+impl PackageDb for Rpm {
+    fn kind(&self) -> &'static str {
+        "rpm"
+    }
+
+    /// Write payload files and the `/var/lib/rpm/Packages` records
+    /// (replacing those of packages already present).
+    fn install(&self, fs: &mut Vfs, packages: &[Package]) -> Result<(), InstallError> {
+        let mut db = fs.read_string(DB_PATH).unwrap_or_default();
+        let names: std::collections::BTreeSet<&str> =
+            packages.iter().map(|p| p.name.as_str()).collect();
+        if !db.is_empty() {
+            let kept: Vec<&str> = db
+                .split("\n\n")
+                .filter(|rec| {
+                    let name = rec
+                        .lines()
+                        .find_map(|l| l.strip_prefix("Name        :"))
+                        .map(str::trim);
+                    !matches!(name, Some(n) if names.contains(n))
+                })
+                .filter(|r| !r.trim().is_empty())
+                .collect();
+            db = kept.join("\n\n");
+            if !db.is_empty() && !db.ends_with('\n') {
+                db.push('\n');
+            }
         }
+        for pkg in packages {
+            for f in &pkg.files {
+                fs.write_file_p(&f.path, f.content.clone(), f.mode)?;
+            }
+            if !db.is_empty() && !db.ends_with("\n\n") {
+                db.push('\n');
+            }
+            db.push_str(&record_text(pkg));
+        }
+        fs.write_file_p(DB_PATH, Bytes::from(db.into_bytes()), 0o644)?;
+        Ok(())
     }
-    Ok(out)
-}
 
-/// Whether an image filesystem uses RPM (vs dpkg).
-pub fn is_rpm_image(fs: &Vfs) -> bool {
-    fs.exists(RPMDB_PATH)
+    fn installed(&self, fs: &Vfs) -> Result<Vec<Installed>, InstallError> {
+        Ok(records(fs)?
+            .into_iter()
+            .map(|r| Installed { name: r.name, version: r.evr })
+            .collect())
+    }
+
+    fn owner_index(&self, fs: &Vfs) -> Result<Vec<(String, String)>, InstallError> {
+        let mut out = Vec::new();
+        for rec in records(fs)? {
+            for f in rec.files {
+                out.push((f, rec.name.clone()));
+            }
+        }
+        Ok(out)
+    }
+
+    fn version_cmp(&self, a: &str, b: &str) -> Ordering {
+        rpm_evr_cmp(a, b)
+    }
+
+    fn is_metadata(&self, path: &str) -> bool {
+        path.starts_with("/var/lib/rpm/") || path.starts_with("/var/lib/dnf/")
+    }
 }
 
 #[cfg(test)]
@@ -375,49 +379,34 @@ mod tests {
             ))
     }
 
+    // What both databases promise (round trips, ownership, no database,
+    // hostile bytes) is `tests/conformance.rs`; these are the rpm format.
+
     #[test]
     fn rpmdb_roundtrip() {
         let mut fs = Vfs::new();
-        rpm_install_packages(&mut fs, &[sample_pkg()]).unwrap();
-        assert!(is_rpm_image(&fs));
+        Rpm.install(&mut fs, &[sample_pkg()]).unwrap();
+        assert_eq!(crate::detect(&fs).kind(), "rpm");
         assert!(fs.exists("/usr/lib64/libopenblas.so.0"));
-        let recs = rpm_installed_packages(&fs).unwrap();
+        let recs = records(&fs).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].name, "openblas");
         assert_eq!(recs[0].evr, "0.3.26-2.el9");
-        assert_eq!(recs[0].arch, "x86_64");
+        assert!(fs.read_string(DB_PATH).unwrap().contains("Architecture: x86_64\n"));
         assert_eq!(recs[0].files, vec!["/usr/lib64/libopenblas.so.0"]);
     }
 
     #[test]
     fn rpm_reinstall_replaces() {
         let mut fs = Vfs::new();
-        rpm_install_packages(&mut fs, &[sample_pkg()]).unwrap();
+        Rpm.install(&mut fs, &[sample_pkg()]).unwrap();
         let upgraded = Package::new("openblas", "0.3.27-1.el9", "amd64").with_file(
             PackageFile::new("/usr/lib64/libopenblas.so.0", Bytes::from_static(b"NEW"), 0o644),
         );
-        rpm_install_packages(&mut fs, &[upgraded]).unwrap();
-        let recs = rpm_installed_packages(&fs).unwrap();
+        Rpm.install(&mut fs, &[upgraded]).unwrap();
+        let recs = records(&fs).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].evr, "0.3.27-1.el9");
         assert_eq!(fs.read_string("/usr/lib64/libopenblas.so.0").unwrap(), "NEW");
-    }
-
-    #[test]
-    fn rpm_owner_index_maps() {
-        let mut fs = Vfs::new();
-        rpm_install_packages(&mut fs, &[sample_pkg()]).unwrap();
-        let idx = rpm_owner_index(&fs).unwrap();
-        assert_eq!(
-            idx,
-            vec![("/usr/lib64/libopenblas.so.0".to_string(), "openblas".to_string())]
-        );
-    }
-
-    #[test]
-    fn non_rpm_image_is_empty() {
-        let fs = Vfs::new();
-        assert!(!is_rpm_image(&fs));
-        assert!(rpm_installed_packages(&fs).unwrap().is_empty());
     }
 }

@@ -7,60 +7,20 @@
 //! model"). We therefore implement both directions: installing packages
 //! writes the database into the [`Vfs`], and analysis parses it back.
 
+use crate::db::{InstallError, Installed, PackageDb};
 use crate::dep;
 use crate::package::Package;
-use crate::version::Version;
+use crate::version::{cmp_versions, Version};
 use bytes::Bytes;
-use comt_vfs::{Vfs, VfsError};
+use comt_vfs::Vfs;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::fmt;
 
 const STATUS_PATH: &str = "/var/lib/dpkg/status";
 const INFO_DIR: &str = "/var/lib/dpkg/info";
 
-/// One paragraph of the status file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StatusRecord {
-    pub package: String,
-    pub version: Version,
-    pub architecture: String,
-    pub depends: String,
-    pub provides: String,
-    pub description: String,
-    pub essential: bool,
-}
-
-impl StatusRecord {
-    /// Parse the `Depends:` field into structured form.
-    pub fn depends_list(&self) -> Result<dep::DependencyList, dep::DepError> {
-        dep::parse_list(&self.depends)
-    }
-}
-
-/// Installation failure.
-#[derive(Debug)]
-pub enum InstallError {
-    Fs(VfsError),
-    /// The status database in an image is malformed.
-    CorruptStatus(String),
-}
-
-impl fmt::Display for InstallError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InstallError::Fs(e) => write!(f, "filesystem error: {e}"),
-            InstallError::CorruptStatus(e) => write!(f, "corrupt dpkg status: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for InstallError {}
-
-impl From<VfsError> for InstallError {
-    fn from(e: VfsError) -> Self {
-        InstallError::Fs(e)
-    }
-}
+/// The dpkg/apt [`PackageDb`].
+pub struct Dpkg;
 
 fn status_paragraph(pkg: &Package) -> String {
     let mut s = String::new();
@@ -83,105 +43,108 @@ fn status_paragraph(pkg: &Package) -> String {
     s
 }
 
-/// Install packages into a filesystem: write payload files, the `.list`
-/// file-ownership records, and append to the status database. Installing a
-/// package already present *replaces* its record and payload (dpkg upgrade
-/// semantics) — this is how the redirect step swaps generic base libraries
-/// for vendor builds.
-pub fn install_packages(fs: &mut Vfs, packages: &[Package]) -> Result<(), InstallError> {
-    fs.mkdir_p(INFO_DIR)?;
-    let mut status = fs.read_string(STATUS_PATH).unwrap_or_default();
-    // Drop records for packages being (re)installed.
-    let names: std::collections::BTreeSet<&str> =
-        packages.iter().map(|p| p.name.as_str()).collect();
-    if !status.is_empty() {
-        let kept: Vec<&str> = status
-            .split("\n\n")
-            .filter(|para| {
-                let name = para
-                    .lines()
-                    .find_map(|l| l.strip_prefix("Package:"))
-                    .map(str::trim);
-                !matches!(name, Some(n) if names.contains(n))
-            })
-            .filter(|p| !p.trim().is_empty())
-            .collect();
-        status = kept.join("\n\n");
-        if !status.is_empty() && !status.ends_with('\n') {
-            status.push('\n');
-        }
+impl PackageDb for Dpkg {
+    fn kind(&self) -> &'static str {
+        "dpkg"
     }
 
-    for pkg in packages {
-        let mut list = String::new();
-        for f in &pkg.files {
-            fs.write_file_p(&f.path, f.content.clone(), f.mode)?;
-            list.push_str(&f.path);
-            list.push('\n');
-        }
-        fs.write_file_p(
-            &format!("{INFO_DIR}/{}.list", pkg.name),
-            Bytes::from(list.into_bytes()),
-            0o644,
-        )?;
-        if !status.is_empty() && !status.ends_with("\n\n") {
-            status.push('\n');
-        }
-        status.push_str(&status_paragraph(pkg));
-    }
-
-    fs.write_file_p(STATUS_PATH, Bytes::from(status.into_bytes()), 0o644)?;
-    Ok(())
-}
-
-/// Parse the installed-package records from an image filesystem.
-pub fn installed_packages(fs: &Vfs) -> Result<Vec<StatusRecord>, InstallError> {
-    let raw = match fs.read_string(STATUS_PATH) {
-        Ok(r) => r,
-        Err(_) => return Ok(Vec::new()), // no dpkg database: not a Debian-ish image
-    };
-    let mut out = Vec::new();
-    for para in raw.split("\n\n").filter(|p| !p.trim().is_empty()) {
-        let mut fields: BTreeMap<&str, &str> = BTreeMap::new();
-        for line in para.lines() {
-            if let Some((k, v)) = line.split_once(':') {
-                fields.insert(k.trim(), v.trim());
+    /// Write payload files, the `.list` file-ownership records, and the
+    /// status paragraphs (replacing those of packages already present).
+    fn install(&self, fs: &mut Vfs, packages: &[Package]) -> Result<(), InstallError> {
+        fs.mkdir_p(INFO_DIR)?;
+        let mut status = fs.read_string(STATUS_PATH).unwrap_or_default();
+        // Drop records for packages being (re)installed.
+        let names: std::collections::BTreeSet<&str> =
+            packages.iter().map(|p| p.name.as_str()).collect();
+        if !status.is_empty() {
+            let kept: Vec<&str> = status
+                .split("\n\n")
+                .filter(|para| {
+                    let name = para
+                        .lines()
+                        .find_map(|l| l.strip_prefix("Package:"))
+                        .map(str::trim);
+                    !matches!(name, Some(n) if names.contains(n))
+                })
+                .filter(|p| !p.trim().is_empty())
+                .collect();
+            status = kept.join("\n\n");
+            if !status.is_empty() && !status.ends_with('\n') {
+                status.push('\n');
             }
         }
-        let package = fields
-            .get("Package")
-            .ok_or_else(|| InstallError::CorruptStatus(format!("missing Package in: {para:?}")))?
-            .to_string();
-        let version = fields
-            .get("Version")
-            .ok_or_else(|| InstallError::CorruptStatus(format!("missing Version for {package}")))?;
-        out.push(StatusRecord {
-            package,
-            version: Version::new(version),
-            architecture: fields.get("Architecture").unwrap_or(&"").to_string(),
-            depends: fields.get("Depends").unwrap_or(&"").to_string(),
-            provides: fields.get("Provides").unwrap_or(&"").to_string(),
-            description: fields.get("Description").unwrap_or(&"").to_string(),
-            essential: fields.get("Essential") == Some(&"yes"),
-        });
-    }
-    Ok(out)
-}
 
-/// Build the file → owning-package index from the `.list` files in an image.
-pub fn owner_index(fs: &Vfs) -> Result<Vec<(String, String)>, InstallError> {
-    let mut out = Vec::new();
-    let lists = fs.find_files(|p| p.starts_with(INFO_DIR) && p.ends_with(".list"));
-    for list_path in lists {
-        let pkg = comt_vfs::file_name(&list_path)
-            .trim_end_matches(".list")
-            .to_string();
-        let content = fs.read_string(&list_path)?;
-        for line in content.lines().filter(|l| !l.is_empty()) {
-            out.push((line.to_string(), pkg.clone()));
+        for pkg in packages {
+            let mut list = String::new();
+            for f in &pkg.files {
+                fs.write_file_p(&f.path, f.content.clone(), f.mode)?;
+                list.push_str(&f.path);
+                list.push('\n');
+            }
+            fs.write_file_p(
+                &format!("{INFO_DIR}/{}.list", pkg.name),
+                Bytes::from(list.into_bytes()),
+                0o644,
+            )?;
+            if !status.is_empty() && !status.ends_with("\n\n") {
+                status.push('\n');
+            }
+            status.push_str(&status_paragraph(pkg));
         }
+
+        fs.write_file_p(STATUS_PATH, Bytes::from(status.into_bytes()), 0o644)?;
+        Ok(())
     }
-    Ok(out)
+
+    fn installed(&self, fs: &Vfs) -> Result<Vec<Installed>, InstallError> {
+        let raw = match fs.read_string(STATUS_PATH) {
+            Ok(r) => r,
+            Err(_) => return Ok(Vec::new()), // no dpkg database: not a Debian-ish image
+        };
+        let mut out = Vec::new();
+        for para in raw.split("\n\n").filter(|p| !p.trim().is_empty()) {
+            let mut fields: BTreeMap<&str, &str> = BTreeMap::new();
+            for line in para.lines() {
+                if let Some((k, v)) = line.split_once(':') {
+                    fields.insert(k.trim(), v.trim());
+                }
+            }
+            let name = fields
+                .get("Package")
+                .ok_or_else(|| InstallError::CorruptStatus(format!("missing Package in: {para:?}")))?
+                .to_string();
+            let version = fields
+                .get("Version")
+                .ok_or_else(|| InstallError::CorruptStatus(format!("missing Version for {name}")))?
+                .to_string();
+            out.push(Installed { name, version });
+        }
+        Ok(out)
+    }
+
+    /// One `(path, package)` per line of every `info/<package>.list`.
+    fn owner_index(&self, fs: &Vfs) -> Result<Vec<(String, String)>, InstallError> {
+        let mut out = Vec::new();
+        let lists = fs.find_files(|p| p.starts_with(INFO_DIR) && p.ends_with(".list"));
+        for list_path in lists {
+            let pkg = comt_vfs::file_name(&list_path)
+                .trim_end_matches(".list")
+                .to_string();
+            let content = fs.read_string(&list_path)?;
+            for line in content.lines().filter(|l| !l.is_empty()) {
+                out.push((line.to_string(), pkg.clone()));
+            }
+        }
+        Ok(out)
+    }
+
+    fn version_cmp(&self, a: &str, b: &str) -> Ordering {
+        cmp_versions(&Version::new(a), &Version::new(b))
+    }
+
+    fn is_metadata(&self, path: &str) -> bool {
+        path.starts_with("/var/lib/dpkg/") || path.starts_with("/var/lib/apt/")
+    }
 }
 
 #[cfg(test)]
@@ -201,10 +164,13 @@ mod tests {
             ))
     }
 
+    // What both databases promise (round trips, reinstall, no database,
+    // hostile bytes) is `tests/conformance.rs`; these are the dpkg format.
+
     #[test]
     fn install_writes_payload_and_db() {
         let mut fs = Vfs::new();
-        install_packages(&mut fs, &[libfoo()]).unwrap();
+        Dpkg.install(&mut fs, &[libfoo()]).unwrap();
         assert_eq!(fs.read_string("/usr/lib/libfoo.so.1").unwrap(), "FOO");
         assert!(fs.exists("/var/lib/dpkg/status"));
         assert!(fs.exists("/var/lib/dpkg/info/libfoo.list"));
@@ -213,15 +179,16 @@ mod tests {
     #[test]
     fn status_roundtrip() {
         let mut fs = Vfs::new();
-        install_packages(&mut fs, &[libfoo()]).unwrap();
-        let recs = installed_packages(&fs).unwrap();
+        Dpkg.install(&mut fs, &[libfoo()]).unwrap();
+        let recs = Dpkg.installed(&fs).unwrap();
         assert_eq!(recs.len(), 1);
-        let r = &recs[0];
-        assert_eq!(r.package, "libfoo");
-        assert_eq!(r.version.to_string(), "1.2-3");
-        assert_eq!(r.architecture, "amd64");
-        assert_eq!(r.provides, "libfoo-abi1");
-        let deps = r.depends_list().unwrap();
+        assert_eq!(recs[0].name, "libfoo");
+        assert_eq!(recs[0].version, "1.2-3");
+        let status = fs.read_string(STATUS_PATH).unwrap();
+        assert!(status.contains("Architecture: amd64\n"));
+        assert!(status.contains("Provides: libfoo-abi1\n"));
+        let depends = status.lines().find_map(|l| l.strip_prefix("Depends: ")).unwrap();
+        let deps = dep::parse_list(depends).unwrap();
         assert_eq!(deps.len(), 1);
         assert_eq!(deps[0].alternatives[0].name, "libc6");
     }
@@ -229,26 +196,13 @@ mod tests {
     #[test]
     fn incremental_installs_append() {
         let mut fs = Vfs::new();
-        install_packages(&mut fs, &[libfoo()]).unwrap();
-        install_packages(&mut fs, &[Package::new("bar", "2.0", "amd64").essential()]).unwrap();
-        let recs = installed_packages(&fs).unwrap();
+        Dpkg.install(&mut fs, &[libfoo()]).unwrap();
+        Dpkg.install(&mut fs, &[Package::new("bar", "2.0", "amd64").essential()]).unwrap();
+        let recs = Dpkg.installed(&fs).unwrap();
         assert_eq!(recs.len(), 2);
-        assert!(recs.iter().any(|r| r.package == "bar" && r.essential));
-    }
-
-    #[test]
-    fn owner_index_maps_files() {
-        let mut fs = Vfs::new();
-        install_packages(&mut fs, &[libfoo()]).unwrap();
-        let idx = owner_index(&fs).unwrap();
-        assert!(idx.contains(&("/usr/lib/libfoo.so.1".to_string(), "libfoo".to_string())));
-    }
-
-    #[test]
-    fn no_database_is_empty_not_error() {
-        let fs = Vfs::new();
-        assert!(installed_packages(&fs).unwrap().is_empty());
-        assert!(owner_index(&fs).unwrap().is_empty());
+        assert!(recs.iter().any(|r| r.name == "bar"));
+        let status = fs.read_string(STATUS_PATH).unwrap();
+        assert!(status.contains("Package: bar\nStatus: install ok installed\nEssential: yes\n"));
     }
 
     #[test]
@@ -261,7 +215,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            installed_packages(&fs),
+            Dpkg.installed(&fs),
             Err(InstallError::CorruptStatus(_))
         ));
     }

@@ -110,11 +110,11 @@ fn adapted_binary_provenance() {
     );
 
     // And the adapted image's package stack is the vendor one.
-    let recs = comtainer_suite::pkg::installed_packages(&opt_fs).unwrap();
-    let mpich = recs.iter().find(|r| r.package == "mpich").unwrap();
-    assert!(mpich.version.to_string().contains("vendor"));
-    let libc = recs.iter().find(|r| r.package == "libc6").unwrap();
-    assert!(libc.version.to_string().contains("vendor"), "libo upgraded libc");
+    let recs = comtainer_suite::pkg::detect(&opt_fs).installed(&opt_fs).unwrap();
+    let mpich = recs.iter().find(|r| r.name == "mpich").unwrap();
+    assert!(mpich.version.contains("vendor"));
+    let libc = recs.iter().find(|r| r.name == "libc6").unwrap();
+    assert!(libc.version.contains("vendor"), "libo upgraded libc");
 }
 
 #[test]

@@ -110,11 +110,12 @@ fn adapt_with_mode(mode: CacheMode) -> (f64, usize, bool, String) {
     let d = deck("minife", "", isa, 16);
     let seconds = execute_with_deck(&bin, &d, &env, &lab.system, 16).seconds;
 
-    let blas = comtainer_suite::pkg::installed_packages(&fs)
+    let blas = comtainer_suite::pkg::detect(&fs)
+        .installed(&fs)
         .unwrap()
         .into_iter()
-        .find(|r| r.package == "libopenblas0")
-        .map(|r| r.version.to_string())
+        .find(|r| r.name == "libopenblas0")
+        .map(|r| r.version)
         .unwrap_or_default();
     (seconds, n_cache_files, has_sources, blas)
 }
