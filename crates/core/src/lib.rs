@@ -290,8 +290,8 @@ impl std::error::Error for ComtError {
 /// the transport-level cause chained for `source()` — so `--stats` and
 /// error output can show *why* a transfer failed, matching the PR 1
 /// error-context convention.
-impl From<comt_oci::RegistryError> for ComtError {
-    fn from(e: comt_oci::RegistryError) -> Self {
+impl From<comt_oci::StoreError> for ComtError {
+    fn from(e: comt_oci::StoreError) -> Self {
         ComtError::oci(format!("registry transfer failed: {e}"))
             .with_phase(Phase::Distribute)
             .with_source(e)
@@ -321,15 +321,16 @@ mod tests {
 
     #[test]
     fn registry_error_chains_into_comt_error() {
-        let reg_err = comt_oci::RegistryError::DigestMismatch("sha256:abcd".into());
-        let err: ComtError = reg_err.clone().into();
+        let reg_err = comt_oci::StoreError::DigestMismatch("sha256:abcd".into());
+        let cause = reg_err.to_string();
+        let err: ComtError = reg_err.into();
         assert!(matches!(err, ComtError::Oci(_)));
         assert_eq!(err.failure().phase, Some(Phase::Distribute));
         let text = err.to_string();
         assert!(text.contains("[phase: distribute]"), "{text}");
         // The transport-level cause is reachable through source().
         let src = std::error::Error::source(&err).expect("source chained");
-        assert_eq!(src.to_string(), reg_err.to_string());
+        assert_eq!(src.to_string(), cause);
     }
 
     #[test]

@@ -652,9 +652,7 @@ impl DistClient {
         let closure = closure_digests(src, &manifest_digest)?;
         let mut stats = TransferStats::default();
         for d in &closure[1..] {
-            let blob = src
-                .get(d)
-                .ok_or(comt_oci::RegistryError::MissingBlob(d.to_string()))?;
+            let blob = src.require(d)?;
             if self.head_blob(name, d)?.is_some() {
                 stats.blobs_skipped += 1;
                 obs.count("dist.client.blobs_deduped", 1);
@@ -664,9 +662,7 @@ impl DistClient {
             stats.blobs_moved += 1;
             stats.bytes_moved += blob.len() as u64;
         }
-        let manifest = src
-            .get(&manifest_digest)
-            .ok_or(comt_oci::RegistryError::MissingBlob(manifest_digest.to_string()))?;
+        let manifest = src.require(&manifest_digest)?;
         self.put_manifest(name, reference, &manifest)?;
         stats.blobs_moved += 1;
         stats.bytes_moved += manifest.len() as u64;
@@ -796,18 +792,14 @@ impl DistClient {
     ) -> Result<TransferStats, DistError> {
         let stats = self.push_image(name, reference, manifest_digest, src)?;
         let obs = comt_observe::global();
-        let manifest = src
-            .get(&manifest_digest)
-            .ok_or(comt_oci::RegistryError::MissingBlob(manifest_digest.to_string()))?;
+        let manifest = src.require(&manifest_digest)?;
         let parsed: comt_oci::ImageManifest = serde_json::from_slice(&manifest)
             .map_err(|e| DistError::protocol(format!("pushed manifest unparseable: {e}")))?;
         for layer in &parsed.layers {
             let d = layer
                 .parsed_digest()
                 .map_err(|e| DistError::protocol(format!("bad layer digest: {e}")))?;
-            let blob = src
-                .get(&d)
-                .ok_or(comt_oci::RegistryError::MissingBlob(d.to_string()))?;
+            let blob = src.require(&d)?;
             let map = ChunkMap::build(&blob, params)
                 .map_err(|e| DistError::protocol(format!("chunking layer {d}: {e}")))?;
             if !self.put_chunkmap(name, &d, &map.to_json())? {

@@ -24,7 +24,7 @@ use comt_digest::Digest;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
-use comt_oci::RegistryError;
+use comt_oci::{StoreError, Verified};
 
 /// What the cache holds now; its events are the `dist.cache.*` counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,7 +85,9 @@ impl Lru {
 
 /// One in-flight load, shared by the leader and any waiting followers.
 struct Flight {
-    done: Mutex<Option<Result<Bytes, String>>>,
+    /// The leader's verified bytes, or whether its failure was the store's
+    /// fault (followers retry) rather than corrupt bytes (they fail too).
+    done: Mutex<Option<Result<Bytes, bool>>>,
     cv: Condvar,
 }
 
@@ -149,8 +151,8 @@ impl HotBlobCache {
     pub fn get_or_load(
         &self,
         d: &Digest,
-        loader: impl FnOnce() -> Result<Bytes, RegistryError>,
-    ) -> Result<Bytes, RegistryError> {
+        loader: impl FnOnce() -> Result<Bytes, StoreError>,
+    ) -> Result<Bytes, StoreError> {
         if let Some(b) = self.get(d) {
             return Ok(b);
         }
@@ -190,20 +192,15 @@ impl HotBlobCache {
                     Ok(b) => return Ok(b.clone()),
                     // The leader failed; surface the same mismatch. (A
                     // storage error retries as a fresh flight instead.)
-                    Err(msg) if msg == "mismatch" => {
-                        return Err(RegistryError::DigestMismatch(d.to_string()))
-                    }
-                    Err(_) => continue,
+                    Err(false) => return Err(StoreError::DigestMismatch(d.to_string())),
+                    Err(true) => continue,
                 }
             }
             // Leader: run the loader outside every lock.
             let result = loader().and_then(|data| {
-                if Digest::of(&data) != *d {
-                    comt_observe::global().count("dist.cache.rejected", 1);
-                    Err(RegistryError::DigestMismatch(d.to_string()))
-                } else {
-                    Ok(data)
-                }
+                Verified::check(*d, data)
+                    .map(Verified::into_bytes)
+                    .inspect_err(|_| comt_observe::global().count("dist.cache.rejected", 1))
             });
             if let Ok(data) = &result {
                 if self.admits(data.len() as u64) {
@@ -222,8 +219,7 @@ impl HotBlobCache {
                 let mut done = flight.done.lock().unwrap_or_else(|e| e.into_inner());
                 *done = Some(match &result {
                     Ok(b) => Ok(b.clone()),
-                    Err(RegistryError::DigestMismatch(_)) => Err("mismatch".to_string()),
-                    Err(e) => Err(e.to_string()),
+                    Err(e) => Err(e.is_store_fault()),
                 });
                 flight.cv.notify_all();
             }
@@ -302,7 +298,7 @@ mod tests {
         let err = cache
             .get_or_load(&d, || Ok(Bytes::from_static(b"bitrot")))
             .unwrap_err();
-        assert!(matches!(err, RegistryError::DigestMismatch(_)));
+        assert!(matches!(err, StoreError::DigestMismatch(_)));
         assert_eq!(cache.stats().entries, 0, "poisoned bytes cached");
         assert!(cache.get(&d).is_none());
     }
@@ -343,9 +339,9 @@ mod tests {
         let cache = HotBlobCache::new(1 << 20);
         let (d, b) = blob(9, 256);
         let err = cache
-            .get_or_load(&d, || Err(RegistryError::Storage("disk on fire".into())))
+            .get_or_load(&d, || Err(StoreError::Io(std::io::Error::other("disk on fire"))))
             .unwrap_err();
-        assert!(matches!(err, RegistryError::Storage(_)));
+        assert!(matches!(err, StoreError::Io(_)));
         // A later attempt with a healthy loader succeeds and caches.
         assert_eq!(cache.get_or_load(&d, || Ok(b.clone())).unwrap(), b);
         assert_eq!(cache.stats().entries, 1);

@@ -80,7 +80,7 @@ pub enum DistError {
     /// Received bytes do not hash to the expected digest.
     DigestMismatch { expected: String, got: String },
     /// A registry-level failure (closure walk, missing blob).
-    Registry(comt_oci::RegistryError),
+    Registry(comt_oci::StoreError),
     /// The retry budget ran out; `last` is the final attempt's error.
     RetriesExhausted {
         op: String,
@@ -158,8 +158,8 @@ impl std::error::Error for DistError {
     }
 }
 
-impl From<comt_oci::RegistryError> for DistError {
-    fn from(e: comt_oci::RegistryError) -> Self {
+impl From<comt_oci::StoreError> for DistError {
+    fn from(e: comt_oci::StoreError) -> Self {
         DistError::Registry(e)
     }
 }
@@ -200,7 +200,7 @@ mod tests {
         assert!(DistError::protocol("x").is_retryable());
         assert!(DistError::status("x", 503, b"").is_retryable());
         assert!(!DistError::status("x", 404, b"").is_retryable());
-        assert!(!DistError::Registry(comt_oci::RegistryError::UnknownTag("t".into()))
+        assert!(!DistError::Registry(comt_oci::StoreError::UnknownRef("t".into()))
             .is_retryable());
         let dm = DistError::DigestMismatch {
             expected: "a".into(),

@@ -13,11 +13,13 @@
 //!
 //! ## Backends
 //!
-//! The daemon is generic over [`RegistryBackend`], which `comt-oci`
-//! implements once for its one tagged store: the in-memory [`Registry`]
-//! (tests, benches) and the crash-safe [`comt_oci::DiskRegistry`]
-//! (`comt serve` on a real layout, each blob and tag committed durably at
-//! publish time) are that store at its two blob backends.
+//! The daemon serves `comt-oci`'s one tagged store, [`Layout`], over any
+//! [`BlobBackend`]: the in-memory [`Registry`] (tests, benches) and the
+//! crash-safe [`comt_oci::DiskRegistry`] (`comt serve` on a real layout,
+//! each blob and tag committed durably at publish time) are that store at
+//! its two blob backends. A failed mutation answers by whose fault it was
+//! ([`StoreError::is_store_fault`]): the store's is a 500, the caller's a
+//! 400.
 //!
 //! ## Atomicity
 //!
@@ -37,7 +39,7 @@ use crate::metrics::report_response;
 use crate::wire::{self, Request, Response};
 use crate::{tag_key, MEDIA_TYPE_MANIFEST};
 use comt_digest::Digest;
-use comt_oci::{BlobHandle, Registry, RegistryBackend, RegistryError, Verified};
+use comt_oci::{BlobBackend, BlobHandle, Layout, Registry, StoreError, Verified};
 use std::collections::HashSet;
 use std::io;
 use std::net::SocketAddr;
@@ -81,9 +83,9 @@ impl Default for ServerOptions {
     }
 }
 
-/// The registry routing layer: backend + chaos budget behind the shared
-/// HTTP core.
-struct RegistryHandler<R: RegistryBackend> {
+/// The registry routing layer: store + chaos budget behind the shared
+/// HTTP core. `R` is always a [`Layout`] over some [`BlobBackend`].
+struct RegistryHandler<R> {
     registry: Mutex<R>,
     /// Byte-budgeted LRU of verified hot blobs: a layer every node in a
     /// cluster pulls is read and hashed once, then served as refcounted
@@ -99,7 +101,7 @@ struct RegistryHandler<R: RegistryBackend> {
     poison_budget: AtomicU32,
 }
 
-impl<R: RegistryBackend> HttpHandler for RegistryHandler<R> {
+impl<B: BlobBackend + Send + 'static> HttpHandler for RegistryHandler<Layout<B>> {
     fn metrics_prefix(&self) -> &'static str {
         "dist.server"
     }
@@ -111,14 +113,15 @@ impl<R: RegistryBackend> HttpHandler for RegistryHandler<R> {
 
 /// A running daemon. Dropping it without [`DistServer::shutdown`] stops
 /// accepting but does not join workers; call `shutdown` for a clean stop
-/// that hands the backend (with everything pushed to it) back. The type
-/// parameter defaults to the in-memory [`Registry`].
-pub struct DistServer<R: RegistryBackend = Registry> {
+/// that hands the store (with everything pushed to it) back. The type
+/// parameter is the served [`Layout`] and defaults to the in-memory
+/// [`Registry`].
+pub struct DistServer<R = Registry> {
     http: HttpServer,
     state: Arc<RegistryHandler<R>>,
 }
 
-impl<R: RegistryBackend> std::fmt::Debug for DistServer<R> {
+impl<R> std::fmt::Debug for DistServer<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DistServer").field("addr", &self.addr()).finish()
     }
@@ -126,11 +129,11 @@ impl<R: RegistryBackend> std::fmt::Debug for DistServer<R> {
 
 /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and serve
 /// `registry` until shutdown.
-pub fn serve<R: RegistryBackend>(
-    registry: R,
+pub fn serve<B: BlobBackend + Send + 'static>(
+    registry: Layout<B>,
     addr: &str,
     opts: ServerOptions,
-) -> io::Result<DistServer<R>> {
+) -> io::Result<DistServer<Layout<B>>> {
     let state = Arc::new(RegistryHandler {
         registry: Mutex::new(registry),
         cache: HotBlobCache::new(opts.cache_bytes),
@@ -143,20 +146,20 @@ pub fn serve<R: RegistryBackend>(
     Ok(DistServer { http, state })
 }
 
-impl<R: RegistryBackend> DistServer<R> {
+impl<R> DistServer<R> {
     /// The bound address (resolves `:0` to the real port).
     pub fn addr(&self) -> SocketAddr {
         self.http.addr()
     }
 
-    /// Stop accepting, join all threads and hand back the backend with
+    /// Stop accepting, join all threads and hand back the store with
     /// every successfully pushed image in it.
     pub fn shutdown(self) -> R {
         let DistServer { http, state } = self;
         http.shutdown();
         // Every thread that could hold a strong ref has been joined, so the
-        // unwrap succeeds; backends are not required to be Clone (a disk
-        // backend holds the layout lock), so there is no fallback.
+        // unwrap succeeds; stores are not required to be Clone (a disk
+        // store holds the layout lock), so there is no fallback.
         match Arc::try_unwrap(state) {
             Ok(st) => st.registry.into_inner().unwrap_or_else(|e| e.into_inner()),
             Err(_) => unreachable!("server threads joined but state still shared"),
@@ -186,9 +189,9 @@ fn parse_path(path: &str) -> Option<(&str, &str, &str)> {
 
 /// Route one request. Returns the endpoint label (for counters) plus the
 /// action to take on the socket.
-fn dispatch<R: RegistryBackend>(
+fn dispatch<B: BlobBackend>(
     req: &Request,
-    state: &RegistryHandler<R>,
+    state: &RegistryHandler<Layout<B>>,
 ) -> (&'static str, HttpAction) {
     if req.path == "/v2/" || req.path == "/v2" {
         return (
@@ -221,10 +224,10 @@ fn parse_digest(reference: &str) -> Result<Digest, HttpAction> {
         .map_err(|e| bad_request(format!("bad digest {reference}: {e}")))
 }
 
-fn blob_head<R: RegistryBackend>(
+fn blob_head<B: BlobBackend>(
     _name: &str,
     reference: &str,
-    state: &RegistryHandler<R>,
+    state: &RegistryHandler<Layout<B>>,
 ) -> HttpAction {
     let digest = match parse_digest(reference) {
         Ok(d) => d,
@@ -232,7 +235,7 @@ fn blob_head<R: RegistryBackend>(
     };
     let len = {
         let reg = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-        reg.blob_handle(&digest).map(|h| h.len())
+        reg.blobs.handle(&digest).map(|h| h.len())
     };
     match len {
         Some(len) => HttpAction::Respond(
@@ -252,8 +255,8 @@ fn unservable(what: &str, e: impl std::fmt::Display) -> HttpAction {
 /// Verify a blob too large for the cache — once per process lifetime.
 /// The content is hashed in bounded chunks straight off its handle; after
 /// the first clean check, GETs stream the file without re-hashing.
-fn ensure_streamed_verified<R: RegistryBackend>(
-    state: &RegistryHandler<R>,
+fn ensure_streamed_verified<B: BlobBackend>(
+    state: &RegistryHandler<Layout<B>>,
     digest: &Digest,
     handle: &BlobHandle,
 ) -> Result<(), HttpAction> {
@@ -280,11 +283,11 @@ fn ensure_streamed_verified<R: RegistryBackend>(
     }
 }
 
-fn blob_get<R: RegistryBackend>(
+fn blob_get<B: BlobBackend>(
     req: &Request,
     _name: &str,
     reference: &str,
-    state: &RegistryHandler<R>,
+    state: &RegistryHandler<Layout<B>>,
 ) -> HttpAction {
     let digest = match parse_digest(reference) {
         Ok(d) => d,
@@ -294,7 +297,7 @@ fn blob_get<R: RegistryBackend>(
     // part (file read for disk backends, hashing for all of them).
     let handle = {
         let reg = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-        reg.blob_handle(&digest)
+        reg.blobs.handle(&digest)
     };
     let Some(handle) = handle else { return not_found() };
     let total = handle.len();
@@ -409,7 +412,7 @@ fn blob_get<R: RegistryBackend>(
 /// global recorder's counters, spans and values, plus what this daemon
 /// holds right now. The state gauges are set in the snapshot only, never
 /// counted into the recorder.
-fn stats_response<R: RegistryBackend>(state: &RegistryHandler<R>) -> HttpAction {
+fn stats_response<B: BlobBackend>(state: &RegistryHandler<Layout<B>>) -> HttpAction {
     let mut report = comt_observe::global().report();
     let cache = state.cache.stats();
     let verified = state
@@ -428,11 +431,11 @@ fn stats_response<R: RegistryBackend>(state: &RegistryHandler<R>) -> HttpAction 
     report_response(&report)
 }
 
-fn blob_put<R: RegistryBackend>(
+fn blob_put<B: BlobBackend>(
     req: &Request,
     _name: &str,
     reference: &str,
-    state: &RegistryHandler<R>,
+    state: &RegistryHandler<Layout<B>>,
 ) -> HttpAction {
     let digest = match parse_digest(reference) {
         Ok(d) => d,
@@ -455,7 +458,7 @@ fn blob_put<R: RegistryBackend>(
     }
     let put = {
         let mut reg = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-        reg.put_blob(blob)
+        reg.blobs.insert(blob)
     };
     match put {
         Ok(_) => HttpAction::Respond(
@@ -465,19 +468,16 @@ fn blob_put<R: RegistryBackend>(
     }
 }
 
-fn manifest_get<R: RegistryBackend>(
+fn manifest_get<B: BlobBackend>(
     name: &str,
     reference: &str,
-    state: &RegistryHandler<R>,
+    state: &RegistryHandler<Layout<B>>,
 ) -> HttpAction {
     let key = tag_key(name, reference);
     let (digest, handle) = {
         let reg = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-        match reg.resolve(&key) {
-            Some(d) => match reg.blob_handle(&d) {
-                Some(h) => (d, h),
-                None => return not_found(),
-            },
+        match reg.resolve(&key).ok().and_then(|d| Some((d, reg.blobs.handle(&d)?))) {
+            Some(found) => found,
             None => return not_found(),
         }
     };
@@ -502,11 +502,11 @@ fn manifest_get<R: RegistryBackend>(
     )
 }
 
-fn manifest_put<R: RegistryBackend>(
+fn manifest_put<B: BlobBackend>(
     req: &Request,
     name: &str,
     reference: &str,
-    state: &RegistryHandler<R>,
+    state: &RegistryHandler<Layout<B>>,
 ) -> HttpAction {
     let key = tag_key(name, reference);
     // Staged publish: the backend verifies closure completeness + content
@@ -516,7 +516,7 @@ fn manifest_put<R: RegistryBackend>(
     let manifest = Verified::hash(&req.body[..]);
     let put = {
         let mut reg = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-        reg.put_manifest(&key, manifest)
+        reg.publish_manifest(&key, manifest)
     };
     match put {
         Ok(digest) => HttpAction::Respond(
@@ -533,10 +533,10 @@ fn manifest_put<R: RegistryBackend>(
 /// server holds for a layer blob, or 404 (the client then falls back to a
 /// full-blob pull). Chunkmaps are ordinary content-addressed blobs; they
 /// ride the same verified hot cache as everything else.
-fn chunkmap_get<R: RegistryBackend>(
+fn chunkmap_get<B: BlobBackend>(
     _name: &str,
     reference: &str,
-    state: &RegistryHandler<R>,
+    state: &RegistryHandler<Layout<B>>,
 ) -> HttpAction {
     let layer = match parse_digest(reference) {
         Ok(d) => d,
@@ -546,7 +546,7 @@ fn chunkmap_get<R: RegistryBackend>(
     let found = {
         let reg = state.registry.lock().unwrap_or_else(|e| e.into_inner());
         reg.chunkmap_for(&layer)
-            .and_then(|md| reg.blob_handle(&md).map(|h| (md, h)))
+            .and_then(|md| reg.blobs.handle(&md).map(|h| (md, h)))
     };
     let Some((map_digest, handle)) = found else {
         obs.count("dist.server.chunkmap_misses", 1);
@@ -576,11 +576,11 @@ fn chunkmap_get<R: RegistryBackend>(
 /// structurally (schema, contiguity, digest syntax) and cross-checked
 /// against the stored layer's address and length before anything becomes
 /// visible; deep per-chunk verification is `comt fsck`'s job.
-fn chunkmap_put<R: RegistryBackend>(
+fn chunkmap_put<B: BlobBackend>(
     req: &Request,
     _name: &str,
     reference: &str,
-    state: &RegistryHandler<R>,
+    state: &RegistryHandler<Layout<B>>,
 ) -> HttpAction {
     let layer = match parse_digest(reference) {
         Ok(d) => d,
@@ -599,7 +599,7 @@ fn chunkmap_put<R: RegistryBackend>(
     let proof = Verified::hash(&req.body[..]);
     let put = {
         let mut reg = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-        match reg.blob_handle(&layer) {
+        match reg.blobs.handle(&layer) {
             // Not a 404: the route exists (404 here would read as "old
             // daemon" to the client) — the request is simply invalid.
             None => return bad_request(format!("no layer {reference} to describe")),
@@ -626,13 +626,9 @@ fn chunkmap_put<R: RegistryBackend>(
     }
 }
 
-/// Map a backend failure onto the wire: the caller's fault (corrupt or
+/// Map a store failure onto the wire: the caller's fault (corrupt or
 /// incomplete push) is a 400, the store's own fault is a 500.
-fn registry_failure(op: &str, e: RegistryError) -> HttpAction {
-    match e {
-        RegistryError::Storage(_) => {
-            HttpAction::Respond(Response::new(500).with_body(format!("{op}: {e}")))
-        }
-        other => bad_request(format!("{op}: {other}")),
-    }
+fn registry_failure(op: &str, e: StoreError) -> HttpAction {
+    let status = if e.is_store_fault() { 500 } else { 400 };
+    HttpAction::Respond(Response::new(status).with_body(format!("{op}: {e}")))
 }

@@ -7,11 +7,16 @@ use comt_dist::{
     serve, split_ref, tag_key, Chaos, DistClient, DistError, HttpOptions, RetryPolicy,
     ServerOptions,
 };
+use comt_oci::spec::ImageIndex;
 use comt_oci::store::closure_digests;
-use comt_oci::{BlobStore, ImageBuilder, Registry};
+use comt_oci::{
+    BlobBackend, BlobHandle, BlobStore, ImageBuilder, Layout, Registry, StoreError, Verified,
+};
 use comt_vfs::Vfs;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn sample_image(store: &mut BlobStore, payload: &[u8]) -> Digest {
     let mut fs = Vfs::new();
@@ -364,6 +369,146 @@ fn disk_backed_interrupted_push_is_fsck_clean_and_invisible() {
     assert_eq!(got, md);
     drop(server);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A blob backend whose next `budget` mutations (inserts and index
+/// commits) succeed and every one after fails as the store's own fault —
+/// `crates/oci/tests/conformance.rs`'s `FailingStore`, with the budget
+/// shared so the test can cut it while the daemon owns the store.
+#[derive(Default)]
+struct FailingStore {
+    inner: BlobStore,
+    budget: Arc<AtomicUsize>,
+}
+
+impl FailingStore {
+    fn spend(&self) -> Result<(), StoreError> {
+        self.budget
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| b.checked_sub(1))
+            .map(drop)
+            .map_err(|_| StoreError::Io(std::io::Error::other("injected fault")))
+    }
+}
+
+impl BlobBackend for FailingStore {
+    fn handle(&self, digest: &Digest) -> Option<BlobHandle> {
+        self.inner.handle(digest)
+    }
+    fn insert(&mut self, blob: Verified<'_>) -> Result<bool, StoreError> {
+        self.spend()?;
+        self.inner.insert(blob)
+    }
+    fn remove(&mut self, digest: &Digest) -> Result<bool, StoreError> {
+        self.inner.remove(digest)
+    }
+    fn digests(&self) -> Result<Vec<(Digest, u64)>, StoreError> {
+        self.inner.digests()
+    }
+    fn commit_index(&mut self, _index: &ImageIndex) -> Result<(), StoreError> {
+        self.spend()
+    }
+}
+
+/// One request on a fresh connection; returns the status code.
+fn status_of(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> u16 {
+    let mut s = TcpStream::connect(addr).unwrap();
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    s.write_all(head.as_bytes()).unwrap();
+    s.write_all(body).unwrap();
+    let mut resp = Vec::new();
+    let _ = s.read_to_end(&mut resp);
+    let line = String::from_utf8_lossy(&resp[..resp.len().min(12)]).into_owned();
+    let code = line.get(9..12).and_then(|c| c.parse().ok());
+    code.unwrap_or_else(|| panic!("{method} {path}: no status line in {line:?}"))
+}
+
+#[test]
+fn store_faults_answer_500_and_caller_faults_400_on_every_mutating_route() {
+    const HEALTHY: usize = usize::MAX;
+    let budget = Arc::new(AtomicUsize::new(HEALTHY));
+    let store = FailingStore {
+        inner: BlobStore::new(),
+        budget: Arc::clone(&budget),
+    };
+    let server = serve(
+        Layout {
+            index: ImageIndex::default(),
+            blobs: store,
+        },
+        "127.0.0.1:0",
+        ServerOptions::default(),
+    )
+    .unwrap();
+    let addr = server.addr();
+    let client = DistClient::with_policy(addr.to_string(), RetryPolicy::no_retries());
+
+    // `app:v1` is published; v2's blobs are uploaded but not its manifest;
+    // v3 exists only on the client.
+    let mut local = BlobStore::new();
+    let payload = vec![0x5Au8; 48 * 1024];
+    let v1 = sample_image(&mut local, &payload);
+    let v2 = sample_image(&mut local, b"second version");
+    let v3 = sample_image(&mut local, b"never uploaded");
+    client.push_image("app", "v1", v1, &local).unwrap();
+    let v2_closure = closure_digests(&local, &v2).unwrap();
+    for d in &v2_closure[1..] {
+        client.put_blob("app", d, &local.get(d).unwrap()).unwrap();
+    }
+    let map_of = |layer: &[u8]| {
+        comt_chunk::ChunkMap::build(layer, Default::default())
+            .unwrap()
+            .to_json()
+    };
+    let v1_layer = closure_digests(&local, &v1).unwrap()[2];
+    let v1_map = map_of(&local.get(&v1_layer).unwrap());
+    let fresh = b"a blob the store has not seen".to_vec();
+    let absent = b"a layer the store does not hold".to_vec();
+    let v2_manifest = local.get(&v2).unwrap().to_vec();
+    let v3_manifest = local.get(&v3).unwrap().to_vec();
+
+    let blob_path = format!("/v2/app/blobs/{}", Digest::of(&fresh).to_oci_string());
+    let map_path = format!("/v2/app/chunkmaps/{}", v1_layer.to_oci_string());
+    let absent_map_path = format!("/v2/app/chunkmaps/{}", Digest::of(&absent).to_oci_string());
+    let (v2_path, v3_path) = ("/v2/app/manifests/v2", "/v2/app/manifests/v3");
+    // (PUT path, body, mutations the store still allows, status, what must
+    // stay invisible afterwards).
+    let table: Vec<(&str, Vec<u8>, usize, u16, &str)> = vec![
+        // The store's fault: its insert fails, or its index commit does.
+        (&blob_path, fresh.clone(), 0, 500, &blob_path),
+        (v2_path, v2_manifest.clone(), 0, 500, v2_path),
+        (v2_path, v2_manifest, 1, 500, v2_path),
+        (&map_path, v1_map.clone(), 0, 500, &map_path),
+        (&map_path, v1_map, 1, 500, &map_path),
+        // The caller's fault: address ≠ body, a closure missing its
+        // layer, a chunkmap for a layer the store does not hold.
+        (&blob_path, b"some other bytes".to_vec(), HEALTHY, 400, &blob_path),
+        (v3_path, v3_manifest, HEALTHY, 400, v3_path),
+        (&absent_map_path, map_of(&absent), HEALTHY, 400, &absent_map_path),
+    ];
+    for (path, body, allowed, want, invisible) in &table {
+        budget.store(*allowed, Ordering::SeqCst);
+        let got = status_of(addr, "PUT", path, body);
+        budget.store(HEALTHY, Ordering::SeqCst);
+        assert_eq!(got, *want, "PUT {path} with {allowed} mutations allowed");
+        assert_eq!(status_of(addr, "GET", invisible, b""), 404, "after PUT {path}");
+        assert_eq!(status_of(addr, "GET", "/v2/app/manifests/v1", b""), 200, "after PUT {path}");
+    }
+
+    // Nothing above was the request's fault in a way a retry cannot fix:
+    // with the store healthy again the same bodies publish.
+    for (path, body, _, want, _) in &table {
+        if *want == 500 {
+            assert_eq!(status_of(addr, "PUT", path, body), 201, "PUT {path}, store healthy");
+        }
+    }
+    let reg = server.shutdown();
+    assert_eq!(reg.resolve(&tag_key("app", "v1")).ok(), Some(v1));
+    assert_eq!(reg.resolve(&tag_key("app", "v2")).ok(), Some(v2));
+    assert!(reg.resolve(&tag_key("app", "v3")).is_err());
+    assert!(reg.chunkmap_for(&v1_layer).is_some());
 }
 
 #[test]

@@ -1,30 +1,30 @@
-//! The two storage seams: where a layout's bytes live ([`BlobBackend`])
-//! and what the wire daemon asks of a store ([`RegistryBackend`]).
+//! The storage seam: where a layout's bytes live ([`BlobBackend`]), and the
+//! handle a committed blob is read through ([`BlobHandle`]).
 //!
-//! There is one tagged store, [`Layout`]: an image index over a
+//! There is one tagged store, [`crate::Layout`]: an image index over a
 //! [`BlobBackend`]. The trait says only where bytes live and how an index
 //! flip is committed, and has two implementations — the in-memory
 //! [`crate::BlobStore`] (commit is a no-op) and the crash-safe
 //! [`crate::DiskStore`] (tmp → fsync → rename → dir-fsync). Everything
-//! above it — resolve, staged publish, chunkmaps, liveness, gc — is written
-//! once in [`crate::layout`], and [`RegistryBackend`] is implemented once,
-//! for `Layout<B>`, so `comt-dist`'s daemon serves either backend through
-//! the same code. Its contract encodes the durability story:
+//! above it — resolve, staged publish, push/pull, chunkmaps, liveness, gc —
+//! is written once in [`crate::layout`], and `comt-dist`'s daemon serves a
+//! `Layout<B>` directly, whatever `B` is. The contract encodes the
+//! durability story:
 //!
-//! * [`RegistryBackend::put_blob`] takes a [`Verified`] blob, so the bytes
-//!   were hashed **in every build profile** before they got here; a disk
-//!   backend makes the blob durable before returning — a killed daemon
-//!   never forgets an acknowledged blob.
-//! * [`RegistryBackend::put_manifest`] is staged: the tag becomes visible
-//!   only after the whole closure is present and bit-verified, and a
-//!   rejected publish leaves no trace.
-//! * [`RegistryBackend::blob_handle`] returns a cheap handle so the server
-//!   can drop its lock before the expensive part (file read + re-hash)
-//!   happens in [`BlobHandle::read_verified`].
+//! * [`BlobBackend::insert`] takes a [`Verified`] blob, so the bytes were
+//!   hashed **in every build profile** before they got here; a disk backend
+//!   makes the blob durable before returning — a killed daemon never
+//!   forgets an acknowledged blob.
+//! * [`BlobBackend::commit_index`] is the commit point of every mutation:
+//!   [`crate::Layout::publish_manifest`] reaches it only after the whole
+//!   closure is present and bit-verified, and a rejected publish leaves no
+//!   trace.
+//! * [`BlobBackend::handle`] returns a cheap handle so the server can drop
+//!   its lock before the expensive part (file read + re-hash) happens in
+//!   [`BlobHandle::read_verified`].
 
-use crate::layout::{Layout, LayoutError};
 use crate::spec::ImageIndex;
-use crate::store::{RegistryError, Verified};
+use crate::store::{StoreError, Verified};
 use bytes::Bytes;
 use comt_digest::{Digest, Sha256};
 use std::io::{Read, Seek, SeekFrom};
@@ -68,26 +68,22 @@ impl BlobHandle {
     /// blob is genuinely needed in memory (LRU admission, manifest reads);
     /// the serve path streams via [`BlobHandle::stream_verified`] and
     /// [`BlobHandle::read_range`] instead.
-    pub fn read_verified(&self, want: &Digest) -> Result<Bytes, RegistryError> {
+    pub fn read_verified(&self, want: &Digest) -> Result<Verified<'static>, StoreError> {
         let data = match self {
             BlobHandle::Resident(b) => b.clone(),
             BlobHandle::File { path, .. } => {
-                let data = std::fs::read(path)
-                    .map_err(|e| RegistryError::Storage(format!("{}: {e}", path.display())))?;
+                let data = std::fs::read(path).map_err(|e| StoreError::io_at(path, e))?;
                 comt_observe::global().count(FILE_BYTES_READ, data.len() as u64);
                 Bytes::from(data)
             }
         };
-        if Digest::of(&data) != *want {
-            return Err(RegistryError::DigestMismatch(want.to_string()));
-        }
-        Ok(data)
+        Verified::check(*want, data)
     }
 
     /// A chunked [`Read`] over the blob. Resident handles read from the
     /// shared buffer; file handles read from disk in whatever chunk size
     /// the caller brings — nothing is slurped up front.
-    pub fn reader(&self) -> Result<BlobReader, RegistryError> {
+    pub fn reader(&self) -> Result<BlobReader, StoreError> {
         match self {
             BlobHandle::Resident(b) => Ok(BlobReader::Resident {
                 data: b.clone(),
@@ -95,22 +91,20 @@ impl BlobHandle {
             }),
             BlobHandle::File { path, .. } => std::fs::File::open(path)
                 .map(BlobReader::File)
-                .map_err(|e| RegistryError::Storage(format!("{}: {e}", path.display()))),
+                .map_err(|e| StoreError::io_at(path, e)),
         }
     }
 
     /// Verify the blob's content against `want` without materializing it:
     /// hash in [`BLOB_STREAM_CHUNK`]-sized pieces and discard. Peak memory
     /// is one chunk regardless of blob size. Returns the byte count hashed.
-    pub fn stream_verified(&self, want: &Digest) -> Result<u64, RegistryError> {
+    pub fn stream_verified(&self, want: &Digest) -> Result<u64, StoreError> {
         let mut reader = self.reader()?;
         let mut hasher = Sha256::new();
         let mut buf = vec![0u8; BLOB_STREAM_CHUNK.min(self.len().max(1) as usize)];
         let mut total = 0u64;
         loop {
-            let n = reader
-                .read(&mut buf)
-                .map_err(|e| RegistryError::Storage(format!("stream blob: {e}")))?;
+            let n = reader.read(&mut buf)?;
             if n == 0 {
                 break;
             }
@@ -118,7 +112,7 @@ impl BlobHandle {
             total += n as u64;
         }
         if Digest::from_raw(hasher.finalize()) != *want {
-            return Err(RegistryError::DigestMismatch(want.to_string()));
+            return Err(StoreError::DigestMismatch(want.to_string()));
         }
         Ok(total)
     }
@@ -129,23 +123,24 @@ impl BlobHandle {
     /// costs 1 KiB of I/O, not 2 GiB. The window is unverified by itself
     /// (a partial body cannot be checked against a whole-blob digest);
     /// clients verify the assembled blob.
-    pub fn read_range(&self, start: u64, end: u64) -> Result<Bytes, RegistryError> {
+    pub fn read_range(&self, start: u64, end: u64) -> Result<Bytes, StoreError> {
         let total = self.len();
         if start > end || end > total {
-            return Err(RegistryError::Storage(format!(
-                "range {start}..{end} out of bounds for {total}-byte blob"
+            return Err(StoreError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("range {start}..{end} out of bounds for {total}-byte blob"),
             )));
         }
         match self {
             BlobHandle::Resident(b) => Ok(b.slice(start as usize..end as usize)),
             BlobHandle::File { path, .. } => {
-                let mut f = std::fs::File::open(path)
-                    .map_err(|e| RegistryError::Storage(format!("{}: {e}", path.display())))?;
-                f.seek(SeekFrom::Start(start))
-                    .map_err(|e| RegistryError::Storage(format!("{}: seek: {e}", path.display())))?;
                 let mut out = vec![0u8; (end - start) as usize];
-                f.read_exact(&mut out)
-                    .map_err(|e| RegistryError::Storage(format!("{}: {e}", path.display())))?;
+                std::fs::File::open(path)
+                    .and_then(|mut f| {
+                        f.seek(SeekFrom::Start(start))?;
+                        f.read_exact(&mut out)
+                    })
+                    .map_err(|e| StoreError::io_at(path, e))?;
                 comt_observe::global().count(FILE_BYTES_READ, out.len() as u64);
                 Ok(Bytes::from(out))
             }
@@ -187,68 +182,18 @@ pub trait BlobBackend {
 
     /// Commit a blob on the strength of its proof (durably, for a
     /// persistent backend). Returns `true` if newly stored.
-    fn insert(&mut self, blob: Verified<'_>) -> Result<bool, LayoutError>;
+    fn insert(&mut self, blob: Verified<'_>) -> Result<bool, StoreError>;
 
     /// Delete a committed blob (gc); returns whether it existed.
-    fn remove(&mut self, digest: &Digest) -> Result<bool, LayoutError>;
+    fn remove(&mut self, digest: &Digest) -> Result<bool, StoreError>;
 
     /// Every committed blob with its size, in digest order.
-    fn digests(&self) -> Result<Vec<(Digest, u64)>, LayoutError>;
+    fn digests(&self) -> Result<Vec<(Digest, u64)>, StoreError>;
 
     /// Make `index` the layout's tag table. This is the commit point of
     /// every mutation: on error the previous table is still the one a
     /// reopen would read.
-    fn commit_index(&mut self, index: &ImageIndex) -> Result<(), LayoutError>;
-}
-
-/// Storage behind the wire-protocol daemon.
-pub trait RegistryBackend: Send + 'static {
-    /// Manifest digest for a wire tag key (`name:reference`).
-    fn resolve(&self, key: &str) -> Option<Digest>;
-
-    /// Cheap handle to a committed blob, if present.
-    fn blob_handle(&self, digest: &Digest) -> Option<BlobHandle>;
-
-    /// Commit a verified blob (durably, for persistent backends). Returns
-    /// `true` if newly stored.
-    fn put_blob(&mut self, blob: Verified<'_>) -> Result<bool, RegistryError>;
-
-    /// Staged manifest publish: verify the closure, commit, expose the tag.
-    fn put_manifest(&mut self, key: &str, manifest: Verified<'_>) -> Result<Digest, RegistryError>;
-
-    /// Digest of the chunkmap blob recorded for a layer blob, if any.
-    fn chunkmap_for(&self, layer: &Digest) -> Option<Digest>;
-
-    /// Record `map` as the chunkmap of `layer`, storing its bytes as a
-    /// normal content-addressed blob. The association survives exactly as
-    /// long as the layer blob does (gc ties their lifetimes together).
-    fn put_chunkmap(&mut self, layer: Digest, map: Verified<'_>) -> Result<Digest, RegistryError>;
-}
-
-impl<B: BlobBackend + Send + 'static> RegistryBackend for Layout<B> {
-    fn resolve(&self, key: &str) -> Option<Digest> {
-        Layout::resolve(self, key).ok()
-    }
-
-    fn blob_handle(&self, digest: &Digest) -> Option<BlobHandle> {
-        self.blobs.handle(digest)
-    }
-
-    fn put_blob(&mut self, blob: Verified<'_>) -> Result<bool, RegistryError> {
-        Ok(self.blobs.insert(blob)?)
-    }
-
-    fn put_manifest(&mut self, key: &str, manifest: Verified<'_>) -> Result<Digest, RegistryError> {
-        self.publish_manifest(key, manifest)
-    }
-
-    fn chunkmap_for(&self, layer: &Digest) -> Option<Digest> {
-        Layout::chunkmap_for(self, layer)
-    }
-
-    fn put_chunkmap(&mut self, layer: Digest, map: Verified<'_>) -> Result<Digest, RegistryError> {
-        Layout::put_chunkmap(self, layer, map)
-    }
+    fn commit_index(&mut self, index: &ImageIndex) -> Result<(), StoreError>;
 }
 
 #[cfg(test)]
@@ -261,10 +206,10 @@ mod tests {
         let d = Digest::of(&data);
         let h = BlobHandle::Resident(data.clone());
         assert_eq!(h.len(), 7);
-        assert_eq!(h.read_verified(&d).unwrap(), data);
+        assert_eq!(h.read_verified(&d).unwrap().into_bytes(), data);
         assert!(matches!(
             h.read_verified(&Digest::of(b"other")),
-            Err(RegistryError::DigestMismatch(_))
+            Err(StoreError::DigestMismatch(_))
         ));
     }
 
@@ -286,7 +231,7 @@ mod tests {
         assert_eq!(h.stream_verified(&d).unwrap(), payload.len() as u64);
         assert!(matches!(
             h.stream_verified(&Digest::of(b"other")),
-            Err(RegistryError::DigestMismatch(_))
+            Err(StoreError::DigestMismatch(_))
         ));
 
         // Ranged reads return exactly the window.

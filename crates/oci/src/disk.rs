@@ -20,9 +20,9 @@
 //! `kill -9`), so a crashed daemon never wedges the layout.
 
 use crate::backend::{BlobBackend, BlobHandle};
-use crate::layout::{Layout, LayoutError};
+use crate::layout::Layout;
 use crate::spec::ImageIndex;
-use crate::store::Verified;
+use crate::store::{StoreError, Verified};
 use bytes::Bytes;
 use comt_digest::Digest;
 use std::fs::{File, OpenOptions, TryLockError};
@@ -55,7 +55,7 @@ fn fsync_dir(dir: &Path) -> std::io::Result<()> {
 /// Write `data` to a fresh tmp file in `path`'s directory, fsync it, and
 /// atomically rename it over `path`, fsyncing the directory after.
 pub(crate) fn commit_file(path: &Path, data: &[u8]) -> std::io::Result<()> {
-    let dir = path.parent().expect("commit target has a parent");
+    let dir = path.parent().ok_or(std::io::ErrorKind::InvalidInput)?;
     let tmp = dir.join(tmp_name());
     let mut f = File::create(&tmp)?;
     f.write_all(data)?;
@@ -82,9 +82,9 @@ pub struct LayoutLock {
 
 impl LayoutLock {
     /// Acquire the layout's exclusive lock, creating the directory and the
-    /// lock file as needed. Fails fast with [`LayoutError::Locked`] if
+    /// lock file as needed. Fails fast with [`StoreError::Locked`] if
     /// another live process holds it.
-    pub fn acquire(dir: &Path) -> Result<LayoutLock, LayoutError> {
+    pub fn acquire(dir: &Path) -> Result<LayoutLock, StoreError> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(LOCK_FILE);
         let file = OpenOptions::new()
@@ -106,7 +106,7 @@ impl LayoutLock {
                     .ok()
                     .map(|s| s.trim().to_string())
                     .filter(|s| !s.is_empty());
-                Err(LayoutError::Locked {
+                Err(StoreError::Locked {
                     path: path.display().to_string(),
                     holder,
                 })
@@ -135,7 +135,7 @@ pub struct DiskStore {
 impl DiskStore {
     /// Open a layout directory for writing, creating the skeleton
     /// (`blobs/sha256/`, `oci-layout` marker) if absent.
-    pub fn init(root: &Path) -> Result<DiskStore, LayoutError> {
+    pub fn init(root: &Path) -> Result<DiskStore, StoreError> {
         let store = DiskStore {
             root: root.to_path_buf(),
             _lock: None,
@@ -149,9 +149,9 @@ impl DiskStore {
     }
 
     /// Open an existing layout directory without creating anything.
-    pub fn open(root: &Path) -> Result<DiskStore, LayoutError> {
+    pub fn open(root: &Path) -> Result<DiskStore, StoreError> {
         if !root.join("index.json").is_file() && !root.join("blobs").is_dir() {
-            return Err(LayoutError::Io(std::io::Error::new(
+            return Err(StoreError::Io(std::io::Error::new(
                 std::io::ErrorKind::NotFound,
                 format!("not an OCI layout: {}", root.display()),
             )));
@@ -175,26 +175,18 @@ impl DiskStore {
         self.blobs_dir().join(digest.hex())
     }
 
-    /// Read a blob and verify its content against its address. `Ok(None)`
-    /// means absent; a present-but-corrupt blob is
-    /// [`LayoutError::DigestMismatch`] — torn state, never silently served.
-    pub fn read_verified(&self, digest: &Digest) -> Result<Option<Verified<'static>>, LayoutError> {
-        let path = self.blob_path(digest);
-        let data = match std::fs::read(&path) {
-            Ok(d) => d,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        match Verified::check(*digest, data) {
-            Ok(blob) => Ok(Some(blob)),
-            Err(_) => Err(LayoutError::DigestMismatch {
-                path: path.display().to_string(),
-            }),
-        }
+    /// Read a blob and verify its content against its address
+    /// ([`BlobHandle::read_verified`]). `Ok(None)` means absent; a
+    /// present-but-corrupt blob is [`StoreError::DigestMismatch`] — torn
+    /// state, never silently served.
+    pub fn read_verified(&self, digest: &Digest) -> Result<Option<Verified<'static>>, StoreError> {
+        self.handle(digest)
+            .map(|h| h.read_verified(digest))
+            .transpose()
     }
 
     /// [`DiskStore::read_verified`], as plain bytes.
-    pub fn read_blob(&self, digest: &Digest) -> Result<Option<Bytes>, LayoutError> {
+    pub fn read_blob(&self, digest: &Digest) -> Result<Option<Bytes>, StoreError> {
         Ok(self.read_verified(digest)?.map(Verified::into_bytes))
     }
 
@@ -204,22 +196,16 @@ impl DiskStore {
     /// is not — nothing would be written whatever the hash said, and
     /// [`DiskStore::read_verified`] checks it on every read. Returns `true`
     /// if the blob was newly written, `false` if already present.
-    pub fn put_blob(&self, digest: &Digest, data: &[u8]) -> Result<bool, LayoutError> {
-        let path = self.blob_path(digest);
-        if path.is_file() {
+    pub fn put_blob(&self, digest: &Digest, data: &[u8]) -> Result<bool, StoreError> {
+        if self.blob_path(digest).is_file() {
             return Ok(false);
         }
-        match Verified::check(*digest, data) {
-            Ok(blob) => self.admit(blob),
-            Err(_) => Err(LayoutError::DigestMismatch {
-                path: path.display().to_string(),
-            }),
-        }
+        self.admit(Verified::check(*digest, data)?)
     }
 
     /// Commit a blob on the strength of its proof — no second hash, and no
     /// copy of a borrowed payload. Returns `true` if newly written.
-    pub fn admit(&self, blob: Verified<'_>) -> Result<bool, LayoutError> {
+    pub fn admit(&self, blob: Verified<'_>) -> Result<bool, StoreError> {
         let path = self.blob_path(&blob.digest());
         if path.is_file() {
             return Ok(false);
@@ -232,8 +218,8 @@ impl DiskStore {
     /// with its size, in digest order. Tmp orphans and foreign files are
     /// skipped — `comt fsck` is the pass that reports them — unless
     /// `strict`, the eager loader's view, where either is
-    /// [`LayoutError::Torn`].
-    pub(crate) fn scan(&self, strict: bool) -> Result<Vec<(Digest, u64)>, LayoutError> {
+    /// [`StoreError::Torn`].
+    pub(crate) fn scan(&self, strict: bool) -> Result<Vec<(Digest, u64)>, StoreError> {
         let dir = self.blobs_dir();
         let mut out = Vec::new();
         if !dir.is_dir() {
@@ -249,7 +235,7 @@ impl DiskStore {
                     } else {
                         "foreign file in the blob directory"
                     };
-                    return Err(LayoutError::Torn {
+                    return Err(StoreError::Torn {
                         path: entry.path().display().to_string(),
                         detail: detail.into(),
                     });
@@ -265,36 +251,39 @@ impl DiskStore {
         Ok(out)
     }
 
-    /// Parse `index.json`, refusing torn or missing state with an error
-    /// that points at `comt fsck`.
-    pub fn read_index(&self) -> Result<ImageIndex, LayoutError> {
+    /// Parse `index.json`, refusing torn or missing state — a descriptor
+    /// whose digest does not parse included — with an error that points at
+    /// `comt fsck`.
+    pub fn read_index(&self) -> Result<ImageIndex, StoreError> {
         let path = self.root.join("index.json");
+        let torn = |detail: String| StoreError::Torn {
+            path: path.display().to_string(),
+            detail,
+        };
         let raw = match std::fs::read(&path) {
             Ok(r) => r,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(LayoutError::Torn {
-                    path: path.display().to_string(),
-                    detail: "index.json is missing".into(),
-                })
+                return Err(torn("index.json is missing".into()))
             }
             Err(e) => return Err(e.into()),
         };
-        serde_json::from_slice(&raw).map_err(|e| LayoutError::Torn {
-            path: path.display().to_string(),
-            detail: format!("index.json does not parse: {e}"),
-        })
+        let index: ImageIndex = serde_json::from_slice(&raw)
+            .map_err(|e| torn(format!("index.json does not parse: {e}")))?;
+        if let Some(bad) = index.manifests.iter().find(|d| d.parsed_digest().is_err()) {
+            return Err(torn(format!("index.json names a malformed digest: {}", bad.digest)));
+        }
+        Ok(index)
     }
 
     /// Atomically replace `index.json` (and refresh the `oci-layout`
     /// marker). This is the commit point of every layout mutation: the tag
     /// table flips from old to new in one rename.
-    pub fn commit_index(&self, index: &ImageIndex) -> Result<(), LayoutError> {
+    pub fn commit_index(&self, index: &ImageIndex) -> Result<(), StoreError> {
         let marker = self.root.join("oci-layout");
         if !marker.is_file() {
             commit_file(&marker, OCI_LAYOUT_MARKER)?;
         }
-        let json = serde_json::to_vec_pretty(index)
-            .map_err(|e| LayoutError::BadJson(e.to_string()))?;
+        let json = serde_json::to_vec_pretty(index).map_err(std::io::Error::other)?;
         commit_file(&self.root.join("index.json"), &json)?;
         Ok(())
     }
@@ -310,11 +299,11 @@ impl BlobBackend for DiskStore {
         })
     }
 
-    fn insert(&mut self, blob: Verified<'_>) -> Result<bool, LayoutError> {
+    fn insert(&mut self, blob: Verified<'_>) -> Result<bool, StoreError> {
         self.admit(blob)
     }
 
-    fn remove(&mut self, digest: &Digest) -> Result<bool, LayoutError> {
+    fn remove(&mut self, digest: &Digest) -> Result<bool, StoreError> {
         match std::fs::remove_file(self.blob_path(digest)) {
             Ok(()) => {
                 fsync_dir(&self.blobs_dir())?;
@@ -325,11 +314,11 @@ impl BlobBackend for DiskStore {
         }
     }
 
-    fn digests(&self) -> Result<Vec<(Digest, u64)>, LayoutError> {
+    fn digests(&self) -> Result<Vec<(Digest, u64)>, StoreError> {
         self.scan(false)
     }
 
-    fn commit_index(&mut self, index: &ImageIndex) -> Result<(), LayoutError> {
+    fn commit_index(&mut self, index: &ImageIndex) -> Result<(), StoreError> {
         DiskStore::commit_index(self, index)
     }
 }
@@ -347,7 +336,7 @@ impl Layout<DiskStore> {
     /// absent directory becomes an empty registry; an existing layout's
     /// tags are served as `name:tag` keys (bare ref names answer to
     /// `name:latest`).
-    pub fn open(dir: &Path) -> Result<DiskRegistry, LayoutError> {
+    pub fn open(dir: &Path) -> Result<DiskRegistry, StoreError> {
         let lock = LayoutLock::acquire(dir)?;
         let blobs = DiskStore {
             _lock: Some(lock),
@@ -407,7 +396,7 @@ mod tests {
         let store = DiskStore::init(&dir).unwrap();
         let wrong = Digest::of(b"other content");
         let err = store.put_blob(&wrong, b"actual content").unwrap_err();
-        assert!(matches!(err, LayoutError::DigestMismatch { .. }));
+        assert!(matches!(err, StoreError::DigestMismatch(_)));
         assert!(store.handle(&wrong).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -435,7 +424,7 @@ mod tests {
         std::fs::write(store.blob_path(&d), b"tampered").unwrap();
         assert!(matches!(
             store.read_blob(&d),
-            Err(LayoutError::DigestMismatch { .. })
+            Err(StoreError::DigestMismatch(_))
         ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -447,7 +436,7 @@ mod tests {
         // Same-process second handle: advisory OS locks are per-open-file,
         // so this models a second process contending for the layout.
         match LayoutLock::acquire(&dir) {
-            Err(LayoutError::Locked { holder, .. }) => {
+            Err(StoreError::Locked { holder, .. }) => {
                 assert_eq!(holder.as_deref(), Some(std::process::id().to_string().as_str()));
             }
             other => panic!("expected Locked, got {other:?}"),
@@ -471,7 +460,7 @@ mod tests {
         // Torn JSON refuses with a Torn error pointing at fsck.
         std::fs::write(dir.join("index.json"), &serde_json::to_vec(&index).unwrap()[..10])
             .unwrap();
-        assert!(matches!(store.read_index(), Err(LayoutError::Torn { .. })));
+        assert!(matches!(store.read_index(), Err(StoreError::Torn { .. })));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

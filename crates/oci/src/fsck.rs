@@ -22,9 +22,8 @@
 //! bytes that were originally published.
 
 use crate::disk::{commit_file, DiskStore, LayoutLock, OCI_LAYOUT_MARKER, TMP_PREFIX};
-use crate::layout::LayoutError;
 use crate::spec::{ImageIndex, MediaType};
-use crate::store::closure_of_manifest;
+use crate::store::{closure_of_manifest, StoreError};
 use comt_digest::Digest;
 use serde::Serialize;
 use std::collections::BTreeSet;
@@ -127,10 +126,10 @@ impl FsckReport {
 ///
 /// Always runs under the layout lock: a concurrent `comt serve` or `gc
 /// --apply` would make in-flight tmp files look like damage, so contention
-/// is surfaced as [`LayoutError::Locked`] instead of a false report.
-pub fn fsck(dir: &Path, opts: &FsckOptions) -> Result<FsckReport, LayoutError> {
+/// is surfaced as [`StoreError::Locked`] instead of a false report.
+pub fn fsck(dir: &Path, opts: &FsckOptions) -> Result<FsckReport, StoreError> {
     if !dir.join("index.json").is_file() && !dir.join("blobs").is_dir() {
-        return Err(LayoutError::Io(std::io::Error::new(
+        return Err(StoreError::Io(std::io::Error::new(
             std::io::ErrorKind::NotFound,
             format!("not an OCI layout: {}", dir.display()),
         )));
@@ -232,7 +231,7 @@ pub fn fsck(dir: &Path, opts: &FsckOptions) -> Result<FsckReport, LayoutError> {
                     }
                     let size = handle.len();
                     let detail = match e {
-                        crate::store::RegistryError::DigestMismatch(_) => format!(
+                        StoreError::DigestMismatch(_) => format!(
                             "blob content does not hash to its name (torn or corrupt write, {size} bytes)"
                         ),
                         other => format!("blob unreadable: {other}"),

@@ -16,17 +16,17 @@
 //! blobs/sha256/<hex>  # content-addressed blobs
 //! ```
 //!
-//! Tag → manifest, layer → chunkmap, publish-only-after-verify, liveness
-//! and gc are written here once, for every backend.
+//! Tag → manifest, layer → chunkmap, publish-only-after-verify, in-process
+//! push and pull, liveness and gc are written here once, for every backend,
+//! and all of it fails with the one [`StoreError`].
 
 use crate::backend::{BlobBackend, BlobHandle};
 use crate::disk::{DiskStore, LayoutLock};
+use crate::image::ImageError;
 use crate::spec::{Descriptor, ImageIndex, MediaType};
-use crate::store::{closure_digests, closure_of_manifest, BlobStore, RegistryError, Verified};
+use crate::store::{closure_of_manifest, BlobStore, StoreError, Verified};
 use comt_digest::Digest;
 use std::collections::BTreeSet;
-use std::fmt;
-use std::io;
 use std::path::Path;
 
 /// The one tagged store: an image index over a blob backend. `blobs` says
@@ -42,70 +42,6 @@ pub struct Layout<B> {
 /// An OCI layout held in memory: the unit mounted at `/.coMtainer/io`.
 pub type OciDir = Layout<BlobStore>;
 
-/// Errors from layout I/O.
-#[derive(Debug)]
-pub enum LayoutError {
-    Io(io::Error),
-    BadJson(String),
-    BadDigest(String),
-    /// A blob file's name does not match its content digest.
-    DigestMismatch { path: String },
-    UnknownRef(String),
-    /// Another live process holds the layout's advisory lock.
-    Locked {
-        path: String,
-        /// Pid recorded by the holder, when readable (diagnostic only).
-        holder: Option<String>,
-    },
-    /// The on-disk layout is torn (interrupted commit: orphan tmp file,
-    /// truncated `index.json`, foreign file in the blob directory).
-    Torn { path: String, detail: String },
-}
-
-impl fmt::Display for LayoutError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LayoutError::Io(e) => write!(f, "io error: {e}"),
-            LayoutError::BadJson(e) => write!(f, "bad json: {e}"),
-            LayoutError::BadDigest(e) => write!(f, "bad digest: {e}"),
-            LayoutError::DigestMismatch { path } => {
-                write!(f, "blob content does not match its digest: {path}")
-            }
-            LayoutError::UnknownRef(r) => write!(f, "unknown ref: {r}"),
-            LayoutError::Locked { path, holder } => {
-                write!(f, "layout is locked by another process ({path}")?;
-                if let Some(pid) = holder {
-                    write!(f, ", held by pid {pid}")?;
-                }
-                write!(f, ")")
-            }
-            LayoutError::Torn { path, detail } => {
-                write!(
-                    f,
-                    "torn layout: {detail} ({path}); run `comt fsck` to diagnose and `comt fsck --repair` to recover"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for LayoutError {}
-
-impl From<io::Error> for LayoutError {
-    fn from(e: io::Error) -> Self {
-        LayoutError::Io(e)
-    }
-}
-
-impl From<LayoutError> for RegistryError {
-    fn from(e: LayoutError) -> Self {
-        match e {
-            LayoutError::DigestMismatch { path } => RegistryError::DigestMismatch(path),
-            other => RegistryError::Storage(other.to_string()),
-        }
-    }
-}
-
 impl<B: BlobBackend> Layout<B> {
     pub fn store(&self) -> &B {
         &self.blobs
@@ -118,31 +54,31 @@ impl<B: BlobBackend> Layout<B> {
     /// Resolve a ref name — or a wire tag key (`name:reference`) — to its
     /// manifest digest. Names match exactly; a bare ref name
     /// (`app.dist+coM`) also answers to its `latest` reference.
-    pub fn resolve(&self, name: &str) -> Result<Digest, LayoutError> {
+    pub fn resolve(&self, name: &str) -> Result<Digest, StoreError> {
         let bare = || self.index.find_ref(name.strip_suffix(":latest")?);
         let desc = self
             .index
             .find_ref(name)
             .or_else(bare)
-            .ok_or_else(|| LayoutError::UnknownRef(name.to_string()))?;
+            .ok_or_else(|| StoreError::UnknownRef(name.to_string()))?;
         desc.parsed_digest()
-            .map_err(|e| LayoutError::BadDigest(e.to_string()))
+            .map_err(|e| StoreError::CorruptManifest(format!("ref {name}: {e}")))
     }
 
     /// Committed blob count (startup banner, `comt gc`).
-    pub fn blob_count(&self) -> Result<usize, LayoutError> {
+    pub fn blob_count(&self) -> Result<usize, StoreError> {
         Ok(self.blobs.digests()?.len())
     }
 
-    fn committed(&self, digest: &Digest) -> Result<BlobHandle, RegistryError> {
+    fn committed(&self, digest: &Digest) -> Result<BlobHandle, StoreError> {
         self.blobs
             .handle(digest)
-            .ok_or_else(|| RegistryError::MissingBlob(digest.to_string()))
+            .ok_or_else(|| StoreError::MissingBlob(digest.to_string()))
     }
 
     /// Commit `next` as the tag table, then adopt it: a failed commit
     /// leaves both the backend's table and `self.index` as they were.
-    fn flip(&mut self, next: ImageIndex) -> Result<(), RegistryError> {
+    fn flip(&mut self, next: ImageIndex) -> Result<(), StoreError> {
         self.blobs.commit_index(&next)?;
         self.index = next;
         Ok(())
@@ -158,7 +94,7 @@ impl<B: BlobBackend> Layout<B> {
         &mut self,
         key: &str,
         manifest: Verified<'_>,
-    ) -> Result<Digest, RegistryError> {
+    ) -> Result<Digest, StoreError> {
         let (digest, size) = (manifest.digest(), manifest.len() as u64);
         let closure = closure_of_manifest(manifest.as_slice(), &digest)?;
         {
@@ -176,6 +112,49 @@ impl<B: BlobBackend> Layout<B> {
         Ok(digest)
     }
 
+    /// Push a manifest (and its blob closure) from a local store under
+    /// `tag`, the way a wire push does: admit each closure blob this store
+    /// lacks on a [`Verified::check`] of the source's bytes, then
+    /// [`Layout::publish_manifest`] — which re-verifies the whole closure,
+    /// so deduplication never masks a poisoned or truncated blob this
+    /// store already held, and flips the tag only on success. Returns how
+    /// many blobs moved.
+    pub fn push(
+        &mut self,
+        tag: &str,
+        manifest_digest: Digest,
+        src: &BlobStore,
+    ) -> Result<usize, StoreError> {
+        let manifest = Verified::check(manifest_digest, src.require(&manifest_digest)?)?;
+        let closure = closure_of_manifest(manifest.as_slice(), &manifest_digest)?;
+        let mut moved = usize::from(self.blobs.handle(&manifest_digest).is_none());
+        for d in &closure[1..] {
+            if self.blobs.handle(d).is_none() {
+                self.blobs.insert(Verified::check(*d, src.require(d)?)?)?;
+                moved += 1;
+            }
+        }
+        self.publish_manifest(tag, manifest)?;
+        Ok(moved)
+    }
+
+    /// Pull a tag's manifest closure into a local store, verifying every
+    /// blob on the way out; returns the manifest digest and how many blobs
+    /// `dst` did not already hold.
+    pub fn pull(&self, tag: &str, dst: &mut BlobStore) -> Result<(Digest, usize), StoreError> {
+        let digest = self.resolve(tag)?;
+        let obs = comt_observe::global();
+        let _span = obs.span("store.verify");
+        let manifest = self.committed(&digest)?.read_verified(&digest)?;
+        let closure = closure_of_manifest(manifest.as_slice(), &digest)?;
+        obs.count("store.verify.blobs", closure.len() as u64);
+        let mut moved = usize::from(dst.insert(manifest)?);
+        for d in &closure[1..] {
+            moved += usize::from(dst.insert(self.committed(d)?.read_verified(d)?)?);
+        }
+        Ok((digest, moved))
+    }
+
     /// Chunkmap blob digest recorded for a layer blob, if any.
     pub fn chunkmap_for(&self, layer: &Digest) -> Option<Digest> {
         self.index.chunkmap_for(layer)?.parsed_digest().ok()
@@ -191,7 +170,7 @@ impl<B: BlobBackend> Layout<B> {
         &mut self,
         layer: Digest,
         map: Verified<'_>,
-    ) -> Result<Digest, RegistryError> {
+    ) -> Result<Digest, StoreError> {
         self.committed(&layer)?;
         let (digest, size) = (map.digest(), map.len() as u64);
         self.blobs.insert(map)?;
@@ -207,32 +186,29 @@ impl<B: BlobBackend> Layout<B> {
     /// broken ref (missing/corrupt manifest, bad digest) is an error: gc
     /// must not treat blobs as dead because a closure could not be
     /// enumerated. A chunkmap blob is live iff the layer it describes is.
-    pub fn live_set(&self) -> Result<BTreeSet<Digest>, RegistryError> {
+    pub fn live_set(&self) -> Result<BTreeSet<Digest>, StoreError> {
         let mut live = BTreeSet::new();
         for name in self.index.ref_names() {
-            let digest = self
-                .resolve(&name)
-                .map_err(|e| RegistryError::CorruptManifest(format!("ref {name}: {e}")))?;
+            let digest = self.resolve(&name)?;
             if !live.contains(&digest) {
                 let raw = self.committed(&digest)?.read_verified(&digest)?;
-                live.extend(closure_of_manifest(&raw, &digest)?);
+                live.extend(closure_of_manifest(raw.as_slice(), &digest)?);
             }
         }
         for desc in self.index.chunkmap_entries() {
+            let map = desc
+                .parsed_digest()
+                .map_err(|e| StoreError::CorruptManifest(format!("chunkmap entry: {e}")))?;
             if desc.chunkmap_layer().is_some_and(|l| live.contains(&l)) {
-                if let Ok(d) = desc.parsed_digest() {
-                    live.insert(d);
-                }
+                live.insert(map);
             }
         }
         Ok(live)
     }
 
-    /// GC plan: committed blobs unreachable from every ref (in digest
-    /// order) with the bytes they hold. The scan is metadata-only; no blob
-    /// content is read except the manifests of live refs.
-    pub fn gc_plan(&self) -> Result<(Vec<Digest>, u64), RegistryError> {
-        let live = self.live_set()?;
+    /// The committed blobs outside `live` (in digest order) with the bytes
+    /// they hold — a metadata-only scan.
+    fn dead_outside(&self, live: &BTreeSet<Digest>) -> Result<(Vec<Digest>, u64), StoreError> {
         let mut dead = Vec::new();
         let mut bytes = 0u64;
         for (d, len) in self.blobs.digests()? {
@@ -244,12 +220,20 @@ impl<B: BlobBackend> Layout<B> {
         Ok((dead, bytes))
     }
 
+    /// GC plan: committed blobs unreachable from every ref (in digest
+    /// order) with the bytes they hold. No blob content is read except the
+    /// manifests of live refs.
+    pub fn gc_plan(&self) -> Result<(Vec<Digest>, u64), StoreError> {
+        self.dead_outside(&self.live_set()?)
+    }
+
     /// Delete every unreachable blob — repeated rebuild/redirect rounds
     /// replace `+coMre`/`+opt` manifests and orphan their old layers.
     /// Chunkmap entries whose layer is no longer live are swept from the
     /// index first (one commit), so the sweep never leaves a descriptor
-    /// pointing at a deleted blob. Returns (blobs removed, bytes reclaimed).
-    pub fn gc_apply(&mut self) -> Result<(usize, u64), RegistryError> {
+    /// pointing at a deleted blob. The live set is walked once. Returns
+    /// (blobs removed, bytes reclaimed).
+    pub fn gc_apply(&mut self) -> Result<(usize, u64), StoreError> {
         let live = self.live_set()?;
         let keeps = |d: &Descriptor| {
             d.media_type != MediaType::Chunkmap
@@ -260,7 +244,7 @@ impl<B: BlobBackend> Layout<B> {
             next.manifests.retain(keeps);
             self.flip(next)?;
         }
-        let (dead, bytes) = self.gc_plan()?;
+        let (dead, bytes) = self.dead_outside(&live)?;
         let mut removed = 0usize;
         for d in &dead {
             if self.blobs.remove(d)? {
@@ -277,27 +261,33 @@ impl Layout<BlobStore> {
     }
 
     /// Export an image (manifest closure) from `src` into this layout under
-    /// the ref name `name` — the `buildah push … oci:./dir` step.
+    /// the ref name `name` — the `buildah push … oci:./dir` step. Both
+    /// stores are in this process and hold only proofs, so the copy is a
+    /// refcount bump per blob and hashes nothing.
     pub fn export(
         &mut self,
         name: &str,
         manifest_digest: Digest,
         src: &BlobStore,
-    ) -> Result<(), LayoutError> {
-        let bad = |e: RegistryError| match e {
-            RegistryError::CorruptManifest(m) => LayoutError::BadJson(m),
-            RegistryError::MissingBlob(d) => LayoutError::BadDigest(d),
-            other => LayoutError::BadDigest(other.to_string()),
-        };
-        let closure = closure_digests(src, &manifest_digest).map_err(bad)?;
-        self.import(name, &closure, src).map_err(bad)?;
+    ) -> Result<(), StoreError> {
+        let manifest = src.require(&manifest_digest)?;
+        for d in closure_of_manifest(&manifest, &manifest_digest)? {
+            if !self.blobs.fetch_from(src, &d) {
+                return Err(StoreError::MissingBlob(d.to_string()));
+            }
+        }
+        let size = manifest.len() as u64;
+        let desc = Descriptor::new(MediaType::ImageManifest, manifest_digest, size);
+        self.index.set_ref(name, desc);
         Ok(())
     }
 
     /// Load an [`crate::Image`] by ref name.
-    pub fn load_image(&self, name: &str) -> Result<crate::Image, LayoutError> {
-        let d = self.resolve(name)?;
-        crate::Image::load(&self.blobs, d).map_err(|e| LayoutError::BadJson(e.to_string()))
+    pub fn load_image(&self, name: &str) -> Result<crate::Image, StoreError> {
+        crate::Image::load(&self.blobs, self.resolve(name)?).map_err(|e| match e {
+            ImageError::MissingBlob(d) => StoreError::MissingBlob(d),
+            other => StoreError::CorruptManifest(other.to_string()),
+        })
     }
 
     /// Persist to a real directory in standard OCI layout form, under the
@@ -306,7 +296,7 @@ impl Layout<BlobStore> {
     /// via tmp → fsync → atomic rename), and `index.json` is replaced
     /// atomically last, so a kill mid-save leaves either the old or the
     /// new tag table — never a torn one.
-    pub fn save(&self, dir: &Path) -> Result<(), LayoutError> {
+    pub fn save(&self, dir: &Path) -> Result<(), StoreError> {
         let _lock = LayoutLock::acquire(dir)?;
         let store = DiskStore::init(dir)?;
         for (digest, blob) in self.blobs.iter() {
@@ -319,7 +309,7 @@ impl Layout<BlobStore> {
     /// and refusing torn state: an orphan tmp file, a foreign file in the
     /// blob directory, or an unparseable `index.json` all fail with an
     /// error pointing at `comt fsck` instead of being silently skipped.
-    pub fn load(dir: &Path) -> Result<Self, LayoutError> {
+    pub fn load(dir: &Path) -> Result<Self, StoreError> {
         let store = DiskStore::open(dir)?;
         let index = store.read_index()?;
         let mut blobs = BlobStore::new();
@@ -337,6 +327,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use crate::image::ImageBuilder;
+    use crate::store::closure_digests;
     use comt_vfs::Vfs;
 
     fn tiny_image(store: &mut BlobStore) -> Digest {
@@ -362,11 +353,38 @@ mod tests {
     }
 
     #[test]
+    fn export_of_an_incomplete_closure_names_the_missing_blob() {
+        let mut store = BlobStore::new();
+        let md = tiny_image(&mut store);
+        let layer = closure_digests(&store, &md).unwrap()[2];
+        store.retain(|d| *d != layer);
+        let mut dir = OciDir::new();
+        match dir.export("app.dist", md, &store) {
+            Err(StoreError::MissingBlob(d)) => assert_eq!(d, layer.to_string()),
+            other => panic!("expected MissingBlob({layer}), got {other:?}"),
+        }
+        assert!(dir.index.ref_names().is_empty(), "failed export left a ref");
+        // A blob that is not a manifest is a corrupt manifest, not bad JSON
+        // from nowhere; a digest the source does not hold is missing.
+        let config = closure_digests(&store, &md).unwrap()[1];
+        let not_a_manifest = store.put(Bytes::from_static(b"not a manifest"));
+        assert!(matches!(
+            dir.export("x", not_a_manifest, &store),
+            Err(StoreError::CorruptManifest(_))
+        ));
+        store.retain(|d| *d != config && *d != md);
+        assert!(matches!(
+            dir.export("x", md, &store),
+            Err(StoreError::MissingBlob(_))
+        ));
+    }
+
+    #[test]
     fn resolve_unknown_ref() {
         let dir = OciDir::new();
         assert!(matches!(
             dir.resolve("ghost"),
-            Err(LayoutError::UnknownRef(_))
+            Err(StoreError::UnknownRef(_))
         ));
     }
 
@@ -410,7 +428,7 @@ mod tests {
 
         assert!(matches!(
             OciDir::load(&tmp),
-            Err(LayoutError::DigestMismatch { .. })
+            Err(StoreError::DigestMismatch(_))
         ));
         std::fs::remove_dir_all(&tmp).unwrap();
     }

@@ -12,17 +12,19 @@
 //! * [`Image`] / [`ImageBuilder`] — building images from layer changesets,
 //!   flattening an image to a filesystem ([`flatten`]),
 //! * [`Layout`] — the one tagged store: an image index over a
-//!   [`BlobBackend`], with resolve, staged publish, chunkmaps, liveness
-//!   and gc written once. [`layout::OciDir`] and [`Registry`] are it in
-//!   memory (`export`, `save`/`load`, in-process `push`/`pull`),
-//!   [`DiskRegistry`] is it on disk under the layout lock,
+//!   [`BlobBackend`], with resolve, staged publish, `push`/`pull`,
+//!   chunkmaps, liveness and gc written once. [`layout::OciDir`] and
+//!   [`Registry`] are it in memory (`export`, `save`/`load`),
+//!   [`DiskRegistry`] is it on disk under the layout lock, and it is what
+//!   `comt-dist`'s daemon serves, whatever the backend,
 //! * [`BlobStore`] / [`DiskStore`] — the two blob backends: in memory, and
 //!   the crash-safe directory (tmp → fsync → atomic-rename commits, lazy
 //!   digest-verified reads, [`LayoutLock`]),
 //! * [`Verified`] — the one admission proof: a blob enters either backend
 //!   only with the digest its bytes were hashed to,
-//! * [`backend`] — [`BlobBackend`], [`BlobHandle`] and the
-//!   [`RegistryBackend`] view the wire daemon serves through,
+//! * [`StoreError`] — the one error every store operation returns, with
+//!   "whose fault" ([`StoreError::is_store_fault`]) as a method,
+//! * [`backend`] — [`BlobBackend`] and [`BlobHandle`],
 //! * [`fsck`] — torn-layout diagnosis and repair (`comt fsck`).
 
 pub mod backend;
@@ -34,9 +36,7 @@ pub mod layout;
 pub mod spec;
 pub mod store;
 
-pub use backend::{
-    BlobBackend, BlobHandle, BlobReader, RegistryBackend, BLOB_STREAM_CHUNK, FILE_BYTES_READ,
-};
+pub use backend::{BlobBackend, BlobHandle, BlobReader, BLOB_STREAM_CHUNK, FILE_BYTES_READ};
 pub use codec::{EncodedLayer, LayerCodec};
 pub use disk::{DiskRegistry, DiskStore, LayoutLock};
 pub use fsck::{fsck, FsckFinding, FsckOptions, FsckReport};
@@ -45,9 +45,7 @@ pub use layout::Layout;
 pub use spec::{
     Descriptor, ImageConfig, ImageIndex, ImageManifest, MediaType, Platform, RuntimeConfig,
 };
-pub use store::{
-    closure_digests, closure_of_manifest, BlobStore, Registry, RegistryError, Verified,
-};
+pub use store::{closure_digests, closure_of_manifest, BlobStore, Registry, StoreError, Verified};
 
 /// Serialize a manifest to its canonical JSON bytes (exposed for tests and
 /// tools that need to hand-craft manifests).

@@ -1,12 +1,104 @@
 //! Content-addressed blob storage, the admission proof every store
-//! demands ([`Verified`]), and the in-process registry transfer.
+//! demands ([`Verified`]), the one error every store operation returns
+//! ([`StoreError`]) and the walk from manifest bytes to closure.
 
 use crate::backend::{BlobBackend, BlobHandle};
-use crate::layout::{Layout, LayoutError};
-use crate::spec::{Descriptor, ImageIndex, MediaType};
+use crate::layout::Layout;
+use crate::spec::ImageIndex;
 use bytes::Bytes;
 use comt_digest::Digest;
 use std::collections::BTreeMap;
+use std::fmt;
+use std::io;
+use std::path::Path;
+
+/// The one error of every store operation — layout I/O, publish, transfer,
+/// gc — whatever the backend. [`StoreError::is_store_fault`] says whose
+/// fault it is, which is what the wire surface turns into 5xx vs 4xx.
+#[derive(Debug)]
+pub enum StoreError {
+    /// No ref (or wire tag) of that name in the index.
+    UnknownRef(String),
+    /// A blob the operation needs is not in the store it was asked of.
+    MissingBlob(String),
+    /// A manifest that does not parse, or a descriptor naming a malformed
+    /// digest.
+    CorruptManifest(String),
+    /// Bytes that do not hash to the address they are claimed (or stored)
+    /// under.
+    DigestMismatch(String),
+    /// The backing storage failed.
+    Io(io::Error),
+    /// Another live process holds the layout's advisory lock.
+    Locked {
+        path: String,
+        /// Pid recorded by the holder, when readable (diagnostic only).
+        holder: Option<String>,
+    },
+    /// The on-disk layout is torn (interrupted commit: orphan tmp file,
+    /// truncated `index.json`, foreign file in the blob directory).
+    Torn { path: String, detail: String },
+}
+
+impl StoreError {
+    /// `true` when the store itself failed (I/O, torn layout, lock held) —
+    /// a 5xx on the wire; `false` when the request was wrong (unknown ref,
+    /// incomplete or corrupt closure, address ≠ bytes) — a 4xx.
+    pub fn is_store_fault(&self) -> bool {
+        matches!(
+            self,
+            StoreError::Io(_) | StoreError::Locked { .. } | StoreError::Torn { .. }
+        )
+    }
+
+    /// An I/O failure with the file it happened on in the message; the
+    /// `io::Error` (and its kind) stays reachable through `source()`.
+    pub(crate) fn io_at(path: &Path, e: io::Error) -> Self {
+        StoreError::Io(io::Error::new(e.kind(), format!("{}: {e}", path.display())))
+    }
+}
+
+impl fmt::Display for StoreError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StoreError::UnknownRef(r) => write!(f, "unknown ref: {r}"),
+            StoreError::MissingBlob(d) => write!(f, "missing blob: {d}"),
+            StoreError::CorruptManifest(e) => write!(f, "corrupt manifest: {e}"),
+            StoreError::DigestMismatch(d) => {
+                write!(f, "blob content does not match digest {d}")
+            }
+            StoreError::Io(e) => write!(f, "io error: {e}"),
+            StoreError::Locked { path, holder } => {
+                write!(f, "layout is locked by another process ({path}")?;
+                if let Some(pid) = holder {
+                    write!(f, ", held by pid {pid}")?;
+                }
+                write!(f, ")")
+            }
+            StoreError::Torn { path, detail } => {
+                write!(
+                    f,
+                    "torn layout: {detail} ({path}); run `comt fsck` to diagnose and `comt fsck --repair` to recover"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for StoreError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            StoreError::Io(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<io::Error> for StoreError {
+    fn from(e: io::Error) -> Self {
+        StoreError::Io(e)
+    }
+}
 
 /// Blob bytes on their way into a store: shared, or borrowed from a buffer
 /// the caller keeps (a request body). A disk store writes either form to a
@@ -68,10 +160,10 @@ impl<'a> Verified<'a> {
     /// Hash `bytes` and refuse them unless they hash to `claimed` — the
     /// check for an address somebody else supplied (a wire upload, a file
     /// name, a chunkmap).
-    pub fn check(claimed: Digest, bytes: impl Into<Payload<'a>>) -> Result<Self, RegistryError> {
+    pub fn check(claimed: Digest, bytes: impl Into<Payload<'a>>) -> Result<Self, StoreError> {
         let blob = Verified::hash(bytes);
         if blob.digest != claimed {
-            return Err(RegistryError::DigestMismatch(claimed.to_string()));
+            return Err(StoreError::DigestMismatch(claimed.to_string()));
         }
         Ok(blob)
     }
@@ -143,6 +235,12 @@ impl BlobStore {
         self.blobs.get(digest).cloned()
     }
 
+    /// [`BlobStore::get`], where absence is an error.
+    pub fn require(&self, digest: &Digest) -> Result<Bytes, StoreError> {
+        self.get(digest)
+            .ok_or_else(|| StoreError::MissingBlob(digest.to_string()))
+    }
+
     pub fn contains(&self, digest: &Digest) -> bool {
         self.blobs.contains_key(digest)
     }
@@ -204,87 +302,23 @@ impl BlobBackend for BlobStore {
         self.get(digest).map(BlobHandle::Resident)
     }
 
-    fn insert(&mut self, blob: Verified<'_>) -> Result<bool, LayoutError> {
+    fn insert(&mut self, blob: Verified<'_>) -> Result<bool, StoreError> {
         let fresh = !self.contains(&blob.digest());
         self.admit(blob);
         Ok(fresh)
     }
 
-    fn remove(&mut self, digest: &Digest) -> Result<bool, LayoutError> {
+    fn remove(&mut self, digest: &Digest) -> Result<bool, StoreError> {
         Ok(self.blobs.remove(digest).is_some())
     }
 
-    fn digests(&self) -> Result<Vec<(Digest, u64)>, LayoutError> {
+    fn digests(&self) -> Result<Vec<(Digest, u64)>, StoreError> {
         Ok(self.iter().map(|(d, b)| (*d, b.len() as u64)).collect())
     }
 
     /// Nothing to commit: the index a memory layout holds is the table.
-    fn commit_index(&mut self, _index: &ImageIndex) -> Result<(), LayoutError> {
+    fn commit_index(&mut self, _index: &ImageIndex) -> Result<(), StoreError> {
         Ok(())
-    }
-}
-
-/// Errors from registry operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RegistryError {
-    /// No manifest tagged with the requested name.
-    UnknownTag(String),
-    /// A referenced blob is missing from the source store.
-    MissingBlob(String),
-    /// Manifest blob failed to parse.
-    CorruptManifest(String),
-    /// A blob's content does not hash to its digest.
-    DigestMismatch(String),
-    /// The backing storage failed (disk I/O, torn layout). Unlike the
-    /// other variants this is the *store's* fault, not the caller's: the
-    /// wire surface maps it to a 5xx, never a 4xx.
-    Storage(String),
-}
-
-impl std::fmt::Display for RegistryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RegistryError::UnknownTag(t) => write!(f, "unknown tag: {t}"),
-            RegistryError::MissingBlob(d) => write!(f, "missing blob: {d}"),
-            RegistryError::CorruptManifest(e) => write!(f, "corrupt manifest: {e}"),
-            RegistryError::DigestMismatch(d) => {
-                write!(f, "blob content does not match digest {d}")
-            }
-            RegistryError::Storage(e) => write!(f, "storage failure: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RegistryError {}
-
-/// Re-hash each closure blob in `src` and check it against its address.
-///
-/// Blobs are independent, so verification fans out across threads (real
-/// registries do the same on push/pull: digest checks dominate transfer CPU
-/// time). Runs under the `store.verify` span with a `store.verify.blobs`
-/// counter.
-fn verify_blobs(src: &BlobStore, digests: &[Digest]) -> Result<(), RegistryError> {
-    let obs = comt_observe::global();
-    let _span = obs.span("store.verify");
-    let verify_one = |d: &Digest| -> Result<(), RegistryError> {
-        let blob = src
-            .get(d)
-            .ok_or_else(|| RegistryError::MissingBlob(d.to_string()))?;
-        Verified::check(*d, blob).map(drop)
-    };
-    obs.count("store.verify.blobs", digests.len() as u64);
-    if digests.len() > 1 {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = digests
-                .iter()
-                .map(|d| s.spawn(move || verify_one(d)))
-                .collect();
-            handles
-                .into_iter()
-                .try_for_each(|h| h.join().expect("verify worker panicked"))
-        })
-    } else {
-        digests.iter().try_for_each(verify_one)
     }
 }
 
@@ -295,122 +329,36 @@ fn verify_blobs(src: &BlobStore, digests: &[Digest]) -> Result<(), RegistryError
 pub fn closure_digests(
     src: &BlobStore,
     manifest_digest: &Digest,
-) -> Result<Vec<Digest>, RegistryError> {
-    let raw = src
-        .get(manifest_digest)
-        .ok_or_else(|| RegistryError::MissingBlob(manifest_digest.to_string()))?;
-    closure_of_manifest(&raw, manifest_digest)
+) -> Result<Vec<Digest>, StoreError> {
+    closure_of_manifest(&src.require(manifest_digest)?, manifest_digest)
 }
 
 /// Collect the closure digests from already-fetched manifest bytes: the
 /// manifest itself first, then its config, then every layer in order. The
-/// one walk from manifest bytes to closure — export, push, publish,
+/// one walk from manifest bytes to closure — export, push, pull, publish,
 /// liveness and fsck all go through it.
 pub fn closure_of_manifest(
     raw: &[u8],
     manifest_digest: &Digest,
-) -> Result<Vec<Digest>, RegistryError> {
-    let manifest: crate::spec::ImageManifest = serde_json::from_slice(raw)
-        .map_err(|e| RegistryError::CorruptManifest(e.to_string()))?;
+) -> Result<Vec<Digest>, StoreError> {
+    let corrupt = |e: &dyn fmt::Display| StoreError::CorruptManifest(e.to_string());
+    let manifest: crate::spec::ImageManifest =
+        serde_json::from_slice(raw).map_err(|e| corrupt(&e))?;
     let mut out = vec![*manifest_digest];
-    let cfg = manifest
-        .config
-        .parsed_digest()
-        .map_err(|e| RegistryError::CorruptManifest(e.to_string()))?;
-    out.push(cfg);
-    for layer in &manifest.layers {
-        out.push(
-            layer
-                .parsed_digest()
-                .map_err(|e| RegistryError::CorruptManifest(e.to_string()))?,
-        );
+    for desc in std::iter::once(&manifest.config).chain(&manifest.layers) {
+        out.push(desc.parsed_digest().map_err(|e| corrupt(&e))?);
     }
     Ok(out)
 }
 
-/// Copy the blobs of `closure` that `dst` lacks from `src`; returns how
-/// many moved.
-fn copy_closure(
-    dst: &mut BlobStore,
-    src: &BlobStore,
-    closure: &[Digest],
-) -> Result<usize, RegistryError> {
-    let mut moved = 0;
-    for d in closure {
-        if !dst.contains(d) {
-            if !dst.fetch_from(src, d) {
-                return Err(RegistryError::MissingBlob(d.to_string()));
-            }
-            moved += 1;
-        }
-    }
-    Ok(moved)
-}
-
 /// The in-memory registry: the one tagged store ([`Layout`]) over a
 /// [`BlobStore`] — the same type as [`crate::layout::OciDir`], under the
-/// name the transfer side of the workflow uses.
-///
-/// `push`/`pull` between stores transfer only missing blobs, mirroring
-/// real registry cross-repo behaviour. The registry is also the transport
-/// between the user side and the HPC system side in the coMtainer workflow.
+/// name the transfer side of the workflow uses. [`Layout::push`] and
+/// [`Layout::pull`] move closures between it and local stores, mirroring
+/// real registry cross-repo behaviour (only missing blobs move); it is the
+/// transport between the user side and the HPC system side in the
+/// coMtainer workflow.
 pub type Registry = Layout<BlobStore>;
-
-impl Layout<BlobStore> {
-    /// Copy an already-walked manifest closure (manifest first) from `src`
-    /// and point `name` at it, without re-hashing. Returns how many blobs
-    /// moved.
-    pub(crate) fn import(
-        &mut self,
-        name: &str,
-        closure: &[Digest],
-        src: &BlobStore,
-    ) -> Result<usize, RegistryError> {
-        let moved = copy_closure(&mut self.blobs, src, closure)?;
-        let manifest = closure[0];
-        let size = self.blobs.get(&manifest).expect("copied above").len() as u64;
-        self.index.set_ref(
-            name,
-            Descriptor::new(MediaType::ImageManifest, manifest, size),
-        );
-        Ok(moved)
-    }
-
-    /// Push a manifest (and its blob closure) from a local store under
-    /// `tag`: verify, then the same closure copy `export` does.
-    pub fn push(
-        &mut self,
-        tag: &str,
-        manifest_digest: Digest,
-        src: &BlobStore,
-    ) -> Result<usize, RegistryError> {
-        let closure = closure_digests(src, &manifest_digest)?;
-        // Verify content-addressing before admitting blobs (concurrently —
-        // layers are independent).
-        verify_blobs(src, &closure)?;
-        // Blobs the remote already holds are re-verified too: deduplication
-        // must not mask a poisoned or truncated pre-existing blob — that is
-        // a `DigestMismatch`, not a free skip.
-        let present: Vec<Digest> = closure
-            .iter()
-            .filter(|d| self.blobs.contains(d))
-            .copied()
-            .collect();
-        verify_blobs(&self.blobs, &present)?;
-        self.import(tag, &closure, src)
-    }
-
-    /// Pull a tag's manifest closure into a local store; returns the
-    /// manifest digest and how many blobs were transferred.
-    pub fn pull(&self, tag: &str, dst: &mut BlobStore) -> Result<(Digest, usize), RegistryError> {
-        let manifest_digest = self
-            .resolve(tag)
-            .map_err(|_| RegistryError::UnknownTag(tag.to_string()))?;
-        let closure = closure_digests(&self.blobs, &manifest_digest)?;
-        verify_blobs(&self.blobs, &closure)?;
-        Ok((manifest_digest, copy_closure(dst, &self.blobs, &closure)?))
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -481,8 +429,27 @@ mod tests {
         let mut dst = BlobStore::new();
         assert!(matches!(
             reg.pull("ghost:latest", &mut dst),
-            Err(RegistryError::UnknownTag(_))
+            Err(StoreError::UnknownRef(_))
         ));
+    }
+
+    #[test]
+    fn pull_of_a_ref_with_a_bad_digest_is_not_unknown_tag() {
+        // The tag exists; what it names is malformed. That is a corrupt
+        // table, and reporting it as "unknown tag" would send the operator
+        // looking for a push that never happened.
+        let mut local = BlobStore::new();
+        let md = tiny_image(&mut local);
+        let mut reg = Registry::new();
+        reg.push("app:1", md, &local).unwrap();
+        reg.index.manifests[0].digest = "sha256:not-hex".into();
+        let mut dst = BlobStore::new();
+        match reg.pull("app:1", &mut dst) {
+            Err(StoreError::CorruptManifest(why)) => assert!(why.contains("app:1"), "{why}"),
+            other => panic!("expected CorruptManifest, got {other:?}"),
+        }
+        assert!(dst.is_empty());
+        assert!(matches!(reg.live_set(), Err(StoreError::CorruptManifest(_))));
     }
 
     #[test]
@@ -500,7 +467,7 @@ mod tests {
         let mut reg = Registry::new();
         assert!(matches!(
             reg.push("bad:1", md, &local),
-            Err(RegistryError::DigestMismatch(_))
+            Err(StoreError::DigestMismatch(_))
         ));
     }
 
@@ -526,7 +493,7 @@ mod tests {
 
         assert!(matches!(
             reg.push("app:2", md, &local),
-            Err(RegistryError::DigestMismatch(_))
+            Err(StoreError::DigestMismatch(_))
         ));
         // The poisoned blob was not re-tagged as a fresh ref either.
         assert!(reg.resolve("app:2").is_err());
@@ -560,7 +527,7 @@ mod tests {
         // A claim the bytes do not have is refused in every build profile.
         assert!(matches!(
             Verified::check(Digest::of(b"other"), data),
-            Err(RegistryError::DigestMismatch(_))
+            Err(StoreError::DigestMismatch(_))
         ));
     }
 
@@ -569,6 +536,6 @@ mod tests {
         let local = BlobStore::new();
         let mut reg = Registry::new();
         let err = reg.push("x", Digest::of(b"not-a-manifest"), &local);
-        assert!(matches!(err, Err(RegistryError::MissingBlob(_))));
+        assert!(matches!(err, Err(StoreError::MissingBlob(_))));
     }
 }

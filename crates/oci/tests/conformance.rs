@@ -1,19 +1,24 @@
 //! One conformance suite for the one tagged store: every property below is
 //! one generic body, run over `Layout<BlobStore>` and `Layout<DiskStore>`.
 //! A second section drives the same publish path over a blob backend that
-//! fails on demand (ROADMAP 4c, first step).
+//! fails on demand; a third feeds hostile bytes to the store's JSON doors
+//! (`closure_of_manifest`, `DiskStore::read_index`, `Layout::live_set`)
+//! from the vendored `proptest`'s fixed-seed generator, so a failure
+//! reproduces.
 //!
 //! Run it with `--release` too: the poison test is only meaningful where
 //! `debug_assert` is compiled out.
 
 use bytes::Bytes;
 use comt_digest::Digest;
-use comt_oci::layout::{Layout, LayoutError};
-use comt_oci::spec::ImageIndex;
+use comt_oci::layout::Layout;
+use comt_oci::spec::{Descriptor, ImageIndex, ImageManifest, MediaType};
 use comt_oci::{
-    closure_digests, BlobBackend, BlobHandle, BlobStore, DiskStore, ImageBuilder, RegistryBackend,
-    RegistryError, Verified,
+    closure_digests, closure_of_manifest, BlobBackend, BlobHandle, BlobStore, DiskStore,
+    ImageBuilder, StoreError, Verified,
 };
+use proptest::prelude::*;
+use proptest::TestRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What the suite needs from a backend beyond the trait: a way to make one,
@@ -109,7 +114,7 @@ fn upload<B: BlobBackend + Send + 'static>(
 ) {
     for d in &closure[1..] {
         let blob = Verified::check(*d, src.get(d).unwrap()).unwrap();
-        reg.put_blob(blob).unwrap();
+        reg.blobs.insert(blob).unwrap();
     }
 }
 
@@ -118,12 +123,12 @@ fn publish<B: BlobBackend + Send + 'static>(
     key: &str,
     src: &BlobStore,
     closure: &[Digest],
-) -> Result<Digest, RegistryError> {
-    reg.put_manifest(key, Verified::hash(src.get(&closure[0]).unwrap()))
+) -> Result<Digest, StoreError> {
+    reg.publish_manifest(key, Verified::hash(src.get(&closure[0]).unwrap()))
 }
 
 fn holds<B: BlobBackend + Send + 'static>(reg: &Layout<B>, d: &Digest) -> bool {
-    reg.blob_handle(d).is_some()
+    reg.blobs.handle(d).is_some()
 }
 
 fn poisoned_claim_is_rejected_in_every_build_profile<B: Fixture>() {
@@ -133,19 +138,19 @@ fn poisoned_claim_is_rejected_in_every_build_profile<B: Fixture>() {
     let mut reg = B::fresh("poison");
     let claimed = Digest::of(b"what the client promised");
     let err = Verified::check(claimed, &b"poison"[..]).unwrap_err();
-    assert!(matches!(err, RegistryError::DigestMismatch(_)));
+    assert!(matches!(err, StoreError::DigestMismatch(_)));
     // Hashing the poison yields a proof for the poison's own address only.
     let honest = Verified::hash(&b"poison"[..]);
     assert_eq!(honest.digest(), Digest::of(b"poison"));
-    assert!(reg.put_blob(honest).unwrap());
+    assert!(reg.blobs.insert(honest).unwrap());
     assert!(!holds(&reg, &claimed));
     assert_eq!(reg.blob_count().unwrap(), 1);
     // A borrowed proof and a shared one admit the same bytes.
     let again = Verified::check(Digest::of(b"poison"), Bytes::from_static(b"poison")).unwrap();
-    assert!(!reg.put_blob(again).unwrap(), "dedupe by digest");
-    let stored = reg.blob_handle(&Digest::of(b"poison")).unwrap();
+    assert!(!reg.blobs.insert(again).unwrap(), "dedupe by digest");
+    let stored = reg.blobs.handle(&Digest::of(b"poison")).unwrap();
     assert_eq!(
-        &stored.read_verified(&Digest::of(b"poison")).unwrap()[..],
+        stored.read_verified(&Digest::of(b"poison")).unwrap().as_slice(),
         b"poison"
     );
     B::discard(reg);
@@ -158,10 +163,10 @@ fn rejected_publish_leaves_no_blob_and_no_tag<B: Fixture>() {
     // Closure missing a layer.
     let mut reg = B::fresh("reject-missing");
     let cfg = Verified::check(closure[1], src.get(&closure[1]).unwrap()).unwrap();
-    reg.put_blob(cfg).unwrap();
+    reg.blobs.insert(cfg).unwrap();
     assert!(matches!(
         publish(&mut reg, "app:1", &src, &closure),
-        Err(RegistryError::MissingBlob(_))
+        Err(StoreError::MissingBlob(_))
     ));
     assert!(reg.resolve("app:1").is_err());
     assert!(!holds(&reg, &md), "rejected manifest was stored");
@@ -174,7 +179,7 @@ fn rejected_publish_leaves_no_blob_and_no_tag<B: Fixture>() {
     B::corrupt(&mut reg, &layer);
     assert!(matches!(
         publish(&mut reg, "app:1", &src, &closure),
-        Err(RegistryError::DigestMismatch(_))
+        Err(StoreError::DigestMismatch(_))
     ));
     assert!(reg.resolve("app:1").is_err());
     assert!(reg.index.ref_names().is_empty());
@@ -183,8 +188,8 @@ fn rejected_publish_leaves_no_blob_and_no_tag<B: Fixture>() {
     // Garbage in place of a manifest is the caller's fault, and stores nothing.
     let before = reg.blob_count().unwrap();
     assert!(matches!(
-        reg.put_manifest("app:1", Verified::hash(&b"not json"[..])),
-        Err(RegistryError::CorruptManifest(_))
+        reg.publish_manifest("app:1", Verified::hash(&b"not json"[..])),
+        Err(StoreError::CorruptManifest(_))
     ));
     assert_eq!(reg.blob_count().unwrap(), before);
     B::discard(reg);
@@ -197,17 +202,17 @@ fn tag_is_invisible_until_its_closure_is_complete_and_verified<B: Fixture>() {
         assert!(reg.resolve("app:1").is_err(), "tag visible mid-upload");
         assert!(publish(&mut reg, "app:1", &src, &closure).is_err());
         let blob = Verified::check(*d, src.get(d).unwrap()).unwrap();
-        reg.put_blob(blob).unwrap();
+        reg.blobs.insert(blob).unwrap();
     }
     assert_eq!(
         publish(&mut reg, "app:1", &src, &closure).unwrap(),
         closure[0]
     );
     assert_eq!(reg.resolve("app:1").unwrap(), closure[0]);
-    assert_eq!(RegistryBackend::resolve(&reg, "app:1"), Some(closure[0]));
+    assert_eq!(reg.resolve("app:1").ok(), Some(closure[0]));
     for d in &closure {
-        let handle = reg.blob_handle(d).unwrap();
-        assert_eq!(handle.read_verified(d).unwrap(), src.get(d).unwrap());
+        let handle = reg.blobs.handle(d).unwrap();
+        assert_eq!(handle.read_verified(d).unwrap().as_slice(), &src.get(d).unwrap()[..]);
     }
     // Republishing is idempotent, and the tag table survives a restart.
     assert_eq!(
@@ -233,9 +238,9 @@ fn bare_ref_names_answer_to_latest<B: Fixture>() {
     assert_eq!(reg.resolve("app:v1").unwrap(), closure[0]);
     assert!(matches!(
         reg.resolve("app"),
-        Err(LayoutError::UnknownRef(_))
+        Err(StoreError::UnknownRef(_))
     ));
-    assert_eq!(RegistryBackend::resolve(&reg, "app:latest"), None);
+    assert_eq!(reg.resolve("app:latest").ok(), None);
     B::discard(reg);
 }
 
@@ -257,7 +262,7 @@ fn chunkmap_lifetime_is_slaved_to_its_layer<B: Fixture>() {
     // A chunkmap for a blob the store does not hold is refused.
     assert!(matches!(
         reg.put_chunkmap(Digest::of(b"ghost layer"), Verified::hash(&b"{}"[..])),
-        Err(RegistryError::MissingBlob(_))
+        Err(StoreError::MissingBlob(_))
     ));
 
     // Layer live → chunkmap live: nothing to collect. The association is
@@ -300,7 +305,7 @@ fn gc_reclaims_only_unreachable_blobs_and_shared_layers_survive<B: Fixture>() {
     publish(&mut reg, "app:1", &app_src, &app).unwrap();
     let orphan = Verified::hash(&b"unreferenced bytes"[..]);
     let (orphan_digest, orphan_len) = (orphan.digest(), orphan.len() as u64);
-    reg.put_blob(orphan).unwrap();
+    reg.blobs.insert(orphan).unwrap();
 
     // Both tags present: only the stray blob is collectable.
     assert_eq!(reg.gc_plan().unwrap(), (vec![orphan_digest], orphan_len));
@@ -324,7 +329,7 @@ fn gc_reclaims_only_unreachable_blobs_and_shared_layers_survive<B: Fixture>() {
     // The surviving tag still resolves and every blob of it verifies.
     assert_eq!(reg.resolve("base:1").unwrap(), base[0]);
     for d in &base {
-        reg.blob_handle(d).unwrap().read_verified(d).unwrap();
+        reg.blobs.handle(d).unwrap().read_verified(d).unwrap();
     }
     assert_eq!(reg.gc_apply().unwrap(), (0, 0));
     B::discard(reg);
@@ -339,7 +344,7 @@ fn a_broken_ref_stops_gc_instead_of_shrinking_the_live_set<B: Fixture>() {
     B::corrupt(&mut reg, &closure[0]);
     assert!(matches!(
         reg.live_set(),
-        Err(RegistryError::DigestMismatch(_))
+        Err(StoreError::DigestMismatch(_))
     ));
     assert!(reg.gc_plan().is_err());
     assert!(reg.gc_apply().is_err());
@@ -360,9 +365,9 @@ struct FailingStore {
 }
 
 impl FailingStore {
-    fn spend(&mut self) -> Result<(), LayoutError> {
+    fn spend(&mut self) -> Result<(), StoreError> {
         if self.budget == 0 {
-            return Err(LayoutError::Io(std::io::Error::other("injected fault")));
+            return Err(StoreError::Io(std::io::Error::other("injected fault")));
         }
         self.budget -= 1;
         Ok(())
@@ -373,17 +378,17 @@ impl BlobBackend for FailingStore {
     fn handle(&self, digest: &Digest) -> Option<BlobHandle> {
         self.inner.handle(digest)
     }
-    fn insert(&mut self, blob: Verified<'_>) -> Result<bool, LayoutError> {
+    fn insert(&mut self, blob: Verified<'_>) -> Result<bool, StoreError> {
         self.spend()?;
         self.inner.insert(blob)
     }
-    fn remove(&mut self, digest: &Digest) -> Result<bool, LayoutError> {
+    fn remove(&mut self, digest: &Digest) -> Result<bool, StoreError> {
         self.inner.remove(digest)
     }
-    fn digests(&self) -> Result<Vec<(Digest, u64)>, LayoutError> {
+    fn digests(&self) -> Result<Vec<(Digest, u64)>, StoreError> {
         self.inner.digests()
     }
-    fn commit_index(&mut self, index: &ImageIndex) -> Result<(), LayoutError> {
+    fn commit_index(&mut self, index: &ImageIndex) -> Result<(), StoreError> {
         self.spend()?;
         self.committed = index.clone();
         Ok(())
@@ -402,11 +407,11 @@ fn a_failing_backend_never_tears_the_tag_table() {
 
     // The update: upload v2's new blobs, move `app:1` onto it, describe its
     // new layer. Returns at the first failure.
-    let update = |reg: &mut Layout<FailingStore>| -> Result<(), RegistryError> {
+    let update = |reg: &mut Layout<FailingStore>| -> Result<(), StoreError> {
         for d in &v2[1..] {
-            reg.put_blob(Verified::check(*d, v2_src.get(d).unwrap())?)?;
+            reg.blobs.insert(Verified::check(*d, v2_src.get(d).unwrap())?)?;
         }
-        reg.put_manifest("app:1", Verified::hash(v2_src.get(&v2[0]).unwrap()))?;
+        reg.publish_manifest("app:1", Verified::hash(v2_src.get(&v2[0]).unwrap()))?;
         reg.put_chunkmap(v2[3], Verified::hash(map(&v2_src, &v2[3])))?;
         Ok(())
     };
@@ -437,7 +442,7 @@ fn a_failing_backend_never_tears_the_tag_table() {
                 mutations = budget;
                 break;
             }
-            Err(e) => assert!(matches!(e, RegistryError::Storage(_)), "cut {budget}: {e}"),
+            Err(e) => assert!(e.is_store_fault(), "cut {budget}: {e}"),
         }
 
         // The cut left a table that is entirely the old one or has exactly
@@ -468,20 +473,134 @@ fn a_failing_backend_never_tears_the_tag_table() {
             (&v1_src, &v1)
         };
         for d in live.1 {
-            let got = reg.blob_handle(d).unwrap().read_verified(d).unwrap();
-            assert_eq!(got, live.0.get(d).unwrap(), "cut {budget}");
+            let got = reg.blobs.handle(d).unwrap().read_verified(d).unwrap();
+            assert_eq!(got.as_slice(), &live.0.get(d).unwrap()[..], "cut {budget}");
         }
         // No previously committed blob was touched.
         for (d, len) in &held {
             assert_eq!(
-                reg.blob_handle(d).map(|h| h.len()),
+                reg.blobs.handle(d).map(|h| h.len()),
                 Some(*len),
                 "cut {budget}"
             );
-            reg.blob_handle(d).unwrap().read_verified(d).unwrap();
+            reg.blobs.handle(d).unwrap().read_verified(d).unwrap();
         }
     }
     // Three blob inserts (the shared base layer is still an insert call),
     // then manifest, flip, chunkmap, flip: cuts before each of the seven.
     assert_eq!(mutations, 7);
+}
+
+// ---- hostile bytes at the store's JSON doors ---------------------------
+
+/// Run `body` on `n` values of `strategy`, seeded by `name` alone.
+fn for_cases<S: Strategy>(name: &str, n: usize, strategy: S, mut body: impl FnMut(S::Value)) {
+    let mut rng = TestRng::deterministic(name);
+    for _ in 0..n {
+        body(strategy.sample(&mut rng));
+    }
+}
+
+fn all_parse<'a>(mut descs: impl Iterator<Item = &'a Descriptor>) -> bool {
+    descs.all(|d| d.parsed_digest().is_ok())
+}
+
+/// Whether `raw` is a manifest whose every digest parses — what
+/// `closure_of_manifest` must accept, and all it may accept.
+fn sound_manifest(raw: &[u8]) -> bool {
+    serde_json::from_slice::<ImageManifest>(raw)
+        .is_ok_and(|m| all_parse(std::iter::once(&m.config).chain(&m.layers)))
+}
+
+/// The three doors over one (manifest, index) pair of byte strings: none
+/// panics, each says `Ok` only when every digest it relies on parses, and
+/// otherwise answers with the corrupt-manifest (or, on disk, torn) variant.
+fn knock(store: &DiskStore, src: &BlobStore, manifest: Vec<u8>, index: Vec<u8>) {
+    let md = Digest::of(&manifest);
+    match closure_of_manifest(&manifest, &md) {
+        Ok(closure) => assert!(sound_manifest(&manifest) && closure[0] == md),
+        Err(e) => {
+            assert!(matches!(e, StoreError::CorruptManifest(_)), "{e}");
+            assert!(!sound_manifest(&manifest), "sound manifest refused: {e}");
+        }
+    }
+
+    std::fs::write(store.root().join("index.json"), &index).unwrap();
+    let parsed = serde_json::from_slice::<ImageIndex>(&index).ok();
+    match store.read_index() {
+        Ok(read) => {
+            assert_eq!(Some(&read), parsed.as_ref());
+            assert!(all_parse(read.manifests.iter()));
+        }
+        Err(e) => {
+            assert!(matches!(e, StoreError::Torn { .. }), "{e}");
+            let sound = parsed.as_ref().is_some_and(|i| all_parse(i.manifests.iter()));
+            assert!(!sound, "sound index refused: {e}");
+        }
+    }
+
+    // Whatever index did parse, over a store that holds the hostile
+    // manifest under its true address and a ref that names it.
+    let mut layout = Layout {
+        index: parsed.unwrap_or_default(),
+        blobs: src.clone(),
+    };
+    layout.blobs.put(manifest.clone());
+    let desc = Descriptor::new(MediaType::ImageManifest, md, manifest.len() as u64);
+    layout.index.set_ref("hostile", desc);
+    let walked = |d: &&Descriptor| d.ref_name().is_some() || d.media_type == MediaType::Chunkmap;
+    let sound = sound_manifest(&manifest) && all_parse(layout.index.manifests.iter().filter(walked));
+    match layout.live_set() {
+        Ok(live) => assert!(sound && live.contains(&md)),
+        // A digest damaged into another well-formed one names nothing.
+        Err(StoreError::MissingBlob(_)) => {}
+        Err(e) => {
+            assert!(matches!(e, StoreError::CorruptManifest(_)), "{e}");
+            assert!(!sound, "sound layout refused: {e}");
+        }
+    }
+    assert_eq!(layout.gc_plan().is_ok(), layout.live_set().is_ok());
+}
+
+#[test]
+fn hostile_json_never_panics_and_is_never_half_accepted() {
+    // A valid manifest and a valid `index.json` (two refs and a chunkmap
+    // entry), as `commit_index` writes it.
+    let (src, closure) = image(&[b"first layer", b"second layer"]);
+    let manifest = src.get(&closure[0]).unwrap().to_vec();
+    let mut index = ImageIndex::default();
+    let desc = Descriptor::new(MediaType::ImageManifest, closure[0], manifest.len() as u64);
+    index.set_ref("app:1", desc.clone());
+    index.set_ref("app.dist+coM", desc);
+    let map = Descriptor::new(MediaType::Chunkmap, Digest::of(b"a chunkmap"), 10);
+    index.set_chunkmap(&closure[2], map);
+    let index = serde_json::to_vec_pretty(&index).unwrap();
+
+    let dir = std::env::temp_dir().join(format!("comt-conformance-doors-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = DiskStore::init(&dir).unwrap();
+    knock(&store, &src, manifest.clone(), index.clone());
+
+    let garbage = || prop::collection::vec(any::<u8>(), 0..256);
+    for_cases("random_bytes", 128, (garbage(), garbage()), |(m, i)| {
+        knock(&store, &src, m, i)
+    });
+
+    // 1–3 edits, each an overwrite, an insert or a cut of 1–3 bytes.
+    let edits = || prop::collection::vec((0..3u8, any::<usize>(), any::<u8>(), 1..4usize), 1..4);
+    let damage = |mut bytes: Vec<u8>, edits: Vec<(u8, usize, u8, usize)>| {
+        for (kind, at, byte, len) in edits {
+            let at = at % (bytes.len() + 1);
+            match kind {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 => bytes.insert(at, byte),
+                _ => drop(bytes.drain(at..(at + len).min(bytes.len()))),
+            }
+        }
+        bytes
+    };
+    for_cases("damaged_json", 256, (edits(), edits()), |(m, i)| {
+        knock(&store, &src, damage(manifest.clone(), m), damage(index.clone(), i))
+    });
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -5,10 +5,10 @@
 use bytes::Bytes;
 use comt_dist::{serve, tag_key, DistClient, ServerOptions};
 use comtainer_suite::oci::fsck::{fsck, FsckOptions};
-use comtainer_suite::oci::layout::{LayoutError, OciDir};
+use comtainer_suite::oci::layout::OciDir;
 use comtainer_suite::oci::spec::{Descriptor, MediaType};
 use comtainer_suite::oci::store::{closure_digests, BlobStore};
-use comtainer_suite::oci::{DiskRegistry, DiskStore, ImageBuilder};
+use comtainer_suite::oci::{DiskRegistry, DiskStore, ImageBuilder, StoreError};
 use comt_digest::Digest;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -58,7 +58,7 @@ fn torn_layout_is_refused_diagnosed_repaired_and_serves_bit_identically() {
 
     // The eager loader refuses torn state outright.
     match OciDir::load(&dir) {
-        Err(LayoutError::Torn { .. }) | Err(LayoutError::DigestMismatch { .. }) => {}
+        Err(StoreError::Torn { .. }) | Err(StoreError::DigestMismatch(_)) => {}
         other => panic!("load accepted a torn layout: {other:?}"),
     }
 
@@ -114,7 +114,7 @@ fn torn_index_is_refused_and_repair_preserves_blobs() {
     let raw = std::fs::read(dir.join("index.json")).unwrap();
     std::fs::write(dir.join("index.json"), &raw[..raw.len() / 2]).unwrap();
 
-    assert!(matches!(OciDir::load(&dir), Err(LayoutError::Torn { .. })));
+    assert!(matches!(OciDir::load(&dir), Err(StoreError::Torn { .. })));
 
     let report = fsck(&dir, &FsckOptions { repair: false }).unwrap();
     assert!(report.findings.iter().any(|f| f.code == "COMT-F004"));
