@@ -214,10 +214,42 @@ pub struct ChunkMap {
     pub chunks: Vec<ChunkEntry>,
 }
 
+/// The blob a [`ChunkMap`] describes: its bytes and the address they have.
+/// From bare bytes (`&data`) the address is computed; a caller that already
+/// holds a proof of it — a store admission — passes `(digest, &data[..])`
+/// so the layer is not hashed a second time.
+#[derive(Debug, Clone, Copy)]
+pub struct Blob<'a> {
+    digest: Digest,
+    data: &'a [u8],
+}
+
+impl<'a, T: AsRef<[u8]> + ?Sized> From<&'a T> for Blob<'a> {
+    fn from(data: &'a T) -> Self {
+        let data = data.as_ref();
+        Blob {
+            digest: Digest::of(data),
+            data,
+        }
+    }
+}
+
+impl<'a> From<(Digest, &'a [u8])> for Blob<'a> {
+    fn from((digest, data): (Digest, &'a [u8])) -> Self {
+        Blob { digest, data }
+    }
+}
+
 impl ChunkMap {
-    /// Chunk `data` and record every span's digest.
-    pub fn build(data: &[u8], params: ChunkParams) -> Result<ChunkMap, ChunkError> {
+    /// Chunk a blob and record every span's digest. The map's
+    /// `blobDigest` is the blob's address as [`Blob`] carries it; the only
+    /// bytes hashed here are the chunks.
+    pub fn build<'a>(
+        blob: impl Into<Blob<'a>>,
+        params: ChunkParams,
+    ) -> Result<ChunkMap, ChunkError> {
         params.validate()?;
+        let Blob { digest, data } = blob.into();
         let chunks = chunk_spans(data, params)
             .into_iter()
             .map(|(s, e)| ChunkEntry {
@@ -229,7 +261,7 @@ impl ChunkMap {
         Ok(ChunkMap {
             schema_version: CHUNKMAP_VERSION,
             media_type: MEDIA_TYPE_CHUNKMAP.to_string(),
-            blob_digest: Digest::of(data).to_oci_string(),
+            blob_digest: digest.to_oci_string(),
             blob_size: data.len() as u64,
             params,
             chunks,
@@ -570,6 +602,8 @@ mod tests {
         let data = filler(200_000, 5);
         let map = ChunkMap::build(&data, P).unwrap();
         assert_eq!(map.total_bytes(), data.len() as u64);
+        // An address the caller already holds gives the same map.
+        assert_eq!(ChunkMap::build((Digest::of(&data), &data[..]), P).unwrap(), map);
         let json = map.to_json();
         let back = ChunkMap::from_json(&json).unwrap();
         assert_eq!(back, map);

@@ -302,7 +302,7 @@ fn cmd_rebuild(dir: &str, r: &str, args: &[String]) -> Result<(), String> {
         // Data-plane events (layer codec, blob verification) land in the
         // global recorder; merge them so --stats shows the whole pipeline.
         report.absorb(&comt_observe::global().report());
-        print_stats(&report);
+        print_stats(report);
         new_ref
     } else {
         comtainer_rebuild(&mut oci, r, &side, &opts).map_err(|e| format!("rebuild: {e}"))?
@@ -350,7 +350,7 @@ fn cmd_retarget(dir: &str, r: &str, args: &[String]) -> Result<(), String> {
     if flag(args, "--stats") {
         let mut report = outcome.report;
         report.absorb(&comt_observe::global().report());
-        print_stats(&report);
+        print_stats(report);
     }
     for (target, new_ref) in &outcome.images {
         println!("retargeted {target}: {new_ref}");
@@ -362,8 +362,8 @@ fn cmd_retarget(dir: &str, r: &str, args: &[String]) -> Result<(), String> {
 /// SHA-256 kernel behind its verify/codec spans — the first thing to
 /// compare when two sites hash at different rates. (`comt submit --stats`
 /// prints the daemon's report; the daemon names its own kernel at start-up.)
-fn print_stats(report: &comt_observe::Report) {
-    print!("{report}");
+fn print_stats(report: comt_observe::Report) {
+    print!("{}", comt_dist::with_process_counters(report));
     println!("digest backend: {}", comt_digest::backend());
 }
 
@@ -384,7 +384,7 @@ fn cmd_adapt(dir: &str, r: &str, args: &[String]) -> Result<(), String> {
             comtainer_rebuild_with_report(&mut oci, r, &side, &RebuildOptions::default())
                 .map_err(|e| format!("rebuild: {e}"))?;
         report.absorb(&comt_observe::global().report());
-        print_stats(&report);
+        print_stats(report);
         rebuilt
     } else {
         comtainer_rebuild(&mut oci, r, &side, &RebuildOptions::default())
@@ -673,7 +673,7 @@ fn cmd_push(dir: &str, r: &str, args: &[String]) -> Result<(), String> {
         }
     );
     if flag(args, "--stats") {
-        print_stats(&comt_observe::global().report());
+        print_stats(comt_observe::global().report());
     }
     Ok(())
 }
@@ -715,7 +715,7 @@ fn cmd_pull(dir: &str, r: &str, args: &[String]) -> Result<(), String> {
         );
     }
     if flag(args, "--stats") {
-        print_stats(&comt_observe::global().report());
+        print_stats(comt_observe::global().report());
     }
     Ok(())
 }

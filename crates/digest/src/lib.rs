@@ -12,7 +12,7 @@ mod hex;
 mod sha256;
 
 pub use hex::{decode as hex_decode, encode as hex_encode, HexError};
-pub use sha256::{backend, sha256, Sha256};
+pub use sha256::{backend, bytes_hashed, sha256, Sha256};
 
 use std::fmt;
 use std::str::FromStr;

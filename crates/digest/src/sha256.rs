@@ -16,6 +16,19 @@ mod portable;
 #[cfg(target_arch = "x86_64")]
 mod sha_ni;
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Message bytes of every digest this process has finished.
+static BYTES_HASHED: AtomicU64 = AtomicU64::new(0);
+
+/// Message bytes of every SHA-256 digest this process has finished — the
+/// production counter behind `digest.bytes_hashed`. A hasher adds its
+/// length once, at [`Sha256::finalize`]; one dropped unfinished adds
+/// nothing. Monotone and process-wide, so a reader takes a difference.
+pub fn bytes_hashed() -> u64 {
+    BYTES_HASHED.load(Ordering::Relaxed)
+}
+
 /// First 32 bits of the fractional parts of the square roots of the first
 /// 8 primes (FIPS 180-4 §5.3.3).
 const H0: [u32; 8] = [
@@ -153,6 +166,7 @@ impl Sha256 {
 
     /// Finish and produce the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
+        BYTES_HASHED.fetch_add(self.total_len, Ordering::Relaxed);
         // Padding: 0x80, zeros, 64-bit big-endian bit length.
         self.buf[self.buf_len] = 0x80;
         self.buf[self.buf_len + 1..].fill(0);
@@ -361,6 +375,19 @@ mod tests {
                 );
             });
         }
+    }
+
+    #[test]
+    fn finalize_adds_the_message_length_to_the_counter() {
+        let before = bytes_hashed();
+        let mut h = Sha256::new();
+        h.update(&[7u8; 1000]);
+        h.update(&[9u8; 24]);
+        let _ = h.finalize();
+        // Tests in this binary hash concurrently, so only a lower bound
+        // holds here; `crates/dist/tests/hash_once.rs` pins exact totals
+        // in a binary of its own.
+        assert!(bytes_hashed() - before >= 1024);
     }
 
     #[test]

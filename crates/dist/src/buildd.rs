@@ -38,7 +38,7 @@
 //! Jobs with no targets skip the gate — it is strictly opt-in.
 
 use crate::http::{serve_http, HttpAction, HttpHandler, HttpOptions, HttpServer};
-use crate::metrics::{decode_report, report_response};
+use crate::metrics::{decode_report, report_response, with_process_counters};
 use crate::wire::{Request, Response};
 use crate::DistClient;
 use crate::DistError;
@@ -281,7 +281,10 @@ fn dispatch(req: &Request, svc: &BuildService) -> (&'static str, HttpAction) {
     match (req.method.as_str(), path) {
         ("POST", "/buildd/jobs") => ("job_submit", job_submit(req, svc)),
         ("GET", "/buildd/jobs") => ("job_list", job_list(query, svc)),
-        ("GET", "/buildd/stats") => ("stats", report_response(&svc.stats())),
+        ("GET", "/buildd/stats") => (
+            "stats",
+            report_response(&with_process_counters(svc.stats())),
+        ),
         (method, path) => {
             let Some(rest) = path.strip_prefix("/buildd/jobs/") else {
                 return ("unroutable", json_error(404, format!("no route {path}")));

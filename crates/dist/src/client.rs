@@ -17,7 +17,8 @@ use comt_chunk::{
     MEDIA_TYPE_CHUNKMAP,
 };
 use comt_digest::Digest;
-use comt_oci::store::{closure_digests, BlobStore, Verified};
+use comt_oci::store::{closure_digests, closure_of_manifest, BlobStore, StoreError, Verified};
+use std::collections::BTreeSet;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -191,6 +192,10 @@ impl DistClient {
             .map_err(|e| DistError::io("send request", e))?;
         writer.flush().map_err(|e| DistError::io("flush", e))?;
         let mut reader = BufReader::new(stream);
+        if method == "HEAD" {
+            return wire::read_response_head(&mut reader)
+                .map_err(|e| DistError::io("read response", e));
+        }
         wire::read_response_into(&mut reader, sink, self.max_body)
             .map_err(|e| DistError::io("read response", e))
     }
@@ -381,6 +386,21 @@ impl DistClient {
                 }
                 404 | 405 => Ok(None),
                 s => Err(DistError::status("get chunkmap", s, &sink)),
+            }
+        })
+    }
+
+    /// Does the server already hold a chunk manifest for this layer? 404
+    /// and 405 (a daemon that predates the route holds none) are `false`.
+    fn head_chunkmap(&self, name: &str, layer: &Digest) -> Result<bool, DistError> {
+        let path = format!("/v2/{name}/chunkmaps/{}", layer.to_oci_string());
+        self.with_retries("head chunkmap", || {
+            let mut sink = Vec::new();
+            let (status, _) = self.exchange("HEAD", &path, &[], None, false, &mut sink)?;
+            match status {
+                200 => Ok(true),
+                404 | 405 => Ok(false),
+                s => Err(DistError::status("head chunkmap", s, &sink)),
             }
         })
     }
@@ -647,25 +667,96 @@ impl DistClient {
         manifest_digest: Digest,
         src: &BlobStore,
     ) -> Result<TransferStats, DistError> {
+        self.push(name, reference, manifest_digest, src, None)
+    }
+
+    /// The one push body; `chunking` adds the chunkmaps.
+    ///
+    /// Every closure blob is HEADed first. A blob the daemon lacks is
+    /// uploaded; a layer it holds is probed for a map it may already hold
+    /// (a fresh upload cannot have one). Then one scoped worker chunks the
+    /// layers the daemon has no map for — blob digest from `src`'s proof,
+    /// so only the chunks are hashed — while this thread uploads the
+    /// missing blobs and the manifest. After the join the maps go out in
+    /// layer order; a daemon that predates chunkmaps (405 on the probe and
+    /// on the PUT) gets exactly a classic push.
+    fn push(
+        &self,
+        name: &str,
+        reference: &str,
+        manifest_digest: Digest,
+        src: &BlobStore,
+        chunking: Option<ChunkParams>,
+    ) -> Result<TransferStats, DistError> {
         let obs = comt_observe::global();
         let _span = obs.span("dist.client.push");
-        let closure = closure_digests(src, &manifest_digest)?;
+        let proof = |d: &Digest| {
+            src.verified(d)
+                .ok_or_else(|| StoreError::MissingBlob(d.to_string()))
+        };
+        let manifest = proof(&manifest_digest)?;
+        let closure = closure_of_manifest(manifest.as_slice(), &manifest_digest)?;
         let mut stats = TransferStats::default();
-        for d in &closure[1..] {
-            let blob = src.require(d)?;
-            if self.head_blob(name, d)?.is_some() {
+        let (mut uploads, mut unmapped) = (Vec::new(), Vec::new());
+        let mut seen = BTreeSet::new();
+        for (i, d) in closure.iter().enumerate().skip(1) {
+            let blob = proof(d)?;
+            let first = seen.insert(*d);
+            let present = !first || self.head_blob(name, d)?.is_some();
+            // The closure is manifest, config, then the layers.
+            let layer = first && i >= 2 && chunking.is_some();
+            if layer && (!present || !self.head_chunkmap(name, d)?) {
+                unmapped.push(proof(d)?);
+            }
+            if present {
                 stats.blobs_skipped += 1;
                 obs.count("dist.client.blobs_deduped", 1);
-                continue;
+            } else {
+                uploads.push(blob);
             }
-            self.put_blob(name, d, &blob)?;
-            stats.blobs_moved += 1;
-            stats.bytes_moved += blob.len() as u64;
         }
-        let manifest = src.require(&manifest_digest)?;
-        self.put_manifest(name, reference, &manifest)?;
-        stats.blobs_moved += 1;
-        stats.bytes_moved += manifest.len() as u64;
+        let maps = std::thread::scope(|scope| {
+            let chunker = chunking.filter(|_| !unmapped.is_empty()).map(|params| {
+                scope.spawn(move || -> Result<Vec<(Digest, Vec<u8>)>, DistError> {
+                    unmapped
+                        .iter()
+                        .map(|blob| {
+                            let d = blob.digest();
+                            let map = ChunkMap::build((d, blob.as_slice()), params)
+                                .map_err(|e| {
+                                    DistError::protocol(format!("chunking layer {d}: {e}"))
+                                })?;
+                            Ok((d, map.to_json()))
+                        })
+                        .collect()
+                })
+            });
+            let uploaded = (|| -> Result<(), DistError> {
+                for blob in &uploads {
+                    self.put_blob(name, &blob.digest(), blob.as_slice())?;
+                    stats.blobs_moved += 1;
+                    stats.bytes_moved += blob.len() as u64;
+                }
+                self.put_manifest(name, reference, manifest.as_slice())?;
+                stats.blobs_moved += 1;
+                stats.bytes_moved += manifest.len() as u64;
+                Ok(())
+            })();
+            let maps = match chunker {
+                Some(worker) => worker
+                    .join()
+                    .unwrap_or_else(|_| Err(DistError::protocol("chunking worker panicked"))),
+                None => Ok(Vec::new()),
+            };
+            uploaded.and(maps)
+        })?;
+        for (layer, json) in maps {
+            if !self.put_chunkmap(name, &layer, &json)? {
+                // Old server: no chunkmap route, nothing more to publish.
+                break;
+            }
+            obs.count("dist.client.chunkmaps_pushed", 1);
+        }
         Ok(stats)
     }
 
@@ -778,10 +869,11 @@ impl DistClient {
         Ok((manifest_digest, stats))
     }
 
-    /// [`DistClient::push_image`], then publish a chunkmap for every layer
-    /// of the manifest so later pulls can transfer deltas instead of whole
-    /// layers. Against a daemon that predates chunkmaps the publication is
-    /// skipped and the push is exactly a classic one.
+    /// [`DistClient::push_image`] plus a chunkmap for every layer of the
+    /// manifest the daemon does not already describe, so later pulls can
+    /// transfer deltas instead of whole layers. Each layer is chunked once
+    /// per daemon, while the blobs are on the wire. Against a daemon that
+    /// predates chunkmaps the push is exactly a classic one.
     pub fn push_image_chunked(
         &self,
         name: &str,
@@ -790,25 +882,7 @@ impl DistClient {
         src: &BlobStore,
         params: ChunkParams,
     ) -> Result<TransferStats, DistError> {
-        let stats = self.push_image(name, reference, manifest_digest, src)?;
-        let obs = comt_observe::global();
-        let manifest = src.require(&manifest_digest)?;
-        let parsed: comt_oci::ImageManifest = serde_json::from_slice(&manifest)
-            .map_err(|e| DistError::protocol(format!("pushed manifest unparseable: {e}")))?;
-        for layer in &parsed.layers {
-            let d = layer
-                .parsed_digest()
-                .map_err(|e| DistError::protocol(format!("bad layer digest: {e}")))?;
-            let blob = src.require(&d)?;
-            let map = ChunkMap::build(&blob, params)
-                .map_err(|e| DistError::protocol(format!("chunking layer {d}: {e}")))?;
-            if !self.put_chunkmap(name, &d, &map.to_json())? {
-                // Old server: no chunkmap route, nothing more to publish.
-                break;
-            }
-            obs.count("dist.client.chunkmaps_pushed", 1);
-        }
-        Ok(stats)
+        self.push(name, reference, manifest_digest, src, Some(params))
     }
 }
 

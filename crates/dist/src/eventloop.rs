@@ -500,23 +500,34 @@ impl<H: HttpHandler> EventLoop<H> {
             &format!("{prefix}.{endpoint}.latency_us"),
             started.elapsed().as_micros() as u64,
         );
+        // RFC 9110 §9.3.2: the answer to a HEAD is the GET answer's head,
+        // `Content-Length` included, and no body — a keep-alive peer
+        // reads the next response right after the blank line.
+        let head_only = req.method == "HEAD";
         let ws = match action {
             HttpAction::Respond(resp) => {
-                obs.count(&format!("{prefix}.bytes_out"), resp.body.len() as u64);
                 let head = wire::response_head_bytes(&resp, resp.body.len() as u64);
+                let data = if head_only {
+                    Bytes::new()
+                } else {
+                    Bytes::from(resp.body)
+                };
+                obs.count(&format!("{prefix}.bytes_out"), data.len() as u64);
                 WriteState {
                     head,
                     head_pos: 0,
-                    body: BodyCursor::Bytes {
-                        data: Bytes::from(resp.body),
-                        pos: 0,
-                    },
+                    body: BodyCursor::Bytes { data, pos: 0 },
                     close_after: close_requested,
                 }
             }
             HttpAction::RespondBody(resp, source) => {
-                obs.count(&format!("{prefix}.bytes_out"), source.len());
                 let head = wire::response_head_bytes(&resp, source.len());
+                let source = if head_only {
+                    BodySource::Bytes(Bytes::new())
+                } else {
+                    source
+                };
+                obs.count(&format!("{prefix}.bytes_out"), source.len());
                 let body = match source {
                     BodySource::Bytes(data) => BodyCursor::Bytes { data, pos: 0 },
                     BodySource::File { path, offset, len } => {
@@ -545,7 +556,7 @@ impl<H: HttpHandler> EventLoop<H> {
                 }
             }
             HttpAction::RespondTruncated(resp, after) => {
-                let cut = after.min(resp.body.len());
+                let cut = if head_only { 0 } else { after.min(resp.body.len()) };
                 obs.count(&format!("{prefix}.chaos_truncations"), 1);
                 obs.count(&format!("{prefix}.bytes_out"), cut as u64);
                 // Advertise the full length, deliver only the prefix, then

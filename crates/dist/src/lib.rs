@@ -15,11 +15,16 @@
 //! GET  /v2/<name>/blobs/<digest>              download; Range resume
 //! PUT  /v2/<name>/blobs/<digest>              chunked upload, staged+verified
 //! GET  /v2/<name>/manifests/<reference>       manifest by tag
+//! HEAD /v2/<name>/manifests/<reference>       is the tag there? (digest + length only)
 //! PUT  /v2/<name>/manifests/<reference>       tag after closure verification
 //! GET  /v2/<name>/chunkmaps/<layer-digest>    chunk manifest for a layer (404 → full pull)
+//! HEAD /v2/<name>/chunkmaps/<layer-digest>    is the layer described? (chunked push probe)
 //! PUT  /v2/<name>/chunkmaps/<layer-digest>    publish chunk manifest, validated vs stored layer
 //! GET  /v2/_comt/stats                        the daemon's metrics document ([`metrics`])
 //! ```
+//!
+//! Every `HEAD` is answered with the headers the `GET` would carry,
+//! `Content-Length` included, and no body (RFC 9110 §9.3.2).
 //!
 //! Uploads never become visible until the body's digest matches its
 //! address; manifest tags never become visible until the whole closure is
@@ -43,7 +48,7 @@ pub use hotcache::{CacheStats, HotBlobCache};
 pub use http::{
     serve_http, BodySource, HttpAction, HttpHandler, HttpOptions, HttpServer, STREAM_CHUNK,
 };
-pub use metrics::{decode_report, encode_report};
+pub use metrics::{decode_report, encode_report, with_process_counters};
 pub use server::{serve, Chaos, DistServer, ServerOptions};
 
 /// Manifest media type advertised on the wire.

@@ -23,6 +23,18 @@ pub const SCHEMA: &str = "comt.metrics.v1";
 /// produce (its 8 shards × 2048 retained samples per shard and name).
 const MAX_SAMPLES: usize = 8 * 2048;
 
+/// `report` with the counters this process keeps outside any recorder —
+/// `digest.bytes_hashed` ([`comt_digest::bytes_hashed`]) — set to their
+/// running totals. The stats routes and `--stats` serve their report
+/// through here; a job's own report does not, because those totals are
+/// the process's, not the job's.
+pub fn with_process_counters(mut report: Report) -> Report {
+    report
+        .counters
+        .insert("digest.bytes_hashed".into(), comt_digest::bytes_hashed());
+    report
+}
+
 /// The vendored `Value::Int` is an `i64`; a larger count saturates.
 fn int(n: u64) -> Value {
     Value::Int(i64::try_from(n).unwrap_or(i64::MAX))

@@ -35,7 +35,7 @@
 
 use crate::hotcache::HotBlobCache;
 use crate::http::{serve_http, BodySource, HttpAction, HttpHandler, HttpOptions, HttpServer};
-use crate::metrics::report_response;
+use crate::metrics::{report_response, with_process_counters};
 use crate::wire::{self, Request, Response};
 use crate::{tag_key, MEDIA_TYPE_MANIFEST};
 use comt_digest::Digest;
@@ -213,6 +213,7 @@ fn dispatch<B: BlobBackend>(
         ("HEAD", "manifests") => ("manifest_head", manifest_get(name, reference, state)),
         ("PUT", "manifests") => ("manifest_put", manifest_put(req, name, reference, state)),
         ("GET", "chunkmaps") => ("chunkmap_get", chunkmap_get(name, reference, state)),
+        ("HEAD", "chunkmaps") => ("chunkmap_head", chunkmap_get(name, reference, state)),
         ("PUT", "chunkmaps") => ("chunkmap_put", chunkmap_put(req, name, reference, state)),
         _ => ("unroutable", HttpAction::Respond(Response::new(405))),
     }
@@ -413,7 +414,7 @@ fn blob_get<B: BlobBackend>(
 /// holds right now. The state gauges are set in the snapshot only, never
 /// counted into the recorder.
 fn stats_response<B: BlobBackend>(state: &RegistryHandler<Layout<B>>) -> HttpAction {
-    let mut report = comt_observe::global().report();
+    let mut report = with_process_counters(comt_observe::global().report());
     let cache = state.cache.stats();
     let verified = state
         .verified
@@ -532,7 +533,9 @@ fn manifest_put<B: BlobBackend>(
 /// `GET /v2/<name>/chunkmaps/<layer-digest>` — the chunk manifest the
 /// server holds for a layer blob, or 404 (the client then falls back to a
 /// full-blob pull). Chunkmaps are ordinary content-addressed blobs; they
-/// ride the same verified hot cache as everything else.
+/// ride the same verified hot cache as everything else. `HEAD` is this
+/// answer without its body — the chunked push's "is this layer described
+/// already?" probe.
 fn chunkmap_get<B: BlobBackend>(
     _name: &str,
     reference: &str,

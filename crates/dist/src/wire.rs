@@ -207,6 +207,26 @@ pub fn write_request(
     w.flush()
 }
 
+/// Read a response status line and headers, and nothing after them — the
+/// whole of an answer to `HEAD` (RFC 9110 §9.3.2: its `Content-Length`
+/// describes the body a `GET` would carry, which is not sent).
+pub fn read_response_head(r: &mut impl BufRead) -> io::Result<(u16, Vec<(String, String)>)> {
+    let mut budget = MAX_HEADER_BYTES;
+    let start = read_line(r, &mut budget)?;
+    let mut parts = start.split_whitespace();
+    let status = match (parts.next(), parts.next()) {
+        (Some(version), Some(code)) if version.starts_with("HTTP/1.") => code.parse().ok(),
+        _ => None,
+    };
+    let status: u16 = status.ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("malformed status line: {start}"),
+        )
+    })?;
+    Ok((status, read_headers(r, &mut budget)?))
+}
+
 /// Read a response status line and headers, then append the body to
 /// `sink`. On a short read (peer died mid-body) the bytes received so far
 /// stay in `sink` and the error is surfaced — that partial prefix is what
@@ -216,19 +236,7 @@ pub fn read_response_into(
     sink: &mut Vec<u8>,
     max_body: usize,
 ) -> io::Result<(u16, Vec<(String, String)>)> {
-    let mut budget = MAX_HEADER_BYTES;
-    let start = read_line(r, &mut budget)?;
-    let status: u16 = start
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed status line: {start}"),
-            )
-        })?;
-    let headers = read_headers(r, &mut budget)?;
+    let (status, headers) = read_response_head(r)?;
     if find_header(&headers, "transfer-encoding")
         .is_some_and(|v| v.to_ascii_lowercase().contains("chunked"))
     {

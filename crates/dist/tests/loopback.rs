@@ -75,6 +75,51 @@ fn second_push_dedupes_via_head() {
     drop(server);
 }
 
+/// RFC 9110 §9.3.2 on one keep-alive connection: a HEAD is answered with
+/// the headers its GET would carry, `Content-Length` included, and no
+/// body — so the next response on the line parses where it starts.
+#[test]
+fn head_answers_carry_no_body_on_a_keep_alive_connection() {
+    use comt_dist::wire::{find_header, read_response_head, read_response_into};
+    let mut local = BlobStore::new();
+    let md = sample_image(&mut local, b"head-me");
+    let server = start_server(ServerOptions::default());
+    DistClient::new(server.addr().to_string())
+        .push_image_chunked("app", "v1", md, &local, Default::default())
+        .unwrap();
+    let manifest = local.get(&md).unwrap();
+    let layer = closure_digests(&local, &md).unwrap()[2];
+    let map = comt_chunk::ChunkMap::build(&local.get(&layer).unwrap(), Default::default())
+        .unwrap()
+        .to_json();
+
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = std::io::BufReader::new(stream);
+    let mut ask = |method: &str, path: &str| {
+        let head = format!("{method} {path} HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n");
+        writer.write_all(head.as_bytes()).unwrap();
+    };
+    let length = |headers: &[(String, String)]| {
+        find_header(headers, "content-length").and_then(|v| v.parse::<usize>().ok())
+    };
+
+    ask("HEAD", "/v2/app/manifests/v1");
+    let (status, headers) = read_response_head(&mut reader).unwrap();
+    assert_eq!((status, length(&headers)), (200, Some(manifest.len())));
+    ask("HEAD", &format!("/v2/app/chunkmaps/{layer}"));
+    let (status, headers) = read_response_head(&mut reader).unwrap();
+    assert_eq!((status, length(&headers)), (200, Some(map.len())));
+    ask("GET", "/v2/app/manifests/v1");
+    let mut body = Vec::new();
+    let (status, _) = read_response_into(&mut reader, &mut body, 1 << 20).unwrap();
+    assert_eq!((status, &body[..]), (200, &manifest[..]));
+    drop(server);
+}
+
 #[test]
 fn chaos_truncation_resumes_and_verifies() {
     let mut local = BlobStore::new();

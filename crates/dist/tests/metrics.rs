@@ -2,7 +2,9 @@
 //! golden string, both daemons serve it, and the decoder answers `Ok` or
 //! `Err` — never a panic — to anything a peer can send.
 
-use comt_dist::{decode_report, encode_report, serve, serve_buildd, DistClient};
+use comt_dist::{
+    decode_report, encode_report, serve, serve_buildd, with_process_counters, DistClient,
+};
 use comt_observe::{Recorder, Report};
 use comtainer::{BuildService, ServiceOptions};
 use proptest::prelude::*;
@@ -38,6 +40,15 @@ fn golden_document_round_trips() {
     assert_eq!(encode_report(&report), golden);
     let back = decode_report(golden.as_bytes()).unwrap();
     assert_eq!(back, report);
+    // The process's own totals ride the stats routes as plain counters,
+    // sorted in among the recorder's.
+    let stamped = with_process_counters(report.clone());
+    let hashed = stamped.counter("digest.bytes_hashed");
+    let with_hashed = format!(r#""cache.hit":7,"digest.bytes_hashed":{hashed},"#);
+    assert_eq!(
+        encode_report(&stamped),
+        golden.replace(r#""cache.hit":7,"#, &with_hashed)
+    );
     // What `comt submit --stats` prints is what a local `--stats` would.
     assert_eq!(back.render(), report.render());
     let empty = Report::default();
@@ -64,9 +75,11 @@ fn both_daemons_serve_the_one_document() {
         assert_eq!(status, 200, "{route}");
         let text = String::from_utf8_lossy(&body);
         assert!(text.starts_with(&head()), "{route}: {text}");
-        // Both carry state gauges, so neither document is empty.
+        // Both carry state gauges, so neither document is empty, and
+        // both the process's hashed-byte total.
         let report = decode_report(&body).unwrap_or_else(|e| panic!("{route}: {e} in {text}"));
         assert!(!report.counters.is_empty(), "{route}: {text}");
+        assert!(report.counters.contains_key("digest.bytes_hashed"), "{route}: {text}");
     }
     drop(registry);
     buildd.shutdown().stop();

@@ -190,10 +190,11 @@ impl DiskStore {
         Ok(self.read_verified(digest)?.map(Verified::into_bytes))
     }
 
-    /// Commit a blob under its claimed digest (the trust boundary for
-    /// cross-process copies such as `OciDir::save`): a blob that is written
-    /// is re-hashed against its claim first. One the layout already holds
-    /// is not — nothing would be written whatever the hash said, and
+    /// Commit a blob under its claimed digest, for a caller that holds
+    /// bytes without a proof (one holding a [`Verified`] — `OciDir::save`
+    /// — calls [`DiskStore::admit`]): a blob that is written is hashed
+    /// against its claim first. One the layout already holds is not —
+    /// nothing would be written whatever the hash said, and
     /// [`DiskStore::read_verified`] checks it on every read. Returns `true`
     /// if the blob was newly written, `false` if already present.
     pub fn put_blob(&self, digest: &Digest, data: &[u8]) -> Result<bool, StoreError> {

@@ -295,12 +295,14 @@ impl Layout<BlobStore> {
     /// committed incrementally (only the missing ones are written, each
     /// via tmp → fsync → atomic rename), and `index.json` is replaced
     /// atomically last, so a kill mid-save leaves either the old or the
-    /// new tag table — never a torn one.
+    /// new tag table — never a torn one. Nothing is hashed: each blob goes
+    /// in on the proof this store already holds for it.
     pub fn save(&self, dir: &Path) -> Result<(), StoreError> {
         let _lock = LayoutLock::acquire(dir)?;
         let store = DiskStore::init(dir)?;
-        for (digest, blob) in self.blobs.iter() {
-            store.put_blob(digest, blob)?;
+        let proofs = self.blobs.iter().filter_map(|(d, _)| self.blobs.verified(d));
+        for blob in proofs {
+            store.admit(blob)?;
         }
         store.commit_index(&self.index)
     }

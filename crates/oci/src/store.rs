@@ -138,9 +138,10 @@ impl<'a> From<&'a [u8]> for Payload<'a> {
 }
 
 /// A blob together with the digest its bytes hash to — the admission proof
-/// every store demands. It can only be built by hashing: [`Verified::hash`]
+/// every store demands. It is built by hashing — [`Verified::hash`]
 /// computes the address, [`Verified::check`] additionally refuses a claimed
-/// address the bytes do not have, as a hard error in every build profile.
+/// address the bytes do not have, as a hard error in every build profile —
+/// or borrowed back from a store of proofs ([`BlobStore::verified`]).
 /// "These bytes were hashed before they were stored" is therefore checked
 /// by the compiler, not asserted by a comment at the call site.
 #[derive(Debug)]
@@ -230,6 +231,18 @@ impl BlobStore {
         digest
     }
 
+    /// The proof of a blob this store holds, borrowed and not re-hashed: a
+    /// `BlobStore` is a set of proofs, because every entry arrived through
+    /// [`BlobStore::admit`] (which takes a [`Verified`]) or was shared from
+    /// another store by [`BlobStore::fetch_from`]. The one other door is
+    /// [`BlobStore::insert_raw_for_tests`]; see there.
+    pub fn verified(&self, digest: &Digest) -> Option<Verified<'_>> {
+        self.blobs.get(digest).map(|b| Verified {
+            digest: *digest,
+            payload: Payload::Borrowed(b),
+        })
+    }
+
     /// Fetch a blob by digest.
     pub fn get(&self, digest: &Digest) -> Option<Bytes> {
         self.blobs.get(digest).cloned()
@@ -275,7 +288,11 @@ impl BlobStore {
     /// Insert a blob under an arbitrary digest, bypassing hashing — only
     /// for corruption/fault-injection tests (hence the name and the
     /// `#[doc(hidden)]`). It is the one way to store bytes without a
-    /// [`Verified`].
+    /// [`Verified`], so after it [`BlobStore::verified`] can hand out a
+    /// proof its bytes do not honour. That is what those tests are for:
+    /// each shows a trust boundary that re-hashes what it did not admit
+    /// itself — [`Layout::push`]'s `Verified::check`, the daemon's PUT
+    /// hash, publish's stream-verify — refusing the lie.
     #[doc(hidden)]
     pub fn insert_raw_for_tests(&mut self, digest: Digest, data: Bytes) {
         self.blobs.insert(digest, data);
@@ -529,6 +546,18 @@ mod tests {
             Verified::check(Digest::of(b"other"), data),
             Err(StoreError::DigestMismatch(_))
         ));
+    }
+
+    #[test]
+    fn a_store_hands_back_the_proofs_it_admitted() {
+        let mut s = BlobStore::new();
+        let d = s.put(Bytes::from_static(b"admitted"));
+        let proof = s.verified(&d).unwrap();
+        assert_eq!(proof.digest(), d);
+        assert_eq!(proof.as_slice(), b"admitted");
+        // Borrowed from the store, so it is the store's own buffer.
+        assert_eq!(proof.as_slice().as_ptr(), s.get(&d).unwrap().as_ptr());
+        assert!(s.verified(&Digest::of(b"absent")).is_none());
     }
 
     #[test]

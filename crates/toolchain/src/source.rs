@@ -54,36 +54,46 @@ fn parse_args(body: &str) -> Vec<String> {
         .collect()
 }
 
-/// Extract a `name(args)` directive body if `line` carries the directive.
-fn directive<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-    let rest = line.trim().strip_prefix("#pragma comt ")?.trim_start();
-    let rest = rest.strip_prefix(name)?.trim_start();
-    let rest = rest.strip_prefix('(')?;
+/// The directive names `#pragma comt` carries. No name is a prefix of
+/// another, so at most one matches a line.
+const DIRECTIVES: [&str; 5] = ["provides", "requires", "extern", "isa", "kernel"];
+
+/// Split `#pragma comt name(args)` — given what follows `#pragma comt ` —
+/// into the directive name and its argument body, up to the last `)`.
+fn directive(rest: &str) -> Option<(&'static str, &str)> {
+    let rest = rest.trim_start();
+    let name = DIRECTIVES.into_iter().find(|n| rest.starts_with(n))?;
+    let rest = rest[name.len()..].trim_start().strip_prefix('(')?;
     let close = rest.rfind(')')?;
-    Some(&rest[..close])
+    Some((name, &rest[..close]))
 }
 
-/// Parse an annotated source file.
+/// Parse an annotated source file. Each line is scanned once: one that
+/// does not start with `#` (after leading whitespace) is done.
 pub fn parse_source(text: &str) -> SourceInfo {
     let mut info = SourceInfo::default();
     for line in text.lines() {
         info.loc += 1;
-        let trimmed = line.trim();
-        if let Some(body) = directive(trimmed, "provides") {
-            info.provides.extend(parse_args(body));
-        } else if let Some(body) = directive(trimmed, "requires") {
-            info.requires.extend(parse_args(body));
-        } else if let Some(body) = directive(trimmed, "extern") {
-            info.externs.extend(parse_args(body));
-        } else if let Some(body) = directive(trimmed, "isa") {
-            info.isa = parse_args(body).into_iter().next();
-        } else if let Some(body) = directive(trimmed, "kernel") {
-            for kv in parse_args(body) {
-                if let Some((k, v)) = kv.split_once('=') {
-                    if let Ok(val) = v.trim().parse::<f64>() {
-                        info.kernel.insert(k.trim().to_string(), val);
+        let trimmed = line.trim_start();
+        if !trimmed.starts_with('#') {
+            continue;
+        }
+        if let Some(pragma) = trimmed.strip_prefix("#pragma comt ") {
+            match directive(pragma) {
+                Some(("provides", body)) => info.provides.extend(parse_args(body)),
+                Some(("requires", body)) => info.requires.extend(parse_args(body)),
+                Some(("extern", body)) => info.externs.extend(parse_args(body)),
+                Some(("isa", body)) => info.isa = parse_args(body).into_iter().next(),
+                Some(("kernel", body)) => {
+                    for kv in parse_args(body) {
+                        if let Some((k, v)) = kv.split_once('=') {
+                            if let Ok(val) = v.trim().parse::<f64>() {
+                                info.kernel.insert(k.trim().to_string(), val);
+                            }
+                        }
                     }
                 }
+                _ => {}
             }
         } else if let Some(rest) = trimmed.strip_prefix("#include") {
             let rest = rest.trim();
@@ -183,6 +193,112 @@ int main(int argc, char** argv) {
         let info = parse_source("#pragma comt provides\n#pragma comt kernel(flops=abc)\n#pragma omp parallel\n");
         assert!(info.provides.is_empty());
         assert!(info.kernel.is_empty());
+    }
+
+    /// The parser as it was before it scanned each line once — every line
+    /// trimmed, then trimmed and `#pragma comt `-stripped again by each of
+    /// five `directive` calls. Kept as the reference the one-pass parser
+    /// is held to.
+    mod reference {
+        use super::super::{parse_args, SourceInfo};
+
+        fn directive<'a>(line: &'a str, name: &str) -> Option<&'a str> {
+            let rest = line.trim().strip_prefix("#pragma comt ")?.trim_start();
+            let rest = rest.strip_prefix(name)?.trim_start();
+            let rest = rest.strip_prefix('(')?;
+            let close = rest.rfind(')')?;
+            Some(&rest[..close])
+        }
+
+        pub fn parse_source(text: &str) -> SourceInfo {
+            let mut info = SourceInfo::default();
+            for line in text.lines() {
+                info.loc += 1;
+                let trimmed = line.trim();
+                if let Some(body) = directive(trimmed, "provides") {
+                    info.provides.extend(parse_args(body));
+                } else if let Some(body) = directive(trimmed, "requires") {
+                    info.requires.extend(parse_args(body));
+                } else if let Some(body) = directive(trimmed, "extern") {
+                    info.externs.extend(parse_args(body));
+                } else if let Some(body) = directive(trimmed, "isa") {
+                    info.isa = parse_args(body).into_iter().next();
+                } else if let Some(body) = directive(trimmed, "kernel") {
+                    for kv in parse_args(body) {
+                        if let Some((k, v)) = kv.split_once('=') {
+                            if let Ok(val) = v.trim().parse::<f64>() {
+                                info.kernel.insert(k.trim().to_string(), val);
+                            }
+                        }
+                    }
+                } else if let Some(rest) = trimmed.strip_prefix("#include") {
+                    let rest = rest.trim();
+                    if let Some(inner) = rest.strip_prefix('"').and_then(|r| r.split('"').next())
+                    {
+                        info.includes_quoted.push(inner.to_string());
+                    } else if let Some(inner) =
+                        rest.strip_prefix('<').and_then(|r| r.split('>').next())
+                    {
+                        info.includes_system.push(inner.to_string());
+                    }
+                }
+            }
+            info
+        }
+    }
+
+    #[test]
+    fn one_pass_parser_matches_the_reference_on_every_workload_tree() {
+        let mut files = 0;
+        for spec in comt_workloads::apps() {
+            let tree = comt_workloads::source_tree(spec.name, "x86_64", 1.0 / 1024.0).unwrap();
+            for (path, node) in tree.walk_prefix("/src") {
+                if node.is_file() {
+                    let text = tree.read_string(path).unwrap();
+                    assert_eq!(parse_source(&text), reference::parse_source(&text), "{path}");
+                    files += 1;
+                }
+            }
+        }
+        assert!(files > 100, "only {files} source files seen");
+    }
+
+    #[test]
+    fn one_pass_parser_matches_the_reference_on_hostile_lines() {
+        let lines = [
+            "#pragma comt provides",
+            "#pragma comt provides(a, b",
+            "#pragma comt provides (a) trailing )",
+            "#pragma comt providesx(a)",
+            "#pragma comt requires(x)\r",
+            "\t\t#pragma comt extern(m:sqrt)",
+            "  #pragma comt isa( aarch64 )  ",
+            "#pragma comt kernel(flops=1e9, bytes=x, =3, k=)",
+            "#pragma comt  kernel (flops=2)",
+            "#pragma comt",
+            "#pragma comt \t",
+            "#pragma comt\tprovides(tab)",
+            "#pragma  comt provides(two_spaces)",
+            "#pragma omp parallel for",
+            "#include",
+            "#include   ",
+            "#include \"unterminated",
+            "#include <sys/x.h",
+            "#include<tight.h>",
+            "\u{a0}#include \"nbsp.h\"\u{a0}",
+            "# include \"spaced.h\"",
+            "#",
+            "",
+            "   ",
+            "int x; // #pragma comt provides(no)",
+        ];
+        for line in lines {
+            assert_eq!(parse_source(line), reference::parse_source(line), "{line:?}");
+        }
+        for sep in ["\n", "\r\n"] {
+            let text = lines.join(sep);
+            assert_eq!(parse_source(&text), reference::parse_source(&text), "{sep:?}");
+        }
     }
 
     #[test]
