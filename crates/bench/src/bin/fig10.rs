@@ -9,79 +9,24 @@
 //! `--lto-scope` additionally runs the LTO-scope ablation (whole-graph vs
 //! per-binary) called out in DESIGN.md.
 
-use comt_bench::report::{mean, table};
+use comt_bench::paper::{fig10_text, scheme_times, SYSTEMS};
 use comt_bench::{Lab, Scheme};
 use comt_pkg::catalog;
-use comt_workloads::workloads;
-use std::collections::BTreeMap;
 
 fn main() {
     let lto_scope_ablation = std::env::args().any(|a| a == "--lto-scope");
     let bolt_ablation = std::env::args().any(|a| a == "--bolt");
-    let nodes = 16;
 
-    for isa in ["x86_64", "aarch64"] {
-        println!(
-            "== Figure 10{}: relative execution time vs native on {} ==\n",
-            if isa == "x86_64" { "a" } else { "b" },
-            isa
-        );
-        let mut lab = Lab::new(isa, catalog::MINI_SCALE);
-        let mut arts = BTreeMap::new();
-        let mut rows = Vec::new();
-        let mut rel_adapted = Vec::new();
-        let mut rel_optimized = Vec::new();
-        let mut extremes: Vec<(String, f64)> = Vec::new();
-
-        for w in workloads() {
-            let art = arts.entry(w.app).or_insert_with(|| lab.prepare_app(w.app));
-            let native = lab.run(art, &w, Scheme::Native, nodes);
-            let adapted = lab.run(art, &w, Scheme::Adapted, nodes);
-            let optimized = lab.run(art, &w, Scheme::Optimized, nodes);
-            let ra = adapted / native;
-            let ro = optimized / native;
-            rel_adapted.push(ra);
-            rel_optimized.push(ro);
-            // Improvement of optimized over adapted, the Figure 10 story.
-            let opt_vs_adapted = (adapted / optimized - 1.0) * 100.0;
-            extremes.push((w.label(), opt_vs_adapted));
-            rows.push(vec![
-                w.label(),
-                format!("{ra:.3}"),
-                format!("{ro:.3}"),
-                format!("{opt_vs_adapted:+.1}%"),
-            ]);
-        }
-
-        println!(
-            "{}",
-            table(
-                &["workload", "adapted/native", "optimized/native", "lto+pgo effect"],
-                &rows
-            )
-        );
-        println!(
-            "mean relative time: adapted {:.3}, optimized {:.3}",
-            mean(&rel_adapted),
-            mean(&rel_optimized)
-        );
-        extremes.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-        let (worst, best) = (extremes.first().unwrap(), extremes.last().unwrap());
-        println!(
-            "best lto+pgo: {} {:+.1}% (paper: {}), worst: {} {:+.1}% (paper: {})\n",
-            best.0,
-            best.1,
-            if isa == "x86_64" { "openmx.pt13 +30.4%" } else { "lammps.lj +17.7%" },
-            worst.0,
-            worst.1,
-            if isa == "x86_64" { "lammps.chain -12.1%" } else { "hpcg -14.9%" },
-        );
-
-        if lto_scope_ablation && isa == "x86_64" {
-            lto_scope(&mut lab);
-        }
-        if bolt_ablation && isa == "x86_64" {
-            bolt(&mut lab);
+    for isa in SYSTEMS {
+        print!("{}", fig10_text(&scheme_times(isa)));
+        if isa == "x86_64" && (lto_scope_ablation || bolt_ablation) {
+            let mut lab = Lab::new(isa, catalog::MINI_SCALE);
+            if lto_scope_ablation {
+                lto_scope(&mut lab);
+            }
+            if bolt_ablation {
+                bolt(&mut lab);
+            }
         }
     }
 }

@@ -6,64 +6,8 @@
 //! without ISA-specific *source* can cross (script-level flags are fixable;
 //! inline assembly is not).
 
-use comt_bench::report::table;
-use comt_buildsys::Containerfile;
-use comtainer::crossisa::{port_containerfile, xbuild_containerfile};
-use comt_workloads::{apps, containerfile};
+use comt_bench::paper::{fig11_rows, fig11_text};
 
 fn main() {
-    println!("== Figure 11: cross-ISA line changes (x86-64 → AArch64) ==\n");
-
-    let mut rows = Vec::new();
-    let mut comt_total = 0usize;
-    let mut xbuild_total = 0usize;
-    let mut crossed = 0usize;
-
-    for app in apps() {
-        let cf = containerfile(app.name, "x86_64").expect("containerfile");
-        if app.isa_specific_units > 0 {
-            rows.push(vec![
-                app.name.to_string(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                format!("blocked: {} ISA-specific unit(s)", app.isa_specific_units),
-            ]);
-            continue;
-        }
-        let ported = port_containerfile(&cf, "x86_64", "aarch64");
-        let (pa, pd) = Containerfile::line_diff(&cf, &ported);
-        let xb = xbuild_containerfile(&cf, "aarch64");
-        let (xa, xd) = Containerfile::line_diff(&cf, &xb);
-        comt_total += pa + pd;
-        xbuild_total += xa + xd;
-        crossed += 1;
-        rows.push(vec![
-            app.name.to_string(),
-            format!("+{pa}"),
-            format!("-{pd}"),
-            format!("+{xa}"),
-            format!("-{xd}"),
-            "crosses with script edits".into(),
-        ]);
-    }
-
-    println!(
-        "{}",
-        table(
-            &["app", "coMt add", "coMt del", "xbuild add", "xbuild del", "status"],
-            &rows
-        )
-    );
-    let comt_avg = comt_total as f64 / crossed as f64;
-    let xbuild_avg = xbuild_total as f64 / crossed as f64;
-    println!(
-        "averages over the {} crossable apps: coMtainer {:.1} lines, xbuild {:.1} lines",
-        crossed, comt_avg, xbuild_avg
-    );
-    println!(
-        "coMtainer effort = {:.0}% of cross-building (paper: ~5 vs ~47 lines, 10%)",
-        comt_avg / xbuild_avg * 100.0
-    );
+    print!("{}", fig11_text(&fig11_rows()));
 }

@@ -11,68 +11,10 @@
 //! * LAMMPS improves up to 253 % and OpenMX up to 99.7 % on x86-64;
 //! * HPCCG is the only workload where native/adapted degrade.
 
-use comt_bench::report::{improvement_pct, mean, secs, table};
-use comt_bench::{Lab, Scheme};
-use comt_pkg::catalog;
-use comt_workloads::workloads;
-use std::collections::BTreeMap;
+use comt_bench::paper::{fig9_text, scheme_times, SYSTEMS};
 
 fn main() {
-    let nodes = 16;
-    for isa in ["x86_64", "aarch64"] {
-        println!("== Figure 9{}: execution time on the {} system (16 nodes) ==\n",
-            if isa == "x86_64" { "a" } else { "b" }, isa);
-        let mut lab = Lab::new(isa, catalog::MINI_SCALE);
-
-        let mut arts = BTreeMap::new();
-        let mut rows = Vec::new();
-        let mut by_scheme: BTreeMap<&'static str, Vec<f64>> = BTreeMap::new();
-        for w in workloads() {
-            let art = arts
-                .entry(w.app)
-                .or_insert_with(|| lab.prepare_app(w.app));
-            let mut row = vec![w.label()];
-            for scheme in Scheme::ALL {
-                let t = lab.run(art, &w, scheme, nodes);
-                by_scheme.entry(scheme.label()).or_default().push(t);
-                row.push(secs(t));
-            }
-            rows.push(row);
-        }
-
-        println!(
-            "{}",
-            table(&["workload", "original", "native", "adapted", "optimized"], &rows)
-        );
-
-        let avg =
-            |s: &str| -> f64 { mean(by_scheme.get(s).map(Vec::as_slice).unwrap_or(&[])) };
-        let (orig, native, adapted, optimized) = (
-            avg("original"),
-            avg("native"),
-            avg("adapted"),
-            avg("optimized"),
-        );
-        println!("averages: original {:.2}s  native {:.2}s  adapted {:.2}s  optimized {:.2}s",
-            orig, native, adapted, optimized);
-        println!(
-            "native-vs-original improvement: {:.1}% (paper: {}%)",
-            improvement_pct(orig, native),
-            if isa == "x86_64" { "96.3" } else { "66.5" }
-        );
-        println!(
-            "adapted avg {:.2}s vs native avg {:.2}s (paper: {} vs {})",
-            adapted,
-            native,
-            if isa == "x86_64" { "22.0" } else { "69.7" },
-            if isa == "x86_64" { "21.35" } else { "67.0" }
-        );
-        println!(
-            "optimized-vs-adapted: {:.1}%  optimized-vs-native: {:.1}% (paper: {}% / {}%)\n",
-            improvement_pct(adapted, optimized),
-            improvement_pct(native, optimized),
-            if isa == "x86_64" { "8" } else { "5.6" },
-            if isa == "x86_64" { "3.4" } else { "3" },
-        );
+    for isa in SYSTEMS {
+        print!("{}", fig9_text(&scheme_times(isa)));
     }
 }

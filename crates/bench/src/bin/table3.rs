@@ -9,129 +9,13 @@
 //! (DESIGN.md §4.2): what the cache layer would weigh without the
 //! obfuscating minifier.
 
-use comt_bench::report::table;
-use comt_buildsys::{Builder, Executor};
-use comt_oci::layout::OciDir;
-use comt_oci::BlobStore;
-use comt_pkg::catalog;
-use comt_toolchain::Toolchain;
-use comtainer::{comtainer_build, StockImages};
-use comt_workloads::{containerfile, source_tree};
-
-const MIB: f64 = 1024.0 * 1024.0;
-
-/// Paper numbers: (app, x86 image, arm image, cache).
-const PAPER: &[(&str, f64, f64, f64)] = &[
-    ("comd", 170.36, 94.87, 0.75),
-    ("hpccg", 170.40, 94.77, 0.59),
-    ("hpcg", 170.04, 95.37, 0.80),
-    ("hpl", 170.76, 94.86, 1.32),
-    ("lulesh", 170.29, 96.12, 0.66),
-    ("miniaero", 170.12, 94.63, 0.62),
-    ("miniamr", 170.10, 94.62, 0.80),
-    ("lammps", 203.30, 127.23, 14.42),
-    ("openmx", 440.97, 359.14, 23.99),
-];
+use comt_bench::paper::{raw_cache_text, table3_rows, table3_text};
 
 fn main() {
     let raw_ablation = std::env::args().any(|a| a == "--raw-cache");
-    let scale = 1.0;
-
-    let mut results: Vec<(String, f64, f64, f64, f64)> = Vec::new(); // app, x86, arm, cache, raw
-
-    for isa in ["x86_64", "aarch64"] {
-        let mut store = BlobStore::new();
-        let stock = StockImages::build(&mut store, isa, scale).expect("stock");
-        let base_fs = comt_oci::flatten(&store, &stock.base).expect("base fs");
-        let arch_tag = if isa == "aarch64" { "aarch64" } else { "x86-64" };
-
-        for (app, ..) in PAPER {
-            let context = source_tree(app, isa, scale).expect("tree");
-            let cf = containerfile(app, isa).expect("cf");
-            let executor = Executor::new(isa, vec![Toolchain::distro_gcc()])
-                .with_repo(catalog::generic_repo_scaled(isa, scale));
-            let mut builder = Builder::new(&mut store, executor);
-            builder.tag(&format!("comt:{arch_tag}.env"), &stock.env);
-            builder.tag(&format!("comt:{arch_tag}.base"), &stock.base);
-            let result = builder.build(app, &cf, &context).expect("build");
-            let dist = &result.images["dist"];
-            let image_mib = dist.layers_size() as f64 / MIB;
-
-            let mut oci = OciDir::new();
-            let dist_ref = format!("{app}.dist");
-            oci.export(&dist_ref, dist.manifest_digest, &store).unwrap();
-            let ext = comtainer_build(
-                &mut oci,
-                &dist_ref,
-                &result.containers["build"],
-                &result.traces["build"],
-                &base_fs,
-            )
-            .expect("coMtainer-build");
-            let cache_mib =
-                comtainer::cache::cache_layer_size(&oci, &ext).expect("cache size") as f64 / MIB;
-
-            // Raw-cache ablation: the same leaf set without minification.
-            let raw_mib = if raw_ablation && isa == "x86_64" {
-                let cache = comtainer::load_cache(&oci, &ext).expect("cache");
-                let build_fs = &result.containers["build"].fs;
-                cache
-                    .sources
-                    .keys()
-                    .filter_map(|p| build_fs.read(p).ok())
-                    .map(|b| b.len() as f64)
-                    .sum::<f64>()
-                    / MIB
-            } else {
-                0.0
-            };
-
-            if isa == "x86_64" {
-                results.push((app.to_string(), image_mib, 0.0, cache_mib, raw_mib));
-            } else if let Some(r) = results.iter_mut().find(|r| r.0 == *app) {
-                r.2 = image_mib;
-            }
-        }
-    }
-
-    println!("== Table 3: size (in MiB) of original images and cache layers ==\n");
-    let mut rows = Vec::new();
-    let mut max_pct_x86: f64 = 0.0;
-    let mut max_pct_arm: f64 = 0.0;
-    for (app, x86, arm, cache, _) in &results {
-        let paper = PAPER.iter().find(|(n, ..)| n == app).unwrap();
-        rows.push(vec![
-            app.clone(),
-            format!("{x86:.2}"),
-            format!("({:.2})", paper.1),
-            format!("{arm:.2}"),
-            format!("({:.2})", paper.2),
-            format!("{cache:.2}"),
-            format!("({:.2})", paper.3),
-        ]);
-        max_pct_x86 = max_pct_x86.max(cache / x86 * 100.0);
-        max_pct_arm = max_pct_arm.max(cache / arm * 100.0);
-    }
-    println!(
-        "{}",
-        table(
-            &["app", "img x86", "(paper)", "img arm", "(paper)", "cache", "(paper)"],
-            &rows
-        )
-    );
-    println!(
-        "cache layer at most {max_pct_x86:.1}% of the x86-64 image (paper: 7.1%), {max_pct_arm:.1}% of the AArch64 image (paper: 11.3%)"
-    );
-
+    let rows = table3_rows(raw_ablation);
+    print!("{}", table3_text(&rows));
     if raw_ablation {
-        println!("\n-- cache minification ablation (x86-64) --");
-        for (app, _, _, cache, raw) in &results {
-            if *raw > 0.0 {
-                println!(
-                    "  {app:9} minified {cache:7.2} MiB vs raw {raw:7.2} MiB ({:.0}% saved)",
-                    (1.0 - cache / raw) * 100.0
-                );
-            }
-        }
+        print!("{}", raw_cache_text(&rows));
     }
 }

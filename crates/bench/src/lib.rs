@@ -15,9 +15,11 @@
 //!   (instrument → simulated run → profile → re-optimize).
 //!
 //! Experiment binaries (`src/bin/fig*.rs`, `table*.rs`) print the same
-//! rows/series the paper reports.
+//! rows/series the paper reports; [`paper`] computes and renders the rows
+//! of Figures 9–11 and Table 3, which `tests/paper_figures.rs` pins.
 
 pub mod harness;
+pub mod paper;
 pub mod report;
 
 pub use harness::{AppArtifacts, Lab, Scheme};

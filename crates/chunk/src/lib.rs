@@ -6,8 +6,9 @@
 //! re-aligns to the same chunks. A [`ChunkMap`] records the ordered chunk
 //! spans of one blob and travels as a normal content-addressed blob under
 //! [`MEDIA_TYPE_CHUNKMAP`]; a client that already holds related blobs builds
-//! a [`ChunkIndex`] over them and a [`DeltaPlan`] that names exactly which
-//! byte ranges it still needs from the wire.
+//! a [`ChunkIndex`] over them (from their maps where it has them) and a
+//! [`DeltaPlan`] that names exactly which byte ranges it still needs from
+//! the wire.
 //!
 //! Everything here is pure integer arithmetic over fixed tables — no RNG, no
 //! floats, no platform-dependent behavior — so the same bytes chunk the same
@@ -139,6 +140,11 @@ impl std::error::Error for ChunkError {}
 /// on the bytes of its own chunk — an edit can invalidate the chunk it lands
 /// in (and, through the moved start position, a bounded run after it), but
 /// never chunks that end before it.
+///
+/// Only offsets from `min - 1` on are tested, and each step shifts the
+/// 64-bit hash left by one, so a byte more than 63 positions back has left
+/// it by then: the hash starts 64 bytes before the first tested offset,
+/// never at the chunk start, and finds the same boundaries.
 pub fn chunk_spans(data: &[u8], params: ChunkParams) -> Vec<(usize, usize)> {
     debug_assert!(params.validate().is_ok());
     let (min, max) = (params.min as usize, params.max as usize);
@@ -150,13 +156,16 @@ pub fn chunk_spans(data: &[u8], params: ChunkParams) -> Vec<(usize, usize)> {
         let end = if remaining <= min {
             data.len()
         } else {
-            let limit = remaining.min(max);
+            let chunk = &data[start..start + remaining.min(max)];
+            let first_test = (min.max(1) - 1).min(chunk.len());
             let mut h: u64 = 0;
-            let mut cut = limit;
-            // Hash the whole chunk prefix, but only test from `min` on.
-            for (i, &b) in data[start..start + limit].iter().enumerate() {
+            for &b in &chunk[first_test.saturating_sub(u64::BITS as usize - 1)..first_test] {
                 h = (h << 1).wrapping_add(GEAR[b as usize]);
-                if i + 1 >= min && (h & mask) == 0 {
+            }
+            let mut cut = chunk.len();
+            for (i, &b) in chunk.iter().enumerate().skip(first_test) {
+                h = (h << 1).wrapping_add(GEAR[b as usize]);
+                if (h & mask) == 0 {
                     cut = i + 1;
                     break;
                 }
@@ -377,8 +386,9 @@ pub struct ChunkSource {
     pub size: u32,
 }
 
-/// Chunk digest → local location, built by chunking blobs a client already
-/// holds. Rebuilt on demand — never persisted — so it can't go stale.
+/// Chunk digest → local location over blobs a client already holds, each
+/// indexed from its published [`ChunkMap`] or by chunking its bytes.
+/// Rebuilt on demand — never persisted — so it can't go stale.
 #[derive(Debug, Default)]
 pub struct ChunkIndex {
     by_digest: HashMap<Digest, ChunkSource>,
@@ -394,14 +404,42 @@ impl ChunkIndex {
     /// digest collisions across blobs (the bytes are identical anyway).
     pub fn add_blob(&mut self, blob: Digest, data: &[u8], params: ChunkParams) {
         for (s, e) in chunk_spans(data, params) {
-            let d = Digest::of(&data[s..e]);
-            self.by_digest.entry(d).or_insert(ChunkSource {
-                blob,
-                offset: s as u64,
-                size: (e - s) as u32,
-            });
+            self.insert(Digest::of(&data[s..e]), blob, s as u64, (e - s) as u32);
         }
         self.blobs += 1;
+    }
+
+    /// Index a local blob of `len` bytes from its map instead of its bytes.
+    /// The map must be structurally valid, name `blob` and cover exactly
+    /// `len` bytes, so every entry stays inside the blob; on error the
+    /// index is unchanged. Whether the bytes really hold those chunks is
+    /// not checked here — a reader verifies what it assembles from them.
+    pub fn add_map(&mut self, blob: Digest, len: u64, map: &ChunkMap) -> Result<(), ChunkError> {
+        map.validate_structure()?;
+        if map.parsed_blob_digest()? != blob {
+            return Err(ChunkError::Mismatch(format!(
+                "map describes {}, not {blob}",
+                map.blob_digest
+            )));
+        }
+        if map.blob_size != len {
+            return Err(ChunkError::Mismatch(format!(
+                "blob is {len} bytes, map says {}",
+                map.blob_size
+            )));
+        }
+        // `validate_structure` parsed every digest: no `?` below stops half way.
+        for c in &map.chunks {
+            self.insert(c.parsed_digest()?, blob, c.offset, c.size);
+        }
+        self.blobs += 1;
+        Ok(())
+    }
+
+    fn insert(&mut self, digest: Digest, blob: Digest, offset: u64, size: u32) {
+        self.by_digest
+            .entry(digest)
+            .or_insert(ChunkSource { blob, offset, size });
     }
 
     pub fn lookup(&self, digest: &Digest) -> Option<&ChunkSource> {
@@ -550,6 +588,130 @@ mod tests {
         max: 16 * 1024,
     };
 
+    /// The boundary finder as first written: the hash runs from each chunk
+    /// start, every offset from `min` on is tested.
+    fn reference_spans(data: &[u8], params: ChunkParams) -> Vec<(usize, usize)> {
+        let (min, max) = (params.min as usize, params.max as usize);
+        let mask = params.mask();
+        let mut spans = Vec::new();
+        let mut start = 0usize;
+        while start < data.len() {
+            let remaining = data.len() - start;
+            let end = if remaining <= min {
+                data.len()
+            } else {
+                let limit = remaining.min(max);
+                let mut h: u64 = 0;
+                let mut cut = limit;
+                for (i, &b) in data[start..start + limit].iter().enumerate() {
+                    h = (h << 1).wrapping_add(GEAR[b as usize]);
+                    if i + 1 >= min && (h & mask) == 0 {
+                        cut = i + 1;
+                        break;
+                    }
+                }
+                start + cut
+            };
+            spans.push((start, end));
+            start = end;
+        }
+        spans
+    }
+
+    #[test]
+    fn spans_match_the_reference_finder() {
+        let params = [
+            ChunkParams::default(),
+            P,
+            // min < 64: the hash starts at the chunk start, as before.
+            ChunkParams {
+                min: 1,
+                avg_bits: 6,
+                max: 512,
+            },
+            ChunkParams {
+                min: 63,
+                avg_bits: 8,
+                max: 4096,
+            },
+            ChunkParams {
+                min: 64,
+                avg_bits: 8,
+                max: 4096,
+            },
+            ChunkParams {
+                min: 65,
+                avg_bits: 8,
+                max: 4096,
+            },
+            // Dense cuts: the first tested offsets cut often, so a hash
+            // started too late shows.
+            ChunkParams {
+                min: 128,
+                avg_bits: 4,
+                max: 1024,
+            },
+            // min == max: every cut is forced.
+            ChunkParams {
+                min: 2048,
+                avg_bits: 10,
+                max: 2048,
+            },
+        ];
+        for seed in 1..=6u64 {
+            let mut data = filler(300_000 + seed as usize * 7919, seed);
+            // Low-entropy runs, where equal hashes are likeliest.
+            data[50_000..90_000].fill(0);
+            for (i, b) in data[120_000..160_000].iter_mut().enumerate() {
+                *b = (i % 7) as u8;
+            }
+            for p in params {
+                assert_eq!(
+                    chunk_spans(&data, p),
+                    reference_spans(&data, p),
+                    "seed {seed}, {p:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn index_from_a_map_equals_index_from_the_bytes() {
+        let data = filler(400_000, 41);
+        let digest = Digest::of(&data);
+        let map = ChunkMap::build(&data, P).unwrap();
+        let (mut scanned, mut mapped) = (ChunkIndex::new(), ChunkIndex::new());
+        scanned.add_blob(digest, &data, P);
+        mapped.add_map(digest, data.len() as u64, &map).unwrap();
+        assert_eq!(mapped.by_digest, scanned.by_digest);
+        assert_eq!(mapped.blob_count(), 1);
+    }
+
+    #[test]
+    fn add_map_refuses_a_map_of_another_blob_or_length() {
+        let data = filler(100_000, 43);
+        let digest = Digest::of(&data);
+        let map = ChunkMap::build(&data, P).unwrap();
+        let mut index = ChunkIndex::new();
+        let other = Digest::of(b"other");
+        assert!(matches!(
+            index.add_map(other, data.len() as u64, &map),
+            Err(ChunkError::Mismatch(_))
+        ));
+        assert!(matches!(
+            index.add_map(digest, data.len() as u64 + 1, &map),
+            Err(ChunkError::Mismatch(_))
+        ));
+        let mut torn = map.clone();
+        torn.chunks.remove(1);
+        assert!(matches!(
+            index.add_map(digest, data.len() as u64, &torn),
+            Err(ChunkError::Malformed(_))
+        ));
+        assert!(index.is_empty());
+        assert_eq!(index.blob_count(), 0);
+    }
+
     #[test]
     fn gear_table_is_stable() {
         // Golden values: the table must never change across platforms or
@@ -654,6 +816,20 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn map_bytes_are_pinned() {
+        // Chunk digests are a cross-machine currency: a map built today
+        // must be byte-identical to one built by any earlier release.
+        let data = filler(1 << 20, 31);
+        let json = ChunkMap::build(&data, ChunkParams::default())
+            .unwrap()
+            .to_json();
+        assert_eq!(
+            Digest::of(&json).to_oci_string(),
+            "sha256:b7e0507a90cbd7a154fe3dde1c392088851c2ccc38c42206f293c9cd5905908d"
+        );
     }
 
     #[test]

@@ -520,11 +520,12 @@ impl DistClient {
     }
 
     /// Reassemble one layer from local chunks plus fetched ranges.
-    /// `Ok(None)` means the chunkmap could not be used (a local source
-    /// blob vanished, or the reassembled bytes do not hash to the layer's
-    /// address because the server's map is stale) — the caller falls back
-    /// to a full-blob pull. Transport failures and persistently poisoned
-    /// chunks propagate as errors: nothing torn is ever returned.
+    /// `Ok(None)` means the chunkmap could not be used (no chunk of it is
+    /// held locally, a local source blob vanished, or the reassembled bytes
+    /// do not hash to the layer's address because a map is stale or lies)
+    /// — the caller falls back to a full-blob pull. Transport failures and
+    /// persistently poisoned chunks propagate as errors: nothing torn is
+    /// ever returned.
     #[allow(clippy::too_many_arguments)] // internal helper; mirrors the pull state it splices
     fn pull_blob_delta(
         &self,
@@ -539,6 +540,11 @@ impl DistClient {
         let obs = comt_observe::global();
         let _span = obs.span("dist.client.delta_pull");
         let plan = plan_delta(map, index, DEFAULT_COALESCE_GAP);
+        if plan.chunks_hit() == 0 {
+            // Nothing local to reuse: one plain GET beats ranged windows
+            // that are each hashed and then hashed again as a whole.
+            return Ok(None);
+        }
         let mut out = vec![0u8; map.blob_size as usize];
 
         // Local chunks first: copy byte spans out of blobs already held.
@@ -601,6 +607,45 @@ impl DistClient {
         obs.count("dist.client.delta_bytes_saved", plan.bytes_local);
         obs.count("dist.client.delta_bytes_fetched", plan.bytes_fetched);
         Ok(Some(blob))
+    }
+
+    /// The chunk index over the blobs a pull started with. A held blob
+    /// longer than one maximal chunk is indexed from the map the daemon
+    /// publishes for it, when that map parses, names the blob, has its
+    /// length and was cut with `params`; every other held blob is chunked
+    /// and hashed. No trust is added: a map only says where chunks might
+    /// be, every entry lies inside its blob, and a wrong one makes the
+    /// assembled layer fail its whole-blob check, which pulls it whole.
+    /// These map bodies are index lookups, not payload: the pull's
+    /// `bytes_moved` does not count them (the daemon's `bytes_out` does).
+    fn index_held(
+        &self,
+        name: &str,
+        held: &BlobStore,
+        blobs: &[Digest],
+        params: ChunkParams,
+    ) -> ChunkIndex {
+        let obs = comt_observe::global();
+        let mut index = ChunkIndex::new();
+        for d in blobs {
+            let Some(data) = held.get(d) else { continue };
+            let len = data.len() as u64;
+            let mapped = len > u64::from(params.max)
+                && self
+                    .get_chunkmap(name, d)
+                    .ok()
+                    .flatten()
+                    .and_then(|raw| ChunkMap::from_json(&raw).ok())
+                    .filter(|m| m.params == params)
+                    .is_some_and(|m| index.add_map(*d, len, &m).is_ok());
+            if mapped {
+                obs.count("dist.client.index_blobs_mapped", 1);
+            } else {
+                index.add_blob(*d, &data, params);
+                obs.count("dist.client.index_bytes_scanned", len);
+            }
+        }
+        index
     }
 
     /// Fetch a manifest by tag, hashed on arrival: the proof carries its
@@ -794,7 +839,8 @@ impl DistClient {
         };
         // Delta candidates come from what we held *before* this pull; the
         // chunk index over those blobs is built lazily, once, keyed to the
-        // chunking parameters the server's first chunkmap declares.
+        // chunking parameters the server's first chunkmap declares
+        // ([`DistClient::index_held`]).
         let preexisting: Vec<Digest> = if opts.delta {
             dst.iter()
                 .map(|(d, _)| *d)
@@ -829,16 +875,12 @@ impl DistClient {
                     .and_then(|raw| Some((raw.len(), ChunkMap::from_json(&raw).ok()?)))
                     .filter(|(_, m)| m.parsed_blob_digest().ok() == Some(*d))
                 {
-                    if !matches!(&local_index, Some((p, _)) if *p == map.params) {
-                        let mut idx = ChunkIndex::new();
-                        for b in &preexisting {
-                            if let Some(data) = dst.get(b) {
-                                idx.add_blob(*b, &data, map.params);
-                            }
-                        }
-                        local_index = Some((map.params, idx));
+                    if local_index.as_ref().map(|(p, _)| *p) != Some(map.params) {
+                        local_index = None;
                     }
-                    let index = &local_index.as_ref().expect("just built").1;
+                    let (_, index) = local_index.get_or_insert_with(|| {
+                        (map.params, self.index_held(name, dst, &preexisting, map.params))
+                    });
                     if index.is_empty() {
                         delta_live = false;
                     } else {

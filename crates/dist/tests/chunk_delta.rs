@@ -122,6 +122,14 @@ fn delta_pull_moves_a_fraction_of_the_layer() {
     );
     assert_eq!(stats.delta_bytes_saved, obs.counter("dist.client.delta_bytes_saved"));
     assert!(stats.delta_bytes_saved >= layer_bytes * 70 / 100);
+    // The held layer was indexed from the map the daemon publishes for it;
+    // only the small held blobs (manifest, config) were chunked locally.
+    assert_eq!(obs.counter("dist.client.index_blobs_mapped"), 1);
+    let small: u64 = closure_digests(&local, &md1).unwrap()[..2]
+        .iter()
+        .map(|d| local.get(d).unwrap().len() as u64)
+        .sum();
+    assert_eq!(obs.counter("dist.client.index_bytes_scanned"), small);
 
     // Bit-identical to a full pull of the same tag.
     let mut full = BlobStore::new();
@@ -256,6 +264,104 @@ fn unchunked_push_falls_back_to_full_pull() {
     assert_eq!(got, md2);
     assert_eq!(stats.chunks_hit, 0);
     assert_eq!(stats.chunks_fetched, 0);
+    assert_closure_identical(&local, &dst, &md2);
+    drop(server);
+}
+
+#[test]
+fn a_layer_sharing_no_chunk_is_one_plain_get() {
+    let _g = obs_lock();
+    let mut local = BlobStore::new();
+    let md1 = sample_image(&mut local, &content(1 << 20, 7));
+    let md2 = sample_image(&mut local, &content(1 << 20, 8));
+    let server = start_server(ServerOptions::default());
+    let client = DistClient::new(server.addr().to_string());
+    for (tag, md) in [("v1", md1), ("v2", md2)] {
+        client
+            .push_image_chunked("app", tag, md, &local, ChunkParams::default())
+            .unwrap();
+    }
+    let mut dst = BlobStore::new();
+    client.pull_image("app", "v1", &mut dst).unwrap();
+
+    comt_observe::global().reset();
+    let (got, stats) = client.pull_image("app", "v2", &mut dst).unwrap();
+    assert_eq!(got, md2);
+    let obs = comt_observe::global();
+    // The map was asked for and the index built, but with no chunk held
+    // the layer came as one whole GET, not as ranged windows.
+    assert_eq!(obs.counter("dist.client.index_blobs_mapped"), 1);
+    assert_eq!(stats.chunks_hit, 0);
+    assert_eq!(stats.chunks_fetched, 0, "{stats:?}");
+    assert_eq!(obs.counter("dist.client.delta_bytes_fetched"), 0);
+    let (layer, size) = layer_digests(&local, &md2)[0];
+    assert!(
+        obs.counter("dist.client.bytes_in") >= size,
+        "{layer} was not fetched whole"
+    );
+    assert_closure_identical(&local, &dst, &md2);
+    drop(server);
+}
+
+#[test]
+fn a_held_layer_without_a_map_is_chunked_from_its_bytes() {
+    let _g = obs_lock();
+    let mut local = BlobStore::new();
+    let (md1, md2) = two_versions(&mut local);
+    let server = start_server(ServerOptions::default());
+    let client = DistClient::new(server.addr().to_string());
+    // v1 pushed plain: the daemon has no map for the layer the site holds.
+    client.push_image("app", "v1", md1, &local).unwrap();
+    client
+        .push_image_chunked("app", "v2", md2, &local, ChunkParams::default())
+        .unwrap();
+    let mut dst = BlobStore::new();
+    client.pull_image("app", "v1", &mut dst).unwrap();
+
+    comt_observe::global().reset();
+    let (got, stats) = client.pull_image("app", "v2", &mut dst).unwrap();
+    assert_eq!(got, md2);
+    let obs = comt_observe::global();
+    let (_, held) = layer_digests(&local, &md1)[0];
+    assert_eq!(obs.counter("dist.client.index_blobs_mapped"), 0);
+    assert!(obs.counter("dist.client.index_bytes_scanned") >= held);
+    assert!(stats.chunks_hit > 0, "delta path did not engage: {stats:?}");
+    assert_closure_identical(&local, &dst, &md2);
+    drop(server);
+}
+
+#[test]
+fn a_lying_map_of_a_held_layer_falls_back_to_a_full_get() {
+    let _g = obs_lock();
+    let mut local = BlobStore::new();
+    let (md1, md2) = two_versions(&mut local);
+    let server = start_server(ServerOptions::default());
+    let client = DistClient::new(server.addr().to_string());
+    let params = ChunkParams::default();
+    client.push_image("app", "v1", md1, &local).unwrap();
+    client
+        .push_image_chunked("app", "v2", md2, &local, params)
+        .unwrap();
+
+    // For the layer the site will hold, the daemon accepts a map that is
+    // structurally valid, names that layer and has its length, but lists
+    // v2's chunk digests: every chunk of v2 then seems to be held already.
+    let (held, held_len) = layer_digests(&local, &md1)[0];
+    let (pulled, _) = layer_digests(&local, &md2)[0];
+    let mut lie = comt_chunk::ChunkMap::build(&local.get(&pulled).unwrap(), params).unwrap();
+    assert_eq!(lie.blob_size, held_len);
+    lie.blob_digest = held.to_oci_string();
+    assert!(client.put_chunkmap("app", &held, &lie.to_json()).unwrap());
+
+    let mut dst = BlobStore::new();
+    client.pull_image("app", "v1", &mut dst).unwrap();
+    comt_observe::global().reset();
+    let (got, _) = client.pull_image("app", "v2", &mut dst).unwrap();
+    assert_eq!(got, md2);
+    let obs = comt_observe::global();
+    assert_eq!(obs.counter("dist.client.index_blobs_mapped"), 1);
+    // The assembled layer failed its address and was pulled whole.
+    assert!(obs.counter("dist.client.verify_failures") >= 1);
     assert_closure_identical(&local, &dst, &md2);
     drop(server);
 }

@@ -85,6 +85,66 @@ fn both_daemons_serve_the_one_document() {
     buildd.shutdown().stop();
 }
 
+/// A delta pull against a disk-backed daemon publishes the index counters
+/// and the store's fsyncs, under the names `docs/METRICS.md` lists.
+#[test]
+fn index_and_fsync_counters_are_served_under_their_documented_names() {
+    let dir = std::env::temp_dir().join(format!("comt-metrics-names-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let registry = serve(
+        comt_oci::DiskRegistry::open(&dir).unwrap(),
+        "127.0.0.1:0",
+        Default::default(),
+    )
+    .unwrap();
+    let client = DistClient::new(registry.addr().to_string());
+    // Two versions of a 256 KiB object, one byte apart, pushed with maps.
+    let mut local = comt_oci::BlobStore::new();
+    let mut payload: Vec<u8> = (0..256u32 << 10)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+        .collect();
+    for tag in ["v1", "v2"] {
+        let mut fs = comt_vfs::Vfs::new();
+        fs.write_file_p("/app/bin", bytes::Bytes::from(payload.clone()), 0o755)
+            .unwrap();
+        let md = comt_oci::ImageBuilder::from_scratch("x86_64")
+            .with_layer_from_fs(&comt_vfs::Vfs::new(), &fs)
+            .commit(&mut local)
+            .unwrap()
+            .manifest_digest;
+        let params = comt_chunk::ChunkParams::default();
+        client
+            .push_image_chunked("app", tag, md, &local, params)
+            .unwrap();
+        payload[100_000] ^= 0xff;
+    }
+    let mut site = comt_oci::BlobStore::new();
+    for tag in ["v1", "v2"] {
+        client.pull_image("app", tag, &mut site).unwrap();
+    }
+
+    let (status, _, body) = client
+        .raw_exchange("GET", "/v2/_comt/stats", &[], None)
+        .unwrap();
+    assert_eq!(status, 200);
+    let report = decode_report(&body).unwrap();
+    let documented = include_str!("../../../docs/METRICS.md");
+    for name in [
+        "dist.client.index_blobs_mapped",
+        "dist.client.index_bytes_scanned",
+        "store.fsync",
+    ] {
+        assert!(report.counter(name) >= 1, "{name} not counted");
+        assert!(
+            documented.contains(&format!("`{name}`")),
+            "{name} not in docs/METRICS.md"
+        );
+    }
+    assert!(report.span("store.fsync").count >= 1);
+    drop(registry);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn decoder_rejects_what_the_encoder_never_writes() {
     let body = |rest: &str| head() + rest;

@@ -47,9 +47,18 @@ fn tmp_name() -> String {
     format!("{TMP_PREFIX}{}-{}", std::process::id(), seq)
 }
 
+/// fsync one open file or directory: every fsync of the store is counted
+/// and timed as `store.fsync`.
+fn fsync(f: &File) -> std::io::Result<()> {
+    let obs = comt_observe::global();
+    obs.count("store.fsync", 1);
+    let _span = obs.span("store.fsync");
+    f.sync_all()
+}
+
 /// fsync a directory so a just-committed rename survives power loss.
 fn fsync_dir(dir: &Path) -> std::io::Result<()> {
-    File::open(dir)?.sync_all()
+    fsync(&File::open(dir)?)
 }
 
 /// Write `data` to a fresh tmp file in `path`'s directory, fsync it, and
@@ -59,7 +68,7 @@ pub(crate) fn commit_file(path: &Path, data: &[u8]) -> std::io::Result<()> {
     let tmp = dir.join(tmp_name());
     let mut f = File::create(&tmp)?;
     f.write_all(data)?;
-    f.sync_all()?;
+    fsync(&f)?;
     drop(f);
     if let Err(e) = std::fs::rename(&tmp, path) {
         let _ = std::fs::remove_file(&tmp);
