@@ -51,11 +51,6 @@ pub fn improvement_pct(old: f64, new: f64) -> f64 {
     (old / new - 1.0) * 100.0
 }
 
-/// A paper-vs-measured comparison line.
-pub fn compare(label: &str, paper: f64, measured: f64, unit: &str) -> String {
-    format!("  {label}: paper {paper:.1}{unit}, measured {measured:.1}{unit}")
-}
-
 /// Machine-readable experiment output (`BENCH_*.json`): a named benchmark
 /// with one object per measured configuration, so successive runs record a
 /// perf trajectory that tooling can diff.

@@ -31,12 +31,12 @@
 use comtainer::crossisa::analyze_cross;
 use comtainer::{
     comtainer_rebuild, comtainer_rebuild_with_report, comtainer_redirect, comtainer_retarget,
-    load_cache, ArtifactCache, BuildService, ComtError, LtoAdapter, NativeToolchainAdapter,
-    Phase, RebuildOptions, ServiceOptions, SystemAdapter, SystemSide,
+    load_cache, ArtifactCache, BuildService, ComtError, JobSpec, LtoAdapter,
+    NativeToolchainAdapter, Phase, RebuildOptions, ServiceOptions, SystemAdapter, SystemSide,
 };
 use comt_dist::{
     serve, serve_buildd, split_ref, BuilddClient, DistClient, DistError, HttpOptions,
-    JobRequest, JobStatusWire, PullOptions, ServerOptions,
+    JobStatusWire, PullOptions, ServerOptions,
 };
 use comt_digest::Digest;
 use comt_oci::layout::OciDir;
@@ -539,19 +539,19 @@ fn cmd_submit(r: &str, args: &[String]) -> Result<(), String> {
     if tenant.is_empty() {
         return Err("missing --tenant NAME".into());
     }
-    let mut jr = JobRequest::new(&tenant, r);
-    jr.isa = opt_value(args, "--isa", "x86_64");
-    jr.lto = flag(args, "--lto");
-    jr.parallel = flag(args, "--parallel");
-    jr.targets = opt_values(args, "--target");
+    let mut spec = JobSpec::new(&tenant, r);
+    spec.isa = opt_value(args, "--isa", "x86_64");
+    spec.lto = flag(args, "--lto");
+    spec.parallel = flag(args, "--parallel");
+    spec.targets = opt_values(args, "--target");
     let prio = opt_value(args, "--priority", "0");
-    jr.priority = prio
+    spec.priority = prio
         .parse::<u8>()
         .map_err(|_| format!("bad --priority {prio}: expected 0-255"))?;
 
     let client = BuilddClient::new(addr.clone());
     let status = client
-        .submit(&jr)
+        .submit(&spec)
         .map_err(|e| buildd_failure(&format!("submit of {r}"), e))?;
     let id = status.id;
     println!("submitted to {addr}: {}", render_job(&status));

@@ -39,6 +39,7 @@ use crate::workflow::SystemSide;
 use crate::{ComtError, LtoAdapter, Phase};
 use comt_observe::{Recorder, Report};
 use comt_oci::layout::OciDir;
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -80,25 +81,44 @@ impl Default for ServiceOptions {
     }
 }
 
-/// What to rebuild, for whom, and how urgently.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What to rebuild, for whom, and how urgently. Its JSON form is the body
+/// of a buildd submission: `{tenant, ref, isa, lto, parallel, priority,
+/// targets}`, where only `tenant` and `ref` are required.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JobSpec {
     /// Submitting tenant; the unit of quota accounting and fairness.
+    /// Checked by [`JobSpec::check_tenant`].
     pub tenant: String,
     /// Extended image ref (`…+coM`) in the service's layout.
+    #[serde(rename = "ref")]
     pub extended_ref: String,
     /// Target ISA for the system side.
+    #[serde(default = "default_isa")]
     pub isa: String,
     /// Apply the whole-graph LTO adapter.
+    #[serde(default)]
     pub lto: bool,
     /// Ready-queue parallel replay within the job.
+    #[serde(default)]
     pub parallel: bool,
     /// Within-tenant priority; higher dispatches first.
+    #[serde(default)]
     pub priority: u8,
     /// Declared deployment targets (`x86-64-v2`, …). Non-empty opts the
     /// job into the admission audit at the buildd wire layer.
+    #[serde(default)]
     pub targets: Vec<String>,
 }
+
+fn default_isa() -> String {
+    "x86_64".to_string()
+}
+
+/// The tenant names a job may carry. A tenant travels as a query
+/// parameter (`GET /buildd/jobs?tenant=…`) and inside metric names
+/// (`service.tenant.<name>.running_max`), so nothing that needs escaping
+/// in either is admitted.
+const TENANT_RULE: &str = "[A-Za-z0-9._-]{1,64}";
 
 impl JobSpec {
     /// A default-shaped job: native x86-64, serial replay, priority 0.
@@ -106,12 +126,25 @@ impl JobSpec {
         JobSpec {
             tenant: tenant.to_string(),
             extended_ref: extended_ref.to_string(),
-            isa: "x86_64".to_string(),
+            isa: default_isa(),
             lto: false,
             parallel: false,
             priority: 0,
             targets: vec![],
         }
+    }
+
+    /// Refuse a tenant name outside `[A-Za-z0-9._-]{1,64}`.
+    pub fn check_tenant(&self) -> Result<(), ComtError> {
+        let t = &self.tenant;
+        let allowed = |c: char| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-');
+        if (1..=64).contains(&t.len()) && t.chars().all(allowed) {
+            return Ok(());
+        }
+        Err(
+            ComtError::oci(format!("tenant {t:?} must match {TENANT_RULE}"))
+                .with_phase(Phase::Frontend),
+        )
     }
 }
 
@@ -473,9 +506,11 @@ impl BuildService {
         })
     }
 
-    /// Queue a job. Fails fast if the ref doesn't resolve in the layout —
-    /// a submitter learns about a typo at submit time, not minutes later.
+    /// Queue a job. Fails fast if [`JobSpec::check_tenant`] refuses the
+    /// tenant or the ref doesn't resolve in the layout — a submitter
+    /// learns about a typo at submit time, not minutes later.
     pub fn submit(&self, spec: JobSpec) -> Result<u64, ComtError> {
+        spec.check_tenant()?;
         self.inner
             .oci
             .lock()
@@ -858,6 +893,27 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("no-such-ref"), "{err}");
         assert!(svc.list(None).is_empty());
+        svc.stop();
+    }
+
+    #[test]
+    fn submit_refuses_tenant_names_outside_the_rule() {
+        let mut o = opts();
+        o.paused = true;
+        let svc = BuildService::start(fixture_layout(), o);
+        let long = "t".repeat(65);
+        for bad in ["", "a&b", "a b", "a=b", "a/b", "é", long.as_str()] {
+            let err = svc
+                .submit(JobSpec::new(bad, "app.dist+coM"))
+                .unwrap_err();
+            assert!(err.to_string().contains("[A-Za-z0-9._-]{1,64}"), "{bad:?}: {err}");
+        }
+        assert!(svc.list(None).is_empty(), "a refused job must not queue");
+        let longest = "t".repeat(64);
+        for good in ["a", "team.A_1-x", longest.as_str()] {
+            svc.submit(JobSpec::new(good, "app.dist+coM")).unwrap();
+            assert_eq!(svc.list(Some(good)).len(), 1, "{good:?}");
+        }
         svc.stop();
     }
 

@@ -154,10 +154,6 @@ impl BuildGraph {
         self.nodes.get(id.0)
     }
 
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut Node> {
-        self.nodes.get_mut(id.0)
-    }
-
     /// Record that `cmd` produced `output` from `inputs`. Re-producing a
     /// path replaces its provenance (last writer wins, like the recorder).
     pub fn record_production(

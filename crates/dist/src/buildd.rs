@@ -50,109 +50,12 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A job submission as it travels over the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobRequest {
-    pub tenant: String,
-    pub extended_ref: String,
-    pub isa: String,
-    pub lto: bool,
-    pub parallel: bool,
-    pub priority: u8,
-    /// Declared deployment targets; non-empty opts into the admission
-    /// audit (the job is rejected at submit if any object cannot run on
-    /// one of these).
-    pub targets: Vec<String>,
-}
-
-impl JobRequest {
-    /// Default-shaped request: native x86-64, serial replay, priority 0.
-    pub fn new(tenant: &str, extended_ref: &str) -> Self {
-        JobRequest {
-            tenant: tenant.to_string(),
-            extended_ref: extended_ref.to_string(),
-            isa: "x86_64".to_string(),
-            lto: false,
-            parallel: false,
-            priority: 0,
-            targets: vec![],
-        }
-    }
-
-    fn to_json(&self) -> String {
-        let targets: Vec<Value> = self
-            .targets
-            .iter()
-            .map(|t| Value::Str(t.clone()))
-            .collect();
-        let v = Value::Object(vec![
-            ("tenant".into(), Value::Str(self.tenant.clone())),
-            ("ref".into(), Value::Str(self.extended_ref.clone())),
-            ("isa".into(), Value::Str(self.isa.clone())),
-            ("lto".into(), Value::Bool(self.lto)),
-            ("parallel".into(), Value::Bool(self.parallel)),
-            ("priority".into(), Value::Int(self.priority as i64)),
-            ("targets".into(), Value::Array(targets)),
-        ]);
-        serde_json::to_string(&v).expect("a Value tree serializes")
-    }
-
-    fn from_json(body: &[u8]) -> Result<JobRequest, String> {
-        let text = std::str::from_utf8(body).map_err(|e| format!("body not UTF-8: {e}"))?;
-        let v = serde_json::parse_value(text).map_err(|e| format!("bad JSON: {e}"))?;
-        let obj = v.as_object().ok_or("job must be a JSON object")?;
-        let string = |key: &str| -> Result<String, String> {
-            Value::field(obj, key)
-                .and_then(|v| v.as_str())
-                .map(String::from)
-                .ok_or(format!("missing or non-string field {key:?}"))
-        };
-        let boolean = |key: &str| match Value::field(obj, key) {
-            Some(Value::Bool(b)) => Ok(*b),
-            None => Ok(false),
-            Some(other) => Err(format!("field {key:?}: expected bool, got {other:?}")),
-        };
-        let tenant = string("tenant")?;
-        if tenant.is_empty() {
-            return Err("tenant must be non-empty".into());
-        }
-        Ok(JobRequest {
-            tenant,
-            extended_ref: string("ref")?,
-            isa: string("isa").unwrap_or_else(|_| "x86_64".into()),
-            lto: boolean("lto")?,
-            parallel: boolean("parallel")?,
-            priority: match Value::field(obj, "priority") {
-                Some(Value::Int(n)) if (0..=255).contains(n) => *n as u8,
-                None => 0,
-                Some(other) => return Err(format!("bad priority: {other:?}")),
-            },
-            targets: match Value::field(obj, "targets") {
-                Some(Value::Array(items)) => items
-                    .iter()
-                    .map(|t| {
-                        t.as_str()
-                            .map(String::from)
-                            .ok_or(format!("bad target: {t:?}"))
-                    })
-                    .collect::<Result<Vec<String>, String>>()?,
-                None => vec![],
-                Some(other) => return Err(format!("bad targets: {other:?}")),
-            },
-        })
-    }
-
-    fn into_spec(self) -> JobSpec {
-        JobSpec {
-            tenant: self.tenant,
-            extended_ref: self.extended_ref,
-            isa: self.isa,
-            lto: self.lto,
-            parallel: self.parallel,
-            priority: self.priority,
-            targets: self.targets,
-        }
-    }
+/// Decode a job submission: the engine's own [`JobSpec`] in its serde
+/// form, with the tenant name checked before the admission audit runs.
+fn decode_job(body: &[u8]) -> Result<JobSpec, String> {
+    let spec: JobSpec = serde_json::from_slice(body).map_err(|e| format!("bad job: {e}"))?;
+    spec.check_tenant().map_err(|e| e.to_string())?;
+    Ok(spec)
 }
 
 /// A job status snapshot as it travels over the wire.
@@ -308,16 +211,16 @@ fn dispatch(req: &Request, svc: &BuildService) -> (&'static str, HttpAction) {
 }
 
 fn job_submit(req: &Request, svc: &BuildService) -> HttpAction {
-    let jr = match JobRequest::from_json(&req.body) {
-        Ok(jr) => jr,
+    let spec = match decode_job(&req.body) {
+        Ok(spec) => spec,
         Err(e) => return json_error(400, e),
     };
-    if !jr.targets.is_empty() {
-        if let Some(rejection) = admission_audit(&jr, svc) {
+    if !spec.targets.is_empty() {
+        if let Some(rejection) = admission_audit(&spec, svc) {
             return rejection;
         }
     }
-    match svc.submit(jr.into_spec()) {
+    match svc.submit(spec) {
         Ok(id) => {
             let status = svc.status(id).expect("submitted job exists");
             json_response(202, &JobStatusWire::from_status(&status).value())
@@ -331,22 +234,22 @@ fn job_submit(req: &Request, svc: &BuildService) -> HttpAction {
 /// `Some(response)` rejects — 400 when the audit itself cannot run
 /// (unknown target, not an extended image), 422 with the error-severity
 /// findings in the JSON body when the image fails the audit.
-fn admission_audit(jr: &JobRequest, svc: &BuildService) -> Option<HttpAction> {
+fn admission_audit(spec: &JobSpec, svc: &BuildService) -> Option<HttpAction> {
     use comtainer::{LtoAdapter, NativeToolchainAdapter, SystemAdapter};
     let audit = svc.with_layout(|oci| {
         let mut adapters: Vec<Box<dyn SystemAdapter>> = vec![Box::new(NativeToolchainAdapter)];
-        if jr.lto {
+        if spec.lto {
             adapters.push(Box::new(LtoAdapter::whole_graph()));
         }
-        let toolchain = comt_toolchain::Toolchain::vendor_for(&jr.isa);
-        comt_analyze::audit_extended_image(oci, &jr.extended_ref, &jr.targets, &toolchain, &adapters)
+        let toolchain = comt_toolchain::Toolchain::vendor_for(&spec.isa);
+        comt_analyze::audit_extended_image(oci, &spec.extended_ref, &spec.targets, &toolchain, &adapters)
     });
     let report = match audit {
         Ok(report) => report,
         Err(e) => {
             return Some(json_error(
                 400,
-                format!("admission audit of {:?}: {e}", jr.extended_ref),
+                format!("admission audit of {:?}: {e}", spec.extended_ref),
             ))
         }
     };
@@ -373,8 +276,8 @@ fn admission_audit(jr: &JobRequest, svc: &BuildService) -> Option<HttpAction> {
         .collect();
     let summary = format!(
         "admission audit rejected {:?} for targets [{}]: {} finding(s) ({})",
-        jr.extended_ref,
-        jr.targets.join(", "),
+        spec.extended_ref,
+        spec.targets.join(", "),
         errors.len(),
         codes.join(", "),
     );
@@ -499,13 +402,6 @@ impl BuilddClient {
         }
     }
 
-    pub fn with_transport(http: DistClient) -> Self {
-        BuilddClient {
-            http,
-            poll_interval: Duration::from_millis(50),
-        }
-    }
-
     pub fn addr(&self) -> &str {
         self.http.addr()
     }
@@ -547,9 +443,9 @@ impl BuilddClient {
     }
 
     /// Submit a job; returns its status snapshot (with the assigned id).
-    pub fn submit(&self, jr: &JobRequest) -> Result<JobStatusWire, DistError> {
-        let (status, v) =
-            self.exchange_json("submit job", "POST", "/buildd/jobs", Some(&jr.to_json()))?;
+    pub fn submit(&self, spec: &JobSpec) -> Result<JobStatusWire, DistError> {
+        let body = serde_json::to_string(spec).expect("a JobSpec serializes");
+        let (status, v) = self.exchange_json("submit job", "POST", "/buildd/jobs", Some(&body))?;
         Self::expect_status("submit job", status, &v)?;
         JobStatusWire::from_value(&v)
     }
@@ -685,40 +581,54 @@ impl BuilddClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
 
     #[test]
     fn job_request_round_trips() {
-        let mut jr = JobRequest::new("alice", "app.dist+coM");
+        let mut jr = JobSpec::new("alice", "app.dist+coM");
         jr.lto = true;
         jr.priority = 7;
         jr.targets = vec!["x86-64-v2".into(), "armv8.2-a".into()];
-        let back = JobRequest::from_json(jr.to_json().as_bytes()).unwrap();
+        let body = serde_json::to_string(&jr).unwrap();
+        // The submission bytes predate the derive; they must not drift.
+        assert_eq!(
+            body,
+            r#"{"tenant":"alice","ref":"app.dist+coM","isa":"x86_64","lto":true,"parallel":false,"priority":7,"targets":["x86-64-v2","armv8.2-a"]}"#
+        );
+        let back = decode_job(body.as_bytes()).unwrap();
         assert_eq!(back, jr);
     }
 
     #[test]
     fn job_request_defaults_and_rejects() {
-        let jr =
-            JobRequest::from_json(br#"{"tenant":"t","ref":"a.dist+coM"}"#.as_ref()).unwrap();
+        let jr = decode_job(br#"{"tenant":"t","ref":"a.dist+coM"}"#.as_ref()).unwrap();
         assert_eq!(jr.isa, "x86_64");
         assert!(!jr.lto && !jr.parallel);
         assert_eq!(jr.priority, 0);
         assert!(jr.targets.is_empty());
         assert!(
-            JobRequest::from_json(br#"{"tenant":"t","ref":"x","targets":[1]}"#.as_ref())
-                .is_err(),
+            decode_job(br#"{"tenant":"t","ref":"x","targets":[1]}"#.as_ref()).is_err(),
             "non-string target rejected"
         );
-        assert!(JobRequest::from_json(b"not json").is_err());
-        assert!(JobRequest::from_json(br#"{"ref":"x"}"#.as_ref()).is_err());
+        assert!(decode_job(b"not json").is_err());
+        assert!(decode_job(br#"{"ref":"x"}"#.as_ref()).is_err());
         assert!(
-            JobRequest::from_json(br#"{"tenant":"","ref":"x"}"#.as_ref()).is_err(),
+            decode_job(br#"{"tenant":"","ref":"x"}"#.as_ref()).is_err(),
             "empty tenant rejected"
         );
-        assert!(JobRequest::from_json(
-            br#"{"tenant":"t","ref":"x","priority":999}"#.as_ref()
-        )
-        .is_err());
+        assert!(decode_job(br#"{"tenant":"t","ref":"x","priority":999}"#.as_ref()).is_err());
+    }
+
+    #[test]
+    fn job_decoder_refuses_a_non_string_isa_and_unlistable_tenants() {
+        let err = decode_job(br#"{"tenant":"t","ref":"x","isa":7}"#.as_ref()).unwrap_err();
+        assert!(err.contains("string"), "{err}");
+        for tenant in ["a&b", "a b", "a?b", "a%26b"] {
+            let body = format!(r#"{{"tenant":"{tenant}","ref":"x"}}"#);
+            let err = decode_job(body.as_bytes()).unwrap_err();
+            assert!(err.contains("[A-Za-z0-9._-]{1,64}"), "{tenant:?}: {err}");
+        }
     }
 
     #[test]
@@ -745,5 +655,75 @@ mod tests {
         let back = JobStatusWire::from_value(&queued.value()).unwrap();
         assert!(!back.is_terminal());
         assert_eq!(back.result_ref, None);
+    }
+
+    /// Random jobs whose strings take every path through the JSON writer,
+    /// tenants inside and outside the rule.
+    struct Jobs;
+
+    impl Strategy for Jobs {
+        type Value = JobSpec;
+
+        fn sample(&self, rng: &mut TestRng) -> JobSpec {
+            let chars: Vec<char> = "aZ09._-&= \"\\/\n\u{0}é".chars().collect();
+            let text = |rng: &mut TestRng, max: u64| -> String {
+                (0..rng.below(max))
+                    .map(|_| chars[rng.below(chars.len() as u64) as usize])
+                    .collect()
+            };
+            let mut spec = JobSpec::new(&text(rng, 10), &text(rng, 24));
+            spec.isa = text(rng, 8);
+            spec.lto = rng.below(2) == 1;
+            spec.parallel = rng.below(2) == 1;
+            spec.priority = rng.below(256) as u8;
+            spec.targets = (0..rng.below(3)).map(|_| text(rng, 12)).collect();
+            spec
+        }
+    }
+
+    /// `Ok` only for a body whose `tenant` and `ref` are strings and whose
+    /// `priority`, if given, fits a `u8`; and what decodes re-encodes to a
+    /// body that decodes to the same job.
+    fn decodes_to_a_fixed_point_or_errs(body: &[u8]) -> Result<(), TestCaseError> {
+        let Ok(spec) = decode_job(body) else {
+            return Ok(());
+        };
+        let v = serde_json::from_slice::<Value>(body).map_err(TestCaseError::fail)?;
+        let obj = v.as_object().ok_or_else(|| TestCaseError::fail("Ok for a non-object"))?;
+        prop_assert!(matches!(Value::field(obj, "tenant"), Some(Value::Str(_))));
+        prop_assert!(matches!(Value::field(obj, "ref"), Some(Value::Str(_))));
+        prop_assert!(matches!(
+            Value::field(obj, "priority"),
+            None | Some(Value::Int(0..=255))
+        ));
+        let again = serde_json::to_string(&spec).unwrap();
+        prop_assert_eq!(decode_job(again.as_bytes()), Ok(spec));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn job_bodies_round_trip_and_hostile_bytes_never_panic(
+            noise in prop::collection::vec(any::<u8>(), 0..96),
+            spec in Jobs,
+            edits in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>(), 0u8..3), 1..4),
+        ) {
+            decodes_to_a_fixed_point_or_errs(&noise)?;
+            let mut body = serde_json::to_string(&spec).unwrap().into_bytes();
+            decodes_to_a_fixed_point_or_errs(&body)?;
+            prop_assert_eq!(decode_job(&body).is_ok(), spec.check_tenant().is_ok());
+            // The same body with a few bytes overwritten, inserted or cut.
+            for (at, byte, kind) in edits {
+                let at = at.index(body.len());
+                match kind {
+                    0 => body[at] = byte,
+                    1 => body.insert(at, byte),
+                    _ => drop(body.remove(at)),
+                }
+            }
+            decodes_to_a_fixed_point_or_errs(&body)?;
+        }
     }
 }

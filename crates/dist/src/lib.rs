@@ -42,7 +42,7 @@ pub mod poller;
 pub mod server;
 pub mod wire;
 
-pub use buildd::{serve_buildd, BuilddClient, BuilddServer, JobRequest, JobStatusWire};
+pub use buildd::{serve_buildd, BuilddClient, BuilddServer, JobStatusWire};
 pub use client::{DistClient, PullOptions, RetryPolicy, TransferStats};
 pub use hotcache::{CacheStats, HotBlobCache};
 pub use http::{

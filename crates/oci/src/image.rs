@@ -173,14 +173,6 @@ impl ImageBuilder {
         self
     }
 
-    /// Add a layer directly from tar entries (deferred serialization, like
-    /// [`with_layer_from_fs`](Self::with_layer_from_fs)).
-    pub fn with_layer_entries(mut self, entries: Vec<Entry>, created_by: &str) -> Self {
-        self.new_layers
-            .push((PendingLayer::Entries(entries), created_by.to_string()));
-        self
-    }
-
     pub fn with_env(mut self, var: &str, value: &str) -> Self {
         self.runtime.env.retain(|e| !e.starts_with(&format!("{var}=")));
         self.runtime.env.push(format!("{var}={value}"));
@@ -194,11 +186,6 @@ impl ImageBuilder {
 
     pub fn with_cmd(mut self, cmd: Vec<String>) -> Self {
         self.runtime.cmd = cmd;
-        self
-    }
-
-    pub fn with_working_dir(mut self, dir: &str) -> Self {
-        self.runtime.working_dir = dir.to_string();
         self
     }
 

@@ -13,7 +13,7 @@
 //!   opt-in.
 
 use bytes::Bytes;
-use comt_dist::{serve_buildd, BuilddClient, DistClient, HttpOptions, JobRequest};
+use comt_dist::{serve_buildd, BuilddClient, DistClient, HttpOptions};
 use comt_buildsys::{BuildTrace, RawCommand};
 use comt_oci::layout::OciDir;
 use comt_oci::{BlobStore, ImageBuilder};
@@ -21,8 +21,8 @@ use comt_toolchain::Toolchain;
 use comt_vfs::Vfs;
 use comtainer::cache::write_cache;
 use comtainer::{
-    BuildService, FileOrigin, ImageModel, NativeToolchainAdapter, ProcessModels, ServiceOptions,
-    SystemAdapter,
+    BuildService, FileOrigin, ImageModel, JobSpec, NativeToolchainAdapter, ProcessModels,
+    ServiceOptions, SystemAdapter,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -146,7 +146,7 @@ fn buildd_gate_rejects_declared_v2_at_submit() {
     let client = BuilddClient::new(server.addr().to_string());
 
     // Declared x86-64-v2: rejected before the job ever queues.
-    let mut jr = JobRequest::new("alice", EXT_REF);
+    let mut jr = JobSpec::new("alice", EXT_REF);
     jr.targets = vec!["x86-64-v2".to_string()];
     let err = client.submit(&jr).unwrap_err();
     let msg = err.to_string();
@@ -209,7 +209,7 @@ fn gate_is_opt_in_without_declared_targets() {
     let client = BuilddClient::new(server.addr().to_string());
 
     // No targets declared: the incompatible-with-v2 image still builds.
-    let status = client.submit(&JobRequest::new("bob", EXT_REF)).unwrap();
+    let status = client.submit(&JobSpec::new("bob", EXT_REF)).unwrap();
     let fin = client.wait(status.id, DEADLINE).unwrap();
     assert_eq!(fin.state, "done", "{:?}", fin.error);
     assert_eq!(fin.result_ref.as_deref(), Some("simd.dist+coMre"));

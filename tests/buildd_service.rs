@@ -7,10 +7,10 @@
 //! `comt rebuild --stats` run would print.
 
 use comt_bench::Lab;
-use comt_dist::{serve_buildd, BuilddClient, HttpOptions, JobRequest};
+use comt_dist::{serve_buildd, BuilddClient, HttpOptions};
 use comtainer::{
-    load_cache, rebuild_artifacts_with_report, BuildService, RebuildOptions, ServiceOptions,
-    SystemSide,
+    load_cache, rebuild_artifacts_with_report, BuildService, JobSpec, RebuildOptions,
+    ServiceOptions, SystemSide,
 };
 use comtainer_suite::pkg::catalog;
 use std::time::Duration;
@@ -55,7 +55,7 @@ fn concurrent_tenants_share_cache_over_the_wire() {
     // Four concurrent jobs from two tenants, all for the same workload.
     let mut ids = Vec::new();
     for tenant in ["alice", "alice", "bob", "bob"] {
-        let status = client.submit(&JobRequest::new(tenant, EXT_REF)).unwrap();
+        let status = client.submit(&JobSpec::new(tenant, EXT_REF)).unwrap();
         assert_eq!(status.state, "queued");
         assert_eq!(status.tenant, tenant);
         ids.push(status.id);
@@ -81,6 +81,20 @@ fn concurrent_tenants_share_cache_over_the_wire() {
         assert_eq!(peak, 1, "tenant {tenant} exceeded its quota");
     }
     assert_eq!(stats.counter("service.jobs.done"), 4);
+
+    // The first dispatched job ran against a cold shared cache: it paid
+    // for its compiles (the warm half is the fifth job below).
+    let first = finals
+        .iter()
+        .min_by_key(|fin| fin.started_seq.expect("done job was dispatched"))
+        .unwrap();
+    let cold_report = client.report(first.id).unwrap().expect("done job report");
+    assert!(
+        cold_report.counter("exec.compile") > 0,
+        "cold job {} must compile:\n{}",
+        first.id,
+        cold_report.render()
+    );
 
     // Every submitter's streamed report matches the local --stats run on
     // the engine's deterministic dimensions: same step counts, same
@@ -120,7 +134,7 @@ fn concurrent_tenants_share_cache_over_the_wire() {
     // A fifth job from a new tenant, after the cache is fully warm:
     // the shared artifact cache must satisfy every compile step, so the
     // engine execs zero compiles.
-    let warm = client.submit(&JobRequest::new("carol", EXT_REF)).unwrap();
+    let warm = client.submit(&JobSpec::new("carol", EXT_REF)).unwrap();
     let fin = client.wait(warm.id, DEADLINE).unwrap();
     assert_eq!(fin.state, "done", "warm job: {:?}", fin.error);
     let warm_report = client.report(warm.id).unwrap().expect("warm job report");
@@ -150,6 +164,19 @@ fn concurrent_tenants_share_cache_over_the_wire() {
     let mid = full.len() / 2;
     let (suffix, _, _) = client.log(warm.id, mid).unwrap();
     assert_eq!(suffix, full[mid..], "offset fetch must resume, not restart");
+
+    // A tenant name must survive the `?tenant=` query and the metric
+    // names: one that would not is refused at submit, naming the rule.
+    for tenant in ["a&b", "a b"] {
+        let msg = client
+            .submit(&JobSpec::new(tenant, EXT_REF))
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("400"), "{tenant:?}: {msg}");
+        assert!(msg.contains("[A-Za-z0-9._-]{1,64}"), "{tenant:?}: {msg}");
+    }
+    assert!(client.list(Some("a")).unwrap().is_empty());
+    assert_eq!(client.list(None).unwrap().len(), 5);
 
     let svc = server.shutdown();
     let report = svc.stats();
