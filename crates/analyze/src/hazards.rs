@@ -1,7 +1,8 @@
 //! Pass 1: DAG hazard detection over the recorded build trace.
 //!
 //! The engine replays maximal runs of consecutive compile steps as
-//! parallel *segments* scheduled over dependency edges derived from
+//! *segments* ([`scheduler::segments`], the function the engine itself
+//! calls) scheduled over dependency edges derived from
 //! [`comt_buildsys::StepIo`]. Any pair of steps in one segment that is
 //! left unordered by those edges and touches a common path is a race the
 //! ready-queue scheduler could interleave — exactly what this pass flags.
@@ -10,7 +11,7 @@
 
 use crate::diag::{Diagnostic, Span};
 use comt_buildsys::{BuildTrace, StepIo};
-use comtainer::engine::scheduler::StepGraph;
+use comtainer::engine::scheduler::{self, StepGraph};
 use comtainer::CompilationModel;
 
 /// Codes this pass can emit (registry-consistency contract).
@@ -40,36 +41,18 @@ fn intersects<'a>(a: &'a [String], b: &[String]) -> Option<&'a String> {
 }
 
 /// Detect unordered write-write (`COMT-E001`) and read-write
-/// (`COMT-E002`) pairs inside each parallel compile segment.
+/// (`COMT-E002`) pairs inside each compile segment.
 pub fn check_hazards(trace: &BuildTrace) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let is_compile: Vec<bool> = trace
-        .commands
-        .iter()
-        .map(|cmd| {
-            matches!(
-                CompilationModel::classify(&cmd.argv, &cmd.cwd, &cmd.env, &cmd.inputs),
-                CompilationModel::Compile { .. }
-            )
-        })
-        .collect();
-
-    let mut i = 0usize;
-    while i < trace.commands.len() {
-        if !is_compile[i] {
-            i += 1;
-            continue;
-        }
-        let mut j = i;
-        while j < trace.commands.len() && is_compile[j] {
-            j += 1;
-        }
-        if j - i > 1 {
-            diags.extend(check_segment(trace, i, j));
-        }
-        i = j;
-    }
-    diags
+    let is_compile = trace.commands.iter().map(|cmd| {
+        matches!(
+            CompilationModel::classify(&cmd.argv, &cmd.cwd, &cmd.env, &cmd.inputs),
+            CompilationModel::Compile { .. }
+        )
+    });
+    scheduler::segments(is_compile)
+        .into_iter()
+        .flat_map(|segment| check_segment(trace, segment.start, segment.end))
+        .collect()
 }
 
 /// Hazards within one segment `[start, end)` of the trace.

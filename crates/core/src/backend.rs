@@ -10,15 +10,15 @@
 //! The replay machinery lives in [`crate::engine`]: a staged pipeline
 //! (materialize → adapt → replay → collect) with a ready-queue scheduler
 //! for independent compile steps and a content-addressed artifact cache
-//! for warm rebuilds. This module keeps the workflow-facing entry points
-//! and the option set.
+//! for warm rebuilds. This module keeps the option set and the artifact
+//! map entry point; `+coMre` registration is
+//! [`crate::workflow::comtainer_rebuild_with_report`].
 
-use crate::cache::{load_cache, write_rebuild, CacheContents};
+use crate::cache::CacheContents;
 use crate::engine::{ArtifactCache, RebuildEngine};
 use crate::workflow::SystemSide;
 use crate::ComtError;
 use bytes::Bytes;
-use comt_observe::Report;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -50,19 +50,6 @@ pub struct RebuildOptions {
     pub target: Option<String>,
 }
 
-/// Run `coMtainer-rebuild`: produce the rebuild layer and register
-/// `<ref>+coMre`. Returns the new ref.
-pub fn rebuild(
-    oci: &mut comt_oci::layout::OciDir,
-    extended_ref: &str,
-    side: &SystemSide,
-    opts: &RebuildOptions,
-) -> Result<String, ComtError> {
-    let cache = load_cache(oci, extended_ref)?;
-    let artifacts = rebuild_artifacts(&cache, side, opts)?;
-    write_rebuild(oci, extended_ref, &artifacts)
-}
-
 /// The rebuild computation without the OCI bookkeeping: returns the
 /// rebuilt artifact map (image path → content). Exposed for the benches'
 /// parallel-vs-serial and cold-vs-warm ablations.
@@ -72,19 +59,6 @@ pub fn rebuild_artifacts(
     opts: &RebuildOptions,
 ) -> Result<BTreeMap<String, Bytes>, ComtError> {
     RebuildEngine::new(side, opts).run(cache)
-}
-
-/// Like [`rebuild_artifacts`], additionally returning the engine's
-/// observability report (per-stage spans, cache hit/miss counters,
-/// scheduler stats).
-pub fn rebuild_artifacts_with_report(
-    cache: &CacheContents,
-    side: &SystemSide,
-    opts: &RebuildOptions,
-) -> Result<(BTreeMap<String, Bytes>, Report), ComtError> {
-    let engine = RebuildEngine::new(side, opts);
-    let artifacts = engine.run(cache)?;
-    Ok((artifacts, engine.report()))
 }
 
 #[cfg(test)]
@@ -218,15 +192,17 @@ mod tests {
             artifact_cache: Some(Arc::clone(&shared)),
             ..Default::default()
         };
-        let (cold, cold_report) =
-            rebuild_artifacts_with_report(&cache, &side, &opts).unwrap();
+        let engine = RebuildEngine::new(&side, &opts);
+        let cold = engine.run(&cache).unwrap();
+        let cold_report = engine.report();
         // Cold run: both compile steps miss and execute.
         assert_eq!(cold_report.counter("cache.hit"), 0);
         assert_eq!(cold_report.counter("cache.miss"), 2);
         assert_eq!(cold_report.counter("exec.compile"), 2);
 
-        let (warm, warm_report) =
-            rebuild_artifacts_with_report(&cache, &side, &opts).unwrap();
+        let engine = RebuildEngine::new(&side, &opts);
+        let warm = engine.run(&cache).unwrap();
+        let warm_report = engine.report();
         // Warm run: every compile step is a cache hit; zero executions.
         assert_eq!(warm_report.counter("cache.hit"), 2);
         assert_eq!(warm_report.counter("cache.miss"), 0);
@@ -270,15 +246,13 @@ mod tests {
     fn engine_report_covers_stages_and_steps() {
         let cache = fixture_cache();
         let side = side();
-        let (_, report) = rebuild_artifacts_with_report(
-            &cache,
-            &side,
-            &RebuildOptions {
-                parallel: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let opts = RebuildOptions {
+            parallel: true,
+            ..Default::default()
+        };
+        let engine = RebuildEngine::new(&side, &opts);
+        engine.run(&cache).unwrap();
+        let report = engine.report();
         assert_eq!(report.counter("steps.total"), 4);
         assert_eq!(report.counter("steps.compile"), 2);
         assert_eq!(report.counter("sched.segments"), 1);

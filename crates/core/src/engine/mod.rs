@@ -10,8 +10,9 @@
 //! 2. **adapt** — classify every recorded command into a compilation model
 //!    and run the configured adapter pipeline over it;
 //! 3. **replay** — execute the adapted steps. Consecutive compile steps
-//!    form segments scheduled on a ready-queue over their input/output
-//!    dependency DAG ([`scheduler`]); each compile step first probes the
+//!    (source compiles, or IR-mode code generations) form segments
+//!    scheduled on a ready-queue over their input/output dependency DAG
+//!    ([`scheduler`]); each compile step first probes the
 //!    content-addressed [`ArtifactCache`] and only executes on a miss;
 //! 4. **collect** — gather the artifacts named by the image model.
 //!
@@ -59,8 +60,22 @@ pub struct EngineCtx<'a> {
     pub recorder: Recorder,
 }
 
+/// What the replay stage does with one step, decided once in
+/// [`RebuildEngine::adapt`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StepKind {
+    /// Compile sources with the simulated compiler.
+    Compile,
+    /// A compile step of an IR-mode cache (paper §4.6): re-generate code
+    /// from the cached IR object at the step's output path.
+    Recodegen,
+    /// Everything else, run through the full executor.
+    Other,
+}
+
 /// One adapted replay step.
 struct AdaptedStep {
+    kind: StepKind,
     model: CompilationModel,
     env: Vec<String>,
     /// Input paths recorded in the original trace (cache key + DAG edges).
@@ -69,9 +84,16 @@ struct AdaptedStep {
     outputs: Vec<String>,
 }
 
+/// The cached IR object a [`StepKind::Recodegen`] step starts from.
+struct IrObject {
+    inv: comt_toolchain::CompilerInvocation,
+    path: String,
+    raw: Bytes,
+}
+
 impl AdaptedStep {
     fn is_compile(&self) -> bool {
-        matches!(self.model, CompilationModel::Compile { .. })
+        self.kind != StepKind::Other
     }
 
     fn command_line(&self) -> String {
@@ -122,7 +144,7 @@ impl<'a> RebuildEngine<'a> {
         };
         {
             let _span = self.ctx.recorder.span("stage.replay");
-            self.replay(cache, &steps, &mut container)?;
+            self.replay(&steps, &mut container)?;
         }
         let _span = self.ctx.recorder.span("stage.collect");
         self.collect(cache, &container)
@@ -156,8 +178,11 @@ impl<'a> RebuildEngine<'a> {
         Ok(container)
     }
 
-    /// Stage 2: classify + adapter-transform every recorded command.
+    /// Stage 2: classify + adapter-transform every recorded command, and
+    /// decide each step's [`StepKind`] — the one place the cache mode is
+    /// read.
     fn adapt(&self, cache: &CacheContents) -> Vec<AdaptedStep> {
+        let ir_mode = cache.models.cache_mode == crate::models::CacheMode::Ir;
         let steps: Vec<AdaptedStep> = cache
             .trace
             .commands
@@ -178,7 +203,13 @@ impl<'a> RebuildEngine<'a> {
                         }
                     }
                 }
+                let kind = match model {
+                    CompilationModel::Compile { .. } if ir_mode => StepKind::Recodegen,
+                    CompilationModel::Compile { .. } => StepKind::Compile,
+                    _ => StepKind::Other,
+                };
                 AdaptedStep {
+                    kind,
                     model,
                     env: cmd.env.clone(),
                     inputs: cmd.inputs.clone(),
@@ -195,10 +226,11 @@ impl<'a> RebuildEngine<'a> {
         steps
     }
 
-    /// Stage 3: execute the adapted steps against the container.
+    /// Stage 3: execute the adapted steps against the container. Every
+    /// maximal run of compile steps is one segment on the scheduler; the
+    /// other steps run one at a time between segments, in recorded order.
     fn replay(
         &self,
-        cache: &CacheContents,
         steps: &[AdaptedStep],
         container: &mut Container,
     ) -> Result<(), ComtError> {
@@ -213,52 +245,19 @@ impl<'a> RebuildEngine<'a> {
         )
         .with_repo(side.repo.clone());
 
-        let ir_mode = cache.models.cache_mode == crate::models::CacheMode::Ir;
         let mut trace_sink = BuildTrace::default();
         let mut max_critical_path = 0u64;
-        let mut i = 0usize;
-        while i < steps.len() {
-            // IR mode: compile steps re-generate code from the cached IR
-            // objects instead of compiling sources (paper §4.6's
-            // alternative distribution level). Content-cached under a
-            // split key — target-invariant IR half, per-target object
-            // half — so a warm retarget replays zero back-end steps.
-            if ir_mode && steps[i].is_compile() {
-                self.recodegen_step(container, &steps[i])?;
-                i += 1;
-                continue;
+        let mut next = 0usize;
+        for segment in scheduler::segments(steps.iter().map(AdaptedStep::is_compile)) {
+            for step in &steps[next..segment.start] {
+                self.run_other(&executor, container, step, &mut trace_sink)?;
             }
-
-            // A maximal run of consecutive compile steps forms a segment.
-            let segment_end = if steps[i].is_compile() {
-                let mut j = i;
-                while j < steps.len() && steps[j].is_compile() {
-                    j += 1;
-                }
-                j
-            } else {
-                i + 1
-            };
-
-            if steps[i].is_compile() {
-                let segment = &steps[i..segment_end];
-                if self.ctx.opts.parallel && segment.len() > 1 {
-                    let depth = self.run_segment_parallel(&executor, container, segment)?;
-                    max_critical_path = max_critical_path.max(depth as u64);
-                    self.ctx.recorder.count("sched.segments", 1);
-                    self.ctx.recorder.count("sched.steps", segment.len() as u64);
-                } else {
-                    for step in segment {
-                        let outputs = self.compile_step(&executor, &container.fs, step)?;
-                        apply_outputs(container, outputs.iter())?;
-                    }
-                    max_critical_path = max_critical_path.max(1);
-                }
-                i = segment_end;
-            } else {
-                self.run_other(&executor, container, &steps[i], &mut trace_sink)?;
-                i += 1;
-            }
+            let depth = self.run_segment(&executor, container, &steps[segment.clone()])?;
+            max_critical_path = max_critical_path.max(depth as u64);
+            next = segment.end;
+        }
+        for step in &steps[next..] {
+            self.run_other(&executor, container, step, &mut trace_sink)?;
         }
         if max_critical_path > 0 {
             self.ctx
@@ -272,7 +271,8 @@ impl<'a> RebuildEngine<'a> {
     ///
     /// Artifacts are independent reads (plus an optional post-link layout
     /// rewrite each), so collection fans out on the same ready-queue
-    /// scheduler the replay stage uses — here with a flat, edge-free graph.
+    /// scheduler and worker count the replay stage uses — here with a
+    /// flat, edge-free graph.
     fn collect(
         &self,
         cache: &CacheContents,
@@ -299,22 +299,18 @@ impl<'a> RebuildEngine<'a> {
             Ok((image_path.to_string(), content))
         };
 
-        let mut artifacts = BTreeMap::new();
-        if self.ctx.opts.parallel && wanted.len() > 1 {
-            let graph = scheduler::StepGraph::new(vec![Vec::new(); wanted.len()]);
-            let outcome = scheduler::run(&graph, |idx| collect_one(&wanted[idx]));
+        let graph = scheduler::StepGraph::new(vec![Vec::new(); wanted.len()]);
+        let outcome =
+            scheduler::run_with(&graph, self.workers(), |idx| collect_one(&wanted[idx]));
+        if wanted.len() > 1 {
             self.ctx
                 .recorder
                 .count("collect.workers.max", outcome.workers as u64);
-            for result in outcome.results {
-                let (path, content) = result?;
-                artifacts.insert(path, content);
-            }
-        } else {
-            for pair in &wanted {
-                let (path, content) = collect_one(pair)?;
-                artifacts.insert(path, content);
-            }
+        }
+        let mut artifacts = BTreeMap::new();
+        for result in outcome.results {
+            let (path, content) = result?;
+            artifacts.insert(path, content);
         }
         self.ctx
             .recorder
@@ -322,31 +318,49 @@ impl<'a> RebuildEngine<'a> {
         Ok(artifacts)
     }
 
-    /// Execute one compile step against a filesystem snapshot, consulting
-    /// the artifact cache first. Returns the produced output files.
-    fn compile_step(
+    /// The scheduler's worker count: the option `parallel` selects the
+    /// host's available parallelism, otherwise one worker replays in
+    /// recorded order.
+    fn workers(&self) -> usize {
+        if self.ctx.opts.parallel {
+            scheduler::available_workers()
+        } else {
+            1
+        }
+    }
+
+    /// Run one compile step of either kind against a filesystem snapshot,
+    /// consulting the artifact cache first. Returns the produced output
+    /// files. The one probe → count → execute → put sequence of the
+    /// engine.
+    fn cached_step(
         &self,
         executor: &Executor,
         fs: &comt_vfs::Vfs,
         step: &AdaptedStep,
     ) -> Result<StepOutputs, ComtError> {
-        let key = self.ctx.opts.artifact_cache.as_ref().and_then(|cache| {
-            let key = self.cache_key(fs, step)?;
-            if let Some(hit) = cache.get(&key) {
+        let ir = match step.kind {
+            StepKind::Recodegen => Some(ir_object(fs, step)?),
+            _ => None,
+        };
+        let cache = self.ctx.opts.artifact_cache.as_ref();
+        let key = cache.and_then(|_| self.cache_key(fs, step, ir.as_ref()));
+        if let (Some(cache), Some(key)) = (cache, &key) {
+            if let Some(hit) = cache.get(key) {
                 self.ctx.recorder.count("cache.hit", 1);
-                return Some(Err(hit));
+                if ir.is_some() {
+                    self.ctx.recorder.count("retarget.ir_hits", 1);
+                }
+                return Ok(hit.as_ref().clone());
             }
             self.ctx.recorder.count("cache.miss", 1);
-            Some(Ok(key))
-        });
-        let key = match key {
-            Some(Err(hit)) => return Ok(hit.as_ref().clone()),
-            Some(Ok(key)) => Some(key),
-            None => None,
-        };
+        }
 
-        let outputs = self.execute_compile(executor, fs, step)?;
-        if let (Some(cache), Some(key)) = (self.ctx.opts.artifact_cache.as_ref(), key) {
+        let outputs = match ir {
+            Some(ir) => self.recodegen(step, ir)?,
+            None => self.execute_compile(executor, fs, step)?,
+        };
+        if let (Some(cache), Some(key)) = (cache, key) {
             cache.put(key, outputs.clone());
         }
         Ok(outputs)
@@ -356,11 +370,39 @@ impl<'a> RebuildEngine<'a> {
     /// when any contributing input is unreadable (then the step simply
     /// executes uncached and fails loudly if it must).
     ///
-    /// The read set comes from [`comt_buildsys::StepIo`] — the same
-    /// extraction the scheduler and the static analyzer use — so recorded
-    /// inputs, positional sources and `-fprofile-use=` profiles all
-    /// contribute content digests.
-    fn cache_key(&self, fs: &comt_vfs::Vfs, step: &AdaptedStep) -> Option<Digest> {
+    /// A source compile keys on its read set from
+    /// [`comt_buildsys::StepIo`] — the same extraction the scheduler and
+    /// the static analyzer use — so recorded inputs, positional sources
+    /// and `-fprofile-use=` profiles all contribute content digests.
+    ///
+    /// A code generation keys on its IR object under a split key: the
+    /// target-invariant [`ir_step_key`] (adapted invocation ⊕ IR object
+    /// content) specialized per target by [`object_key`] (toolchain, ISA,
+    /// triple, march). Retargets of the same image share the IR half, so
+    /// an N-target fan-out pays the front-end once and a warm retarget
+    /// executes zero code generations.
+    fn cache_key(
+        &self,
+        fs: &comt_vfs::Vfs,
+        step: &AdaptedStep,
+        ir: Option<&IrObject>,
+    ) -> Option<Digest> {
+        if let Some(ir) = ir {
+            let half = ir_step_key(
+                step.model.argv(),
+                step.model.cwd(),
+                &step.env,
+                &self.ctx.chain_fp,
+                &Digest::of(&ir.raw),
+            );
+            return Some(object_key(
+                &half,
+                &self.ctx.toolchain_id,
+                &self.ctx.side.isa,
+                &self.ctx.target_triple,
+                ir.inv.march().unwrap_or("default"),
+            ));
+        }
         let io = comt_buildsys::StepIo::extract(
             step.model.argv(),
             step.model.cwd(),
@@ -438,9 +480,10 @@ impl<'a> RebuildEngine<'a> {
         Ok(())
     }
 
-    /// Execute one compile segment on the ready-queue scheduler. Returns
-    /// the segment's critical-path depth.
-    fn run_segment_parallel(
+    /// Execute one compile segment on the ready-queue scheduler and merge
+    /// its outputs into the container in recorded order. Returns the
+    /// segment's critical-path depth.
+    fn run_segment(
         &self,
         executor: &Executor,
         container: &mut Container,
@@ -470,12 +513,10 @@ impl<'a> RebuildEngine<'a> {
         // another compile's output within the same segment.
         let overlay: Mutex<HashMap<String, Vec<u8>>> = Mutex::new(HashMap::new());
 
-        let outcome = scheduler::run(&graph, |idx| {
+        let outcome = scheduler::run_with(&graph, self.workers(), |idx| {
             let step = &segment[idx];
-            let outputs = if io[idx].0.is_empty()
-                || !has_in_segment_dep(&graph, idx)
-            {
-                self.compile_step(executor, base_fs, step)?
+            let outputs = if graph.deps_of(idx).is_empty() {
+                self.cached_step(executor, base_fs, step)?
             } else {
                 let mut fs = base_fs.clone();
                 for (path, content) in overlay.lock().unwrap_or_else(|e| e.into_inner()).iter() {
@@ -484,7 +525,7 @@ impl<'a> RebuildEngine<'a> {
                             ComtError::fs(e.to_string()).with_phase(Phase::Replay)
                         })?;
                 }
-                self.compile_step(executor, &fs, step)?
+                self.cached_step(executor, &fs, step)?
             };
             let mut ov = overlay.lock().unwrap_or_else(|e| e.into_inner());
             for (path, content) in &outputs {
@@ -493,9 +534,14 @@ impl<'a> RebuildEngine<'a> {
             Ok(outputs)
         });
 
-        self.ctx
-            .recorder
-            .count("sched.workers.max", outcome.workers as u64);
+        // A one-step segment has nothing to schedule around.
+        if segment.len() > 1 {
+            self.ctx.recorder.count("sched.segments", 1);
+            self.ctx.recorder.count("sched.steps", segment.len() as u64);
+            self.ctx
+                .recorder
+                .count("sched.workers.max", outcome.workers as u64);
+        }
         // Merge in recorded order: deterministic regardless of scheduling.
         for result in outcome.results {
             apply_outputs(container, result?.iter())?;
@@ -503,95 +549,46 @@ impl<'a> RebuildEngine<'a> {
         Ok(outcome.critical_path)
     }
 
-    /// IR-mode "compile": take the cached IR object at the step's output
-    /// path and re-generate code for the adapter-transformed flags.
-    ///
-    /// Content-cached like a source compile, but under a split key: the
-    /// target-invariant [`ir_step_key`] (adapted invocation ⊕ IR object
-    /// content) specialized per target by [`object_key`] (toolchain, ISA,
-    /// triple, march). Retargets of the same image share the IR half, so
-    /// an N-target fan-out pays the front-end once and a warm retarget
-    /// executes zero recodegen steps.
-    fn recodegen_step(
-        &self,
-        container: &mut Container,
-        step: &AdaptedStep,
-    ) -> Result<(), ComtError> {
+    /// IR-mode "compile" (cache miss path): re-generate code from the
+    /// cached IR object for the adapter-transformed flags.
+    fn recodegen(&self, step: &AdaptedStep, ir: IrObject) -> Result<StepOutputs, ComtError> {
         let side = self.ctx.side;
-        let inv = step.model.invocation().ok_or_else(|| {
-            ComtError::build("unparseable compile step".into())
+        let mut obj = comt_toolchain::artifact::read_object(&ir.raw).map_err(|e| {
+            ComtError::build(format!("{}: {e}", ir.path))
                 .with_phase(Phase::Replay)
-                .with_step(step.command_line())
+                .with_artifact(ir.path.clone())
         })?;
-        let out_rel = inv.output().map(String::from).ok_or_else(|| {
-            ComtError::build("IR compile step without -o".into())
-                .with_phase(Phase::Replay)
-                .with_step(step.command_line())
-        })?;
-        let out_path = comt_vfs::join(step.model.cwd(), &out_rel);
-        let raw = container.fs.read(&out_path).map_err(|_| {
-            ComtError::build(format!("IR object missing from cache: {out_path}"))
-                .with_phase(Phase::Replay)
-                .with_artifact(out_path.clone())
-        })?;
-
-        let key = self.ctx.opts.artifact_cache.as_ref().map(|cache| {
-            let ir = ir_step_key(
-                step.model.argv(),
-                step.model.cwd(),
-                &step.env,
-                &self.ctx.chain_fp,
-                &Digest::of(&raw),
-            );
-            let march = inv.march().unwrap_or("default");
-            (
-                cache,
-                object_key(
-                    &ir,
-                    &self.ctx.toolchain_id,
-                    &side.isa,
-                    &self.ctx.target_triple,
-                    march,
-                ),
-            )
-        });
-        if let Some((cache, key)) = &key {
-            if let Some(hit) = cache.get(key) {
-                self.ctx.recorder.count("cache.hit", 1);
-                self.ctx.recorder.count("retarget.ir_hits", 1);
-                apply_outputs(container, hit.iter())?;
-                return Ok(());
-            }
-            self.ctx.recorder.count("cache.miss", 1);
-        }
-
-        let mut obj = comt_toolchain::artifact::read_object(&raw).map_err(|e| {
-            ComtError::build(format!("{out_path}: {e}"))
-                .with_phase(Phase::Replay)
-                .with_artifact(out_path.clone())
-        })?;
-        comt_toolchain::recodegen(&mut obj, &side.toolchain, &side.isa, &inv)
+        comt_toolchain::recodegen(&mut obj, &side.toolchain, &side.isa, &ir.inv)
             .map_err(|e| {
                 ComtError::build(e.to_string())
                     .with_phase(Phase::Replay)
                     .with_step(step.command_line())
             })?;
-        let bytes = comt_toolchain::artifact::write_object(&obj);
-        container
-            .fs
-            .write_file_p(&out_path, Bytes::from(bytes.clone()), 0o644)
-            .map_err(|e| ComtError::fs(e.to_string()).with_phase(Phase::Replay))?;
-        if let Some((cache, key)) = key {
-            cache.put(key, vec![(out_path, bytes)]);
-        }
         self.ctx.recorder.count("exec.recodegen", 1);
-        Ok(())
+        Ok(vec![(ir.path, comt_toolchain::artifact::write_object(&obj))])
     }
 }
 
-/// Whether step `idx` consumes another step's output within its segment.
-fn has_in_segment_dep(graph: &scheduler::StepGraph, idx: usize) -> bool {
-    !graph.deps_of(idx).is_empty()
+/// The IR object a code-generation step starts from: the cached object at
+/// the step's output path.
+fn ir_object(fs: &comt_vfs::Vfs, step: &AdaptedStep) -> Result<IrObject, ComtError> {
+    let inv = step.model.invocation().ok_or_else(|| {
+        ComtError::build("unparseable compile step".into())
+            .with_phase(Phase::Replay)
+            .with_step(step.command_line())
+    })?;
+    let out_rel = inv.output().map(String::from).ok_or_else(|| {
+        ComtError::build("IR compile step without -o".into())
+            .with_phase(Phase::Replay)
+            .with_step(step.command_line())
+    })?;
+    let path = comt_vfs::join(step.model.cwd(), &out_rel);
+    let raw = fs.read(&path).map_err(|_| {
+        ComtError::build(format!("IR object missing from cache: {path}"))
+            .with_phase(Phase::Replay)
+            .with_artifact(path.clone())
+    })?;
+    Ok(IrObject { inv, path, raw })
 }
 
 /// Write one step's output files into the container filesystem.

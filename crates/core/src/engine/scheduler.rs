@@ -9,10 +9,32 @@
 //! is exhausted. Results are collected by step index, so callers merge
 //! outputs in recorded order and the outcome is deterministic regardless
 //! of the interleaving.
+//!
+//! The ready queue always hands out the lowest ready index. With one
+//! worker the run stays on the calling thread and is therefore exactly the
+//! recorded order: step `i` is ready once every earlier step has run.
 
 use crate::{ComtError, Phase};
-use std::collections::VecDeque;
+use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::{Condvar, Mutex};
+
+/// Maximal runs of consecutive compile steps, in recorded order: the
+/// segments the replay stage schedules and the static hazard pass checks.
+/// Steps outside every segment run one at a time between them.
+pub fn segments(is_compile: impl IntoIterator<Item = bool>) -> Vec<Range<usize>> {
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    for (i, compile) in is_compile.into_iter().enumerate() {
+        if !compile {
+            continue;
+        }
+        match runs.last_mut() {
+            Some(run) if run.end == i => run.end = i + 1,
+            _ => runs.push(i..i + 1),
+        }
+    }
+    runs
+}
 
 /// Dependency edges for a set of steps: `deps[i]` lists the step indices
 /// that must complete before step `i` may run. Indices must be `< n` and
@@ -77,7 +99,7 @@ impl StepGraph {
 }
 
 struct SchedState {
-    ready: VecDeque<usize>,
+    ready: BTreeSet<usize>,
     /// Unresolved dependency count per step.
     pending_deps: Vec<usize>,
     /// Steps not yet completed (running or waiting).
@@ -94,12 +116,29 @@ pub struct ScheduleOutcome<T> {
     pub critical_path: usize,
 }
 
-/// Execute every step of `graph` by calling `job(step_index)`, honoring
-/// dependency order, with up to `available_parallelism` workers. All steps
-/// run even if some fail (matching the replay contract: the caller reports
-/// the first failure in recorded order). Panicking jobs become
-/// [`ComtError::Build`] results instead of poisoning the pool.
+/// The worker count of a parallel run: the host's available parallelism.
+pub fn available_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(4)
+}
+
+/// [`run_with`] on [`available_workers`] workers.
 pub fn run<T, F>(graph: &StepGraph, job: F) -> ScheduleOutcome<T>
+where
+    T: Send,
+    F: Fn(usize) -> Result<T, ComtError> + Sync,
+{
+    run_with(graph, available_workers(), job)
+}
+
+/// Execute every step of `graph` by calling `job(step_index)`, honoring
+/// dependency order, with up to `workers` workers (one runs on the calling
+/// thread). All steps run even if some fail (matching the replay
+/// contract: the caller reports the first failure in recorded order).
+/// Panicking jobs become [`ComtError::Build`] results instead of
+/// poisoning the pool.
+pub fn run_with<T, F>(graph: &StepGraph, workers: usize, job: F) -> ScheduleOutcome<T>
 where
     T: Send,
     F: Fn(usize) -> Result<T, ComtError> + Sync,
@@ -123,12 +162,8 @@ where
             dependents[d].push(i);
         }
     }
-    let ready: VecDeque<usize> = (0..n).filter(|&i| pending_deps[i] == 0).collect();
-
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(n);
+    let ready: BTreeSet<usize> = (0..n).filter(|&i| pending_deps[i] == 0).collect();
+    let workers = workers.clamp(1, n);
 
     let state = Mutex::new(SchedState {
         ready,
@@ -139,48 +174,52 @@ where
     let results: Mutex<Vec<Option<Result<T, ComtError>>>> =
         Mutex::new((0..n).map(|_| None).collect());
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let idx = {
-                    let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                    loop {
-                        if let Some(idx) = st.ready.pop_front() {
-                            break idx;
-                        }
-                        if st.unfinished == 0 {
-                            return;
-                        }
-                        st = wake.wait(st).unwrap_or_else(|e| e.into_inner());
-                    }
-                };
-
-                let result =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(idx)))
-                        .unwrap_or_else(|panic| {
-                            let msg = panic
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| panic.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "worker panicked".to_string());
-                            Err(ComtError::build(format!("step worker panicked: {msg}"))
-                                .with_phase(Phase::Replay))
-                        });
-                results.lock().unwrap_or_else(|e| e.into_inner())[idx] = Some(result);
-
-                let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                st.unfinished -= 1;
-                for &dep in &dependents[idx] {
-                    st.pending_deps[dep] -= 1;
-                    if st.pending_deps[dep] == 0 {
-                        st.ready.push_back(dep);
-                    }
+    let work = || loop {
+        let idx = {
+            let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
+            loop {
+                if let Some(idx) = st.ready.pop_first() {
+                    break idx;
                 }
-                drop(st);
-                wake.notify_all();
+                if st.unfinished == 0 {
+                    return;
+                }
+                st = wake.wait(st).unwrap_or_else(|e| e.into_inner());
+            }
+        };
+
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(idx)))
+            .unwrap_or_else(|panic| {
+                let msg = panic
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "worker panicked".to_string());
+                Err(ComtError::build(format!("step worker panicked: {msg}"))
+                    .with_phase(Phase::Replay))
             });
+        results.lock().unwrap_or_else(|e| e.into_inner())[idx] = Some(result);
+
+        let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
+        st.unfinished -= 1;
+        for &dep in &dependents[idx] {
+            st.pending_deps[dep] -= 1;
+            if st.pending_deps[dep] == 0 {
+                st.ready.insert(dep);
+            }
         }
-    });
+        drop(st);
+        wake.notify_all();
+    };
+    if workers == 1 {
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(work);
+            }
+        });
+    }
 
     let results = results
         .into_inner()
@@ -291,6 +330,30 @@ mod tests {
         let graph = StepGraph::from_io(&io);
         assert_eq!(graph.deps[1], vec![0], "implicit read-edge missing");
         assert_eq!(graph.critical_path_depth(), 2);
+    }
+
+    #[test]
+    fn one_worker_runs_in_recorded_order() {
+        // FIFO would run 0, 2, 1: step 2 is ready from the start, step 1
+        // only once 0 completes. The lowest ready index runs first.
+        let graph = StepGraph::new(vec![vec![], vec![0], vec![]]);
+        let caller = std::thread::current().id();
+        let order: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+        let out = run_with(&graph, 1, |i| {
+            assert_eq!(std::thread::current().id(), caller, "one worker stays on the caller");
+            order.lock().unwrap().push(i);
+            Ok(())
+        });
+        assert_eq!(out.workers, 1);
+        assert_eq!(order.into_inner().unwrap(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn segments_are_maximal_compile_runs() {
+        let runs = segments([false, true, true, false, true, false, false, true, true, true]);
+        assert_eq!(runs, vec![1..3, 4..5, 7..10]);
+        assert!(segments([false, false]).is_empty());
+        assert!(segments(std::iter::empty()).is_empty());
     }
 
     #[test]

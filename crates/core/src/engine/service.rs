@@ -32,9 +32,9 @@
 //! is saved crash-safely after every completed job, so a `kill -9` of the
 //! daemon never tears the on-disk state (`comt fsck` stays clean).
 
-use crate::backend::{rebuild_artifacts_with_report, RebuildOptions};
+use crate::backend::RebuildOptions;
 use crate::cache::{load_cache, write_rebuild};
-use crate::engine::ArtifactCache;
+use crate::engine::{ArtifactCache, RebuildEngine};
 use crate::workflow::SystemSide;
 use crate::{ComtError, LtoAdapter, Phase};
 use comt_observe::{Recorder, Report};
@@ -431,7 +431,9 @@ impl Inner {
             artifact_cache: Some(Arc::clone(&self.cache)),
             ..RebuildOptions::default()
         };
-        let (artifacts, report) = rebuild_artifacts_with_report(&contents, &side, &opts)?;
+        let engine = RebuildEngine::new(&side, &opts);
+        let artifacts = engine.run(&contents)?;
+        let report = engine.report();
         self.job_log(
             id,
             &format!(

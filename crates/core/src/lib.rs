@@ -58,9 +58,7 @@ pub use adapters::{
     AdapterContext, LlvmAdapter, LtoAdapter, LtoScope, NativeToolchainAdapter, PgoAdapter,
     SystemAdapter,
 };
-pub use backend::{
-    rebuild, rebuild_artifacts, rebuild_artifacts_with_report, RebuildOptions,
-};
+pub use backend::{rebuild_artifacts, RebuildOptions};
 pub use cache::{load_cache, CacheContents};
 pub use engine::{
     ArtifactCache, BuildService, EngineCtx, JobSpec, JobState, JobStatus, RebuildEngine,

@@ -12,8 +12,9 @@
 //! `/.coMtainer/io` playing the role of the shared medium — here an
 //! [`OciDir`] value passed by reference.
 
-use crate::backend::{rebuild as backend_rebuild, RebuildOptions};
-use crate::cache::write_cache;
+use crate::backend::RebuildOptions;
+use crate::cache::{load_cache, write_cache, write_rebuild};
+use crate::engine::RebuildEngine;
 use crate::frontend::AnalysisInputs;
 use crate::images::{add_dev_stack, add_vendor_libraries, base_rootfs};
 use crate::{ComtError, Phase, SystemAdapter};
@@ -148,23 +149,25 @@ pub fn comtainer_rebuild(
     side: &SystemSide,
     opts: &RebuildOptions,
 ) -> Result<String, ComtError> {
-    backend_rebuild(oci, extended_ref, side, opts)
+    comtainer_rebuild_with_report(oci, extended_ref, side, opts)
+        .map(|(rebuilt_ref, _)| rebuilt_ref)
 }
 
 /// [`comtainer_rebuild`], additionally returning the engine's
 /// observability report (stage spans, cache hit/miss counters, scheduler
-/// stats). Backs `comt rebuild --stats` and the bench harness.
+/// stats): load the cache layer, run the engine, register `+coMre`. Backs
+/// `comt rebuild --stats` and the bench harness.
 pub fn comtainer_rebuild_with_report(
     oci: &mut OciDir,
     extended_ref: &str,
     side: &SystemSide,
     opts: &RebuildOptions,
 ) -> Result<(String, comt_observe::Report), ComtError> {
-    let cache = crate::cache::load_cache(oci, extended_ref)?;
-    let (artifacts, report) =
-        crate::backend::rebuild_artifacts_with_report(&cache, side, opts)?;
-    let rebuilt_ref = crate::cache::write_rebuild(oci, extended_ref, &artifacts)?;
-    Ok((rebuilt_ref, report))
+    let cache = load_cache(oci, extended_ref)?;
+    let engine = RebuildEngine::new(side, opts);
+    let artifacts = engine.run(&cache)?;
+    let rebuilt_ref = write_rebuild(oci, extended_ref, &artifacts)?;
+    Ok((rebuilt_ref, engine.report()))
 }
 
 /// `coMtainer-redirect` (system side). Returns the `+opt` ref.
@@ -174,15 +177,4 @@ pub fn comtainer_redirect(
     side: &SystemSide,
 ) -> Result<String, ComtError> {
     crate::redirect::redirect(oci, rebuilt_ref, side)
-}
-
-/// Convenience: the full system-side flow (rebuild + redirect).
-pub fn adapt(
-    oci: &mut OciDir,
-    extended_ref: &str,
-    side: &SystemSide,
-    opts: &RebuildOptions,
-) -> Result<String, ComtError> {
-    let rebuilt = comtainer_rebuild(oci, extended_ref, side, opts)?;
-    comtainer_redirect(oci, &rebuilt, side)
 }

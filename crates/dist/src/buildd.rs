@@ -44,7 +44,7 @@ use crate::DistClient;
 use crate::DistError;
 use comt_observe::Report;
 use comtainer::{BuildService, JobSpec, JobStatus};
-use serde::Value;
+use serde::{Deserialize, Serialize, Value};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -58,11 +58,13 @@ fn decode_job(body: &[u8]) -> Result<JobSpec, String> {
     Ok(spec)
 }
 
-/// A job status snapshot as it travels over the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A job status snapshot as it travels over the wire: `{id, tenant, ref,
+/// state, priority, result_ref, error, started_seq}`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JobStatusWire {
     pub id: u64,
     pub tenant: String,
+    #[serde(rename = "ref")]
     pub extended_ref: String,
     /// `queued | running | done | failed | cancelled`.
     pub state: String,
@@ -77,58 +79,9 @@ impl JobStatusWire {
         matches!(self.state.as_str(), "done" | "failed" | "cancelled")
     }
 
-    fn value(&self) -> Value {
-        let opt = |s: &Option<String>| match s {
-            Some(s) => Value::Str(s.clone()),
-            None => Value::Null,
-        };
-        let seq = match self.started_seq {
-            Some(n) => Value::Int(n as i64),
-            None => Value::Null,
-        };
-        Value::Object(vec![
-            ("id".into(), Value::Int(self.id as i64)),
-            ("tenant".into(), Value::Str(self.tenant.clone())),
-            ("ref".into(), Value::Str(self.extended_ref.clone())),
-            ("state".into(), Value::Str(self.state.clone())),
-            ("priority".into(), Value::Int(self.priority as i64)),
-            ("result_ref".into(), opt(&self.result_ref)),
-            ("error".into(), opt(&self.error)),
-            ("started_seq".into(), seq),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<JobStatusWire, DistError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| DistError::protocol("job status must be an object"))?;
-        let string = |key: &str| -> Result<String, DistError> {
-            Value::field(obj, key)
-                .and_then(|v| v.as_str())
-                .map(String::from)
-                .ok_or_else(|| DistError::protocol(format!("job status missing {key:?}")))
-        };
-        let opt_string = |key: &str| match Value::field(obj, key) {
-            Some(Value::Str(s)) => Some(s.clone()),
-            _ => None,
-        };
-        let int = |key: &str| match Value::field(obj, key) {
-            Some(Value::Int(n)) if *n >= 0 => Ok(*n as u64),
-            other => Err(DistError::protocol(format!("bad field {key:?}: {other:?}"))),
-        };
-        Ok(JobStatusWire {
-            id: int("id")?,
-            tenant: string("tenant")?,
-            extended_ref: string("ref")?,
-            state: string("state")?,
-            priority: int("priority")? as u8,
-            result_ref: opt_string("result_ref"),
-            error: opt_string("error"),
-            started_seq: match Value::field(obj, "started_seq") {
-                Some(Value::Int(n)) if *n >= 0 => Some(*n as u64),
-                _ => None,
-            },
-        })
+    fn decode(v: &Value) -> Result<JobStatusWire, DistError> {
+        JobStatusWire::from_value(v)
+            .map_err(|e| DistError::protocol(format!("bad job status: {e}")))
     }
 
     fn from_status(s: &JobStatus) -> JobStatusWire {
@@ -223,7 +176,7 @@ fn job_submit(req: &Request, svc: &BuildService) -> HttpAction {
     match svc.submit(spec) {
         Ok(id) => {
             let status = svc.status(id).expect("submitted job exists");
-            json_response(202, &JobStatusWire::from_status(&status).value())
+            json_response(202, &JobStatusWire::from_status(&status).to_value())
         }
         Err(e) => json_error(400, e.to_string()),
     }
@@ -298,21 +251,21 @@ fn job_list(query: Option<&str>, svc: &BuildService) -> HttpAction {
     let jobs: Vec<Value> = svc
         .list(tenant.as_deref())
         .iter()
-        .map(|s| JobStatusWire::from_status(s).value())
+        .map(|s| JobStatusWire::from_status(s).to_value())
         .collect();
     json_response(200, &Value::Array(jobs))
 }
 
 fn job_status(id: u64, svc: &BuildService) -> HttpAction {
     match svc.status(id) {
-        Some(s) => json_response(200, &JobStatusWire::from_status(&s).value()),
+        Some(s) => json_response(200, &JobStatusWire::from_status(&s).to_value()),
         None => json_error(404, format!("no job {id}")),
     }
 }
 
 fn job_cancel(id: u64, svc: &BuildService) -> HttpAction {
     match svc.cancel(id) {
-        Some(s) => json_response(200, &JobStatusWire::from_status(&s).value()),
+        Some(s) => json_response(200, &JobStatusWire::from_status(&s).to_value()),
         None => json_error(404, format!("no job {id}")),
     }
 }
@@ -447,7 +400,7 @@ impl BuilddClient {
         let body = serde_json::to_string(spec).expect("a JobSpec serializes");
         let (status, v) = self.exchange_json("submit job", "POST", "/buildd/jobs", Some(&body))?;
         Self::expect_status("submit job", status, &v)?;
-        JobStatusWire::from_value(&v)
+        JobStatusWire::decode(&v)
     }
 
     /// One job's status.
@@ -455,7 +408,7 @@ impl BuilddClient {
         let (status, v) =
             self.exchange_json("job status", "GET", &format!("/buildd/jobs/{id}"), None)?;
         Self::expect_status("job status", status, &v)?;
-        JobStatusWire::from_value(&v)
+        JobStatusWire::decode(&v)
     }
 
     /// All jobs, optionally filtered by tenant.
@@ -467,7 +420,7 @@ impl BuilddClient {
         let (status, v) = self.exchange_json("list jobs", "GET", &path, None)?;
         Self::expect_status("list jobs", status, &v)?;
         match v {
-            Value::Array(items) => items.iter().map(JobStatusWire::from_value).collect(),
+            Value::Array(items) => items.iter().map(JobStatusWire::decode).collect(),
             other => Err(DistError::protocol(format!(
                 "job list must be an array, got {other:?}"
             ))),
@@ -483,7 +436,7 @@ impl BuilddClient {
             None,
         )?;
         Self::expect_status("cancel job", status, &v)?;
-        JobStatusWire::from_value(&v)
+        JobStatusWire::decode(&v)
     }
 
     /// GET one metrics document ([`crate::metrics`]); `Ok(None)` on a 404.
@@ -643,7 +596,12 @@ mod tests {
             error: None,
             started_seq: Some(7),
         };
-        let back = JobStatusWire::from_value(&s.value()).unwrap();
+        // The bytes a status travels as.
+        assert_eq!(
+            serde_json::to_string(&s).unwrap(),
+            r#"{"id":42,"tenant":"alice","ref":"app.dist+coM","state":"done","priority":3,"result_ref":"app.dist+coMre","error":null,"started_seq":7}"#
+        );
+        let back = JobStatusWire::decode(&s.to_value()).unwrap();
         assert_eq!(back, s);
         assert!(back.is_terminal());
         let queued = JobStatusWire {
@@ -652,9 +610,19 @@ mod tests {
             started_seq: None,
             ..s
         };
-        let back = JobStatusWire::from_value(&queued.value()).unwrap();
+        let back = JobStatusWire::decode(&queued.to_value()).unwrap();
         assert!(!back.is_terminal());
         assert_eq!(back.result_ref, None);
+    }
+
+    #[test]
+    fn job_status_priority_out_of_range_is_a_protocol_error() {
+        let v = serde_json::parse_value(
+            r#"{"id":1,"tenant":"alice","ref":"app.dist+coM","state":"queued","priority":300,"result_ref":null,"error":null,"started_seq":null}"#,
+        )
+        .unwrap();
+        let err = JobStatusWire::decode(&v).unwrap_err();
+        assert!(matches!(err, DistError::Protocol { .. }), "{err:?}");
     }
 
     /// Random jobs whose strings take every path through the JSON writer,

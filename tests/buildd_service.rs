@@ -9,8 +9,8 @@
 use comt_bench::Lab;
 use comt_dist::{serve_buildd, BuilddClient, HttpOptions};
 use comtainer::{
-    load_cache, rebuild_artifacts_with_report, BuildService, JobSpec, RebuildOptions,
-    ServiceOptions, SystemSide,
+    load_cache, BuildService, JobSpec, RebuildEngine, RebuildOptions, ServiceOptions,
+    SystemSide,
 };
 use comtainer_suite::pkg::catalog;
 use std::time::Duration;
@@ -28,8 +28,10 @@ fn concurrent_tenants_share_cache_over_the_wire() {
     // daemon, against the same cache contents the daemon will load.
     let contents = load_cache(&art.oci, EXT_REF).expect("extended image has cache layers");
     let side = SystemSide::native("x86_64", catalog::MINI_SCALE).unwrap();
-    let (local_artifacts, local_report) =
-        rebuild_artifacts_with_report(&contents, &side, &RebuildOptions::default()).unwrap();
+    let opts = RebuildOptions::default();
+    let engine = RebuildEngine::new(&side, &opts);
+    let local_artifacts = engine.run(&contents).unwrap();
+    let local_report = engine.report();
     assert!(local_report.counter("steps.total") > 0);
 
     // Daemon: 2 workers, quota 1 job per tenant, paused so all four jobs
