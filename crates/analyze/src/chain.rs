@@ -169,6 +169,7 @@ mod tests {
                     .collect(),
             },
             sources: BTreeMap::new(),
+            digests: Default::default(),
         }
     }
 

@@ -519,6 +519,7 @@ mod tests {
                     .collect(),
             },
             sources: BTreeMap::new(),
+            digests: Default::default(),
         }
     }
 

@@ -264,6 +264,7 @@ mod tests {
                     .collect(),
             },
             sources: src,
+            digests: Default::default(),
         }
     }
 

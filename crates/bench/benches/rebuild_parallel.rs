@@ -70,6 +70,7 @@ fn cache(units: usize) -> CacheContents {
         },
         trace: BuildTrace { commands },
         sources,
+        digests: Default::default(),
     }
 }
 

@@ -10,8 +10,8 @@ use comt_toolchain::artifact::LinkedBinary;
 use comt_toolchain::Toolchain;
 use comt_vfs::Vfs;
 use comtainer::{
-    comtainer_build, comtainer_rebuild, comtainer_rebuild_with_report, comtainer_redirect,
-    LtoAdapter, PgoAdapter, RebuildOptions, StockImages, SystemSide,
+    comtainer_build, comtainer_build_mode, comtainer_rebuild, comtainer_rebuild_with_report,
+    comtainer_redirect, CacheMode, LtoAdapter, PgoAdapter, RebuildOptions, StockImages, SystemSide,
 };
 use comt_workloads::{containerfile, deck, source_tree, WorkloadRef};
 
@@ -96,6 +96,43 @@ impl Lab {
     /// A fresh system side with the default (native toolchain) pipeline.
     pub fn system_side(&self) -> SystemSide {
         SystemSide::native(&self.isa, self.scale).expect("system side")
+    }
+
+    /// User-side build of `app` plus `coMtainer-build` in `mode`: a layout
+    /// holding `<app>.dist` and the extended ref it returns,
+    /// `<app>.dist+coM`. The starting point of the rebuild tests.
+    pub fn extended(&mut self, app: &str, mode: CacheMode) -> (OciDir, String) {
+        let context = source_tree(app, &self.isa, self.scale).expect("source tree");
+        let cf = containerfile(app, &self.isa).expect("containerfile");
+        let executor = Executor::new(&self.isa, vec![Toolchain::distro_gcc()])
+            .with_repo(catalog::generic_repo_scaled(&self.isa, self.scale));
+        let env_image = self.stock.env.clone();
+        let base_image = self.stock.base.clone();
+        let arch_tag = self.arch_tag();
+        let mut builder = Builder::new(&mut self.store, executor);
+        builder.tag(&format!("comt:{arch_tag}.env"), &env_image);
+        builder.tag(&format!("comt:{arch_tag}.base"), &base_image);
+        let result = builder.build(app, &cf, &context).expect("user-side build");
+
+        let mut oci = OciDir::new();
+        let dist_ref = format!("{app}.dist");
+        oci.export(
+            &dist_ref,
+            result.images["dist"].manifest_digest,
+            &self.store,
+        )
+        .expect("export dist");
+        let base_fs = comt_oci::flatten(&self.store, &self.stock.base).expect("base fs");
+        let extended_ref = comtainer_build_mode(
+            &mut oci,
+            &dist_ref,
+            &result.containers["build"],
+            &result.traces["build"],
+            &base_fs,
+            mode,
+        )
+        .expect("coMtainer-build");
+        (oci, extended_ref)
     }
 
     /// User-side build of the original image, coMtainer-build analysis,

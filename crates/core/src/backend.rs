@@ -129,6 +129,7 @@ mod tests {
             },
             trace,
             sources,
+            digests: Default::default(),
         }
     }
 

@@ -29,7 +29,9 @@ use comt_buildsys::BuildTrace;
 use comt_oci::layout::OciDir;
 use comt_oci::spec::{Descriptor, MediaType};
 use comt_tar::Entry;
+use comt_toolchain::DigestMemo;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Tar-relative root of the cache layer (`/.coMtainer/cache` in an image).
 pub const CACHE_PREFIX: &str = ".coMtainer/cache";
@@ -43,6 +45,10 @@ pub struct CacheContents {
     pub trace: BuildTrace,
     /// Build-container path → content.
     pub sources: BTreeMap<String, Bytes>,
+    /// Digests of the file windows the rebuild reads, computed once per
+    /// load and shared by every engine that replays this layer (all
+    /// targets of a fan-out). Empty after [`load_cache`].
+    pub digests: Arc<DigestMemo>,
 }
 
 /// Append a cache layer to the image referenced by `dist_ref` inside the
@@ -231,6 +237,7 @@ pub fn load_cache(oci: &OciDir, extended_ref: &str) -> Result<CacheContents, Com
         models,
         trace,
         sources,
+        digests: Arc::default(),
     })
 }
 

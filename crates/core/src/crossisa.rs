@@ -292,6 +292,7 @@ mod tests {
                     .collect(),
             },
             sources: src,
+            digests: Default::default(),
         }
     }
 

@@ -233,6 +233,20 @@ impl ArtifactCache {
         self.len() == 0
     }
 
+    /// Every key currently cached, sorted.
+    pub fn keys(&self) -> Vec<Digest> {
+        let mut keys: Vec<Digest> = self
+            .shards
+            .iter()
+            .flat_map(|s| {
+                let shard = s.lock().unwrap_or_else(|e| e.into_inner());
+                shard.map.keys().copied().collect::<Vec<_>>()
+            })
+            .collect();
+        keys.sort();
+        keys
+    }
+
     /// Lifetime hit count (across all engine runs sharing this cache).
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)

@@ -37,7 +37,7 @@ use bytes::Bytes;
 use comt_buildsys::{BuildTrace, Container, Executor};
 use comt_digest::Digest;
 use comt_observe::{Recorder, Report};
-use comt_toolchain::Toolchain;
+use comt_toolchain::{DigestMemo, Toolchain};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
@@ -144,7 +144,7 @@ impl<'a> RebuildEngine<'a> {
         };
         {
             let _span = self.ctx.recorder.span("stage.replay");
-            self.replay(&steps, &mut container)?;
+            self.replay(&steps, &mut container, &cache.digests)?;
         }
         let _span = self.ctx.recorder.span("stage.collect");
         self.collect(cache, &container)
@@ -233,6 +233,7 @@ impl<'a> RebuildEngine<'a> {
         &self,
         steps: &[AdaptedStep],
         container: &mut Container,
+        digests: &DigestMemo,
     ) -> Result<(), ComtError> {
         let side = self.ctx.side;
         let executor = Executor::new(
@@ -252,7 +253,7 @@ impl<'a> RebuildEngine<'a> {
             for step in &steps[next..segment.start] {
                 self.run_other(&executor, container, step, &mut trace_sink)?;
             }
-            let depth = self.run_segment(&executor, container, &steps[segment.clone()])?;
+            let depth = self.run_segment(&executor, container, &steps[segment.clone()], digests)?;
             max_critical_path = max_critical_path.max(depth as u64);
             next = segment.end;
         }
@@ -332,19 +333,21 @@ impl<'a> RebuildEngine<'a> {
     /// Run one compile step of either kind against a filesystem snapshot,
     /// consulting the artifact cache first. Returns the produced output
     /// files. The one probe → count → execute → put sequence of the
-    /// engine.
+    /// engine. Every content digest it needs comes from `digests`, the
+    /// load's memo.
     fn cached_step(
         &self,
         executor: &Executor,
         fs: &comt_vfs::Vfs,
         step: &AdaptedStep,
+        digests: &DigestMemo,
     ) -> Result<StepOutputs, ComtError> {
         let ir = match step.kind {
             StepKind::Recodegen => Some(ir_object(fs, step)?),
             _ => None,
         };
         let cache = self.ctx.opts.artifact_cache.as_ref();
-        let key = cache.and_then(|_| self.cache_key(fs, step, ir.as_ref()));
+        let key = cache.and_then(|_| self.cache_key(fs, step, ir.as_ref(), digests));
         if let (Some(cache), Some(key)) = (cache, &key) {
             if let Some(hit) = cache.get(key) {
                 self.ctx.recorder.count("cache.hit", 1);
@@ -358,7 +361,7 @@ impl<'a> RebuildEngine<'a> {
 
         let outputs = match ir {
             Some(ir) => self.recodegen(step, ir)?,
-            None => self.execute_compile(executor, fs, step)?,
+            None => self.execute_compile(executor, fs, step, digests)?,
         };
         if let (Some(cache), Some(key)) = (cache, key) {
             cache.put(key, outputs.clone());
@@ -381,19 +384,34 @@ impl<'a> RebuildEngine<'a> {
     /// triple, march). Retargets of the same image share the IR half, so
     /// an N-target fan-out pays the front-end once and a warm retarget
     /// executes zero code generations.
+    ///
+    /// Content digests come from the load's memo, so a file window is
+    /// hashed once however many steps and targets read it
+    /// (`key.files_hashed` / `key.files_reused`).
     fn cache_key(
         &self,
         fs: &comt_vfs::Vfs,
         step: &AdaptedStep,
         ir: Option<&IrObject>,
+        digests: &DigestMemo,
     ) -> Option<Digest> {
+        let digest_of = |content: &Bytes| {
+            let (digest, computed) = digests.lookup(content);
+            let counter = if computed {
+                "key.files_hashed"
+            } else {
+                "key.files_reused"
+            };
+            self.ctx.recorder.count(counter, 1);
+            digest
+        };
         if let Some(ir) = ir {
             let half = ir_step_key(
                 step.model.argv(),
                 step.model.cwd(),
                 &step.env,
                 &self.ctx.chain_fp,
-                &Digest::of(&ir.raw),
+                &digest_of(&ir.raw),
             );
             return Some(object_key(
                 &half,
@@ -412,8 +430,7 @@ impl<'a> RebuildEngine<'a> {
         let mut files = Vec::with_capacity(io.reads.len());
         for path in io.reads {
             let content = fs.read(&path).ok()?;
-            let digest = Digest::of(&content);
-            files.push((path, digest));
+            files.push((path, digest_of(&content)));
         }
         Some(step_key(
             &StepKeyInputs {
@@ -435,6 +452,7 @@ impl<'a> RebuildEngine<'a> {
         executor: &Executor,
         fs: &comt_vfs::Vfs,
         step: &AdaptedStep,
+        digests: &DigestMemo,
     ) -> Result<StepOutputs, ComtError> {
         let argv = step.model.argv();
         let program = argv.first().map(String::as_str).unwrap_or("");
@@ -450,7 +468,7 @@ impl<'a> RebuildEngine<'a> {
             })?;
         let sim = comt_toolchain::SimCompiler::new(tc.clone(), &executor.isa);
         let (_outcome, outputs) = sim
-            .compile_only(fs, step.model.cwd(), argv)
+            .compile_only(fs, step.model.cwd(), argv, digests)
             .map_err(|e| {
                 ComtError::build(format!("{}: {e}", step.command_line()))
                     .with_phase(Phase::Replay)
@@ -488,6 +506,7 @@ impl<'a> RebuildEngine<'a> {
         executor: &Executor,
         container: &mut Container,
         segment: &[AdaptedStep],
+        digests: &DigestMemo,
     ) -> Result<usize, ComtError> {
         // Shared IO extraction (declared + argv-implied paths): a step with
         // no recorded inputs whose command line reads a sibling's output
@@ -516,7 +535,7 @@ impl<'a> RebuildEngine<'a> {
         let outcome = scheduler::run_with(&graph, self.workers(), |idx| {
             let step = &segment[idx];
             let outputs = if graph.deps_of(idx).is_empty() {
-                self.cached_step(executor, base_fs, step)?
+                self.cached_step(executor, base_fs, step, digests)?
             } else {
                 let mut fs = base_fs.clone();
                 for (path, content) in overlay.lock().unwrap_or_else(|e| e.into_inner()).iter() {
@@ -525,7 +544,7 @@ impl<'a> RebuildEngine<'a> {
                             ComtError::fs(e.to_string()).with_phase(Phase::Replay)
                         })?;
                 }
-                self.cached_step(executor, &fs, step)?
+                self.cached_step(executor, &fs, step, digests)?
             };
             let mut ov = overlay.lock().unwrap_or_else(|e| e.into_inner());
             for (path, content) in &outputs {

@@ -18,10 +18,12 @@ use crate::artifact::{
     TargetInfo,
 };
 use crate::invocation::{Arg, CompilerInvocation, DriverMode, InputKind, ParseError, PgoFlag};
+use crate::memo::DigestMemo;
 use crate::source::parse_source;
 use crate::toolchains::{vector_width, Language, Toolchain};
 use bytes::Bytes;
 use comt_vfs::Vfs;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -213,7 +215,7 @@ impl SimCompiler {
         inv: &CompilerInvocation,
         language: Language,
     ) -> Result<CommandOutcome, CompileError> {
-        let (outcome, outputs) = self.compile_only_inv(fs, cwd, inv, language)?;
+        let (outcome, outputs) = self.compile_only_inv(fs, cwd, inv, language, None)?;
         for (path, data) in outputs {
             fs.write_file_p(&path, Bytes::from(data), 0o644)
                 .map_err(|e| CompileError::Fs(e.to_string()))?;
@@ -225,11 +227,14 @@ impl SimCompiler {
     /// the object files as `(path, bytes)` pairs. This is the thread-safe
     /// entry point the parallel system-side rebuild uses — many threads
     /// share one immutable snapshot and outputs are merged afterwards.
+    /// Source digests come from `digests`, which the rebuild's cache keys
+    /// have usually filled already.
     pub fn compile_only(
         &self,
         fs: &Vfs,
         cwd: &str,
         argv: &[String],
+        digests: &DigestMemo,
     ) -> Result<CompileOutputs, CompileError> {
         let program = argv.first().ok_or(CompileError::NoInputs)?;
         let language = self
@@ -249,7 +254,7 @@ impl SimCompiler {
                 inv.mode()
             )));
         }
-        self.compile_only_inv(fs, cwd, &inv, language)
+        self.compile_only_inv(fs, cwd, &inv, language, Some(digests))
     }
 
     fn compile_only_inv(
@@ -258,6 +263,7 @@ impl SimCompiler {
         cwd: &str,
         inv: &CompilerInvocation,
         language: Language,
+        digests: Option<&DigestMemo>,
     ) -> Result<CompileOutputs, CompileError> {
         let sources: Vec<&str> = inv
             .inputs()
@@ -275,7 +281,7 @@ impl SimCompiler {
         let mut outcome = CommandOutcome::default();
         let mut outputs = Vec::new();
         for src in sources {
-            let (obj, reads) = self.compile_unit(fs, cwd, inv, src, language)?;
+            let (obj, reads) = self.compile_unit(fs, cwd, inv, src, language, digests)?;
             outcome.inputs.extend(reads);
             let out_path = match inv.output() {
                 Some(o) => comt_vfs::join(cwd, o),
@@ -299,11 +305,19 @@ impl SimCompiler {
         inv: &CompilerInvocation,
         src: &str,
         language: Language,
+        digests: Option<&DigestMemo>,
     ) -> Result<(ObjectFile, Vec<String>), CompileError> {
         let src_path = comt_vfs::join(cwd, src);
-        let text = fs
-            .read_string(&src_path)
+        let raw = fs
+            .read(&src_path)
             .map_err(|_| CompileError::MissingInput(src_path.clone()))?;
+        let text = comt_vfs::text_lossy(&raw);
+        // The object records the digest of the source as text. Only valid
+        // UTF-8 is its own text; a lossy decode digests other bytes.
+        let source_digest = match (&text, digests) {
+            (Cow::Borrowed(_), Some(memo)) => memo.of(&raw),
+            _ => comt_digest::Digest::of(text.as_bytes()),
+        };
         let info = parse_source(&text);
         let mut reads = vec![src_path.clone()];
 
@@ -401,7 +415,7 @@ impl SimCompiler {
 
         let obj = ObjectFile {
             source_path: src_path,
-            source_digest: comt_digest::Digest::of(text.as_bytes()).to_oci_string(),
+            source_digest: source_digest.to_oci_string(),
             lang: language.as_str().to_string(),
             defined: info.provides.clone(),
             undefined: info.requires.clone(),
@@ -497,7 +511,8 @@ impl SimCompiler {
                     let abs = comt_vfs::join(cwd, path);
                     match kind {
                         k if k.is_source() => {
-                            let (obj, reads) = self.compile_unit(fs, cwd, inv, path, language)?;
+                            let (obj, reads) =
+                                self.compile_unit(fs, cwd, inv, path, language, None)?;
                             outcome.inputs.extend(reads);
                             objects.push(obj);
                         }
@@ -969,6 +984,44 @@ mod tests {
         assert_eq!(obj.defined, vec!["main"]);
         assert_eq!(obj.opt.opt_level, "2");
         assert_eq!(obj.opt.vector_width, 2); // default x86-64 march
+    }
+
+    /// The memo digests raw bytes; the object records the digest of the
+    /// source as text. They agree for UTF-8 only, so a non-UTF-8 source
+    /// keeps the text digest with or without a memo.
+    #[test]
+    fn source_digest_is_the_same_with_and_without_a_memo() {
+        for source in [
+            b"#pragma comt provides(main)\nint main(){}\n".to_vec(),
+            b"#pragma comt provides(main)\n// caf\xe9 \xff\nint main(){}\n".to_vec(),
+        ] {
+            let mut fs = base_fs();
+            fs.write_file_p("/work/a.c", Bytes::from(source.clone()), 0o644)
+                .unwrap();
+            let digest = |memo: Option<&DigestMemo>| {
+                let (_, outputs) = match memo {
+                    Some(memo) => sim().compile_only(&fs, "/work", &argv("gcc -c a.c"), memo),
+                    None => {
+                        let mut fs = fs.clone();
+                        sim()
+                            .run(&mut fs, "/work", &argv("gcc -c a.c"))
+                            .map(|outcome| {
+                                let obj = fs.read("/work/a.o").unwrap().to_vec();
+                                (outcome, vec![("/work/a.o".to_string(), obj)])
+                            })
+                    }
+                }
+                .unwrap();
+                artifact::read_object(&outputs[0].1).unwrap().source_digest
+            };
+            let memo = DigestMemo::default();
+            // A filled memo must not change the answer either.
+            memo.of(&fs.read("/work/a.c").unwrap());
+            let text = String::from_utf8_lossy(&source).into_owned();
+            let want = comt_digest::Digest::of(text.as_bytes()).to_oci_string();
+            assert_eq!(digest(None), want);
+            assert_eq!(digest(Some(&memo)), want);
+        }
     }
 
     #[test]

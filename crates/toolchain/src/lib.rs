@@ -30,11 +30,15 @@
 //! * [`features`] — the architecture×feature matrix (x86-64-v1..v4 levels,
 //!   AArch64 armv8.x/SVE tiers, implication and conflict edges) and the
 //!   flow-sensitive flag fold behind `comt audit`.
+//! * [`memo`] — [`DigestMemo`], content digests of byte windows computed
+//!   once per window, shared by the rebuild engine's cache keys and the
+//!   compiler's source digests.
 
 pub mod artifact;
 pub mod compiler;
 pub mod features;
 pub mod invocation;
+pub mod memo;
 pub mod options;
 pub mod source;
 pub mod toolchains;
@@ -46,6 +50,7 @@ pub use features::{
     target_arch, FeatureSet, TargetConfig,
 };
 pub use invocation::{CompilerInvocation, DriverMode, InputKind, ParseError};
+pub use memo::DigestMemo;
 pub use options::{lookup, OptionCategory, OptionShape};
 pub use source::{parse_source, SourceInfo};
 pub use toolchains::{Toolchain, ToolchainKind};

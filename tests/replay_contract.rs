@@ -11,82 +11,22 @@
 //! COMT_BLESS=1 cargo test --test replay_contract
 //! ```
 
+mod common;
+
 use bytes::Bytes;
 use comt_bench::Lab;
 use comt_buildsys::{BuildTrace, RawCommand};
 use comt_oci::layout::OciDir;
 use comt_oci::{BlobStore, ImageBuilder};
 use comt_vfs::Vfs;
-use comt_workloads::{containerfile, source_tree};
-use comtainer_suite::buildsys::{Builder, Executor};
 use comtainer_suite::core::cache::{load_rebuild, write_cache};
 use comtainer_suite::core::{
-    comtainer_build_mode, comtainer_rebuild_with_report, ArtifactCache, CacheMode, FileOrigin,
-    ImageModel, ProcessModels, RebuildOptions, SystemSide,
+    comtainer_rebuild_with_report, ArtifactCache, CacheMode, FileOrigin, ImageModel, ProcessModels,
+    RebuildOptions, SystemSide,
 };
 use comtainer_suite::pkg::catalog;
-use comtainer_suite::toolchain::Toolchain;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::Path;
-
-/// `text` must equal `tests/golden/<name>`, or, under `COMT_BLESS`,
-/// becomes it.
-fn golden(name: &str, text: &str) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("COMT_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, text).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_default();
-    if let Some((i, (got, want))) = text
-        .lines()
-        .zip(want.lines())
-        .enumerate()
-        .find(|(_, (a, b))| a != b)
-    {
-        panic!(
-            "{name} line {}:\n  golden: {want}\n  now:    {got}\n{text}",
-            i + 1
-        );
-    }
-    assert_eq!(text, want, "{name}: line count differs");
-}
-
-/// User-side build of `app` plus `coMtainer-build` in `mode`: a layout
-/// holding `<app>.dist` and the extended `<app>.dist+coM`.
-fn extended(lab: &mut Lab, app: &str, mode: CacheMode) -> (OciDir, String) {
-    let isa = lab.isa.clone();
-    let context = source_tree(app, &isa, lab.scale).unwrap();
-    let cf = containerfile(app, &isa).unwrap();
-    let executor = Executor::new(&isa, vec![Toolchain::distro_gcc()])
-        .with_repo(catalog::generic_repo_scaled(&isa, lab.scale));
-    let env_image = lab.stock.env.clone();
-    let base_image = lab.stock.base.clone();
-    let mut builder = Builder::new(&mut lab.store, executor);
-    builder.tag("comt:x86-64.env", &env_image);
-    builder.tag("comt:x86-64.base", &base_image);
-    let result = builder.build(app, &cf, &context).unwrap();
-
-    let mut oci = OciDir::new();
-    let dist = format!("{app}.dist");
-    oci.export(&dist, result.images["dist"].manifest_digest, &lab.store)
-        .unwrap();
-    let base_fs = comt_oci::flatten(&lab.store, &lab.stock.base).unwrap();
-    let ext = comtainer_build_mode(
-        &mut oci,
-        &dist,
-        &result.containers["build"],
-        &result.traces["build"],
-        &base_fs,
-        mode,
-    )
-    .unwrap();
-    (oci, ext)
-}
 
 /// Digest of the rebuild layer (the last layer) of the image at `name`.
 fn rebuild_layer_digest(oci: &OciDir, name: &str) -> String {
@@ -101,7 +41,7 @@ fn replay_lines(app: &'static str) -> String {
     let side = lab.system_side();
     let mut text = String::new();
     for (mode, mode_name) in [(CacheMode::Source, "source"), (CacheMode::Ir, "ir")] {
-        let (mut oci, ext) = extended(&mut lab, app, mode);
+        let (mut oci, ext) = lab.extended(app, mode);
         for (parallel, workers) in [(false, "serial"), (true, "parallel")] {
             let opts = RebuildOptions {
                 parallel,
@@ -139,17 +79,17 @@ fn replay_lines(app: &'static str) -> String {
 
 #[test]
 fn hpccg_replay_golden() {
-    golden("replay_hpccg.txt", &replay_lines("hpccg"));
+    common::golden("replay_hpccg.txt", &replay_lines("hpccg"));
 }
 
 #[test]
 fn comd_replay_golden() {
-    golden("replay_comd.txt", &replay_lines("comd"));
+    common::golden("replay_comd.txt", &replay_lines("comd"));
 }
 
 #[test]
 fn lulesh_replay_golden() {
-    golden("replay_lulesh.txt", &replay_lines("lulesh"));
+    common::golden("replay_lulesh.txt", &replay_lines("lulesh"));
 }
 
 /// IR mode schedules its code generations like source-mode compiles: the
@@ -158,7 +98,7 @@ fn lulesh_replay_golden() {
 fn ir_mode_layer_is_independent_of_workers() {
     let mut lab = Lab::new("x86_64", catalog::MINI_SCALE);
     let side = lab.system_side();
-    let (mut oci, ext) = extended(&mut lab, "hpccg", CacheMode::Ir);
+    let (mut oci, ext) = lab.extended("hpccg", CacheMode::Ir);
     let mut digests = Vec::new();
     for parallel in [false, true] {
         let opts = RebuildOptions {
