@@ -29,7 +29,7 @@ use comt_buildsys::BuildTrace;
 use comt_oci::layout::OciDir;
 use comt_oci::spec::{Descriptor, MediaType};
 use comt_tar::Entry;
-use comt_toolchain::DigestMemo;
+use comt_toolchain::{DigestMemo, HeldDigests};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -45,10 +45,36 @@ pub struct CacheContents {
     pub trace: BuildTrace,
     /// Build-container path → content.
     pub sources: BTreeMap<String, Bytes>,
-    /// Digests of the file windows the rebuild reads, computed once per
-    /// load and shared by every engine that replays this layer (all
-    /// targets of a fan-out). Empty after [`load_cache`].
+    /// Digests of the file windows the rebuild reads, shared by every
+    /// engine that replays this load (all targets of a fan-out). After
+    /// [`load_cache`] it answers the image's own sources from the digests
+    /// its layout holds for them — hashed once for every load of the image
+    /// — and memoizes every other window for this load only.
     pub digests: Arc<DigestMemo>,
+}
+
+/// What a layout's store keeps for a cache layer it has decoded: the
+/// contents, and the digests of the image's own windows (its sources and
+/// IR objects, all slices of the store's blobs). Per-load windows — extra
+/// files, step outputs, system-side files — never enter it.
+struct HeldCache {
+    models: ProcessModels,
+    trace: BuildTrace,
+    sources: BTreeMap<String, Bytes>,
+    digests: Arc<HeldDigests>,
+}
+
+impl HeldCache {
+    /// One load's contents: the held decode, and a memo of its own over
+    /// the held digests.
+    fn contents(&self) -> CacheContents {
+        CacheContents {
+            models: self.models.clone(),
+            trace: self.trace.clone(),
+            sources: self.sources.clone(),
+            digests: Arc::new(DigestMemo::over(Arc::clone(&self.digests))),
+        }
+    }
 }
 
 /// Append a cache layer to the image referenced by `dist_ref` inside the
@@ -199,7 +225,35 @@ fn append_layer(
 }
 
 /// Load the cache layer contents from an extended image.
+///
+/// The layout's store keeps what this decodes, keyed by the image's
+/// manifest ([`comt_oci::BlobStore::derived`]): only a manifest's first
+/// load flattens the image, and every later load of it — a rebuild, warm
+/// re-run, retarget, audit or buildd job, on the layout or any clone of it
+/// — gets the held contents and the held digests of its sources. The store
+/// drops the entry with the image's blobs (gc), and serves it only while
+/// it holds the very allocations it was decoded from.
 pub fn load_cache(oci: &OciDir, extended_ref: &str) -> Result<CacheContents, ComtError> {
+    let manifest = oci
+        .resolve(extended_ref)
+        .map_err(|e| ComtError::oci(e.to_string()))?;
+    let held = match oci.blobs.derived::<HeldCache>(&manifest) {
+        Some(held) => {
+            comt_observe::global().count("cache.load.reused", 1);
+            held
+        }
+        None => {
+            let held = Arc::new(decode_cache(oci, extended_ref)?);
+            oci.blobs.keep_derived(&manifest, Arc::clone(&held));
+            comt_observe::global().count("cache.load.decoded", 1);
+            held
+        }
+    };
+    Ok(held.contents())
+}
+
+/// Flatten an extended image and decode its cache layer.
+fn decode_cache(oci: &OciDir, extended_ref: &str) -> Result<HeldCache, ComtError> {
     let image = oci
         .load_image(extended_ref)
         .map_err(|e| ComtError::oci(e.to_string()))?;
@@ -233,11 +287,12 @@ pub fn load_cache(oci: &OciDir, extended_ref: &str) -> Result<CacheContents, Com
         }
     }
 
-    Ok(CacheContents {
+    let digests = Arc::new(HeldDigests::new(sources.values()));
+    Ok(HeldCache {
         models,
         trace,
         sources,
-        digests: Arc::default(),
+        digests,
     })
 }
 
@@ -343,6 +398,37 @@ mod tests {
             cache.sources["/src/main.c"],
             Bytes::from_static(b"#pragma comt provides(main)\n")
         );
+    }
+
+    #[test]
+    fn a_later_load_gets_the_held_decode_and_a_memo_of_its_own() {
+        let mut oci = dist_in_layout();
+        let mut sources = BTreeMap::new();
+        sources.insert(
+            "/src/main.c".to_string(),
+            Bytes::from_static(b"int main;\n"),
+        );
+        write_cache(
+            &mut oci,
+            "app.dist",
+            &sample_models(),
+            &BuildTrace::default(),
+            &sources,
+        )
+        .unwrap();
+        let first = load_cache(&oci, "app.dist+coM").unwrap();
+        // Writing more images leaves this one's blobs, and its entry, alone;
+        // a clone shares both.
+        write_rebuild(&mut oci, "app.dist+coM", &BTreeMap::new()).unwrap();
+        let reused = comt_observe::global().counter("cache.load.reused");
+        let second = load_cache(&oci.clone(), "app.dist+coM").unwrap();
+        assert!(comt_observe::global().counter("cache.load.reused") > reused);
+
+        let window = |c: &CacheContents| c.sources["/src/main.c"].as_ptr();
+        assert_eq!(window(&first), window(&second));
+        assert!(Arc::ptr_eq(first.digests.held(), second.digests.held()));
+        assert!(!Arc::ptr_eq(&first.digests, &second.digests));
+        assert_eq!(first.digests.held().len(), 1);
     }
 
     #[test]

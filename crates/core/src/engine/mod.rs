@@ -334,7 +334,7 @@ impl<'a> RebuildEngine<'a> {
     /// consulting the artifact cache first. Returns the produced output
     /// files. The one probe → count → execute → put sequence of the
     /// engine. Every content digest it needs comes from `digests`, the
-    /// load's memo.
+    /// load's memo over the digests the layout holds for the image.
     fn cached_step(
         &self,
         executor: &Executor,
@@ -386,8 +386,9 @@ impl<'a> RebuildEngine<'a> {
     /// executes zero code generations.
     ///
     /// Content digests come from the load's memo, so a file window is
-    /// hashed once however many steps and targets read it
-    /// (`key.files_hashed` / `key.files_reused`).
+    /// hashed once however many steps and targets read it, and a window
+    /// of the image's own (a source or IR object) once however many loads
+    /// of the held image read it (`key.files_hashed` / `key.files_reused`).
     fn cache_key(
         &self,
         fs: &comt_vfs::Vfs,

@@ -658,8 +658,10 @@ impl BuildService {
     }
 
     /// Service-level stats: job counters, dispatch latencies, shared-cache
-    /// hit/miss/evict totals, and per-tenant running-job high-water marks
-    /// (`service.tenant.<name>.running_max` — the quota evidence).
+    /// hit/miss/evict totals, the process's cache-layer loads
+    /// (`cache.load.decoded` / `cache.load.reused`), and per-tenant
+    /// running-job high-water marks (`service.tenant.<name>.running_max` —
+    /// the quota evidence).
     pub fn stats(&self) -> Report {
         let mut report = self.inner.recorder.report();
         report
@@ -674,6 +676,12 @@ impl BuildService {
         report
             .counters
             .insert("service.cache.evictions".into(), self.inner.cache.evictions());
+        // Cache-layer loads are counted where they happen, on the
+        // process-global recorder; a job's load is one of them.
+        let global = comt_observe::global().report();
+        for name in ["cache.load.decoded", "cache.load.reused"] {
+            report.counters.insert(name.into(), global.counter(name));
+        }
         let st = self.inner.lock_state();
         for (tenant, max) in &st.running_max {
             report

@@ -540,7 +540,9 @@ pub fn response_head_bytes(resp: &Response, content_length: u64) -> Vec<u8> {
 /// `bytes=N-` (open end), `bytes=N-M` (inclusive end), or the suffix form
 /// `bytes=-N` (the final N bytes). Returns the half-open `[start, end)`
 /// range, or `None` if the header is absent or unsatisfiable (the caller
-/// answers a present-but-unsatisfiable header with 416).
+/// answers a present-but-unsatisfiable header with 416). An end at or past
+/// the body, like a suffix longer than it, means the rest of the body
+/// (§2.1).
 pub fn parse_range(header: Option<&str>, total: u64) -> Option<(u64, u64)> {
     let spec = header?.strip_prefix("bytes=")?;
     let (from, to) = spec.split_once('-')?;
@@ -556,9 +558,9 @@ pub fn parse_range(header: Option<&str>, total: u64) -> Option<(u64, u64)> {
     let start: u64 = from.trim().parse().ok()?;
     let end: u64 = match to.trim() {
         "" => total,
-        t => t.parse::<u64>().ok()?.checked_add(1)?,
+        t => t.parse::<u64>().ok()?.saturating_add(1).min(total),
     };
-    if start >= total || end > total || start >= end {
+    if start >= total || start >= end {
         return None;
     }
     Some((start, end))
@@ -779,7 +781,9 @@ mod tests {
         assert_eq!(parse_range(Some("bytes=2-5"), 10), Some((2, 6)));
         assert_eq!(parse_range(Some("bytes=10-"), 10), None);
         assert_eq!(parse_range(Some("bytes=5-4"), 10), None);
-        assert_eq!(parse_range(Some("bytes=0-99"), 10), None);
+        // An end past the body is its remainder (RFC 7233 §2.1).
+        assert_eq!(parse_range(Some("bytes=0-99"), 10), Some((0, 10)));
+        assert_eq!(parse_range(Some("bytes=4-9"), 10), Some((4, 10)));
         assert_eq!(parse_range(None, 10), None);
         assert_eq!(parse_range(Some("lines=1-"), 10), None);
     }
@@ -955,6 +959,45 @@ mod tests {
         ]
     }
 
+    /// One side of a range spec: small numbers, the edges of `u64`, one
+    /// past it, nothing, and near-numbers.
+    fn range_number() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (0u64..64).prop_map(|n| n.to_string()),
+            any::<u64>().prop_map(|n| n.to_string()),
+            Just(u64::MAX.to_string()),
+            Just("18446744073709551616".to_string()),
+            Just(String::new()),
+            "[ 0-9a-z+-]{0,6}",
+        ]
+    }
+
+    /// Range headers: well-formed specs, the grammar's pieces out of
+    /// place, and plain noise.
+    fn range_header() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (range_number(), range_number()).prop_map(|(a, b)| format!("bytes={a}-{b}")),
+            "(bytes=)?[ 0-9,=-]{0,12}",
+            "[ -~]{0,24}",
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Any header against any body length: no panic, and a range it
+        /// accepts is non-empty and inside the body.
+        #[test]
+        fn parse_range_stays_inside_the_body(
+            header in range_header(),
+            total in prop_oneof![0u64..64, any::<u64>()],
+        ) {
+            if let Some((start, end)) = parse_range(Some(&header), total) {
+                prop_assert!(start < end && end <= total, "{header:?} on {total}: {start}..{end}");
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -1051,9 +1094,10 @@ mod tests {
 
     #[test]
     fn parse_range_overflow_inputs() {
-        // u64::MAX end + 1 must not wrap; checked_add rejects it.
+        // u64::MAX end + 1 must not wrap: it saturates, and like any end
+        // past the body it means the rest of the body.
         let max = u64::MAX.to_string();
-        assert_eq!(parse_range(Some(&format!("bytes=0-{max}")), 10), None);
+        assert_eq!(parse_range(Some(&format!("bytes=0-{max}")), 10), Some((0, 10)));
         // Oversized-but-parseable start is simply out of range.
         assert_eq!(parse_range(Some(&format!("bytes={max}-")), 10), None);
         // A suffix of u64::MAX saturates to the whole body, no wrap.

@@ -121,6 +121,25 @@ fn range_get_reads_only_the_requested_window_from_disk() {
         "range GET read {read} bytes from disk for a {window}-byte window"
     );
 
+    // An end past the blob asks for the rest of it (RFC 7233 §2.1): the
+    // answer is the short window, labelled as such, not a 416.
+    let len = layer_bytes.len() as u64;
+    let (status, headers, body) = http_get(
+        server.addr(),
+        &format!("/v2/app/blobs/{}", layer.to_oci_string()),
+        Some(&format!("bytes={}-{}", len - 100, len + 1000)),
+    );
+    assert_eq!(status, 206);
+    assert_eq!(body, &layer_bytes[len as usize - 100..]);
+    let content_range = headers
+        .iter()
+        .find(|(k, _)| k.eq_ignore_ascii_case("content-range"))
+        .map(|(_, v)| v.clone());
+    assert_eq!(
+        content_range,
+        Some(format!("bytes {}-{}/{len}", len - 100, len - 1))
+    );
+
     drop(server.shutdown());
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -7,10 +7,12 @@ use crate::layout::Layout;
 use crate::spec::ImageIndex;
 use bytes::Bytes;
 use comt_digest::Digest;
-use std::collections::BTreeMap;
+use std::any::Any;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::io;
 use std::path::Path;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The one error of every store operation — layout I/O, publish, transfer,
 /// gc — whatever the backend. [`StoreError::is_store_fault`] says whose
@@ -210,6 +212,40 @@ impl<'a> Verified<'a> {
 #[derive(Debug, Clone, Default)]
 pub struct BlobStore {
     blobs: BTreeMap<Digest, Bytes>,
+    derived: DerivedTable,
+}
+
+/// Values derived from a store's blobs — a decoded cache layer and its
+/// digests — keyed by the manifest whose closure they were computed from.
+/// Type-erased, so this crate need not know what its callers derive, and
+/// shared by a store's clones just as they share its blob allocations.
+#[derive(Clone, Default)]
+struct DerivedTable(Arc<Mutex<HashMap<Digest, Derived>>>);
+
+struct Derived {
+    /// The closure's blobs as they were when the value was derived: the
+    /// allocations a hit must find again, kept so that their addresses
+    /// cannot be reused by other bytes.
+    closure: Vec<(Digest, Bytes)>,
+    value: Arc<dyn Any + Send + Sync>,
+}
+
+impl DerivedTable {
+    fn lock(&self) -> MutexGuard<'_, HashMap<Digest, Derived>> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Drop every entry derived from a blob `gone` names.
+    fn forget(&self, gone: impl Fn(&Digest) -> bool) {
+        self.lock()
+            .retain(|_, entry| !entry.closure.iter().any(|(d, _)| gone(d)));
+    }
+}
+
+impl fmt::Debug for DerivedTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "DerivedTable({} entries)", self.lock().len())
+    }
 }
 
 impl BlobStore {
@@ -278,11 +314,63 @@ impl BlobStore {
     }
 
     /// Keep only blobs whose digest satisfies the predicate; returns how
-    /// many were dropped (garbage collection support).
+    /// many were dropped (garbage collection support). Values derived from
+    /// a dropped blob go with it.
     pub fn retain(&mut self, keep: impl Fn(&Digest) -> bool) -> usize {
         let before = self.blobs.len();
         self.blobs.retain(|d, _| keep(d));
-        before - self.blobs.len()
+        let dropped = before - self.blobs.len();
+        if dropped > 0 {
+            self.derived.forget(|d| !keep(d));
+        }
+        dropped
+    }
+
+    /// The value [`BlobStore::keep_derived`] recorded for `manifest`, if
+    /// this store still holds every blob of its closure as the very
+    /// allocation the value was derived from — an O(closure) identity
+    /// check, no hashing. Different bytes under the same digest (a clone
+    /// that [`BlobStore::insert_raw_for_tests`] rewrote), a missing blob or
+    /// another type `T` are a miss.
+    pub fn derived<T: Any + Send + Sync>(&self, manifest: &Digest) -> Option<Arc<T>> {
+        let table = self.derived.lock();
+        let entry = table.get(manifest)?;
+        let same = entry.closure.iter().all(|(d, held)| {
+            self.blobs
+                .get(d)
+                .is_some_and(|b| b.as_ptr() == held.as_ptr() && b.len() == held.len())
+        });
+        if !same {
+            return None;
+        }
+        Arc::clone(&entry.value).downcast().ok()
+    }
+
+    /// Record `value` as derived from `manifest`'s closure as this store
+    /// holds it now, replacing any earlier entry for `manifest`. A closure
+    /// this store does not hold whole records nothing. The entry lives
+    /// until a store sharing it drops one of its blobs
+    /// ([`BlobStore::retain`], [`BlobBackend::remove`]), or the last clone
+    /// of the store goes.
+    pub fn keep_derived<T: Any + Send + Sync>(&self, manifest: &Digest, value: Arc<T>) {
+        let Ok(digests) = closure_digests(self, manifest) else {
+            return;
+        };
+        let Some(closure) = digests
+            .into_iter()
+            .map(|d| self.get(&d).map(|b| (d, b)))
+            .collect::<Option<Vec<_>>>()
+        else {
+            return;
+        };
+        self.derived
+            .lock()
+            .insert(*manifest, Derived { closure, value });
+    }
+
+    /// Number of derived values held (shared with this store's clones).
+    pub fn derived_len(&self) -> usize {
+        self.derived.lock().len()
     }
 
     /// Insert a blob under an arbitrary digest, bypassing hashing — only
@@ -326,7 +414,11 @@ impl BlobBackend for BlobStore {
     }
 
     fn remove(&mut self, digest: &Digest) -> Result<bool, StoreError> {
-        Ok(self.blobs.remove(digest).is_some())
+        let removed = self.blobs.remove(digest).is_some();
+        if removed {
+            self.derived.forget(|d| d == digest);
+        }
+        Ok(removed)
     }
 
     fn digests(&self) -> Result<Vec<(Digest, u64)>, StoreError> {
@@ -380,6 +472,7 @@ pub type Registry = Layout<BlobStore>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::BlobBackend;
     use crate::image::ImageBuilder;
     use bytes::Bytes;
     use comt_vfs::Vfs;
@@ -566,5 +659,51 @@ mod tests {
         let mut reg = Registry::new();
         let err = reg.push("x", Digest::of(b"not-a-manifest"), &local);
         assert!(matches!(err, Err(StoreError::MissingBlob(_))));
+    }
+
+    #[test]
+    fn a_derived_value_needs_the_allocations_it_came_from() {
+        let mut store = BlobStore::new();
+        let md = tiny_image(&mut store);
+        store.keep_derived(&md, Arc::new(7u32));
+        assert_eq!(store.derived::<u32>(&md).as_deref(), Some(&7));
+        // Another type is a miss, not a wrong answer.
+        assert!(store.derived::<u64>(&md).is_none());
+
+        // A clone shares the table and the allocations, so it hits too.
+        let twin = store.clone();
+        assert_eq!(twin.derived::<u32>(&md).as_deref(), Some(&7));
+
+        // The same bytes in a fresh allocation under the same digest are
+        // not what the value was derived from.
+        let mut rewritten = store.clone();
+        let layer = closure_digests(&store, &md).unwrap()[2];
+        let copy = Bytes::copy_from_slice(&store.get(&layer).unwrap());
+        rewritten.insert_raw_for_tests(layer, copy);
+        assert!(rewritten.derived::<u32>(&md).is_none());
+        assert_eq!(store.derived::<u32>(&md).as_deref(), Some(&7));
+    }
+
+    #[test]
+    fn dropping_a_blob_drops_what_was_derived_from_it() {
+        let mut store = BlobStore::new();
+        let md = tiny_image(&mut store);
+        let layer = closure_digests(&store, &md).unwrap()[2];
+        store.keep_derived(&md, Arc::new(()));
+        assert_eq!(store.derived_len(), 1);
+        // Dropping a blob outside the closure keeps the entry.
+        let other = store.put(Bytes::from_static(b"unrelated"));
+        assert_eq!(store.retain(|d| *d != other), 1);
+        assert_eq!(store.derived_len(), 1);
+        assert!(store.remove(&layer).unwrap());
+        assert_eq!(store.derived_len(), 0);
+
+        let md = tiny_image(&mut store);
+        store.keep_derived(&md, Arc::new(()));
+        store.retain(|d| *d != md);
+        assert_eq!(store.derived_len(), 0);
+        // A closure the store does not hold whole records nothing.
+        store.keep_derived(&md, Arc::new(()));
+        assert_eq!(store.derived_len(), 0);
     }
 }

@@ -32,7 +32,8 @@
 //!   flow-sensitive flag fold behind `comt audit`.
 //! * [`memo`] — [`DigestMemo`], content digests of byte windows computed
 //!   once per window, shared by the rebuild engine's cache keys and the
-//!   compiler's source digests.
+//!   compiler's source digests; [`HeldDigests`], the same for a held
+//!   image's own windows across every load of it.
 
 pub mod artifact;
 pub mod compiler;
@@ -50,7 +51,7 @@ pub use features::{
     target_arch, FeatureSet, TargetConfig,
 };
 pub use invocation::{CompilerInvocation, DriverMode, InputKind, ParseError};
-pub use memo::DigestMemo;
+pub use memo::{DigestMemo, HeldDigests};
 pub use options::{lookup, OptionCategory, OptionShape};
 pub use source::{parse_source, SourceInfo};
 pub use toolchains::{Toolchain, ToolchainKind};

@@ -162,6 +162,16 @@ fn concurrent_tenants_share_cache_over_the_wire() {
         warm_report.counter("collect.artifacts"),
         local_report.counter("collect.artifacts")
     );
+    // The service's layout holds the image's decoded cache layer and the
+    // digests of its sources: a job over a held image hashes no input.
+    assert_eq!(
+        warm_report.counter("key.files_hashed"),
+        0,
+        "a job over a held image must hash no input file:\n{}",
+        warm_report.render()
+    );
+    assert!(warm_report.counter("key.files_reused") > 0);
+    assert!(client.stats().unwrap().counter("cache.load.reused") >= 1);
 
     // Log streaming is resumable: fetching from a mid-stream offset
     // returns exactly the suffix of the full log.

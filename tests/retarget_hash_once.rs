@@ -8,6 +8,11 @@
 //! configs and their manifests) and its own cache keys, which fingerprint
 //! argv, environment, paths and 32-byte digests but never file content.
 //!
+//! Each fan-out runs on a layout of its own. A layout keeps the digests
+//! of the images it holds for every later load, clones included, so a
+//! second fan-out over the first one's layout would hash no input at all
+//! and the comparison would check nothing.
+//!
 //! This file holds exactly one `#[test]`: the counter is process-global
 //! and the tests of one binary run in parallel, so a second test here
 //! would hash inside this one's window.
@@ -22,10 +27,12 @@ const TARGETS: [&str; 4] = ["x86-64-v3", "haswell", "x86-64-v4", "icelake-server
 /// Upper bound on the key material one compile step fingerprints.
 const KEY_BYTES: u64 = 2048;
 
-/// Bytes hashed by one cold fan-out over `targets` on a fresh copy of
-/// `oci` and a fresh artifact cache, the compile steps of each target, and
-/// the copy it committed to.
-fn cold_fan_out(oci: &OciDir, ext: &str, lab: &Lab, targets: &[&str]) -> (u64, u64, OciDir) {
+/// Bytes hashed by one cold fan-out over `targets`, on a freshly extended
+/// hpccg layout (so nothing it holds has been loaded before) and a fresh
+/// artifact cache; the compile steps of each target; the extended ref and
+/// the layout the fan-out committed to.
+fn cold_fan_out(lab: &mut Lab, mode: CacheMode, targets: &[&str]) -> (u64, u64, String, OciDir) {
+    let (mut oci, ext) = lab.extended("hpccg", mode);
     let side = lab.system_side();
     let targets: Vec<String> = targets.iter().map(|t| t.to_string()).collect();
     let opts = RebuildOptions {
@@ -33,13 +40,12 @@ fn cold_fan_out(oci: &OciDir, ext: &str, lab: &Lab, targets: &[&str]) -> (u64, u
         artifact_cache: Some(ArtifactCache::new()),
         ..Default::default()
     };
-    let mut oci = oci.clone();
     let before = bytes_hashed();
-    let fan = comtainer_retarget(&mut oci, ext, &side, &targets, &opts).unwrap();
+    let fan = comtainer_retarget(&mut oci, &ext, &side, &targets, &opts).unwrap();
     let hashed = bytes_hashed() - before;
     assert!(fan.report.counter("exec.compile") + fan.report.counter("exec.recodegen") > 0);
     let steps = fan.report.counter("steps.compile") / targets.len() as u64;
-    (hashed, steps, oci)
+    (hashed, steps, ext, oci)
 }
 
 /// Bytes `write_rebuild_target` stores for `target`: the rebuild layer,
@@ -55,9 +61,8 @@ fn committed(oci: &OciDir, ext: &str, target: &str) -> u64 {
 fn a_cold_fan_out_hashes_each_input_once_for_every_target() {
     let mut lab = Lab::new("x86_64", catalog::MINI_SCALE);
     for mode in [CacheMode::Source, CacheMode::Ir] {
-        let (oci, ext) = lab.extended("hpccg", mode);
-        let (one, _, _) = cold_fan_out(&oci, &ext, &lab, &TARGETS[..1]);
-        let (four, steps, fanned) = cold_fan_out(&oci, &ext, &lab, &TARGETS);
+        let (one, _, _, _) = cold_fan_out(&mut lab, mode, &TARGETS[..1]);
+        let (four, steps, ext, fanned) = cold_fan_out(&mut lab, mode, &TARGETS);
         let commits: u64 = TARGETS[1..]
             .iter()
             .map(|t| committed(&fanned, &ext, t))
