@@ -51,8 +51,9 @@ pub struct RebuildOptions {
 }
 
 /// The rebuild computation without the OCI bookkeeping: returns the
-/// rebuilt artifact map (image path → content). Exposed for the benches'
-/// parallel-vs-serial and cold-vs-warm ablations.
+/// rebuilt artifact map (image path → content), for a caller that edits
+/// the decoded cache before it rebuilds (`examples/cross_isa.rs` ports the
+/// build script this way).
 pub fn rebuild_artifacts(
     cache: &CacheContents,
     side: &SystemSide,

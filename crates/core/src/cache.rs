@@ -38,6 +38,55 @@ pub const CACHE_PREFIX: &str = ".coMtainer/cache";
 /// Tar-relative root of the rebuild layer.
 pub const REBUILD_PREFIX: &str = ".coMtainer/rebuild";
 
+/// The stages of the coMtainer ref grammar, `<base>+<stage>[@<target>]`:
+/// `<base>` names the dist image, and only a rebuilt or redirected image
+/// carries a retarget's `@<target>`. [`Stage::of`] formats a ref,
+/// [`parse_ref`] parses one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// `+coM`: the dist image plus its cache layer.
+    Extended,
+    /// `+coMre`: the extended image plus a rebuild layer.
+    Rebuilt,
+    /// `+opt`: the redirected, system-optimized image.
+    Redirected,
+}
+
+impl Stage {
+    const ALL: [Stage; 3] = [Stage::Extended, Stage::Rebuilt, Stage::Redirected];
+
+    fn suffix(self) -> &'static str {
+        match self {
+            Stage::Extended => "coM",
+            Stage::Rebuilt => "coMre",
+            Stage::Redirected => "opt",
+        }
+    }
+
+    /// The ref of `base`'s image at this stage, for one retarget if
+    /// `target` is set.
+    pub fn of(self, base: &str, target: Option<&str>) -> String {
+        let suffix = self.suffix();
+        match target {
+            Some(target) => format!("{base}+{suffix}@{target}"),
+            None => format!("{base}+{suffix}"),
+        }
+    }
+}
+
+/// Split a ref of the grammar into base, stage and target; `None` for any
+/// other ref.
+pub fn parse_ref(name: &str) -> Option<(&str, Stage, Option<&str>)> {
+    let (base, tail) = name.rsplit_once('+')?;
+    let (suffix, target) = match tail.split_once('@') {
+        Some((suffix, target)) => (suffix, Some(target)),
+        None => (tail, None),
+    };
+    let stage = Stage::ALL.into_iter().find(|s| s.suffix() == suffix)?;
+    let valid_target = target.is_none_or(|t| !t.is_empty() && stage != Stage::Extended);
+    (!base.is_empty() && valid_target).then_some((base, stage, target))
+}
+
 /// Decoded contents of a cache layer.
 #[derive(Debug)]
 pub struct CacheContents {
@@ -114,16 +163,21 @@ pub fn write_cache(
     let layer_tar =
         comt_tar::write_archive(&entries).map_err(|e| ComtError::cache(e.to_string()))?;
 
-    let new_ref = format!("{dist_ref}+coM");
+    let new_ref = Stage::Extended.of(dist_ref, None);
     append_layer(oci, &image, layer_tar, &new_ref, "coMtainer-build cache layer")?;
     Ok(new_ref)
 }
 
 /// Append a rebuild layer to the extended image `<ref>+coM`, registering
-/// `<ref>+coMre`. `artifacts` maps image paths to rebuilt content.
+/// `<ref>+coMre`, or `<ref>+coMre@<target>` for one retarget. The
+/// `@<target>` suffix keeps an N-target fan-out's images side by side in
+/// one layout; each is an ordinary rebuilt image ([`load_rebuild`] and the
+/// redirect work on it unchanged). `artifacts` maps image paths to rebuilt
+/// content.
 pub fn write_rebuild(
     oci: &mut OciDir,
     extended_ref: &str,
+    target: Option<&str>,
     artifacts: &BTreeMap<String, Bytes>,
 ) -> Result<String, ComtError> {
     let image = oci
@@ -139,45 +193,13 @@ pub fn write_rebuild(
     }
     let layer_tar =
         comt_tar::write_archive(&entries).map_err(|e| ComtError::cache(e.to_string()))?;
-    let base = extended_ref.trim_end_matches("+coM");
-    let new_ref = format!("{base}+coMre");
-    append_layer(oci, &image, layer_tar, &new_ref, "coMtainer-rebuild layer")?;
-    Ok(new_ref)
-}
-
-/// Append a rebuild layer for one retarget of the extended image
-/// `<ref>+coM`, registering `<ref>+coMre@<target>`. The `@<target>` suffix
-/// keeps an N-target fan-out's images side by side in one layout; each is
-/// an ordinary rebuilt image ([`load_rebuild`] and the redirect work on it
-/// unchanged) whose rebuild layer holds that target's artifacts.
-pub fn write_rebuild_target(
-    oci: &mut OciDir,
-    extended_ref: &str,
-    target: &str,
-    artifacts: &BTreeMap<String, Bytes>,
-) -> Result<String, ComtError> {
-    let image = oci
-        .load_image(extended_ref)
-        .map_err(|e| ComtError::oci(e.to_string()))?;
-    let mut entries = Vec::new();
-    for (path, content) in artifacts {
-        entries.push(Entry::file(
-            format!("{REBUILD_PREFIX}{path}"),
-            content.to_vec(),
-            0o755,
-        ));
-    }
-    let layer_tar =
-        comt_tar::write_archive(&entries).map_err(|e| ComtError::cache(e.to_string()))?;
-    let base = extended_ref.trim_end_matches("+coM");
-    let new_ref = format!("{base}+coMre@{target}");
-    append_layer(
-        oci,
-        &image,
-        layer_tar,
-        &new_ref,
-        &format!("coMtainer-retarget layer ({target})"),
-    )?;
+    let base = parse_ref(extended_ref).map_or(extended_ref, |(base, ..)| base);
+    let new_ref = Stage::Rebuilt.of(base, target);
+    let note = match target {
+        None => "coMtainer-rebuild layer".to_string(),
+        Some(target) => format!("coMtainer-retarget layer ({target})"),
+    };
+    append_layer(oci, &image, layer_tar, &new_ref, &note)?;
     Ok(new_ref)
 }
 
@@ -419,7 +441,7 @@ mod tests {
         let first = load_cache(&oci, "app.dist+coM").unwrap();
         // Writing more images leaves this one's blobs, and its entry, alone;
         // a clone shares both.
-        write_rebuild(&mut oci, "app.dist+coM", &BTreeMap::new()).unwrap();
+        write_rebuild(&mut oci, "app.dist+coM", None, &BTreeMap::new()).unwrap();
         let reused = comt_observe::global().counter("cache.load.reused");
         let second = load_cache(&oci.clone(), "app.dist+coM").unwrap();
         assert!(comt_observe::global().counter("cache.load.reused") > reused);
@@ -449,10 +471,48 @@ mod tests {
         write_cache(&mut oci, "app.dist", &sample_models(), &trace, &BTreeMap::new()).unwrap();
         let mut artifacts = BTreeMap::new();
         artifacts.insert("/app/run".to_string(), Bytes::from_static(b"REBUILT"));
-        let re_ref = write_rebuild(&mut oci, "app.dist+coM", &artifacts).unwrap();
-        assert_eq!(re_ref, "app.dist+coMre");
-        let back = load_rebuild(&oci, "app.dist+coMre").unwrap();
-        assert_eq!(back["/app/run"], Bytes::from_static(b"REBUILT"));
+        // The manifest digests pin the refs and the notes (a manifest
+        // annotation and a config history entry).
+        for (target, want_ref, want) in [
+            (
+                None,
+                "app.dist+coMre",
+                "sha256:6cfe3eb6cb2714ebd869193d54ef8012f86f66b5eaa6d954d564de73b4bda05b",
+            ),
+            (
+                Some("x86-64-v3"),
+                "app.dist+coMre@x86-64-v3",
+                "sha256:8b814751097b79a078b1a58a0b2b31938563bc412416352cb15ce03f2de4f0db",
+            ),
+        ] {
+            let re_ref = write_rebuild(&mut oci, "app.dist+coM", target, &artifacts).unwrap();
+            assert_eq!(re_ref, want_ref);
+            assert_eq!(oci.resolve(&re_ref).unwrap().to_oci_string(), want);
+            let back = load_rebuild(&oci, &re_ref).unwrap();
+            assert_eq!(back["/app/run"], Bytes::from_static(b"REBUILT"));
+        }
+    }
+
+    #[test]
+    fn refs_format_and_parse_back() {
+        for (stage, target) in [
+            (Stage::Extended, None),
+            (Stage::Rebuilt, None),
+            (Stage::Rebuilt, Some("x86-64-v3")),
+            (Stage::Redirected, Some("icelake-server")),
+        ] {
+            let name = stage.of("a+b.dist", target);
+            assert_eq!(parse_ref(&name), Some(("a+b.dist", stage, target)));
+        }
+        for name in [
+            "app.dist",
+            "app.dist+coM@v3",
+            "app.dist+coMre@",
+            "+coM",
+            "app.dist+opts",
+        ] {
+            assert_eq!(parse_ref(name), None, "{name}");
+        }
     }
 
     #[test]

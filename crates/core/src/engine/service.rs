@@ -447,7 +447,7 @@ impl Inner {
             return Ok((String::new(), report));
         }
         let mut oci = self.oci.lock().unwrap_or_else(|e| e.into_inner());
-        let result_ref = write_rebuild(&mut oci, &spec.extended_ref, &artifacts)?;
+        let result_ref = write_rebuild(&mut oci, &spec.extended_ref, None, &artifacts)?;
         if let Some(dir) = &self.opts.persist {
             oci.save(dir).map_err(|e| {
                 ComtError::oci(format!("persist to {} failed: {e}", dir.display()))

@@ -5,7 +5,7 @@
 //! files are placed at the same path as the original image, and the
 //! container's final state is committed as the optimized image" (§4.5).
 
-use crate::cache::{load_cache, load_rebuild};
+use crate::cache::{load_cache, load_rebuild, parse_ref, Stage};
 use crate::images::add_vendor_libraries;
 use crate::models::FileOrigin;
 use crate::workflow::SystemSide;
@@ -16,7 +16,8 @@ use comt_vfs::Vfs;
 
 /// Run `coMtainer-redirect`: build the optimized image from the `Rebase`
 /// image + optimized runtime packages + rebuilt artifacts + carried data,
-/// register it in the layout as `<ref>+opt`, and return the new ref.
+/// register it in the layout as `<ref>+opt` (`<ref>+opt@<target>` for a
+/// retarget's `<ref>+coMre@<target>`), and return the new ref.
 pub fn redirect(
     oci: &mut OciDir,
     rebuilt_ref: &str,
@@ -26,7 +27,8 @@ pub fn redirect(
     let artifacts = load_rebuild(oci, rebuilt_ref)?;
 
     // The original dist image (for carried data files and runtime config).
-    let base_ref = rebuilt_ref.trim_end_matches("+coMre").trim_end_matches("+coM");
+    let (base_ref, target) =
+        parse_ref(rebuilt_ref).map_or((rebuilt_ref, None), |(base, _, target)| (base, target));
     let original = oci
         .load_image(base_ref)
         .map_err(|e| ComtError::oci(e.to_string()).with_phase(Phase::Redirect))?;
@@ -134,7 +136,7 @@ pub fn redirect(
         .commit(&mut oci.blobs)
         .map_err(|e| ComtError::oci(e.to_string()).with_phase(Phase::Redirect))?;
 
-    let new_ref = format!("{base_ref}+opt");
+    let new_ref = Stage::Redirected.of(base_ref, target);
     let raw = oci.blobs.get(&image.manifest_digest).ok_or_else(|| {
         ComtError::oci(format!(
             "committed manifest {} missing from blob store",
@@ -214,7 +216,7 @@ mod tests {
         .unwrap();
         let mut artifacts = BTreeMap::new();
         artifacts.insert("/app/run".to_string(), Bytes::from_static(b"REBUILT-BIN"));
-        write_rebuild(&mut oci, "app.dist+coM", &artifacts).unwrap();
+        write_rebuild(&mut oci, "app.dist+coM", None, &artifacts).unwrap();
         oci
     }
 

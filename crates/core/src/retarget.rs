@@ -16,13 +16,13 @@
 //!   retarget executes zero front-end *and* zero back-end steps.
 //!
 //! Each target's artifacts are committed as `<base>+coMre@<target>`
-//! ([`crate::cache::write_rebuild_target`]); the merged report carries
+//! ([`crate::cache::write_rebuild`]); the merged report carries
 //! `retarget.targets` plus per-target `retarget.<counter>.<target>`
 //! entries so `comt retarget --stats` shows exactly what each target
 //! executed versus reused.
 
 use crate::backend::RebuildOptions;
-use crate::cache::{load_cache, write_rebuild_target};
+use crate::cache::{load_cache, write_rebuild};
 use crate::engine::{scheduler, RebuildEngine};
 use crate::workflow::SystemSide;
 use crate::ComtError;
@@ -135,7 +135,7 @@ pub fn comtainer_retarget(
     let mut images = Vec::with_capacity(targets.len());
     for (target, result) in targets.iter().zip(outcome.results) {
         let (artifacts, engine_report) = result.map_err(|e| e.with_artifact(target.clone()))?;
-        let new_ref = write_rebuild_target(oci, extended_ref, target, &artifacts)?;
+        let new_ref = write_rebuild(oci, extended_ref, Some(target), &artifacts)?;
         for counter in PER_TARGET_COUNTERS {
             // "retarget.ir_hits" lifts to "retarget.ir_hits.<t>", not
             // "retarget.retarget.ir_hits.<t>".

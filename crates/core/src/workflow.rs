@@ -166,7 +166,7 @@ pub fn comtainer_rebuild_with_report(
     let cache = load_cache(oci, extended_ref)?;
     let engine = RebuildEngine::new(side, opts);
     let artifacts = engine.run(&cache)?;
-    let rebuilt_ref = write_rebuild(oci, extended_ref, &artifacts)?;
+    let rebuilt_ref = write_rebuild(oci, extended_ref, None, &artifacts)?;
     Ok((rebuilt_ref, engine.report()))
 }
 

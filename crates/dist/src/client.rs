@@ -284,54 +284,10 @@ impl DistClient {
         let path = format!("/v2/{name}/blobs/{}", digest.to_oci_string());
         let obs = comt_observe::global();
         let _span = obs.span("dist.client.get_blob");
-        let mut buf: Vec<u8> = Vec::new();
-        self.with_retries("get blob", || {
-            let mut headers = Vec::new();
-            let resumed = !buf.is_empty();
-            if resumed {
-                obs.count("dist.client.resumes", 1);
-                headers.push(("Range".to_string(), format!("bytes={}-", buf.len())));
-            }
-            let before = buf.len();
-            let result = self.exchange("GET", &path, &headers, None, false, &mut buf);
-            obs.count("dist.client.bytes_in", (buf.len() - before) as u64);
-            let (status, resp_headers) = match result {
-                Ok(v) => v,
-                Err(e) => return Err(e), // partial prefix stays in buf
-            };
-            match (status, resumed) {
-                (200, false) | (206, true) => {}
-                (200, true) => {
-                    // Server ignored the range; its body is the whole blob.
-                    buf.drain(..before);
-                }
-                (416, true) => {
-                    // Our offset confused the server — start over (a
-                    // Protocol error is retryable, unlike a 4xx status).
-                    buf.clear();
-                    return Err(DistError::protocol("range not satisfiable, restarting"));
-                }
-                (404, _) => return Err(DistError::status("get blob", 404, b"not found")),
-                (s, _) => {
-                    let body = buf.split_off(before);
-                    return Err(DistError::status("get blob", s, &body));
-                }
-            }
-            if resumed && status == 206 {
-                // Cross-check the server's idea of the resume offset.
-                let ok = wire::find_header(&resp_headers, "content-range")
-                    .and_then(|v| v.strip_prefix("bytes "))
-                    .and_then(|v| v.split('-').next())
-                    .and_then(|v| v.parse::<usize>().ok())
-                    == Some(before);
-                if !ok {
-                    buf.clear();
-                    return Err(DistError::protocol("content-range offset mismatch"));
-                }
-            }
+        self.get_resumable("get blob", &path, 0, None, |buf| {
             // Taking the buffer also empties it: a corrupt transfer is
             // retried from scratch.
-            let blob = Verified::hash(std::mem::take(&mut buf));
+            let blob = Verified::hash(std::mem::take(buf));
             if blob.digest() != *digest {
                 obs.count("dist.client.verify_failures", 1);
                 return Err(DistError::DigestMismatch {
@@ -340,6 +296,78 @@ impl DistClient {
                 });
             }
             Ok(blob)
+        })
+    }
+
+    /// A resumable GET of the window `[start, end)` of the blob at `path`
+    /// (`end: None`: to the blob's end), under the retry loop. A window
+    /// always asks for its range; a whole blob sends no `Range` until it
+    /// resumes. A dropped connection keeps the partial window for the next
+    /// attempt; a confused resume empties it and retries. Each complete
+    /// window goes to `verify`, which may empty the buffer to refetch it.
+    fn get_resumable<T>(
+        &self,
+        op: &str,
+        path: &str,
+        start: u64,
+        end: Option<u64>,
+        mut verify: impl FnMut(&mut Vec<u8>) -> Result<T, DistError>,
+    ) -> Result<T, DistError> {
+        let obs = comt_observe::global();
+        let mut buf = Vec::with_capacity(end.map_or(0, |end| (end - start) as usize));
+        self.with_retries(op, || {
+            let before = buf.len();
+            if before > 0 {
+                obs.count("dist.client.resumes", 1);
+            }
+            let from = start + before as u64;
+            let ranged = end.is_some() || before > 0;
+            let mut headers = Vec::new();
+            if ranged {
+                let last = end.map_or(String::new(), |end| (end - 1).to_string());
+                headers.push(("Range".to_string(), format!("bytes={from}-{last}")));
+            }
+            let result = self.exchange("GET", path, &headers, None, false, &mut buf);
+            obs.count("dist.client.bytes_in", (buf.len() - before) as u64);
+            let (status, resp_headers) = result?; // partial window stays in buf
+            match status {
+                200 if !ranged => {}
+                206 if ranged => {
+                    // Cross-check the server's idea of the resume offset.
+                    let ok = wire::find_header(&resp_headers, "content-range")
+                        .and_then(|v| v.strip_prefix("bytes "))
+                        .and_then(|v| v.split('-').next())
+                        .and_then(|v| v.parse::<u64>().ok())
+                        == Some(from);
+                    if !ok {
+                        buf.clear();
+                        return Err(DistError::protocol("content-range offset mismatch"));
+                    }
+                }
+                200 => {
+                    // Server ignored the range: its body is the whole blob.
+                    // Keep our window of it and discard the rest.
+                    let whole = buf.split_off(before);
+                    buf.clear();
+                    let stop = end.map_or(whole.len(), |end| end as usize);
+                    if whole.len() < stop {
+                        return Err(DistError::protocol("full-blob body shorter than window"));
+                    }
+                    buf.extend_from_slice(&whole[start as usize..stop]);
+                }
+                416 if ranged => {
+                    // Our offset confused the server — start over (a
+                    // Protocol error is retryable, unlike a 4xx status).
+                    buf.clear();
+                    return Err(DistError::protocol("range not satisfiable, restarting"));
+                }
+                404 => return Err(DistError::status(op, 404, b"not found")),
+                s => {
+                    let body = buf.split_off(before);
+                    return Err(DistError::status(op, s, &body));
+                }
+            }
+            verify(&mut buf)
         })
     }
 
@@ -445,54 +473,7 @@ impl DistClient {
         let (start, end) = (range.start, range.end);
         let want = (end - start) as usize;
         let obs = comt_observe::global();
-        let mut buf: Vec<u8> = Vec::with_capacity(want);
-        self.with_retries("get chunk range", || {
-            let resumed = !buf.is_empty();
-            if resumed {
-                obs.count("dist.client.resumes", 1);
-            }
-            let from = start + buf.len() as u64;
-            let headers = vec![("Range".to_string(), format!("bytes={}-{}", from, end - 1))];
-            let before = buf.len();
-            let result = self.exchange("GET", &path, &headers, None, false, &mut buf);
-            obs.count("dist.client.bytes_in", (buf.len() - before) as u64);
-            let (status, resp_headers) = match result {
-                Ok(v) => v,
-                Err(e) => return Err(e), // partial window stays in buf
-            };
-            match status {
-                206 => {
-                    // Cross-check the server's idea of the window start.
-                    let ok = wire::find_header(&resp_headers, "content-range")
-                        .and_then(|v| v.strip_prefix("bytes "))
-                        .and_then(|v| v.split('-').next())
-                        .and_then(|v| v.parse::<u64>().ok())
-                        == Some(from);
-                    if !ok {
-                        buf.clear();
-                        return Err(DistError::protocol("content-range offset mismatch"));
-                    }
-                }
-                200 => {
-                    // Server ignored the range: its body is the whole
-                    // blob. Carve out our window and discard the rest.
-                    let whole = buf.split_off(before);
-                    buf.clear();
-                    if (whole.len() as u64) < end {
-                        return Err(DistError::protocol("full-blob body shorter than window"));
-                    }
-                    buf.extend_from_slice(&whole[start as usize..end as usize]);
-                }
-                404 => return Err(DistError::status("get chunk range", 404, b"not found")),
-                416 => {
-                    buf.clear();
-                    return Err(DistError::protocol("range not satisfiable, restarting"));
-                }
-                s => {
-                    let body = buf.split_off(before);
-                    return Err(DistError::status("get chunk range", s, &body));
-                }
-            }
+        self.get_resumable("get chunk range", &path, start, Some(end), |buf| {
             if buf.len() != want {
                 return Err(DistError::protocol(format!(
                     "range window incomplete: {} of {want} bytes",
@@ -514,9 +495,8 @@ impl DistClient {
                     });
                 }
             }
-            Ok(())
-        })?;
-        Ok(buf)
+            Ok(std::mem::take(buf))
+        })
     }
 
     /// Reassemble one layer from local chunks plus fetched ranges.

@@ -71,7 +71,7 @@ fn main() {
     let artifacts =
         comtainer_suite::core::rebuild_artifacts(&cache2, &arm_side, &RebuildOptions::default())
             .expect("ported rebuild succeeds");
-    comtainer_suite::core::cache::write_rebuild(&mut art.oci, "minife.dist+coM", &artifacts)
+    comtainer_suite::core::cache::write_rebuild(&mut art.oci, "minife.dist+coM", None, &artifacts)
         .unwrap();
     let opt_ref = comtainer_redirect(&mut art.oci, "minife.dist+coMre", &arm_side).unwrap();
     let image = art.oci.load_image(&opt_ref).unwrap();

@@ -8,10 +8,10 @@ use bytes::Bytes;
 use comt_bench::Lab;
 use comtainer_suite::buildsys::{Builder, Executor};
 use comtainer_suite::core::cache::{load_rebuild, write_cache};
-use comtainer_suite::core::models::{BuildGraph, ImageModel, ProcessModels};
+use comtainer_suite::core::models::{BuildGraph, FileOrigin, ImageModel, ProcessModels};
 use comtainer_suite::core::{
-    comtainer_build_mode, comtainer_retarget, ArtifactCache, CacheMode, RebuildOptions,
-    SystemSide,
+    comtainer_build_mode, comtainer_rebuild, comtainer_redirect, comtainer_retarget, load_cache,
+    ArtifactCache, CacheMode, RebuildOptions, SystemSide,
 };
 use comtainer_suite::oci::layout::OciDir;
 use comtainer_suite::pkg::catalog;
@@ -269,4 +269,60 @@ fn ir_mode_retarget_skips_frontend_and_warm_runs_skip_backend() {
             .unwrap();
         assert_eq!(bin.target.as_ref().unwrap().march.as_str(), target.as_str());
     }
+}
+
+#[test]
+fn redirecting_each_retarget_registers_its_own_optimized_image() {
+    let (_lab, mut oci, ext) = build_extended(CacheMode::Source);
+    let side = side();
+    let opts = RebuildOptions::default();
+    let wanted = targets(&["x86-64-v3", "x86-64-v4"]);
+    let fan = comtainer_retarget(&mut oci, &ext, &side, &wanted, &opts).unwrap();
+    let rebuilt = comtainer_rebuild(&mut oci, &ext, &side, &opts).unwrap();
+
+    // The files redirect carries verbatim from the dist image.
+    let models = load_cache(&oci, &ext).unwrap().models;
+    let carried_paths: Vec<&String> = models
+        .image
+        .files
+        .iter()
+        .filter(|(_, origin)| matches!(origin, FileOrigin::Data | FileOrigin::Unknown))
+        .map(|(path, _)| path)
+        .collect();
+    assert!(!carried_paths.is_empty(), "minife carries data files");
+    let redirect = |oci: &mut OciDir, rebuilt_ref: &str| {
+        let opt_ref = comtainer_redirect(oci, rebuilt_ref, &side).unwrap();
+        let image = oci.load_image(&opt_ref).unwrap();
+        let fs = comtainer_suite::oci::flatten(&oci.blobs, &image).unwrap();
+        let carried: BTreeMap<String, _> = carried_paths
+            .iter()
+            .map(|path| (path.to_string(), fs.lstat(path).cloned()))
+            .collect();
+        let origin = image.manifest.annotations["comtainer.origin"].clone();
+        let bin =
+            comtainer_suite::toolchain::artifact::read_linked(&fs.read("/app/minife").unwrap())
+                .unwrap();
+        (opt_ref, origin, carried, bin)
+    };
+
+    let (plain_ref, plain_origin, plain_carried, _) = redirect(&mut oci, &rebuilt);
+    assert_eq!(plain_ref, "minife.dist+opt");
+    assert_eq!(plain_origin, "minife.dist");
+    assert!(plain_carried.values().all(Option::is_some));
+
+    let mut opt_refs = Vec::new();
+    for (target, retarget_ref) in &fan.images {
+        let (opt_ref, origin, carried, bin) = redirect(&mut oci, retarget_ref);
+        assert_eq!(opt_ref, format!("minife.dist+opt@{target}"));
+        assert_eq!(origin, "minife.dist", "{opt_ref} names the dist image");
+        assert_eq!(
+            carried, plain_carried,
+            "{opt_ref} carries the dist image's data"
+        );
+        assert_eq!(bin.target.as_ref().unwrap().march.as_str(), target.as_str());
+        opt_refs.push(opt_ref);
+    }
+    assert_ne!(opt_refs[0], opt_refs[1]);
+    // Each redirect registered a ref of its own; the plain one stands.
+    assert!(oci.index.find_ref("minife.dist+opt").is_some());
 }

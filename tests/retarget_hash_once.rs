@@ -20,6 +20,7 @@
 use comt_bench::Lab;
 use comt_digest::bytes_hashed;
 use comt_oci::layout::OciDir;
+use comtainer_suite::core::cache::{parse_ref, Stage};
 use comtainer_suite::core::{comtainer_retarget, ArtifactCache, CacheMode, RebuildOptions};
 use comtainer_suite::pkg::catalog;
 
@@ -48,10 +49,11 @@ fn cold_fan_out(lab: &mut Lab, mode: CacheMode, targets: &[&str]) -> (u64, u64, 
     (hashed, steps, ext, oci)
 }
 
-/// Bytes `write_rebuild_target` stores for `target`: the rebuild layer,
+/// Bytes `write_rebuild` stores for `target`: the rebuild layer,
 /// the image config and the manifest.
 fn committed(oci: &OciDir, ext: &str, target: &str) -> u64 {
-    let name = format!("{}+coMre@{target}", ext.trim_end_matches("+coM"));
+    let (base, ..) = parse_ref(ext).unwrap();
+    let name = Stage::Rebuilt.of(base, Some(target));
     let image = oci.load_image(&name).unwrap();
     let manifest = oci.index.find_ref(&name).unwrap();
     image.manifest.layers.last().unwrap().size + image.manifest.config.size + manifest.size
