@@ -9,14 +9,16 @@
 //!   source or a `-D` define: rebuilds can never be bit-identical.
 //! * `COMT-W003` — absolute host paths (`/home/…`, `/tmp/…`) in the
 //!   command line: the rebuild container will not have them.
-//! * `COMT-W004` — ISA-specific flags the check target cannot map
-//!   (shared logic with [`comtainer::crossisa`]).
+//! * `COMT-W004` — a flag the architecture×feature matrix files under
+//!   another ISA than the check target
+//!   ([`comt_toolchain::features::flag_isa`], the predicate the compiler
+//!   and the cross-ISA port use too).
 //! * `COMT-W005` — `-Ofast`/`-ffast-math`: value-changing optimization,
 //!   not just host-coupled — rebuilt numerics can differ.
 
 use crate::diag::{Diagnostic, Span};
-use comtainer::crossisa::flag_is_isa_specific;
 use comtainer::CacheContents;
+use comt_toolchain::features::{flag_isa, fold_invocation, is_cpu_name};
 use comt_toolchain::invocation::Arg;
 use comt_toolchain::CompilerInvocation;
 
@@ -47,7 +49,7 @@ pub fn check_lints(cache: &CacheContents, target_isa: &str) -> Vec<Diagnostic> {
 
         // W004 needs only raw tokens, no parse.
         for token in &cmd.argv {
-            if flag_is_isa_specific(token, target_isa) {
+            if flag_isa(token).is_some_and(|isa| isa != target_isa) {
                 diags.push(
                     Diagnostic::new(
                         "COMT-W004",
@@ -109,9 +111,9 @@ pub fn check_lints(cache: &CacheContents, target_isa: &str) -> Vec<Diagnostic> {
         // host's pipeline. "Unresolved" means no -mtune at all, or
         // -mtune=native — the fold marks the latter like -march=native,
         // so it cannot pass for an ordinary CPU name here.
-        let cfg = comt_toolchain::features::fold_invocation(target_isa, &inv);
+        let cfg = fold_invocation(target_isa, &inv);
         if let Some(march) = inv.march() {
-            if is_specific_cpu(march) && (inv.mtune().is_none() || cfg.tune_native) {
+            if is_cpu_name(march) && (inv.mtune().is_none() || cfg.tune_native) {
                 diags.push(
                     Diagnostic::new(
                         "COMT-W001",
@@ -206,16 +208,6 @@ pub fn check_lints(cache: &CacheContents, target_isa: &str) -> Vec<Diagnostic> {
     }
 
     diags
-}
-
-/// Whether a `-march` value names a concrete CPU (as opposed to a generic
-/// micro-architecture level like `x86-64-v3` or an `armv8.x-a` tier) in
-/// the architecture×feature matrix.
-fn is_specific_cpu(march: &str) -> bool {
-    let base = march.split('+').next().unwrap_or(march);
-    comt_toolchain::features::target_arch(base).is_some()
-        && !base.starts_with("x86-64")
-        && !base.starts_with("armv8")
 }
 
 /// Last `-mcpu=` value, mirroring the march/mtune accessors.

@@ -13,6 +13,7 @@
 
 use crate::cache::CacheContents;
 use comt_buildsys::{Containerfile, Instruction};
+use comt_toolchain::features::flag_isa;
 use comt_toolchain::parse_source;
 
 /// One thing preventing a straight cross-ISA rebuild.
@@ -56,36 +57,6 @@ pub fn target_triple(isa: &str) -> String {
     }
 }
 
-/// `-march`/`-mcpu`/`-mtune` values (and `-m` flags) that only exist on one
-/// ISA: carrying them across breaks the build. Shared with the analyzer's
-/// portability lint (`COMT-W004`).
-pub fn flag_is_isa_specific(token: &str, target_isa: &str) -> bool {
-    let x86_values = [
-        "x86-64", "haswell", "icelake-server", "skylake-avx512", "znver3", "znver4", "native",
-    ];
-    let arm_values = ["armv8-a", "armv8.2-a", "ft2000plus", "a64fx"];
-    let x86_flags = ["mavx2", "mavx512f", "msse4.2", "mfma", "m32", "m64"];
-
-    if let Some(v) = token
-        .strip_prefix("-march=")
-        .or_else(|| token.strip_prefix("-mcpu="))
-        .or_else(|| token.strip_prefix("-mtune="))
-    {
-        // `native` always re-resolves — fine on any ISA.
-        if v == "native" {
-            return false;
-        }
-        return match target_isa {
-            "aarch64" => x86_values.contains(&v),
-            _ => arm_values.contains(&v),
-        };
-    }
-    if target_isa == "aarch64" {
-        return x86_flags.iter().any(|f| token == format!("-{f}"));
-    }
-    false
-}
-
 /// Analyze an extended image's cache for cross-ISA feasibility.
 pub fn analyze_cross(cache: &CacheContents, target_isa: &str) -> CrossIsaReport {
     let mut report = CrossIsaReport::default();
@@ -105,7 +76,7 @@ pub fn analyze_cross(cache: &CacheContents, target_isa: &str) -> CrossIsaReport 
 
     for cmd in &cache.trace.commands {
         for token in &cmd.argv {
-            if flag_is_isa_specific(token, target_isa) {
+            if flag_isa(token).is_some_and(|isa| isa != target_isa) {
                 report.blockers.push(Blocker::IsaSpecificFlag {
                     argv: cmd.argv.join(" "),
                     flag: token.clone(),
@@ -118,7 +89,8 @@ pub fn analyze_cross(cache: &CacheContents, target_isa: &str) -> CrossIsaReport 
 }
 
 /// The coMtainer port: the *minor* build-script edits §5.5 allows — drop
-/// ISA-specific flags from `RUN` lines and retag the stage bases for the
+/// the flags the architecture×feature matrix files under another ISA
+/// ([`flag_isa`]) from `RUN` lines and retag the stage bases for the
 /// target ISA. Returns the ported script.
 pub fn port_containerfile(cf: &Containerfile, from_isa: &str, to_isa: &str) -> Containerfile {
     let mut out = cf.clone();
@@ -135,7 +107,7 @@ pub fn port_containerfile(cf: &Containerfile, from_isa: &str, to_isa: &str) -> C
         );
         for inst in &mut stage.instructions {
             if let Instruction::Run(argv) = inst {
-                argv.retain(|t| !flag_is_isa_specific(t, to_isa));
+                argv.retain(|t| flag_isa(t).is_none_or(|isa| isa == to_isa));
             }
         }
     }
@@ -237,7 +209,7 @@ pub fn xbuild_containerfile(cf: &Containerfile, to_isa: &str) -> Containerfile {
                         }
                     }
                     // Strip host-ISA flags, add sysroot threading.
-                    argv.retain(|t| !flag_is_isa_specific(t, to_isa));
+                    argv.retain(|t| flag_isa(t).is_none_or(|isa| isa == to_isa));
                     if argv[0].contains(triple) && argv[0].contains("gcc")
                         || argv[0].contains("g++")
                         || argv[0].contains("gfortran")

@@ -92,7 +92,8 @@ pub struct JobSpec {
     /// Extended image ref (`…+coM`) in the service's layout.
     #[serde(rename = "ref")]
     pub extended_ref: String,
-    /// Target ISA for the system side.
+    /// Target ISA for the system side; [`crate::check_isa`] refuses any
+    /// but the matrix's two tags at submit.
     #[serde(default = "default_isa")]
     pub isa: String,
     /// Apply the whole-graph LTO adapter.
@@ -509,10 +510,12 @@ impl BuildService {
     }
 
     /// Queue a job. Fails fast if [`JobSpec::check_tenant`] refuses the
-    /// tenant or the ref doesn't resolve in the layout — a submitter
-    /// learns about a typo at submit time, not minutes later.
+    /// tenant, [`crate::check_isa`] the ISA, or the ref doesn't resolve in
+    /// the layout — a submitter learns about a typo at submit time, not
+    /// minutes later, and no system side is built for a bogus ISA.
     pub fn submit(&self, spec: JobSpec) -> Result<u64, ComtError> {
         spec.check_tenant()?;
+        crate::check_isa(&spec.isa)?;
         self.inner
             .oci
             .lock()
@@ -924,6 +927,27 @@ mod tests {
             svc.submit(JobSpec::new(good, "app.dist+coM")).unwrap();
             assert_eq!(svc.list(Some(good)).len(), 1, "{good:?}");
         }
+        svc.stop();
+    }
+
+    #[test]
+    fn submit_refuses_isas_outside_the_table() {
+        let mut o = opts();
+        o.paused = true;
+        let svc = BuildService::start(fixture_layout(), o);
+        for bad in ["riscv64", "arm64", "amd64", "zzz", ""] {
+            let mut spec = JobSpec::new("alice", "app.dist+coM");
+            spec.isa = bad.to_string();
+            let err = svc.submit(spec).unwrap_err();
+            assert!(
+                err.to_string().contains("expected one of x86_64, aarch64"),
+                "{bad:?}: {err}"
+            );
+        }
+        assert!(svc.list(None).is_empty(), "a refused job must not queue");
+        let mut spec = JobSpec::new("alice", "app.dist+coM");
+        spec.isa = "aarch64".to_string();
+        svc.submit(spec).unwrap();
         svc.stop();
     }
 

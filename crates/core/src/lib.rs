@@ -74,8 +74,8 @@ pub use models::{
 pub use redirect::redirect;
 pub use retarget::{comtainer_retarget, validate_targets, RetargetOutcome};
 pub use workflow::{
-    comtainer_build, comtainer_build_mode, comtainer_rebuild, comtainer_rebuild_with_report,
-    comtainer_redirect, SystemSide,
+    check_isa, comtainer_build, comtainer_build_mode, comtainer_rebuild,
+    comtainer_rebuild_with_report, comtainer_redirect, SystemSide,
 };
 
 /// Pipeline phase in which a failure occurred (error context).

@@ -21,7 +21,7 @@ use crate::{ComtError, Phase, SystemAdapter};
 use comt_buildsys::{BuildTrace, Container};
 use comt_oci::layout::OciDir;
 use comt_pkg::catalog;
-use comt_toolchain::Toolchain;
+use comt_toolchain::{features, Toolchain};
 use comt_vfs::Vfs;
 
 /// Everything the system side brings to rebuild/redirect: its identity,
@@ -40,10 +40,28 @@ pub struct SystemSide {
     pub rebase_fs: Vfs,
 }
 
+/// Refuse an ISA outside the architecture×feature matrix's canonical tags
+/// ([`features::ISAS`]); aliases such as `arm64` are refused too. A system
+/// side names one of them, and so does every buildd job and the `--isa`
+/// of every command that builds a side (`rebuild`, `adapt`, `redirect`,
+/// `retarget`).
+pub fn check_isa(isa: &str) -> Result<(), ComtError> {
+    if features::ISAS.contains(&isa) {
+        return Ok(());
+    }
+    Err(ComtError::cross_isa(format!(
+        "unknown ISA {isa:?}: expected one of {}",
+        features::ISAS.join(", ")
+    ))
+    .with_phase(Phase::Frontend))
+}
+
 impl SystemSide {
     /// A native system side for an ISA: vendor toolchain + system repo +
     /// the [`crate::NativeToolchainAdapter`], at the given payload scale.
+    /// Fails on an ISA [`check_isa`] refuses.
     pub fn native(isa: &str, scale: f64) -> Result<Self, ComtError> {
+        check_isa(isa)?;
         let mut sysenv_fs = base_rootfs(isa, scale)?;
         // Sysenv = base + dev stack + system toolchains (same recipe as
         // the stock image, rebuilt here directly as a rootfs).

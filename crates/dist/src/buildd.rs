@@ -168,6 +168,9 @@ fn job_submit(req: &Request, svc: &BuildService) -> HttpAction {
         Ok(spec) => spec,
         Err(e) => return json_error(400, e),
     };
+    if let Err(e) = comtainer::check_isa(&spec.isa) {
+        return json_error(400, e.to_string());
+    }
     if !spec.targets.is_empty() {
         if let Some(rejection) = admission_audit(&spec, svc) {
             return rejection;

@@ -937,4 +937,92 @@ mod tests {
         // (64ms ⇒ ≥32ms) clears attempt 2's ceiling (8ms).
         assert!(p.backoff(6, 7) > p.backoff(2, 7));
     }
+
+    /// A server that answers one connection per scripted raw reply, in
+    /// order, and hands back the request heads it read.
+    fn scripted(replies: Vec<Vec<u8>>) -> (String, std::thread::JoinHandle<Vec<String>>) {
+        use std::io::BufRead;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let mut heads = Vec::new();
+            for reply in replies {
+                let (mut conn, _) = listener.accept().unwrap();
+                let mut reader = BufReader::new(conn.try_clone().unwrap());
+                let mut head = String::new();
+                while reader.read_line(&mut head).unwrap() > 0 && !head.ends_with("\r\n\r\n") {}
+                conn.write_all(&reply).unwrap();
+                heads.push(head);
+            }
+            heads
+        });
+        (addr, server)
+    }
+
+    /// A raw response claiming `len` body bytes and sending `body`; a
+    /// shorter body is a connection dropped mid-transfer.
+    fn reply(status: &str, extra: &str, len: usize, body: &[u8]) -> Vec<u8> {
+        let head = format!("HTTP/1.1 {status}\r\nContent-Length: {len}\r\n{extra}\r\n");
+        [head.as_bytes(), body].concat()
+    }
+
+    fn get(addr: &str, start: u64, end: Option<u64>) -> Result<Vec<u8>, DistError> {
+        let policy = RetryPolicy {
+            max_attempts: 3,
+            base_delay: Duration::from_millis(1),
+            max_delay: Duration::from_millis(2),
+            ..Default::default()
+        };
+        let client = DistClient::with_policy(addr, policy);
+        client.get_resumable("get", "/v2/x/blobs/b", start, end, |buf| {
+            Ok(std::mem::take(buf))
+        })
+    }
+
+    #[test]
+    fn resume_refuses_a_206_from_another_offset() {
+        // The first transfer drops after 4 bytes; the resume is answered
+        // from offset 0, which must be refused rather than spliced after
+        // the kept prefix; the clean refetch then returns the blob.
+        let blob = b"0123456789";
+        let (addr, server) = scripted(vec![
+            reply("200 OK", "", 10, &blob[..4]),
+            reply(
+                "206 Partial Content",
+                "Content-Range: bytes 0-9/10\r\n",
+                10,
+                blob,
+            ),
+            reply("200 OK", "", 10, blob),
+        ]);
+        assert_eq!(get(&addr, 0, None).unwrap(), blob);
+        let heads = server.join().unwrap();
+        assert!(!heads[0].contains("Range:"), "{}", heads[0]);
+        assert!(heads[1].contains("Range: bytes=4-\r\n"), "{}", heads[1]);
+        assert!(
+            !heads[2].contains("Range:"),
+            "a refused resume restarts: {}",
+            heads[2]
+        );
+    }
+
+    #[test]
+    fn a_200_to_a_window_is_carved_to_the_window() {
+        let blob = b"0123456789";
+        let short = reply("200 OK", "", 4, &blob[..4]);
+        let (addr, server) = scripted(vec![
+            reply("200 OK", "", 10, blob),
+            reply("200 OK", "", 10, blob),
+            // One per attempt: a short whole blob is retried, then refused.
+            short.clone(),
+            short.clone(),
+            short,
+        ]);
+        assert_eq!(get(&addr, 2, Some(6)).unwrap(), b"2345");
+        assert_eq!(get(&addr, 7, Some(10)).unwrap(), b"789");
+        let err = get(&addr, 2, Some(6)).unwrap_err();
+        assert!(err.to_string().contains("shorter than window"), "{err}");
+        let heads = server.join().unwrap();
+        assert!(heads[0].contains("Range: bytes=2-5\r\n"), "{}", heads[0]);
+    }
 }

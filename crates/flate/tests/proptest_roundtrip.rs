@@ -1,5 +1,7 @@
 //! Property tests: compress/decompress is the identity for arbitrary
-//! inputs, and the gzip container detects arbitrary corruption.
+//! inputs, and the gzip container detects arbitrary corruption: a hostile,
+//! mutated or truncated stream never panics `gunzip`, and decodes either to
+//! an error or to what was compressed.
 
 use proptest::prelude::*;
 
@@ -44,6 +46,46 @@ proptest! {
             Err(_) => {}
             // …or (if the flip hit a dont-care header byte) the original.
             Ok(out) => prop_assert_eq!(out, data),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn mutated_and_truncated_streams_err_or_round_trip(
+        data in prop::collection::vec(any::<u8>(), 0..2048),
+        edits in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>(), 0u8..3), 1..6),
+        cut in any::<prop::sample::Index>(),
+    ) {
+        let gz = comt_flate::gzip(&data);
+        prop_assert!(comt_flate::gunzip(&gz[..cut.index(gz.len())]).is_err());
+        // A few bytes overwritten, inserted or cut anywhere.
+        let mut bad = gz;
+        for (at, byte, kind) in edits {
+            let at = at.index(bad.len());
+            match kind {
+                0 => bad[at] = byte,
+                1 => bad.insert(at, byte),
+                _ => drop(bad.remove(at)),
+            }
+        }
+        if let Ok(out) = comt_flate::gunzip(&bad) {
+            prop_assert_eq!(out, data);
+        }
+    }
+
+    #[test]
+    fn hostile_bodies_err_or_round_trip(
+        flags in any::<u8>(),
+        body in prop::collection::vec(any::<u8>(), 0..512),
+    ) {
+        // A gzip header with any flags, then bytes that were never deflate.
+        let mut stream = vec![0x1f, 0x8b, 8, flags, 0, 0, 0, 0, 0, 255];
+        stream.extend_from_slice(&body);
+        if let Ok(out) = comt_flate::gunzip(&stream) {
+            prop_assert_eq!(comt_flate::gunzip(&comt_flate::gzip(&out)).unwrap(), out);
         }
     }
 }

@@ -17,6 +17,12 @@ pub enum ReadError {
         /// Byte offset of the offending header block.
         offset: usize,
     },
+    /// A link target that is not UTF-8 and outgrows its 100-byte field
+    /// once decoded: it could not be written back.
+    BadLinkname {
+        /// Byte offset of the offending header block.
+        offset: usize,
+    },
     /// An entry type we do not support (e.g. character devices).
     UnsupportedType {
         /// The raw typeflag byte.
@@ -32,6 +38,9 @@ impl fmt::Display for ReadError {
             ReadError::UnexpectedEof => write!(f, "unexpected end of archive"),
             ReadError::BadChecksum { offset } => {
                 write!(f, "bad header checksum at offset {offset}")
+            }
+            ReadError::BadLinkname { offset } => {
+                write!(f, "link target at offset {offset} is not UTF-8 and overflows its field")
             }
             ReadError::UnsupportedType { typeflag, path } => {
                 write!(f, "unsupported entry type {typeflag:#x} for {path:?}")
@@ -72,6 +81,7 @@ pub fn read_archive(archive: &Bytes) -> Result<Vec<Entry>, ReadError> {
             return Err(ReadError::BadChecksum { offset: pos });
         }
         let hdr = header::decode(block);
+        let at = pos;
         pos += BLOCK;
 
         let payload_len = hdr.size as usize;
@@ -93,6 +103,9 @@ pub fn read_archive(archive: &Bytes) -> Result<Vec<Entry>, ReadError> {
         let kind = match hdr.typeflag {
             TYPE_FILE | 0 => EntryKind::File(archive.slice(payload)),
             TYPE_DIR => EntryKind::Dir,
+            TYPE_SYMLINK | TYPE_HARDLINK if hdr.linkname.len() > 100 => {
+                return Err(ReadError::BadLinkname { offset: at })
+            }
             TYPE_SYMLINK => EntryKind::Symlink(hdr.linkname.clone()),
             TYPE_HARDLINK => EntryKind::Hardlink(hdr.linkname.clone()),
             other => {
@@ -120,6 +133,7 @@ pub fn read_archive(archive: &Bytes) -> Result<Vec<Entry>, ReadError> {
 mod tests {
     use super::*;
     use crate::write_archive;
+    use proptest::prelude::*;
 
     #[test]
     fn missing_terminator_tolerated() {
@@ -179,6 +193,99 @@ mod tests {
                 assert_eq!(path, "dev");
             }
             other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    /// Re-seal a mutated header so the reader looks past its checksum.
+    fn reseal(block: &mut [u8]) {
+        block[148..156].fill(b' ');
+        let sum: u64 = block.iter().map(|&b| b as u64).sum();
+        block[148..155].copy_from_slice(format!("{sum:06o}\0").as_bytes());
+    }
+
+    /// What a hostile archive may do: fail, or decode to entries that
+    /// write back and read back unchanged.
+    fn errs_or_round_trips(archive: &Bytes) -> Result<(), TestCaseError> {
+        let Ok(entries) = read_archive(archive) else {
+            return Ok(());
+        };
+        let again = write_archive(&entries).map_err(TestCaseError::fail)?;
+        prop_assert_eq!(read_archive(&again.into()), Ok(entries));
+        Ok(())
+    }
+
+    #[test]
+    fn non_utf8_link_target_is_refused_not_widened() {
+        // Found by the loop below: decoded lossily, these 100 bytes become
+        // a 300-byte target that no header can carry back.
+        let mut block = header::encode("l", "", 0o777, 0, 0, 0, 0, TYPE_SYMLINK, "").unwrap();
+        block[157..257].fill(0xff);
+        reseal(&mut block);
+        let archive = Bytes::from([&block[..], &[0u8; 1024]].concat());
+        assert_eq!(
+            read_archive(&archive),
+            Err(ReadError::BadLinkname { offset: 0 })
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn hostile_headers_never_panic(
+            typeflag in any::<u8>(),
+            size in 0u64..1200,
+            edits in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 0..8),
+            sealed in any::<bool>(),
+            noise in prop::collection::vec(any::<u8>(), 0..BLOCK),
+            tail in prop::collection::vec(any::<u8>(), 0..1600),
+        ) {
+            // A real header, then a few bytes overwritten anywhere in it.
+            let flag = [TYPE_FILE, TYPE_DIR, TYPE_SYMLINK, TYPE_HARDLINK, TYPE_GNU_LONGNAME, typeflag]
+                [typeflag as usize % 6];
+            let mut block = header::encode("d/f", "", 0o644, 0, 0, size, 0, flag, "t").unwrap();
+            for (at, byte) in edits {
+                block[at.index(BLOCK)] = byte;
+            }
+            if sealed {
+                reseal(&mut block);
+            }
+            header::decode(&block);
+            let mut archive = block.to_vec();
+            archive.extend_from_slice(&tail);
+            errs_or_round_trips(&Bytes::from(archive))?;
+            // A block of pure noise, sealed or not.
+            let mut raw = noise;
+            raw.resize(BLOCK, 0);
+            header::decode(&raw);
+            if sealed {
+                reseal(&mut raw);
+            }
+            errs_or_round_trips(&Bytes::from(raw))?;
+        }
+
+        #[test]
+        fn truncated_archives_fail_or_keep_a_prefix(
+            sizes in prop::collection::vec(0usize..1100, 1..5),
+            long in any::<bool>(),
+            cut in any::<prop::sample::Index>(),
+        ) {
+            let mut entries: Vec<Entry> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| Entry::file(format!("f{i}"), vec![i as u8; n], 0o644))
+                .collect();
+            if long {
+                entries.push(Entry::symlink("deep/".repeat(30) + "l", "f0"));
+            }
+            let full = write_archive(&entries).unwrap();
+            let cut = cut.index(full.len());
+            let archive = Bytes::from(full).slice(..cut);
+            match read_archive(&archive) {
+                Ok(read) => prop_assert!(entries.starts_with(&read), "{} of {}", read.len(), entries.len()),
+                Err(e) => prop_assert_eq!(e, ReadError::UnexpectedEof),
+            }
+            errs_or_round_trips(&archive)?;
         }
     }
 

@@ -17,10 +17,12 @@ use crate::artifact::{
     self, Archive, BinKind, KernelParams, LinkedBinary, ObjectFile, OptProvenance, PgoMode,
     TargetInfo,
 };
+use crate::features::{self, flag_isa, vector_width};
 use crate::invocation::{Arg, CompilerInvocation, DriverMode, InputKind, ParseError, PgoFlag};
 use crate::memo::DigestMemo;
+use crate::options::OptionCategory;
 use crate::source::parse_source;
-use crate::toolchains::{vector_width, Language, Toolchain};
+use crate::toolchains::{Language, Toolchain};
 use bytes::Bytes;
 use comt_vfs::Vfs;
 use std::borrow::Cow;
@@ -192,7 +194,7 @@ impl SimCompiler {
                 token: "l".into(),
                 value: Some("mpi".into()),
                 joined: true,
-                category: crate::options::OptionCategory::LibLink,
+                category: OptionCategory::LibLink,
                 shape: crate::options::OptionShape::JoinedOrSeparate,
             });
         }
@@ -366,10 +368,17 @@ impl SimCompiler {
         // Machine flags from another ISA are rejected like real drivers
         // reject them ("unrecognized command-line option").
         for arg in &inv.args {
-            if let crate::invocation::Arg::Opt { token, value, .. } = arg {
-                if let Some(bad) = foreign_machine_flag(&self.isa, token, value.as_deref()) {
+            if let Arg::Opt {
+                token,
+                value,
+                category: OptionCategory::Machine,
+                ..
+            } = arg
+            {
+                let spelling = format!("-{token}{}", value.as_deref().unwrap_or(""));
+                if flag_isa(&spelling).is_some_and(|isa| isa != self.isa) {
                     return Err(CompileError::UnrecognizedOption {
-                        option: bad,
+                        option: spelling,
                         isa: self.isa.clone(),
                     });
                 }
@@ -387,12 +396,7 @@ impl SimCompiler {
             }
         }
 
-        // Target resolution.
-        let march = match inv.march() {
-            Some("native") => self.toolchain.native_march(&self.isa).to_string(),
-            Some(m) => m.to_string(),
-            None => self.toolchain.default_march(&self.isa).to_string(),
-        };
+        let march = effective_march(&self.toolchain, &self.isa, inv, None);
         let vw = vector_width(&self.isa, &march);
 
         // PGO.
@@ -810,15 +814,8 @@ pub fn recodegen(
             });
         }
     }
-    let march = match inv.march() {
-        Some("native") => toolchain.native_march(isa).to_string(),
-        Some(m) => m.to_string(),
-        None => obj
-            .target
-            .as_ref()
-            .map(|t| t.march.clone())
-            .unwrap_or_else(|| toolchain.default_march(isa).to_string()),
-    };
+    let recorded = obj.target.as_ref().map(|t| t.march.as_str());
+    let march = effective_march(toolchain, isa, inv, recorded);
     let opt_level = inv
         .opt_level()
         .unwrap_or_else(|| obj.opt.opt_level.clone());
@@ -853,35 +850,23 @@ fn opt_level_factor(level: &str) -> f64 {
     }
 }
 
-/// x86-only and arm-only machine options; returns the offending spelling
-/// when `token` does not exist on `isa`.
-fn foreign_machine_flag(isa: &str, token: &str, value: Option<&str>) -> Option<String> {
-    const X86_FLAGS: &[&str] = &["mavx2", "mavx512f", "msse4.2", "mfma", "m32", "m64"];
-    const X86_MARCH: &[&str] = &[
-        "x86-64", "x86-64-v3", "haswell", "icelake-server", "skylake-avx512", "sapphirerapids",
-        "znver3", "znver4", "alderlake",
-    ];
-    const ARM_FLAGS: &[&str] = &["mfpu="];
-    const ARM_MARCH: &[&str] = &["armv8-a", "armv8.2-a", "ft2000plus", "a64fx"];
-
-    if matches!(token, "march=" | "mtune=" | "mcpu=") {
-        let v = value.unwrap_or("");
-        if v == "native" || v.is_empty() {
-            return None;
-        }
-        let foreign = match isa {
-            "aarch64" => X86_MARCH.contains(&v),
-            "x86_64" => ARM_MARCH.contains(&v),
-            _ => false,
-        };
-        return foreign.then(|| format!("-{token}{v}"));
+/// The `-march` a compile step generates code for: `native` is what the
+/// toolchain picks on the target system, and a command line without one
+/// keeps `recorded` (an IR object's own target), else the ISA's default.
+fn effective_march(
+    toolchain: &Toolchain,
+    isa: &str,
+    inv: &CompilerInvocation,
+    recorded: Option<&str>,
+) -> String {
+    match inv.march() {
+        Some("native") => toolchain.native_march(isa),
+        Some(m) => m,
+        None => recorded
+            .or_else(|| features::default_march(isa))
+            .unwrap_or_default(),
     }
-    let foreign = match isa {
-        "aarch64" => X86_FLAGS.contains(&token),
-        "x86_64" => ARM_FLAGS.contains(&token),
-        _ => false,
-    };
-    foreign.then(|| format!("-{token}"))
+    .to_string()
 }
 
 /// Library namespace from a file name: `libm.so.6` → `m`.

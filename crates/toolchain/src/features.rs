@@ -7,16 +7,22 @@
 //! feature sets they guarantee, plus `implied_by` / `conflicts_with` edges
 //! between individual feature flags.
 //!
-//! Two consumers:
+//! It is the repo's one machine vocabulary: no other module lists `-march`
+//! names or `-m` flag spellings. Its consumers:
 //!
 //! * [`arch_features`] / [`target_arch`] answer "what does `-march=X` (or a
 //!   declared deployment target) guarantee?" — used by the audit pass and by
-//!   the multi-ISA fan-out planned in ROADMAP item 3.
+//!   the multi-ISA fan-out.
 //! * [`fold_invocation`] performs the flow-sensitive left-to-right fold of a
 //!   parsed [`CompilerInvocation`]'s machine flags (`-march=`/`-mcpu=` reset
 //!   the base, `-m<feature>`/`-mno-<feature>` refine it, implications are
 //!   closed at every step) into a [`TargetConfig`] — the *effective* target
 //!   configuration of one compile step.
+//! * [`flag_isa`] names the ISA a flag spelling belongs to: the simulated
+//!   compiler rejects a foreign one, and the cross-ISA port, its
+//!   feasibility report and lint W004 drop or flag exactly those.
+//! * [`vector_width`] reads the codegen width of a `-march` from the table,
+//!   and [`ISAS`] is what a system side may be built for.
 
 use crate::invocation::{Arg, CompilerInvocation};
 use crate::options::OptionCategory;
@@ -96,49 +102,64 @@ const ARM_V8_2: &[&str] = &["neon", "lse", "fp16"];
 const ARM_V8_4: &[&str] = &["neon", "lse", "fp16", "dotprod"];
 
 /// One row of the architecture table: a `-march=` value (or deployment
-/// target name) and the features it guarantees.
+/// target name), the features it guarantees and the vector width the
+/// simulated codegen gives it.
 #[derive(Debug, Clone, Copy)]
 pub struct ArchEntry {
     pub name: &'static str,
     pub isa: &'static str,
     /// Guaranteed features, pre-closure ([`arch_features`] closes them).
     pub features: &'static [&'static str],
+    /// f64 SIMD lanes of code generated for this `-march` ([`vector_width`]).
+    /// A model value, not a hardware fact: it is baked into object bytes
+    /// and the paper-figure goldens, which is why `x86-64-v4`, `skylake`
+    /// and `neoverse-v1` read 2.
+    pub lanes: u32,
 }
 
+/// The two ISAs the table covers, in their canonical spelling.
+pub const ISAS: &[&str] = &["x86_64", "aarch64"];
+
 /// The architecture table. Micro-architecture levels first, then the CPU
-/// names the workload catalog and adapters actually emit.
+/// names the workload catalog and adapters actually emit. It is the one
+/// list of `-march` names: the compiler's foreign-flag rejection, the
+/// cross-ISA port, lint W004 and the vector width all read it.
 pub const ARCHES: &[ArchEntry] = &[
-    ArchEntry { name: "x86-64", isa: "x86_64", features: X86_V1 },
-    ArchEntry { name: "x86-64-v1", isa: "x86_64", features: X86_V1 },
-    ArchEntry { name: "x86-64-v2", isa: "x86_64", features: X86_V2 },
-    ArchEntry { name: "x86-64-v3", isa: "x86_64", features: X86_V3 },
-    ArchEntry { name: "x86-64-v4", isa: "x86_64", features: X86_V4 },
-    ArchEntry { name: "nehalem", isa: "x86_64", features: X86_V2 },
-    ArchEntry { name: "westmere", isa: "x86_64", features: X86_V2 },
-    ArchEntry { name: "haswell", isa: "x86_64", features: X86_V3 },
-    ArchEntry { name: "skylake", isa: "x86_64", features: X86_V3 },
-    ArchEntry { name: "znver3", isa: "x86_64", features: X86_V3 },
-    ArchEntry { name: "skylake-avx512", isa: "x86_64", features: X86_V4 },
-    ArchEntry { name: "icelake-server", isa: "x86_64", features: X86_V4 },
-    ArchEntry { name: "sapphirerapids", isa: "x86_64", features: X86_V4 },
-    ArchEntry { name: "znver4", isa: "x86_64", features: X86_V4 },
-    ArchEntry { name: "armv8-a", isa: "aarch64", features: ARM_V8 },
-    ArchEntry { name: "armv8.1-a", isa: "aarch64", features: ARM_V8_1 },
-    ArchEntry { name: "armv8.2-a", isa: "aarch64", features: ARM_V8_2 },
-    ArchEntry { name: "armv8.3-a", isa: "aarch64", features: ARM_V8_2 },
-    ArchEntry { name: "armv8.4-a", isa: "aarch64", features: ARM_V8_4 },
-    ArchEntry { name: "armv8.5-a", isa: "aarch64", features: ARM_V8_4 },
-    ArchEntry { name: "ft2000plus", isa: "aarch64", features: ARM_V8 },
-    ArchEntry { name: "neoverse-n1", isa: "aarch64", features: ARM_V8_2 },
+    ArchEntry { name: "x86-64", isa: "x86_64", features: X86_V1, lanes: 2 },
+    ArchEntry { name: "x86-64-v1", isa: "x86_64", features: X86_V1, lanes: 2 },
+    ArchEntry { name: "x86-64-v2", isa: "x86_64", features: X86_V2, lanes: 2 },
+    ArchEntry { name: "x86-64-v3", isa: "x86_64", features: X86_V3, lanes: 4 },
+    ArchEntry { name: "x86-64-v4", isa: "x86_64", features: X86_V4, lanes: 2 },
+    ArchEntry { name: "nehalem", isa: "x86_64", features: X86_V2, lanes: 2 },
+    ArchEntry { name: "westmere", isa: "x86_64", features: X86_V2, lanes: 2 },
+    ArchEntry { name: "haswell", isa: "x86_64", features: X86_V3, lanes: 4 },
+    ArchEntry { name: "skylake", isa: "x86_64", features: X86_V3, lanes: 2 },
+    ArchEntry { name: "znver3", isa: "x86_64", features: X86_V3, lanes: 4 },
+    ArchEntry { name: "alderlake", isa: "x86_64", features: X86_V3, lanes: 4 },
+    ArchEntry { name: "skylake-avx512", isa: "x86_64", features: X86_V4, lanes: 8 },
+    ArchEntry { name: "icelake-server", isa: "x86_64", features: X86_V4, lanes: 8 },
+    ArchEntry { name: "sapphirerapids", isa: "x86_64", features: X86_V4, lanes: 8 },
+    ArchEntry { name: "znver4", isa: "x86_64", features: X86_V4, lanes: 8 },
+    ArchEntry { name: "armv8-a", isa: "aarch64", features: ARM_V8, lanes: 2 },
+    ArchEntry { name: "armv8.1-a", isa: "aarch64", features: ARM_V8_1, lanes: 2 },
+    ArchEntry { name: "armv8.2-a", isa: "aarch64", features: ARM_V8_2, lanes: 2 },
+    ArchEntry { name: "armv8.3-a", isa: "aarch64", features: ARM_V8_2, lanes: 2 },
+    ArchEntry { name: "armv8.4-a", isa: "aarch64", features: ARM_V8_4, lanes: 2 },
+    ArchEntry { name: "armv8.5-a", isa: "aarch64", features: ARM_V8_4, lanes: 2 },
+    // The FT-2000+ vendor toolchain fills both ASIMD pipes.
+    ArchEntry { name: "ft2000plus", isa: "aarch64", features: ARM_V8, lanes: 3 },
+    ArchEntry { name: "neoverse-n1", isa: "aarch64", features: ARM_V8_2, lanes: 2 },
     ArchEntry {
         name: "a64fx",
         isa: "aarch64",
         features: &["neon", "lse", "fp16", "sve"],
+        lanes: 8,
     },
     ArchEntry {
         name: "neoverse-v1",
         isa: "aarch64",
         features: &["neon", "lse", "fp16", "dotprod", "sve"],
+        lanes: 2,
     },
 ];
 
@@ -287,6 +308,46 @@ pub fn flag_feature(token: &str) -> Option<(&'static str, bool)> {
         None => (body, true),
     };
     feature_info(name).map(|info| (info.name, enable))
+}
+
+/// The ISA an argv spelling (`-march=haswell`, `-mavx2`, `-mno-sve`)
+/// exists on. `-march=` / `-mtune=` / `-mcpu=` values map through
+/// [`ARCHES`], `-m<feature>` / `-mno-<feature>` through [`FEATURES`], and
+/// `-mfpu=` is ARM's. `None` for everything valid on either ISA
+/// (`native`, `generic`, `-O2`) and for names the table does not know.
+pub fn flag_isa(token: &str) -> Option<&'static str> {
+    let body = token.strip_prefix('-')?;
+    if let Some(value) = ["march=", "mtune=", "mcpu="]
+        .iter()
+        .find_map(|p| body.strip_prefix(p))
+    {
+        let base = value.split('+').next().unwrap_or(value);
+        return ARCHES.iter().find(|e| e.name == base).map(|e| e.isa);
+    }
+    if body.starts_with("mfpu=") {
+        return Some("aarch64");
+    }
+    flag_feature(body).and_then(|(feature, _)| feature_isa(feature))
+}
+
+/// Effective SIMD width in f64 lanes for `-march=<march>` on `isa`: the
+/// row's [`ArchEntry::lanes`]; 2 for a name the table lacks on a known
+/// ISA, 1 on any other ISA.
+pub fn vector_width(isa: &str, march: &str) -> u32 {
+    match ARCHES.iter().find(|e| e.isa == isa && e.name == march) {
+        Some(entry) => entry.lanes,
+        None if ISAS.contains(&isa) => 2,
+        None => 1,
+    }
+}
+
+/// Whether a `-march` value names a concrete CPU of the table, as opposed
+/// to a generic level (`x86-64-v3`, an `armv8.x-a` tier).
+pub fn is_cpu_name(march: &str) -> bool {
+    let base = march.split('+').next().unwrap_or(march);
+    ARCHES.iter().any(|e| e.name == base)
+        && !base.starts_with("x86-64")
+        && !base.starts_with("armv8")
 }
 
 /// One explicit feature toggle seen while folding an invocation.
@@ -661,5 +722,61 @@ mod tests {
         assert!(v2.contains("abi32") && v2.contains("abi64"));
         let arm = arch_features("aarch64", "armv8-a").unwrap();
         assert!(!arm.contains("abi32"));
+    }
+
+    /// Every row's lanes, as the simulated codegen has always given them:
+    /// they are in object bytes and goldens, quirks included.
+    #[test]
+    fn vector_widths() {
+        for entry in ARCHES {
+            let want = match entry.name {
+                "x86-64-v3" | "haswell" | "znver3" | "alderlake" => 4,
+                "skylake-avx512" | "icelake-server" | "sapphirerapids" | "znver4" | "a64fx" => 8,
+                "ft2000plus" => 3,
+                _ => 2,
+            };
+            assert_eq!(entry.lanes, want, "{}", entry.name);
+            assert_eq!(vector_width(entry.isa, entry.name), want, "{}", entry.name);
+        }
+        for (isa, march) in [
+            ("x86_64", "x86-64-v4"),
+            ("x86_64", "skylake"),
+            ("aarch64", "neoverse-v1"),
+        ] {
+            assert_eq!(vector_width(isa, march), 2, "{march}");
+        }
+        // Looked up by exact (isa, name): a foreign or suffixed name falls
+        // back to 2 on a known ISA, and any name to 1 elsewhere.
+        assert_eq!(vector_width("aarch64", "icelake-server"), 2);
+        assert_eq!(vector_width("aarch64", "a64fx+sve"), 2);
+        assert_eq!(vector_width("riscv64", "x86-64-v3"), 1);
+    }
+
+    #[test]
+    fn flag_isa_maps_spellings_through_the_table() {
+        assert_eq!(flag_isa("-march=x86-64-v3"), Some("x86_64"));
+        assert_eq!(flag_isa("-mtune=alderlake"), Some("x86_64"));
+        assert_eq!(flag_isa("-mcpu=armv8.2-a+sve"), Some("aarch64"));
+        assert_eq!(flag_isa("-mavx"), Some("x86_64"));
+        assert_eq!(flag_isa("-mno-sve"), Some("aarch64"));
+        assert_eq!(flag_isa("-m32"), Some("x86_64"));
+        assert_eq!(flag_isa("-mfpu=neon"), Some("aarch64"));
+        for everywhere in [
+            "-march=native",
+            "-mtune=generic",
+            "-march=quantum99",
+            "-O2",
+            "-mcmodel=large",
+            "mavx",
+        ] {
+            assert_eq!(flag_isa(everywhere), None, "{everywhere}");
+        }
+    }
+
+    #[test]
+    fn cpu_names_are_rows_that_are_not_levels() {
+        assert!(is_cpu_name("icelake-server") && is_cpu_name("a64fx+sve"));
+        assert!(!is_cpu_name("x86-64-v3") && !is_cpu_name("armv8.2-a"));
+        assert!(!is_cpu_name("tachyon9000") && !is_cpu_name("native"));
     }
 }

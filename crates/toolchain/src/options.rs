@@ -102,12 +102,8 @@ pub const OPTION_TABLE: &[OptionSpec] = &[
     OptionSpec { name: "mcpu=", shape: S::Joined, category: C::Machine },
     OptionSpec { name: "mabi=", shape: S::Joined, category: C::Machine },
     OptionSpec { name: "mfpu=", shape: S::Joined, category: C::Machine },
-    OptionSpec { name: "m32", shape: S::Flag, category: C::Machine },
-    OptionSpec { name: "m64", shape: S::Flag, category: C::Machine },
-    OptionSpec { name: "mavx2", shape: S::Flag, category: C::Machine },
-    OptionSpec { name: "mavx512f", shape: S::Flag, category: C::Machine },
-    OptionSpec { name: "msse4.2", shape: S::Flag, category: C::Machine },
-    OptionSpec { name: "mfma", shape: S::Flag, category: C::Machine },
+    // `-m<feature>` flags (`-mavx2`, `-m32`) take the `-m` prefix rule: the
+    // feature matrix (`features`) is their one list.
     // Preprocessor.
     OptionSpec { name: "D", shape: S::JoinedOrSeparate, category: C::Preprocessor },
     OptionSpec { name: "U", shape: S::JoinedOrSeparate, category: C::Preprocessor },
@@ -276,16 +272,6 @@ pub const OPTION_TABLE: &[OptionSpec] = &[
     OptionSpec { name: "fopt-info-vec=", shape: S::Joined, category: C::Other },
     OptionSpec { name: "frecord-gcc-switches", shape: S::Flag, category: C::Other },
     // Machine fine-tuning (-m family).
-    OptionSpec { name: "msse2", shape: S::Flag, category: C::Machine },
-    OptionSpec { name: "msse3", shape: S::Flag, category: C::Machine },
-    OptionSpec { name: "mssse3", shape: S::Flag, category: C::Machine },
-    OptionSpec { name: "msse4.1", shape: S::Flag, category: C::Machine },
-    OptionSpec { name: "mavx", shape: S::Flag, category: C::Machine },
-    OptionSpec { name: "mavx512vl", shape: S::Flag, category: C::Machine },
-    OptionSpec { name: "mavx512bw", shape: S::Flag, category: C::Machine },
-    OptionSpec { name: "mavx512dq", shape: S::Flag, category: C::Machine },
-    OptionSpec { name: "mbmi2", shape: S::Flag, category: C::Machine },
-    OptionSpec { name: "mf16c", shape: S::Flag, category: C::Machine },
     OptionSpec { name: "mprefer-vector-width=", shape: S::Joined, category: C::Machine },
     OptionSpec { name: "mcmodel=", shape: S::Joined, category: C::Machine },
     OptionSpec { name: "mtls-dialect=", shape: S::Joined, category: C::Machine },
@@ -482,6 +468,18 @@ mod tests {
         assert_eq!(lookup("fstrict-aliasing").unwrap().0.category, C::Codegen);
         assert_eq!(lookup("mbranch-protection").unwrap().0.category, C::Machine);
         assert_eq!(lookup("Wshadow").unwrap().0.category, C::Warning);
+    }
+
+    #[test]
+    fn machine_feature_flags_take_the_m_rule() {
+        for token in ["m32", "m64", "mavx2", "msse4.2", "mno-avx", "msve"] {
+            let (spec, split) = lookup(token).unwrap();
+            assert_eq!(
+                (spec.shape, spec.category, split),
+                (S::Flag, C::Machine, None),
+                "{token}"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Toolchain personalities.
 //!
-//! A [`Toolchain`] bundles the program names it answers to, per-ISA default
-//! and native `-march` values, and a codegen-quality factor used by the
+//! A [`Toolchain`] bundles the program names it answers to, the `-march`
+//! that `native` resolves to per ISA, and a codegen-quality factor used by the
 //! performance model. The quality ordering encodes the paper's observation
 //! that the x86 distro toolchain is "more mature" (its defaults already
 //! resemble LTO/PGO output) while the AArch64 system benefits more from the
@@ -96,14 +96,6 @@ impl Toolchain {
         }
     }
 
-    /// Default `-march` when none is given.
-    pub fn default_march(&self, isa: &str) -> &'static str {
-        match isa {
-            "aarch64" => "armv8-a",
-            _ => "x86-64",
-        }
-    }
-
     /// What `-march=native` resolves to on the named ISA's target machine.
     pub fn native_march(&self, isa: &str) -> &'static str {
         match isa {
@@ -159,29 +151,6 @@ impl Language {
     }
 }
 
-/// Effective SIMD width in f64 lanes for a `-march` value.
-pub fn vector_width(isa: &str, march: &str) -> u32 {
-    match isa {
-        "x86_64" => match march {
-            // AVX-512 targets.
-            "icelake-server" | "skylake-avx512" | "sapphirerapids" | "znver4" => 8,
-            // AVX2 targets.
-            "haswell" | "x86-64-v3" | "znver3" | "alderlake" => 4,
-            // Baseline SSE2.
-            _ => 2,
-        },
-        "aarch64" => match march {
-            // SVE parts are wider still.
-            "a64fx" => 8,
-            // The FT-2000+ vendor toolchain actually fills both ASIMD
-            // pipes; generic armv8-a codegen does not.
-            "ft2000plus" => 3,
-            _ => 2,
-        },
-        _ => 1,
-    }
-}
-
 fn strv(v: &[&str]) -> Vec<String> {
     v.iter().map(|s| s.to_string()).collect()
 }
@@ -223,15 +192,5 @@ mod tests {
     fn vendor_single_isa() {
         assert_eq!(Toolchain::vendor_x86().supported_isas, vec!["x86_64"]);
         assert_eq!(Toolchain::vendor_for("aarch64").kind, ToolchainKind::VendorArm);
-    }
-
-    #[test]
-    fn vector_widths() {
-        assert_eq!(vector_width("x86_64", "x86-64"), 2);
-        assert_eq!(vector_width("x86_64", "haswell"), 4);
-        assert_eq!(vector_width("x86_64", "icelake-server"), 8);
-        assert_eq!(vector_width("aarch64", "armv8-a"), 2);
-        assert_eq!(vector_width("aarch64", "ft2000plus"), 3);
-        assert_eq!(vector_width("aarch64", "a64fx"), 8);
     }
 }

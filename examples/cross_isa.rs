@@ -13,6 +13,7 @@ use comtainer_suite::core::crossisa::{analyze_cross, port_containerfile, xbuild_
 use comtainer_suite::core::{comtainer_rebuild, comtainer_redirect, RebuildOptions, SystemSide};
 use comtainer_suite::buildsys::Containerfile;
 use comtainer_suite::pkg::catalog;
+use comtainer_suite::toolchain::features::flag_isa;
 use comt_workloads::containerfile;
 
 fn main() {
@@ -66,7 +67,8 @@ fn main() {
     // trace (the ported build script).
     let mut cache2 = comtainer_suite::core::load_cache(&art.oci, "minife.dist+coM").unwrap();
     for cmd in &mut cache2.trace.commands {
-        cmd.argv.retain(|t| t != "-mavx2" && t != "-mfma" && t != "-msse4.2");
+        cmd.argv
+            .retain(|t| flag_isa(t).is_none_or(|isa| isa == "aarch64"));
     }
     let artifacts =
         comtainer_suite::core::rebuild_artifacts(&cache2, &arm_side, &RebuildOptions::default())

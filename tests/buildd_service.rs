@@ -194,6 +194,21 @@ fn concurrent_tenants_share_cache_over_the_wire() {
         assert!(msg.contains("[A-Za-z0-9._-]{1,64}"), "{tenant:?}: {msg}");
     }
     assert!(client.list(Some("a")).unwrap().is_empty());
+
+    // So is an ISA outside the matrix's two tags, aliases included, and
+    // before any admission audit: nothing queues, no side is built for it.
+    for isa in ["riscv64", "arm64"] {
+        let mut spec = JobSpec::new("dave", EXT_REF);
+        spec.isa = isa.to_string();
+        spec.targets = vec!["x86-64-v2".to_string()];
+        let msg = client.submit(&spec).unwrap_err().to_string();
+        assert!(msg.contains("400"), "{isa:?}: {msg}");
+        assert!(
+            msg.contains("expected one of x86_64, aarch64"),
+            "{isa:?}: {msg}"
+        );
+    }
+    assert!(client.list(Some("dave")).unwrap().is_empty());
     assert_eq!(client.list(None).unwrap().len(), 5);
 
     let svc = server.shutdown();

@@ -9,7 +9,8 @@ use comtainer_suite::perfsim::{execute_with_deck, systems::system_for, LibEnv};
 use comtainer_suite::toolchain::artifact::{
     BinKind, KernelParams, LinkedBinary, OptProvenance, TargetInfo,
 };
-use comtainer_suite::toolchain::{toolchains::vector_width, Toolchain};
+use comtainer_suite::toolchain::features::{default_march, vector_width};
+use comtainer_suite::toolchain::Toolchain;
 use comt_workloads::{app, deck, workloads};
 
 /// Construct the binary a given scheme would produce for a workload.
@@ -27,7 +28,7 @@ fn scheme_binary(app_name: &str, isa: &str, native: bool) -> LinkedBinary {
     let march = if native {
         tc.native_march(isa).to_string()
     } else {
-        tc.default_march(isa).to_string()
+        default_march(isa).unwrap().to_string()
     };
     let quality = tc.codegen_quality * if native { 1.07 } else { 1.0 }; // O3 vs O2
     let mut libs: Vec<String> = spec.libs.iter().map(|l| l.to_string()).collect();
