@@ -51,27 +51,6 @@ pub fn improvement_pct(old: f64, new: f64) -> f64 {
     (old / new - 1.0) * 100.0
 }
 
-/// Machine-readable experiment output (`BENCH_*.json`): a named benchmark
-/// with one object per measured configuration, so successive runs record a
-/// perf trajectory that tooling can diff.
-pub fn json_report(bench: &str, rows: Vec<serde::Value>) -> String {
-    let doc = serde::Value::Object(vec![
-        ("bench".to_string(), serde::Value::Str(bench.to_string())),
-        ("results".to_string(), serde::Value::Array(rows)),
-    ]);
-    serde_json::to_string_pretty(&doc).expect("bench report serializes")
-}
-
-/// Build one JSON result row from `(key, value)` pairs.
-pub fn json_row(fields: Vec<(&str, serde::Value)>) -> serde::Value {
-    serde::Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -44,23 +44,6 @@ impl BitWriter {
         self.put_bits(rev, n);
     }
 
-    /// Zero-pad to the next byte boundary (no-op when already aligned).
-    /// Needed for stored-block payloads and sync-flush joins, which are
-    /// byte-aligned by specification (RFC 1951 §3.2.4).
-    pub fn align_byte(&mut self) {
-        if self.nbits > 0 {
-            self.out.push((self.acc & 0xff) as u8);
-            self.acc = 0;
-            self.nbits = 0;
-        }
-    }
-
-    /// Append whole bytes. The writer must be byte-aligned.
-    pub fn put_aligned_bytes(&mut self, data: &[u8]) {
-        debug_assert_eq!(self.nbits, 0, "put_aligned_bytes on unaligned writer");
-        self.out.extend_from_slice(data);
-    }
-
     /// Flush the final partial byte (zero-padded) and return the stream.
     pub fn finish(mut self) -> Vec<u8> {
         if self.nbits > 0 {
@@ -111,6 +94,12 @@ impl<'a> BitReader<'a> {
         self.acc >>= n;
         self.nbits -= n;
         Ok(v)
+    }
+
+    /// Input bytes consumed so far, counting a partly read byte as used.
+    /// Whole bytes fetched into the accumulator but not yet read are not.
+    pub fn bytes_used(&self) -> usize {
+        self.pos - (self.nbits / 8) as usize
     }
 
     /// Read a single bit.

@@ -28,77 +28,6 @@ pub fn crc32(data: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-// ---- crc32_combine (zlib's GF(2) matrix trick) ---------------------------
-//
-// CRC-32 is linear over GF(2): appending `len2` zero bytes to a message
-// multiplies its CRC register by a fixed matrix. So the CRC of `A ‖ B` can
-// be computed from crc(A), crc(B) and |B| alone — which is what lets each
-// compression worker hash only its own block and the trailer still carry
-// the whole-stream CRC.
-
-/// Multiply a GF(2) 32×32 matrix by a vector.
-fn gf2_matrix_times(mat: &[u32; 32], mut vec: u32) -> u32 {
-    let mut sum = 0u32;
-    let mut i = 0;
-    while vec != 0 {
-        if vec & 1 != 0 {
-            sum ^= mat[i];
-        }
-        vec >>= 1;
-        i += 1;
-    }
-    sum
-}
-
-/// Square a GF(2) 32×32 matrix.
-fn gf2_matrix_square(square: &mut [u32; 32], mat: &[u32; 32]) {
-    for n in 0..32 {
-        square[n] = gf2_matrix_times(mat, mat[n]);
-    }
-}
-
-/// CRC-32 of the concatenation `A ‖ B`, given `crc1 = crc32(A)`,
-/// `crc2 = crc32(B)` and `len2 = B.len()`.
-pub fn crc32_combine(crc1: u32, crc2: u32, mut len2: u64) -> u32 {
-    if len2 == 0 {
-        return crc1;
-    }
-    // Operator for one zero bit: the reflected polynomial shift.
-    let mut odd = [0u32; 32];
-    odd[0] = 0xEDB8_8320;
-    let mut row = 1u32;
-    for entry in odd.iter_mut().skip(1) {
-        *entry = row;
-        row <<= 1;
-    }
-    let mut even = [0u32; 32];
-    // even = operator for two zero bits, odd = for four, alternating.
-    gf2_matrix_square(&mut even, &odd);
-    gf2_matrix_square(&mut odd, &even);
-
-    let mut crc1 = crc1;
-    loop {
-        // Apply len2 zero *bytes* to crc1, one bit of len2 at a time.
-        gf2_matrix_square(&mut even, &odd);
-        if len2 & 1 != 0 {
-            crc1 = gf2_matrix_times(&even, crc1);
-        }
-        len2 >>= 1;
-        if len2 == 0 {
-            break;
-        }
-        gf2_matrix_square(&mut odd, &even);
-        if len2 & 1 != 0 {
-            crc1 = gf2_matrix_times(&odd, crc1);
-        }
-        len2 >>= 1;
-        if len2 == 0 {
-            break;
-        }
-    }
-    crc1 ^ crc2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,37 +46,5 @@ mod tests {
         let a = crc32(b"payload");
         let b = crc32(b"paylobd");
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn combine_matches_concatenation() {
-        let a = b"123456789";
-        let b = b"The quick brown fox jumps over the lazy dog";
-        let mut joined = a.to_vec();
-        joined.extend_from_slice(b);
-        assert_eq!(
-            crc32_combine(crc32(a), crc32(b), b.len() as u64),
-            crc32(&joined)
-        );
-    }
-
-    #[test]
-    fn combine_identities() {
-        let c = crc32(b"block");
-        // Appending nothing is the identity.
-        assert_eq!(crc32_combine(c, crc32(b""), 0), c);
-        // Prepending nothing yields the second CRC.
-        assert_eq!(crc32_combine(crc32(b""), c, 5), c);
-    }
-
-    #[test]
-    fn combine_folds_many_blocks() {
-        // Fold block CRCs exactly as the parallel gzip trailer does.
-        let data: Vec<u8> = (0u32..100_000).map(|i| (i % 251) as u8).collect();
-        let mut combined = 0u32;
-        for chunk in data.chunks(7777) {
-            combined = crc32_combine(combined, crc32(chunk), chunk.len() as u64);
-        }
-        assert_eq!(combined, crc32(&data));
     }
 }

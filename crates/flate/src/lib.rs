@@ -9,19 +9,19 @@
 //!   incompressible input,
 //! * [`inflate`] — a full decompressor handling stored, fixed-Huffman and
 //!   dynamic-Huffman blocks (so foreign gzip streams decode too),
-//! * [`gzip`] / [`gunzip`] — the RFC 1952 wrapper with CRC-32 integrity,
-//! * [`gzip_parallel`] / [`GzipEncoder`] — block-parallel gzip (pigz-style)
-//!   whose output is bit-identical for any worker count, built on
-//!   [`crc32_combine`] and sync-flush block joins.
+//! * [`gzip`] / [`gunzip`] — the RFC 1952 wrapper with CRC-32 integrity.
+//!   `gzip` is the one encoder: a compressed layer is `gzip(&tar)`, a pure
+//!   function of the tar, so its digest never depends on the host.
+//!   `gunzip` reads one member and refuses what RFC 1952 says a
+//!   decompressor must refuse (reserved flag bits) and any byte between
+//!   the end of the deflate stream and the trailer.
 
 mod bits;
 mod crc32;
 mod huffman;
 mod lz77;
-mod parallel;
 
-pub use crc32::{crc32, crc32_combine};
-pub use parallel::{default_workers, gzip_parallel, GzipEncoder, DEFAULT_BLOCK_SIZE};
+pub use crc32::crc32;
 
 use bits::{BitReader, BitWriter};
 use huffman::HuffmanDecoder;
@@ -156,8 +156,15 @@ pub fn deflate(data: &[u8]) -> Vec<u8> {
     fixed
 }
 
-/// Decompress a raw DEFLATE stream.
+/// Decompress a raw DEFLATE stream. Bytes after the final block are
+/// ignored.
 pub fn inflate(data: &[u8]) -> Result<Vec<u8>, FlateError> {
+    inflate_counted(data).map(|(out, _)| out)
+}
+
+/// [`inflate`], also returning how many input bytes the stream used: up to
+/// and including the byte that holds the final block's last bit.
+fn inflate_counted(data: &[u8]) -> Result<(Vec<u8>, usize), FlateError> {
     let mut r = BitReader::new(data);
     let mut out = Vec::new();
     loop {
@@ -186,7 +193,7 @@ pub fn inflate(data: &[u8]) -> Result<Vec<u8>, FlateError> {
             break;
         }
     }
-    Ok(out)
+    Ok((out, r.bytes_used()))
 }
 
 /// Decode one Huffman-coded block body.
@@ -293,15 +300,17 @@ pub fn gzip(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decompress a gzip member, verifying CRC-32 and length.
+/// Decompress one gzip member, verifying CRC-32 and length. The deflate
+/// stream must end exactly where the 8-byte trailer starts.
 pub fn gunzip(data: &[u8]) -> Result<Vec<u8>, FlateError> {
     if data.len() < 18 {
         return Err(FlateError::UnexpectedEof);
     }
-    if data[0] != 0x1f || data[1] != 0x8b || data[2] != 8 {
+    let flg = data[3];
+    // FLG bits 5..7 are reserved and must be zero (RFC 1952 §2.3.1.2).
+    if data[0] != 0x1f || data[1] != 0x8b || data[2] != 8 || flg & 0xE0 != 0 {
         return Err(FlateError::BadHeader);
     }
-    let flg = data[3];
     let mut pos = 10usize;
     if flg & 0x04 != 0 {
         // FEXTRA
@@ -327,7 +336,17 @@ pub fn gunzip(data: &[u8]) -> Result<Vec<u8>, FlateError> {
         return Err(FlateError::UnexpectedEof);
     }
     let body = &data[pos..data.len() - 8];
-    let out = inflate(body)?;
+    let (out, used) = inflate_counted(body)?;
+    if used != body.len() {
+        // What follows the stream is not the trailer: a second member (one
+        // member is all this decoder reads) or stray bytes.
+        let next_magic = data.get(pos + used + 8..pos + used + 10);
+        return Err(FlateError::Corrupt(if next_magic == Some(&[0x1f, 0x8b]) {
+            "a second gzip member follows the first"
+        } else {
+            "bytes between the deflate stream and the gzip trailer"
+        }));
+    }
     let crc_expected = u32::from_le_bytes(data[data.len() - 8..data.len() - 4].try_into().unwrap());
     let isize = u32::from_le_bytes(data[data.len() - 4..].try_into().unwrap());
     if crc32(&out) != crc_expected || out.len() as u32 != isize {
@@ -434,6 +453,47 @@ mod tests {
         gz.extend_from_slice(&crc32(data).to_le_bytes());
         gz.extend_from_slice(&(data.len() as u32).to_le_bytes());
         assert_eq!(gunzip(&gz).unwrap(), data);
+    }
+
+    #[test]
+    fn gunzip_refuses_reserved_flag_bits() {
+        // RFC 1952 §2.3.1.2: a decompressor must report an error when a
+        // reserved FLG bit is set.
+        let gz = gzip(b"reserved flags");
+        for bit in [0x20u8, 0x40, 0x80] {
+            let mut bad = gz.clone();
+            bad[3] |= bit;
+            assert_eq!(
+                gunzip(&bad),
+                Err(FlateError::BadHeader),
+                "FLG bit {bit:#04x}"
+            );
+        }
+    }
+
+    #[test]
+    fn gunzip_requires_the_trailer_right_after_the_stream() {
+        let data = b"one member, one trailer".repeat(20);
+        let gz = gzip(&data);
+        let trailer = gz.len() - 8;
+        // Stray bytes between the final block and the trailer.
+        let mut padded = gz[..trailer].to_vec();
+        padded.extend_from_slice(b"junk");
+        padded.extend_from_slice(&gz[trailer..]);
+        assert_eq!(
+            gunzip(&padded),
+            Err(FlateError::Corrupt(
+                "bytes between the deflate stream and the gzip trailer"
+            ))
+        );
+        // Two members back to back: named, not a checksum mismatch.
+        let twice = [gz.clone(), gz].concat();
+        assert_eq!(
+            gunzip(&twice),
+            Err(FlateError::Corrupt(
+                "a second gzip member follows the first"
+            ))
+        );
     }
 
     #[test]

@@ -75,8 +75,8 @@ impl Image {
     }
 }
 
-/// A layer queued on the builder, encoded at commit time so serialization,
-/// hashing and compression run fused (and layers encode concurrently).
+/// A layer queued on the builder, encoded at commit time so serialization
+/// and hashing run fused (and layers encode concurrently).
 enum PendingLayer {
     /// Pre-serialized tar bytes.
     Tar(Bytes),
@@ -165,7 +165,7 @@ impl ImageBuilder {
 
     /// Add a layer computed as the diff between two filesystem states. The
     /// changeset's tar serialization is deferred to commit, where it fuses
-    /// with hashing and compression in a single streaming pass.
+    /// with the `diff_id` hash in a single streaming pass.
     pub fn with_layer_from_fs(mut self, from: &Vfs, to: &Vfs) -> Self {
         let entries = comt_vfs::diff_layers(from, to);
         self.new_layers
@@ -202,8 +202,8 @@ impl ImageBuilder {
     /// Write config + layers + manifest blobs and return the loaded image.
     ///
     /// Pending layers are independent, so they encode concurrently (one
-    /// fused serialize+hash+compress pass each); results land in the
-    /// manifest in the order the layers were added.
+    /// fused serialize+hash pass each, then gzip when compressing); results
+    /// land in the manifest in the order the layers were added.
     pub fn commit(mut self, store: &mut BlobStore) -> Result<Image, ImageError> {
         let pending = std::mem::take(&mut self.new_layers);
         let codec = LayerCodec::new(self.compress);
