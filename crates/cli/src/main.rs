@@ -40,7 +40,6 @@ use comt_dist::{
 };
 use comt_digest::Digest;
 use comt_oci::layout::OciDir;
-use comt_oci::spec::{Descriptor, MediaType};
 use comt_oci::DiskRegistry;
 use comt_toolchain::Toolchain;
 use serde_json::Value;
@@ -696,9 +695,7 @@ fn cmd_pull(dir: &str, r: &str, args: &[String]) -> Result<(), String> {
     let (digest, stats) = client
         .pull_image_with(name, reference, &mut oci.blobs, &opts)
         .map_err(|e| dist_failure("pull", r, e))?;
-    let size = oci.blobs.get(&digest).map(|b| b.len() as u64).unwrap_or(0);
-    oci.index
-        .set_ref(r, Descriptor::new(MediaType::ImageManifest, digest, size));
+    oci.tag(r, digest).map_err(|e| format!("pull {r}: {e}"))?;
     save_layout(&oci, dir)?;
     println!(
         "pulled {r} from {addr}: {} blob(s) moved, {} already present, {:.2} MiB",
@@ -978,14 +975,7 @@ mod tests {
             .with_layer_tar(bytes::Bytes::from_static(b"tarbits"), "test layer")
             .commit(&mut oci.blobs)
             .unwrap();
-        oci.index.set_ref(
-            "app.dist+coM",
-            Descriptor::new(
-                MediaType::ImageManifest,
-                image.manifest_digest,
-                oci.blobs.get(&image.manifest_digest).unwrap().len() as u64,
-            ),
-        );
+        oci.tag("app.dist+coM", image.manifest_digest).unwrap();
         oci.save(&dir).unwrap();
         let reg = DiskRegistry::open(&dir).unwrap();
         let key = comt_dist::tag_key("app.dist+coM", "latest");

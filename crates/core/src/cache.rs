@@ -27,7 +27,7 @@ use crate::{ComtError, Phase};
 use bytes::Bytes;
 use comt_buildsys::BuildTrace;
 use comt_oci::layout::OciDir;
-use comt_oci::spec::{Descriptor, MediaType};
+use comt_oci::ImageBuilder;
 use comt_tar::Entry;
 use comt_toolchain::{DigestMemo, HeldDigests};
 use std::collections::BTreeMap;
@@ -136,36 +136,21 @@ pub fn write_cache(
     trace: &BuildTrace,
     sources: &BTreeMap<String, Bytes>,
 ) -> Result<String, ComtError> {
-    let image = oci
-        .load_image(dist_ref)
-        .map_err(|e| ComtError::oci(e.to_string()))?;
-
-    let mut entries = Vec::new();
     let models_json =
         serde_json::to_vec_pretty(models).map_err(|e| ComtError::cache(e.to_string()))?;
-    entries.push(Entry::file(
-        format!("{CACHE_PREFIX}/models.json"),
-        models_json,
-        0o644,
-    ));
-    entries.push(Entry::file(
-        format!("{CACHE_PREFIX}/trace"),
-        trace.serialize().into_bytes(),
-        0o644,
-    ));
+    let mut entries = vec![
+        Entry::file(format!("{CACHE_PREFIX}/models.json"), models_json, 0o644),
+        Entry::file(format!("{CACHE_PREFIX}/trace"), trace.serialize(), 0o644),
+    ];
     for (path, content) in sources {
         entries.push(Entry::file(
             format!("{CACHE_PREFIX}/src{path}"),
-            content.to_vec(),
+            content.clone(),
             0o644,
         ));
     }
-    let layer_tar =
-        comt_tar::write_archive(&entries).map_err(|e| ComtError::cache(e.to_string()))?;
-
     let new_ref = Stage::Extended.of(dist_ref, None);
-    append_layer(oci, &image, layer_tar, &new_ref, "coMtainer-build cache layer")?;
-    Ok(new_ref)
+    commit_layer(oci, dist_ref, entries, new_ref, "coMtainer-build cache layer")
 }
 
 /// Append a rebuild layer to the extended image `<ref>+coM`, registering
@@ -180,70 +165,44 @@ pub fn write_rebuild(
     target: Option<&str>,
     artifacts: &BTreeMap<String, Bytes>,
 ) -> Result<String, ComtError> {
-    let image = oci
-        .load_image(extended_ref)
-        .map_err(|e| ComtError::oci(e.to_string()))?;
-    let mut entries = Vec::new();
-    for (path, content) in artifacts {
-        entries.push(Entry::file(
-            format!("{REBUILD_PREFIX}{path}"),
-            content.to_vec(),
-            0o755,
-        ));
-    }
-    let layer_tar =
-        comt_tar::write_archive(&entries).map_err(|e| ComtError::cache(e.to_string()))?;
+    let entries = artifacts
+        .iter()
+        .map(|(path, content)| {
+            Entry::file(format!("{REBUILD_PREFIX}{path}"), content.clone(), 0o755)
+        })
+        .collect();
     let base = parse_ref(extended_ref).map_or(extended_ref, |(base, ..)| base);
     let new_ref = Stage::Rebuilt.of(base, target);
     let note = match target {
         None => "coMtainer-rebuild layer".to_string(),
         Some(target) => format!("coMtainer-retarget layer ({target})"),
     };
-    append_layer(oci, &image, layer_tar, &new_ref, &note)?;
-    Ok(new_ref)
+    commit_layer(oci, extended_ref, entries, new_ref, &note)
 }
 
-/// Append one layer blob to an existing image's manifest under a new ref.
-fn append_layer(
+/// Commit the image at `base` plus one layer of `entries` through the OCI
+/// crate's one image writer, noted in the layer's history entry and the
+/// manifest's `comtainer.note`, and register it as `new_ref`, which it
+/// returns.
+fn commit_layer(
     oci: &mut OciDir,
-    image: &comt_oci::Image,
-    layer_tar: Vec<u8>,
-    new_ref: &str,
+    base: &str,
+    entries: Vec<Entry>,
+    new_ref: String,
     note: &str,
-) -> Result<(), ComtError> {
-    let size = layer_tar.len() as u64;
-    // The layer is stored uncompressed, so the blob digest `put` computes
-    // is the diff_id too: one hash of the tar, not two.
-    let digest = oci.blobs.put(Bytes::from(layer_tar));
-    let diff_id = digest.to_oci_string();
-
-    let mut manifest = image.manifest.clone();
-    manifest
-        .layers
-        .push(Descriptor::new(MediaType::LayerTar, digest, size));
-    manifest
-        .annotations
-        .insert("comtainer.note".to_string(), note.to_string());
-
-    let mut config = image.config.clone();
-    config.rootfs.diff_ids.push(diff_id);
-    config.history.push(comt_oci::spec::HistoryEntry {
-        created_by: note.to_string(),
-        empty_layer: false,
-    });
-    let cfg_json = serde_json::to_vec(&config).map_err(|e| ComtError::oci(e.to_string()))?;
-    let cfg_size = cfg_json.len() as u64;
-    let cfg_digest = oci.blobs.put(Bytes::from(cfg_json));
-    manifest.config = Descriptor::new(MediaType::ImageConfig, cfg_digest, cfg_size);
-
-    let man_json = serde_json::to_vec(&manifest).map_err(|e| ComtError::oci(e.to_string()))?;
-    let man_size = man_json.len() as u64;
-    let man_digest = oci.blobs.put(Bytes::from(man_json));
-    oci.index.set_ref(
-        new_ref,
-        Descriptor::new(MediaType::ImageManifest, man_digest, man_size),
-    );
-    Ok(())
+) -> Result<String, ComtError> {
+    let image = oci
+        .load_image(base)
+        .map_err(|e| ComtError::oci(e.to_string()))?;
+    let image = ImageBuilder::from_base(&oci.blobs, &image)
+        .map_err(|e| ComtError::oci(e.to_string()))?
+        .with_layer_entries(entries, note)
+        .with_annotation("comtainer.note", note)
+        .commit(&mut oci.blobs)
+        .map_err(|e| ComtError::cache(e.to_string()))?;
+    oci.tag(&new_ref, image.manifest_digest)
+        .map_err(|e| ComtError::oci(e.to_string()))?;
+    Ok(new_ref)
 }
 
 /// Load the cache layer contents from an extended image.
@@ -357,7 +316,7 @@ pub fn cache_layer_size(oci: &OciDir, extended_ref: &str) -> Result<u64, ComtErr
 mod tests {
     use super::*;
     use crate::models::{BuildGraph, ImageModel};
-    use comt_oci::{BlobStore, ImageBuilder};
+    use comt_oci::BlobStore;
     use comt_vfs::Vfs;
 
     fn dist_in_layout() -> OciDir {

@@ -137,19 +137,8 @@ pub fn redirect(
         .map_err(|e| ComtError::oci(e.to_string()).with_phase(Phase::Redirect))?;
 
     let new_ref = Stage::Redirected.of(base_ref, target);
-    let raw = oci.blobs.get(&image.manifest_digest).ok_or_else(|| {
-        ComtError::oci(format!(
-            "committed manifest {} missing from blob store",
-            image.manifest_digest
-        ))
-        .with_phase(Phase::Redirect)
-    })?;
-    let desc = comt_oci::spec::Descriptor::new(
-        comt_oci::spec::MediaType::ImageManifest,
-        image.manifest_digest,
-        raw.len() as u64,
-    );
-    oci.index.set_ref(&new_ref, desc);
+    oci.tag(&new_ref, image.manifest_digest)
+        .map_err(|e| ComtError::oci(e.to_string()).with_phase(Phase::Redirect))?;
     Ok(new_ref)
 }
 

@@ -15,7 +15,8 @@ pub struct HuffmanDecoder {
 
 impl HuffmanDecoder {
     /// Build from per-symbol code lengths (0 = unused). Returns `None` for
-    /// oversubscribed or (non-trivially) incomplete codes.
+    /// an oversubscribed code only: an incomplete code is built, and a code
+    /// word it leaves unassigned fails in [`HuffmanDecoder::decode`].
     pub fn from_lengths(lengths: &[u8]) -> Option<Self> {
         let mut counts = [0u16; MAX_BITS + 1];
         for &l in lengths {
@@ -141,15 +142,19 @@ mod tests {
 
     #[test]
     fn garbage_is_invalid_code() {
-        // A single-symbol code can't consume 15 one-bits.
+        // A complete code decodes any bits: "1" is symbol 1.
         let dec = HuffmanDecoder::from_lengths(&[1, 1]).unwrap();
         let bytes = [0xffu8; 4];
         let mut r = BitReader::new(&bytes);
-        // Always decodes symbol 1 (code "1"); never errors for this table.
         assert_eq!(dec.decode(&mut r).unwrap(), 1);
-        // But an incomplete deeper table can fail:
-        let deep = HuffmanDecoder::from_lengths(&[2, 2, 2]).unwrap(); // incomplete
+        // An incomplete code leaves "11" unassigned: one-bits match no code
+        // word of any length, so decode reads all 15 bits and fails.
+        let deep = HuffmanDecoder::from_lengths(&[2, 2, 2]).unwrap();
         let mut r2 = BitReader::new(&bytes);
-        assert!(deep.decode(&mut r2).is_err() || deep.decode(&mut r2).is_ok());
+        assert_eq!(
+            deep.decode(&mut r2),
+            Err(FlateError::Corrupt("invalid Huffman code"))
+        );
+        assert_eq!(r2.bytes_used(), 2);
     }
 }

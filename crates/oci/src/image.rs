@@ -1,9 +1,7 @@
 //! Image assembly and flattening.
 
 use crate::codec::{EncodedLayer, LayerCodec};
-use crate::spec::{
-    Descriptor, HistoryEntry, ImageConfig, ImageManifest, MediaType, RuntimeConfig,
-};
+use crate::spec::{Descriptor, HistoryEntry, ImageConfig, ImageManifest, MediaType};
 use crate::store::{BlobStore, Verified};
 use bytes::Bytes;
 use comt_digest::Digest;
@@ -98,14 +96,14 @@ impl PendingLayer {
 
 /// Builder assembling a new image into a [`BlobStore`].
 pub struct ImageBuilder {
-    arch: String,
+    /// The config to write, less the layers this builder adds: a base
+    /// image's (architecture, os, runtime, `diff_ids`, history) or a fresh
+    /// one.
+    config: ImageConfig,
     /// Existing layer descriptors inherited from a base image.
     layers: Vec<Descriptor>,
-    diff_ids: Vec<String>,
-    history: Vec<HistoryEntry>,
     /// Layers added by this builder (encoded and stored at commit).
     new_layers: Vec<(PendingLayer, String)>,
-    runtime: RuntimeConfig,
     annotations: BTreeMap<String, String>,
     /// Store new layers gzip-compressed (`tar+gzip` media type).
     compress: bool,
@@ -115,18 +113,17 @@ impl ImageBuilder {
     /// Start from an empty image.
     pub fn from_scratch(arch: &str) -> Self {
         ImageBuilder {
-            arch: arch.to_string(),
+            config: ImageConfig::new(arch),
             layers: Vec::new(),
-            diff_ids: Vec::new(),
-            history: Vec::new(),
             new_layers: Vec::new(),
-            runtime: RuntimeConfig::default(),
             annotations: BTreeMap::new(),
             compress: false,
         }
     }
 
-    /// Start from an existing base image (inherits layers, env, history).
+    /// Start from an existing base image: its layers, its whole config and
+    /// its manifest annotations carry over, so a builder that only adds
+    /// layers writes the base plus those layers.
     pub fn from_base(store: &BlobStore, base: &Image) -> Result<Self, ImageError> {
         // Ensure all base layers exist so commit cannot dangle.
         for l in &base.manifest.layers {
@@ -138,13 +135,10 @@ impl ImageBuilder {
             }
         }
         Ok(ImageBuilder {
-            arch: base.config.architecture.clone(),
+            config: base.config.clone(),
             layers: base.manifest.layers.clone(),
-            diff_ids: base.config.rootfs.diff_ids.clone(),
-            history: base.config.history.clone(),
             new_layers: Vec::new(),
-            runtime: base.config.config.clone(),
-            annotations: BTreeMap::new(),
+            annotations: base.manifest.annotations.clone(),
             compress: false,
         })
     }
@@ -163,34 +157,39 @@ impl ImageBuilder {
         self
     }
 
-    /// Add a layer computed as the diff between two filesystem states. The
-    /// changeset's tar serialization is deferred to commit, where it fuses
-    /// with the `diff_id` hash in a single streaming pass.
-    pub fn with_layer_from_fs(mut self, from: &Vfs, to: &Vfs) -> Self {
-        let entries = comt_vfs::diff_layers(from, to);
+    /// Add a changeset as the next layer. Its tar serialization is
+    /// deferred to commit, where it fuses with the `diff_id` hash in a
+    /// single streaming pass.
+    pub fn with_layer_entries(mut self, entries: Vec<Entry>, created_by: &str) -> Self {
         self.new_layers
-            .push((PendingLayer::Entries(entries), "layer-from-fs".to_string()));
+            .push((PendingLayer::Entries(entries), created_by.to_string()));
         self
     }
 
+    /// Add a layer computed as the diff between two filesystem states.
+    pub fn with_layer_from_fs(self, from: &Vfs, to: &Vfs) -> Self {
+        self.with_layer_entries(comt_vfs::diff_layers(from, to), "layer-from-fs")
+    }
+
     pub fn with_env(mut self, var: &str, value: &str) -> Self {
-        self.runtime.env.retain(|e| !e.starts_with(&format!("{var}=")));
-        self.runtime.env.push(format!("{var}={value}"));
+        let env = &mut self.config.config.env;
+        env.retain(|e| !e.starts_with(&format!("{var}=")));
+        env.push(format!("{var}={value}"));
         self
     }
 
     pub fn with_entrypoint(mut self, entrypoint: Vec<String>) -> Self {
-        self.runtime.entrypoint = entrypoint;
+        self.config.config.entrypoint = entrypoint;
         self
     }
 
     pub fn with_cmd(mut self, cmd: Vec<String>) -> Self {
-        self.runtime.cmd = cmd;
+        self.config.config.cmd = cmd;
         self
     }
 
     pub fn with_label(mut self, key: &str, value: &str) -> Self {
-        self.runtime.labels.insert(key.to_string(), value.to_string());
+        self.config.config.labels.insert(key.to_string(), value.to_string());
         self
     }
 
@@ -233,19 +232,15 @@ impl ImageBuilder {
             let size = enc.blob.len() as u64;
             let digest = store.admit(Verified::from_codec(enc.blob_digest, enc.blob));
             self.layers.push(Descriptor::new(enc.media_type, digest, size));
-            self.diff_ids.push(enc.diff_id.to_oci_string());
-            self.history.push(HistoryEntry {
+            self.config.rootfs.diff_ids.push(enc.diff_id.to_oci_string());
+            self.config.history.push(HistoryEntry {
                 created_by,
                 empty_layer: false,
             });
         }
 
-        let mut config = ImageConfig::new(&self.arch);
-        config.config = self.runtime;
-        config.rootfs.diff_ids = self.diff_ids;
-        config.history = self.history;
-        let cfg_json =
-            serde_json::to_vec(&config).map_err(|e| ImageError::CorruptJson(e.to_string()))?;
+        let cfg_json = serde_json::to_vec(&self.config)
+            .map_err(|e| ImageError::CorruptJson(e.to_string()))?;
         let cfg_size = cfg_json.len() as u64;
         let cfg_digest = store.put(Bytes::from(cfg_json));
 
@@ -263,7 +258,7 @@ impl ImageBuilder {
         Ok(Image {
             manifest_digest,
             manifest,
-            config,
+            config: self.config,
         })
     }
 }
@@ -393,6 +388,29 @@ mod tests {
         assert_eq!(app.config.config.env, vec!["PATH=/bin"]);
         assert_eq!(app.architecture(), "aarch64");
         assert_eq!(flatten(&store, &app).unwrap(), app_fs);
+    }
+
+    #[test]
+    fn from_base_keeps_the_base_os_and_annotations() {
+        let mut store = BlobStore::new();
+        let mut base = ImageBuilder::from_scratch("x86_64")
+            .with_layer_from_fs(&Vfs::new(), &fs_with(&[("/a", "1")]))
+            .with_annotation("site", "lab")
+            .with_annotation("note", "base")
+            .commit(&mut store)
+            .unwrap();
+        base.config.os = "freebsd".to_string();
+        let img = ImageBuilder::from_base(&store, &base)
+            .unwrap()
+            .with_layer_entries(vec![Entry::file("b", Bytes::from_static(b"2"), 0o644)], "b")
+            .with_annotation("note", "upper")
+            .commit(&mut store)
+            .unwrap();
+        assert_eq!(img.config.os, "freebsd");
+        assert_eq!(img.manifest.annotations["site"], "lab");
+        assert_eq!(img.manifest.annotations["note"], "upper");
+        assert_eq!(img.config.history.last().unwrap().created_by, "b");
+        assert_eq!(Image::load(&store, img.manifest_digest).unwrap(), img);
     }
 
     #[test]

@@ -276,8 +276,15 @@ impl Layout<BlobStore> {
                 return Err(StoreError::MissingBlob(d.to_string()));
             }
         }
-        let size = manifest.len() as u64;
-        let desc = Descriptor::new(MediaType::ImageManifest, manifest_digest, size);
+        self.tag(name, manifest_digest)
+    }
+
+    /// Point the ref `name` at a manifest this store holds — the one way an
+    /// in-memory layout gains a ref. The store holds only proofs, so the
+    /// manifest is not re-verified; a digest it lacks is refused.
+    pub fn tag(&mut self, name: &str, manifest: Digest) -> Result<(), StoreError> {
+        let size = self.blobs.require(&manifest)?.len() as u64;
+        let desc = Descriptor::new(MediaType::ImageManifest, manifest, size);
         self.index.set_ref(name, desc);
         Ok(())
     }
@@ -379,6 +386,22 @@ mod tests {
             dir.export("x", md, &store),
             Err(StoreError::MissingBlob(_))
         ));
+    }
+
+    #[test]
+    fn tag_names_a_held_manifest_and_refuses_an_absent_one() {
+        let mut dir = OciDir::new();
+        let md = tiny_image(&mut dir.blobs);
+        dir.tag("app.dist", md).unwrap();
+        let desc = dir.index.find_ref("app.dist").unwrap();
+        assert_eq!(desc.size, dir.blobs.get(&md).unwrap().len() as u64);
+        assert_eq!(dir.resolve("app.dist").unwrap(), md);
+        let absent = Digest::of(b"no such manifest");
+        assert!(matches!(
+            dir.tag("ghost", absent),
+            Err(StoreError::MissingBlob(_))
+        ));
+        assert!(dir.index.find_ref("ghost").is_none());
     }
 
     #[test]

@@ -16,7 +16,6 @@
 use bytes::Bytes;
 use comt_buildsys::{BuildTrace, RawCommand};
 use comt_oci::layout::OciDir;
-use comt_oci::spec::{Descriptor, HistoryEntry, MediaType};
 use comt_oci::{BlobStore, ImageBuilder};
 use comt_tar::Entry;
 use comt_vfs::Vfs;
@@ -178,40 +177,15 @@ fn whiteout_shadowing_replay_input_is_flagged() {
     let mut oci = extended_layout(true);
 
     // A downstream site appends a "cleanup" layer whiteing out /src/main.c
-    // — a path the recorded rebuild reads. Mirror the cache writer's
-    // append bookkeeping with the public OCI APIs.
+    // — a path the recorded rebuild reads — through the public OCI APIs.
     let image = oci.load_image("app.dist+coM").unwrap();
-    let tar = comt_tar::write_archive(&[Entry::file(
-        "src/.wh.main.c".to_string(),
-        Vec::new(),
-        0o644,
-    )])
-    .unwrap();
-    let diff_id = comt_digest::Digest::of(&tar).to_oci_string();
-    let size = tar.len() as u64;
-    let digest = oci.blobs.put(Bytes::from(tar));
-
-    let mut manifest = image.manifest.clone();
-    manifest
-        .layers
-        .push(Descriptor::new(MediaType::LayerTar, digest, size));
-    let mut config = image.config.clone();
-    config.rootfs.diff_ids.push(diff_id);
-    config.history.push(HistoryEntry {
-        created_by: "site cleanup".to_string(),
-        empty_layer: false,
-    });
-    let cfg_json = comt_oci::config_to_json(&config);
-    let cfg_size = cfg_json.len() as u64;
-    let cfg_digest = oci.blobs.put(Bytes::from(cfg_json));
-    manifest.config = Descriptor::new(MediaType::ImageConfig, cfg_digest, cfg_size);
-    let man_json = comt_oci::manifest_to_json(&manifest);
-    let man_size = man_json.len() as u64;
-    let man_digest = oci.blobs.put(Bytes::from(man_json));
-    oci.index.set_ref(
-        "app.dist+site",
-        Descriptor::new(MediaType::ImageManifest, man_digest, man_size),
-    );
+    let whiteout = Entry::file("src/.wh.main.c", Bytes::new(), 0o644);
+    let site = ImageBuilder::from_base(&oci.blobs, &image)
+        .unwrap()
+        .with_layer_entries(vec![whiteout], "site cleanup")
+        .commit(&mut oci.blobs)
+        .unwrap();
+    oci.tag("app.dist+site", site.manifest_digest).unwrap();
 
     let side = side();
     let report = comt_analyze::check_for_side(&oci, "app.dist+site", &side).unwrap();

@@ -9,7 +9,7 @@ use bytes::Bytes;
 use comt_bench::Lab;
 use comt_dist::{serve, split_ref, DistClient, PullOptions, ServerOptions};
 use comt_oci::layout::OciDir;
-use comt_oci::{flatten, Descriptor, ImageBuilder, MediaType, Registry};
+use comt_oci::{flatten, ImageBuilder, MediaType, Registry};
 use comtainer_suite::pkg::catalog;
 
 const GZ_REF: &str = "hpccg.site:gz";
@@ -73,10 +73,7 @@ fn compressed_layer_survives_chunked_push_and_delta_pull() {
         .pull_image_with(name, tag, &mut pulled.blobs, &opts)
         .unwrap();
     assert_eq!(got, md);
-    let size = pulled.blobs.get(&md).unwrap().len() as u64;
-    pulled
-        .index
-        .set_ref(GZ_REF, Descriptor::new(MediaType::ImageManifest, md, size));
+    pulled.tag(GZ_REF, md).unwrap();
 
     let pulled_image = pulled.load_image(GZ_REF).unwrap();
     assert_eq!(flatten(&pulled.blobs, &pulled_image).unwrap(), fs);

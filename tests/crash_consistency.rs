@@ -6,7 +6,6 @@ use bytes::Bytes;
 use comt_dist::{serve, tag_key, DistClient, ServerOptions};
 use comtainer_suite::oci::fsck::{fsck, FsckOptions};
 use comtainer_suite::oci::layout::OciDir;
-use comtainer_suite::oci::spec::{Descriptor, MediaType};
 use comtainer_suite::oci::store::{closure_digests, BlobStore};
 use comtainer_suite::oci::{DiskRegistry, DiskStore, ImageBuilder, StoreError};
 use comt_digest::Digest;
@@ -28,11 +27,7 @@ fn published_layout(dir: &std::path::Path) -> (Digest, BTreeMap<Digest, Bytes>) 
         .with_layer_tar(Bytes::from_static(b"config layer tar bytes"), "layer two")
         .commit(&mut oci.blobs)
         .unwrap();
-    let size = oci.blobs.get(&image.manifest_digest).unwrap().len() as u64;
-    oci.index.set_ref(
-        "app.dist",
-        Descriptor::new(MediaType::ImageManifest, image.manifest_digest, size),
-    );
+    oci.tag("app.dist", image.manifest_digest).unwrap();
     oci.save(dir).unwrap();
     let blobs = oci
         .blobs
