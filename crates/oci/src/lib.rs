@@ -53,12 +53,6 @@ pub fn manifest_to_json(m: &spec::ImageManifest) -> Vec<u8> {
     serde_json::to_vec(m).expect("manifest serializes")
 }
 
-/// Serialize an image config to JSON bytes (companion to
-/// [`manifest_to_json`], for the same hand-crafting use cases).
-pub fn config_to_json(c: &spec::ImageConfig) -> Vec<u8> {
-    serde_json::to_vec(c).expect("config serializes")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
