@@ -56,6 +56,8 @@ pub fn analyze_mode(
     inputs: &AnalysisInputs<'_>,
     mode: crate::models::CacheMode,
 ) -> Result<Analysis, ComtError> {
+    let obs = comt_observe::global();
+    let graph_span = obs.span("frontend.graph");
     // 1. Build graph from the trace.
     let mut graph = BuildGraph::new();
     for cmd in &inputs.trace.commands {
@@ -131,6 +133,9 @@ pub fn analyze_mode(
         .iter()
         .filter_map(|(_, build_path)| graph.by_path(build_path).map(|n| n.id))
         .collect();
+    drop(graph_span);
+
+    let _span = obs.span("frontend.cache_files");
     let mut cache_files: BTreeMap<String, Bytes> = BTreeMap::new();
     match mode {
         crate::models::CacheMode::Source => {

@@ -41,6 +41,8 @@
 //! * **Stock images** ([`images`]) — the `Base`, `Env`, `Sysenv` and
 //!   `Rebase` images that anchor the workflow.
 
+#![forbid(unsafe_code)]
+
 pub mod adapters;
 pub mod backend;
 pub mod cache;

@@ -157,6 +157,7 @@ pub fn comtainer_build_mode(
         },
         mode,
     )?;
+    let _span = comt_observe::global().span("cache.write");
     write_cache(oci, dist_ref, &analysis.models, trace, &analysis.cache_files)
 }
 

@@ -14,7 +14,9 @@
 //!   huge layers stream from disk instead of monopolizing the cache.
 //! * **Verify-on-admit.** The loader's bytes are hashed against the
 //!   digest key before becoming visible; a poisoned disk blob is rejected
-//!   (and counted), never cached, never served.
+//!   (and counted), never cached, never served. A caller that already
+//!   holds this process's proof for the digest (the daemon admitted the
+//!   blob itself) loads without the re-hash.
 //! * **Single-flight loads.** Concurrent misses on one digest coalesce:
 //!   one caller runs the loader, the rest block on a condvar and share
 //!   the result. A thousand first-touch pullers cost one disk read.
@@ -145,12 +147,15 @@ impl HotBlobCache {
 
     /// Look up `d`, or load it with `loader` under single-flight: however
     /// many callers race here, the loader runs once and its verified bytes
-    /// are shared. The loaded content is hashed against `d` before
-    /// admission or return (verify-on-admit) — a loader that produces
-    /// corrupt bytes yields `DigestMismatch` for every waiter.
+    /// are shared. Unless `proven` — the caller holds this process's own
+    /// proof that the stored bytes hash to `d` — the loaded content is
+    /// hashed against `d` before admission or return (verify-on-admit): a
+    /// loader that produces corrupt bytes yields `DigestMismatch` for every
+    /// waiter.
     pub fn get_or_load(
         &self,
         d: &Digest,
+        proven: bool,
         loader: impl FnOnce() -> Result<Bytes, StoreError>,
     ) -> Result<Bytes, StoreError> {
         if let Some(b) = self.get(d) {
@@ -198,6 +203,9 @@ impl HotBlobCache {
             }
             // Leader: run the loader outside every lock.
             let result = loader().and_then(|data| {
+                if proven {
+                    return Ok(data);
+                }
                 Verified::check(*d, data)
                     .map(Verified::into_bytes)
                     .inspect_err(|_| comt_observe::global().count("dist.cache.rejected", 1))
@@ -260,12 +268,12 @@ mod tests {
         assert_eq!(cache.max_entry(), 1000);
         let blobs: Vec<_> = (0..5).map(|i| blob(i as u8, 900)).collect();
         for (d, b) in blobs.iter().take(4) {
-            cache.get_or_load(d, || Ok(b.clone())).unwrap();
+            cache.get_or_load(d, false, || Ok(b.clone())).unwrap();
         }
         // Touch blob 0 so blob 1 becomes the LRU victim.
         assert!(cache.get(&blobs[0].0).is_some());
         cache
-            .get_or_load(&blobs[4].0, || Ok(blobs[4].1.clone()))
+            .get_or_load(&blobs[4].0, false, || Ok(blobs[4].1.clone()))
             .unwrap();
         let stats = cache.stats();
         assert_eq!(stats.entries, 4);
@@ -281,13 +289,13 @@ mod tests {
         let cache = HotBlobCache::new(4000);
         let (d, b) = blob(7, 2000); // > max_entry (1000)
         assert!(!cache.admits(b.len() as u64));
-        let got = cache.get_or_load(&d, || Ok(b.clone())).unwrap();
+        let got = cache.get_or_load(&d, false, || Ok(b.clone())).unwrap();
         assert_eq!(got, b);
         assert_eq!(cache.stats().entries, 0, "oversized blob admitted");
         // Zero budget disables caching entirely.
         let off = HotBlobCache::new(0);
         assert!(!off.admits(1));
-        off.get_or_load(&d, || Ok(b.clone())).unwrap();
+        off.get_or_load(&d, false, || Ok(b.clone())).unwrap();
         assert_eq!(off.stats().entries, 0);
     }
 
@@ -296,7 +304,7 @@ mod tests {
         let cache = HotBlobCache::new(1 << 20);
         let (d, _) = blob(1, 512);
         let err = cache
-            .get_or_load(&d, || Ok(Bytes::from_static(b"bitrot")))
+            .get_or_load(&d, false, || Ok(Bytes::from_static(b"bitrot")))
             .unwrap_err();
         assert!(matches!(err, StoreError::DigestMismatch(_)));
         assert_eq!(cache.stats().entries, 0, "poisoned bytes cached");
@@ -316,7 +324,7 @@ mod tests {
                     let b = b.clone();
                     s.spawn(move || {
                         cache
-                            .get_or_load(&d, || {
+                            .get_or_load(&d, false, || {
                                 loads.fetch_add(1, Ordering::SeqCst);
                                 // Widen the race window so followers pile up.
                                 std::thread::sleep(std::time::Duration::from_millis(50));
@@ -339,11 +347,11 @@ mod tests {
         let cache = HotBlobCache::new(1 << 20);
         let (d, b) = blob(9, 256);
         let err = cache
-            .get_or_load(&d, || Err(StoreError::Io(std::io::Error::other("disk on fire"))))
+            .get_or_load(&d, false, || Err(StoreError::Io(std::io::Error::other("disk on fire"))))
             .unwrap_err();
         assert!(matches!(err, StoreError::Io(_)));
         // A later attempt with a healthy loader succeeds and caches.
-        assert_eq!(cache.get_or_load(&d, || Ok(b.clone())).unwrap(), b);
+        assert_eq!(cache.get_or_load(&d, false, || Ok(b.clone())).unwrap(), b);
         assert_eq!(cache.stats().entries, 1);
     }
 }

@@ -38,6 +38,7 @@ use crate::http::{serve_http, BodySource, HttpAction, HttpHandler, HttpOptions, 
 use crate::metrics::{report_response, with_process_counters};
 use crate::wire::{self, Request, Response};
 use crate::{tag_key, MEDIA_TYPE_MANIFEST};
+use bytes::Bytes;
 use comt_digest::Digest;
 use comt_oci::{BlobBackend, BlobHandle, Layout, Registry, StoreError, Verified};
 use std::collections::HashSet;
@@ -91,14 +92,41 @@ struct RegistryHandler<R> {
     /// cluster pulls is read and hashed once, then served as refcounted
     /// [`bytes::Bytes`] clones.
     cache: HotBlobCache,
-    /// Digests whose on-disk content has been stream-verified this
-    /// process lifetime — big blobs too large for the cache are checked
-    /// once, then served straight off the file (sendfile where the
-    /// poller has it) without re-hashing per GET.
+    /// Digests with a proof in this process: blobs, manifests and
+    /// chunkmaps this daemon wrote on a PUT it hashed, and stored blobs
+    /// stream-verified once. A digest in the set is served without a
+    /// re-hash — big blobs straight off the file (sendfile where the
+    /// poller has it), small ones into the hot cache. Blobs a previous
+    /// process wrote are checked before their first serve.
     verified: Mutex<HashSet<Digest>>,
     chaos_budget: AtomicU32,
     chaos_after: usize,
     poison_budget: AtomicU32,
+}
+
+impl<R> RegistryHandler<R> {
+    fn proven(&self, digest: &Digest) -> bool {
+        self.verified
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .contains(digest)
+    }
+
+    fn prove(&self, digest: Digest) {
+        self.verified
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(digest);
+    }
+
+    /// The whole of a stored blob, manifest or chunkmap through the hot
+    /// cache: loaded once, and hashed on that load unless proven.
+    fn load_cached(&self, digest: &Digest, handle: &BlobHandle) -> Result<Bytes, StoreError> {
+        let proven = self.proven(digest);
+        let _span = (!proven).then(|| comt_observe::global().span("dist.server.verify"));
+        self.cache
+            .get_or_load(digest, proven, || handle.read_range(0, handle.len()))
+    }
 }
 
 impl<B: BlobBackend + Send + 'static> HttpHandler for RegistryHandler<Layout<B>> {
@@ -253,31 +281,22 @@ fn unservable(what: &str, e: impl std::fmt::Display) -> HttpAction {
     HttpAction::Respond(Response::new(500).with_body(format!("stored {what} unservable: {e}")))
 }
 
-/// Verify a blob too large for the cache — once per process lifetime.
-/// The content is hashed in bounded chunks straight off its handle; after
-/// the first clean check, GETs stream the file without re-hashing.
+/// Verify a blob too large for the cache — at most once per process
+/// lifetime, and not at all if this daemon admitted it. The content is
+/// hashed in bounded chunks straight off its handle; after the first clean
+/// check, GETs stream the file without re-hashing.
 fn ensure_streamed_verified<B: BlobBackend>(
     state: &RegistryHandler<Layout<B>>,
     digest: &Digest,
     handle: &BlobHandle,
 ) -> Result<(), HttpAction> {
-    if state
-        .verified
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .contains(digest)
-    {
+    if state.proven(digest) {
         return Ok(());
     }
-    let obs = comt_observe::global();
-    let _span = obs.span("dist.server.verify");
+    let _span = comt_observe::global().span("dist.server.verify");
     match handle.stream_verified(digest) {
         Ok(_) => {
-            state
-                .verified
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(*digest);
+            state.prove(*digest);
             Ok(())
         }
         Err(e) => Err(unservable("blob", e)),
@@ -302,7 +321,6 @@ fn blob_get<B: BlobBackend>(
     };
     let Some(handle) = handle else { return not_found() };
     let total = handle.len();
-    let obs = comt_observe::global();
     let range_header = req.header("range");
     let (start, end, status) = match wire::parse_range(range_header, total) {
         Some((s, e)) => (s, e, 206),
@@ -329,11 +347,11 @@ fn blob_get<B: BlobBackend>(
             },
         }
     } else if state.cache.admits(total) {
-        // Hot path: the LRU's single-flight loader reads + hashes the
-        // blob at most once per admission (verify-on-admit); every
-        // concurrent or later GET clones the refcounted bytes.
-        let _span = obs.span("dist.server.verify");
-        match state.cache.get_or_load(&digest, || handle.read_range(0, total)) {
+        // Hot path: the LRU's single-flight loader reads the blob at most
+        // once per admission, and hashes it then unless this process
+        // holds a proof (verify-on-admit); every concurrent or later GET
+        // clones the refcounted bytes.
+        match state.load_cached(&digest, &handle) {
             Ok(b) => BodySource::Bytes(b),
             Err(e) => return unservable("blob", e),
         }
@@ -462,9 +480,14 @@ fn blob_put<B: BlobBackend>(
         reg.blobs.insert(blob)
     };
     match put {
-        Ok(_) => HttpAction::Respond(
-            Response::new(201).with_header("Docker-Content-Digest", reference),
-        ),
+        Ok(written) => {
+            // Bytes this daemon hashed and wrote are served without a
+            // re-hash; a blob that was there already keeps its check.
+            if written {
+                state.prove(digest);
+            }
+            HttpAction::Respond(Response::new(201).with_header("Docker-Content-Digest", reference))
+        }
         Err(e) => registry_failure("store blob", e),
     }
 }
@@ -483,17 +506,12 @@ fn manifest_get<B: BlobBackend>(
         }
     };
     // Manifests ride the same digest-keyed LRU as blobs: verified once
-    // on admission, served as refcounted clones after (get_or_load still
-    // verifies when a manifest is over the admission bound).
-    let body = {
-        let _span = comt_observe::global().span("dist.server.verify");
-        match state
-            .cache
-            .get_or_load(&digest, || handle.read_range(0, handle.len()))
-        {
-            Ok(b) => b,
-            Err(e) => return unservable("manifest", e),
-        }
+    // on admission unless proven, served as refcounted clones after (a
+    // manifest over the admission bound is loaded, and checked unless
+    // proven, on every GET).
+    let body = match state.load_cached(&digest, &handle) {
+        Ok(b) => b,
+        Err(e) => return unservable("manifest", e),
     };
     HttpAction::RespondBody(
         Response::new(200)
@@ -517,12 +535,18 @@ fn manifest_put<B: BlobBackend>(
     let manifest = Verified::hash(&req.body[..]);
     let put = {
         let mut reg = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-        reg.publish_manifest(&key, manifest)
+        let fresh = reg.blobs.handle(&manifest.digest()).is_none();
+        reg.publish_manifest(&key, manifest).map(|d| (d, fresh))
     };
     match put {
-        Ok(digest) => HttpAction::Respond(
-            Response::new(201).with_header("Docker-Content-Digest", digest.to_oci_string()),
-        ),
+        Ok((digest, fresh)) => {
+            if fresh {
+                state.prove(digest);
+            }
+            HttpAction::Respond(
+                Response::new(201).with_header("Docker-Content-Digest", digest.to_oci_string()),
+            )
+        }
         Err(e) => {
             comt_observe::global().count("dist.server.rejected_manifests", 1);
             registry_failure("tag manifest", e)
@@ -555,15 +579,9 @@ fn chunkmap_get<B: BlobBackend>(
         obs.count("dist.server.chunkmap_misses", 1);
         return not_found();
     };
-    let body = {
-        let _span = obs.span("dist.server.verify");
-        match state
-            .cache
-            .get_or_load(&map_digest, || handle.read_range(0, handle.len()))
-        {
-            Ok(b) => b,
-            Err(e) => return unservable("chunkmap", e),
-        }
+    let body = match state.load_cached(&map_digest, &handle) {
+        Ok(b) => b,
+        Err(e) => return unservable("chunkmap", e),
     };
     obs.count("dist.server.chunkmap_hits", 1);
     HttpAction::RespondBody(
@@ -615,10 +633,14 @@ fn chunkmap_put<B: BlobBackend>(
             }
             Some(_) => {}
         }
-        reg.put_chunkmap(layer, proof)
+        let fresh = reg.blobs.handle(&proof.digest()).is_none();
+        reg.put_chunkmap(layer, proof).map(|d| (d, fresh))
     };
     match put {
-        Ok(map_digest) => {
+        Ok((map_digest, fresh)) => {
+            if fresh {
+                state.prove(map_digest);
+            }
             comt_observe::global().count("dist.server.chunkmaps_published", 1);
             HttpAction::Respond(
                 Response::new(201)

@@ -375,6 +375,57 @@ fn disk_backed_daemon_round_trips_and_survives_restart() {
 }
 
 #[test]
+fn disk_blob_corrupted_between_daemon_lifetimes_is_never_served() {
+    // A daemon serves what it admitted itself without re-hashing it; a
+    // blob a previous daemon wrote keeps its check. Corrupt the layer on
+    // disk between two lifetimes: the fresh daemon must refuse it on the
+    // hot-cache path (default budget) and on the stream path (no cache),
+    // and the client must admit nothing.
+    for (label, cache_bytes) in [("hot", ServerOptions::default().cache_bytes), ("stream", 0)] {
+        let mut local = BlobStore::new();
+        let md = sample_image(&mut local, format!("at-rest-{label}").as_bytes());
+        let layer = closure_digests(&local, &md).unwrap()[2];
+        let dir = disk_dir(&format!("at-rest-{label}"));
+        {
+            let reg = comt_oci::DiskRegistry::open(&dir).unwrap();
+            let server = serve(reg, "127.0.0.1:0", ServerOptions::default()).unwrap();
+            let client = DistClient::new(server.addr().to_string());
+            client.push_image("app", "v1", md, &local).unwrap();
+            drop(server.shutdown());
+        }
+
+        // Same length, one byte flipped: only a hash can tell.
+        let path = dir.join("blobs/sha256").join(layer.hex());
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[0] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let reg = comt_oci::DiskRegistry::open(&dir).unwrap();
+        let opts = ServerOptions {
+            cache_bytes,
+            ..Default::default()
+        };
+        let server = serve(reg, "127.0.0.1:0", opts).unwrap();
+        let client = DistClient::with_policy(
+            server.addr().to_string(),
+            RetryPolicy {
+                max_attempts: 2,
+                ..Default::default()
+            },
+        );
+        let mut dst = BlobStore::new();
+        let err = client.pull_image("app", "v1", &mut dst).unwrap_err();
+        assert!(
+            matches!(err, DistError::RetriesExhausted { .. }),
+            "{label}: {err}"
+        );
+        assert!(!dst.contains(&layer), "{label}: corrupt blob admitted");
+        drop(server.shutdown());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
 fn disk_backed_interrupted_push_is_fsck_clean_and_invisible() {
     // A push that dies after some blob PUTs but before the manifest PUT
     // models `kill -9` mid-publish: the layout keeps the durable blobs,

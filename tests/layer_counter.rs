@@ -80,6 +80,10 @@ fn every_layer_the_workflow_writes_is_encoded_by_the_codec() {
     let want = added(&load(&oci, &ext), Some(&load(&oci, &dist_ref)));
     assert_eq!(want, 1);
     assert_eq!(encoded, want, "extend ({ext})");
+    let report = comt_observe::global().report();
+    for span in ["frontend.graph", "frontend.cache_files", "cache.write"] {
+        assert!(report.span(span).count > 0, "extend recorded no {span} span");
+    }
 
     let side = lab.system_side();
     let opts = RebuildOptions::default();
