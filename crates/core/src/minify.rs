@@ -107,16 +107,6 @@ fn trim_bounds(line: &str) -> (usize, usize) {
     (start, end)
 }
 
-/// `s.trim_end()`, on bytes unless a non-ASCII byte ends what is left.
-fn trim_end(s: &str) -> &str {
-    let b = s.as_bytes();
-    match b.iter().rposition(|&c| !is_space(c)) {
-        Some(i) if b[i] >= 0x80 => s.trim_end(),
-        Some(i) => &s[..=i],
-        None => "",
-    }
-}
-
 /// Minify one source file by the rules in the module doc.
 pub fn minify_source(text: &str) -> String {
     let bytes = text.as_bytes();
@@ -151,7 +141,7 @@ pub fn minify_source(text: &str) -> String {
                 _ => {}
             }
             match slash {
-                Some(cut) => trim_end(&line[start..cut]),
+                Some(cut) => line[start..cut].trim_end(),
                 None => trimmed,
             }
         };
