@@ -21,8 +21,7 @@
 //!    ends the joined line early.
 //!
 //! Each line is scanned once: one word-at-a-time pass finds its end and
-//! its first `//` together, and a line with nothing to trim, no comment or
-//! `#` marker at its start and no `//` is copied as it is.
+//! its first `//` together.
 
 /// Code lines joined onto one output line.
 const BATCH: usize = 24;
@@ -73,27 +72,16 @@ fn is_space(b: u8) -> bool {
     matches!(b, b' ' | b'\t'..=b'\r')
 }
 
-/// Printable ASCII other than space.
-fn is_graphic(b: u8) -> bool {
-    (0x21..=0x7E).contains(&b)
-}
-
-/// A line that is its own minified form, `//` aside: it starts and ends
-/// with printable non-space ASCII, and not with a comment or `#` marker.
-fn is_plain(line: &[u8]) -> bool {
-    match (line.first(), line.last()) {
-        (Some(&first), Some(&last)) => {
-            is_graphic(first) && !matches!(first, b'/' | b'*' | b'!' | b'#') && is_graphic(last)
-        }
-        _ => false,
-    }
-}
-
-/// The bounds of `line.trim()` within `line`. ASCII edges are trimmed on
-/// bytes; where a non-ASCII byte sits at an edge, [`str::trim`] decides,
-/// because U+0085, U+00A0, U+3000 and others are whitespace too.
+/// The bounds of `line.trim()` within `line`. A line with printable
+/// non-space ASCII at both edges, most code lines, has nothing to trim.
+/// Other ASCII edges are trimmed on bytes; where a non-ASCII byte sits at
+/// an edge, [`str::trim`] decides, because U+0085, U+00A0, U+3000 and
+/// others are whitespace too.
 fn trim_bounds(line: &str) -> (usize, usize) {
     let b = line.as_bytes();
+    if b.first().is_some_and(u8::is_ascii_graphic) && b.last().is_some_and(u8::is_ascii_graphic) {
+        return (0, b.len());
+    }
     let start = b.iter().position(|&c| !is_space(c)).unwrap_or(b.len());
     let end = b
         .iter()
@@ -120,30 +108,26 @@ pub fn minify_source(text: &str) -> String {
         let (end, slash) = scan_line(bytes, at);
         let line = &text[at..end];
         at = end + 1;
-        let code = if slash.is_none() && is_plain(line.as_bytes()) {
-            line
-        } else {
-            let (start, stop) = trim_bounds(line);
-            let trimmed = &line[start..stop];
-            match trimmed.as_bytes() {
-                [] | [b'/', b'/' | b'*', ..] | [b'*', ..] => continue,
-                [b'!', b'=', ..] => {}
-                [b'!', ..] => continue,
-                [b'#', ..] => {
-                    if batch > 0 {
-                        out.push('\n');
-                        batch = 0;
-                    }
-                    out.push_str(trimmed);
+        let (start, stop) = trim_bounds(line);
+        let trimmed = &line[start..stop];
+        match trimmed.as_bytes() {
+            [] | [b'/', b'/' | b'*', ..] | [b'*', ..] => continue,
+            [b'!', b'=', ..] => {}
+            [b'!', ..] => continue,
+            [b'#', ..] => {
+                if batch > 0 {
                     out.push('\n');
-                    continue;
+                    batch = 0;
                 }
-                _ => {}
+                out.push_str(trimmed);
+                out.push('\n');
+                continue;
             }
-            match slash {
-                Some(cut) => line[start..cut].trim_end(),
-                None => trimmed,
-            }
+            _ => {}
+        }
+        let code = match slash {
+            Some(cut) => line[start..cut].trim_end(),
+            None => trimmed,
         };
         let Some(&tail) = code.as_bytes().last() else {
             continue;

@@ -535,12 +535,11 @@ fn manifest_put<B: BlobBackend>(
     let manifest = Verified::hash(&req.body[..]);
     let put = {
         let mut reg = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-        let fresh = reg.blobs.handle(&manifest.digest()).is_none();
-        reg.publish_manifest(&key, manifest).map(|d| (d, fresh))
+        reg.publish_manifest(&key, manifest)
     };
     match put {
-        Ok((digest, fresh)) => {
-            if fresh {
+        Ok((digest, written)) => {
+            if written {
                 state.prove(digest);
             }
             HttpAction::Respond(
@@ -633,12 +632,11 @@ fn chunkmap_put<B: BlobBackend>(
             }
             Some(_) => {}
         }
-        let fresh = reg.blobs.handle(&proof.digest()).is_none();
-        reg.put_chunkmap(layer, proof).map(|d| (d, fresh))
+        reg.put_chunkmap(layer, proof)
     };
     match put {
-        Ok((map_digest, fresh)) => {
-            if fresh {
+        Ok((map_digest, written)) => {
+            if written {
                 state.prove(map_digest);
             }
             comt_observe::global().count("dist.server.chunkmaps_published", 1);

@@ -89,12 +89,14 @@ impl<B: BlobBackend> Layout<B> {
     /// commit the manifest blob, then flip the tag table. A publish whose
     /// closure is missing or corrupt leaves no blob and no tag; a storage
     /// failure at any step leaves the previous tag table and every
-    /// previously committed blob untouched.
+    /// previously committed blob untouched. Returns the manifest's digest
+    /// and whether this call wrote its blob ([`BlobBackend::insert`]'s
+    /// answer).
     pub fn publish_manifest(
         &mut self,
         key: &str,
         manifest: Verified<'_>,
-    ) -> Result<Digest, StoreError> {
+    ) -> Result<(Digest, bool), StoreError> {
         let (digest, size) = (manifest.digest(), manifest.len() as u64);
         let closure = closure_of_manifest(manifest.as_slice(), &digest)?;
         {
@@ -105,11 +107,11 @@ impl<B: BlobBackend> Layout<B> {
                 self.committed(d)?.stream_verified(d)?;
             }
         }
-        self.blobs.insert(manifest)?;
+        let written = self.blobs.insert(manifest)?;
         let mut next = self.index.clone();
         next.set_ref(key, Descriptor::new(MediaType::ImageManifest, digest, size));
         self.flip(next)?;
-        Ok(digest)
+        Ok((digest, written))
     }
 
     /// Push a manifest (and its blob closure) from a local store under
@@ -127,15 +129,15 @@ impl<B: BlobBackend> Layout<B> {
     ) -> Result<usize, StoreError> {
         let manifest = Verified::check(manifest_digest, src.require(&manifest_digest)?)?;
         let closure = closure_of_manifest(manifest.as_slice(), &manifest_digest)?;
-        let mut moved = usize::from(self.blobs.handle(&manifest_digest).is_none());
+        let mut moved = 0;
         for d in &closure[1..] {
             if self.blobs.handle(d).is_none() {
                 self.blobs.insert(Verified::check(*d, src.require(d)?)?)?;
                 moved += 1;
             }
         }
-        self.publish_manifest(tag, manifest)?;
-        Ok(moved)
+        let (_, written) = self.publish_manifest(tag, manifest)?;
+        Ok(moved + usize::from(written))
     }
 
     /// Pull a tag's manifest closure into a local store, verifying every
@@ -165,19 +167,20 @@ impl<B: BlobBackend> Layout<B> {
     /// The layer blob must already be committed — a chunkmap for bytes the
     /// store does not hold could never serve a chunk GET. A failure between
     /// the two steps leaves an unreferenced blob for gc, never a torn
-    /// association.
+    /// association. Returns the map's digest and whether this call wrote
+    /// its blob, as [`Layout::publish_manifest`] does.
     pub fn put_chunkmap(
         &mut self,
         layer: Digest,
         map: Verified<'_>,
-    ) -> Result<Digest, StoreError> {
+    ) -> Result<(Digest, bool), StoreError> {
         self.committed(&layer)?;
         let (digest, size) = (map.digest(), map.len() as u64);
-        self.blobs.insert(map)?;
+        let written = self.blobs.insert(map)?;
         let mut next = self.index.clone();
         next.set_chunkmap(&layer, Descriptor::new(MediaType::Chunkmap, digest, size));
         self.flip(next)?;
-        Ok(digest)
+        Ok((digest, written))
     }
 
     /// Digests reachable from any index ref (the union of every tagged

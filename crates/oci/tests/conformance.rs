@@ -125,6 +125,7 @@ fn publish<B: BlobBackend + Send + 'static>(
     closure: &[Digest],
 ) -> Result<Digest, StoreError> {
     reg.publish_manifest(key, Verified::hash(src.get(&closure[0]).unwrap()))
+        .map(|(d, _)| d)
 }
 
 fn holds<B: BlobBackend + Send + 'static>(reg: &Layout<B>, d: &Digest) -> bool {
@@ -231,8 +232,16 @@ fn bare_ref_names_answer_to_latest<B: Fixture>() {
     let (src, closure) = image(&[b"layer"]);
     let mut reg = B::fresh("latest");
     upload(&mut reg, &src, &closure);
-    publish(&mut reg, "app.dist+coM", &src, &closure).unwrap();
-    publish(&mut reg, "app:v1", &src, &closure).unwrap();
+    // Both tags name one manifest blob: only the first publish writes it.
+    let manifest = || Verified::hash(src.get(&closure[0]).unwrap());
+    assert_eq!(
+        reg.publish_manifest("app.dist+coM", manifest()).unwrap(),
+        (closure[0], true)
+    );
+    assert_eq!(
+        reg.publish_manifest("app:v1", manifest()).unwrap(),
+        (closure[0], false)
+    );
     assert_eq!(reg.resolve("app.dist+coM").unwrap(), closure[0]);
     assert_eq!(reg.resolve("app.dist+coM:latest").unwrap(), closure[0]);
     assert_eq!(reg.resolve("app:v1").unwrap(), closure[0]);
@@ -253,9 +262,15 @@ fn chunkmap_lifetime_is_slaved_to_its_layer<B: Fixture>() {
     publish(&mut reg, "app:1", &src, &closure).unwrap();
 
     let map = comt_chunk::ChunkMap::build(&src.get(&layer).unwrap(), Default::default()).unwrap();
-    let map_digest = reg
+    let (map_digest, written) = reg
         .put_chunkmap(layer, Verified::hash(map.to_json()))
         .unwrap();
+    assert!(written, "a first put writes the map");
+    assert_eq!(
+        reg.put_chunkmap(layer, Verified::hash(map.to_json())).unwrap(),
+        (map_digest, false),
+        "a map the store holds is not written again"
+    );
     assert_eq!(reg.chunkmap_for(&layer), Some(map_digest));
     assert!(holds(&reg, &map_digest));
 
