@@ -14,9 +14,9 @@
 //!   huge layers stream from disk instead of monopolizing the cache.
 //! * **Verify-on-admit.** The loader's bytes are hashed against the
 //!   digest key before becoming visible; a poisoned disk blob is rejected
-//!   (and counted), never cached, never served. A caller that already
-//!   holds this process's proof for the digest (the daemon admitted the
-//!   blob itself) loads without the re-hash.
+//!   (and counted), never cached, never served. A caller whose store
+//!   holds a proof for the digest (the store wrote the blob itself)
+//!   loads without the re-hash.
 //! * **Single-flight loads.** Concurrent misses on one digest coalesce:
 //!   one caller runs the loader, the rest block on a condvar and share
 //!   the result. A thousand first-touch pullers cost one disk read.
@@ -147,7 +147,7 @@ impl HotBlobCache {
 
     /// Look up `d`, or load it with `loader` under single-flight: however
     /// many callers race here, the loader runs once and its verified bytes
-    /// are shared. Unless `proven` — the caller holds this process's own
+    /// are shared. Unless `proven` — the caller's store holds its own
     /// proof that the stored bytes hash to `d` — the loaded content is
     /// hashed against `d` before admission or return (verify-on-admit): a
     /// loader that produces corrupt bytes yields `DigestMismatch` for every

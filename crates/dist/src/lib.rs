@@ -28,7 +28,8 @@
 //!
 //! Uploads never become visible until the body's digest matches its
 //! address; manifest tags never become visible until the whole closure is
-//! present and bit-verified. The client keeps partial downloads across
+//! present and bit-verified — hashed at publish, or proven by the store
+//! that wrote it. The client keeps partial downloads across
 //! dropped connections and continues with `Range` requests, wrapping every
 //! operation in bounded exponential-backoff retries.
 

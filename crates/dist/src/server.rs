@@ -30,8 +30,18 @@
 //! disk backend: write-to-temp → fsync → atomic rename, straight from the
 //! request buffer). A connection killed mid-upload discards the stage; a
 //! digest mismatch is a 400 and nothing becomes visible. Manifest PUTs
-//! verify the *entire closure* (bytes, not just presence) before the tag
-//! appears, so a pull can never observe a half-pushed image.
+//! check the *entire closure* before the tag appears — presence, and the
+//! bytes of every member the store holds no proof for — so a pull can
+//! never observe a half-pushed image.
+//!
+//! ## Proofs
+//!
+//! The daemon keeps no digest set of its own: whether a stored blob needs
+//! a hash before it is served is the store's answer
+//! ([`BlobBackend::proven`]), read in the same lock scope that fetches its
+//! handle. A blob the store wrote on a PUT is served without a re-hash on
+//! both serve paths; an over-cap blob stream-verified once is recorded
+//! with [`BlobBackend::prove`].
 
 use crate::hotcache::HotBlobCache;
 use crate::http::{serve_http, BodySource, HttpAction, HttpHandler, HttpOptions, HttpServer};
@@ -41,7 +51,6 @@ use crate::{tag_key, MEDIA_TYPE_MANIFEST};
 use bytes::Bytes;
 use comt_digest::Digest;
 use comt_oci::{BlobBackend, BlobHandle, Layout, Registry, StoreError, Verified};
-use std::collections::HashSet;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -92,37 +101,27 @@ struct RegistryHandler<R> {
     /// cluster pulls is read and hashed once, then served as refcounted
     /// [`bytes::Bytes`] clones.
     cache: HotBlobCache,
-    /// Digests with a proof in this process: blobs, manifests and
-    /// chunkmaps this daemon wrote on a PUT it hashed, and stored blobs
-    /// stream-verified once. A digest in the set is served without a
-    /// re-hash — big blobs straight off the file (sendfile where the
-    /// poller has it), small ones into the hot cache. Blobs a previous
-    /// process wrote are checked before their first serve.
-    verified: Mutex<HashSet<Digest>>,
     chaos_budget: AtomicU32,
     chaos_after: usize,
     poison_budget: AtomicU32,
 }
 
+/// A stored blob's handle and whether the store proves it, read under the
+/// caller's registry lock.
+fn held<B: BlobBackend>(reg: &Layout<B>, digest: &Digest) -> Option<(BlobHandle, bool)> {
+    let handle = reg.blobs.handle(digest)?;
+    Some((handle, reg.blobs.proven(digest)))
+}
+
 impl<R> RegistryHandler<R> {
-    fn proven(&self, digest: &Digest) -> bool {
-        self.verified
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains(digest)
-    }
-
-    fn prove(&self, digest: Digest) {
-        self.verified
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(digest);
-    }
-
     /// The whole of a stored blob, manifest or chunkmap through the hot
-    /// cache: loaded once, and hashed on that load unless proven.
-    fn load_cached(&self, digest: &Digest, handle: &BlobHandle) -> Result<Bytes, StoreError> {
-        let proven = self.proven(digest);
+    /// cache: loaded once, and hashed on that load unless `proven`.
+    fn load_cached(
+        &self,
+        digest: &Digest,
+        handle: &BlobHandle,
+        proven: bool,
+    ) -> Result<Bytes, StoreError> {
         let _span = (!proven).then(|| comt_observe::global().span("dist.server.verify"));
         self.cache
             .get_or_load(digest, proven, || handle.read_range(0, handle.len()))
@@ -165,7 +164,6 @@ pub fn serve<B: BlobBackend + Send + 'static>(
     let state = Arc::new(RegistryHandler {
         registry: Mutex::new(registry),
         cache: HotBlobCache::new(opts.cache_bytes),
-        verified: Mutex::new(HashSet::new()),
         chaos_budget: AtomicU32::new(opts.chaos.map_or(0, |c| c.truncate_blob_gets)),
         chaos_after: opts.chaos.map_or(0, |c| c.truncate_after),
         poison_budget: AtomicU32::new(opts.chaos.map_or(0, |c| c.poison_range_gets)),
@@ -281,22 +279,27 @@ fn unservable(what: &str, e: impl std::fmt::Display) -> HttpAction {
     HttpAction::Respond(Response::new(500).with_body(format!("stored {what} unservable: {e}")))
 }
 
-/// Verify a blob too large for the cache — at most once per process
-/// lifetime, and not at all if this daemon admitted it. The content is
-/// hashed in bounded chunks straight off its handle; after the first clean
-/// check, GETs stream the file without re-hashing.
+/// Verify a blob too large for the cache unless the store proves it. The
+/// content is hashed in bounded chunks straight off its handle, off the
+/// registry lock; a clean check is recorded in the store, so later GETs
+/// stream the file without re-hashing.
 fn ensure_streamed_verified<B: BlobBackend>(
     state: &RegistryHandler<Layout<B>>,
     digest: &Digest,
     handle: &BlobHandle,
+    proven: bool,
 ) -> Result<(), HttpAction> {
-    if state.proven(digest) {
+    if proven {
         return Ok(());
     }
-    let _span = comt_observe::global().span("dist.server.verify");
-    match handle.stream_verified(digest) {
+    let checked = {
+        let _span = comt_observe::global().span("dist.server.verify");
+        handle.stream_verified(digest)
+    };
+    match checked {
         Ok(_) => {
-            state.prove(*digest);
+            let mut reg = state.registry.lock().unwrap_or_else(|e| e.into_inner());
+            reg.blobs.prove(digest);
             Ok(())
         }
         Err(e) => Err(unservable("blob", e)),
@@ -313,13 +316,14 @@ fn blob_get<B: BlobBackend>(
         Ok(d) => d,
         Err(a) => return a,
     };
-    // Move a cheap handle out and release the lock before the expensive
-    // part (file read for disk backends, hashing for all of them).
-    let handle = {
+    // Move a cheap handle (and the store's proof) out and release the
+    // lock before the expensive part (file read for disk backends, hashing
+    // for all of them).
+    let found = {
         let reg = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-        reg.blobs.handle(&digest)
+        held(&reg, &digest)
     };
-    let Some(handle) = handle else { return not_found() };
+    let Some((handle, proven)) = found else { return not_found() };
     let total = handle.len();
     let range_header = req.header("range");
     let (start, end, status) = match wire::parse_range(range_header, total) {
@@ -348,17 +352,17 @@ fn blob_get<B: BlobBackend>(
         }
     } else if state.cache.admits(total) {
         // Hot path: the LRU's single-flight loader reads the blob at most
-        // once per admission, and hashes it then unless this process
-        // holds a proof (verify-on-admit); every concurrent or later GET
+        // once per admission, and hashes it then unless the store holds a
+        // proof (verify-on-admit); every concurrent or later GET
         // clones the refcounted bytes.
-        match state.load_cached(&digest, &handle) {
+        match state.load_cached(&digest, &handle, proven) {
             Ok(b) => BodySource::Bytes(b),
             Err(e) => return unservable("blob", e),
         }
     } else {
         // Too big to cache: stream off the store in bounded chunks
         // (sendfile or a bounded copy — the body never transits a Vec).
-        if let Err(a) = ensure_streamed_verified(state, &digest, &handle) {
+        if let Err(a) = ensure_streamed_verified(state, &digest, &handle, proven) {
             return a;
         }
         match &handle {
@@ -434,16 +438,17 @@ fn blob_get<B: BlobBackend>(
 fn stats_response<B: BlobBackend>(state: &RegistryHandler<Layout<B>>) -> HttpAction {
     let mut report = with_process_counters(comt_observe::global().report());
     let cache = state.cache.stats();
-    let verified = state
-        .verified
+    let proofs = state
+        .registry
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .len();
+        .blobs
+        .proof_count();
     for (name, gauge) in [
         ("dist.cache.entries", cache.entries),
         ("dist.cache.bytes", cache.bytes),
         ("dist.cache.budget", cache.budget),
-        ("dist.server.stream_verified", verified as u64),
+        ("dist.server.stream_verified", proofs as u64),
     ] {
         report.counters.insert(name.into(), gauge);
     }
@@ -480,12 +485,9 @@ fn blob_put<B: BlobBackend>(
         reg.blobs.insert(blob)
     };
     match put {
-        Ok(written) => {
-            // Bytes this daemon hashed and wrote are served without a
-            // re-hash; a blob that was there already keeps its check.
-            if written {
-                state.prove(digest);
-            }
+        // The store keeps the proof of a blob it writes here; one that was
+        // there already keeps its check.
+        Ok(_) => {
             HttpAction::Respond(Response::new(201).with_header("Docker-Content-Digest", reference))
         }
         Err(e) => registry_failure("store blob", e),
@@ -498,9 +500,9 @@ fn manifest_get<B: BlobBackend>(
     state: &RegistryHandler<Layout<B>>,
 ) -> HttpAction {
     let key = tag_key(name, reference);
-    let (digest, handle) = {
+    let (digest, (handle, proven)) = {
         let reg = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-        match reg.resolve(&key).ok().and_then(|d| Some((d, reg.blobs.handle(&d)?))) {
+        match reg.resolve(&key).ok().and_then(|d| Some((d, held(&reg, &d)?))) {
             Some(found) => found,
             None => return not_found(),
         }
@@ -509,7 +511,7 @@ fn manifest_get<B: BlobBackend>(
     // on admission unless proven, served as refcounted clones after (a
     // manifest over the admission bound is loaded, and checked unless
     // proven, on every GET).
-    let body = match state.load_cached(&digest, &handle) {
+    let body = match state.load_cached(&digest, &handle, proven) {
         Ok(b) => b,
         Err(e) => return unservable("manifest", e),
     };
@@ -528,20 +530,18 @@ fn manifest_put<B: BlobBackend>(
     state: &RegistryHandler<Layout<B>>,
 ) -> HttpAction {
     let key = tag_key(name, reference);
-    // Staged publish: the backend verifies closure completeness + content
-    // before the tag appears (and, for disk backends, commits the manifest
-    // blob and the new tag table durably). A half-pushed image can never
-    // be pulled, and a rejected publish leaves no trace.
+    // Staged publish: the backend checks closure completeness, and the
+    // content of every member it holds no proof for, before the tag
+    // appears (and, for disk backends, commits the manifest blob and the
+    // new tag table durably). A half-pushed image can never be pulled, and
+    // a rejected publish leaves no trace.
     let manifest = Verified::hash(&req.body[..]);
     let put = {
         let mut reg = state.registry.lock().unwrap_or_else(|e| e.into_inner());
         reg.publish_manifest(&key, manifest)
     };
     match put {
-        Ok((digest, written)) => {
-            if written {
-                state.prove(digest);
-            }
+        Ok((digest, _)) => {
             HttpAction::Respond(
                 Response::new(201).with_header("Docker-Content-Digest", digest.to_oci_string()),
             )
@@ -572,13 +572,13 @@ fn chunkmap_get<B: BlobBackend>(
     let found = {
         let reg = state.registry.lock().unwrap_or_else(|e| e.into_inner());
         reg.chunkmap_for(&layer)
-            .and_then(|md| reg.blobs.handle(&md).map(|h| (md, h)))
+            .and_then(|md| Some((md, held(&reg, &md)?)))
     };
-    let Some((map_digest, handle)) = found else {
+    let Some((map_digest, (handle, proven))) = found else {
         obs.count("dist.server.chunkmap_misses", 1);
         return not_found();
     };
-    let body = match state.load_cached(&map_digest, &handle) {
+    let body = match state.load_cached(&map_digest, &handle, proven) {
         Ok(b) => b,
         Err(e) => return unservable("chunkmap", e),
     };
@@ -635,10 +635,7 @@ fn chunkmap_put<B: BlobBackend>(
         reg.put_chunkmap(layer, proof)
     };
     match put {
-        Ok((map_digest, written)) => {
-            if written {
-                state.prove(map_digest);
-            }
+        Ok((map_digest, _)) => {
             comt_observe::global().count("dist.server.chunkmaps_published", 1);
             HttpAction::Respond(
                 Response::new(201)

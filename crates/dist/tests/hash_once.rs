@@ -1,7 +1,8 @@
 //! Hash-once, pinned by the production counter (`digest.bytes_hashed`):
 //! `save` re-hashes nothing, `load` hashes the closure exactly once, and a
 //! chunked push hashes each byte only where a trust boundary or a chunk
-//! digest needs it.
+//! digest needs it — a publish re-hashes none of the blobs the daemon
+//! admitted.
 //!
 //! This file holds exactly one `#[test]`: the counter is process-global
 //! and the tests of one binary run in parallel, so a second test here
@@ -100,8 +101,9 @@ fn save_hashes_nothing_load_hashes_once_and_a_chunked_push_keeps_its_budget() {
     let uploaded: BTreeSet<Digest> = closures.iter().flat_map(|c| c[1..].to_vec()).collect();
     let shared: BTreeSet<Digest> = closures[0][2..].iter().copied().collect();
     let map_len = |l: &Digest| parent_maps[l].len() as u64;
+    // Publish hashes nothing: every closure member is a blob this daemon
+    // admitted, and the store proves what it wrote.
     let budget = uploaded.iter().map(size).sum::<u64>() // admission of each upload
-        + closures.iter().flat_map(|c| &c[1..]).map(size).sum::<u64>() // publish, per ref
         + parent_maps.keys().map(size).sum::<u64>() // chunk digests, per fresh layer
         + refs.iter().map(|(_, md)| 2 * size(md)).sum::<u64>() // manifest: client + daemon
         + parent_maps.keys().map(map_len).sum::<u64>() // each map PUT, hashed on arrival

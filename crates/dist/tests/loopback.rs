@@ -426,6 +426,59 @@ fn disk_blob_corrupted_between_daemon_lifetimes_is_never_served() {
 }
 
 #[test]
+fn disk_blob_corrupted_between_daemon_lifetimes_is_refused_at_publish() {
+    // A store publishes on its own proofs, and a fresh daemon has none for
+    // what a previous one wrote. Land the config and layer, close the
+    // registry, rot the layer at rest: the next daemon's publish must
+    // re-hash it and refuse, although HEAD told the client it was there.
+    let mut local = BlobStore::new();
+    let md = sample_image(&mut local, b"at-rest-publish");
+    let closure = closure_digests(&local, &md).unwrap();
+    let layer = closure[2];
+    let dir = disk_dir("at-rest-publish");
+    {
+        let reg = comt_oci::DiskRegistry::open(&dir).unwrap();
+        let server = serve(reg, "127.0.0.1:0", ServerOptions::default()).unwrap();
+        let client = DistClient::new(server.addr().to_string());
+        for d in &closure[1..] {
+            client.put_blob("app", d, &local.get(d).unwrap()).unwrap();
+        }
+        drop(server.shutdown());
+    }
+
+    // Same length, one byte flipped: only a hash can tell.
+    let path = dir.join("blobs/sha256").join(layer.hex());
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[0] ^= 0xFF;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let server = serve(
+        comt_oci::DiskRegistry::open(&dir).unwrap(),
+        "127.0.0.1:0",
+        ServerOptions::default(),
+    )
+    .unwrap();
+    let client = DistClient::new(server.addr().to_string());
+    // The push's own dedupe: HEAD says present, so nothing is uploaded.
+    for d in &closure[1..] {
+        assert!(client.head_blob("app", d).unwrap().is_some(), "{d} not held");
+    }
+    let err = client
+        .put_manifest("app", "v1", &local.get(&md).unwrap())
+        .unwrap_err();
+    assert!(
+        matches!(err, DistError::Status { status: 400, .. }),
+        "{err}"
+    );
+    let reg = server.shutdown();
+    assert_eq!(reg.resolve(&tag_key("app", "v1")).ok(), None, "tag appeared");
+    assert!(reg.blobs.handle(&md).is_none(), "refused manifest was stored");
+    assert!(!reg.blobs.proven(&layer), "the rotted layer gained a proof");
+    drop(reg);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn disk_backed_interrupted_push_is_fsck_clean_and_invisible() {
     // A push that dies after some blob PUTs but before the manifest PUT
     // models `kill -9` mid-publish: the layout keeps the durable blobs,

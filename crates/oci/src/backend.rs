@@ -17,8 +17,13 @@
 //!   forgets an acknowledged blob.
 //! * [`BlobBackend::commit_index`] is the commit point of every mutation:
 //!   [`crate::Layout::publish_manifest`] reaches it only after the whole
-//!   closure is present and bit-verified, and a rejected publish leaves no
-//!   trace.
+//!   closure is present and each member is either proven
+//!   ([`BlobBackend::proven`]) or bit-verified, and a rejected publish
+//!   leaves no trace.
+//! * A store keeps the one proof set of its process: the digests it wrote
+//!   itself from a [`Verified`], plus those a caller checked and recorded
+//!   with [`BlobBackend::prove`]. Removing a blob, or writing one without a
+//!   proof, takes it out.
 //! * [`BlobBackend::handle`] returns a cheap handle so the server can drop
 //!   its lock before the expensive part (file read + re-hash) happens in
 //!   [`BlobHandle::read_verified`].
@@ -194,6 +199,25 @@ pub trait BlobBackend {
     /// every mutation: on error the previous table is still the one a
     /// reopen would read.
     fn commit_index(&mut self, index: &ImageIndex) -> Result<(), StoreError>;
+
+    /// Whether this store holds its own proof that the blob stored under
+    /// `digest` hashes to it: the store wrote it from a [`Verified`]
+    /// ([`BlobBackend::insert`] answered `true`), or a check was recorded
+    /// with [`BlobBackend::prove`] since. A proven blob is published and
+    /// served without a re-hash. A backend that keeps no proofs answers
+    /// `false`, and everything it holds is re-hashed where it is trusted.
+    fn proven(&self, _digest: &Digest) -> bool {
+        false
+    }
+
+    /// Record a proof for a committed blob the caller has just hashed
+    /// against `digest` (a stream verify that ran off the registry lock).
+    fn prove(&mut self, _digest: &Digest) {}
+
+    /// How many digests this store holds a proof for.
+    fn proof_count(&self) -> usize {
+        0
+    }
 }
 
 #[cfg(test)]

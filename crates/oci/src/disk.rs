@@ -25,10 +25,13 @@ use crate::spec::ImageIndex;
 use crate::store::{StoreError, Verified};
 use bytes::Bytes;
 use comt_digest::Digest;
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions, TryLockError};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use std::time::SystemTime;
 
 /// Advisory lock file name, in the layout root (not under `blobs/`).
 pub const LOCK_FILE: &str = ".comt.lock";
@@ -134,11 +137,36 @@ impl LayoutLock {
 /// directory. Reads are lazy and digest-verified; writes follow the
 /// tmp → fsync → rename commit protocol, so a blob path either holds the
 /// complete verified content or does not exist.
+///
+/// Its proof set ([`BlobBackend::proven`]) is what this instance wrote
+/// itself ([`DiskStore::admit`]) plus what a caller checked and recorded
+/// ([`BlobBackend::prove`]); it starts empty, so blobs an earlier process
+/// wrote keep their check. Each proof remembers the length and
+/// modification time of the file it was taken on, so a rewrite of the file
+/// behind the store's back that moves either drops it.
 #[derive(Debug)]
 pub struct DiskStore {
     root: PathBuf,
+    proofs: Mutex<HashMap<Digest, Stamp>>,
     /// Held for the store's lifetime when it backs a [`DiskRegistry`].
     _lock: Option<LayoutLock>,
+}
+
+/// What a proof remembers of the blob file it was taken on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Stamp {
+    len: u64,
+    modified: SystemTime,
+}
+
+impl Stamp {
+    fn of(path: &Path) -> Option<Stamp> {
+        let meta = std::fs::metadata(path).ok().filter(|m| m.is_file())?;
+        Some(Stamp {
+            len: meta.len(),
+            modified: meta.modified().ok()?,
+        })
+    }
 }
 
 impl DiskStore {
@@ -147,6 +175,7 @@ impl DiskStore {
     pub fn init(root: &Path) -> Result<DiskStore, StoreError> {
         let store = DiskStore {
             root: root.to_path_buf(),
+            proofs: Mutex::default(),
             _lock: None,
         };
         std::fs::create_dir_all(store.blobs_dir())?;
@@ -167,6 +196,7 @@ impl DiskStore {
         }
         Ok(DiskStore {
             root: root.to_path_buf(),
+            proofs: Mutex::default(),
             _lock: None,
         })
     }
@@ -214,14 +244,26 @@ impl DiskStore {
     }
 
     /// Commit a blob on the strength of its proof — no second hash, and no
-    /// copy of a borrowed payload. Returns `true` if newly written.
+    /// copy of a borrowed payload — and keep the proof. Returns `true` if
+    /// newly written; a blob already on disk gains no proof here.
     pub fn admit(&self, blob: Verified<'_>) -> Result<bool, StoreError> {
         let path = self.blob_path(&blob.digest());
         if path.is_file() {
             return Ok(false);
         }
         commit_file(&path, blob.as_slice())?;
+        self.keep_proof(blob.digest(), &path);
         Ok(true)
+    }
+
+    fn proofs(&self) -> MutexGuard<'_, HashMap<Digest, Stamp>> {
+        self.proofs.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn keep_proof(&self, digest: Digest, path: &Path) {
+        if let Some(stamp) = Stamp::of(path) {
+            self.proofs().insert(digest, stamp);
+        }
     }
 
     /// The one walk over the blob directory: every well-formed blob file
@@ -314,6 +356,7 @@ impl BlobBackend for DiskStore {
     }
 
     fn remove(&mut self, digest: &Digest) -> Result<bool, StoreError> {
+        self.proofs().remove(digest);
         match std::fs::remove_file(self.blob_path(digest)) {
             Ok(()) => {
                 fsync_dir(&self.blobs_dir())?;
@@ -330,6 +373,28 @@ impl BlobBackend for DiskStore {
 
     fn commit_index(&mut self, index: &ImageIndex) -> Result<(), StoreError> {
         DiskStore::commit_index(self, index)
+    }
+
+    /// One `stat` of the blob file: a proof whose file has changed since
+    /// is dropped.
+    fn proven(&self, digest: &Digest) -> bool {
+        let mut proofs = self.proofs();
+        let Some(kept) = proofs.get(digest).copied() else {
+            return false;
+        };
+        let holds = Stamp::of(&self.blob_path(digest)) == Some(kept);
+        if !holds {
+            proofs.remove(digest);
+        }
+        holds
+    }
+
+    fn prove(&mut self, digest: &Digest) {
+        self.keep_proof(*digest, &self.blob_path(digest));
+    }
+
+    fn proof_count(&self) -> usize {
+        self.proofs().len()
     }
 }
 

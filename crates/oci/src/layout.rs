@@ -84,9 +84,12 @@ impl<B: BlobBackend> Layout<B> {
         Ok(())
     }
 
-    /// Stage-and-commit a manifest publish: verify every closure blob is
-    /// already committed and bit-correct (streamed, never materialized),
-    /// commit the manifest blob, then flip the tag table. A publish whose
+    /// Stage-and-commit a manifest publish: check that every closure blob
+    /// is committed and that its bytes are what its name says, commit the
+    /// manifest blob, then flip the tag table. A member the store holds a
+    /// proof for ([`BlobBackend::proven`]: it wrote the blob itself, or
+    /// saw it checked) is taken on that proof; any other is stream-verified
+    /// (never materialized) and proven from then on. A publish whose
     /// closure is missing or corrupt leaves no blob and no tag; a storage
     /// failure at any step leaves the previous tag table and every
     /// previously committed blob untouched. Returns the manifest's digest
@@ -102,9 +105,15 @@ impl<B: BlobBackend> Layout<B> {
         {
             let obs = comt_observe::global();
             let _span = obs.span("store.verify");
-            obs.count("store.verify.blobs", closure.len() as u64);
             for d in &closure[1..] {
-                self.committed(d)?.stream_verified(d)?;
+                let handle = self.committed(d)?;
+                if self.blobs.proven(d) {
+                    obs.count("store.verify.proven", 1);
+                    continue;
+                }
+                obs.count("store.verify.blobs", 1);
+                handle.stream_verified(d)?;
+                self.blobs.prove(d);
             }
         }
         let written = self.blobs.insert(manifest)?;
@@ -117,10 +126,11 @@ impl<B: BlobBackend> Layout<B> {
     /// Push a manifest (and its blob closure) from a local store under
     /// `tag`, the way a wire push does: admit each closure blob this store
     /// lacks on a [`Verified::check`] of the source's bytes, then
-    /// [`Layout::publish_manifest`] — which re-verifies the whole closure,
-    /// so deduplication never masks a poisoned or truncated blob this
-    /// store already held, and flips the tag only on success. Returns how
-    /// many blobs moved.
+    /// [`Layout::publish_manifest`], which flips the tag only on success.
+    /// The blobs just admitted are proven, so publish hashes none of them
+    /// again; a blob this store already held without a proof is
+    /// re-verified there, so deduplication never masks a poisoned or
+    /// truncated copy. Returns how many blobs moved.
     pub fn push(
         &mut self,
         tag: &str,

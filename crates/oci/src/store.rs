@@ -8,7 +8,7 @@ use crate::spec::ImageIndex;
 use bytes::Bytes;
 use comt_digest::Digest;
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -209,9 +209,18 @@ impl<'a> Verified<'a> {
 
 /// Content-addressed blob store. Blobs are immutable; storing the same
 /// content twice is a no-op (deduplication by digest).
+///
+/// Its proof set ([`BlobBackend::proven`]) is every entry but those in
+/// `unproven`: an entry arrives through [`BlobStore::admit`] (a
+/// [`Verified`]) or is shared from another store, except the ones
+/// [`BlobStore::insert_raw_for_tests`] wrote, which stay out until a check
+/// is recorded ([`BlobBackend::prove`]) or they are removed.
 #[derive(Debug, Clone, Default)]
 pub struct BlobStore {
     blobs: BTreeMap<Digest, Bytes>,
+    /// Held digests whose bytes were written without a proof; always a
+    /// subset of `blobs`' keys.
+    unproven: BTreeSet<Digest>,
     derived: DerivedTable,
 }
 
@@ -319,6 +328,7 @@ impl BlobStore {
     pub fn retain(&mut self, keep: impl Fn(&Digest) -> bool) -> usize {
         let before = self.blobs.len();
         self.blobs.retain(|d, _| keep(d));
+        self.unproven.retain(|d| keep(d));
         let dropped = before - self.blobs.len();
         if dropped > 0 {
             self.derived.forget(|d| !keep(d));
@@ -377,17 +387,22 @@ impl BlobStore {
     /// for corruption/fault-injection tests (hence the name and the
     /// `#[doc(hidden)]`). It is the one way to store bytes without a
     /// [`Verified`], so after it [`BlobStore::verified`] can hand out a
-    /// proof its bytes do not honour. That is what those tests are for:
-    /// each shows a trust boundary that re-hashes what it did not admit
-    /// itself — [`Layout::push`]'s `Verified::check`, the daemon's PUT
-    /// hash, publish's stream-verify — refusing the lie.
+    /// proof its bytes do not honour. The digest leaves this store's proof
+    /// set ([`BlobBackend::proven`]), so every check that trusts the set
+    /// hashes the bytes again. That is what those tests are for: each
+    /// shows a trust boundary that re-hashes what the store did not admit
+    /// itself — [`Layout::push`]'s `Verified::check` of the source, the
+    /// daemon's PUT hash, publish's and the daemon's serve-side verify of
+    /// an unproven blob — refusing the lie.
     #[doc(hidden)]
     pub fn insert_raw_for_tests(&mut self, digest: Digest, data: Bytes) {
         self.blobs.insert(digest, data);
+        self.unproven.insert(digest);
     }
 
     /// Share a blob another in-memory store already admitted, if missing
-    /// here (a refcount bump, not a copy).
+    /// here (a refcount bump, not a copy). It comes with the other store's
+    /// proof, or without one.
     pub fn fetch_from(&mut self, other: &BlobStore, digest: &Digest) -> bool {
         if self.contains(digest) {
             return true;
@@ -395,6 +410,9 @@ impl BlobStore {
         match other.get(digest) {
             Some(b) => {
                 self.blobs.insert(*digest, b);
+                if other.unproven.contains(digest) {
+                    self.unproven.insert(*digest);
+                }
                 true
             }
             None => false,
@@ -416,6 +434,7 @@ impl BlobBackend for BlobStore {
     fn remove(&mut self, digest: &Digest) -> Result<bool, StoreError> {
         let removed = self.blobs.remove(digest).is_some();
         if removed {
+            self.unproven.remove(digest);
             self.derived.forget(|d| d == digest);
         }
         Ok(removed)
@@ -428,6 +447,18 @@ impl BlobBackend for BlobStore {
     /// Nothing to commit: the index a memory layout holds is the table.
     fn commit_index(&mut self, _index: &ImageIndex) -> Result<(), StoreError> {
         Ok(())
+    }
+
+    fn proven(&self, digest: &Digest) -> bool {
+        self.contains(digest) && !self.unproven.contains(digest)
+    }
+
+    fn prove(&mut self, digest: &Digest) {
+        self.unproven.remove(digest);
+    }
+
+    fn proof_count(&self) -> usize {
+        self.blobs.len() - self.unproven.len()
     }
 }
 

@@ -8,6 +8,11 @@
 //!
 //! Run it with `--release` too: the poison test is only meaningful where
 //! `debug_assert` is compiled out.
+//!
+//! One pair of tests reads the process-global hash counter
+//! (`comt_digest::bytes_hashed`). They hold [`COUNTER`] for writing and
+//! every other test of this binary holds it for reading, so nothing else
+//! hashes inside their windows.
 
 use bytes::Bytes;
 use comt_digest::Digest;
@@ -20,11 +25,28 @@ use comt_oci::{
 use proptest::prelude::*;
 use proptest::TestRng;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+static COUNTER: RwLock<()> = RwLock::new(());
+
+/// Held by every test that may hash: it shares the counter's windows.
+fn shared() -> RwLockReadGuard<'static, ()> {
+    COUNTER.read().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Held by a test that reads the counter: nothing else hashes meanwhile.
+fn exclusive() -> RwLockWriteGuard<'static, ()> {
+    COUNTER.write().unwrap_or_else(|e| e.into_inner())
+}
 
 /// What the suite needs from a backend beyond the trait: a way to make one,
 /// to damage a blob behind the store's back, and to come back after a
 /// restart.
 trait Fixture: BlobBackend + Send + Sized + 'static {
+    /// Whether the store after [`Fixture::reopen`] still holds the proofs
+    /// it held before: a memory store is the same store, a disk store is a
+    /// new process's view of the directory.
+    const REOPEN_KEEPS_PROOFS: bool;
     fn fresh(tag: &str) -> Layout<Self>;
     fn corrupt(layout: &mut Layout<Self>, digest: &Digest);
     fn reopen(layout: Layout<Self>) -> Layout<Self>;
@@ -32,6 +54,7 @@ trait Fixture: BlobBackend + Send + Sized + 'static {
 }
 
 impl Fixture for BlobStore {
+    const REOPEN_KEEPS_PROOFS: bool = true;
     fn fresh(_tag: &str) -> Layout<Self> {
         Layout::new()
     }
@@ -47,6 +70,7 @@ impl Fixture for BlobStore {
 }
 
 impl Fixture for DiskStore {
+    const REOPEN_KEEPS_PROOFS: bool = false;
     fn fresh(tag: &str) -> Layout<Self> {
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
@@ -75,10 +99,16 @@ impl Fixture for DiskStore {
 macro_rules! on_both_backends {
     ($($body:ident),* $(,)?) => {
         mod mem {
-            $( #[test] fn $body() { super::$body::<comt_oci::BlobStore>() } )*
+            $( #[test] fn $body() {
+                let _shared = super::shared();
+                super::$body::<comt_oci::BlobStore>()
+            } )*
         }
         mod disk {
-            $( #[test] fn $body() { super::$body::<comt_oci::DiskStore>() } )*
+            $( #[test] fn $body() {
+                let _shared = super::shared();
+                super::$body::<comt_oci::DiskStore>()
+            } )*
         }
     };
 }
@@ -91,7 +121,21 @@ on_both_backends!(
     chunkmap_lifetime_is_slaved_to_its_layer,
     gc_reclaims_only_unreachable_blobs_and_shared_layers_survive,
     a_broken_ref_stops_gc_instead_of_shrinking_the_live_set,
+    a_proof_lives_as_long_as_the_bytes_it_was_taken_on,
 );
+
+mod counted {
+    #[test]
+    fn mem_push_hashes_only_what_it_moves() {
+        let _exclusive = super::exclusive();
+        super::an_in_process_push_hashes_only_what_it_moves::<comt_oci::BlobStore>()
+    }
+    #[test]
+    fn disk_push_hashes_only_what_it_moves() {
+        let _exclusive = super::exclusive();
+        super::an_in_process_push_hashes_only_what_it_moves::<comt_oci::DiskStore>()
+    }
+}
 
 /// A committed image in a scratch store: (store, closure digests — manifest,
 /// config, then layers).
@@ -367,6 +411,74 @@ fn a_broken_ref_stops_gc_instead_of_shrinking_the_live_set<B: Fixture>() {
     B::discard(reg);
 }
 
+fn a_proof_lives_as_long_as_the_bytes_it_was_taken_on<B: Fixture>() {
+    let (src, closure) = image(&[b"proven layer"]);
+    let layer = closure[2];
+    let mut reg = B::fresh("proofs");
+    assert!(!reg.blobs.proven(&layer), "a store proves nothing it lacks");
+    upload(&mut reg, &src, &closure);
+    assert!(reg.blobs.proven(&layer), "a blob the store wrote is proven");
+    assert_eq!(reg.blobs.proof_count(), 2);
+
+    // A second insert of a held blob writes nothing and keeps the proof.
+    let again = Verified::check(layer, src.get(&layer).unwrap()).unwrap();
+    assert!(!reg.blobs.insert(again).unwrap());
+    assert!(reg.blobs.proven(&layer));
+
+    // Removal takes the proof with the blob; a fresh write brings it back.
+    assert!(reg.blobs.remove(&layer).unwrap());
+    assert!(!reg.blobs.proven(&layer), "a removed blob kept its proof");
+    assert_eq!(reg.blobs.proof_count(), 1);
+    upload(&mut reg, &src, &closure);
+    assert!(reg.blobs.proven(&layer));
+
+    // Bytes written behind the store's back are not what it proved.
+    B::corrupt(&mut reg, &layer);
+    assert!(!reg.blobs.proven(&layer), "a rewritten blob kept its proof");
+    B::discard(reg);
+}
+
+fn an_in_process_push_hashes_only_what_it_moves<B: Fixture>() {
+    let (src, closure) = image(&[b"first pushed layer", b"second pushed layer"]);
+    let size = |d: &Digest| src.get(d).unwrap().len() as u64;
+    let members: u64 = closure[1..].iter().map(size).sum();
+    let obs = comt_observe::global();
+    let mut reg = B::fresh("push-hashes");
+    // One push: bytes hashed, publish's re-hashed members, its proven ones.
+    let push = |reg: &mut Layout<B>, tag: &str| {
+        let before = (
+            comt_digest::bytes_hashed(),
+            obs.counter("store.verify.blobs"),
+            obs.counter("store.verify.proven"),
+        );
+        reg.push(tag, closure[0], &src).unwrap();
+        (
+            comt_digest::bytes_hashed() - before.0,
+            obs.counter("store.verify.blobs") - before.1,
+            obs.counter("store.verify.proven") - before.2,
+        )
+    };
+
+    // Fresh blobs: the `Verified::check` of the manifest and of each blob
+    // moved, and no second hash at publish.
+    assert_eq!(push(&mut reg, "app:1"), (size(&closure[0]) + members, 0, 3));
+    // Nothing moves: the manifest's check alone.
+    assert_eq!(push(&mut reg, "app:2"), (size(&closure[0]), 0, 3));
+
+    // After a restart a disk store proves nothing it did not write: its
+    // first publish re-hashes each member once, and proves it from then on.
+    let mut reg = B::reopen(reg);
+    assert_eq!(reg.blobs.proven(&closure[2]), B::REOPEN_KEEPS_PROOFS);
+    let expect = if B::REOPEN_KEEPS_PROOFS {
+        (size(&closure[0]), 0, 3)
+    } else {
+        (size(&closure[0]) + members, 3, 0)
+    };
+    assert_eq!(push(&mut reg, "app:3"), expect);
+    assert_eq!(push(&mut reg, "app:4"), (size(&closure[0]), 0, 3));
+    B::discard(reg);
+}
+
 // ---- a backend that fails on demand -----------------------------------
 
 /// A blob backend that lets `budget` mutations (inserts and index commits)
@@ -412,6 +524,7 @@ impl BlobBackend for FailingStore {
 
 #[test]
 fn a_failing_backend_never_tears_the_tag_table() {
+    let _shared = shared();
     let (v1_src, v1) = image(&[b"base layer", b"v1 layer"]);
     let (v2_src, v2) = image(&[b"base layer", b"v2 layer"]);
     let map = |src: &BlobStore, layer: &Digest| {
@@ -579,6 +692,7 @@ fn knock(store: &DiskStore, src: &BlobStore, manifest: Vec<u8>, index: Vec<u8>) 
 
 #[test]
 fn hostile_json_never_panics_and_is_never_half_accepted() {
+    let _shared = shared();
     // A valid manifest and a valid `index.json` (two refs and a chunkmap
     // entry), as `commit_index` writes it.
     let (src, closure) = image(&[b"first layer", b"second layer"]);
