@@ -138,6 +138,19 @@ mod tests {
         SystemSide::native("x86_64", catalog::MINI_SCALE).unwrap()
     }
 
+    /// One rebuild, with its run's artifact-cache `(hits, misses)`.
+    fn probed(
+        cache: &CacheContents,
+        side: &SystemSide,
+        opts: &RebuildOptions,
+    ) -> (BTreeMap<String, Bytes>, (u64, u64)) {
+        let engine = RebuildEngine::new(side, opts);
+        let artifacts = engine.run(cache).unwrap();
+        let report = engine.report();
+        let probes = (report.counter("cache.hit"), report.counter("cache.miss"));
+        (artifacts, probes)
+    }
+
     #[test]
     fn rebuild_replays_with_vendor_toolchain() {
         let cache = fixture_cache();
@@ -179,10 +192,10 @@ mod tests {
             ..Default::default()
         };
         let cold = rebuild_artifacts(&cache, &side, &cached_opts).unwrap();
-        let warm = rebuild_artifacts(&cache, &side, &cached_opts).unwrap();
+        let (warm, (hits, _)) = probed(&cache, &side, &cached_opts);
         assert_eq!(serial, cold);
         assert_eq!(serial, warm);
-        assert!(shared.hits() > 0);
+        assert!(hits > 0);
     }
 
     #[test]
@@ -226,8 +239,8 @@ mod tests {
         whole
             .adapters
             .push(Box::new(crate::LtoAdapter::whole_graph()));
-        rebuild_artifacts(&cache, &whole, &opts).unwrap();
-        let after_cold = (shared.hits(), shared.misses());
+        let (_, (_, cold_misses)) = probed(&cache, &whole, &opts);
+        assert!(cold_misses > 0);
 
         // Same argv-visible configuration, different adapter scope: the
         // chain fingerprint must change the cache key, so nothing hits.
@@ -235,13 +248,13 @@ mod tests {
         scoped.adapters.push(Box::new(crate::LtoAdapter {
             scope: crate::adapters::LtoScope::Binaries(vec!["app".into()]),
         }));
-        rebuild_artifacts(&cache, &scoped, &opts).unwrap();
-        assert_eq!(shared.hits(), after_cold.0, "scoped run must not hit");
-        assert!(shared.misses() > after_cold.1);
+        let (_, (hits, misses)) = probed(&cache, &scoped, &opts);
+        assert_eq!(hits, 0, "scoped run must not hit");
+        assert!(misses > 0);
 
         // Re-running the first configuration still hits.
-        rebuild_artifacts(&cache, &whole, &opts).unwrap();
-        assert!(shared.hits() > after_cold.0);
+        let (_, (hits, _)) = probed(&cache, &whole, &opts);
+        assert!(hits > 0);
     }
 
     #[test]

@@ -22,8 +22,7 @@
 
 use comt_digest::Digest;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The output files one compile step produced: (container path, content).
 pub type StepOutputs = Vec<(String, Vec<u8>)>;
@@ -124,14 +123,6 @@ pub fn object_key(
 /// distributed; the first byte picks the shard.
 const CACHE_SHARDS: usize = 16;
 
-/// One independently locked slice of the cache. Entries carry an insertion
-/// stamp so capacity eviction can approximate FIFO within the shard.
-#[derive(Debug, Default)]
-struct CacheShard {
-    map: HashMap<Digest, (u64, Arc<StepOutputs>)>,
-    stamp: u64,
-}
-
 /// Thread-safe content-addressed store of compile-step outputs. Cheap to
 /// clone through an [`Arc`]; shared across engine runs via
 /// [`crate::RebuildOptions::artifact_cache`] — and, in `comt buildd`,
@@ -140,92 +131,48 @@ struct CacheShard {
 /// Internally the map is split into [`CACHE_SHARDS`] independently locked
 /// shards selected by the first key byte, so concurrent jobs probing and
 /// filling the cache from scheduler worker threads don't serialize on one
-/// mutex. An optional per-shard capacity bounds residency for long-lived
-/// services; eviction is oldest-first within the overfull shard and counted
-/// in [`ArtifactCache::evictions`].
+/// mutex. Residency is unbounded; probes are counted by the engine run
+/// that makes them (`cache.hit` / `cache.miss`), not here.
 #[derive(Debug)]
 pub struct ArtifactCache {
-    shards: Vec<Mutex<CacheShard>>,
-    /// Max entries per shard (`None` = unbounded, the one-shot CLI shape).
-    shard_capacity: Option<usize>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    shards: Vec<Mutex<HashMap<Digest, Arc<StepOutputs>>>>,
 }
 
 impl Default for ArtifactCache {
     fn default() -> Self {
         ArtifactCache {
             shards: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
-            shard_capacity: None,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 }
 
 impl ArtifactCache {
-    /// A fresh shared cache with unbounded residency.
+    /// A fresh shared cache.
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())
     }
 
-    /// A fresh shared cache holding at most `max_entries` steps (rounded up
-    /// to a multiple of the shard count). For long-lived services.
-    pub fn with_capacity(max_entries: usize) -> Arc<Self> {
-        Arc::new(ArtifactCache {
-            shard_capacity: Some(max_entries.div_ceil(CACHE_SHARDS).max(1)),
-            ..Self::default()
-        })
-    }
-
-    fn shard(&self, key: &Digest) -> &Mutex<CacheShard> {
-        &self.shards[key.raw()[0] as usize % CACHE_SHARDS]
-    }
-
-    /// Look up a step key, counting the probe as a hit or miss.
-    pub fn get(&self, key: &Digest) -> Option<Arc<StepOutputs>> {
-        let found = self
-            .shard(key)
+    fn shard(&self, key: &Digest) -> MutexGuard<'_, HashMap<Digest, Arc<StepOutputs>>> {
+        self.shards[key.raw()[0] as usize % CACHE_SHARDS]
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .map
-            .get(key)
-            .map(|(_, v)| Arc::clone(v));
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
     }
 
-    /// Store the outputs for a step key, evicting the oldest entries in the
-    /// shard if it is at capacity.
+    /// Look up a step key.
+    pub fn get(&self, key: &Digest) -> Option<Arc<StepOutputs>> {
+        self.shard(key).get(key).map(Arc::clone)
+    }
+
+    /// Store the outputs for a step key.
     pub fn put(&self, key: Digest, outputs: StepOutputs) {
-        let mut shard = self.shard(&key).lock().unwrap_or_else(|e| e.into_inner());
-        shard.stamp += 1;
-        let stamp = shard.stamp;
-        shard.map.insert(key, (stamp, Arc::new(outputs)));
-        if let Some(cap) = self.shard_capacity {
-            while shard.map.len() > cap {
-                let oldest = shard
-                    .map
-                    .iter()
-                    .min_by_key(|(_, (stamp, _))| *stamp)
-                    .map(|(k, _)| *k)
-                    .expect("overfull shard is non-empty");
-                shard.map.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.shard(&key).insert(key, Arc::new(outputs));
     }
 
     /// Number of cached steps across all shards.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).map.len())
+            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
             .sum()
     }
 
@@ -240,26 +187,11 @@ impl ArtifactCache {
             .iter()
             .flat_map(|s| {
                 let shard = s.lock().unwrap_or_else(|e| e.into_inner());
-                shard.map.keys().copied().collect::<Vec<_>>()
+                shard.keys().copied().collect::<Vec<_>>()
             })
             .collect();
         keys.sort();
         keys
-    }
-
-    /// Lifetime hit count (across all engine runs sharing this cache).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime miss count.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime count of entries dropped by capacity eviction.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
     }
 }
 
@@ -272,12 +204,10 @@ mod tests {
         let cache = ArtifactCache::new();
         let key = comt_digest::fingerprint(&[b"step"]);
         assert!(cache.get(&key).is_none());
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
 
         cache.put(key, vec![("/src/a.o".into(), b"OBJ".to_vec())]);
         let got = cache.get(&key).expect("hit");
         assert_eq!(got[0].0, "/src/a.o");
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(cache.len(), 1);
     }
 
@@ -347,41 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_evicts_oldest_within_shard() {
-        // Per-shard capacity of 1: a second insert landing in the same
-        // shard must evict the first and count it.
-        let cache = ArtifactCache::with_capacity(1);
-        let mut keys: Vec<Digest> = (0..64u32)
-            .map(|i| comt_digest::fingerprint(&[i.to_le_bytes().as_slice()]))
-            .collect();
-        // Find two keys that share a shard.
-        keys.sort_by_key(|k| k.raw()[0] as usize % CACHE_SHARDS);
-        let (a, b) = {
-            let pair = keys
-                .windows(2)
-                .find(|w| w[0].raw()[0] as usize % CACHE_SHARDS == w[1].raw()[0] as usize % CACHE_SHARDS)
-                .expect("64 keys over 16 shards must collide");
-            (pair[0], pair[1])
-        };
-        cache.put(a, vec![("a".into(), vec![1])]);
-        cache.put(b, vec![("b".into(), vec![2])]);
-        assert_eq!(cache.evictions(), 1);
-        assert!(cache.get(&a).is_none(), "oldest entry evicted");
-        assert!(cache.get(&b).is_some(), "newest entry retained");
-    }
-
-    #[test]
-    fn unbounded_cache_never_evicts() {
-        let cache = ArtifactCache::new();
-        for i in 0..256u32 {
-            let key = comt_digest::fingerprint(&[i.to_le_bytes().as_slice()]);
-            cache.put(key, vec![]);
-        }
-        assert_eq!(cache.len(), 256);
-        assert_eq!(cache.evictions(), 0);
-    }
-
-    #[test]
     fn shared_between_threads() {
         let cache = ArtifactCache::new();
         std::thread::scope(|s| {
@@ -395,6 +290,5 @@ mod tests {
             }
         });
         assert_eq!(cache.len(), 8);
-        assert_eq!(cache.hits(), 8);
     }
 }

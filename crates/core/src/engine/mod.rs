@@ -333,8 +333,10 @@ impl<'a> RebuildEngine<'a> {
     /// Run one compile step of either kind against a filesystem snapshot,
     /// consulting the artifact cache first. Returns the produced output
     /// files. The one probe → count → execute → put sequence of the
-    /// engine. Every content digest it needs comes from `digests`, the
-    /// load's memo over the digests the layout holds for the image.
+    /// engine, and the only count of artifact-cache probes (a service sums
+    /// its jobs' `cache.hit` / `cache.miss`). Every content digest it needs
+    /// comes from `digests`, the load's memo over the digests the layout
+    /// holds for the image.
     fn cached_step(
         &self,
         executor: &Executor,

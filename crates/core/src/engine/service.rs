@@ -11,9 +11,9 @@
 //!   tenants that have queued work and are under their running-job quota,
 //!   so one tenant flooding the queue cannot starve another; within a
 //!   tenant, higher [`JobSpec::priority`] wins, FIFO breaks ties;
-//! * **per-tenant quotas** — at most N jobs of one tenant run at once
-//!   ([`ServiceOptions::default_quota`], overridable per tenant); excess
-//!   jobs queue without blocking other tenants' slots;
+//! * **per-tenant quotas** — at most N jobs of any one tenant run at once
+//!   ([`ServiceOptions::default_quota`], the same N for every tenant);
+//!   excess jobs queue without blocking other tenants' slots;
 //! * **a shared artifact cache** — every job probes and fills one sharded
 //!   [`ArtifactCache`], so a warm rebuild of a popular workload is nearly
 //!   free *across* tenants (content addressing makes sharing safe: equal
@@ -50,18 +50,11 @@ use std::time::Instant;
 pub struct ServiceOptions {
     /// Worker threads = max jobs in flight across all tenants.
     pub workers: usize,
-    /// Max running jobs per tenant unless overridden (`0` = unlimited).
+    /// Max running jobs per tenant (`0` = unlimited).
     pub default_quota: usize,
-    /// Per-tenant quota overrides.
-    pub quotas: HashMap<String, usize>,
-    /// Payload scale for [`SystemSide::native`] construction.
-    pub scale: f64,
     /// When set, the layout is crash-safely saved here after every job
     /// that registers a result ref.
     pub persist: Option<PathBuf>,
-    /// Bound on shared artifact-cache residency (entries); `None` keeps
-    /// every step output for the daemon's lifetime.
-    pub cache_capacity: Option<usize>,
     /// Start with dispatch paused; jobs queue until [`BuildService::resume`].
     /// Lets tests build a deterministic queue before any worker picks.
     pub paused: bool,
@@ -72,10 +65,7 @@ impl Default for ServiceOptions {
         ServiceOptions {
             workers: 2,
             default_quota: 2,
-            quotas: HashMap::new(),
-            scale: comt_pkg::catalog::MINI_SCALE,
             persist: None,
-            cache_capacity: None,
             paused: false,
         }
     }
@@ -266,17 +256,10 @@ struct Inner {
 }
 
 impl Inner {
-    fn quota(&self, tenant: &str) -> usize {
-        let q = self
-            .opts
-            .quotas
-            .get(tenant)
-            .copied()
-            .unwrap_or(self.opts.default_quota);
-        if q == 0 {
-            usize::MAX
-        } else {
-            q
+    fn quota(&self) -> usize {
+        match self.opts.default_quota {
+            0 => usize::MAX,
+            q => q,
         }
     }
 
@@ -290,7 +273,7 @@ impl Inner {
             if eligible.contains(&tenant) {
                 continue;
             }
-            if st.running.get(tenant).copied().unwrap_or(0) < self.quota(tenant) {
+            if st.running.get(tenant).copied().unwrap_or(0) < self.quota() {
                 eligible.push(tenant);
             }
         }
@@ -337,7 +320,7 @@ impl Inner {
         {
             return Ok(Arc::clone(side));
         }
-        let mut side = SystemSide::native(&spec.isa, self.opts.scale)?;
+        let mut side = SystemSide::native(&spec.isa, comt_pkg::catalog::MINI_SCALE)?;
         if spec.lto {
             side = side.with_adapter(Box::new(LtoAdapter::whole_graph()));
         }
@@ -433,8 +416,15 @@ impl Inner {
             ..RebuildOptions::default()
         };
         let engine = RebuildEngine::new(&side, &opts);
-        let artifacts = engine.run(&contents)?;
+        let artifacts = engine.run(&contents);
         let report = engine.report();
+        // The shared cache's totals are the sum of its jobs' probes, failed
+        // runs included.
+        self.recorder
+            .count("service.cache.hits", report.counter("cache.hit"));
+        self.recorder
+            .count("service.cache.misses", report.counter("cache.miss"));
+        let artifacts = artifacts?;
         self.job_log(
             id,
             &format!(
@@ -475,10 +465,6 @@ pub struct BuildService {
 impl BuildService {
     /// Take ownership of a layout and start the worker pool.
     pub fn start(oci: OciDir, opts: ServiceOptions) -> Arc<BuildService> {
-        let cache = match opts.cache_capacity {
-            Some(n) => ArtifactCache::with_capacity(n),
-            None => ArtifactCache::new(),
-        };
         let workers = opts.workers.max(1);
         let paused = opts.paused;
         let inner = Arc::new(Inner {
@@ -488,7 +474,7 @@ impl BuildService {
                 ..SvcState::default()
             }),
             wake: Condvar::new(),
-            cache,
+            cache: ArtifactCache::new(),
             oci: Mutex::new(oci),
             opts,
             recorder: Recorder::new(),
@@ -644,24 +630,14 @@ impl BuildService {
         }
     }
 
-    /// Pause dispatch: running jobs finish, queued jobs stay queued.
-    pub fn pause(&self) {
-        self.inner.lock_state().paused = true;
-    }
-
-    /// Resume dispatch after [`ServiceOptions::paused`] or [`Self::pause`].
+    /// Resume dispatch after [`ServiceOptions::paused`].
     pub fn resume(&self) {
         self.inner.lock_state().paused = false;
         self.inner.wake.notify_all();
     }
 
-    /// The shared cross-tenant artifact cache.
-    pub fn cache(&self) -> &Arc<ArtifactCache> {
-        &self.inner.cache
-    }
-
     /// Service-level stats: job counters, dispatch latencies, shared-cache
-    /// hit/miss/evict totals, the process's cache-layer loads
+    /// size and hit/miss totals, the process's cache-layer loads
     /// (`cache.load.decoded` / `cache.load.reused`), and per-tenant
     /// running-job high-water marks (`service.tenant.<name>.running_max` —
     /// the quota evidence).
@@ -670,15 +646,6 @@ impl BuildService {
         report
             .counters
             .insert("service.cache.entries".into(), self.inner.cache.len() as u64);
-        report
-            .counters
-            .insert("service.cache.hits".into(), self.inner.cache.hits());
-        report
-            .counters
-            .insert("service.cache.misses".into(), self.inner.cache.misses());
-        report
-            .counters
-            .insert("service.cache.evictions".into(), self.inner.cache.evictions());
         // Cache-layer loads are counted where they happen, on the
         // process-global recorder; a job's load is one of them.
         let global = comt_observe::global().report();
@@ -833,11 +800,31 @@ mod tests {
     }
 
     #[test]
+    fn service_cache_totals_are_the_sum_of_job_reports() {
+        let svc = BuildService::start(fixture_layout(), opts());
+        let mut probes = 0;
+        for tenant in ["alice", "bob"] {
+            let id = svc.submit(JobSpec::new(tenant, "app.dist+coM")).unwrap();
+            assert_eq!(svc.wait(id).unwrap().state, JobState::Done);
+            let report = svc.report(id).expect("done job has a report");
+            probes += report.counter("cache.hit") + report.counter("cache.miss");
+        }
+        assert_eq!(probes, 4, "two compile steps, cold then warm");
+        let stats = svc.stats();
+        assert_eq!(
+            stats.counter("service.cache.hits") + stats.counter("service.cache.misses"),
+            probes
+        );
+        assert_eq!(stats.counter("service.cache.misses"), 2);
+        svc.stop();
+    }
+
+    #[test]
     fn over_quota_tenant_queues_without_starving_others() {
         let mut o = opts();
         o.workers = 4;
         o.paused = true;
-        o.quotas.insert("alice".into(), 1);
+        o.default_quota = 1;
         let svc = BuildService::start(fixture_layout(), o);
         let a1 = svc.submit(JobSpec::new("alice", "app.dist+coM")).unwrap();
         let a2 = svc.submit(JobSpec::new("alice", "app.dist+coM")).unwrap();

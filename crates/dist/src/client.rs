@@ -9,6 +9,7 @@
 //! re-hashed before it is admitted; a digest mismatch discards the buffer
 //! and retries from scratch.
 
+use crate::http::MAX_BODY;
 use crate::wire;
 use crate::{tag_key, DistError, MEDIA_TYPE_MANIFEST};
 use bytes::Bytes;
@@ -17,7 +18,7 @@ use comt_chunk::{
     MEDIA_TYPE_CHUNKMAP,
 };
 use comt_digest::Digest;
-use comt_oci::store::{closure_digests, closure_of_manifest, BlobStore, StoreError, Verified};
+use comt_oci::store::{closure_digests, closure_of_manifest, BlobStore, Verified};
 use std::collections::BTreeSet;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -28,7 +29,14 @@ use std::time::{Duration, Instant};
 /// `(status, headers, body)` of one raw HTTP exchange.
 pub type RawResponse = (u16, Vec<(String, String)>, Vec<u8>);
 
-/// Bounded exponential backoff with jitter, plus the two deadlines.
+/// Wall-clock budget for one logical operation across all attempts.
+const OP_DEADLINE: Duration = Duration::from_secs(60);
+
+/// Per-attempt connect, read and write deadline.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Bounded exponential backoff with jitter. The deadlines are the
+/// constants `OP_DEADLINE` per operation and `IO_TIMEOUT` per socket call.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Attempts per operation (1 = no retries).
@@ -37,10 +45,6 @@ pub struct RetryPolicy {
     pub base_delay: Duration,
     /// Backoff ceiling.
     pub max_delay: Duration,
-    /// Wall-clock budget for one logical operation across all attempts.
-    pub op_deadline: Duration,
-    /// Per-attempt socket read/write deadline.
-    pub io_timeout: Duration,
 }
 
 impl Default for RetryPolicy {
@@ -49,8 +53,6 @@ impl Default for RetryPolicy {
             max_attempts: 5,
             base_delay: Duration::from_millis(10),
             max_delay: Duration::from_millis(640),
-            op_deadline: Duration::from_secs(60),
-            io_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -123,7 +125,6 @@ impl Default for PullOptions {
 pub struct DistClient {
     addr: String,
     policy: RetryPolicy,
-    max_body: usize,
     jitter_seed: u64,
 }
 
@@ -146,7 +147,6 @@ impl DistClient {
         DistClient {
             addr,
             policy,
-            max_body: 1 << 30,
             jitter_seed,
         }
     }
@@ -162,11 +162,11 @@ impl DistClient {
             .map_err(|e| DistError::io("resolve", e))?
             .next()
             .ok_or_else(|| DistError::protocol(format!("no address for {}", self.addr)))?;
-        let stream = TcpStream::connect_timeout(&sockaddr, self.policy.io_timeout)
+        let stream = TcpStream::connect_timeout(&sockaddr, IO_TIMEOUT)
             .map_err(|e| DistError::io("connect", e))?;
         stream
-            .set_read_timeout(Some(self.policy.io_timeout))
-            .and_then(|_| stream.set_write_timeout(Some(self.policy.io_timeout)))
+            .set_read_timeout(Some(IO_TIMEOUT))
+            .and_then(|_| stream.set_write_timeout(Some(IO_TIMEOUT)))
             .and_then(|_| stream.set_nodelay(true))
             .map_err(|e| DistError::io("socket setup", e))?;
         Ok(stream)
@@ -196,7 +196,7 @@ impl DistClient {
             return wire::read_response_head(&mut reader)
                 .map_err(|e| DistError::io("read response", e));
         }
-        wire::read_response_into(&mut reader, sink, self.max_body)
+        wire::read_response_into(&mut reader, sink, MAX_BODY)
             .map_err(|e| DistError::io("read response", e))
     }
 
@@ -218,7 +218,7 @@ impl DistClient {
             }
             match attempt_fn() {
                 Ok(v) => return Ok(v),
-                Err(e) if e.is_retryable() && started.elapsed() < self.policy.op_deadline => {
+                Err(e) if e.is_retryable() && started.elapsed() < OP_DEADLINE => {
                     last = Some(e);
                 }
                 Err(e) => return Err(e),
@@ -715,10 +715,7 @@ impl DistClient {
     ) -> Result<TransferStats, DistError> {
         let obs = comt_observe::global();
         let _span = obs.span("dist.client.push");
-        let proof = |d: &Digest| {
-            src.verified(d)
-                .ok_or_else(|| StoreError::MissingBlob(d.to_string()))
-        };
+        let proof = |d: &Digest| src.require_verified(d);
         let manifest = proof(&manifest_digest)?;
         let closure = closure_of_manifest(manifest.as_slice(), &manifest_digest)?;
         let mut stats = TransferStats::default();
@@ -971,7 +968,6 @@ mod tests {
             max_attempts: 3,
             base_delay: Duration::from_millis(1),
             max_delay: Duration::from_millis(2),
-            ..Default::default()
         };
         let client = DistClient::with_policy(addr, policy);
         client.get_resumable("get", "/v2/x/blobs/b", start, end, |buf| {

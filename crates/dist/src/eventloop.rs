@@ -41,7 +41,7 @@
 //! forever is closed and its slot freed, so slow or dead clients can
 //! never wedge the reactor.
 
-use crate::http::{BodySource, HttpAction, HttpHandler, HttpOptions, STREAM_CHUNK};
+use crate::http::{BodySource, HttpAction, HttpHandler, HttpOptions, MAX_BODY, STREAM_CHUNK};
 use crate::poller::{Poller, Waker};
 use crate::wire::{self, RequestParser};
 use bytes::Bytes;
@@ -403,7 +403,7 @@ impl<H: HttpHandler> EventLoop<H> {
             Conn {
                 stream,
                 peer,
-                parser: RequestParser::new(self.shared.opts.max_body),
+                parser: RequestParser::new(MAX_BODY),
                 state: State::Reading,
                 deadline: Instant::now() + self.shared.opts.read_timeout,
             },

@@ -38,6 +38,10 @@ use std::time::Duration;
 /// move through the socket in pieces of at most this size.
 pub const STREAM_CHUNK: usize = 256 * 1024;
 
+/// Largest body either side of the wire accepts: a request body on the
+/// serve path, a response body in [`crate::DistClient`].
+pub const MAX_BODY: usize = 1 << 30;
+
 /// Tuning knobs shared by every daemon built on [`serve_http`].
 #[derive(Debug, Clone)]
 pub struct HttpOptions {
@@ -47,8 +51,6 @@ pub struct HttpOptions {
     pub read_timeout: Duration,
     /// Per-connection write deadline (stalled / zero-window reader).
     pub write_timeout: Duration,
-    /// Largest accepted request body.
-    pub max_body: usize,
     /// Open-connection cap. Accepts past the cap are refused immediately
     /// and counted, so a connection flood degrades loudly instead of
     /// wedging the reactor.
@@ -63,7 +65,6 @@ impl Default for HttpOptions {
             threads: std::thread::available_parallelism().map_or(4, |n| n.get().clamp(2, 16)),
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
-            max_body: 1 << 30,
             max_conns: 1024,
             client_rate: 0,
         }

@@ -57,7 +57,7 @@ pub const MEDIA_TYPE_MANIFEST: &str = "application/vnd.oci.image.manifest.v1+jso
 
 /// The registry-side tag for a `(repository, reference)` pair. The wire
 /// addresses images as `/v2/<name>/manifests/<reference>`; the backing
-/// [`comt_oci::Registry`] keys tags by this composite string.
+/// [`comt_oci::Layout`] keys tags by this composite string.
 pub fn tag_key(name: &str, reference: &str) -> String {
     format!("{name}:{reference}")
 }

@@ -14,7 +14,7 @@
 //! ## Backends
 //!
 //! The daemon serves `comt-oci`'s one tagged store, [`Layout`], over any
-//! [`BlobBackend`]: the in-memory [`Registry`] (tests, benches) and the
+//! [`BlobBackend`]: the in-memory [`OciDir`] (tests, benches) and the
 //! crash-safe [`comt_oci::DiskRegistry`] (`comt serve` on a real layout,
 //! each blob and tag committed durably at publish time) are that store at
 //! its two blob backends. A failed mutation answers by whose fault it was
@@ -50,7 +50,7 @@ use crate::wire::{self, Request, Response};
 use crate::{tag_key, MEDIA_TYPE_MANIFEST};
 use bytes::Bytes;
 use comt_digest::Digest;
-use comt_oci::{BlobBackend, BlobHandle, Layout, Registry, StoreError, Verified};
+use comt_oci::{BlobBackend, BlobHandle, Layout, OciDir, StoreError, Verified};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -142,8 +142,8 @@ impl<B: BlobBackend + Send + 'static> HttpHandler for RegistryHandler<Layout<B>>
 /// accepting but does not join workers; call `shutdown` for a clean stop
 /// that hands the store (with everything pushed to it) back. The type
 /// parameter is the served [`Layout`] and defaults to the in-memory
-/// [`Registry`].
-pub struct DistServer<R = Registry> {
+/// [`OciDir`].
+pub struct DistServer<R = OciDir> {
     http: HttpServer,
     state: Arc<RegistryHandler<R>>,
 }

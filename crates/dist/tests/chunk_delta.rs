@@ -11,7 +11,7 @@ use comt_chunk::ChunkParams;
 use comt_digest::Digest;
 use comt_dist::{serve, Chaos, DistClient, PullOptions, RetryPolicy, ServerOptions};
 use comt_oci::store::closure_digests;
-use comt_oci::{BlobStore, ImageBuilder, ImageManifest, Registry};
+use comt_oci::{BlobStore, ImageBuilder, ImageManifest, OciDir};
 use comt_vfs::Vfs;
 use std::sync::{Mutex, MutexGuard};
 
@@ -59,7 +59,7 @@ fn layer_digests(store: &BlobStore, md: &Digest) -> Vec<(Digest, u64)> {
 }
 
 fn start_server(opts: ServerOptions) -> comt_dist::DistServer {
-    serve(Registry::new(), "127.0.0.1:0", opts).expect("bind loopback")
+    serve(OciDir::new(), "127.0.0.1:0", opts).expect("bind loopback")
 }
 
 /// Two versions of the image: v2 differs from v1 by one small in-place

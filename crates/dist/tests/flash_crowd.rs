@@ -10,7 +10,7 @@
 use bytes::Bytes;
 use comt_dist::{serve, DistClient, HttpOptions, ServerOptions};
 use comt_oci::store::closure_digests;
-use comt_oci::{BlobStore, ImageBuilder, Registry};
+use comt_oci::{BlobStore, ImageBuilder, OciDir};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
@@ -131,7 +131,7 @@ fn a_flash_crowd_leaves_peak_rss_flat() {
     assert!(blob_len >= BLOB_LEN);
 
     let server = serve(
-        Registry::new(),
+        OciDir::new(),
         "127.0.0.1:0",
         ServerOptions {
             http: HttpOptions {

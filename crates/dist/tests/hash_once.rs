@@ -12,9 +12,8 @@ use bytes::Bytes;
 use comt_chunk::{ChunkMap, ChunkParams};
 use comt_digest::{bytes_hashed, Digest};
 use comt_dist::{serve, split_ref, DistClient, ServerOptions};
-use comt_oci::layout::OciDir;
 use comt_oci::store::closure_digests;
-use comt_oci::{BlobStore, ImageBuilder, Registry};
+use comt_oci::{BlobStore, ImageBuilder, OciDir};
 use comt_vfs::Vfs;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -110,7 +109,7 @@ fn save_hashes_nothing_load_hashes_once_and_a_chunked_push_keeps_its_budget() {
         + shared.iter().map(map_len).sum::<u64>(); // each probe's verify-on-admit load
     let smallest_layer = parent_maps.keys().map(size).min().unwrap();
 
-    let server = serve(Registry::new(), "127.0.0.1:0", ServerOptions::default()).unwrap();
+    let server = serve(OciDir::new(), "127.0.0.1:0", ServerOptions::default()).unwrap();
     let client = DistClient::new(server.addr().to_string());
     let obs = comt_observe::global();
     let (maps_before, before) = (obs.counter("dist.client.chunkmaps_pushed"), bytes_hashed());

@@ -10,7 +10,7 @@ use comt_dist::{
 use comt_oci::spec::ImageIndex;
 use comt_oci::store::closure_digests;
 use comt_oci::{
-    BlobBackend, BlobHandle, BlobStore, ImageBuilder, Layout, Registry, StoreError, Verified,
+    BlobBackend, BlobHandle, BlobStore, ImageBuilder, Layout, OciDir, StoreError, Verified,
 };
 use comt_vfs::Vfs;
 use std::io::{Read, Write};
@@ -32,7 +32,7 @@ fn sample_image(store: &mut BlobStore, payload: &[u8]) -> Digest {
 }
 
 fn start_server(opts: ServerOptions) -> comt_dist::DistServer {
-    serve(Registry::new(), "127.0.0.1:0", opts).expect("bind loopback")
+    serve(OciDir::new(), "127.0.0.1:0", opts).expect("bind loopback")
 }
 
 #[test]
@@ -225,6 +225,25 @@ fn manifest_put_without_closure_is_rejected_and_invisible() {
     let reg = server.shutdown();
     assert!(reg.resolve(&tag_key("app", "v1")).is_err());
     assert!(!reg.store().contains(&md), "failed manifest PUT leaked");
+}
+
+#[test]
+fn push_of_a_local_lie_fails_before_any_upload() {
+    let mut local = BlobStore::new();
+    let md = sample_image(&mut local, b"local-lie");
+    let layer = closure_digests(&local, &md).unwrap()[2];
+    local.insert_raw_for_tests(layer, Bytes::from_static(b"bitrot"));
+
+    let server = start_server(ServerOptions::default());
+    let client = DistClient::with_policy(server.addr().to_string(), RetryPolicy::no_retries());
+    let err = client.push_image("app", "v1", md, &local).unwrap_err();
+    assert!(
+        matches!(err, DistError::Registry(StoreError::DigestMismatch(_))),
+        "{err}"
+    );
+    let reg = server.shutdown();
+    assert!(reg.resolve(&tag_key("app", "v1")).is_err());
+    assert!(!reg.store().contains(&layer), "the lie was uploaded");
 }
 
 #[test]

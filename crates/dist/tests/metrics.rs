@@ -63,7 +63,7 @@ fn golden_document_round_trips() {
 
 #[test]
 fn both_daemons_serve_the_one_document() {
-    let registry = serve(comt_oci::Registry::new(), "127.0.0.1:0", Default::default()).unwrap();
+    let registry = serve(comt_oci::OciDir::new(), "127.0.0.1:0", Default::default()).unwrap();
     let svc = BuildService::start(comt_oci::layout::OciDir::new(), ServiceOptions::default());
     let buildd = serve_buildd(svc, "127.0.0.1:0", Default::default()).unwrap();
     for (addr, route) in [

@@ -13,7 +13,7 @@ use comt_chunk::{ChunkMap, ChunkParams};
 use comt_digest::{bytes_hashed, Digest};
 use comt_dist::{serve, DistClient, ServerOptions};
 use comt_oci::store::closure_digests;
-use comt_oci::{BlobStore, ImageBuilder, ImageManifest, Registry};
+use comt_oci::{BlobStore, ImageBuilder, ImageManifest, OciDir};
 use comt_vfs::Vfs;
 
 /// Incompressible, seeded bytes (xorshift64*).
@@ -57,7 +57,7 @@ fn a_delta_pull_hashes_none_of_the_layer_it_already_holds() {
     let md2 = image(&mut local, &v2);
     let params = ChunkParams::default();
 
-    let server = serve(Registry::new(), "127.0.0.1:0", ServerOptions::default()).unwrap();
+    let server = serve(OciDir::new(), "127.0.0.1:0", ServerOptions::default()).unwrap();
     let client = DistClient::new(server.addr().to_string());
     for (tag, md) in [("v1", md1), ("v2", md2)] {
         client

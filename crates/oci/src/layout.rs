@@ -6,8 +6,8 @@
 //! bind-mounted into the build/rebuild/redirect containers, pushed, pulled
 //! and served. All of those are one type, [`Layout`]: an [`ImageIndex`]
 //! plus a [`BlobBackend`]. In memory it is [`OciDir`] (the form "mounted"
-//! into simulated containers; `save`/`load` move it to and from disk) and
-//! [`crate::Registry`]; over a [`crate::DiskStore`] it is
+//! into simulated containers and the in-process registry; `save`/`load`
+//! move it to and from disk); over a [`crate::DiskStore`] it is
 //! [`crate::DiskRegistry`], the directory itself held open under its lock:
 //!
 //! ```text
@@ -39,7 +39,9 @@ pub struct Layout<B> {
     pub blobs: B,
 }
 
-/// An OCI layout held in memory: the unit mounted at `/.coMtainer/io`.
+/// An OCI layout held in memory: the unit mounted at `/.coMtainer/io`,
+/// and the in-process registry that [`Layout::push`] and [`Layout::pull`]
+/// move closures to and from (only missing blobs move).
 pub type OciDir = Layout<BlobStore>;
 
 impl<B: BlobBackend> Layout<B> {
@@ -315,12 +317,18 @@ impl Layout<BlobStore> {
     /// committed incrementally (only the missing ones are written, each
     /// via tmp → fsync → atomic rename), and `index.json` is replaced
     /// atomically last, so a kill mid-save leaves either the old or the
-    /// new tag table — never a torn one. Nothing is hashed: each blob goes
-    /// in on the proof this store already holds for it.
+    /// new tag table — never a torn one. A blob in this store's proof set
+    /// goes in on that proof, unhashed; any other is hashed first
+    /// ([`BlobStore::require_verified`]), and one that fails its digest
+    /// fails the save before anything is written.
     pub fn save(&self, dir: &Path) -> Result<(), StoreError> {
+        let proofs = self
+            .blobs
+            .iter()
+            .map(|(d, _)| self.blobs.require_verified(d))
+            .collect::<Result<Vec<_>, _>>()?;
         let _lock = LayoutLock::acquire(dir)?;
         let store = DiskStore::init(dir)?;
-        let proofs = self.blobs.iter().filter_map(|(d, _)| self.blobs.verified(d));
         for blob in proofs {
             store.admit(blob)?;
         }
@@ -468,6 +476,38 @@ mod tests {
             OciDir::load(&tmp),
             Err(StoreError::DigestMismatch(_))
         ));
+        std::fs::remove_dir_all(&tmp).unwrap();
+    }
+
+    #[test]
+    fn only_the_proof_set_lends_proofs_and_save_checks_the_rest() {
+        let mut store = BlobStore::new();
+        let md = tiny_image(&mut store);
+        let mut dir = OciDir::new();
+        dir.export("app.dist", md, &store).unwrap();
+        let layer = closure_digests(&dir.blobs, &md).unwrap()[2];
+        let honest = dir.blobs.get(&layer).unwrap();
+
+        // A raw write leaves the proof set until a check is recorded.
+        dir.blobs.insert_raw_for_tests(layer, honest.clone());
+        assert!(dir.blobs.verified(&layer).is_none());
+        dir.blobs.prove(&layer);
+        assert!(dir.blobs.verified(&layer).is_some());
+
+        // A lie gets no proof, and saving it fails before anything is
+        // written.
+        dir.blobs
+            .insert_raw_for_tests(layer, Bytes::from_static(b"bitrot"));
+        assert!(dir.blobs.verified(&layer).is_none());
+        let tmp = std::env::temp_dir().join(format!("comt-oci-lie-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&tmp);
+        assert!(matches!(dir.save(&tmp), Err(StoreError::DigestMismatch(_))));
+        assert!(!tmp.join("index.json").exists());
+
+        // Unproven but honest bytes are hashed once and saved.
+        dir.blobs.insert_raw_for_tests(layer, honest);
+        dir.save(&tmp).unwrap();
+        assert_eq!(OciDir::load(&tmp).unwrap().resolve("app.dist").unwrap(), md);
         std::fs::remove_dir_all(&tmp).unwrap();
     }
 

@@ -13,8 +13,8 @@
 //!   flattening an image to a filesystem ([`flatten`]),
 //! * [`Layout`] — the one tagged store: an image index over a
 //!   [`BlobBackend`], with resolve, staged publish, `push`/`pull`,
-//!   chunkmaps, liveness and gc written once. [`layout::OciDir`] and
-//!   [`Registry`] are it in memory (`export`, `save`/`load`),
+//!   chunkmaps, liveness and gc written once. [`OciDir`] is it in memory
+//!   (`export`, `save`/`load`, the in-process registry),
 //!   [`DiskRegistry`] is it on disk under the layout lock, and it is what
 //!   `comt-dist`'s daemon serves, whatever the backend,
 //! * [`BlobStore`] / [`DiskStore`] — the two blob backends: in memory, and
@@ -41,11 +41,11 @@ pub use codec::{EncodedLayer, LayerCodec};
 pub use disk::{DiskRegistry, DiskStore, LayoutLock};
 pub use fsck::{fsck, FsckFinding, FsckOptions, FsckReport};
 pub use image::{flatten, layer_tar, Image, ImageBuilder, ImageError};
-pub use layout::Layout;
+pub use layout::{Layout, OciDir};
 pub use spec::{
     Descriptor, ImageConfig, ImageIndex, ImageManifest, MediaType, Platform, RuntimeConfig,
 };
-pub use store::{closure_digests, closure_of_manifest, BlobStore, Registry, StoreError, Verified};
+pub use store::{closure_digests, closure_of_manifest, BlobStore, StoreError, Verified};
 
 /// Serialize a manifest to its canonical JSON bytes (exposed for tests and
 /// tools that need to hand-craft manifests).

@@ -3,7 +3,6 @@
 //! ([`StoreError`]) and the walk from manifest bytes to closure.
 
 use crate::backend::{BlobBackend, BlobHandle};
-use crate::layout::Layout;
 use crate::spec::ImageIndex;
 use bytes::Bytes;
 use comt_digest::Digest;
@@ -276,16 +275,35 @@ impl BlobStore {
         digest
     }
 
-    /// The proof of a blob this store holds, borrowed and not re-hashed: a
-    /// `BlobStore` is a set of proofs, because every entry arrived through
-    /// [`BlobStore::admit`] (which takes a [`Verified`]) or was shared from
-    /// another store by [`BlobStore::fetch_from`]. The one other door is
-    /// [`BlobStore::insert_raw_for_tests`]; see there.
+    /// The proof of a blob in this store's proof set
+    /// ([`BlobBackend::proven`]), borrowed and not re-hashed: the entries
+    /// that arrived through [`BlobStore::admit`] (which takes a
+    /// [`Verified`]) or were shared with their proof by
+    /// [`BlobStore::fetch_from`]. `None` for a digest the store lacks or
+    /// holds unproven ([`BlobStore::insert_raw_for_tests`]).
     pub fn verified(&self, digest: &Digest) -> Option<Verified<'_>> {
+        if self.unproven.contains(digest) {
+            return None;
+        }
         self.blobs.get(digest).map(|b| Verified {
             digest: *digest,
             payload: Payload::Borrowed(b),
         })
+    }
+
+    /// [`BlobStore::verified`], or for a held blob outside the proof set a
+    /// [`Verified::check`] of its bytes against its digest — so a lie fails
+    /// with [`StoreError::DigestMismatch`]. Absence is
+    /// [`StoreError::MissingBlob`].
+    pub fn require_verified(&self, digest: &Digest) -> Result<Verified<'_>, StoreError> {
+        if let Some(proof) = self.verified(digest) {
+            return Ok(proof);
+        }
+        let bytes = self
+            .blobs
+            .get(digest)
+            .ok_or_else(|| StoreError::MissingBlob(digest.to_string()))?;
+        Verified::check(*digest, &bytes[..])
     }
 
     /// Fetch a blob by digest.
@@ -386,14 +404,15 @@ impl BlobStore {
     /// Insert a blob under an arbitrary digest, bypassing hashing — only
     /// for corruption/fault-injection tests (hence the name and the
     /// `#[doc(hidden)]`). It is the one way to store bytes without a
-    /// [`Verified`], so after it [`BlobStore::verified`] can hand out a
-    /// proof its bytes do not honour. The digest leaves this store's proof
-    /// set ([`BlobBackend::proven`]), so every check that trusts the set
-    /// hashes the bytes again. That is what those tests are for: each
-    /// shows a trust boundary that re-hashes what the store did not admit
-    /// itself — [`Layout::push`]'s `Verified::check` of the source, the
-    /// daemon's PUT hash, publish's and the daemon's serve-side verify of
-    /// an unproven blob — refusing the lie.
+    /// [`Verified`]. The digest leaves this store's proof set
+    /// ([`BlobBackend::proven`]; [`BlobStore::verified`] answers `None`),
+    /// so every check that trusts the set hashes the bytes again. That is
+    /// what those tests are for: each shows a trust boundary that re-hashes
+    /// what the store did not admit itself — [`crate::Layout::push`]'s
+    /// `Verified::check` of the source, [`BlobStore::require_verified`]
+    /// under `save` and the client push, the daemon's PUT hash, publish's
+    /// and the daemon's serve-side verify of an unproven blob — refusing
+    /// the lie.
     #[doc(hidden)]
     pub fn insert_raw_for_tests(&mut self, digest: Digest, data: Bytes) {
         self.blobs.insert(digest, data);
@@ -464,7 +483,7 @@ impl BlobBackend for BlobStore {
 
 /// Recursively collect the digests reachable from a manifest in `src`: the
 /// manifest itself first, then its config, then every layer in order. This
-/// is the transfer unit of both the in-process [`Registry`] and the wire
+/// is the transfer unit of both the in-process [`crate::OciDir`] and the wire
 /// protocol (`comt-dist`): a push/pull moves exactly this closure.
 pub fn closure_digests(
     src: &BlobStore,
@@ -491,20 +510,12 @@ pub fn closure_of_manifest(
     Ok(out)
 }
 
-/// The in-memory registry: the one tagged store ([`Layout`]) over a
-/// [`BlobStore`] — the same type as [`crate::layout::OciDir`], under the
-/// name the transfer side of the workflow uses. [`Layout::push`] and
-/// [`Layout::pull`] move closures between it and local stores, mirroring
-/// real registry cross-repo behaviour (only missing blobs move); it is the
-/// transport between the user side and the HPC system side in the
-/// coMtainer workflow.
-pub type Registry = Layout<BlobStore>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::BlobBackend;
     use crate::image::ImageBuilder;
+    use crate::layout::OciDir;
     use bytes::Bytes;
     use comt_vfs::Vfs;
 
@@ -550,7 +561,7 @@ mod tests {
         let mut local = BlobStore::new();
         let md = tiny_image(&mut local);
 
-        let mut reg = Registry::new();
+        let mut reg = OciDir::new();
         let n = reg.push("app:1.0", md, &local).unwrap();
         assert_eq!(n, 3); // manifest + config + 1 layer
 
@@ -566,7 +577,7 @@ mod tests {
 
     #[test]
     fn pull_unknown_tag() {
-        let reg = Registry::new();
+        let reg = OciDir::new();
         let mut dst = BlobStore::new();
         assert!(matches!(
             reg.pull("ghost:latest", &mut dst),
@@ -581,7 +592,7 @@ mod tests {
         // looking for a push that never happened.
         let mut local = BlobStore::new();
         let md = tiny_image(&mut local);
-        let mut reg = Registry::new();
+        let mut reg = OciDir::new();
         reg.push("app:1", md, &local).unwrap();
         reg.index.manifests[0].digest = "sha256:not-hex".into();
         let mut dst = BlobStore::new();
@@ -605,7 +616,7 @@ mod tests {
             manifest.layers[0].parsed_digest().unwrap()
         };
         local.insert_raw_for_tests(layer_digest, Bytes::from_static(b"tampered"));
-        let mut reg = Registry::new();
+        let mut reg = OciDir::new();
         assert!(matches!(
             reg.push("bad:1", md, &local),
             Err(StoreError::DigestMismatch(_))
@@ -620,7 +631,7 @@ mod tests {
         // push must now surface it as DigestMismatch.
         let mut local = BlobStore::new();
         let md = tiny_image(&mut local);
-        let mut reg = Registry::new();
+        let mut reg = OciDir::new();
         reg.push("app:1", md, &local).unwrap();
 
         let layer_digest = {
@@ -687,7 +698,7 @@ mod tests {
     #[test]
     fn push_with_missing_blob_fails() {
         let local = BlobStore::new();
-        let mut reg = Registry::new();
+        let mut reg = OciDir::new();
         let err = reg.push("x", Digest::of(b"not-a-manifest"), &local);
         assert!(matches!(err, Err(StoreError::MissingBlob(_))));
     }

@@ -250,18 +250,6 @@ impl Vfs {
         Ok(text_lossy(&self.read(path)?).into_owned())
     }
 
-    /// Target of a symlink (readlink).
-    pub fn readlink(&self, path: &str) -> Result<String, VfsError> {
-        match self.lstat(path) {
-            Some(Node {
-                kind: NodeKind::Symlink(t),
-                ..
-            }) => Ok(t.clone()),
-            Some(_) => Err(VfsError::NotADirectory(normalize(path))),
-            None => Err(VfsError::NotFound(normalize(path))),
-        }
-    }
-
     fn check_parent(&self, norm: &str) -> Result<(), VfsError> {
         let par = parent(norm);
         if par == "/" {

@@ -8,8 +8,7 @@
 use bytes::Bytes;
 use comt_bench::Lab;
 use comt_dist::{serve, split_ref, DistClient, PullOptions, ServerOptions};
-use comt_oci::layout::OciDir;
-use comt_oci::{flatten, ImageBuilder, MediaType, Registry};
+use comt_oci::{flatten, ImageBuilder, MediaType, OciDir};
 use comtainer_suite::pkg::catalog;
 
 const GZ_REF: &str = "hpccg.site:gz";
@@ -57,7 +56,7 @@ fn compressed_layer_survives_chunked_push_and_delta_pull() {
         .all(|l| l.media_type == MediaType::LayerTar));
     assert_eq!(flatten(&oci.blobs, &image).unwrap(), fs);
 
-    let server = serve(Registry::new(), "127.0.0.1:0", ServerOptions::default()).unwrap();
+    let server = serve(OciDir::new(), "127.0.0.1:0", ServerOptions::default()).unwrap();
     let client = DistClient::new(server.addr().to_string());
     let (name, tag) = split_ref(GZ_REF);
     client

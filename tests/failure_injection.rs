@@ -152,7 +152,7 @@ fn registry_pull_with_missing_blob_fails() {
     let ext = art.oci.load_image("hpccg.dist+coM").unwrap();
     // Push only the manifest blob into a registry store directly (bypassing
     // push's closure copy), then pull.
-    let mut reg = comtainer_suite::oci::Registry::new();
+    let mut reg = comtainer_suite::oci::OciDir::new();
     let raw = art.oci.blobs.get(&ext.manifest_digest).unwrap();
     reg.store_mut().put(raw);
     // resolve/pull path: a manual tag insert is not exposed, so push from a

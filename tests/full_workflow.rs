@@ -126,7 +126,7 @@ fn registry_transfer_of_extended_image() {
     let art = lab.prepare_app("hpccg");
     let ext = art.oci.load_image("hpccg.dist+coM").unwrap();
 
-    let mut registry = comtainer_suite::oci::Registry::new();
+    let mut registry = comtainer_suite::oci::OciDir::new();
     registry
         .push("hpccg:extended", ext.manifest_digest, &art.oci.blobs)
         .unwrap();
