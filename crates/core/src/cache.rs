@@ -212,8 +212,8 @@ fn commit_layer(
 /// load flattens the image, and every later load of it — a rebuild, warm
 /// re-run, retarget, audit or buildd job, on the layout or any clone of it
 /// — gets the held contents and the held digests of its sources. The store
-/// drops the entry with the image's blobs (gc), and serves it only while
-/// it holds the very allocations it was decoded from.
+/// drops the entry with the image's blobs (gc), and serves it only to a
+/// store that holds the image's whole closure.
 pub fn load_cache(oci: &OciDir, extended_ref: &str) -> Result<CacheContents, ComtError> {
     let manifest = oci
         .resolve(extended_ref)

@@ -555,23 +555,6 @@ impl<H: HttpHandler> EventLoop<H> {
                     close_after: close_requested,
                 }
             }
-            HttpAction::RespondTruncated(resp, after) => {
-                let cut = if head_only { 0 } else { after.min(resp.body.len()) };
-                obs.count(&format!("{prefix}.chaos_truncations"), 1);
-                obs.count(&format!("{prefix}.bytes_out"), cut as u64);
-                // Advertise the full length, deliver only the prefix, then
-                // hang up — the chaos hook for client Range-resume.
-                let head = wire::response_head_bytes(&resp, resp.body.len() as u64);
-                WriteState {
-                    head,
-                    head_pos: 0,
-                    body: BodyCursor::Bytes {
-                        data: Bytes::from(resp.body).slice(0..cut),
-                        pos: 0,
-                    },
-                    close_after: true,
-                }
-            }
         };
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.state = State::Writing(ws);

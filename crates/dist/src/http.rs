@@ -20,10 +20,9 @@
 //!
 //! Handlers return bodies either materialized ([`HttpAction::Respond`])
 //! or as a [`BodySource`] ([`HttpAction::RespondBody`]) that the engine
-//! streams in [`STREAM_CHUNK`]-bounded pieces. Fault injection stays
-//! available via [`HttpAction::RespondTruncated`], which lies about the
-//! body length and drops the line — the chaos hook the registry uses to
-//! exercise client Range-resume.
+//! streams in [`STREAM_CHUNK`]-bounded pieces. Every response is sent
+//! whole and as advertised: wire faults (cut bodies, flipped bytes) are
+//! injected by a test proxy between client and daemon, not here.
 
 pub use crate::eventloop::HttpServer;
 use crate::wire::{Request, Response};
@@ -103,9 +102,6 @@ pub enum HttpAction {
     /// `resp` carries status + headers; the body streams from `source`
     /// (its `Content-Length` is the source length, `resp.body` ignored).
     RespondBody(Response, BodySource),
-    /// Fault injection: send only the first N body bytes of a response
-    /// that advertises its full length, then close the connection.
-    RespondTruncated(Response, usize),
 }
 
 /// A daemon's routing layer. Implementations are shared across serve

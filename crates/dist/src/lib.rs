@@ -50,7 +50,7 @@ pub use http::{
     serve_http, BodySource, HttpAction, HttpHandler, HttpOptions, HttpServer, STREAM_CHUNK,
 };
 pub use metrics::{decode_report, encode_report, with_process_counters};
-pub use server::{serve, Chaos, DistServer, ServerOptions};
+pub use server::{serve, DistServer, ServerOptions};
 
 /// Manifest media type advertised on the wire.
 pub const MEDIA_TYPE_MANIFEST: &str = "application/vnd.oci.image.manifest.v1+json";

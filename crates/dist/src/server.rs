@@ -53,25 +53,10 @@ use comt_digest::Digest;
 use comt_oci::{BlobBackend, BlobHandle, Layout, OciDir, StoreError, Verified};
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Fault injection: truncate the next `truncate_blob_gets` blob GET
-/// responses after `truncate_after` body bytes and drop the connection.
-/// Exercises the client's Range-resume path deterministically.
-///
-/// `poison_range_gets` corrupts one byte in the body of the next N ranged
-/// (206) blob GETs — the server still advertises the right Content-Range,
-/// so only the client's per-chunk digest verification can catch it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Chaos {
-    pub truncate_blob_gets: u32,
-    pub truncate_after: usize,
-    pub poison_range_gets: u32,
-}
-
 /// Server tuning knobs: the shared [`HttpOptions`] plus what only the
-/// registry has — its hot-blob cache and fault injection.
+/// registry has — its hot-blob cache.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
     /// Threads, deadlines, body cap and admission limits of the serve core.
@@ -79,8 +64,6 @@ pub struct ServerOptions {
     /// Byte budget for the hot-blob LRU in front of the backend; 0
     /// disables caching (every GET goes to the store).
     pub cache_bytes: u64,
-    /// Optional fault injection.
-    pub chaos: Option<Chaos>,
 }
 
 impl Default for ServerOptions {
@@ -88,22 +71,18 @@ impl Default for ServerOptions {
         ServerOptions {
             http: HttpOptions::default(),
             cache_bytes: 64 << 20,
-            chaos: None,
         }
     }
 }
 
-/// The registry routing layer: store + chaos budget behind the shared
-/// HTTP core. `R` is always a [`Layout`] over some [`BlobBackend`].
+/// The registry routing layer: the store and its hot cache behind the
+/// shared HTTP core. `R` is always a [`Layout`] over some [`BlobBackend`].
 struct RegistryHandler<R> {
     registry: Mutex<R>,
     /// Byte-budgeted LRU of verified hot blobs: a layer every node in a
     /// cluster pulls is read and hashed once, then served as refcounted
     /// [`bytes::Bytes`] clones.
     cache: HotBlobCache,
-    chaos_budget: AtomicU32,
-    chaos_after: usize,
-    poison_budget: AtomicU32,
 }
 
 /// A stored blob's handle and whether the store proves it, read under the
@@ -164,9 +143,6 @@ pub fn serve<B: BlobBackend + Send + 'static>(
     let state = Arc::new(RegistryHandler {
         registry: Mutex::new(registry),
         cache: HotBlobCache::new(opts.cache_bytes),
-        chaos_budget: AtomicU32::new(opts.chaos.map_or(0, |c| c.truncate_blob_gets)),
-        chaos_after: opts.chaos.map_or(0, |c| c.truncate_after),
-        poison_budget: AtomicU32::new(opts.chaos.map_or(0, |c| c.poison_range_gets)),
     });
     let http = serve_http(Arc::clone(&state), addr, opts.http)?;
     Ok(DistServer { http, state })
@@ -382,52 +358,6 @@ fn blob_get<B: BlobBackend>(
             format!("bytes {}-{}/{}", start, end - 1, total),
         );
     }
-    // Chaos: corrupt one byte of a ranged response. Headers stay truthful,
-    // so nothing short of content verification can notice — exactly the
-    // torn-chunk case the client's per-chunk digest check must catch.
-    if status == 206 {
-        let budget = state.poison_budget.load(Ordering::SeqCst);
-        if budget > 0
-            && state
-                .poison_budget
-                .compare_exchange(budget, budget - 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-        {
-            let mut body = match &source {
-                BodySource::Bytes(b) => b.to_vec(),
-                BodySource::File { .. } => match handle.read_range(start, end) {
-                    Ok(b) => b.to_vec(),
-                    Err(e) => return unservable("blob", e),
-                },
-            };
-            if let Some(byte) = body.last_mut() {
-                *byte ^= 0xFF;
-            }
-            return HttpAction::Respond(resp.with_body(body));
-        }
-    }
-    // Chaos: pretend to serve the full range, cut the body short, hang up.
-    // Truncation needs materialized bytes; chaos runs only in tests with
-    // small payloads, so the materialization is bounded there.
-    if state.chaos_after > 0 && source.len() as usize > state.chaos_after {
-        let budget = state.chaos_budget.load(Ordering::SeqCst);
-        if budget > 0
-            && state
-                .chaos_budget
-                .compare_exchange(budget, budget - 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-        {
-            let body = match source {
-                BodySource::Bytes(b) => b.to_vec(),
-                BodySource::File { .. } => match handle.read_range(start, end) {
-                    Ok(b) => b.to_vec(),
-                    Err(e) => return unservable("blob", e),
-                },
-            };
-            let after = state.chaos_after;
-            return HttpAction::RespondTruncated(resp.with_body(body), after);
-        }
-    }
     HttpAction::RespondBody(resp, source)
 }
 
@@ -635,7 +565,7 @@ fn chunkmap_put<B: BlobBackend>(
         reg.put_chunkmap(layer, proof)
     };
     match put {
-        Ok((map_digest, _)) => {
+        Ok(map_digest) => {
             comt_observe::global().count("dist.server.chunkmaps_published", 1);
             HttpAction::Respond(
                 Response::new(201)

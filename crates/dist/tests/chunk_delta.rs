@@ -1,7 +1,8 @@
 //! Chunk-level delta distribution end to end: chunked push publishes
 //! chunkmaps, delta pull moves only the chunks the client lacks, and
-//! every failure mode (chaos truncation, poisoned windows, servers or
-//! pushes that predate chunkmaps) either heals or fails closed.
+//! every failure mode (cut bodies, poisoned windows, servers or pushes
+//! that predate chunkmaps) either heals or fails closed. Wire faults come
+//! from a proxy between the puller and the daemon (`common/proxy.rs`).
 //!
 //! Counter-based assertions share the process-global observe recorder,
 //! so every test serializes on [`obs_lock`].
@@ -9,11 +10,15 @@
 use bytes::Bytes;
 use comt_chunk::ChunkParams;
 use comt_digest::Digest;
-use comt_dist::{serve, Chaos, DistClient, PullOptions, RetryPolicy, ServerOptions};
+use comt_dist::{serve, DistClient, PullOptions, RetryPolicy, ServerOptions};
 use comt_oci::store::closure_digests;
 use comt_oci::{BlobStore, ImageBuilder, ImageManifest, OciDir};
 use comt_vfs::Vfs;
 use std::sync::{Mutex, MutexGuard};
+
+#[path = "common/proxy.rs"]
+mod proxy;
+use proxy::{FaultProxy, Faults};
 
 fn obs_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -371,23 +376,25 @@ fn mid_chunk_disconnect_resumes_inside_the_window() {
     let _g = obs_lock();
     let mut local = BlobStore::new();
     let (md1, md2) = two_versions(&mut local);
-    // Truncate ranged GETs after 1 KiB: every multi-KiB window dies
-    // mid-chunk and must resume from its partial prefix.
-    let server = start_server(ServerOptions {
-        chaos: Some(Chaos {
-            truncate_blob_gets: 3,
-            truncate_after: 1024,
-            ..Chaos::default()
-        }),
-        ..Default::default()
-    });
-    let client = DistClient::new(server.addr().to_string());
-    client
+    let server = start_server(ServerOptions::default());
+    let pusher = DistClient::new(server.addr().to_string());
+    pusher
         .push_image_chunked("app", "v1", md1, &local, ChunkParams::default())
         .unwrap();
-    client
+    pusher
         .push_image_chunked("app", "v2", md2, &local, ChunkParams::default())
         .unwrap();
+    // Truncate ranged GETs after 1 KiB: every multi-KiB window dies
+    // mid-chunk and must resume from its partial prefix.
+    let proxy = FaultProxy::start(
+        server.addr(),
+        Faults {
+            truncate_gets: 3,
+            truncate_after: 1024,
+            ..Faults::default()
+        },
+    );
+    let client = DistClient::new(proxy.addr().to_string());
     // Seed v1 locally (not over the wire) so the whole truncation budget
     // lands on the delta pull's range windows.
     let mut dst = BlobStore::new();
@@ -404,6 +411,8 @@ fn mid_chunk_disconnect_resumes_inside_the_window() {
         "expected at least one mid-window Range resume"
     );
     assert_closure_identical(&local, &dst, &md2);
+    assert!(proxy.injected() >= 1, "the proxy cut nothing");
+    drop(proxy);
     drop(server);
 }
 
@@ -412,28 +421,30 @@ fn poisoned_chunk_fails_closed_without_committing() {
     let _g = obs_lock();
     let mut local = BlobStore::new();
     let (md1, md2) = two_versions(&mut local);
+    let server = start_server(ServerOptions::default());
+    let pusher = DistClient::new(server.addr().to_string());
+    pusher
+        .push_image_chunked("app", "v1", md1, &local, ChunkParams::default())
+        .unwrap();
+    pusher
+        .push_image_chunked("app", "v2", md2, &local, ChunkParams::default())
+        .unwrap();
     // Poison every ranged GET: per-chunk verification must reject each
     // attempt and the pull must fail without committing a torn layer.
-    let server = start_server(ServerOptions {
-        chaos: Some(Chaos {
-            poison_range_gets: u32::MAX,
-            ..Chaos::default()
-        }),
-        ..Default::default()
-    });
+    let proxy = FaultProxy::start(
+        server.addr(),
+        Faults {
+            poison_ranged_gets: u32::MAX,
+            ..Faults::default()
+        },
+    );
     let client = DistClient::with_policy(
-        server.addr().to_string(),
+        proxy.addr().to_string(),
         RetryPolicy {
             max_attempts: 2,
             ..Default::default()
         },
     );
-    client
-        .push_image_chunked("app", "v1", md1, &local, ChunkParams::default())
-        .unwrap();
-    client
-        .push_image_chunked("app", "v2", md2, &local, ChunkParams::default())
-        .unwrap();
     let mut dst = BlobStore::new();
     client.pull_image("app", "v1", &mut dst).unwrap();
 
@@ -453,6 +464,8 @@ fn poisoned_chunk_fails_closed_without_committing() {
             "torn layer {layer} committed despite poisoned chunks"
         );
     }
+    assert!(proxy.injected() >= 1, "the proxy poisoned nothing");
+    drop(proxy);
     drop(server);
 }
 

@@ -10,7 +10,7 @@ use bytes::Bytes;
 use comt_digest::Digest;
 use comt_dist::{serve, DistClient, HttpOptions, ServerOptions};
 use comt_oci::store::closure_digests;
-use comt_oci::{BlobStore, DiskRegistry, ImageBuilder, FILE_BYTES_READ};
+use comt_oci::{BlobBackend, BlobStore, DiskRegistry, ImageBuilder, Verified, FILE_BYTES_READ};
 use comt_vfs::Vfs;
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -209,7 +209,8 @@ fn cache_eviction_and_poison_rejection_visible_in_stats() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Budget 64 KiB → max entry 16 KiB: three 10 KiB blobs fit two at a
     // time, forcing an eviction; a poisoned blob is rejected on admit.
-    let mut reg = comt_oci::OciDir::new();
+    let dir = disk_dir("poison");
+    let mut reg = DiskRegistry::open(&dir).unwrap();
     let blobs: Vec<(Digest, Bytes)> = (0..3u8)
         .map(|seed| {
             let data: Vec<u8> = (0..10 * 1024).map(|i| seed.wrapping_add((i % 251) as u8)).collect();
@@ -218,11 +219,14 @@ fn cache_eviction_and_poison_rejection_visible_in_stats() {
         })
         .collect();
     for (_, b) in &blobs {
-        reg.blobs.put(b.clone());
+        reg.blobs.insert(Verified::hash(b.clone())).unwrap();
     }
-    let poisoned = Digest::of(b"advertised content");
-    reg.store_mut()
-        .insert_raw_for_tests(poisoned, Bytes::from_static(b"bitrot"));
+    // Rot one blob on disk: other bytes of another length, so the store's
+    // stamp no longer matches and the proof it held is dropped.
+    let honest = Verified::hash(Bytes::from_static(b"advertised content"));
+    let poisoned = honest.digest();
+    reg.blobs.insert(honest).unwrap();
+    std::fs::write(reg.blobs.blob_path(&poisoned), b"bitrot").unwrap();
 
     let server = serve(
         reg,
@@ -261,7 +265,8 @@ fn cache_eviction_and_poison_rejection_visible_in_stats() {
     assert_eq!(stats.counter("dist.cache.misses"), 4, "{stats}"); // 3 blobs + poisoned
     assert_eq!(stats.counter("dist.server.verify_failures"), 1, "{stats}");
 
-    drop(server);
+    drop(server.shutdown());
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

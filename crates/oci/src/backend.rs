@@ -22,8 +22,10 @@
 //!   leaves no trace.
 //! * A store keeps the one proof set of its process: the digests it wrote
 //!   itself from a [`Verified`], plus those a caller checked and recorded
-//!   with [`BlobBackend::prove`]. Removing a blob, or writing one without a
-//!   proof, takes it out.
+//!   with [`BlobBackend::prove`]. Removing a blob takes it out. An
+//!   in-memory store can hold nothing else, so its set is all it holds; a
+//!   disk store also holds files an earlier process (or bit rot) wrote,
+//!   and its set covers a file only while the file is unchanged.
 //! * [`BlobBackend::handle`] returns a cheap handle so the server can drop
 //!   its lock before the expensive part (file read + re-hash) happens in
 //!   [`BlobHandle::read_verified`].

@@ -602,7 +602,7 @@ mod tests {
                 comt_chunk::ChunkMap::build(&layer_bytes, comt_chunk::ChunkParams::default())
                     .unwrap();
             map.chunks[0].digest = Digest::of(b"bytes from another life").to_oci_string();
-            reg.put_chunkmap(layer, crate::Verified::hash(map.to_json())).unwrap().0
+            reg.put_chunkmap(layer, crate::Verified::hash(map.to_json())).unwrap()
         };
 
         // Scan-only: exactly one F007, nothing touched.

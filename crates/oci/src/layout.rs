@@ -127,24 +127,25 @@ impl<B: BlobBackend> Layout<B> {
 
     /// Push a manifest (and its blob closure) from a local store under
     /// `tag`, the way a wire push does: admit each closure blob this store
-    /// lacks on a [`Verified::check`] of the source's bytes, then
+    /// lacks on the source's proof of it ([`BlobStore::verified`]; an
+    /// in-memory store holds only proofs, so nothing is hashed), then
     /// [`Layout::publish_manifest`], which flips the tag only on success.
-    /// The blobs just admitted are proven, so publish hashes none of them
-    /// again; a blob this store already held without a proof is
-    /// re-verified there, so deduplication never masks a poisoned or
-    /// truncated copy. Returns how many blobs moved.
+    /// The blobs just admitted are proven, so publish hashes none of them;
+    /// a blob this store already held without a proof (a disk file an
+    /// earlier process wrote) is re-verified there, so deduplication never
+    /// masks a rotted copy. Returns how many blobs moved.
     pub fn push(
         &mut self,
         tag: &str,
         manifest_digest: Digest,
         src: &BlobStore,
     ) -> Result<usize, StoreError> {
-        let manifest = Verified::check(manifest_digest, src.require(&manifest_digest)?)?;
+        let manifest = src.require_verified(&manifest_digest)?;
         let closure = closure_of_manifest(manifest.as_slice(), &manifest_digest)?;
         let mut moved = 0;
         for d in &closure[1..] {
             if self.blobs.handle(d).is_none() {
-                self.blobs.insert(Verified::check(*d, src.require(d)?)?)?;
+                self.blobs.insert(src.require_verified(d)?)?;
                 moved += 1;
             }
         }
@@ -179,20 +180,15 @@ impl<B: BlobBackend> Layout<B> {
     /// The layer blob must already be committed — a chunkmap for bytes the
     /// store does not hold could never serve a chunk GET. A failure between
     /// the two steps leaves an unreferenced blob for gc, never a torn
-    /// association. Returns the map's digest and whether this call wrote
-    /// its blob, as [`Layout::publish_manifest`] does.
-    pub fn put_chunkmap(
-        &mut self,
-        layer: Digest,
-        map: Verified<'_>,
-    ) -> Result<(Digest, bool), StoreError> {
+    /// association. Returns the map's digest.
+    pub fn put_chunkmap(&mut self, layer: Digest, map: Verified<'_>) -> Result<Digest, StoreError> {
         self.committed(&layer)?;
         let (digest, size) = (map.digest(), map.len() as u64);
-        let written = self.blobs.insert(map)?;
+        self.blobs.insert(map)?;
         let mut next = self.index.clone();
         next.set_chunkmap(&layer, Descriptor::new(MediaType::Chunkmap, digest, size));
         self.flip(next)?;
-        Ok((digest, written))
+        Ok(digest)
     }
 
     /// Digests reachable from any index ref (the union of every tagged
@@ -317,20 +313,13 @@ impl Layout<BlobStore> {
     /// committed incrementally (only the missing ones are written, each
     /// via tmp → fsync → atomic rename), and `index.json` is replaced
     /// atomically last, so a kill mid-save leaves either the old or the
-    /// new tag table — never a torn one. A blob in this store's proof set
-    /// goes in on that proof, unhashed; any other is hashed first
-    /// ([`BlobStore::require_verified`]), and one that fails its digest
-    /// fails the save before anything is written.
+    /// new tag table — never a torn one. Every blob goes in on the proof
+    /// this store holds for it ([`BlobStore::verified`]), unhashed.
     pub fn save(&self, dir: &Path) -> Result<(), StoreError> {
-        let proofs = self
-            .blobs
-            .iter()
-            .map(|(d, _)| self.blobs.require_verified(d))
-            .collect::<Result<Vec<_>, _>>()?;
         let _lock = LayoutLock::acquire(dir)?;
         let store = DiskStore::init(dir)?;
-        for blob in proofs {
-            store.admit(blob)?;
+        for (d, _) in self.blobs.iter() {
+            store.admit(self.blobs.require_verified(d)?)?;
         }
         store.commit_index(&self.index)
     }
@@ -476,38 +465,6 @@ mod tests {
             OciDir::load(&tmp),
             Err(StoreError::DigestMismatch(_))
         ));
-        std::fs::remove_dir_all(&tmp).unwrap();
-    }
-
-    #[test]
-    fn only_the_proof_set_lends_proofs_and_save_checks_the_rest() {
-        let mut store = BlobStore::new();
-        let md = tiny_image(&mut store);
-        let mut dir = OciDir::new();
-        dir.export("app.dist", md, &store).unwrap();
-        let layer = closure_digests(&dir.blobs, &md).unwrap()[2];
-        let honest = dir.blobs.get(&layer).unwrap();
-
-        // A raw write leaves the proof set until a check is recorded.
-        dir.blobs.insert_raw_for_tests(layer, honest.clone());
-        assert!(dir.blobs.verified(&layer).is_none());
-        dir.blobs.prove(&layer);
-        assert!(dir.blobs.verified(&layer).is_some());
-
-        // A lie gets no proof, and saving it fails before anything is
-        // written.
-        dir.blobs
-            .insert_raw_for_tests(layer, Bytes::from_static(b"bitrot"));
-        assert!(dir.blobs.verified(&layer).is_none());
-        let tmp = std::env::temp_dir().join(format!("comt-oci-lie-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&tmp);
-        assert!(matches!(dir.save(&tmp), Err(StoreError::DigestMismatch(_))));
-        assert!(!tmp.join("index.json").exists());
-
-        // Unproven but honest bytes are hashed once and saved.
-        dir.blobs.insert_raw_for_tests(layer, honest);
-        dir.save(&tmp).unwrap();
-        assert_eq!(OciDir::load(&tmp).unwrap().resolve("app.dist").unwrap(), md);
         std::fs::remove_dir_all(&tmp).unwrap();
     }
 

@@ -1,13 +1,19 @@
 //! Content-addressed blob storage, the admission proof every store
 //! demands ([`Verified`]), the one error every store operation returns
 //! ([`StoreError`]) and the walk from manifest bytes to closure.
+//!
+//! A [`BlobStore`] holds only bytes it hashed, or shared from another
+//! in-memory store that did: inside one process a digest names its bytes,
+//! so every entry is proven and nothing it lends out is hashed again.
+//! Bytes that lie about their address arise only on disk
+//! ([`crate::DiskStore`]) or on the wire, and tests inject them there.
 
 use crate::backend::{BlobBackend, BlobHandle};
 use crate::spec::ImageIndex;
 use bytes::Bytes;
 use comt_digest::Digest;
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -142,7 +148,7 @@ impl<'a> From<&'a [u8]> for Payload<'a> {
 /// every store demands. It is built by hashing — [`Verified::hash`]
 /// computes the address, [`Verified::check`] additionally refuses a claimed
 /// address the bytes do not have, as a hard error in every build profile —
-/// or borrowed back from a store of proofs ([`BlobStore::verified`]).
+/// or lent back by a store of proofs ([`BlobStore::verified`]).
 /// "These bytes were hashed before they were stored" is therefore checked
 /// by the compiler, not asserted by a comment at the call site.
 #[derive(Debug)]
@@ -209,17 +215,13 @@ impl<'a> Verified<'a> {
 /// Content-addressed blob store. Blobs are immutable; storing the same
 /// content twice is a no-op (deduplication by digest).
 ///
-/// Its proof set ([`BlobBackend::proven`]) is every entry but those in
-/// `unproven`: an entry arrives through [`BlobStore::admit`] (a
-/// [`Verified`]) or is shared from another store, except the ones
-/// [`BlobStore::insert_raw_for_tests`] wrote, which stay out until a check
-/// is recorded ([`BlobBackend::prove`]) or they are removed.
+/// Every entry is proven ([`BlobBackend::proven`]): it arrives through
+/// [`BlobStore::admit`] (a [`Verified`]) or is shared from another
+/// in-memory store, which holds only proofs too. Within one process a
+/// digest here always names its bytes.
 #[derive(Debug, Clone, Default)]
 pub struct BlobStore {
     blobs: BTreeMap<Digest, Bytes>,
-    /// Held digests whose bytes were written without a proof; always a
-    /// subset of `blobs`' keys.
-    unproven: BTreeSet<Digest>,
     derived: DerivedTable,
 }
 
@@ -231,10 +233,8 @@ pub struct BlobStore {
 struct DerivedTable(Arc<Mutex<HashMap<Digest, Derived>>>);
 
 struct Derived {
-    /// The closure's blobs as they were when the value was derived: the
-    /// allocations a hit must find again, kept so that their addresses
-    /// cannot be reused by other bytes.
-    closure: Vec<(Digest, Bytes)>,
+    /// The closure the value was derived from: a hit needs every one held.
+    closure: Vec<Digest>,
     value: Arc<dyn Any + Send + Sync>,
 }
 
@@ -246,7 +246,7 @@ impl DerivedTable {
     /// Drop every entry derived from a blob `gone` names.
     fn forget(&self, gone: impl Fn(&Digest) -> bool) {
         self.lock()
-            .retain(|_, entry| !entry.closure.iter().any(|(d, _)| gone(d)));
+            .retain(|_, entry| !entry.closure.iter().any(&gone));
     }
 }
 
@@ -275,35 +275,21 @@ impl BlobStore {
         digest
     }
 
-    /// The proof of a blob in this store's proof set
-    /// ([`BlobBackend::proven`]), borrowed and not re-hashed: the entries
-    /// that arrived through [`BlobStore::admit`] (which takes a
-    /// [`Verified`]) or were shared with their proof by
-    /// [`BlobStore::fetch_from`]. `None` for a digest the store lacks or
-    /// holds unproven ([`BlobStore::insert_raw_for_tests`]).
-    pub fn verified(&self, digest: &Digest) -> Option<Verified<'_>> {
-        if self.unproven.contains(digest) {
-            return None;
-        }
+    /// The proof of a held blob, not re-hashed: every entry arrived with
+    /// one. It shares the store's buffer (a refcount bump, not a copy).
+    /// `None` exactly when the store lacks `digest`.
+    pub fn verified(&self, digest: &Digest) -> Option<Verified<'static>> {
         self.blobs.get(digest).map(|b| Verified {
             digest: *digest,
-            payload: Payload::Borrowed(b),
+            payload: Payload::Shared(b.clone()),
         })
     }
 
-    /// [`BlobStore::verified`], or for a held blob outside the proof set a
-    /// [`Verified::check`] of its bytes against its digest — so a lie fails
-    /// with [`StoreError::DigestMismatch`]. Absence is
+    /// [`BlobStore::verified`], where absence is
     /// [`StoreError::MissingBlob`].
-    pub fn require_verified(&self, digest: &Digest) -> Result<Verified<'_>, StoreError> {
-        if let Some(proof) = self.verified(digest) {
-            return Ok(proof);
-        }
-        let bytes = self
-            .blobs
-            .get(digest)
-            .ok_or_else(|| StoreError::MissingBlob(digest.to_string()))?;
-        Verified::check(*digest, &bytes[..])
+    pub fn require_verified(&self, digest: &Digest) -> Result<Verified<'static>, StoreError> {
+        self.verified(digest)
+            .ok_or_else(|| StoreError::MissingBlob(digest.to_string()))
     }
 
     /// Fetch a blob by digest.
@@ -346,7 +332,6 @@ impl BlobStore {
     pub fn retain(&mut self, keep: impl Fn(&Digest) -> bool) -> usize {
         let before = self.blobs.len();
         self.blobs.retain(|d, _| keep(d));
-        self.unproven.retain(|d| keep(d));
         let dropped = before - self.blobs.len();
         if dropped > 0 {
             self.derived.forget(|d| !keep(d));
@@ -355,20 +340,14 @@ impl BlobStore {
     }
 
     /// The value [`BlobStore::keep_derived`] recorded for `manifest`, if
-    /// this store still holds every blob of its closure as the very
-    /// allocation the value was derived from — an O(closure) identity
-    /// check, no hashing. Different bytes under the same digest (a clone
-    /// that [`BlobStore::insert_raw_for_tests`] rewrote), a missing blob or
-    /// another type `T` are a miss.
+    /// this store holds every blob of its closure — an O(closure) lookup,
+    /// no hashing. A held digest names the bytes the value was derived
+    /// from, because every entry is proven. A missing blob or another
+    /// type `T` is a miss.
     pub fn derived<T: Any + Send + Sync>(&self, manifest: &Digest) -> Option<Arc<T>> {
         let table = self.derived.lock();
         let entry = table.get(manifest)?;
-        let same = entry.closure.iter().all(|(d, held)| {
-            self.blobs
-                .get(d)
-                .is_some_and(|b| b.as_ptr() == held.as_ptr() && b.len() == held.len())
-        });
-        if !same {
+        if !entry.closure.iter().all(|d| self.contains(d)) {
             return None;
         }
         Arc::clone(&entry.value).downcast().ok()
@@ -381,16 +360,12 @@ impl BlobStore {
     /// ([`BlobStore::retain`], [`BlobBackend::remove`]), or the last clone
     /// of the store goes.
     pub fn keep_derived<T: Any + Send + Sync>(&self, manifest: &Digest, value: Arc<T>) {
-        let Ok(digests) = closure_digests(self, manifest) else {
+        let Ok(closure) = closure_digests(self, manifest) else {
             return;
         };
-        let Some(closure) = digests
-            .into_iter()
-            .map(|d| self.get(&d).map(|b| (d, b)))
-            .collect::<Option<Vec<_>>>()
-        else {
+        if !closure.iter().all(|d| self.contains(d)) {
             return;
-        };
+        }
         self.derived
             .lock()
             .insert(*manifest, Derived { closure, value });
@@ -401,37 +376,15 @@ impl BlobStore {
         self.derived.lock().len()
     }
 
-    /// Insert a blob under an arbitrary digest, bypassing hashing — only
-    /// for corruption/fault-injection tests (hence the name and the
-    /// `#[doc(hidden)]`). It is the one way to store bytes without a
-    /// [`Verified`]. The digest leaves this store's proof set
-    /// ([`BlobBackend::proven`]; [`BlobStore::verified`] answers `None`),
-    /// so every check that trusts the set hashes the bytes again. That is
-    /// what those tests are for: each shows a trust boundary that re-hashes
-    /// what the store did not admit itself — [`crate::Layout::push`]'s
-    /// `Verified::check` of the source, [`BlobStore::require_verified`]
-    /// under `save` and the client push, the daemon's PUT hash, publish's
-    /// and the daemon's serve-side verify of an unproven blob — refusing
-    /// the lie.
-    #[doc(hidden)]
-    pub fn insert_raw_for_tests(&mut self, digest: Digest, data: Bytes) {
-        self.blobs.insert(digest, data);
-        self.unproven.insert(digest);
-    }
-
     /// Share a blob another in-memory store already admitted, if missing
-    /// here (a refcount bump, not a copy). It comes with the other store's
-    /// proof, or without one.
+    /// here (a refcount bump, not a copy), on that store's proof.
     pub fn fetch_from(&mut self, other: &BlobStore, digest: &Digest) -> bool {
         if self.contains(digest) {
             return true;
         }
-        match other.get(digest) {
-            Some(b) => {
-                self.blobs.insert(*digest, b);
-                if other.unproven.contains(digest) {
-                    self.unproven.insert(*digest);
-                }
+        match other.verified(digest) {
+            Some(proof) => {
+                self.admit(proof);
                 true
             }
             None => false,
@@ -453,7 +406,6 @@ impl BlobBackend for BlobStore {
     fn remove(&mut self, digest: &Digest) -> Result<bool, StoreError> {
         let removed = self.blobs.remove(digest).is_some();
         if removed {
-            self.unproven.remove(digest);
             self.derived.forget(|d| d == digest);
         }
         Ok(removed)
@@ -468,16 +420,13 @@ impl BlobBackend for BlobStore {
         Ok(())
     }
 
+    /// Every entry is proven.
     fn proven(&self, digest: &Digest) -> bool {
-        self.contains(digest) && !self.unproven.contains(digest)
-    }
-
-    fn prove(&mut self, digest: &Digest) {
-        self.unproven.remove(digest);
+        self.contains(digest)
     }
 
     fn proof_count(&self) -> usize {
-        self.blobs.len() - self.unproven.len()
+        self.len()
     }
 }
 
@@ -518,6 +467,7 @@ mod tests {
     use crate::layout::OciDir;
     use bytes::Bytes;
     use comt_vfs::Vfs;
+    use proptest::prelude::*;
 
     #[test]
     fn put_dedupes() {
@@ -605,53 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn push_detects_corrupt_blob() {
-        let mut local = BlobStore::new();
-        let md = tiny_image(&mut local);
-        // Corrupt the first layer blob in place (content no longer hashes
-        // to its address).
-        let layer_digest = {
-            let raw = local.get(&md).unwrap();
-            let manifest: crate::spec::ImageManifest = serde_json::from_slice(&raw).unwrap();
-            manifest.layers[0].parsed_digest().unwrap()
-        };
-        local.insert_raw_for_tests(layer_digest, Bytes::from_static(b"tampered"));
-        let mut reg = OciDir::new();
-        assert!(matches!(
-            reg.push("bad:1", md, &local),
-            Err(StoreError::DigestMismatch(_))
-        ));
-    }
-
-    #[test]
-    fn push_detects_poisoned_preexisting_remote_blob() {
-        // Regression: a blob that already exists on the remote used to be
-        // deduplicated away without ever re-hashing the remote's bytes, so
-        // a poisoned/truncated remote copy silently survived. The second
-        // push must now surface it as DigestMismatch.
-        let mut local = BlobStore::new();
-        let md = tiny_image(&mut local);
-        let mut reg = OciDir::new();
-        reg.push("app:1", md, &local).unwrap();
-
-        let layer_digest = {
-            let raw = local.get(&md).unwrap();
-            let manifest: crate::spec::ImageManifest = serde_json::from_slice(&raw).unwrap();
-            manifest.layers[0].parsed_digest().unwrap()
-        };
-        // Poison the REMOTE copy; the local source stays pristine.
-        reg.store_mut()
-            .insert_raw_for_tests(layer_digest, Bytes::from_static(b"truncated"));
-
-        assert!(matches!(
-            reg.push("app:2", md, &local),
-            Err(StoreError::DigestMismatch(_))
-        ));
-        // The poisoned blob was not re-tagged as a fresh ref either.
-        assert!(reg.resolve("app:2").is_err());
-    }
-
-    #[test]
     fn closure_digests_orders_manifest_config_layers() {
         let mut local = BlobStore::new();
         let md = tiny_image(&mut local);
@@ -690,7 +593,7 @@ mod tests {
         let proof = s.verified(&d).unwrap();
         assert_eq!(proof.digest(), d);
         assert_eq!(proof.as_slice(), b"admitted");
-        // Borrowed from the store, so it is the store's own buffer.
+        // Lent by the store, so it shares the store's own buffer.
         assert_eq!(proof.as_slice().as_ptr(), s.get(&d).unwrap().as_ptr());
         assert!(s.verified(&Digest::of(b"absent")).is_none());
     }
@@ -704,7 +607,7 @@ mod tests {
     }
 
     #[test]
-    fn a_derived_value_needs_the_allocations_it_came_from() {
+    fn a_derived_value_needs_its_closure_present() {
         let mut store = BlobStore::new();
         let md = tiny_image(&mut store);
         store.keep_derived(&md, Arc::new(7u32));
@@ -712,18 +615,97 @@ mod tests {
         // Another type is a miss, not a wrong answer.
         assert!(store.derived::<u64>(&md).is_none());
 
-        // A clone shares the table and the allocations, so it hits too.
+        // A clone shares the table and the blobs, so it hits too.
         let twin = store.clone();
         assert_eq!(twin.derived::<u32>(&md).as_deref(), Some(&7));
 
-        // The same bytes in a fresh allocation under the same digest are
-        // not what the value was derived from.
-        let mut rewritten = store.clone();
-        let layer = closure_digests(&store, &md).unwrap()[2];
-        let copy = Bytes::copy_from_slice(&store.get(&layer).unwrap());
-        rewritten.insert_raw_for_tests(layer, copy);
-        assert!(rewritten.derived::<u32>(&md).is_none());
-        assert_eq!(store.derived::<u32>(&md).as_deref(), Some(&7));
+        // A clone that never held a later image's closure shares the
+        // entry for it but misses.
+        let mut later = BlobStore::new();
+        let other = ImageBuilder::from_scratch("x86_64")
+            .with_layer_tar(Bytes::from_static(b"another layer"), "layer")
+            .commit(&mut later)
+            .unwrap()
+            .manifest_digest;
+        for d in closure_digests(&later, &other).unwrap() {
+            assert!(store.fetch_from(&later, &d));
+        }
+        store.keep_derived(&other, Arc::new(8u32));
+        assert_eq!(store.derived::<u32>(&other).as_deref(), Some(&8));
+        assert!(twin.derived::<u32>(&other).is_none());
+        assert_eq!(twin.derived::<u32>(&md).as_deref(), Some(&7));
+    }
+
+    /// One step of the invariant test: an operation on store 0 or 1.
+    #[derive(Debug)]
+    enum Op {
+        Put(usize, usize),
+        Admit(usize, usize),
+        FetchFrom(usize, usize),
+        Retain(usize, usize),
+        Remove(usize, usize),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0..5u8, 0..2usize, 0..8usize).prop_map(|(kind, store, blob)| match kind {
+            0 => Op::Put(store, blob),
+            1 => Op::Admit(store, blob),
+            2 => Op::FetchFrom(store, blob),
+            3 => Op::Retain(store, blob),
+            _ => Op::Remove(store, blob),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn every_entry_is_proven_and_a_derived_value_dies_with_its_closure(
+            ops in prop::collection::vec(op(), 1..40),
+        ) {
+            // A pool of eight blobs: an image's closure, then five more.
+            let mut first = BlobStore::new();
+            let md = tiny_image(&mut first);
+            let closure = closure_digests(&first, &md).unwrap();
+            let mut pool: Vec<Bytes> = closure.iter().map(|d| first.get(d).unwrap()).collect();
+            pool.extend((0..5u8).map(|i| Bytes::from(vec![i; 3 + i as usize])));
+            let digests: Vec<Digest> = pool.iter().map(|b| Digest::of(b)).collect();
+
+            first.keep_derived(&md, Arc::new(()));
+            let mut stores = [first.clone(), first];
+            let mut closure_dropped = false;
+            for op in ops {
+                match op {
+                    Op::Put(s, b) => {
+                        stores[s].put(pool[b].clone());
+                    }
+                    Op::Admit(s, b) => {
+                        stores[s].admit(Verified::hash(&pool[b][..]));
+                    }
+                    Op::FetchFrom(s, b) => {
+                        let other = stores[1 - s].clone();
+                        let held = other.contains(&digests[b]) || stores[s].contains(&digests[b]);
+                        prop_assert_eq!(stores[s].fetch_from(&other, &digests[b]), held);
+                    }
+                    Op::Retain(s, b) | Op::Remove(s, b) => {
+                        let gone = digests[b];
+                        closure_dropped |= stores[s].contains(&gone) && closure.contains(&gone);
+                        if matches!(op, Op::Retain(..)) {
+                            stores[s].retain(|d| *d != gone);
+                        } else {
+                            stores[s].remove(&gone).unwrap();
+                        }
+                    }
+                }
+                for store in &stores {
+                    for d in &digests {
+                        prop_assert_eq!(store.proven(d), store.contains(d));
+                        prop_assert_eq!(store.verified(d).is_some(), store.contains(d));
+                    }
+                    prop_assert_eq!(store.proof_count(), store.len());
+                    prop_assert_eq!(store.derived::<()>(&md).is_some(), !closure_dropped);
+                }
+            }
+        }
     }
 
     #[test]

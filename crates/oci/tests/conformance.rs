@@ -40,15 +40,13 @@ fn exclusive() -> RwLockWriteGuard<'static, ()> {
 }
 
 /// What the suite needs from a backend beyond the trait: a way to make one,
-/// to damage a blob behind the store's back, and to come back after a
-/// restart.
+/// and to come back after a restart.
 trait Fixture: BlobBackend + Send + Sized + 'static {
     /// Whether the store after [`Fixture::reopen`] still holds the proofs
     /// it held before: a memory store is the same store, a disk store is a
     /// new process's view of the directory.
     const REOPEN_KEEPS_PROOFS: bool;
     fn fresh(tag: &str) -> Layout<Self>;
-    fn corrupt(layout: &mut Layout<Self>, digest: &Digest);
     fn reopen(layout: Layout<Self>) -> Layout<Self>;
     fn discard(layout: Layout<Self>);
 }
@@ -57,11 +55,6 @@ impl Fixture for BlobStore {
     const REOPEN_KEEPS_PROOFS: bool = true;
     fn fresh(_tag: &str) -> Layout<Self> {
         Layout::new()
-    }
-    fn corrupt(layout: &mut Layout<Self>, digest: &Digest) {
-        layout
-            .blobs
-            .insert_raw_for_tests(*digest, Bytes::from_static(b"bitrot"));
     }
     fn reopen(layout: Layout<Self>) -> Layout<Self> {
         layout
@@ -81,9 +74,6 @@ impl Fixture for DiskStore {
         let _ = std::fs::remove_dir_all(&dir);
         Layout::open(&dir).unwrap()
     }
-    fn corrupt(layout: &mut Layout<Self>, digest: &Digest) {
-        std::fs::write(layout.blobs.blob_path(digest), b"bitrot").unwrap();
-    }
     fn reopen(layout: Layout<Self>) -> Layout<Self> {
         let dir = layout.blobs.root().to_path_buf();
         drop(layout); // releases the layout lock
@@ -96,8 +86,15 @@ impl Fixture for DiskStore {
     }
 }
 
+/// Damage a blob behind the store's back: rewrite its file with bytes of
+/// another length. Only a disk store can hold bytes it did not hash; an
+/// in-memory store holds proven entries alone.
+fn rot(layout: &mut Layout<DiskStore>, digest: &Digest) {
+    std::fs::write(layout.blobs.blob_path(digest), b"bitrot").unwrap();
+}
+
 macro_rules! on_both_backends {
-    ($($body:ident),* $(,)?) => {
+    ($($body:ident),* $(,)?; disk only: $($disk:ident),* $(,)?) => {
         mod mem {
             $( #[test] fn $body() {
                 let _shared = super::shared();
@@ -108,6 +105,10 @@ macro_rules! on_both_backends {
             $( #[test] fn $body() {
                 let _shared = super::shared();
                 super::$body::<comt_oci::DiskStore>()
+            } )*
+            $( #[test] fn $disk() {
+                let _shared = super::shared();
+                super::$disk()
             } )*
         }
     };
@@ -121,7 +122,11 @@ on_both_backends!(
     chunkmap_lifetime_is_slaved_to_its_layer,
     gc_reclaims_only_unreachable_blobs_and_shared_layers_survive,
     a_broken_ref_stops_gc_instead_of_shrinking_the_live_set,
-    a_proof_lives_as_long_as_the_bytes_it_was_taken_on,
+    a_proof_lives_as_long_as_the_bytes_it_was_taken_on;
+    disk only:
+    publish_refuses_a_member_rotted_on_disk,
+    a_manifest_rotted_on_disk_stops_gc,
+    a_blob_rewritten_on_disk_loses_its_proof,
 );
 
 mod counted {
@@ -203,7 +208,7 @@ fn poisoned_claim_is_rejected_in_every_build_profile<B: Fixture>() {
 
 fn rejected_publish_leaves_no_blob_and_no_tag<B: Fixture>() {
     let (src, closure) = image(&[b"layer tar bytes"]);
-    let (md, layer) = (closure[0], closure[2]);
+    let md = closure[0];
 
     // Closure missing a layer.
     let mut reg = B::fresh("reject-missing");
@@ -216,28 +221,30 @@ fn rejected_publish_leaves_no_blob_and_no_tag<B: Fixture>() {
     assert!(reg.resolve("app:1").is_err());
     assert!(!holds(&reg, &md), "rejected manifest was stored");
     assert_eq!(reg.blob_count().unwrap(), 1);
-    B::discard(reg);
 
-    // Closure complete but one blob rotted in the store.
-    let mut reg = B::fresh("reject-corrupt");
+    // Garbage in place of a manifest is the caller's fault, and stores nothing.
+    assert!(matches!(
+        reg.publish_manifest("app:1", Verified::hash(&b"not json"[..])),
+        Err(StoreError::CorruptManifest(_))
+    ));
+    assert_eq!(reg.blob_count().unwrap(), 1);
+    assert!(reg.index.ref_names().is_empty());
+    B::discard(reg);
+}
+
+fn publish_refuses_a_member_rotted_on_disk() {
+    let (src, closure) = image(&[b"layer tar bytes"]);
+    let mut reg = DiskStore::fresh("reject-corrupt");
     upload(&mut reg, &src, &closure);
-    B::corrupt(&mut reg, &layer);
+    rot(&mut reg, &closure[2]);
     assert!(matches!(
         publish(&mut reg, "app:1", &src, &closure),
         Err(StoreError::DigestMismatch(_))
     ));
     assert!(reg.resolve("app:1").is_err());
     assert!(reg.index.ref_names().is_empty());
-    assert!(!holds(&reg, &md), "rejected manifest was stored");
-
-    // Garbage in place of a manifest is the caller's fault, and stores nothing.
-    let before = reg.blob_count().unwrap();
-    assert!(matches!(
-        reg.publish_manifest("app:1", Verified::hash(&b"not json"[..])),
-        Err(StoreError::CorruptManifest(_))
-    ));
-    assert_eq!(reg.blob_count().unwrap(), before);
-    B::discard(reg);
+    assert!(!holds(&reg, &closure[0]), "rejected manifest was stored");
+    DiskStore::discard(reg);
 }
 
 fn tag_is_invisible_until_its_closure_is_complete_and_verified<B: Fixture>() {
@@ -306,15 +313,15 @@ fn chunkmap_lifetime_is_slaved_to_its_layer<B: Fixture>() {
     publish(&mut reg, "app:1", &src, &closure).unwrap();
 
     let map = comt_chunk::ChunkMap::build(&src.get(&layer).unwrap(), Default::default()).unwrap();
-    let (map_digest, written) = reg
+    let map_digest = reg
         .put_chunkmap(layer, Verified::hash(map.to_json()))
         .unwrap();
-    assert!(written, "a first put writes the map");
+    let held = reg.blob_count().unwrap();
     assert_eq!(
         reg.put_chunkmap(layer, Verified::hash(map.to_json())).unwrap(),
-        (map_digest, false),
-        "a map the store holds is not written again"
+        map_digest
     );
+    assert_eq!(reg.blob_count().unwrap(), held, "a held map is stored once");
     assert_eq!(reg.chunkmap_for(&layer), Some(map_digest));
     assert!(holds(&reg, &map_digest));
 
@@ -395,12 +402,26 @@ fn gc_reclaims_only_unreachable_blobs_and_shared_layers_survive<B: Fixture>() {
 }
 
 fn a_broken_ref_stops_gc_instead_of_shrinking_the_live_set<B: Fixture>() {
-    // gc must not call blobs dead because a closure could not be walked.
+    // gc must not call blobs dead because a closure could not be walked:
+    // here the manifest a ref names is gone.
     let (src, closure) = image(&[b"layer"]);
     let mut reg = B::fresh("broken-ref");
     upload(&mut reg, &src, &closure);
     publish(&mut reg, "app:1", &src, &closure).unwrap();
-    B::corrupt(&mut reg, &closure[0]);
+    assert!(reg.blobs.remove(&closure[0]).unwrap());
+    assert!(matches!(reg.live_set(), Err(StoreError::MissingBlob(_))));
+    assert!(reg.gc_plan().is_err());
+    assert!(reg.gc_apply().is_err());
+    assert!(holds(&reg, &closure[2]), "gc swept under a broken ref");
+    B::discard(reg);
+}
+
+fn a_manifest_rotted_on_disk_stops_gc() {
+    let (src, closure) = image(&[b"layer"]);
+    let mut reg = DiskStore::fresh("rotted-ref");
+    upload(&mut reg, &src, &closure);
+    publish(&mut reg, "app:1", &src, &closure).unwrap();
+    rot(&mut reg, &closure[0]);
     assert!(matches!(
         reg.live_set(),
         Err(StoreError::DigestMismatch(_))
@@ -408,7 +429,7 @@ fn a_broken_ref_stops_gc_instead_of_shrinking_the_live_set<B: Fixture>() {
     assert!(reg.gc_plan().is_err());
     assert!(reg.gc_apply().is_err());
     assert!(holds(&reg, &closure[2]), "gc swept under a broken ref");
-    B::discard(reg);
+    DiskStore::discard(reg);
 }
 
 fn a_proof_lives_as_long_as_the_bytes_it_was_taken_on<B: Fixture>() {
@@ -431,11 +452,20 @@ fn a_proof_lives_as_long_as_the_bytes_it_was_taken_on<B: Fixture>() {
     assert_eq!(reg.blobs.proof_count(), 1);
     upload(&mut reg, &src, &closure);
     assert!(reg.blobs.proven(&layer));
-
-    // Bytes written behind the store's back are not what it proved.
-    B::corrupt(&mut reg, &layer);
-    assert!(!reg.blobs.proven(&layer), "a rewritten blob kept its proof");
     B::discard(reg);
+}
+
+fn a_blob_rewritten_on_disk_loses_its_proof() {
+    let (src, closure) = image(&[b"proven layer"]);
+    let layer = closure[2];
+    let mut reg = DiskStore::fresh("rewritten");
+    upload(&mut reg, &src, &closure);
+    assert!(reg.blobs.proven(&layer));
+    // Bytes written behind the store's back are not what it proved.
+    rot(&mut reg, &layer);
+    assert!(!reg.blobs.proven(&layer), "a rewritten blob kept its proof");
+    assert_eq!(reg.blobs.proof_count(), 1);
+    DiskStore::discard(reg);
 }
 
 fn an_in_process_push_hashes_only_what_it_moves<B: Fixture>() {
@@ -459,23 +489,23 @@ fn an_in_process_push_hashes_only_what_it_moves<B: Fixture>() {
         )
     };
 
-    // Fresh blobs: the `Verified::check` of the manifest and of each blob
-    // moved, and no second hash at publish.
-    assert_eq!(push(&mut reg, "app:1"), (size(&closure[0]) + members, 0, 3));
-    // Nothing moves: the manifest's check alone.
-    assert_eq!(push(&mut reg, "app:2"), (size(&closure[0]), 0, 3));
+    // The source holds only proofs, so a push borrows them: nothing is
+    // hashed, whether blobs move or not, and publish finds every member
+    // proven.
+    assert_eq!(push(&mut reg, "app:1"), (0, 0, 3));
+    assert_eq!(push(&mut reg, "app:2"), (0, 0, 3));
 
     // After a restart a disk store proves nothing it did not write: its
     // first publish re-hashes each member once, and proves it from then on.
     let mut reg = B::reopen(reg);
     assert_eq!(reg.blobs.proven(&closure[2]), B::REOPEN_KEEPS_PROOFS);
     let expect = if B::REOPEN_KEEPS_PROOFS {
-        (size(&closure[0]), 0, 3)
+        (0, 0, 3)
     } else {
-        (size(&closure[0]) + members, 3, 0)
+        (members, 3, 0)
     };
     assert_eq!(push(&mut reg, "app:3"), expect);
-    assert_eq!(push(&mut reg, "app:4"), (size(&closure[0]), 0, 3));
+    assert_eq!(push(&mut reg, "app:4"), (0, 0, 3));
     B::discard(reg);
 }
 

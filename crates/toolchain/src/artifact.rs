@@ -447,13 +447,6 @@ pub fn read_artifact(bytes: &[u8]) -> Result<Artifact, ArtifactError> {
     }
 }
 
-/// Whether bytes look like a COMT artifact at all.
-pub fn is_artifact(bytes: &[u8]) -> bool {
-    [OBJ_MAGIC, AR_MAGIC, BIN_MAGIC]
-        .iter()
-        .any(|m| bytes.starts_with(m.as_bytes()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,7 +484,6 @@ mod tests {
     fn object_roundtrip() {
         let o = sample_obj();
         let bytes = write_object(&o);
-        assert!(is_artifact(&bytes));
         let back = read_object(&bytes).unwrap();
         assert_eq!(back, o);
     }
@@ -541,7 +533,6 @@ mod tests {
             read_artifact(b"\x7fELF real binary"),
             Err(ArtifactError::NotAnArtifact)
         ));
-        assert!(!is_artifact(b"\x7fELF"));
     }
 
     #[test]

@@ -453,18 +453,6 @@ impl CompilerInvocation {
             PgoFlag::Use(Some(p)) => self.push_joined("fprofile-use=", &p, OptionCategory::Pgo),
         }
     }
-
-    /// Replace the output path.
-    pub fn set_output(&mut self, path: &str) {
-        self.args.retain(|a| !matches!(a, Arg::Opt { token, .. } if token == "o"));
-        self.args.push(Arg::Opt {
-            token: "o".to_string(),
-            value: Some(path.to_string()),
-            joined: false,
-            category: OptionCategory::Output,
-            shape: OptionShape::JoinedOrSeparate,
-        });
-    }
 }
 
 #[cfg(test)]
@@ -616,14 +604,6 @@ mod tests {
         let s = inv.to_argv().join(" ");
         assert!(!s.contains("profile-generate"));
         assert!(s.contains("-fprofile-use=/prof/app.prof"));
-    }
-
-    #[test]
-    fn set_output_replaces() {
-        let mut inv = parse("gcc a.o -o old");
-        inv.set_output("/abs/new");
-        assert_eq!(inv.output(), Some("/abs/new"));
-        assert_eq!(inv.to_argv().iter().filter(|t| *t == "-o").count(), 1);
     }
 
     #[test]

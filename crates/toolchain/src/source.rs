@@ -110,40 +110,6 @@ pub fn parse_source(text: &str) -> SourceInfo {
     info
 }
 
-/// Render a `SourceInfo` back into an annotated source header plus `body`
-/// filler lines — used by the workload generators.
-pub fn render_source(info: &SourceInfo, body: &str) -> String {
-    let mut out = String::new();
-    if !info.provides.is_empty() {
-        out.push_str(&format!("#pragma comt provides({})\n", info.provides.join(", ")));
-    }
-    if !info.requires.is_empty() {
-        out.push_str(&format!("#pragma comt requires({})\n", info.requires.join(", ")));
-    }
-    if !info.externs.is_empty() {
-        out.push_str(&format!("#pragma comt extern({})\n", info.externs.join(", ")));
-    }
-    if let Some(isa) = &info.isa {
-        out.push_str(&format!("#pragma comt isa({isa})\n"));
-    }
-    if !info.kernel.is_empty() {
-        let kv: Vec<String> = info
-            .kernel
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
-        out.push_str(&format!("#pragma comt kernel({})\n", kv.join(", ")));
-    }
-    for inc in &info.includes_quoted {
-        out.push_str(&format!("#include \"{inc}\"\n"));
-    }
-    for inc in &info.includes_system {
-        out.push_str(&format!("#include <{inc}>\n"));
-    }
-    out.push_str(body);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,18 +265,5 @@ int main(int argc, char** argv) {
             let text = lines.join(sep);
             assert_eq!(parse_source(&text), reference::parse_source(&text), "{sep:?}");
         }
-    }
-
-    #[test]
-    fn render_parse_roundtrip() {
-        let info = parse_source(SAMPLE);
-        let rendered = render_source(&info, "int main(){}\n");
-        let back = parse_source(&rendered);
-        assert_eq!(back.provides, info.provides);
-        assert_eq!(back.requires, info.requires);
-        assert_eq!(back.externs, info.externs);
-        assert_eq!(back.kernel, info.kernel);
-        assert_eq!(back.includes_quoted, info.includes_quoted);
-        assert_eq!(back.includes_system, info.includes_system);
     }
 }

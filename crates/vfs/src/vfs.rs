@@ -144,11 +144,6 @@ impl Vfs {
         self.nodes.is_empty()
     }
 
-    /// Total content bytes across all files.
-    pub fn size_bytes(&self) -> u64 {
-        self.nodes.values().map(Node::size).sum()
-    }
-
     /// Node at `path` without following a trailing symlink (lstat).
     pub fn lstat(&self, path: &str) -> Option<&Node> {
         let p = normalize(path);
@@ -648,7 +643,6 @@ mod tests {
     #[test]
     fn size_accounting() {
         let v = sample();
-        assert_eq!(v.size_bytes(), 3);
         assert_eq!(v.len(), 4); // usr, usr/bin, gcc, cc
     }
 

@@ -5,10 +5,14 @@
 //! closure even when connections die partway through a blob.
 
 use comt_bench::Lab;
-use comt_dist::{serve, split_ref, tag_key, Chaos, DistClient, ServerOptions};
+use comt_dist::{serve, split_ref, tag_key, DistClient, ServerOptions};
 use comt_oci::store::closure_digests;
 use comt_oci::{BlobStore, OciDir};
 use comtainer_suite::pkg::catalog;
+
+#[path = "../crates/dist/tests/common/proxy.rs"]
+mod proxy;
+use proxy::{FaultProxy, Faults};
 
 #[test]
 fn extended_image_survives_mid_blob_disconnects() {
@@ -18,25 +22,24 @@ fn extended_image_survives_mid_blob_disconnects() {
     let md = art.oci.resolve(r).unwrap();
     let (name, tag) = split_ref(r);
 
-    // The daemon truncates the first 4 blob GET responses after 512 bytes
-    // and drops the connection — the client must resume, not restart.
-    let server = serve(
-        OciDir::new(),
-        "127.0.0.1:0",
-        ServerOptions {
-            chaos: Some(Chaos {
-                truncate_blob_gets: 4,
-                truncate_after: 512,
-                ..Chaos::default()
-            }),
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let server = serve(OciDir::new(), "127.0.0.1:0", ServerOptions::default()).unwrap();
     let client = DistClient::new(server.addr().to_string());
 
     let pushed = client.push_image(name, tag, md, &art.oci.blobs).unwrap();
     assert!(pushed.blobs_moved >= 3, "manifest + config + layers");
+
+    // The pull goes through a proxy that cuts the first 4 blob GET
+    // responses after 512 bytes and drops the connection — the client
+    // must resume, not restart.
+    let proxy = FaultProxy::start(
+        server.addr(),
+        Faults {
+            truncate_gets: 4,
+            truncate_after: 512,
+            ..Faults::default()
+        },
+    );
+    let client = DistClient::new(proxy.addr().to_string());
 
     comt_observe::global().reset();
     let mut pulled = BlobStore::new();
@@ -58,6 +61,8 @@ fn extended_image_survives_mid_blob_disconnects() {
         comt_observe::global().counter("dist.client.resumes") >= 1,
         "expected at least one mid-blob resume"
     );
+    assert!(proxy.injected() >= 1, "the proxy cut nothing");
+    drop(proxy);
 
     let reg = server.shutdown();
     assert_eq!(reg.resolve(&tag_key(name, tag)).ok(), Some(md));
