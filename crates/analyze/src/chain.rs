@@ -25,18 +25,6 @@ fn render_opt(token: &str, value: &Option<String>) -> String {
     }
 }
 
-/// Whether any known toolchain personality claims this program.
-fn toolchain_claims(program: &str) -> bool {
-    [
-        Toolchain::distro_gcc(),
-        Toolchain::llvm(),
-        Toolchain::vendor_x86(),
-        Toolchain::vendor_arm(),
-    ]
-    .iter()
-    .any(|t| t.language_of(program).is_some())
-}
-
 /// Check every recorded command against the adapter chain.
 pub fn check_chain(
     cache: &CacheContents,
@@ -49,7 +37,7 @@ pub fn check_chain(
         let program = cmd.argv.first().map(String::as_str).unwrap_or("");
 
         let parsed = CompilerInvocation::parse(&cmd.argv);
-        if toolchain_claims(program) {
+        if Toolchain::lookup(program).is_some() {
             if let Err(e) = &parsed {
                 diags.push(
                     Diagnostic::new(

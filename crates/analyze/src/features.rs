@@ -27,8 +27,8 @@ use crate::diag::{CheckReport, Diagnostic, Span};
 use comtainer::{AdapterContext, CacheContents, CompilationModel, ComtError, SystemAdapter};
 use comt_oci::layout::OciDir;
 use comt_toolchain::features::{
-    arch_features, conflicts_with, feature_closure, known_targets, normalize_isa, target_arch,
-    FeatureSet, TargetConfig,
+    apply_events, arch_features, known_targets, normalize_isa, target_arch, FeatureSet,
+    TargetConfig,
 };
 use comt_toolchain::{CompilerInvocation, DriverMode, Toolchain};
 use serde::Serialize;
@@ -141,7 +141,7 @@ fn collect_objects(
 ) -> Vec<ObjectAudit> {
     let ctx = AdapterContext {
         isa: fold_isa.to_string(),
-        toolchain: toolchain.clone(),
+        toolchain: *toolchain,
     };
     let mut objects = Vec::new();
     for (idx, cmd) in cache.trace.commands.iter().enumerate() {
@@ -178,33 +178,11 @@ fn collect_objects(
 /// base re-resolves on the target itself, so only the explicit toggles on
 /// top of the target's own features can exceed it.
 fn required_for_target(cfg: &TargetConfig, target_set: &FeatureSet) -> FeatureSet {
-    if !cfg.native {
-        return cfg.enabled.clone();
+    if cfg.native {
+        apply_events(target_set, &cfg.requested)
+    } else {
+        cfg.enabled.clone()
     }
-    let mut set = target_set.clone();
-    for ev in &cfg.requested {
-        if ev.enabled {
-            let losers: Vec<&'static str> = set
-                .iter()
-                .copied()
-                .filter(|g| conflicts_with(g, ev.feature))
-                .collect();
-            for g in losers {
-                set.remove(g);
-            }
-            set.extend(feature_closure(ev.feature));
-        } else {
-            let dependents: Vec<&'static str> = set
-                .iter()
-                .copied()
-                .filter(|g| feature_closure(g).contains(ev.feature))
-                .collect();
-            for g in dependents {
-                set.remove(g);
-            }
-        }
-    }
-    set
 }
 
 /// Why an object cannot run on a target, if it cannot.

@@ -53,7 +53,7 @@ pub fn check_cache_contents(
 ) -> Vec<Diagnostic> {
     let ctx = AdapterContext {
         isa: target_isa.to_string(),
-        toolchain: toolchain.clone(),
+        toolchain: *toolchain,
     };
     let mut diags = hazards::check_hazards(&cache.trace);
     diags.extend(lints::check_lints(cache, target_isa));

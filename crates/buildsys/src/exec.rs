@@ -91,6 +91,15 @@ impl Executor {
         self
     }
 
+    /// The simulated driver for a program: the first candidate toolchain
+    /// that handles it (a compiler, the archiver or ranlib).
+    pub fn compiler_for(&self, program: &str) -> Option<SimCompiler> {
+        self.toolchains
+            .iter()
+            .find(|t| t.handles(program))
+            .map(|&t| SimCompiler::new(t, &self.isa))
+    }
+
     /// Execute one command in the container and record it into the trace.
     pub fn run(
         &self,
@@ -103,21 +112,15 @@ impl Executor {
 
         let (inputs, outputs) = match base {
             "apt-get" | "apt" => self.run_apt(container, argv)?,
-            _ => {
-                if let Some(tc) = self
-                    .toolchains
-                    .iter()
-                    .find(|t| SimCompiler::new((*t).clone(), &self.isa).handles(base))
-                {
-                    let sim = SimCompiler::new(tc.clone(), &self.isa);
+            _ => match self.compiler_for(base) {
+                Some(sim) => {
                     let outcome = sim
                         .run(&mut container.fs, &container.workdir, argv)
                         .map_err(ExecError::Compile)?;
                     (outcome.inputs, outcome.outputs)
-                } else {
-                    run_utility(container, base, argv)?
                 }
-            }
+                None => run_utility(container, base, argv)?,
+            },
         };
 
         trace.record(RawCommand {

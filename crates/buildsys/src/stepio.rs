@@ -29,20 +29,6 @@ pub struct StepIo {
     pub writes: Vec<String>,
 }
 
-/// Whether any known toolchain personality claims this program name, i.e.
-/// whether its argv is a compiler command line worth parsing for IO.
-fn toolchain_claims(program: &str) -> bool {
-    [
-        Toolchain::distro_gcc(),
-        Toolchain::llvm(),
-        Toolchain::vendor_x86(),
-        Toolchain::vendor_arm(),
-    ]
-    .iter()
-    .any(|t| t.language_of(program).is_some())
-        || Toolchain::is_archiver(program)
-}
-
 impl StepIo {
     /// Extract the file sets from an argv plus the recorder-declared IO.
     /// Relative paths are resolved against `cwd`.
@@ -61,8 +47,9 @@ impl StepIo {
             .map(|p| comt_vfs::join(cwd, p))
             .collect();
 
+        // A compiler's or the archiver's argv is worth parsing for IO.
         let program = argv.first().map(String::as_str).unwrap_or("");
-        if toolchain_claims(program) {
+        if Toolchain::lookup(program).is_some() || Toolchain::is_archiver(program) {
             if let Ok(inv) = CompilerInvocation::parse(argv) {
                 for (path, _kind) in inv.inputs() {
                     if path != "-" {

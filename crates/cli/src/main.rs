@@ -31,8 +31,8 @@
 use comtainer::crossisa::analyze_cross;
 use comtainer::{
     comtainer_rebuild, comtainer_rebuild_with_report, comtainer_redirect, comtainer_retarget,
-    load_cache, ArtifactCache, BuildService, ComtError, JobSpec, LtoAdapter,
-    NativeToolchainAdapter, Phase, RebuildOptions, ServiceOptions, SystemAdapter, SystemSide,
+    load_cache, site_adapters, ArtifactCache, BuildService, ComtError, JobSpec, Phase,
+    RebuildOptions, ServiceOptions, SystemSide,
 };
 use comt_dist::{
     serve, serve_buildd, split_ref, BuilddClient, DistClient, DistError, HttpOptions,
@@ -88,20 +88,8 @@ fn system_side(args: &[String]) -> Result<SystemSide, String> {
     let isa = opt_value(args, "--isa", "x86_64");
     let mut side = SystemSide::native(&isa, comt_pkg::catalog::MINI_SCALE)
         .map_err(|e| format!("system side: {e}"))?;
-    if flag(args, "--lto") {
-        side = side.with_adapter(Box::new(LtoAdapter::whole_graph()));
-    }
+    side.adapters = site_adapters(flag(args, "--lto"));
     Ok(side)
-}
-
-/// The verifier's adapter pipeline: what [`system_side`] would use, minus
-/// the rootfs work the static checks never need.
-fn check_adapters(args: &[String]) -> Vec<Box<dyn SystemAdapter>> {
-    let mut adapters: Vec<Box<dyn SystemAdapter>> = vec![Box::new(NativeToolchainAdapter)];
-    if flag(args, "--lto") {
-        adapters.push(Box::new(LtoAdapter::whole_graph()));
-    }
-    adapters
 }
 
 fn cmd_refs(dir: &str) -> Result<(), String> {
@@ -163,7 +151,7 @@ fn cmd_check(dir: &str, r: Option<&str>, args: &[String]) -> Result<(), String> 
     let oci = load_layout(dir)?;
     let isa = opt_value(args, "--isa", "x86_64");
     let toolchain = Toolchain::vendor_for(&isa);
-    let adapters = check_adapters(args);
+    let adapters = site_adapters(flag(args, "--lto"));
     let json = opt_value(args, "--format", "human") == "json";
 
     let refs: Vec<String> = match r {
@@ -222,7 +210,7 @@ fn check_verdict(errors: usize, warnings: usize, deny_warnings: bool) -> Result<
 fn cmd_audit(dir: &str, r: Option<&str>, args: &[String]) -> Result<(), String> {
     let oci = load_layout(dir)?;
     let targets = opt_values(args, "--target");
-    let adapters = check_adapters(args);
+    let adapters = site_adapters(flag(args, "--lto"));
     let json = opt_value(args, "--format", "human") == "json";
 
     let refs: Vec<String> = match r {

@@ -8,7 +8,8 @@
 
 use crate::models::CompilationModel;
 use comt_toolchain::invocation::PgoFlag;
-use comt_toolchain::{CompilerInvocation, Toolchain};
+use comt_toolchain::toolchains::Driver;
+use comt_toolchain::{CompilerInvocation, Toolchain, ToolchainKind};
 
 /// Context adapters see: the target system's identity.
 #[derive(Debug, Clone)]
@@ -48,6 +49,16 @@ pub fn chain_fingerprint(adapters: &[Box<dyn SystemAdapter>]) -> String {
         .join("|")
 }
 
+/// A site's adapter pipeline: swap in its native toolchain, then enable
+/// LTO over the whole graph when `lto` is set.
+pub fn site_adapters(lto: bool) -> Vec<Box<dyn SystemAdapter>> {
+    let mut adapters: Vec<Box<dyn SystemAdapter>> = vec![Box::new(NativeToolchainAdapter)];
+    if lto {
+        adapters.push(Box::new(LtoAdapter::whole_graph()));
+    }
+    adapters
+}
+
 /// Apply an invocation-level rewrite to compile/link models.
 fn rewrite_invocation(
     model: &mut CompilationModel,
@@ -62,6 +73,21 @@ fn rewrite_invocation(
     }
 }
 
+/// Swap a recorded driver of one of the `from` personalities for `target`'s
+/// driver of the same language. MPI wrappers keep their name: the wrapper
+/// resolves to the system compiler underneath.
+fn swap_driver(inv: &mut CompilerInvocation, from: &[ToolchainKind], target: &Toolchain) {
+    if let Some(Driver {
+        toolchain: Some(kind),
+        language,
+    }) = Toolchain::lookup(&inv.program)
+    {
+        if from.contains(&kind) {
+            inv.program = target.driver(language).to_string();
+        }
+    }
+}
+
 /// The core adaptation (`cxxo` of Figure 3): swap the recorded compiler for
 /// the system's native toolchain, retarget to the native microarchitecture
 /// and raise the optimization level.
@@ -73,26 +99,9 @@ impl SystemAdapter for NativeToolchainAdapter {
     }
 
     fn transform(&self, model: &mut CompilationModel, ctx: &AdapterContext) {
-        let target = ctx.toolchain.clone();
         rewrite_invocation(model, |inv| {
-            // Map the program by source language; MPI wrappers keep their
-            // name (the wrapper resolves to the system compiler underneath).
-            let base = inv.program.rsplit('/').next().unwrap_or(&inv.program);
-            if !base.starts_with("mpi") {
-                let source = Toolchain::distro_gcc();
-                let lang = source
-                    .language_of(base)
-                    .or_else(|| Toolchain::llvm().language_of(base));
-                if let Some(lang) = lang {
-                    inv.program = match lang {
-                        comt_toolchain::toolchains::Language::C => target.cc_names[0].clone(),
-                        comt_toolchain::toolchains::Language::Cxx => target.cxx_names[0].clone(),
-                        comt_toolchain::toolchains::Language::Fortran => {
-                            target.fc_names[0].clone()
-                        }
-                    };
-                }
-            }
+            // Map gcc and clang programs by source language.
+            swap_driver(inv, &[ToolchainKind::DistroGcc, ToolchainKind::Llvm], &ctx.toolchain);
             inv.set_march("native");
             inv.set_opt_level("3");
         });
@@ -109,20 +118,8 @@ impl SystemAdapter for LlvmAdapter {
     }
 
     fn transform(&self, model: &mut CompilationModel, _ctx: &AdapterContext) {
-        let target = Toolchain::llvm();
         rewrite_invocation(model, |inv| {
-            let base = inv.program.rsplit('/').next().unwrap_or(&inv.program);
-            if !base.starts_with("mpi") {
-                if let Some(lang) = Toolchain::distro_gcc().language_of(base) {
-                    inv.program = match lang {
-                        comt_toolchain::toolchains::Language::C => target.cc_names[0].clone(),
-                        comt_toolchain::toolchains::Language::Cxx => target.cxx_names[0].clone(),
-                        comt_toolchain::toolchains::Language::Fortran => {
-                            target.fc_names[0].clone()
-                        }
-                    };
-                }
-            }
+            swap_driver(inv, &[ToolchainKind::DistroGcc], &Toolchain::llvm());
             inv.set_march("native");
         });
     }

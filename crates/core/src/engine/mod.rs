@@ -37,7 +37,7 @@ use bytes::Bytes;
 use comt_buildsys::{BuildTrace, Container, Executor};
 use comt_digest::Digest;
 use comt_observe::{Recorder, Report};
-use comt_toolchain::{DigestMemo, Toolchain};
+use comt_toolchain::DigestMemo;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
@@ -111,7 +111,7 @@ impl<'a> RebuildEngine<'a> {
     pub fn new(side: &'a SystemSide, opts: &'a RebuildOptions) -> Self {
         let adapter_ctx = AdapterContext {
             isa: side.isa.clone(),
-            toolchain: side.toolchain.clone(),
+            toolchain: side.toolchain,
         };
         RebuildEngine {
             ctx: EngineCtx {
@@ -236,15 +236,8 @@ impl<'a> RebuildEngine<'a> {
         digests: &DigestMemo,
     ) -> Result<(), ComtError> {
         let side = self.ctx.side;
-        let executor = Executor::new(
-            &side.isa,
-            vec![
-                side.toolchain.clone(),
-                Toolchain::llvm(),
-                Toolchain::distro_gcc(),
-            ],
-        )
-        .with_repo(side.repo.clone());
+        let executor = Executor::new(&side.isa, side.toolchain.with_fallbacks())
+            .with_repo(side.repo.clone());
 
         let mut trace_sink = BuildTrace::default();
         let mut max_critical_path = 0u64;
@@ -460,16 +453,11 @@ impl<'a> RebuildEngine<'a> {
         let argv = step.model.argv();
         let program = argv.first().map(String::as_str).unwrap_or("");
         let base = program.rsplit('/').next().unwrap_or(program);
-        let tc = executor
-            .toolchains
-            .iter()
-            .find(|t| t.language_of(base).is_some())
-            .ok_or_else(|| {
-                ComtError::build(format!("no toolchain handles {base}"))
-                    .with_phase(Phase::Replay)
-                    .with_step(step.command_line())
-            })?;
-        let sim = comt_toolchain::SimCompiler::new(tc.clone(), &executor.isa);
+        let sim = executor.compiler_for(base).ok_or_else(|| {
+            ComtError::build(format!("no toolchain handles {base}"))
+                .with_phase(Phase::Replay)
+                .with_step(step.command_line())
+        })?;
         let (_outcome, outputs) = sim
             .compile_only(fs, step.model.cwd(), argv, digests)
             .map_err(|e| {

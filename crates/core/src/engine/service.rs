@@ -36,7 +36,7 @@ use crate::backend::RebuildOptions;
 use crate::cache::{load_cache, write_rebuild};
 use crate::engine::{ArtifactCache, RebuildEngine};
 use crate::workflow::SystemSide;
-use crate::{ComtError, LtoAdapter, Phase};
+use crate::{site_adapters, ComtError, Phase};
 use comt_observe::{Recorder, Report};
 use comt_oci::layout::OciDir;
 use serde::{Deserialize, Serialize};
@@ -321,9 +321,7 @@ impl Inner {
             return Ok(Arc::clone(side));
         }
         let mut side = SystemSide::native(&spec.isa, comt_pkg::catalog::MINI_SCALE)?;
-        if spec.lto {
-            side = side.with_adapter(Box::new(LtoAdapter::whole_graph()));
-        }
+        side.adapters = site_adapters(spec.lto);
         let side = Arc::new(side);
         self.sides
             .lock()

@@ -80,24 +80,12 @@ pub(crate) fn add_vendor_libraries(
 /// images as they contain proprietary system-specific compiler
 /// toolchains" — paper artifact description), so they are written directly.
 fn add_system_toolchains(fs: &mut Vfs, isa: &str) -> Result<(), ComtError> {
-    let vendor = comt_toolchain::Toolchain::vendor_for(isa);
-    for name in vendor
-        .cc_names
-        .iter()
-        .chain(vendor.cxx_names.iter())
-        .chain(vendor.fc_names.iter())
-    {
+    for name in comt_toolchain::Toolchain::vendor_for(isa).drivers() {
         write_tool(fs, &format!("/opt/vendor/bin/{name}"), &format!("vendor:{name}:{isa}"))?;
         fs.symlink(&format!("/usr/bin/{name}"), &format!("/opt/vendor/bin/{name}"))
             .map_err(|e| ComtError::fs(e.to_string()))?;
     }
-    let llvm = comt_toolchain::Toolchain::llvm();
-    for name in llvm
-        .cc_names
-        .iter()
-        .chain(llvm.cxx_names.iter())
-        .chain(llvm.fc_names.iter())
-    {
+    for name in comt_toolchain::Toolchain::llvm().drivers() {
         write_tool(fs, &format!("/usr/bin/{name}"), &format!("llvm:{name}:{isa}"))?;
     }
     Ok(())

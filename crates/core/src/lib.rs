@@ -57,8 +57,8 @@ pub mod retarget;
 pub mod workflow;
 
 pub use adapters::{
-    AdapterContext, LlvmAdapter, LtoAdapter, LtoScope, NativeToolchainAdapter, PgoAdapter,
-    SystemAdapter,
+    site_adapters, AdapterContext, LlvmAdapter, LtoAdapter, LtoScope, NativeToolchainAdapter,
+    PgoAdapter, SystemAdapter,
 };
 pub use backend::{rebuild_artifacts, RebuildOptions};
 pub use cache::{load_cache, CacheContents};

@@ -54,15 +54,7 @@ impl CompilationModel {
             };
         }
         // Any known toolchain personality may claim the program name.
-        let known = [
-            Toolchain::distro_gcc(),
-            Toolchain::llvm(),
-            Toolchain::vendor_x86(),
-            Toolchain::vendor_arm(),
-        ]
-        .iter()
-        .any(|t| t.language_of(base).is_some());
-        if known {
+        if Toolchain::lookup(base).is_some() {
             if let Ok(inv) = CompilerInvocation::parse(argv) {
                 let model = match inv.mode() {
                     DriverMode::Compile => CompilationModel::Compile {

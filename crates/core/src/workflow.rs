@@ -71,15 +71,7 @@ impl SystemSide {
         add_vendor_libraries(&mut sysenv_fs, &repo).map_err(materialize)?;
 
         let vendor = Toolchain::vendor_for(isa);
-        for name in vendor
-            .cc_names
-            .iter()
-            .chain(vendor.cxx_names.iter())
-            .chain(vendor.fc_names.iter())
-            .chain(Toolchain::llvm().cc_names.iter())
-            .chain(Toolchain::llvm().cxx_names.iter())
-            .chain(Toolchain::llvm().fc_names.iter())
-        {
+        for name in vendor.drivers().chain(Toolchain::llvm().drivers()) {
             sysenv_fs
                 .write_file_p(
                     &format!("/usr/bin/{name}"),
@@ -98,7 +90,7 @@ impl SystemSide {
             isa: isa.to_string(),
             repo,
             toolchain: vendor,
-            adapters: vec![Box::new(crate::NativeToolchainAdapter)],
+            adapters: crate::site_adapters(false),
             sysenv_fs,
             rebase_fs,
         })

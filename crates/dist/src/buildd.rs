@@ -191,12 +191,8 @@ fn job_submit(req: &Request, svc: &BuildService) -> HttpAction {
 /// (unknown target, not an extended image), 422 with the error-severity
 /// findings in the JSON body when the image fails the audit.
 fn admission_audit(spec: &JobSpec, svc: &BuildService) -> Option<HttpAction> {
-    use comtainer::{LtoAdapter, NativeToolchainAdapter, SystemAdapter};
     let audit = svc.with_layout(|oci| {
-        let mut adapters: Vec<Box<dyn SystemAdapter>> = vec![Box::new(NativeToolchainAdapter)];
-        if spec.lto {
-            adapters.push(Box::new(LtoAdapter::whole_graph()));
-        }
+        let adapters = comtainer::site_adapters(spec.lto);
         let toolchain = comt_toolchain::Toolchain::vendor_for(&spec.isa);
         comt_analyze::audit_extended_image(oci, &spec.extended_ref, &spec.targets, &toolchain, &adapters)
     });

@@ -378,7 +378,7 @@ fn stats_response<B: BlobBackend>(state: &RegistryHandler<Layout<B>>) -> HttpAct
         ("dist.cache.entries", cache.entries),
         ("dist.cache.bytes", cache.bytes),
         ("dist.cache.budget", cache.budget),
-        ("dist.server.stream_verified", proofs as u64),
+        ("dist.server.proven", proofs as u64),
     ] {
         report.counters.insert(name.into(), gauge);
     }

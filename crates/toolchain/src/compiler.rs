@@ -142,14 +142,6 @@ impl SimCompiler {
         }
     }
 
-    /// Whether this driver handles the given program name (compiler,
-    /// archiver, or ranlib).
-    pub fn handles(&self, program: &str) -> bool {
-        self.toolchain.language_of(program).is_some()
-            || Toolchain::is_archiver(program)
-            || Toolchain::is_ranlib(program)
-    }
-
     /// Execute a command line in `cwd`.
     pub fn run(
         &self,
@@ -157,11 +149,11 @@ impl SimCompiler {
         cwd: &str,
         argv: &[String],
     ) -> Result<CommandOutcome, CompileError> {
-        let program = argv.first().ok_or(CompileError::NoInputs)?.clone();
-        if Toolchain::is_archiver(&program) {
+        let program = argv.first().ok_or(CompileError::NoInputs)?;
+        if Toolchain::is_archiver(program) {
             return self.run_ar(fs, cwd, argv);
         }
-        if Toolchain::is_ranlib(&program) {
+        if Toolchain::is_ranlib(program) {
             // ranlib regenerates the symbol index; COMT archives carry it
             // inherently, so this only validates the target exists.
             let target = argv.get(1).ok_or(CompileError::NoInputs)?;
@@ -174,22 +166,14 @@ impl SimCompiler {
                 outputs: vec![],
             });
         }
-        let language = self
-            .toolchain
-            .language_of(&program)
-            .ok_or_else(|| CompileError::UnknownProgram(program.clone()))?;
-        if !self.toolchain.supported_isas.iter().any(|i| i == &self.isa) {
-            return Err(CompileError::UnsupportedIsa {
-                toolchain: self.toolchain.name.clone(),
-                isa: self.isa.clone(),
-            });
-        }
-
-        let mut inv = CompilerInvocation::parse(argv)?;
-        // MPI wrappers implicitly add the MPI library to link steps.
-        let base = program.rsplit('/').next().unwrap_or(&program);
-        let is_mpi_wrapper = base.starts_with("mpi");
-        if is_mpi_wrapper && inv.mode() == DriverMode::Link && !inv.libs().contains(&"mpi") {
+        let (language, mut inv) = self.parse_compiler_argv(argv)?;
+        // MPI wrappers (the drivers no one personality owns) implicitly add
+        // the MPI library to link steps.
+        let mpi_wrapper = Toolchain::lookup(program).is_some_and(|d| d.toolchain.is_none());
+        if mpi_wrapper
+            && inv.mode() == DriverMode::Link
+            && !inv.libs().contains(&"mpi")
+        {
             inv.args.push(Arg::Opt {
                 token: "l".into(),
                 value: Some("mpi".into()),
@@ -206,6 +190,27 @@ impl SimCompiler {
                 self.run_passthrough(fs, cwd, &inv)
             }
         }
+    }
+
+    /// What every compiler command checks first: the program is one of
+    /// this toolchain's drivers, the toolchain targets this ISA, and the
+    /// command line parses.
+    fn parse_compiler_argv(
+        &self,
+        argv: &[String],
+    ) -> Result<(Language, CompilerInvocation), CompileError> {
+        let program = argv.first().ok_or(CompileError::NoInputs)?;
+        let language = self
+            .toolchain
+            .language_of(program)
+            .ok_or_else(|| CompileError::UnknownProgram(program.clone()))?;
+        if !self.toolchain.supported_isas.iter().any(|i| *i == self.isa) {
+            return Err(CompileError::UnsupportedIsa {
+                toolchain: self.toolchain.name.to_string(),
+                isa: self.isa.clone(),
+            });
+        }
+        Ok((language, CompilerInvocation::parse(argv)?))
     }
 
     // ---- compile ---------------------------------------------------------
@@ -238,18 +243,7 @@ impl SimCompiler {
         argv: &[String],
         digests: &DigestMemo,
     ) -> Result<CompileOutputs, CompileError> {
-        let program = argv.first().ok_or(CompileError::NoInputs)?;
-        let language = self
-            .toolchain
-            .language_of(program)
-            .ok_or_else(|| CompileError::UnknownProgram(program.clone()))?;
-        if !self.toolchain.supported_isas.iter().any(|i| i == &self.isa) {
-            return Err(CompileError::UnsupportedIsa {
-                toolchain: self.toolchain.name.clone(),
-                isa: self.isa.clone(),
-            });
-        }
-        let inv = CompilerInvocation::parse(argv)?;
+        let (language, inv) = self.parse_compiler_argv(argv)?;
         if inv.mode() != DriverMode::Compile {
             return Err(CompileError::UnknownProgram(format!(
                 "compile_only only handles -c steps, got {:?}",
@@ -429,7 +423,7 @@ impl SimCompiler {
                 march,
             }),
             opt: OptProvenance {
-                toolchain: self.toolchain.name.clone(),
+                toolchain: self.toolchain.name.to_string(),
                 codegen_quality: quality,
                 opt_level,
                 vector_width: vw,
@@ -733,7 +727,7 @@ impl SimCompiler {
             objects: included.iter().map(|o| o.source_path.clone()).collect(),
             target,
             opt: OptProvenance {
-                toolchain: self.toolchain.name.clone(),
+                toolchain: self.toolchain.name.to_string(),
                 codegen_quality: if quality.is_finite() { quality } else { 1.0 },
                 opt_level,
                 vector_width: vw,
@@ -819,7 +813,7 @@ pub fn recodegen(
     let opt_level = inv
         .opt_level()
         .unwrap_or_else(|| obj.opt.opt_level.clone());
-    obj.opt.toolchain = toolchain.name.clone();
+    obj.opt.toolchain = toolchain.name.to_string();
     obj.opt.codegen_quality = toolchain.codegen_quality * opt_level_factor(&opt_level);
     obj.opt.opt_level = opt_level;
     obj.opt.vector_width = vector_width(isa, &march);

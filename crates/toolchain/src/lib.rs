@@ -25,8 +25,12 @@
 //! * [`compiler`] — the simulated driver: compiling sources to objects,
 //!   archiving, and full Unix linking (archive member pull-in fixpoint,
 //!   namespaced external symbols resolved against `-l` libraries).
-//! * [`toolchains`] — toolchain personalities (distro GCC, LLVM, vendor
-//!   compilers) with codegen-quality factors used by the performance model.
+//! * [`toolchains`] — the one toolchain vocabulary: the four personalities
+//!   (distro GCC, LLVM, vendor compilers) with their driver names,
+//!   target ISAs and codegen-quality factors, and the MPI wrappers every
+//!   personality accepts. [`Toolchain::lookup`] says which personality
+//!   runs a program, in which language; every layer that classifies or
+//!   rewrites a command line asks it.
 //! * [`features`] — the architecture×feature matrix (x86-64-v1..v4 levels,
 //!   AArch64 armv8.x/SVE tiers, implication and conflict edges) and the
 //!   flow-sensitive flag fold behind `comt audit`.

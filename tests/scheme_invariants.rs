@@ -45,7 +45,7 @@ fn scheme_binary(app_name: &str, isa: &str, native: bool) -> LinkedBinary {
             march: march.clone(),
         }),
         opt: OptProvenance {
-            toolchain: tc.name.clone(),
+            toolchain: tc.name.to_string(),
             codegen_quality: quality,
             opt_level: if native { "3".into() } else { "2".into() },
             vector_width: vector_width(isa, &march),
