@@ -15,6 +15,15 @@
 //! new file, or an orphan `.tmp.*` — never a half-written final path.
 //! `comt fsck` diagnoses (and `--repair` sweeps) the orphans.
 //!
+//! This module is the one reader and writer of a layout directory. The
+//! blob directory is read by one walk (`DiskStore::walk`: blob, orphan
+//! tmp file or foreign file), which gc, the eager loader and `comt fsck`
+//! all consume, and `index.json` by one reader, which tells "missing" from
+//! "does not parse". Deleting a blob fsyncs its directory after the
+//! unlink. `fsck --repair`'s deletions and quarantine moves (`Repairs`)
+//! record the directories they change and fsync each once, before the
+//! repaired index is committed.
+//!
 //! Writers coordinate through [`LayoutLock`], an advisory OS lock on
 //! `.comt.lock` in the layout root. The lock dies with the process (even
 //! `kill -9`), so a crashed daemon never wedges the layout.
@@ -25,7 +34,7 @@ use crate::spec::ImageIndex;
 use crate::store::{StoreError, Verified};
 use bytes::Bytes;
 use comt_digest::Digest;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fs::{File, OpenOptions, TryLockError};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -42,6 +51,12 @@ pub const TMP_PREFIX: &str = ".tmp.";
 
 /// Contents of the `oci-layout` version marker.
 pub const OCI_LAYOUT_MARKER: &[u8] = b"{\"imageLayoutVersion\": \"1.0.0\"}";
+
+/// Why an orphan tmp file is torn state (`COMT-F003`).
+pub(crate) const ORPHAN_TMP: &str = "orphan temp file from an interrupted commit";
+
+/// Why a foreign file is torn state (`COMT-F005`).
+pub(crate) const FOREIGN_FILE: &str = "foreign file in the blob directory";
 
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -78,6 +93,103 @@ pub(crate) fn commit_file(path: &Path, data: &[u8]) -> std::io::Result<()> {
         return Err(e);
     }
     fsync_dir(dir)
+}
+
+/// One entry of the blob directory, as [`DiskStore::walk`] classifies it.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum BlobEntry {
+    /// A regular file named by a well-formed digest, with its length.
+    Blob { digest: Digest, len: u64 },
+    /// An orphan of an interrupted commit, by file name.
+    Tmp(String),
+    /// Anything else, by file name.
+    Foreign(String),
+}
+
+impl BlobEntry {
+    /// The entry's file name under `blobs/sha256/`.
+    pub(crate) fn name(&self) -> String {
+        match self {
+            BlobEntry::Blob { digest, .. } => digest.hex(),
+            BlobEntry::Tmp(name) | BlobEntry::Foreign(name) => name.clone(),
+        }
+    }
+
+    /// Why the entry is torn state; `None` for a blob.
+    pub(crate) fn stray_detail(&self) -> Option<&'static str> {
+        match self {
+            BlobEntry::Blob { .. } => None,
+            BlobEntry::Tmp(_) => Some(ORPHAN_TMP),
+            BlobEntry::Foreign(_) => Some(FOREIGN_FILE),
+        }
+    }
+}
+
+/// The repair path's mutations of a layout directory (`comt fsck
+/// --repair`). Removing or quarantining a file only records the
+/// directories it changed; [`Repairs::finish`] fsyncs each of them once
+/// and then commits the repaired index, so no removal can come back after
+/// a power cut that the index flip survived. The marker is rewritten with
+/// [`commit_file`], the index with [`DiskStore::commit_index`].
+pub(crate) struct Repairs<'a> {
+    store: &'a DiskStore,
+    changed: BTreeSet<PathBuf>,
+}
+
+impl<'a> Repairs<'a> {
+    pub(crate) fn new(store: &'a DiskStore) -> Self {
+        Repairs {
+            store,
+            changed: BTreeSet::new(),
+        }
+    }
+
+    /// Delete one entry of the blob directory: an orphan, a foreign file or
+    /// a blob that failed its check.
+    pub(crate) fn remove(&mut self, entry: &BlobEntry) -> Result<(), StoreError> {
+        if let BlobEntry::Blob { digest, .. } = entry {
+            self.store.proofs().remove(digest);
+        }
+        let dir = self.store.blobs_dir();
+        std::fs::remove_file(dir.join(entry.name()))?;
+        self.changed.insert(dir);
+        Ok(())
+    }
+
+    /// Move a blob aside to `quarantine/<hex>`, kept for inspection; a blob
+    /// the store does not hold is left as it is.
+    pub(crate) fn quarantine(&mut self, digest: &Digest) -> Result<(), StoreError> {
+        let Some(BlobHandle::File { path, .. }) = self.store.handle(digest) else {
+            return Ok(());
+        };
+        let qdir = self.store.root.join("quarantine");
+        if !qdir.is_dir() {
+            std::fs::create_dir(&qdir)?;
+            self.changed.insert(self.store.root.clone());
+        }
+        self.store.proofs().remove(digest);
+        std::fs::rename(&path, qdir.join(digest.hex()))?;
+        self.changed.insert(self.store.blobs_dir());
+        self.changed.insert(qdir);
+        Ok(())
+    }
+
+    /// Rewrite the `oci-layout` marker.
+    pub(crate) fn rewrite_marker(&mut self) -> Result<(), StoreError> {
+        Ok(commit_file(&self.store.root.join("oci-layout"), OCI_LAYOUT_MARKER)?)
+    }
+
+    /// fsync every directory a repair changed, once, then commit `index`
+    /// if the repairs changed the tag table.
+    pub(crate) fn finish(self, index: Option<&ImageIndex>) -> Result<(), StoreError> {
+        for dir in &self.changed {
+            fsync_dir(dir)?;
+        }
+        match index {
+            Some(index) => self.store.commit_index(index),
+            None => Ok(()),
+        }
+    }
 }
 
 /// An exclusive advisory lock on one on-disk layout.
@@ -266,12 +378,10 @@ impl DiskStore {
         }
     }
 
-    /// The one walk over the blob directory: every well-formed blob file
-    /// with its size, in digest order. Tmp orphans and foreign files are
-    /// skipped — `comt fsck` is the pass that reports them — unless
-    /// `strict`, the eager loader's view, where either is
-    /// [`StoreError::Torn`].
-    pub(crate) fn scan(&self, strict: bool) -> Result<Vec<(Digest, u64)>, StoreError> {
+    /// The one walk over the blob directory: every entry, classified —
+    /// blobs first, in digest order, then tmp orphans and foreign files by
+    /// name. An absent directory walks as empty.
+    pub(crate) fn walk(&self) -> Result<Vec<BlobEntry>, StoreError> {
         let dir = self.blobs_dir();
         let mut out = Vec::new();
         if !dir.is_dir() {
@@ -280,33 +390,58 @@ impl DiskStore {
         for entry in std::fs::read_dir(&dir)? {
             let entry = entry?;
             let name = entry.file_name().to_string_lossy().into_owned();
-            let Ok(d) = format!("sha256:{name}").parse::<Digest>() else {
-                if strict {
-                    let detail = if name.starts_with(TMP_PREFIX) {
-                        "orphan temp file from an interrupted commit"
-                    } else {
-                        "foreign file in the blob directory"
-                    };
-                    return Err(StoreError::Torn {
-                        path: entry.path().display().to_string(),
-                        detail: detail.into(),
-                    });
-                }
-                continue;
-            };
             let meta = entry.metadata()?;
-            if meta.is_file() {
-                out.push((d, meta.len()));
-            }
+            out.push(match format!("sha256:{name}").parse::<Digest>() {
+                _ if name.starts_with(TMP_PREFIX) => BlobEntry::Tmp(name),
+                Ok(digest) if meta.is_file() => BlobEntry::Blob {
+                    digest,
+                    len: meta.len(),
+                },
+                _ => BlobEntry::Foreign(name),
+            });
         }
-        out.sort_by_key(|(d, _)| *d);
+        out.sort_unstable();
         Ok(out)
     }
 
-    /// Parse `index.json`, refusing torn or missing state — a descriptor
-    /// whose digest does not parse included — with an error that points at
-    /// `comt fsck`.
-    pub fn read_index(&self) -> Result<ImageIndex, StoreError> {
+    /// Every blob of [`DiskStore::walk`] with its size, in digest order.
+    /// Tmp orphans and foreign files are skipped — `comt fsck` is the pass
+    /// that reports them — unless `strict`, the eager loader's view, where
+    /// the first is [`StoreError::Torn`].
+    pub(crate) fn scan(&self, strict: bool) -> Result<Vec<(Digest, u64)>, StoreError> {
+        let mut out = Vec::new();
+        for entry in self.walk()? {
+            match entry {
+                BlobEntry::Blob { digest, len } => out.push((digest, len)),
+                stray if strict => {
+                    return Err(StoreError::Torn {
+                        path: self.blobs_dir().join(stray.name()).display().to_string(),
+                        detail: stray.stray_detail().unwrap_or_default().into(),
+                    })
+                }
+                _ => {}
+            }
+        }
+        Ok(out)
+    }
+
+    /// Whether the `oci-layout` marker names an `imageLayoutVersion`.
+    pub(crate) fn has_marker(&self) -> bool {
+        std::fs::read_to_string(self.root.join("oci-layout"))
+            .ok()
+            .and_then(|raw| serde_json::parse_value(&raw).ok())
+            .and_then(|v| {
+                v.as_object()
+                    .map(|o| o.iter().any(|(k, _)| k == "imageLayoutVersion"))
+            })
+            .unwrap_or(false)
+    }
+
+    /// The one reader of `index.json`: the parsed tag table, or
+    /// [`StoreError::Torn`] saying it is missing or does not parse. A
+    /// descriptor's digest is not checked here; `comt fsck` judges each
+    /// ref on its own.
+    pub(crate) fn parse_index(&self) -> Result<ImageIndex, StoreError> {
         let path = self.root.join("index.json");
         let torn = |detail: String| StoreError::Torn {
             path: path.display().to_string(),
@@ -319,10 +454,19 @@ impl DiskStore {
             }
             Err(e) => return Err(e.into()),
         };
-        let index: ImageIndex = serde_json::from_slice(&raw)
-            .map_err(|e| torn(format!("index.json does not parse: {e}")))?;
+        serde_json::from_slice(&raw).map_err(|e| torn(format!("index.json does not parse: {e}")))
+    }
+
+    /// Parse `index.json`, refusing torn or missing state — a descriptor
+    /// whose digest does not parse included — with an error that points at
+    /// `comt fsck`.
+    pub fn read_index(&self) -> Result<ImageIndex, StoreError> {
+        let index = self.parse_index()?;
         if let Some(bad) = index.manifests.iter().find(|d| d.parsed_digest().is_err()) {
-            return Err(torn(format!("index.json names a malformed digest: {}", bad.digest)));
+            return Err(StoreError::Torn {
+                path: self.root.join("index.json").display().to_string(),
+                detail: format!("index.json names a malformed digest: {}", bad.digest),
+            });
         }
         Ok(index)
     }
@@ -518,6 +662,46 @@ mod tests {
         }
         drop(first);
         LayoutLock::acquire(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn one_walk_classifies_every_entry_and_repairs_remove_them() {
+        let dir = tmp_dir("walk");
+        let store = DiskStore::init(&dir).unwrap();
+        let d = Digest::of(b"kept");
+        store.put_blob(&d, b"kept").unwrap();
+        std::fs::write(store.blobs_dir().join(".tmp.7-0"), b"partial").unwrap();
+        std::fs::write(store.blobs_dir().join("README"), b"foreign").unwrap();
+        // A directory under a digest's name is not a blob.
+        let not_a_blob = Digest::of(b"dir").hex();
+        std::fs::create_dir(store.blobs_dir().join(&not_a_blob)).unwrap();
+        let entries = store.walk().unwrap();
+        let mut foreign = ["README".to_string(), not_a_blob];
+        foreign.sort();
+        assert_eq!(
+            entries,
+            [
+                BlobEntry::Blob { digest: d, len: 4 },
+                BlobEntry::Tmp(".tmp.7-0".into()),
+                BlobEntry::Foreign(foreign[0].clone()),
+                BlobEntry::Foreign(foreign[1].clone()),
+            ]
+        );
+        assert_eq!(store.scan(false).unwrap(), vec![(d, 4)]);
+        match store.scan(true) {
+            Err(StoreError::Torn { detail, .. }) => assert_eq!(detail, ORPHAN_TMP),
+            other => panic!("expected Torn, got {other:?}"),
+        }
+
+        let mut repairs = Repairs::new(&store);
+        repairs.remove(&entries[1]).unwrap();
+        repairs.remove(&BlobEntry::Foreign("README".into())).unwrap();
+        repairs.quarantine(&d).unwrap();
+        repairs.finish(Some(&ImageIndex::default())).unwrap();
+        assert_eq!(store.walk().unwrap().len(), 1);
+        assert!(dir.join("quarantine").join(d.hex()).is_file());
+        assert_eq!(store.read_index().unwrap(), ImageIndex::default());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

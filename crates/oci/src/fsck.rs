@@ -20,8 +20,17 @@
 //! removes artifacts that can no longer serve a bit-correct pull, so a
 //! repaired layout always loads and every surviving tag pulls exactly the
 //! bytes that were originally published.
+//!
+//! `fsck` is a pass over [`DiskStore`]'s own primitives and touches no file
+//! itself: the blob directory comes from the store's one walk
+//! (`DiskStore::walk`, the one `OciDir::load` and gc read), the index
+//! from its one reader, blob bytes through its handles. Every repair goes
+//! through `disk::Repairs`, which fsyncs each directory it changed
+//! once before the repaired index is committed. A finding's severity is
+//! its code's row in [`FSCK_CODES`].
 
-use crate::disk::{commit_file, DiskStore, LayoutLock, OCI_LAYOUT_MARKER, TMP_PREFIX};
+use crate::backend::BlobBackend;
+use crate::disk::{BlobEntry, DiskStore, LayoutLock, Repairs, FOREIGN_FILE, ORPHAN_TMP};
 use crate::spec::{ImageIndex, MediaType};
 use crate::store::{closure_of_manifest, StoreError};
 use comt_digest::Digest;
@@ -122,303 +131,218 @@ impl FsckReport {
     }
 }
 
+/// The findings of one pass and, under `--repair`, the repairs that fix
+/// them.
+struct Findings<'a> {
+    list: Vec<FsckFinding>,
+    repairs: Option<Repairs<'a>>,
+}
+
+impl<'a> Findings<'a> {
+    /// Record a finding of `code`, with the severity [`FSCK_CODES`] gives
+    /// it; under `--repair`, apply `fix` first. Returns whether it was
+    /// repaired.
+    fn record(
+        &mut self,
+        code: &'static str,
+        path: String,
+        detail: String,
+        fix: impl FnOnce(&mut Repairs<'a>) -> Result<(), StoreError>,
+    ) -> Result<bool, StoreError> {
+        let repaired = match self.repairs.as_mut() {
+            Some(repairs) => {
+                fix(repairs)?;
+                true
+            }
+            None => false,
+        };
+        self.list.push(FsckFinding {
+            code,
+            severity: severity_of(code),
+            path,
+            detail,
+            repaired,
+        });
+        Ok(repaired)
+    }
+}
+
 /// Scan a layout for torn/corrupt state, optionally repairing it.
 ///
 /// Always runs under the layout lock: a concurrent `comt serve` or `gc
 /// --apply` would make in-flight tmp files look like damage, so contention
 /// is surfaced as [`StoreError::Locked`] instead of a false report.
 pub fn fsck(dir: &Path, opts: &FsckOptions) -> Result<FsckReport, StoreError> {
-    if !dir.join("index.json").is_file() && !dir.join("blobs").is_dir() {
-        return Err(StoreError::Io(std::io::Error::new(
-            std::io::ErrorKind::NotFound,
-            format!("not an OCI layout: {}", dir.display()),
-        )));
-    }
-    let _lock = LayoutLock::acquire(dir)?;
     let store = DiskStore::open(dir)?;
-    let mut findings = Vec::new();
-    let rel = |p: &Path| {
-        p.strip_prefix(dir)
-            .unwrap_or(p)
-            .display()
-            .to_string()
+    let _lock = LayoutLock::acquire(dir)?;
+    let mut findings = Findings {
+        list: Vec::new(),
+        repairs: opts.repair.then(|| Repairs::new(&store)),
     };
+    let blob_path = |name: &str| format!("blobs/sha256/{name}");
 
     // Pass 1: the oci-layout version marker.
-    let marker = dir.join("oci-layout");
-    let marker_ok = std::fs::read_to_string(&marker)
-        .ok()
-        .and_then(|raw| serde_json::parse_value(&raw).ok())
-        .and_then(|v| {
-            v.as_object()
-                .map(|o| o.iter().any(|(k, _)| k == "imageLayoutVersion"))
-        })
-        .unwrap_or(false);
-    if !marker_ok {
-        let mut repaired = false;
-        if opts.repair {
-            commit_file(&marker, OCI_LAYOUT_MARKER)?;
-            repaired = true;
-        }
-        findings.push(FsckFinding {
-            code: "COMT-F006",
-            severity: FsckSeverity::Warning,
-            path: rel(&marker),
-            detail: "oci-layout version marker is missing or invalid".into(),
-            repaired,
-        });
+    if !store.has_marker() {
+        findings.record("COMT-F006", "oci-layout".into(), title_of("COMT-F006").into(), |r| {
+            r.rewrite_marker()
+        })?;
     }
 
     // Pass 2: the blob directory. Build the set of digests whose content
     // verifies; everything else is a finding.
-    let blobs_dir = store.blobs_dir();
     let mut valid: BTreeSet<Digest> = BTreeSet::new();
-    let mut blobs_scanned = 0usize;
-    if blobs_dir.is_dir() {
-        let mut entries: Vec<_> = std::fs::read_dir(&blobs_dir)?
-            .collect::<Result<Vec<_>, _>>()?;
-        entries.sort_by_key(|e| e.file_name());
-        for entry in entries {
-            let path = entry.path();
-            let name = entry.file_name().to_string_lossy().into_owned();
-            blobs_scanned += 1;
-            if name.starts_with(TMP_PREFIX) {
-                let mut repaired = false;
-                if opts.repair {
-                    std::fs::remove_file(&path)?;
-                    repaired = true;
-                }
-                findings.push(FsckFinding {
-                    code: "COMT-F003",
-                    severity: FsckSeverity::Warning,
-                    path: rel(&path),
-                    detail: "orphan temp file from an interrupted commit".into(),
-                    repaired,
-                });
-                continue;
-            }
-            let Ok(digest) = format!("sha256:{name}").parse::<Digest>() else {
-                let mut repaired = false;
-                if opts.repair {
-                    std::fs::remove_file(&path)?;
-                    repaired = true;
-                }
-                findings.push(FsckFinding {
-                    code: "COMT-F005",
-                    severity: FsckSeverity::Warning,
-                    path: rel(&path),
-                    detail: "foreign file in the blob directory".into(),
-                    repaired,
-                });
-                continue;
-            };
-            // Streaming digest check: a multi-GiB layer is hashed in
-            // bounded chunks, never materialized (see
-            // `BlobHandle::stream_verified`).
-            let handle = crate::backend::BlobHandle::File {
-                path: path.clone(),
-                len: entry.metadata()?.len(),
-            };
-            match handle.stream_verified(&digest) {
-                Ok(_) => {
-                    valid.insert(digest);
-                }
-                Err(e) => {
-                    let mut repaired = false;
-                    if opts.repair {
-                        std::fs::remove_file(&path)?;
-                        repaired = true;
+    let entries = store.walk()?;
+    for entry in &entries {
+        let path = blob_path(&entry.name());
+        let (code, detail) = match entry {
+            BlobEntry::Tmp(_) => ("COMT-F003", title_of("COMT-F003").to_string()),
+            BlobEntry::Foreign(_) => ("COMT-F005", title_of("COMT-F005").to_string()),
+            BlobEntry::Blob { digest, len } => {
+                // Streaming digest check: a multi-GiB layer is hashed in
+                // bounded chunks, never materialized.
+                let checked = match store.handle(digest) {
+                    Some(handle) => handle.stream_verified(digest),
+                    None => Err(StoreError::MissingBlob(digest.to_string())),
+                };
+                match checked {
+                    Ok(_) => {
+                        valid.insert(*digest);
+                        continue;
                     }
-                    let size = handle.len();
-                    let detail = match e {
-                        StoreError::DigestMismatch(_) => format!(
-                            "blob content does not hash to its name (torn or corrupt write, {size} bytes)"
+                    Err(StoreError::DigestMismatch(_)) => (
+                        "COMT-F001",
+                        format!(
+                            "{} (torn or corrupt write, {len} bytes)",
+                            title_of("COMT-F001")
                         ),
-                        other => format!("blob unreadable: {other}"),
-                    };
-                    findings.push(FsckFinding {
-                        code: "COMT-F001",
-                        severity: FsckSeverity::Error,
-                        path: rel(&path),
-                        detail,
-                        repaired,
-                    });
-                    continue;
+                    ),
+                    Err(other) => ("COMT-F001", format!("blob unreadable: {other}")),
                 }
             }
-        }
+        };
+        findings.record(code, path, detail, |r| r.remove(entry))?;
     }
 
     // Pass 3: the index and every ref's closure.
     let mut refs_checked = 0usize;
-    let index_path = dir.join("index.json");
-    let index: Option<ImageIndex> = match std::fs::read(&index_path) {
-        Ok(raw) => match serde_json::from_slice(&raw) {
-            Ok(idx) => Some(idx),
-            Err(e) => {
-                let mut repaired = false;
-                if opts.repair {
-                    store.commit_index(&ImageIndex::default())?;
-                    repaired = true;
-                }
-                findings.push(FsckFinding {
-                    code: "COMT-F004",
-                    severity: FsckSeverity::Error,
-                    path: rel(&index_path),
-                    detail: format!(
-                        "index.json does not parse ({e}); its tags cannot be recovered"
-                    ),
-                    repaired,
-                });
-                if repaired {
-                    Some(ImageIndex::default())
-                } else {
-                    None
-                }
+    let mut next_index = None;
+    let index = match store.parse_index() {
+        Ok(index) => index,
+        Err(StoreError::Torn { detail, .. }) => {
+            if findings.record("COMT-F004", "index.json".into(), detail, |_| Ok(()))? {
+                next_index = Some(ImageIndex::default());
             }
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            let mut repaired = false;
-            if opts.repair {
-                store.commit_index(&ImageIndex::default())?;
-                repaired = true;
-            }
-            findings.push(FsckFinding {
-                code: "COMT-F004",
-                severity: FsckSeverity::Error,
-                path: rel(&index_path),
-                detail: "index.json is missing".into(),
-                repaired,
-            });
-            if repaired {
-                Some(ImageIndex::default())
-            } else {
-                None
-            }
+            ImageIndex::default()
         }
-        Err(e) => return Err(e.into()),
+        Err(e) => return Err(e),
     };
-
-    if let Some(index) = index {
-        let mut kept = index.clone();
-        let mut dropped_any = false;
-        for desc in &index.manifests {
-            if desc.media_type == MediaType::Chunkmap {
-                continue; // not a ref; validated in pass 4 below
+    let mut kept = index.clone();
+    for desc in &index.manifests {
+        if desc.media_type == MediaType::Chunkmap {
+            continue; // not a ref; validated in pass 4 below
+        }
+        refs_checked += 1;
+        let name = desc
+            .ref_name()
+            .map(String::from)
+            .unwrap_or_else(|| format!("(unnamed {})", desc.digest));
+        let broken: Option<String> = match desc.parsed_digest() {
+            Err(e) => Some(format!("unparseable manifest digest: {e}")),
+            Ok(md) if !valid.contains(&md) => {
+                Some(format!("manifest blob {md} is missing or corrupt"))
             }
-            refs_checked += 1;
-            let name = desc
-                .ref_name()
-                .map(String::from)
-                .unwrap_or_else(|| format!("(unnamed {})", desc.digest));
-            let broken: Option<String> = match desc.parsed_digest() {
-                Err(e) => Some(format!("unparseable manifest digest: {e}")),
-                Ok(md) if !valid.contains(&md) => {
-                    Some(format!("manifest blob {md} is missing or corrupt"))
-                }
-                Ok(md) => {
-                    // Manifest blob verified in pass 2; walk its closure.
-                    let raw = std::fs::read(store.blob_path(&md))?;
-                    match closure_of_manifest(&raw, &md) {
-                        Err(e) => Some(format!("manifest does not parse: {e}")),
-                        Ok(closure) => closure
-                            .iter()
-                            .find(|d| !valid.contains(d))
-                            .map(|d| format!("closure blob {d} is missing or corrupt")),
-                    }
-                }
-            };
-            if let Some(why) = broken {
-                let mut repaired = false;
-                if opts.repair {
-                    if let Some(n) = desc.ref_name() {
+            // Manifest blob verified in pass 2; walk its closure.
+            Ok(md) => match store.read_blob(&md) {
+                Ok(Some(raw)) => match closure_of_manifest(&raw, &md) {
+                    Err(e) => Some(format!("manifest does not parse: {e}")),
+                    Ok(closure) => closure
+                        .iter()
+                        .find(|d| !valid.contains(d))
+                        .map(|d| format!("closure blob {d} is missing or corrupt")),
+                },
+                _ => Some(format!("manifest blob {md} is missing or corrupt")),
+            },
+        };
+        if let Some(why) = broken {
+            let detail = format!("ref cannot serve a complete image: {why}");
+            findings.record("COMT-F002", name, detail, |_| {
+                match desc.ref_name() {
+                    Some(n) => {
                         kept.remove_ref(n);
-                    } else {
-                        kept.manifests.retain(|d| d != desc);
                     }
-                    dropped_any = true;
-                    repaired = true;
+                    None => kept.manifests.retain(|d| d != desc),
                 }
-                findings.push(FsckFinding {
-                    code: "COMT-F002",
-                    severity: FsckSeverity::Error,
-                    path: name,
-                    detail: format!("ref cannot serve a complete image: {why}"),
-                    repaired,
-                });
-            }
-        }
-        // Pass 4: chunkmap entries. A chunkmap must parse, name a layer
-        // that exists, and agree with the stored layer bytes offset-for-
-        // offset and digest-for-digest — a stale or tampered map would make
-        // delta pulls assemble garbage (caught client-side, but every such
-        // pull fails). Repair quarantines the map blob (moved aside, not
-        // destroyed) and drops the association; the layer itself is
-        // untouched and full-blob pulls keep working.
-        for desc in index.chunkmap_entries() {
-            let path_label = format!("chunkmap {}", desc.digest);
-            let broken: Option<String> = (|| {
-                let Some(layer) = desc.chunkmap_layer() else {
-                    return Some("chunkmap entry has no layer annotation".to_string());
-                };
-                let Ok(md) = desc.parsed_digest() else {
-                    return Some(format!("unparseable chunkmap digest {}", desc.digest));
-                };
-                if !valid.contains(&md) {
-                    return Some(format!("chunkmap blob {md} is missing or corrupt"));
-                }
-                if !valid.contains(&layer) {
-                    return Some(format!("described layer {layer} is missing or corrupt"));
-                }
-                let raw = match std::fs::read(store.blob_path(&md)) {
-                    Ok(r) => r,
-                    Err(e) => return Some(format!("chunkmap blob unreadable: {e}")),
-                };
-                let map = match comt_chunk::ChunkMap::from_json(&raw) {
-                    Ok(m) => m,
-                    Err(e) => return Some(format!("{e}")),
-                };
-                if map.parsed_blob_digest().ok() != Some(layer) {
-                    return Some(format!(
-                        "chunkmap describes {} but is recorded for layer {layer}",
-                        map.blob_digest
-                    ));
-                }
-                let layer_bytes = match std::fs::read(store.blob_path(&layer)) {
-                    Ok(r) => r,
-                    Err(e) => return Some(format!("layer blob unreadable: {e}")),
-                };
-                map.verify_layer(&layer_bytes).err().map(|e| format!("{e}"))
-            })();
-            if let Some(why) = broken {
-                let mut repaired = false;
-                if opts.repair {
-                    if let Ok(md) = desc.parsed_digest() {
-                        let blob_path = store.blob_path(&md);
-                        if blob_path.is_file() {
-                            let qdir = dir.join("quarantine");
-                            std::fs::create_dir_all(&qdir)?;
-                            std::fs::rename(&blob_path, qdir.join(md.hex()))?;
-                        }
-                    }
-                    kept.manifests.retain(|d| d != desc);
-                    dropped_any = true;
-                    repaired = true;
-                }
-                findings.push(FsckFinding {
-                    code: "COMT-F007",
-                    severity: FsckSeverity::Error,
-                    path: path_label,
-                    detail: format!("chunkmap disagrees with its stored layer: {why}"),
-                    repaired,
-                });
-            }
-        }
-        if dropped_any {
-            store.commit_index(&kept)?;
+                Ok(())
+            })?;
         }
     }
 
+    // Pass 4: chunkmap entries. A chunkmap must parse, name a layer that
+    // exists, and agree with the stored layer bytes offset-for-offset and
+    // digest-for-digest — a stale or tampered map would make delta pulls
+    // assemble garbage (caught client-side, but every such pull fails).
+    // Repair quarantines the map blob (moved aside, not destroyed) and
+    // drops the association; the layer itself is untouched and full-blob
+    // pulls keep working.
+    for desc in index.chunkmap_entries() {
+        let broken: Option<String> = (|| {
+            let Some(layer) = desc.chunkmap_layer() else {
+                return Some("chunkmap entry has no layer annotation".to_string());
+            };
+            let Ok(md) = desc.parsed_digest() else {
+                return Some(format!("unparseable chunkmap digest {}", desc.digest));
+            };
+            if !valid.contains(&md) {
+                return Some(format!("chunkmap blob {md} is missing or corrupt"));
+            }
+            if !valid.contains(&layer) {
+                return Some(format!("described layer {layer} is missing or corrupt"));
+            }
+            let read = |d: &Digest| -> Result<bytes::Bytes, StoreError> {
+                store
+                    .read_blob(d)?
+                    .ok_or_else(|| StoreError::MissingBlob(d.to_string()))
+            };
+            let raw = match read(&md) {
+                Ok(r) => r,
+                Err(e) => return Some(format!("chunkmap blob unreadable: {e}")),
+            };
+            let map = match comt_chunk::ChunkMap::from_json(&raw) {
+                Ok(m) => m,
+                Err(e) => return Some(format!("{e}")),
+            };
+            if map.parsed_blob_digest().ok() != Some(layer) {
+                return Some(format!(
+                    "chunkmap describes {} but is recorded for layer {layer}",
+                    map.blob_digest
+                ));
+            }
+            let layer_bytes = match read(&layer) {
+                Ok(r) => r,
+                Err(e) => return Some(format!("layer blob unreadable: {e}")),
+            };
+            map.verify_layer(&layer_bytes).err().map(|e| format!("{e}"))
+        })();
+        if let Some(why) = broken {
+            let path = format!("chunkmap {}", desc.digest);
+            let detail = format!("chunkmap disagrees with its stored layer: {why}");
+            findings.record("COMT-F007", path, detail, |r| {
+                if let Ok(md) = desc.parsed_digest() {
+                    r.quarantine(&md)?;
+                }
+                kept.manifests.retain(|d| d != desc);
+                Ok(())
+            })?;
+        }
+    }
+
+    if kept != index {
+        next_index = Some(kept);
+    }
+    if let Some(repairs) = findings.repairs {
+        repairs.finish(next_index.as_ref())?;
+    }
+    let mut findings = findings.list;
     findings.sort_by(|a, b| {
         b.severity
             .cmp(&a.severity)
@@ -427,7 +351,7 @@ pub fn fsck(dir: &Path, opts: &FsckOptions) -> Result<FsckReport, StoreError> {
     });
     Ok(FsckReport {
         root: dir.display().to_string(),
-        blobs_scanned,
+        blobs_scanned: entries.len(),
         refs_checked,
         findings,
     })
@@ -435,7 +359,7 @@ pub fn fsck(dir: &Path, opts: &FsckOptions) -> Result<FsckReport, StoreError> {
 
 /// Stable fsck code table (code, severity, title) — mirrored into the
 /// `comt-analyze` explain registry so `comt check --explain COMT-F001`
-/// works from the CLI.
+/// works from the CLI. A finding's severity is read from here.
 pub const FSCK_CODES: &[(&str, &str, &str)] = &[
     (
         "COMT-F001",
@@ -447,13 +371,9 @@ pub const FSCK_CODES: &[(&str, &str, &str)] = &[
         "error",
         "ref whose manifest closure is missing or corrupt",
     ),
-    (
-        "COMT-F003",
-        "warning",
-        "orphan temp file from an interrupted commit",
-    ),
+    ("COMT-F003", "warning", ORPHAN_TMP),
     ("COMT-F004", "error", "index.json missing or unparseable"),
-    ("COMT-F005", "warning", "foreign file in the blob directory"),
+    ("COMT-F005", "warning", FOREIGN_FILE),
     (
         "COMT-F006",
         "warning",
@@ -465,6 +385,24 @@ pub const FSCK_CODES: &[(&str, &str, &str)] = &[
         "chunkmap disagrees with its stored layer",
     ),
 ];
+
+fn code_entry(code: &str) -> &'static (&'static str, &'static str, &'static str) {
+    FSCK_CODES
+        .iter()
+        .find(|(c, _, _)| *c == code)
+        .expect("every emitted code is in FSCK_CODES")
+}
+
+fn severity_of(code: &str) -> FsckSeverity {
+    match code_entry(code).1 {
+        "error" => FsckSeverity::Error,
+        _ => FsckSeverity::Warning,
+    }
+}
+
+fn title_of(code: &str) -> &'static str {
+    code_entry(code).2
+}
 
 #[cfg(test)]
 mod tests {
