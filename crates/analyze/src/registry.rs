@@ -226,8 +226,8 @@ pub const REGISTRY: &[CodeInfo] = &[
                       name: it was truncated by a crash mid-write (outside the store's \
                       tmp+rename commit protocol) or corrupted at rest. Every ref whose \
                       closure includes the blob serves wrong bytes.",
-        hint: "run `comt fsck --repair` to quarantine the blob, then re-push or re-pull the \
-               affected refs to restore the content",
+        hint: "run `comt fsck --repair` to delete the corrupt blob, then re-push or re-pull \
+               the affected refs to restore the content",
     },
     CodeInfo {
         code: "COMT-F002",

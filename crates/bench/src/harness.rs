@@ -205,12 +205,7 @@ impl Lab {
         native_cf.stages[0].base = format!("comt:{}.sysenv", self.arch_tag());
         for inst in &mut native_cf.stages[0].instructions {
             if let comt_buildsys::Instruction::Run(argv) = inst {
-                let is_compile = matches!(
-                    argv.first().map(String::as_str),
-                    Some("mpicc") | Some("mpicxx") | Some("mpif90") | Some("gcc") | Some("g++")
-                        | Some("gfortran")
-                );
-                if is_compile {
+                if argv.first().is_some_and(|p| Toolchain::lookup(p).is_some()) {
                     argv.retain(|t| !t.starts_with("-O"));
                     argv.insert(1, "-march=native".to_string());
                     argv.insert(1, "-O3".to_string());

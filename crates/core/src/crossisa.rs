@@ -14,7 +14,8 @@
 use crate::cache::CacheContents;
 use comt_buildsys::{Containerfile, Instruction};
 use comt_toolchain::features::flag_isa;
-use comt_toolchain::parse_source;
+use comt_toolchain::toolchains::Driver;
+use comt_toolchain::{parse_source, Toolchain, ToolchainKind};
 
 /// One thing preventing a straight cross-ISA rebuild.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -192,28 +193,29 @@ pub fn xbuild_containerfile(cf: &Containerfile, to_isa: &str) -> Containerfile {
             match inst {
                 Instruction::Run(argv) => {
                     let mut argv = argv.clone();
-                    // Re-point compilers at the cross tools.
-                    if let Some(prog) = argv.first_mut() {
-                        let mapped = match prog.as_str() {
-                            "gcc" | "cc" => Some(format!("{triple}-gcc")),
-                            "g++" | "c++" => Some(format!("{triple}-g++")),
-                            "gfortran" => Some(format!("{triple}-gfortran")),
-                            "mpicc" => Some(format!("{triple}-mpicc")),
-                            "mpicxx" => Some(format!("{triple}-mpicxx")),
-                            "ar" => Some(format!("{triple}-ar")),
-                            "ranlib" => Some(format!("{triple}-ranlib")),
-                            _ => None,
-                        };
-                        if let Some(m) = mapped {
-                            *prog = m;
+                    // Re-point compilers, `ar` and `ranlib` at the cross
+                    // tools: an MPI wrapper keeps its name, a distro-GCC
+                    // driver becomes the language's GCC driver.
+                    let gcc = Toolchain::distro_gcc();
+                    let prog = &argv[0];
+                    let base = prog.rsplit('/').next().unwrap_or(prog);
+                    let compiler = match Toolchain::lookup(prog) {
+                        Some(Driver { toolchain: None, .. }) => Some(base),
+                        Some(Driver { toolchain: Some(ToolchainKind::DistroGcc), language }) => {
+                            Some(gcc.driver(language))
                         }
+                        _ => None,
+                    };
+                    let cross_compiler = compiler.is_some();
+                    let tool = compiler
+                        .or_else(|| Toolchain::is_archiver(prog).then_some("ar"))
+                        .or_else(|| Toolchain::is_ranlib(prog).then_some("ranlib"));
+                    if let Some(tool) = tool {
+                        argv[0] = format!("{triple}-{tool}");
                     }
                     // Strip host-ISA flags, add sysroot threading.
                     argv.retain(|t| flag_isa(t).is_none_or(|isa| isa == to_isa));
-                    if argv[0].contains(triple) && argv[0].contains("gcc")
-                        || argv[0].contains("g++")
-                        || argv[0].contains("gfortran")
-                    {
+                    if cross_compiler {
                         argv.push(format!("--sysroot=/usr/{triple}"));
                     }
                     new_instructions.push(Instruction::Run(argv));
@@ -315,6 +317,40 @@ mod tests {
         let cache = cache_with(&[], &["gcc -march=icelake-server -c a.c"]);
         assert!(analyze_cross(&cache, "x86_64").portable());
         assert!(!analyze_cross(&cache, "aarch64").portable());
+    }
+
+    #[test]
+    fn xbuild_repoints_every_compiler_spelling() {
+        let cf = Containerfile::parse(
+            r#"
+FROM comt:x86-64.env AS build
+RUN mpif90 -O2 -c solver.f90 -o solver.o
+RUN /usr/bin/g++-13 -O2 -c main.cc -o main.o
+RUN mpic++ main.o solver.o -o app
+RUN ar rcs libx.a solver.o
+RUN cp app /app/run
+"#,
+        )
+        .unwrap();
+        let triple = target_triple("aarch64");
+        let runs: Vec<String> = xbuild_containerfile(&cf, "aarch64").stages[0]
+            .instructions
+            .iter()
+            .filter_map(|i| match i {
+                Instruction::Run(argv) => Some(argv.join(" ")),
+                _ => None,
+            })
+            .collect();
+        let sysroot = format!("--sysroot=/usr/{triple}");
+        for want in [
+            format!("{triple}-mpif90 -O2 -c solver.f90 -o solver.o {sysroot}"),
+            format!("{triple}-g++ -O2 -c main.cc -o main.o {sysroot}"),
+            format!("{triple}-mpic++ main.o solver.o -o app {sysroot}"),
+            format!("{triple}-ar rcs libx.a solver.o"),
+            "cp app /app/run".to_string(),
+        ] {
+            assert!(runs.contains(&want), "no `{want}` in {runs:#?}");
+        }
     }
 
     #[test]

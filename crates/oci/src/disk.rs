@@ -114,15 +114,6 @@ impl BlobEntry {
             BlobEntry::Tmp(name) | BlobEntry::Foreign(name) => name.clone(),
         }
     }
-
-    /// Why the entry is torn state; `None` for a blob.
-    pub(crate) fn stray_detail(&self) -> Option<&'static str> {
-        match self {
-            BlobEntry::Blob { .. } => None,
-            BlobEntry::Tmp(_) => Some(ORPHAN_TMP),
-            BlobEntry::Foreign(_) => Some(FOREIGN_FILE),
-        }
-    }
 }
 
 /// The repair path's mutations of a layout directory (`comt fsck
@@ -411,16 +402,17 @@ impl DiskStore {
     pub(crate) fn scan(&self, strict: bool) -> Result<Vec<(Digest, u64)>, StoreError> {
         let mut out = Vec::new();
         for entry in self.walk()? {
-            match entry {
-                BlobEntry::Blob { digest, len } => out.push((digest, len)),
-                stray if strict => {
-                    return Err(StoreError::Torn {
-                        path: self.blobs_dir().join(stray.name()).display().to_string(),
-                        detail: stray.stray_detail().unwrap_or_default().into(),
-                    })
+            let detail = match entry {
+                BlobEntry::Blob { digest, len } => {
+                    out.push((digest, len));
+                    continue;
                 }
-                _ => {}
-            }
+                _ if !strict => continue,
+                BlobEntry::Tmp(_) => ORPHAN_TMP,
+                BlobEntry::Foreign(_) => FOREIGN_FILE,
+            };
+            let path = self.blobs_dir().join(entry.name()).display().to_string();
+            return Err(StoreError::Torn { path, detail: detail.into() });
         }
         Ok(out)
     }

@@ -158,7 +158,7 @@ impl<'a> Findings<'a> {
         };
         self.list.push(FsckFinding {
             code,
-            severity: severity_of(code),
+            severity: row(code).0,
             path,
             detail,
             repaired,
@@ -179,11 +179,10 @@ pub fn fsck(dir: &Path, opts: &FsckOptions) -> Result<FsckReport, StoreError> {
         list: Vec::new(),
         repairs: opts.repair.then(|| Repairs::new(&store)),
     };
-    let blob_path = |name: &str| format!("blobs/sha256/{name}");
 
     // Pass 1: the oci-layout version marker.
     if !store.has_marker() {
-        findings.record("COMT-F006", "oci-layout".into(), title_of("COMT-F006").into(), |r| {
+        findings.record("COMT-F006", "oci-layout".into(), row("COMT-F006").1.into(), |r| {
             r.rewrite_marker()
         })?;
     }
@@ -193,10 +192,10 @@ pub fn fsck(dir: &Path, opts: &FsckOptions) -> Result<FsckReport, StoreError> {
     let mut valid: BTreeSet<Digest> = BTreeSet::new();
     let entries = store.walk()?;
     for entry in &entries {
-        let path = blob_path(&entry.name());
+        let path = format!("blobs/sha256/{}", entry.name());
         let (code, detail) = match entry {
-            BlobEntry::Tmp(_) => ("COMT-F003", title_of("COMT-F003").to_string()),
-            BlobEntry::Foreign(_) => ("COMT-F005", title_of("COMT-F005").to_string()),
+            BlobEntry::Tmp(_) => ("COMT-F003", ORPHAN_TMP.to_string()),
+            BlobEntry::Foreign(_) => ("COMT-F005", FOREIGN_FILE.to_string()),
             BlobEntry::Blob { digest, len } => {
                 // Streaming digest check: a multi-GiB layer is hashed in
                 // bounded chunks, never materialized.
@@ -211,10 +210,7 @@ pub fn fsck(dir: &Path, opts: &FsckOptions) -> Result<FsckReport, StoreError> {
                     }
                     Err(StoreError::DigestMismatch(_)) => (
                         "COMT-F001",
-                        format!(
-                            "{} (torn or corrupt write, {len} bytes)",
-                            title_of("COMT-F001")
-                        ),
+                        format!("{} (torn or corrupt write, {len} bytes)", row("COMT-F001").1),
                     ),
                     Err(other) => ("COMT-F001", format!("blob unreadable: {other}")),
                 }
@@ -236,6 +232,13 @@ pub fn fsck(dir: &Path, opts: &FsckOptions) -> Result<FsckReport, StoreError> {
         }
         Err(e) => return Err(e),
     };
+    // Bytes of a blob pass 2 verified, read without hashing them again.
+    let read = |d: &Digest| {
+        let handle = store
+            .handle(d)
+            .ok_or_else(|| StoreError::MissingBlob(d.to_string()))?;
+        handle.read_range(0, handle.len())
+    };
     let mut kept = index.clone();
     for desc in &index.manifests {
         if desc.media_type == MediaType::Chunkmap {
@@ -252,15 +255,15 @@ pub fn fsck(dir: &Path, opts: &FsckOptions) -> Result<FsckReport, StoreError> {
                 Some(format!("manifest blob {md} is missing or corrupt"))
             }
             // Manifest blob verified in pass 2; walk its closure.
-            Ok(md) => match store.read_blob(&md) {
-                Ok(Some(raw)) => match closure_of_manifest(&raw, &md) {
+            Ok(md) => match read(&md) {
+                Ok(raw) => match closure_of_manifest(&raw, &md) {
                     Err(e) => Some(format!("manifest does not parse: {e}")),
                     Ok(closure) => closure
                         .iter()
                         .find(|d| !valid.contains(d))
                         .map(|d| format!("closure blob {d} is missing or corrupt")),
                 },
-                _ => Some(format!("manifest blob {md} is missing or corrupt")),
+                Err(_) => Some(format!("manifest blob {md} is missing or corrupt")),
             },
         };
         if let Some(why) = broken {
@@ -285,47 +288,33 @@ pub fn fsck(dir: &Path, opts: &FsckOptions) -> Result<FsckReport, StoreError> {
     // drops the association; the layer itself is untouched and full-blob
     // pulls keep working.
     for desc in index.chunkmap_entries() {
-        let broken: Option<String> = (|| {
-            let Some(layer) = desc.chunkmap_layer() else {
-                return Some("chunkmap entry has no layer annotation".to_string());
-            };
-            let Ok(md) = desc.parsed_digest() else {
-                return Some(format!("unparseable chunkmap digest {}", desc.digest));
-            };
+        let checked = (|| -> Result<(), String> {
+            let layer = desc
+                .chunkmap_layer()
+                .ok_or("chunkmap entry has no layer annotation")?;
+            let md = desc
+                .parsed_digest()
+                .map_err(|_| format!("unparseable chunkmap digest {}", desc.digest))?;
             if !valid.contains(&md) {
-                return Some(format!("chunkmap blob {md} is missing or corrupt"));
+                return Err(format!("chunkmap blob {md} is missing or corrupt"));
             }
             if !valid.contains(&layer) {
-                return Some(format!("described layer {layer} is missing or corrupt"));
+                return Err(format!("described layer {layer} is missing or corrupt"));
             }
-            let read = |d: &Digest| -> Result<bytes::Bytes, StoreError> {
-                store
-                    .read_blob(d)?
-                    .ok_or_else(|| StoreError::MissingBlob(d.to_string()))
-            };
-            let raw = match read(&md) {
-                Ok(r) => r,
-                Err(e) => return Some(format!("chunkmap blob unreadable: {e}")),
-            };
-            let map = match comt_chunk::ChunkMap::from_json(&raw) {
-                Ok(m) => m,
-                Err(e) => return Some(format!("{e}")),
-            };
+            let raw = read(&md).map_err(|e| format!("chunkmap blob unreadable: {e}"))?;
+            let map = comt_chunk::ChunkMap::from_json(&raw).map_err(|e| e.to_string())?;
             if map.parsed_blob_digest().ok() != Some(layer) {
-                return Some(format!(
+                return Err(format!(
                     "chunkmap describes {} but is recorded for layer {layer}",
                     map.blob_digest
                 ));
             }
-            let layer_bytes = match read(&layer) {
-                Ok(r) => r,
-                Err(e) => return Some(format!("layer blob unreadable: {e}")),
-            };
-            map.verify_layer(&layer_bytes).err().map(|e| format!("{e}"))
+            let layer_bytes = read(&layer).map_err(|e| format!("layer blob unreadable: {e}"))?;
+            map.verify_layer(&layer_bytes).map_err(|e| e.to_string())
         })();
-        if let Some(why) = broken {
+        if let Err(why) = checked {
             let path = format!("chunkmap {}", desc.digest);
-            let detail = format!("chunkmap disagrees with its stored layer: {why}");
+            let detail = format!("{}: {why}", row("COMT-F007").1);
             findings.record("COMT-F007", path, detail, |r| {
                 if let Ok(md) = desc.parsed_digest() {
                     r.quarantine(&md)?;
@@ -386,22 +375,17 @@ pub const FSCK_CODES: &[(&str, &str, &str)] = &[
     ),
 ];
 
-fn code_entry(code: &str) -> &'static (&'static str, &'static str, &'static str) {
-    FSCK_CODES
+/// A code's severity and title: its row in [`FSCK_CODES`].
+fn row(code: &str) -> (FsckSeverity, &'static str) {
+    let (_, severity, title) = FSCK_CODES
         .iter()
         .find(|(c, _, _)| *c == code)
-        .expect("every emitted code is in FSCK_CODES")
-}
-
-fn severity_of(code: &str) -> FsckSeverity {
-    match code_entry(code).1 {
+        .expect("every emitted code is in FSCK_CODES");
+    let severity = match *severity {
         "error" => FsckSeverity::Error,
         _ => FsckSeverity::Warning,
-    }
-}
-
-fn title_of(code: &str) -> &'static str {
-    code_entry(code).2
+    };
+    (severity, title)
 }
 
 #[cfg(test)]
