@@ -14,8 +14,7 @@
 use crate::cache::CacheContents;
 use comt_buildsys::{Containerfile, Instruction};
 use comt_toolchain::features::flag_isa;
-use comt_toolchain::toolchains::Driver;
-use comt_toolchain::{parse_source, Toolchain, ToolchainKind};
+use comt_toolchain::{parse_source, Toolchain};
 
 /// One thing preventing a straight cross-ISA rebuild.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -199,12 +198,10 @@ pub fn xbuild_containerfile(cf: &Containerfile, to_isa: &str) -> Containerfile {
                     let gcc = Toolchain::distro_gcc();
                     let prog = &argv[0];
                     let base = prog.rsplit('/').next().unwrap_or(prog);
-                    let compiler = match Toolchain::lookup(prog) {
-                        Some(Driver { toolchain: None, .. }) => Some(base),
-                        Some(Driver { toolchain: Some(ToolchainKind::DistroGcc), language }) => {
-                            Some(gcc.driver(language))
-                        }
-                        _ => None,
+                    let wrapper = Toolchain::lookup(prog).is_some_and(|d| d.toolchain.is_none());
+                    let compiler = match gcc.language_of(prog) {
+                        Some(_) if wrapper => Some(base),
+                        language => language.map(|l| gcc.driver(l)),
                     };
                     let cross_compiler = compiler.is_some();
                     let tool = compiler

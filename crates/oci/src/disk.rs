@@ -120,8 +120,9 @@ impl BlobEntry {
 /// --repair`). Removing or quarantining a file only records the
 /// directories it changed; [`Repairs::finish`] fsyncs each of them once
 /// and then commits the repaired index, so no removal can come back after
-/// a power cut that the index flip survived. The marker is rewritten with
-/// [`commit_file`], the index with [`DiskStore::commit_index`].
+/// a power cut that the index flip survived. The marker is rewritten by
+/// [`DiskStore::write_marker`] and the index by [`DiskStore::commit_index`],
+/// each through [`commit_file`].
 pub(crate) struct Repairs<'a> {
     store: &'a DiskStore,
     changed: BTreeSet<PathBuf>,
@@ -163,11 +164,6 @@ impl<'a> Repairs<'a> {
         self.changed.insert(self.store.blobs_dir());
         self.changed.insert(qdir);
         Ok(())
-    }
-
-    /// Rewrite the `oci-layout` marker.
-    pub(crate) fn rewrite_marker(&mut self) -> Result<(), StoreError> {
-        Ok(commit_file(&self.store.root.join("oci-layout"), OCI_LAYOUT_MARKER)?)
     }
 
     /// fsync every directory a repair changed, once, then commit `index`
@@ -282,9 +278,8 @@ impl DiskStore {
             _lock: None,
         };
         std::fs::create_dir_all(store.blobs_dir())?;
-        let marker = root.join("oci-layout");
-        if !marker.exists() {
-            commit_file(&marker, OCI_LAYOUT_MARKER)?;
+        if !root.join("oci-layout").exists() {
+            store.write_marker()?;
         }
         Ok(store)
     }
@@ -412,9 +407,17 @@ impl DiskStore {
                 BlobEntry::Foreign(_) => FOREIGN_FILE,
             };
             let path = self.blobs_dir().join(entry.name()).display().to_string();
-            return Err(StoreError::Torn { path, detail: detail.into() });
+            return Err(StoreError::Torn {
+                path,
+                detail: detail.into(),
+            });
         }
         Ok(out)
+    }
+
+    /// Commit the standard `oci-layout` marker.
+    pub(crate) fn write_marker(&self) -> std::io::Result<()> {
+        commit_file(&self.root.join("oci-layout"), OCI_LAYOUT_MARKER)
     }
 
     /// Whether the `oci-layout` marker names an `imageLayoutVersion`.
@@ -467,9 +470,8 @@ impl DiskStore {
     /// marker). This is the commit point of every layout mutation: the tag
     /// table flips from old to new in one rename.
     pub fn commit_index(&self, index: &ImageIndex) -> Result<(), StoreError> {
-        let marker = self.root.join("oci-layout");
-        if !marker.is_file() {
-            commit_file(&marker, OCI_LAYOUT_MARKER)?;
+        if !self.root.join("oci-layout").is_file() {
+            self.write_marker()?;
         }
         let json = serde_json::to_vec_pretty(index).map_err(std::io::Error::other)?;
         commit_file(&self.root.join("index.json"), &json)?;
@@ -688,7 +690,9 @@ mod tests {
 
         let mut repairs = Repairs::new(&store);
         repairs.remove(&entries[1]).unwrap();
-        repairs.remove(&BlobEntry::Foreign("README".into())).unwrap();
+        repairs
+            .remove(&BlobEntry::Foreign("README".into()))
+            .unwrap();
         repairs.quarantine(&d).unwrap();
         repairs.finish(Some(&ImageIndex::default())).unwrap();
         assert_eq!(store.walk().unwrap().len(), 1);

@@ -25,9 +25,11 @@
 //! itself: the blob directory comes from the store's one walk
 //! (`DiskStore::walk`, the one `OciDir::load` and gc read), the index
 //! from its one reader, blob bytes through its handles. Every repair goes
-//! through `disk::Repairs`, which fsyncs each directory it changed
-//! once before the repaired index is committed. A finding's severity is
-//! its code's row in [`FSCK_CODES`].
+//! through `disk.rs`: deletions and quarantine moves through
+//! `disk::Repairs`, which fsyncs each directory it changed once before the
+//! repaired index is committed, and the marker and index through the
+//! commit protocol. A finding's severity is its code's row in
+//! [`FSCK_CODES`].
 
 use crate::backend::BlobBackend;
 use crate::disk::{BlobEntry, DiskStore, LayoutLock, Repairs, FOREIGN_FILE, ORPHAN_TMP};
@@ -182,9 +184,12 @@ pub fn fsck(dir: &Path, opts: &FsckOptions) -> Result<FsckReport, StoreError> {
 
     // Pass 1: the oci-layout version marker.
     if !store.has_marker() {
-        findings.record("COMT-F006", "oci-layout".into(), row("COMT-F006").1.into(), |r| {
-            r.rewrite_marker()
-        })?;
+        findings.record(
+            "COMT-F006",
+            "oci-layout".into(),
+            row("COMT-F006").1.into(),
+            |_| Ok(store.write_marker()?),
+        )?;
     }
 
     // Pass 2: the blob directory. Build the set of digests whose content
@@ -210,7 +215,10 @@ pub fn fsck(dir: &Path, opts: &FsckOptions) -> Result<FsckReport, StoreError> {
                     }
                     Err(StoreError::DigestMismatch(_)) => (
                         "COMT-F001",
-                        format!("{} (torn or corrupt write, {len} bytes)", row("COMT-F001").1),
+                        format!(
+                            "{} (torn or corrupt write, {len} bytes)",
+                            row("COMT-F001").1
+                        ),
                     ),
                     Err(other) => ("COMT-F001", format!("blob unreadable: {other}")),
                 }
