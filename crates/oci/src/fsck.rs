@@ -142,15 +142,14 @@ struct Findings<'a> {
 
 impl<'a> Findings<'a> {
     /// Record a finding of `code`, with the severity [`FSCK_CODES`] gives
-    /// it; under `--repair`, apply `fix` first. Returns whether it was
-    /// repaired.
+    /// it; under `--repair`, apply `fix` first.
     fn record(
         &mut self,
         code: &'static str,
         path: String,
         detail: String,
         fix: impl FnOnce(&mut Repairs<'a>) -> Result<(), StoreError>,
-    ) -> Result<bool, StoreError> {
+    ) -> Result<(), StoreError> {
         let repaired = match self.repairs.as_mut() {
             Some(repairs) => {
                 fix(repairs)?;
@@ -165,7 +164,7 @@ impl<'a> Findings<'a> {
             detail,
             repaired,
         });
-        Ok(repaired)
+        Ok(())
     }
 }
 
@@ -233,9 +232,10 @@ pub fn fsck(dir: &Path, opts: &FsckOptions) -> Result<FsckReport, StoreError> {
     let index = match store.parse_index() {
         Ok(index) => index,
         Err(StoreError::Torn { detail, .. }) => {
-            if findings.record("COMT-F004", "index.json".into(), detail, |_| Ok(()))? {
+            findings.record("COMT-F004", "index.json".into(), detail, |_| {
                 next_index = Some(ImageIndex::default());
-            }
+                Ok(())
+            })?;
             ImageIndex::default()
         }
         Err(e) => return Err(e),

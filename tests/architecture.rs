@@ -221,8 +221,14 @@ fn workspace_has_no_registry_dependencies() {
 /// not come back under the name it had.
 #[test]
 fn blobs_enter_a_store_only_verified() {
-    let hits = grep(&files_under(&REPO_ROOTS, false), &[concat!("put_", "prehashed")]);
-    assert_none(&hits, "the unchecked blob door is back: admit blobs through comt_oci::Verified");
+    let hits = grep(
+        &files_under(&REPO_ROOTS, false),
+        &[concat!("put_", "prehashed")],
+    );
+    assert_none(
+        &hits,
+        "the unchecked blob door is back: admit blobs through comt_oci::Verified",
+    );
 }
 
 /// dpkg-or-rpm is decided by `comt_pkg::detect`, nowhere else:
@@ -241,7 +247,10 @@ fn package_db_is_chosen_by_detect() {
         .into_iter()
         .filter(|hit| !hit.starts_with("crates/pkg/"))
         .collect();
-    assert_none(&hits, "a backend-specific package-DB call is back: go through comt_pkg::detect(fs)");
+    assert_none(
+        &hits,
+        "a backend-specific package-DB call is back: go through comt_pkg::detect(fs)",
+    );
 }
 
 /// One store surface: `Layout<B>` over a `BlobBackend`, one `StoreError`.
@@ -279,8 +288,14 @@ fn one_replay_path() {
 /// One job type: buildd's wire carries `comtainer::JobSpec` itself.
 #[test]
 fn one_job_type() {
-    let hits = grep(&files_under(&REPO_ROOTS, false), &[concat!("Job", "Request")]);
-    assert_none(&hits, "a second job type is back: submit a comtainer::JobSpec");
+    let hits = grep(
+        &files_under(&REPO_ROOTS, false),
+        &[concat!("Job", "Request")],
+    );
+    assert_none(
+        &hits,
+        "a second job type is back: submit a comtainer::JobSpec",
+    );
 }
 
 /// One machine vocabulary: `-march` names and `-m` flags are listed in
@@ -314,7 +329,10 @@ fn no_criterion_microbenches() {
             found.push(relative(&benches));
         }
     }
-    assert_none(&found, "a criterion microbench is back: measure through benchmark/");
+    assert_none(
+        &found,
+        "a criterion microbench is back: measure through benchmark/",
+    );
 }
 
 /// One gzip encoder: compressed layers are `comt_flate::gzip(&tar)`. The
@@ -335,7 +353,10 @@ fn one_gzip_encoder() {
         &files_under(&["crates"], false),
         &["GzipEncoder", "gzip_parallel", "crc32_combine"],
     ));
-    assert_none(&found, "a second gzip encoder is back: compress through comt_flate::gzip");
+    assert_none(
+        &found,
+        "a second gzip encoder is back: compress through comt_flate::gzip",
+    );
 }
 
 /// One image writer: images are committed by `comt_oci::ImageBuilder` over
@@ -351,9 +372,16 @@ fn one_image_writer() {
     ];
     let mut hits = grep(
         &files_under(&writers, false),
-        &["diff_ids.push", "MediaType::ImageConfig", "MediaType::ImageManifest"],
+        &[
+            "diff_ids.push",
+            "MediaType::ImageConfig",
+            "MediaType::ImageManifest",
+        ],
     );
-    hits.extend(grep(&files_under(&REPO_ROOTS, false), &[concat!("fn append", "_layer")]));
+    hits.extend(grep(
+        &files_under(&REPO_ROOTS, false),
+        &[concat!("fn append", "_layer")],
+    ));
     assert_none(
         &hits,
         "a second image writer is back: commit through comt_oci::ImageBuilder and register with OciDir::tag",
@@ -368,7 +396,10 @@ fn the_daemon_keeps_no_digest_set() {
         &files_under(&["crates/dist/src"], false),
         &["HashSet<Digest>", "BTreeSet<Digest>"],
     );
-    assert_none(&hits, "the daemon declares a digest set of its own: ask the store (BlobBackend::proven)");
+    assert_none(
+        &hits,
+        "the daemon declares a digest set of its own: ask the store (BlobBackend::proven)",
+    );
 }
 
 /// Knobs nobody sets stay constants: the shared artifact cache has no
@@ -419,7 +450,11 @@ fn normal_dependencies() -> BTreeMap<String, Vec<String>> {
         let name = name.unwrap_or_else(|| panic!("{}: no package name", manifest.display()));
         graph.insert(name, deps);
     }
-    assert!(graph.contains_key("comt-oci"), "no comt-oci under {}", crates.display());
+    assert!(
+        graph.contains_key("comt-oci"),
+        "no comt-oci under {}",
+        crates.display()
+    );
     graph
 }
 
@@ -444,7 +479,10 @@ fn the_store_crate_stays_below_the_engine() {
         .filter(|p| reached.contains(*p))
         .map(String::from)
         .collect();
-    assert_none(&engine, "comt-oci depends on the engine: keep BlobStore::derived type-erased");
+    assert_none(
+        &engine,
+        "comt-oci depends on the engine: keep BlobStore::derived type-erased",
+    );
 }
 
 /// `comt fsck` is a pass over `DiskStore`'s primitives: its non-test part
