@@ -21,8 +21,10 @@
 //!                                              Throttled ◀──────┘
 //! ```
 //!
-//! * **Reading** holds an incremental [`wire::RequestParser`]; bytes are
-//!   fed as they arrive, nothing blocks, pipelined tails stay buffered.
+//! * **Reading** feeds each read to the connection's [`wire::Parser`] and
+//!   appends the body slices it yields to the request in flight — one
+//!   copy per body byte; nothing blocks, and bytes read past a complete
+//!   request (a pipelined next one) wait until its response has gone out.
 //! * **Writing** drains a head buffer then a [`BodyCursor`]: in-memory
 //!   bytes go out in [`STREAM_CHUNK`] slices; file bodies move with
 //!   `sendfile` (kernel file→socket, no userspace copy) or, on a backend
@@ -43,7 +45,7 @@
 
 use crate::http::{BodySource, HttpAction, HttpHandler, HttpOptions, MAX_BODY, STREAM_CHUNK};
 use crate::poller::{Poller, Waker};
-use crate::wire::{self, RequestParser};
+use crate::wire::{self, Event, Request};
 use bytes::Bytes;
 use std::collections::HashMap;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -185,10 +187,68 @@ enum State {
     Throttled(WriteState, Instant),
 }
 
+/// The request a connection is reading: the [`wire::Parser`]'s events
+/// collected into a [`Request`], whose body grows by each slice the parser
+/// yields, plus the bytes read past a complete request.
+pub(crate) struct Incoming {
+    parser: wire::Parser,
+    request: Option<Request>,
+    tail: Vec<u8>,
+}
+
+impl Incoming {
+    pub(crate) fn new(max_body: usize) -> Incoming {
+        Incoming {
+            parser: wire::Parser::request(max_body),
+            request: None,
+            tail: Vec::new(),
+        }
+    }
+
+    /// Bytes held: the parser's partial line, the body so far and the
+    /// pipelined tail.
+    #[cfg(test)]
+    pub(crate) fn buffered(&self) -> usize {
+        self.parser.buffered() + self.request.as_ref().map_or(0, |r| r.body.len()) + self.tail.len()
+    }
+
+    /// Feed freshly read bytes; `Ok(Some(_))` as soon as one request is
+    /// complete — call with an empty slice to take the next pipelined one.
+    /// An error means the peer violated the protocol; drop the connection.
+    pub(crate) fn feed(&mut self, data: &[u8]) -> io::Result<Option<Request>> {
+        let held;
+        let mut rest = if self.tail.is_empty() {
+            data
+        } else {
+            self.tail.extend_from_slice(data);
+            held = std::mem::take(&mut self.tail);
+            &held[..]
+        };
+        loop {
+            let (used, event) = self.parser.feed(rest)?;
+            match event {
+                None => return Ok(None),
+                Some(Event::Request(head)) => self.request = Some(head),
+                Some(Event::Body(bytes)) => {
+                    if let Some(req) = &mut self.request {
+                        req.body.extend_from_slice(bytes);
+                    }
+                }
+                Some(Event::End) => {
+                    self.tail = rest[used..].to_vec();
+                    return Ok(self.request.take());
+                }
+                Some(Event::Response(_)) => unreachable!("a request parser yields requests"),
+            }
+            rest = &rest[used..];
+        }
+    }
+}
+
 struct Conn {
     stream: TcpStream,
     peer: IpAddr,
-    parser: RequestParser,
+    incoming: Incoming,
     state: State,
     deadline: Instant,
 }
@@ -403,7 +463,7 @@ impl<H: HttpHandler> EventLoop<H> {
             Conn {
                 stream,
                 peer,
-                parser: RequestParser::new(MAX_BODY),
+                incoming: Incoming::new(MAX_BODY),
                 state: State::Reading,
                 deadline: Instant::now() + self.shared.opts.read_timeout,
             },
@@ -463,7 +523,7 @@ impl<H: HttpHandler> EventLoop<H> {
                 }
                 Ok(n) => {
                     conn.deadline = Instant::now() + self.shared.opts.read_timeout;
-                    match conn.parser.feed(&buf[..n]) {
+                    match conn.incoming.feed(&buf[..n]) {
                         Ok(Some(req)) => {
                             self.dispatch(token, req);
                             return;
@@ -488,7 +548,7 @@ impl<H: HttpHandler> EventLoop<H> {
 
     /// Route one complete request through the handler and start draining
     /// the response.
-    fn dispatch(&mut self, token: u64, req: wire::Request) {
+    fn dispatch(&mut self, token: u64, req: Request) {
         let obs = comt_observe::global();
         let prefix = self.prefix();
         let close_requested = req.wants_close();
@@ -627,7 +687,7 @@ impl<H: HttpHandler> EventLoop<H> {
             Next::Stay => {}
             Next::TryPipelined => {
                 // A pipelined request may already be buffered in full.
-                match self.conns.get_mut(&token).map(|c| c.parser.feed(&[])) {
+                match self.conns.get_mut(&token).map(|c| c.incoming.feed(&[])) {
                     Some(Ok(Some(req))) => self.dispatch(token, req),
                     Some(Err(_)) => self.close(token),
                     _ => {}
@@ -793,7 +853,7 @@ fn copy_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{read_response_into, write_request, Request, Response};
+    use crate::wire::{read_response_into, write_request, Response};
     use std::io::BufReader;
     use std::path::PathBuf;
 

@@ -37,8 +37,10 @@ use std::time::Duration;
 /// move through the socket in pieces of at most this size.
 pub const STREAM_CHUNK: usize = 256 * 1024;
 
-/// Largest body either side of the wire accepts: a request body on the
-/// serve path, a response body in [`crate::DistClient`].
+/// Largest body either side of the wire accepts — the limit of the one
+/// [`crate::wire::Parser`] both read with: a request body the event loop
+/// collects from the parser's body slices, a response body
+/// [`crate::DistClient`] reads into its sink.
 pub const MAX_BODY: usize = 1 << 30;
 
 /// Tuning knobs shared by every daemon built on [`serve_http`].

@@ -4,9 +4,14 @@
 //! Supported: request/status lines, headers, `Content-Length` and
 //! `Transfer-Encoding: chunked` bodies, `Range: bytes=N-`/`bytes=N-M`
 //! parsing, and keep-alive semantics (`Connection: close` honoured).
-//! Everything is bounded: header blocks are capped at
-//! [`MAX_HEADER_BYTES`], bodies at a caller-supplied limit, so a
-//! misbehaving peer cannot balloon memory.
+//!
+//! Both sides read through one sans-IO [`Parser`]: the daemon's event loop
+//! feeds it requests (`crate::eventloop`), the client responses through
+//! the blocking reader behind [`read_response_into`] and
+//! [`read_response_head`]. Everything is bounded: a head is capped at
+//! [`MAX_HEADER_BYTES`], a chunk-size line at 128 bytes, the last chunk's
+//! line and its trailers at 1 024, and a body at a caller-supplied limit,
+//! so a misbehaving peer cannot balloon memory.
 
 use std::io::{self, BufRead, Read, Write};
 
@@ -93,81 +98,351 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Read one CRLF-terminated line, enforcing the shared header budget.
-fn read_line(r: &mut impl BufRead, budget: &mut usize) -> io::Result<String> {
-    let mut line = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match r.read_exact(&mut byte) {
-            Ok(()) => {}
-            Err(e) => return Err(e),
-        }
-        if *budget == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "header block exceeds limit",
-            ));
-        }
-        *budget -= 1;
-        if byte[0] == b'\n' {
-            if line.last() == Some(&b'\r') {
-                line.pop();
-            }
-            return String::from_utf8(line)
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-utf8 header line"));
-        }
-        line.push(byte[0]);
-    }
+/// What [`Parser::feed`] found in the bytes it was given.
+#[derive(Debug)]
+pub enum Event<'a> {
+    /// A request's method, path and headers; its `body` is empty.
+    Request(Request),
+    /// A response's status and headers; its `body` is empty.
+    Response(Response),
+    /// The next piece of the body: a slice of the fed bytes, framing
+    /// removed.
+    Body(&'a [u8]),
+    /// The message is complete; the next byte fed starts the next one.
+    End,
 }
 
-/// Read the header section (after the start line) up to the blank line.
-fn read_headers(r: &mut impl BufRead, budget: &mut usize) -> io::Result<Vec<(String, String)>> {
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(r, budget)?;
-        if line.is_empty() {
-            return Ok(headers);
-        }
-        let (name, value) = line.split_once(':').ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("malformed header: {line}"))
-        })?;
-        headers.push((name.trim().to_string(), value.trim().to_string()));
-    }
+/// The one HTTP/1.1 message parser, sans IO: the daemon reads requests
+/// with it, the client responses.
+///
+/// It is fed whatever bytes a transport had and yields a message's head,
+/// then its body as slices of those same bytes, then its end. The start
+/// line, the header budget, `Content-Length`, chunked decoding with
+/// trailers and the body limit are each written once, here. The parser
+/// keeps only an incomplete head or chunk-framing line, never body bytes,
+/// so how a body is stored — and how often it is copied — is its
+/// caller's choice. After [`Event::End`] it parses the next message of a
+/// keep-alive stream.
+#[derive(Debug)]
+pub struct Parser {
+    /// `None` parses requests; `Some(to_head)` responses, where an answer
+    /// to `HEAD` has no body whatever its `Content-Length` says.
+    response: Option<bool>,
+    max_body: usize,
+    /// Body bytes of the current message so far (chunked limit).
+    body_len: usize,
+    /// The incomplete head or framing line.
+    line: Vec<u8>,
+    state: State,
 }
 
-/// Read a chunked transfer-encoded body.
-fn read_chunked(r: &mut impl BufRead, max_body: usize) -> io::Result<Vec<u8>> {
-    let mut body = Vec::new();
-    loop {
-        let mut budget = 128usize; // one size line
-        let size_line = read_line(r, &mut budget)?;
-        let hex = size_line.split(';').next().unwrap_or("").trim();
-        let size = usize::from_str_radix(hex, 16)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad chunk size"))?;
-        if size == 0 {
-            // Trailer section: read lines until the blank terminator.
-            let mut trailer_budget = 1024usize;
-            loop {
-                if read_line(r, &mut trailer_budget)?.is_empty() {
-                    return Ok(body);
+#[derive(Debug, Clone, Copy)]
+enum State {
+    Head,
+    /// `left` body bytes still to come; in a chunked body the chunk's
+    /// CRLF follows them.
+    Data {
+        left: usize,
+        chunked: bool,
+    },
+    ChunkSize,
+    /// The last chunk's size line and the trailer section, up to the
+    /// blank line that ends both.
+    Trailer,
+}
+
+fn invalid(detail: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, detail.into())
+}
+
+impl Parser {
+    /// A parser of requests whose bodies may hold up to `max_body` bytes.
+    pub fn request(max_body: usize) -> Parser {
+        Parser::new(None, max_body)
+    }
+
+    /// A parser of responses; `to_head` when they answer `HEAD` requests.
+    pub fn response(max_body: usize, to_head: bool) -> Parser {
+        Parser::new(Some(to_head), max_body)
+    }
+
+    fn new(response: Option<bool>, max_body: usize) -> Parser {
+        Parser {
+            response,
+            max_body,
+            body_len: 0,
+            line: Vec::new(),
+            state: State::Head,
+        }
+    }
+
+    /// Bytes the parser holds: the incomplete head or framing line.
+    #[cfg(test)]
+    pub(crate) fn buffered(&self) -> usize {
+        self.line.len()
+    }
+
+    /// Body bytes certain to come next — the rest of a sized body or of
+    /// the chunk in flight; 0 while a head or framing line is read. A
+    /// caller may read that many straight into the body's storage and
+    /// then feed them from there.
+    pub(crate) fn body_due(&self) -> usize {
+        match self.state {
+            State::Data { left, .. } => left,
+            _ => 0,
+        }
+    }
+
+    /// Consume bytes from the front of `data` up to the next event.
+    /// `Ok((used, Some(event)))`: the first `used` bytes are consumed,
+    /// the event's body slice among them; feed the rest to get the next
+    /// event. `Ok((data.len(), None))`: all of `data` went in and more is
+    /// needed. An empty `data` still yields the [`Event::End`] of a body
+    /// that is complete. An error is a protocol violation or a broken
+    /// budget; the stream is unusable after it.
+    pub fn feed<'a>(&mut self, data: &'a [u8]) -> io::Result<(usize, Option<Event<'a>>)> {
+        let mut used = 0;
+        loop {
+            let rest = &data[used..];
+            // Every state but a body's bytes reads a line: what ends it,
+            // the most it may hold, and the error past that.
+            let (end, cap, too_long): (&[u8], usize, &str) = match self.state {
+                State::Data {
+                    left: 0,
+                    chunked: false,
+                } => {
+                    self.state = State::Head;
+                    return Ok((used, Some(Event::End)));
                 }
+                State::Data {
+                    left: 0,
+                    chunked: true,
+                } => (b"\r\n", 2, "chunk missing CRLF"),
+                State::Data { left, chunked } => {
+                    if rest.is_empty() {
+                        return Ok((used, None));
+                    }
+                    let n = left.min(rest.len());
+                    self.state = State::Data {
+                        left: left - n,
+                        chunked,
+                    };
+                    return Ok((used + n, Some(Event::Body(&rest[..n]))));
+                }
+                State::Head => (b"\r\n\r\n", MAX_HEADER_BYTES, "header block exceeds limit"),
+                State::ChunkSize => (b"\r\n", 128, "chunk size line too long"),
+                State::Trailer => (b"\r\n\r\n", 1024, "trailer section too long"),
+            };
+            let Some(n) = self.take_line(rest, end, cap, too_long)? else {
+                return Ok((data.len(), None));
+            };
+            used += n;
+            match self.state {
+                State::Head => return Ok((used, Some(self.parse_head()?))),
+                State::ChunkSize => {
+                    let line = std::str::from_utf8(&self.line)
+                        .map_err(|_| invalid("non-utf8 chunk size"))?;
+                    let hex = line.split(';').next().unwrap_or("").trim();
+                    let size =
+                        usize::from_str_radix(hex, 16).map_err(|_| invalid("bad chunk size"))?;
+                    if size == 0 {
+                        // The line stays: the trailer ends at the first
+                        // blank line after it.
+                        self.state = State::Trailer;
+                        continue;
+                    }
+                    if size > self.max_body - self.body_len {
+                        return Err(invalid("chunked body exceeds limit"));
+                    }
+                    self.body_len += size;
+                    self.state = State::Data {
+                        left: size,
+                        chunked: true,
+                    };
+                }
+                State::Trailer => {
+                    self.line.clear();
+                    self.state = State::Head;
+                    return Ok((used, Some(Event::End)));
+                }
+                // A chunk's closing CRLF.
+                State::Data { .. } => self.state = State::ChunkSize,
             }
-        }
-        if body.len() + size > max_body {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "chunked body exceeds limit",
-            ));
-        }
-        let start = body.len();
-        body.resize(start + size, 0);
-        r.read_exact(&mut body[start..])?;
-        let mut crlf = [0u8; 2];
-        r.read_exact(&mut crlf)?;
-        if &crlf != b"\r\n" {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "chunk missing CRLF"));
+            self.line.clear();
         }
     }
+
+    /// Move bytes of `data` into the line buffer until it ends with `end`,
+    /// which ends in `\n`: `Some(used)` once it does, `None` when all of
+    /// `data` went in short of it. A buffer that reaches `cap` bytes
+    /// without `end` is an error.
+    fn take_line(
+        &mut self,
+        data: &[u8],
+        end: &[u8],
+        cap: usize,
+        too_long: &str,
+    ) -> io::Result<Option<usize>> {
+        let mut used = 0;
+        // Only a `\n` can complete `end`: take the bytes up to each in turn.
+        while let Some(i) = data[used..].iter().position(|&b| b == b'\n') {
+            let next = used + i + 1;
+            if self.line.len() + next - used > cap {
+                return Err(invalid(too_long));
+            }
+            self.line.extend_from_slice(&data[used..next]);
+            used = next;
+            if self.line.ends_with(end) {
+                return Ok(Some(used));
+            }
+        }
+        if self.line.len() + data.len() - used >= cap {
+            return Err(invalid(too_long));
+        }
+        self.line.extend_from_slice(&data[used..]);
+        Ok(None)
+    }
+
+    /// Parse the complete head in the line buffer and choose how its body
+    /// is framed: chunked, `Content-Length`, or — with neither header, or
+    /// in an answer to `HEAD` — none.
+    fn parse_head(&mut self) -> io::Result<Event<'static>> {
+        let text = std::str::from_utf8(&self.line).map_err(|_| invalid("non-utf8 header line"))?;
+        let mut lines = text.split("\r\n");
+        let start = lines.next().unwrap_or("");
+        let mut headers = Vec::new();
+        for line in lines.filter(|l| !l.is_empty()) {
+            let (name, value) = line
+                .split_once(':')
+                .ok_or_else(|| invalid(format!("malformed header: {line}")))?;
+            headers.push((name.trim().to_string(), value.trim().to_string()));
+        }
+        let to_head = self.response == Some(true);
+        let chunked = find_header(&headers, "transfer-encoding")
+            .is_some_and(|v| v.to_ascii_lowercase().contains("chunked"));
+        let len = match find_header(&headers, "content-length") {
+            _ if chunked || to_head => 0,
+            Some(v) => v
+                .parse::<usize>()
+                .map_err(|_| invalid("bad content-length"))?,
+            None => 0,
+        };
+        if len > self.max_body {
+            return Err(invalid(format!(
+                "body of {len} bytes exceeds limit {}",
+                self.max_body
+            )));
+        }
+        let mut words = start.split_whitespace();
+        let head = match (self.response, words.next(), words.next(), words.next()) {
+            (None, Some(method), Some(path), Some(version)) if version.starts_with("HTTP/1.") => {
+                Event::Request(Request {
+                    method: method.to_string(),
+                    path: path.to_string(),
+                    headers,
+                    body: Vec::new(),
+                })
+            }
+            (Some(_), Some(version), Some(code), _) if version.starts_with("HTTP/1.") => {
+                let status = code
+                    .parse()
+                    .map_err(|_| invalid(format!("malformed status line: {start}")))?;
+                Event::Response(Response {
+                    status,
+                    headers,
+                    body: Vec::new(),
+                })
+            }
+            _ => return Err(invalid(format!("malformed start line: {start}"))),
+        };
+        self.state = if chunked && !to_head {
+            State::ChunkSize
+        } else {
+            State::Data {
+                left: len,
+                chunked: false,
+            }
+        };
+        self.body_len = 0;
+        self.line.clear();
+        Ok(head)
+    }
+}
+
+/// Read a response status line and headers, and nothing after them — the
+/// whole of an answer to `HEAD` (RFC 9110 §9.3.2: its `Content-Length`
+/// describes the body a `GET` would carry, which is not sent).
+pub fn read_response_head(r: &mut impl BufRead) -> io::Result<(u16, Vec<(String, String)>)> {
+    read_response(r, &mut Vec::new(), Parser::response(0, true))
+}
+
+/// Read a response status line and headers, then append the body to
+/// `sink`. On a short read (peer died mid-body) the bytes received so far
+/// stay in `sink` and the error is surfaced — that partial prefix is what
+/// makes `Range` resume possible.
+pub fn read_response_into(
+    r: &mut impl BufRead,
+    sink: &mut Vec<u8>,
+    max_body: usize,
+) -> io::Result<(u16, Vec<(String, String)>)> {
+    read_response(r, sink, Parser::response(max_body, false))
+}
+
+/// The blocking reader over [`Parser`]. Body bytes the parser knows are
+/// due go straight into `sink`'s reserved tail — one reservation for a
+/// sized body, no copy through a buffer — and are then fed from there, so
+/// the parser only steps over them. The head, framing lines and body
+/// bytes that arrived with them are fed from the reader's buffer.
+fn read_response(
+    r: &mut impl BufRead,
+    sink: &mut Vec<u8>,
+    mut parser: Parser,
+) -> io::Result<(u16, Vec<(String, String)>)> {
+    let mut head = None;
+    loop {
+        // An empty body, or a sized one read to its end, ends without
+        // more bytes.
+        if let (_, Some(Event::End)) = parser.feed(&[])? {
+            break;
+        }
+        let due = parser.body_due();
+        if due > 0 {
+            // `read_to_end` keeps every byte it received in `sink` when a
+            // read fails, so a truncated transfer leaves exactly its
+            // prefix there.
+            let start = sink.len();
+            sink.reserve(due);
+            let got = r.by_ref().take(due as u64).read_to_end(sink)?;
+            if got < due {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!("body truncated: {} of {due} bytes missing", due - got),
+                ));
+            }
+            parser.feed(&sink[start..])?;
+            continue;
+        }
+        let buf = r.fill_buf()?;
+        if buf.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed mid-response",
+            ));
+        }
+        let (used, event) = parser.feed(buf)?;
+        let ended = matches!(event, Some(Event::End));
+        match event {
+            Some(Event::Response(resp)) => head = Some(resp),
+            Some(Event::Body(bytes)) => sink.extend_from_slice(bytes),
+            _ => {}
+        }
+        r.consume(used);
+        if ended {
+            break;
+        }
+    }
+    let head = head.expect("a message ends after its head");
+    Ok((head.status, head.headers))
 }
 
 /// Serialize a request. A `Some(body)` with `chunked = true` goes out as
@@ -205,323 +480,6 @@ pub fn write_request(
         }
     }
     w.flush()
-}
-
-/// Read a response status line and headers, and nothing after them — the
-/// whole of an answer to `HEAD` (RFC 9110 §9.3.2: its `Content-Length`
-/// describes the body a `GET` would carry, which is not sent).
-pub fn read_response_head(r: &mut impl BufRead) -> io::Result<(u16, Vec<(String, String)>)> {
-    let mut budget = MAX_HEADER_BYTES;
-    let start = read_line(r, &mut budget)?;
-    let mut parts = start.split_whitespace();
-    let status = match (parts.next(), parts.next()) {
-        (Some(version), Some(code)) if version.starts_with("HTTP/1.") => code.parse().ok(),
-        _ => None,
-    };
-    let status: u16 = status.ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("malformed status line: {start}"),
-        )
-    })?;
-    Ok((status, read_headers(r, &mut budget)?))
-}
-
-/// Read a response status line and headers, then append the body to
-/// `sink`. On a short read (peer died mid-body) the bytes received so far
-/// stay in `sink` and the error is surfaced — that partial prefix is what
-/// makes `Range` resume possible.
-pub fn read_response_into(
-    r: &mut impl BufRead,
-    sink: &mut Vec<u8>,
-    max_body: usize,
-) -> io::Result<(u16, Vec<(String, String)>)> {
-    let (status, headers) = read_response_head(r)?;
-    if find_header(&headers, "transfer-encoding")
-        .is_some_and(|v| v.to_ascii_lowercase().contains("chunked"))
-    {
-        let body = read_chunked(r, max_body)?;
-        sink.extend_from_slice(&body);
-        return Ok((status, headers));
-    }
-    let len = match find_header(&headers, "content-length") {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))?,
-        None => 0,
-    };
-    if len > max_body {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("body of {len} bytes exceeds limit {max_body}"),
-        ));
-    }
-    // One reservation (`len` is bounded by `max_body` above), then the body
-    // goes straight into the sink's tail: `read_to_end` keeps every byte it
-    // received in `sink` when a read fails, so a truncated transfer still
-    // leaves exactly its prefix there.
-    sink.reserve(len);
-    let got = r.take(len as u64).read_to_end(sink)?;
-    if got < len {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            format!("body truncated: {} of {len} bytes missing", len - got),
-        ));
-    }
-    Ok((status, headers))
-}
-
-/// Incremental request parser for the nonblocking serve path.
-///
-/// The event loop feeds whatever bytes the socket had; the parser consumes
-/// them (request line, headers, `Content-Length` or chunked bodies, shared
-/// header/body budgets) without ever blocking or re-scanning already-seen
-/// bytes. It is the only request grammar a daemon runs; the blocking
-/// `read_request` in this file's tests is the reference it is held to.
-/// Bytes past a complete request stay buffered for the next keep-alive
-/// round.
-#[derive(Debug)]
-pub struct RequestParser {
-    max_body: usize,
-    buf: Vec<u8>,
-    /// How far the header-terminator scan has progressed (avoids O(n²)
-    /// rescans while a large header block trickles in).
-    scanned: usize,
-    phase: Phase,
-}
-
-#[derive(Debug)]
-enum Phase {
-    Head,
-    Sized { head: HeadParts, need: usize },
-    Chunked { head: HeadParts, decoded: Vec<u8>, chunk: ChunkPhase },
-}
-
-#[derive(Debug)]
-struct HeadParts {
-    method: String,
-    path: String,
-    headers: Vec<(String, String)>,
-}
-
-#[derive(Debug)]
-enum ChunkPhase {
-    Size,
-    Data { remaining: usize },
-    DataCrlf,
-    Trailer,
-}
-
-fn invalid(detail: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, detail.into())
-}
-
-impl RequestParser {
-    pub fn new(max_body: usize) -> RequestParser {
-        RequestParser {
-            max_body,
-            buf: Vec::new(),
-            scanned: 0,
-            phase: Phase::Head,
-        }
-    }
-
-    /// Bytes currently buffered (request in flight + any pipelined tail).
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-            + match &self.phase {
-                Phase::Chunked { decoded, .. } => decoded.len(),
-                _ => 0,
-            }
-    }
-
-    /// Append freshly-read bytes and try to complete a request. Returns
-    /// `Ok(Some(_))` as soon as one full request is available — call with
-    /// an empty slice to drain further pipelined requests. An error means
-    /// the peer violated the protocol; the connection should be dropped.
-    pub fn feed(&mut self, data: &[u8]) -> io::Result<Option<Request>> {
-        self.buf.extend_from_slice(data);
-        loop {
-            match std::mem::replace(&mut self.phase, Phase::Head) {
-                Phase::Head => {
-                    let Some(head_end) = self.find_head_end()? else {
-                        return Ok(None);
-                    };
-                    let head = self.parse_head(head_end)?;
-                    self.buf.drain(..head_end + 4);
-                    self.scanned = 0;
-                    if find_header(&head.headers, "transfer-encoding")
-                        .is_some_and(|v| v.to_ascii_lowercase().contains("chunked"))
-                    {
-                        self.phase = Phase::Chunked {
-                            head,
-                            decoded: Vec::new(),
-                            chunk: ChunkPhase::Size,
-                        };
-                        continue;
-                    }
-                    let need = match find_header(&head.headers, "content-length") {
-                        Some(v) => v.parse::<usize>().map_err(|_| invalid("bad content-length"))?,
-                        None => 0,
-                    };
-                    if need > self.max_body {
-                        return Err(invalid(format!(
-                            "body of {need} bytes exceeds limit {}",
-                            self.max_body
-                        )));
-                    }
-                    if need == 0 {
-                        return Ok(Some(self.produce(head, Vec::new())));
-                    }
-                    self.phase = Phase::Sized { head, need };
-                }
-                Phase::Sized { head, need } => {
-                    if self.buf.len() < need {
-                        self.phase = Phase::Sized { head, need };
-                        return Ok(None);
-                    }
-                    let body: Vec<u8> = self.buf.drain(..need).collect();
-                    return Ok(Some(self.produce(head, body)));
-                }
-                Phase::Chunked { head, mut decoded, mut chunk } => {
-                    loop {
-                        match chunk {
-                            ChunkPhase::Size => {
-                                let Some(line_end) = find_crlf(&self.buf, 130) else {
-                                    if self.buf.len() > 130 {
-                                        return Err(invalid("chunk size line too long"));
-                                    }
-                                    self.phase = Phase::Chunked { head, decoded, chunk };
-                                    return Ok(None);
-                                };
-                                let line = std::str::from_utf8(&self.buf[..line_end])
-                                    .map_err(|_| invalid("non-utf8 chunk size"))?;
-                                let hex = line.split(';').next().unwrap_or("").trim();
-                                let size = usize::from_str_radix(hex, 16)
-                                    .map_err(|_| invalid("bad chunk size"))?;
-                                self.buf.drain(..line_end + 2);
-                                chunk = if size == 0 {
-                                    ChunkPhase::Trailer
-                                } else {
-                                    if decoded.len() + size > self.max_body {
-                                        return Err(invalid("chunked body exceeds limit"));
-                                    }
-                                    ChunkPhase::Data { remaining: size }
-                                };
-                            }
-                            ChunkPhase::Data { remaining } => {
-                                let take = remaining.min(self.buf.len());
-                                decoded.extend(self.buf.drain(..take));
-                                let left = remaining - take;
-                                if left > 0 {
-                                    self.phase = Phase::Chunked {
-                                        head,
-                                        decoded,
-                                        chunk: ChunkPhase::Data { remaining: left },
-                                    };
-                                    return Ok(None);
-                                }
-                                chunk = ChunkPhase::DataCrlf;
-                            }
-                            ChunkPhase::DataCrlf => {
-                                if self.buf.len() < 2 {
-                                    self.phase = Phase::Chunked { head, decoded, chunk };
-                                    return Ok(None);
-                                }
-                                if &self.buf[..2] != b"\r\n" {
-                                    return Err(invalid("chunk missing CRLF"));
-                                }
-                                self.buf.drain(..2);
-                                chunk = ChunkPhase::Size;
-                            }
-                            ChunkPhase::Trailer => {
-                                let Some(line_end) = find_crlf(&self.buf, 1024) else {
-                                    if self.buf.len() > 1024 {
-                                        return Err(invalid("trailer section too long"));
-                                    }
-                                    self.phase = Phase::Chunked { head, decoded, chunk };
-                                    return Ok(None);
-                                };
-                                let empty = line_end == 0;
-                                self.buf.drain(..line_end + 2);
-                                if empty {
-                                    return Ok(Some(self.produce(head, decoded)));
-                                }
-                                chunk = ChunkPhase::Trailer;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Locate the `\r\n\r\n` head terminator, enforcing the header budget.
-    fn find_head_end(&mut self) -> io::Result<Option<usize>> {
-        let start = self.scanned.saturating_sub(3);
-        if let Some(pos) = self.buf[start..]
-            .windows(4)
-            .position(|w| w == b"\r\n\r\n")
-            .map(|p| p + start)
-        {
-            if pos + 4 > MAX_HEADER_BYTES {
-                return Err(invalid("header block exceeds limit"));
-            }
-            return Ok(Some(pos));
-        }
-        self.scanned = self.buf.len();
-        if self.buf.len() > MAX_HEADER_BYTES {
-            return Err(invalid("header block exceeds limit"));
-        }
-        Ok(None)
-    }
-
-    fn parse_head(&self, head_end: usize) -> io::Result<HeadParts> {
-        let head = std::str::from_utf8(&self.buf[..head_end])
-            .map_err(|_| invalid("non-utf8 header line"))?;
-        let mut lines = head.split("\r\n");
-        let start = lines.next().unwrap_or("");
-        let mut parts = start.split_whitespace();
-        let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
-            (Some(m), Some(p), Some(v)) => (m, p, v),
-            _ => return Err(invalid(format!("malformed request line: {start}"))),
-        };
-        if !version.starts_with("HTTP/1.") {
-            return Err(invalid(format!("unsupported version: {version}")));
-        }
-        let mut headers = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let (name, value) = line
-                .split_once(':')
-                .ok_or_else(|| invalid(format!("malformed header: {line}")))?;
-            headers.push((name.trim().to_string(), value.trim().to_string()));
-        }
-        Ok(HeadParts {
-            method: method.to_string(),
-            path: path.to_string(),
-            headers,
-        })
-    }
-
-    fn produce(&mut self, head: HeadParts, body: Vec<u8>) -> Request {
-        self.phase = Phase::Head;
-        self.scanned = 0;
-        Request {
-            method: head.method,
-            path: head.path,
-            headers: head.headers,
-            body,
-        }
-    }
-}
-
-fn find_crlf(buf: &[u8], budget: usize) -> Option<usize> {
-    buf[..buf.len().min(budget)]
-        .windows(2)
-        .position(|w| w == b"\r\n")
 }
 
 /// Serialize only a response head with an explicit `Content-Length` —
@@ -569,210 +527,9 @@ pub fn parse_range(header: Option<&str>, total: u64) -> Option<(u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eventloop::Incoming;
     use proptest::prelude::*;
     use std::io::BufReader;
-
-    // The blocking reader and writer the daemon ran before the event loop:
-    // no production caller is left, they stay as the reference grammar the
-    // differential tests below hold `RequestParser` and
-    // `response_head_bytes` to.
-
-    /// Read the message body described by `headers`.
-    fn read_body(
-        r: &mut impl BufRead,
-        headers: &[(String, String)],
-        max_body: usize,
-    ) -> io::Result<Vec<u8>> {
-        if find_header(headers, "transfer-encoding")
-            .is_some_and(|v| v.to_ascii_lowercase().contains("chunked"))
-        {
-            return read_chunked(r, max_body);
-        }
-        let len = match find_header(headers, "content-length") {
-            Some(v) => v
-                .parse::<usize>()
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))?,
-            None => return Ok(Vec::new()),
-        };
-        if len > max_body {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("body of {len} bytes exceeds limit {max_body}"),
-            ));
-        }
-        let mut body = vec![0u8; len];
-        r.read_exact(&mut body)?;
-        Ok(body)
-    }
-
-    /// Read one request off the wire. `Ok(None)` means the peer closed the
-    /// connection cleanly before sending another request (keep-alive end).
-    fn read_request(r: &mut impl BufRead, max_body: usize) -> io::Result<Option<Request>> {
-        let mut budget = MAX_HEADER_BYTES;
-        let start = match read_line(r, &mut budget) {
-            Ok(line) => line,
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let mut parts = start.split_whitespace();
-        let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
-            (Some(m), Some(p), Some(v)) => (m, p, v),
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("malformed request line: {start}"),
-                ))
-            }
-        };
-        if !version.starts_with("HTTP/1.") {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unsupported version: {version}"),
-            ));
-        }
-        let headers = read_headers(r, &mut budget)?;
-        let body = read_body(r, &headers, max_body)?;
-        Ok(Some(Request {
-            method: method.to_string(),
-            path: path.to_string(),
-            headers,
-            body,
-        }))
-    }
-
-    /// Serialize a response, always with `Content-Length` framing. When
-    /// `truncate_after` is set only that many body bytes go out — the fault
-    /// injection used to exercise client resume; callers must then drop the
-    /// connection (the advertised length was a lie).
-    fn write_response(
-        w: &mut impl Write,
-        resp: &Response,
-        truncate_after: Option<usize>,
-    ) -> io::Result<()> {
-        let mut head = format!("HTTP/1.1 {} {}\r\n", resp.status, reason(resp.status));
-        for (k, v) in &resp.headers {
-            head.push_str(&format!("{k}: {v}\r\n"));
-        }
-        head.push_str(&format!("Content-Length: {}\r\n\r\n", resp.body.len()));
-        w.write_all(head.as_bytes())?;
-        let cut = truncate_after.unwrap_or(resp.body.len()).min(resp.body.len());
-        w.write_all(&resp.body[..cut])?;
-        w.flush()
-    }
-
-    fn roundtrip_request(body: Option<&[u8]>, chunked: bool) -> Request {
-        let mut wire = Vec::new();
-        write_request(
-            &mut wire,
-            "PUT",
-            "/v2/app/blobs/sha256:abc",
-            &[("Host".into(), "localhost".into())],
-            body,
-            chunked,
-        )
-        .unwrap();
-        let mut r = BufReader::new(&wire[..]);
-        read_request(&mut r, 1 << 20).unwrap().unwrap()
-    }
-
-    #[test]
-    fn request_roundtrip_content_length() {
-        let req = roundtrip_request(Some(b"hello blob"), false);
-        assert_eq!(req.method, "PUT");
-        assert_eq!(req.path, "/v2/app/blobs/sha256:abc");
-        assert_eq!(req.body, b"hello blob");
-        assert_eq!(req.header("host"), Some("localhost"));
-        assert_eq!(req.header("HOST"), Some("localhost"));
-    }
-
-    #[test]
-    fn request_roundtrip_chunked() {
-        // Multi-chunk: body larger than one upload chunk.
-        let body: Vec<u8> = (0..UPLOAD_CHUNK + 123).map(|i| (i % 251) as u8).collect();
-        let req = roundtrip_request(Some(&body), true);
-        assert_eq!(req.body, body);
-    }
-
-    #[test]
-    fn empty_body_request() {
-        let req = roundtrip_request(None, false);
-        assert!(req.body.is_empty());
-    }
-
-    #[test]
-    fn response_roundtrip_and_truncation() {
-        let resp = Response::new(200)
-            .with_header("Docker-Content-Digest", "sha256:ff")
-            .with_body(vec![7u8; 1000]);
-        let mut wire = Vec::new();
-        write_response(&mut wire, &resp, None).unwrap();
-        let mut sink = Vec::new();
-        let (status, headers) =
-            read_response_into(&mut BufReader::new(&wire[..]), &mut sink, 1 << 20).unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(find_header(&headers, "docker-content-digest"), Some("sha256:ff"));
-        assert_eq!(sink.len(), 1000);
-
-        // Truncated write: reader keeps the prefix and reports EOF.
-        let mut wire = Vec::new();
-        write_response(&mut wire, &resp, Some(100)).unwrap();
-        let mut sink = Vec::new();
-        let err = read_response_into(&mut BufReader::new(&wire[..]), &mut sink, 1 << 20)
-            .expect_err("truncated body must error");
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        assert_eq!(sink.len(), 100, "partial prefix retained for resume");
-    }
-
-    /// A transport that hands out `script`'s reads one by one and then
-    /// fails (or, with no error, reports end of stream).
-    struct Flaky<'a, I: Iterator<Item = &'a [u8]>> {
-        script: I,
-        then: Option<io::ErrorKind>,
-    }
-
-    impl<'a, I: Iterator<Item = &'a [u8]>> Read for Flaky<'a, I> {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            match (self.script.next(), self.then) {
-                (Some(piece), _) => {
-                    assert!(piece.len() <= buf.len(), "script pieces fit any reader buffer");
-                    buf[..piece.len()].copy_from_slice(piece);
-                    Ok(piece.len())
-                }
-                (None, Some(kind)) => Err(kind.into()),
-                (None, None) => Ok(0),
-            }
-        }
-    }
-
-    #[test]
-    fn body_limit_enforced() {
-        let mut wire = Vec::new();
-        write_request(&mut wire, "PUT", "/x", &[], Some(&[1u8; 4096]), false).unwrap();
-        let err = read_request(&mut BufReader::new(&wire[..]), 1024).expect_err("over limit");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
-        let mut wire = Vec::new();
-        write_request(&mut wire, "PUT", "/x", &[], Some(&[1u8; 4096]), true).unwrap();
-        let err = read_request(&mut BufReader::new(&wire[..]), 1024).expect_err("over limit");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
-        // The client side reserves `Content-Length` up front, so the limit
-        // has to refuse a declared length before anything is allocated.
-        let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\n";
-        let mut sink = Vec::new();
-        let err = read_response_into(&mut BufReader::new(&wire[..]), &mut sink, 1 << 20)
-            .expect_err("over limit");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(sink.capacity(), 0);
-    }
-
-    #[test]
-    fn clean_eof_is_none() {
-        let empty: &[u8] = b"";
-        assert!(read_request(&mut BufReader::new(empty), 1024)
-            .unwrap()
-            .is_none());
-    }
 
     #[test]
     fn range_parsing() {
@@ -820,7 +577,7 @@ mod tests {
                 chunked,
             )
             .unwrap();
-            let mut parser = RequestParser::new(1 << 22);
+            let mut parser = Incoming::new(1 << 22);
             let mut got = None;
             for (i, b) in raw.iter().enumerate() {
                 match parser.feed(std::slice::from_ref(b)).unwrap() {
@@ -846,7 +603,7 @@ mod tests {
         write_request(&mut raw, "GET", "/v2/", &[], None, false).unwrap();
         let first_len = raw.len();
         write_request(&mut raw, "GET", "/v2/x/blobs/sha256:ff", &[], None, false).unwrap();
-        let mut parser = RequestParser::new(1 << 20);
+        let mut parser = Incoming::new(1 << 20);
         // Feed both requests at once: the first completes, the tail stays.
         let one = parser.feed(&raw).unwrap().expect("first request");
         assert_eq!(one.path, "/v2/");
@@ -860,40 +617,97 @@ mod tests {
     #[test]
     fn incremental_parser_enforces_budgets() {
         // Oversized sized body.
-        let mut parser = RequestParser::new(16);
+        let mut parser = Incoming::new(16);
         let raw = b"PUT /x HTTP/1.1\r\nContent-Length: 64\r\n\r\n";
         assert!(parser.feed(raw).is_err());
         // Oversized chunked body.
-        let mut parser = RequestParser::new(16);
+        let mut parser = Incoming::new(16);
         let raw = b"PUT /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n40\r\n";
         assert!(parser.feed(raw).is_err());
         // Unbounded header block.
-        let mut parser = RequestParser::new(1 << 20);
+        let mut parser = Incoming::new(1 << 20);
         let mut raw = b"GET / HTTP/1.1\r\n".to_vec();
         raw.extend(std::iter::repeat_n(b'a', MAX_HEADER_BYTES + 2));
         assert!(parser.feed(&raw).is_err());
         // Garbage request line.
-        let mut parser = RequestParser::new(1 << 20);
+        let mut parser = Incoming::new(1 << 20);
         assert!(parser.feed(b"nonsense\r\n\r\n").is_err());
     }
 
-    /// Drive a parser the way the event loop does: feed one read, then
-    /// drain pipelined requests before the next. `Err` ends the connection.
-    fn feed_all<'a>(
-        parser: &mut RequestParser,
-        reads: impl Iterator<Item = &'a [u8]>,
-        mut after_feed: impl FnMut(&RequestParser, usize),
-    ) -> io::Result<Vec<Request>> {
-        let mut got = Vec::new();
-        for read in reads {
-            let mut next = parser.feed(read)?;
-            after_feed(parser, read.len());
-            while let Some(req) = next {
-                got.push(req);
-                next = parser.feed(&[])?;
-            }
+    /// A transport that serves `wire` in reads of at most `piece` bytes
+    /// and notes where each read's buffer was.
+    struct Recording<'a> {
+        wire: &'a [u8],
+        piece: usize,
+        reads: Vec<(usize, usize)>,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.piece).min(self.wire.len());
+            buf[..n].copy_from_slice(&self.wire[..n]);
+            self.wire = &self.wire[n..];
+            self.reads.push((buf.as_ptr() as usize, n));
+            Ok(n)
         }
-        Ok(got)
+    }
+
+    /// The pull row of DESIGN.md's copy table: a sized body is read
+    /// straight into the sink's reserved tail. Only the bytes the reader
+    /// had buffered along with the head, and a last read shorter than its
+    /// buffer, may land anywhere else.
+    #[test]
+    fn sized_body_is_read_into_the_sink() {
+        let body: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
+        let mut wire = response_head_bytes(&Response::new(200), body.len() as u64);
+        wire.extend_from_slice(&body);
+        let capacity = 256;
+        let mut r = BufReader::with_capacity(
+            capacity,
+            Recording {
+                wire: &wire,
+                piece: 40_000,
+                reads: Vec::new(),
+            },
+        );
+        let mut sink = Vec::new();
+        let (status, _) = read_response_into(&mut r, &mut sink, 1 << 21).unwrap();
+        assert_eq!((status, sink == body), (200, true));
+        let inside = sink.as_ptr() as usize..sink.as_ptr() as usize + sink.capacity();
+        let outside: usize = r
+            .get_ref()
+            .reads
+            .iter()
+            .filter(|(at, _)| !inside.contains(at))
+            .map(|&(_, n)| n)
+            .sum();
+        assert!(
+            outside <= 2 * capacity,
+            "{outside} body bytes were read outside the sink"
+        );
+        assert_eq!(sink.capacity(), body.len(), "one reservation, no regrowth");
+    }
+
+    #[test]
+    fn head_answer_ends_at_its_head() {
+        let head = response_head_bytes(&Response::new(200), 1 << 40);
+        let mut wire = head.clone();
+        wire.extend_from_slice(&head);
+        let mut r = BufReader::new(&wire[..]);
+        for _ in 0..2 {
+            let (status, headers) = read_response_head(&mut r).unwrap();
+            assert_eq!(
+                (status, find_header(&headers, "content-length")),
+                (200, Some("1099511627776"))
+            );
+        }
+        // No framing header: an empty body, and the next response follows.
+        let mut r =
+            BufReader::new(&b"HTTP/1.1 404 Not Found\r\n\r\nHTTP/1.1 201 Created\r\n\r\n"[..]);
+        let mut sink = Vec::new();
+        assert_eq!(read_response_into(&mut r, &mut sink, 0).unwrap().0, 404);
+        assert_eq!(read_response_into(&mut r, &mut sink, 0).unwrap().0, 201);
+        assert!(sink.is_empty());
     }
 
     /// Cut `raw` into consecutive reads of the given lengths (cycled).
@@ -906,43 +720,153 @@ mod tests {
         })
     }
 
-    /// One valid request on the wire; chunked bodies go out in pieces of
-    /// `piece` bytes so the fuzz loop cuts through many size lines.
-    fn encode(method: &str, path: &str, body: &[u8], chunked: Option<usize>) -> Vec<u8> {
-        let Some(piece) = chunked else {
-            let mut raw = Vec::new();
-            write_request(&mut raw, method, path, &[("Host".into(), "h".into())], Some(body), false)
-                .unwrap();
-            return raw;
-        };
-        let mut raw = format!("{method} {path} HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n").into_bytes();
-        for chunk in body.chunks(piece) {
-            raw.extend(format!("{:x};ext=1\r\n", chunk.len()).into_bytes());
-            raw.extend(chunk);
-            raw.extend(b"\r\n");
+    /// Which messages a test stream carries.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Kind {
+        Requests,
+        Responses,
+        /// Answers to `HEAD`: each states a length and carries no body.
+        HeadAnswers,
+    }
+
+    fn parser(kind: Kind, max_body: usize) -> Parser {
+        match kind {
+            Kind::Requests => Parser::request(max_body),
+            Kind::Responses => Parser::response(max_body, false),
+            Kind::HeadAnswers => Parser::response(max_body, true),
         }
-        raw.extend(b"0\r\nX-Trailer: t\r\n\r\n");
+    }
+
+    /// How a test message frames its body.
+    #[derive(Debug, Clone, Copy)]
+    enum Framing {
+        Sized,
+        /// Chunked in pieces of this many bytes, with chunk extensions
+        /// and a trailer, so the fuzz loop cuts through many size lines.
+        Chunked(usize),
+        /// Neither framing header: the body is empty.
+        Bare,
+    }
+
+    /// One message: a request line and a status line — the stream's kind
+    /// picks one — its body and its framing.
+    type Spec = (String, String, Vec<u8>, Framing);
+
+    fn request_line() -> impl Strategy<Value = String> {
+        let method = prop_oneof![Just("GET"), Just("PUT"), Just("HEAD")];
+        (method, "/v2/[a-z]{1,8}/blobs/sha256:[0-9a-f]{8}")
+            .prop_map(|(method, path)| format!("{method} {path} HTTP/1.1"))
+    }
+
+    fn status_line() -> impl Strategy<Value = String> {
+        let status = prop_oneof![Just(200), Just(206), Just(404)];
+        (status, "[A-Za-z ]{0,12}")
+            .prop_map(|(status, reason)| format!("HTTP/1.1 {status} {reason}"))
+    }
+
+    /// A pipelined run of valid messages of one kind.
+    fn streams() -> impl Strategy<Value = (Kind, Vec<Spec>)> {
+        let kind = prop_oneof![
+            Just(Kind::Requests),
+            Just(Kind::Responses),
+            Just(Kind::HeadAnswers)
+        ];
+        let framing = prop_oneof![
+            Just(Framing::Sized),
+            (1usize..700).prop_map(Framing::Chunked),
+            Just(Framing::Bare),
+        ];
+        let spec = (
+            request_line(),
+            status_line(),
+            prop::collection::vec(any::<u8>(), 0..3000),
+            framing,
+        )
+            .prop_map(|(request, status, body, framing)| match framing {
+                Framing::Bare => (request, status, Vec::new(), framing),
+                _ => (request, status, body, framing),
+            });
+        (kind, prop::collection::vec(spec, 1..6))
+    }
+
+    fn start_line(kind: Kind, (request, status, ..): &Spec) -> &str {
+        if kind == Kind::Requests {
+            request
+        } else {
+            status
+        }
+    }
+
+    fn encode_all(kind: Kind, specs: &[Spec]) -> Vec<u8> {
+        let mut raw = Vec::new();
+        for spec in specs {
+            let (_, _, body, framing) = spec;
+            raw.extend(format!("{}\r\nHost: h\r\n", start_line(kind, spec)).into_bytes());
+            match (framing, kind) {
+                (_, Kind::HeadAnswers) => {
+                    raw.extend(format!("Content-Length: {}\r\n\r\n", body.len()).into_bytes())
+                }
+                (Framing::Sized, _) => {
+                    raw.extend(format!("Content-Length: {}\r\n\r\n", body.len()).into_bytes());
+                    raw.extend(body);
+                }
+                (Framing::Chunked(piece), _) => {
+                    raw.extend(b"Transfer-Encoding: chunked\r\n\r\n");
+                    for chunk in body.chunks(*piece) {
+                        raw.extend(format!("{:x};ext=1\r\n", chunk.len()).into_bytes());
+                        raw.extend(chunk);
+                        raw.extend(b"\r\n");
+                    }
+                    raw.extend(b"0\r\nX-Trailer: t\r\n\r\n");
+                }
+                (Framing::Bare, _) => raw.extend(b"\r\n"),
+            }
+        }
         raw
     }
 
-    type Spec = (&'static str, String, Vec<u8>, Option<usize>);
-
-    /// A pipelined run of valid requests: method, path, body, and the
-    /// chunk piece size when the body goes out chunked.
-    fn request_specs() -> impl Strategy<Value = Vec<Spec>> {
-        prop::collection::vec(
-            (
-                prop_oneof![Just("GET"), Just("PUT"), Just("HEAD")],
-                "/v2/[a-z]{1,8}/blobs/sha256:[0-9a-f]{8}",
-                prop::collection::vec(any::<u8>(), 0..3000),
-                prop_oneof![Just(None), (1usize..700).prop_map(Some)],
-            ),
-            1..6,
-        )
+    /// A message as the tests collect it: the head with its body filled in.
+    #[derive(Debug)]
+    enum Message {
+        Request(Request),
+        Response(Response),
     }
 
-    fn encode_all(specs: &[Spec]) -> Vec<u8> {
-        specs.iter().flat_map(|(method, path, body, chunked)| encode(method, path, body, *chunked)).collect()
+    /// Drive a parser the way the daemon and the client do: feed each read
+    /// until it is used up, appending body slices to the message in
+    /// flight. `after_feed` sees what is held after each read — the
+    /// parser's partial line plus the body of an unfinished message — and
+    /// the read's length. `Err` ends the stream.
+    fn feed_all<'a>(
+        parser: &mut Parser,
+        reads: impl Iterator<Item = &'a [u8]>,
+        mut after_feed: impl FnMut(usize, usize),
+    ) -> io::Result<Vec<Message>> {
+        let mut got = Vec::new();
+        let mut open = 0;
+        for read in reads {
+            let mut rest = read;
+            loop {
+                let (used, event) = parser.feed(rest)?;
+                match event {
+                    None => break,
+                    Some(Event::Request(req)) => got.push(Message::Request(req)),
+                    Some(Event::Response(resp)) => got.push(Message::Response(resp)),
+                    Some(Event::Body(bytes)) => {
+                        open += bytes.len();
+                        match got.last_mut() {
+                            Some(Message::Request(m)) => m.body.extend_from_slice(bytes),
+                            Some(Message::Response(m)) => m.body.extend_from_slice(bytes),
+                            None => unreachable!("a body follows its head"),
+                        }
+                    }
+                    Some(Event::End) => open = 0,
+                }
+                rest = &rest[used..];
+            }
+            after_feed(parser.buffered() + open, read.len());
+        }
+        Ok(got)
     }
 
     /// What gets spliced into a valid stream to make it hostile: noise,
@@ -951,6 +875,7 @@ mod tests {
         prop_oneof![
             prop::collection::vec(any::<u8>(), 0..700),
             "[A-Z]{3,4} /[a-z/]{0,12} HTTP/[12]\\.[01]\r\n".prop_map(String::into_bytes),
+            "HTTP/[12]\\.[01] [0-9]{3} [A-Za-z]{0,8}\r\n".prop_map(String::into_bytes),
             "Content-Length: [0-9]{1,5}\r\n".prop_map(String::into_bytes),
             Just(b"Transfer-Encoding: chunked\r\n\r\n".to_vec()),
             Just(b"\r\n".to_vec()),
@@ -1001,83 +926,66 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Untrusted bytes: a valid stream with garbage spliced in, or
-        /// plain garbage, in whatever splits, gets `Ok` or `Err` — never a
-        /// panic — and the parser never holds more than its budgets plus
-        /// the read that overflowed them.
+        /// Untrusted bytes: a valid stream of requests or responses with
+        /// garbage spliced in, or plain garbage, in whatever splits, gets
+        /// `Ok` or `Err` — never a panic — and the parser's state plus the
+        /// body collected so far never exceed its budgets plus the read
+        /// that overflowed them.
         #[test]
         fn parser_survives_hostile_streams_within_its_budgets(
-            specs in request_specs(),
+            stream in streams(),
             splices in prop::collection::vec((any::<prop::sample::Index>(), splice()), 0..4),
             garbage_only in any::<bool>(),
             lens in prop::collection::vec(1usize..2048, 1..8),
             max_body in 0usize..4096,
         ) {
-            let mut raw = if garbage_only { Vec::new() } else { encode_all(&specs) };
+            let (kind, specs) = stream;
+            let mut raw = if garbage_only { Vec::new() } else { encode_all(kind, &specs) };
             for (at, bytes) in splices {
                 let at = at.index(raw.len() + 1);
                 raw.splice(at..at, bytes);
             }
-            let mut parser = RequestParser::new(max_body);
             let mut worst = None;
-            let _ = feed_all(&mut parser, reads(&raw, &lens), |p, read| {
-                if p.buffered() > MAX_HEADER_BYTES + max_body + read {
-                    worst = Some((p.buffered(), read));
+            let _ = feed_all(&mut parser(kind, max_body), reads(&raw, &lens), |held, read| {
+                if held > MAX_HEADER_BYTES + max_body + read {
+                    worst = Some((held, read));
                 }
             });
-            prop_assert!(worst.is_none(), "buffered {worst:?} with max_body {max_body}");
+            prop_assert!(worst.is_none(), "held {worst:?} with max_body {max_body}");
         }
 
-        /// The resume contract of `read_response_into`: a body that
-        /// arrives in short reads of any sizes and then dies — by error or
-        /// by end of stream — leaves exactly the delivered bytes in `sink`,
-        /// after whatever an earlier attempt had left there.
-        #[test]
-        fn cut_response_leaves_exactly_its_prefix_in_sink(
-            body in prop::collection::vec(any::<u8>(), 1..20_000),
-            earlier in prop::collection::vec(any::<u8>(), 0..64),
-            cut in any::<prop::sample::Index>(),
-            lens in prop::collection::vec(1usize..3000, 1..8),
-            reset in any::<bool>(),
-        ) {
-            let mut wire = Vec::new();
-            write_response(&mut wire, &Response::new(200).with_body(body.clone()), None).unwrap();
-            let head = wire.len() - body.len();
-            let delivered = cut.index(body.len());
-            let kind = reset.then_some(io::ErrorKind::ConnectionReset);
-            let transport = Flaky { script: reads(&wire[..head + delivered], &lens), then: kind };
-            let mut sink = earlier.clone();
-            let err = read_response_into(&mut BufReader::new(transport), &mut sink, 1 << 20)
-                .expect_err("a cut body is an error");
-            prop_assert_eq!(err.kind(), kind.unwrap_or(io::ErrorKind::UnexpectedEof));
-            prop_assert_eq!(&sink[..earlier.len()], &earlier[..]);
-            prop_assert_eq!(&sink[earlier.len()..], &body[..delivered]);
-
-            // The whole body, however it is split, lands after the prefix.
-            let transport = Flaky { script: reads(&wire, &lens), then: kind };
-            let mut sink = earlier.clone();
-            let (status, _) =
-                read_response_into(&mut BufReader::new(transport), &mut sink, 1 << 20).unwrap();
-            prop_assert_eq!(status, 200);
-            prop_assert_eq!(&sink[earlier.len()..], &body[..]);
-        }
-
-        /// Friendly bytes: a pipelined sequence of valid requests, sized
-        /// and chunked, parses to the same requests however it is split.
+        /// Friendly bytes: a pipelined sequence of valid requests or
+        /// responses — sized, chunked with extensions and trailers, with
+        /// no framing header, or answers to `HEAD` stating a length —
+        /// parses to the same messages however it is split.
         #[test]
         fn split_feeds_parse_like_one_whole_feed(
-            specs in request_specs(),
+            stream in streams(),
             lens in prop::collection::vec(1usize..900, 1..8),
         ) {
-            let raw = encode_all(&specs);
-            let whole = feed_all(&mut RequestParser::new(4096), std::iter::once(&raw[..]), |_, _| {}).unwrap();
-            let mut parser = RequestParser::new(4096);
-            let split = feed_all(&mut parser, reads(&raw, &lens), |_, _| {}).unwrap();
-            prop_assert_eq!(parser.buffered(), 0);
+            let (kind, specs) = stream;
+            let raw = encode_all(kind, &specs);
+            let once = std::iter::once(&raw[..]);
+            let whole = feed_all(&mut parser(kind, 4096), once, |_, _| {}).unwrap();
+            let mut split_parser = parser(kind, 4096);
+            let split = feed_all(&mut split_parser, reads(&raw, &lens), |_, _| {}).unwrap();
+            prop_assert_eq!(split_parser.buffered(), 0);
             prop_assert_eq!(format!("{split:?}"), format!("{whole:?}"));
             prop_assert_eq!(whole.len(), specs.len());
-            for (req, (method, path, body, _)) in whole.iter().zip(&specs) {
-                prop_assert_eq!((req.method.as_str(), &req.path, &req.body), (*method, path, body));
+            for (message, spec) in whole.iter().zip(&specs) {
+                let (start, body) = (start_line(kind, spec), &spec.2);
+                let got = match message {
+                    Message::Request(r) => {
+                        prop_assert_eq!(&format!("{} {} HTTP/1.1", r.method, r.path), start);
+                        &r.body
+                    }
+                    Message::Response(r) => {
+                        prop_assert_eq!(r.status.to_string(), &start[9..12]);
+                        &r.body
+                    }
+                };
+                let body = if kind == Kind::HeadAnswers { &[][..] } else { &body[..] };
+                prop_assert_eq!(&got[..], body);
             }
         }
     }
@@ -1087,7 +995,10 @@ mod tests {
         let resp = Response::new(206).with_header("Content-Range", "bytes 0-9/100");
         let head = response_head_bytes(&resp, 10);
         let text = String::from_utf8(head).unwrap();
-        assert!(text.starts_with("HTTP/1.1 206 Partial Content\r\n"), "{text}");
+        assert!(
+            text.starts_with("HTTP/1.1 206 Partial Content\r\n"),
+            "{text}"
+        );
         assert!(text.contains("Content-Range: bytes 0-9/100\r\n"));
         assert!(text.ends_with("Content-Length: 10\r\n\r\n"));
     }
@@ -1097,11 +1008,17 @@ mod tests {
         // u64::MAX end + 1 must not wrap: it saturates, and like any end
         // past the body it means the rest of the body.
         let max = u64::MAX.to_string();
-        assert_eq!(parse_range(Some(&format!("bytes=0-{max}")), 10), Some((0, 10)));
+        assert_eq!(
+            parse_range(Some(&format!("bytes=0-{max}")), 10),
+            Some((0, 10))
+        );
         // Oversized-but-parseable start is simply out of range.
         assert_eq!(parse_range(Some(&format!("bytes={max}-")), 10), None);
         // A suffix of u64::MAX saturates to the whole body, no wrap.
-        assert_eq!(parse_range(Some(&format!("bytes=-{max}")), 10), Some((0, 10)));
+        assert_eq!(
+            parse_range(Some(&format!("bytes=-{max}")), 10),
+            Some((0, 10))
+        );
         // Numbers beyond u64 fail to parse → None, not panic.
         let huge = "184467440737095516160"; // u64::MAX * 10
         assert_eq!(parse_range(Some(&format!("bytes={huge}-")), 10), None);

@@ -4,7 +4,8 @@
 //! daemon, which always sends what it advertises. Std only.
 //!
 //! It handles one exchange per connection, as `DistClient` makes them:
-//! read one request (a `Content-Length` body at most), send it upstream
+//! read one request (a `Content-Length` body at most; a chunked one is
+//! refused and the connection dropped), send it upstream
 //! with `Connection: close`, read the whole response, then forward it
 //! whole, cut short, or with its last byte flipped, and close.
 
@@ -144,17 +145,28 @@ fn read_head(r: &mut impl BufRead) -> io::Result<(String, Vec<String>)> {
     Ok((start, lines))
 }
 
-fn content_length(headers: &[String]) -> usize {
+fn header<'a>(headers: &'a [String], name: &str) -> Option<&'a str> {
     headers
         .iter()
         .filter_map(|h| h.split_once(':'))
-        .find(|(k, _)| k.trim().eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse().ok())
-        .unwrap_or(0)
+        .find(|(k, _)| k.trim().eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.trim())
 }
 
+/// Read a `Content-Length` body. A body framed any other way is refused
+/// at once: forwarded without it, the request would leave both the
+/// client and the daemon waiting for bytes that never come.
 fn read_body(r: &mut impl Read, headers: &[String]) -> io::Result<Vec<u8>> {
-    let mut body = vec![0u8; content_length(headers)];
+    if let Some(coding) = header(headers, "transfer-encoding") {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("the proxy frames only Content-Length bodies, not Transfer-Encoding: {coding}"),
+        ));
+    }
+    let len = header(headers, "content-length")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0);
+    let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
     Ok(body)
 }

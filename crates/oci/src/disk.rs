@@ -136,14 +136,21 @@ impl<'a> Repairs<'a> {
         }
     }
 
-    /// Delete one entry of the blob directory: an orphan, a foreign file or
-    /// a blob that failed its check.
+    /// Delete one entry of the blob directory: an orphan, a foreign entry
+    /// or a blob that failed its check. A foreign directory goes with its
+    /// whole tree (a load refuses any foreign entry); a symlink is
+    /// unlinked, never followed.
     pub(crate) fn remove(&mut self, entry: &BlobEntry) -> Result<(), StoreError> {
         if let BlobEntry::Blob { digest, .. } = entry {
             self.store.proofs().remove(digest);
         }
         let dir = self.store.blobs_dir();
-        std::fs::remove_file(dir.join(entry.name()))?;
+        let path = dir.join(entry.name());
+        if std::fs::symlink_metadata(&path)?.is_dir() {
+            std::fs::remove_dir_all(&path)?;
+        } else {
+            std::fs::remove_file(&path)?;
+        }
         self.changed.insert(dir);
         Ok(())
     }

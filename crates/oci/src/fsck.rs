@@ -11,7 +11,7 @@
 //! | `COMT-F002` | error    | ref whose closure is missing or corrupt   | drop the ref, commit index   |
 //! | `COMT-F003` | warning  | orphan `.tmp.*` from an interrupted commit| delete the tmp file          |
 //! | `COMT-F004` | error    | `index.json` missing or unparseable       | commit an empty index        |
-//! | `COMT-F005` | warning  | foreign file in the blob directory        | delete the file              |
+//! | `COMT-F005` | warning  | foreign file in the blob directory        | delete it, with a dir's tree |
 //! | `COMT-F006` | warning  | `oci-layout` marker missing or invalid    | rewrite the marker           |
 //! | `COMT-F007` | error    | chunkmap disagrees with its stored layer  | quarantine map, drop entry   |
 //!
@@ -489,6 +489,43 @@ mod tests {
         let back = OciDir::load(&dir).unwrap();
         assert!(back.index.ref_names().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn repair_removes_a_foreign_directory_tree() {
+        let (dir, _) = saved_layout("foreign-dir");
+        let blobs = dir.join("blobs").join("sha256");
+        // A directory under a digest's name holding a tree, and a symlink
+        // to a directory outside the layout.
+        let tree = blobs.join("0".repeat(64));
+        std::fs::create_dir_all(tree.join("nested")).unwrap();
+        std::fs::write(tree.join("nested").join("file"), b"x").unwrap();
+        let outside = tmp_layout("foreign-dir-target");
+        std::fs::create_dir_all(&outside).unwrap();
+        std::fs::write(outside.join("kept"), b"kept").unwrap();
+        std::os::unix::fs::symlink(&outside, blobs.join("link")).unwrap();
+        assert!(OciDir::load(&dir).is_err());
+
+        let report = fsck(&dir, &FsckOptions { repair: true }).unwrap();
+        let codes: Vec<&str> = report.findings.iter().map(|f| f.code).collect();
+        assert_eq!(
+            codes,
+            ["COMT-F005", "COMT-F005"],
+            "{}",
+            report.render_human()
+        );
+        assert!(report.findings.iter().all(|f| f.repaired));
+        assert!(!tree.exists());
+        assert!(std::fs::symlink_metadata(blobs.join("link")).is_err());
+        assert!(
+            outside.join("kept").is_file(),
+            "the repair followed the symlink"
+        );
+        let clean = fsck(&dir, &FsckOptions::default()).unwrap();
+        assert!(clean.is_clean(), "{}", clean.render_human());
+        assert_eq!(OciDir::load(&dir).unwrap().index.ref_names().len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&outside).unwrap();
     }
 
     #[test]

@@ -501,3 +501,53 @@ fn fsck_goes_through_the_disk_store() {
         "crates/oci/src/fsck.rs reads or writes the layout itself: go through comt_oci::disk",
     );
 }
+
+/// One HTTP/1.1 parser: the daemon and the client read requests and
+/// responses through `wire::Parser`. No blocking line, header or chunked
+/// reader and no second incremental parser comes back in the non-test part
+/// of `crates/dist/src`, and no other type in `wire.rs` has a `feed`.
+#[test]
+fn one_http_parser() {
+    let needles = [
+        concat!("fn read", "_line"),
+        concat!("fn read", "_headers"),
+        concat!("fn read", "_chunked"),
+        concat!("struct Request", "Parser"),
+    ];
+    let mut hits = Vec::new();
+    let mut feeders = BTreeMap::new();
+    for path in files_under(&["crates/dist/src"], true) {
+        let text = non_test_part(&fs::read_to_string(&path).unwrap());
+        let mut impl_of = String::new();
+        for (n, line) in text.lines().enumerate() {
+            let at = format!("{}:{}: {line}", relative(&path), n + 1);
+            if needles.iter().any(|needle| line.contains(needle)) {
+                hits.push(at.clone());
+            }
+            if let Some(header) = line.strip_prefix("impl") {
+                // The implementing type: after `for` in a trait impl,
+                // else after the impl's own generics.
+                let ty = match header.split_once(" for ") {
+                    Some((_, ty)) => ty,
+                    None => header.trim_start_matches(|c| c != ' '),
+                };
+                impl_of = ty
+                    .trim()
+                    .split(['<', ' ', '{'])
+                    .next()
+                    .unwrap_or("")
+                    .to_string();
+            }
+            if path.ends_with("wire.rs") && line.contains(concat!("fn ", "feed")) {
+                feeders.insert(impl_of.clone(), at);
+            }
+        }
+    }
+    if feeders.len() > 1 {
+        hits.extend(feeders.into_values());
+    }
+    assert_none(
+        &hits,
+        "a second HTTP parser is back: read requests and responses through wire::Parser",
+    );
+}
